@@ -16,14 +16,15 @@ from cheegerlab.chamber_lemmas import (
     chain_from_dict,
     chain_region_area,
     chain_to_dict,
-    monte_carlo_area,
     phi,
+    pocket_outline,
     random_chain,
     reference_areas,
     run_chain_sweep,
     tangency_geometry,
     verify_chain_bound,
 )
+from cheegerlab.arc_geometry import signed_area
 from cheegerlab.cli import render_svg
 
 delta, wedge, corner = reference_areas(1.0)
@@ -34,10 +35,10 @@ print(f"  disk in a pi/3 corner |corner| = {corner:.7f}")
 
 tri = DiskChain(np.array([[0, 0], [2, 0], [1, math.sqrt(3)]]), [1, 1, 1], "closed")
 dec = chain_region_area(tri)
-mc = monte_carlo_area(tri, samples=2_000_000)
+outline = signed_area(pocket_outline(tri))
 print("\nthree tangent unit disks (equality case of the closed bound):")
-print(f"  decomposition: {dec.area:.9f}")
-print(f"  monte carlo:   {mc.area:.6f} +- {mc.sample_error:.6f}")
+print(f"  decomposition:  {dec.area:.12f}")
+print(f"  pocket outline: {outline:.12f}  (Gauss-Green area of the arc boundary)")
 
 print("\ntangency geometry (symmetric case r1 = r2 = r3 = 1):")
 x0, y0, d1, d3 = tangency_geometry(1.0, 1.0, 1.0)

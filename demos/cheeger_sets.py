@@ -9,7 +9,7 @@ Cheeger set to cheeger_square.svg.
 import math
 
 from cheegerlab import jsonio
-from cheegerlab.arc_geometry import curve_length, curve_to_dict, oriented_area
+from cheegerlab.arc_geometry import curve_length, curve_to_dict, signed_area
 from cheegerlab.cheeger import (
     ConvexPolygon,
     cheeger_convex,
@@ -39,7 +39,7 @@ off = inner_cheeger_boundary(dom)
 r = dom.r
 print(f"  r = 1/h = {r:.6f}")
 print(f"  H1(Gamma_r) = {curve_length(off.curve):.9f}  (= 4 sqrt(pi) r = {4 * math.sqrt(math.pi) * r:.9f})")
-print(f"  A(Gamma_r)  = {oriented_area(off.curve):.9f}  (= pi r^2      = {math.pi * r * r:.9f})")
+print(f"  A(Gamma_r)  = {signed_area(off.curve):.9f}  (= pi r^2      = {math.pi * r * r:.9f})")
 print(f"  {len(off.collapsed_indices)} free corner arcs collapsed to points")
 
 rep = structure_report(dom)

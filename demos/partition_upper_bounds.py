@@ -11,7 +11,8 @@ import math
 import time
 
 from cheegerlab.cheeger import hexagon_constant, regular_polygon
-from cheegerlab.partition_optimizer import honeycomb_incumbent_rows, optimize
+from cheegerlab.cluster import honeycomb_cluster, objective
+from cheegerlab.partition_optimizer import optimize
 
 triangle = regular_polygon(3, area=1.0)
 h_ref = hexagon_constant()
@@ -28,8 +29,10 @@ print(f"\ncertified floor: scaled value can never drop below h(H) = {h_ref:.6f}"
 print("(every evaluated configuration is checked against it)")
 
 print("\nhoneycomb incumbents on k-triangles (the equality case):")
-for row in honeycomb_incumbent_rows([1, 2, 3, 4]):
-    print(f"  k = {row.k:2d}: scaled = {row.scaled:.12f}  ratio = {row.ratio:.12f}")
+for l in (1, 2, 3, 4):
+    cl = honeycomb_cluster(l)
+    scaled = objective(cl, math.inf) * math.sqrt(cl.container_area / cl.k)
+    print(f"  k = {cl.k:2d}: scaled = {scaled:.12f}  ratio = {scaled / h_ref:.12f}")
 
 print("\nnote: k = 1 recovers the triangle's own Cheeger constant "
       f"sqrt(pi) + 3^(3/4) = {math.sqrt(math.pi) + 3 ** 0.75:.9f}")

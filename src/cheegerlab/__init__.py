@@ -22,7 +22,6 @@ from .arc_geometry import (
     Segment,
     curve_length,
     offset_inner,
-    oriented_area,
     signed_area,
     winding_number,
 )

@@ -129,18 +129,6 @@ class Arc:
 Edge = Union[Arc, Segment]
 
 
-def edge_start(e: Edge) -> Point:
-    return e.start
-
-
-def edge_end(e: Edge) -> Point:
-    return e.end
-
-
-def edge_length(e: Edge) -> float:
-    return e.length
-
-
 @dataclass(frozen=True)
 class ArcCurve:
     """Oriented chain of arcs and segments; consecutive endpoints must coincide."""
@@ -155,13 +143,13 @@ class ArcCurve:
             raise ValidationError("curve needs at least one edge")
         tol = self.tolerance
         for i in range(len(edges) - 1):
-            gap = edge_end(edges[i]).distance_to(edge_start(edges[i + 1]))
+            gap = edges[i].end.distance_to(edges[i + 1].start)
             if gap > tol:
                 raise ValidationError(
                     f"gap {gap:.3e} between edges {i} and {i + 1} exceeds tolerance {tol:.3e}"
                 )
         if self.closed:
-            gap = edge_end(edges[-1]).distance_to(edge_start(edges[0]))
+            gap = edges[-1].end.distance_to(edges[0].start)
             if gap > tol:
                 raise ValidationError(
                     f"closed curve does not close: terminal gap {gap:.3e} > {tol:.3e}"
@@ -183,9 +171,9 @@ class ArcCurve:
 
     def vertices(self):
         """Start point of every edge (plus the terminal point if the curve is open)."""
-        pts = [edge_start(e) for e in self.edges]
+        pts = [e.start for e in self.edges]
         if not self.closed:
-            pts.append(edge_end(self.edges[-1]))
+            pts.append(self.edges[-1].end)
         return pts
 
     def reversed(self) -> "ArcCurve":
@@ -194,7 +182,7 @@ class ArcCurve:
 
 def curve_length(c: ArcCurve) -> float:
     """Total length: radius*opening for arcs, Euclidean length for segments."""
-    return sum(edge_length(e) for e in c.edges)
+    return sum(e.length for e in c.edges)
 
 
 def _edge_area_integral(e: Edge) -> float:
@@ -211,19 +199,15 @@ def _edge_area_integral(e: Edge) -> float:
 
 
 def signed_area(c: ArcCurve) -> float:
-    """Gauss-Green area ``integral x dy``; positive for counterclockwise Jordan curves."""
+    """Gauss-Green area ``integral x dy``; positive for counterclockwise Jordan curves.
+
+    For any closed curve, self-intersecting or multiply wound, this equals the
+    winding-index-weighted area (the integral of the winding number over the
+    plane), so self intersections are harmless.
+    """
     if not c.closed:
         raise ContractViolation("signed_area requires a closed curve")
     return sum(_edge_area_integral(e) for e in c.edges)
-
-
-def oriented_area(c: ArcCurve) -> float:
-    """Winding-index-weighted area enclosed by a (possibly self-intersecting) closed curve.
-
-    Equals the Gauss-Green integral, so it is computed the same way as
-    ``signed_area``; the identity is what makes self intersections harmless.
-    """
-    return signed_area(c)
 
 
 def _distance_to_edge(q: Point, e: Edge) -> float:

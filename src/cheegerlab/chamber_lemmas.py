@@ -3,9 +3,14 @@
 A chain is a sequence of consecutively tangent disks, optionally closed into a
 loop, resting on a line (half-plane flavor), or wedged into a 60-degree sector.
 The bounded region enclosed between the disks (and the container lines) is the
-quantity of interest; its area is computed exactly by a polygon-minus-sectors
-decomposition through the disk centers (plus tangency feet and the sector
-apex), with a stratified Monte Carlo estimator as fallback and cross-check.
+quantity of interest.  Its area has one exact method: the region polygon
+through the disk centers (plus the tangency feet and the sector apex) minus
+the disk sector at each center.  The hypotheses that ``validate_chain``
+enforces on every ``DiskChain`` (tangent consecutive disks, no overlap of
+non-consecutive disks, disks inside the container, pocket angles below pi)
+keep each disk off the polygon edges not incident to its center, so the
+sectors are disjoint and lie inside the polygon.  Non-consecutive disks may
+touch; the decomposition stays exact there.
 
 Reference areas at radius r:
 
@@ -174,25 +179,10 @@ def validate_chain(ch: DiskChain):
             raise ValidationError("last disk must be tangent to the last line")
 
     # pocket-side angles at the centers must stay below pi (straight is degenerate)
-    if ch.flavor == CLOSED:
-        pts = [c for c in ch.centers]
-        center_ids = list(range(m))
-    else:
-        f0, f1 = chain_feet(ch)
-        pts = [f0] + [c for c in ch.centers] + [f1]
-        center_ids = list(range(1, m + 1))
-        if ch.flavor == SECTOR:
-            pts = [np.zeros(2)] + pts
-            center_ids = [i + 1 for i in center_ids]
-    arr = np.vstack(pts)
-    x, y = arr[:, 0], arr[:, 1]
-    if float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) < 0.0:
-        n_pts = len(pts)
-        arr = arr[::-1]
-        center_ids = [n_pts - 1 - i for i in center_ids]
-    n_pts = len(arr)
-    for k, i in enumerate(center_ids):
-        ang = _pocket_angle(arr[(i - 1) % n_pts], arr[i], arr[(i + 1) % n_pts])
+    poly, centers_idx = _region_polygon(ch)
+    n = len(poly)
+    for k, i in enumerate(centers_idx):
+        ang = _pocket_angle(poly[(i - 1) % n], poly[i], poly[(i + 1) % n])
         if ang > math.pi - 1e-12:
             if ang > math.pi + 1e-9:
                 raise ValidationError(f"pocket angle at disk {k} is not below pi")
@@ -200,137 +190,45 @@ def validate_chain(ch: DiskChain):
     return warnings
 
 
-def region_polygon(ch: DiskChain) -> np.ndarray:
-    """CCW polygon through centers (plus feet and the sector apex for open flavors)."""
+def _region_polygon(ch: DiskChain):
+    """CCW polygon through the centers (plus feet and the sector apex for open
+    flavors), and the polygon index of each center."""
     if ch.flavor == CLOSED:
         poly = ch.centers
+        first = 0
     else:
         f0, f1 = chain_feet(ch)
         rows = [f0] + [c for c in ch.centers] + [f1]
+        first = 1
         if ch.flavor == SECTOR:
             rows = [np.zeros(2)] + rows
+            first = 2
         poly = np.vstack(rows)
+    centers_idx = list(range(first, first + ch.m))
     x, y = poly[:, 0], poly[:, 1]
-    area2 = float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-    return poly if area2 >= 0.0 else poly[::-1]
+    if float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) < 0.0:
+        n = len(poly)
+        poly = poly[::-1]
+        centers_idx = [n - 1 - i for i in centers_idx]
+    return poly, centers_idx
 
 
 class ChainRegion(NamedTuple):
     area: float
     method: str
-    sample_error: float
 
 
-def _decomposition_valid(ch: DiskChain, poly: np.ndarray, centers_idx) -> bool:
-    n = len(poly)
-    nxt = np.roll(poly, -1, axis=0)
-    prv = np.roll(poly, 1, axis=0)
-    cross = (poly[:, 0] - prv[:, 0]) * (nxt[:, 1] - poly[:, 1]) - (
-        poly[:, 1] - prv[:, 1]
-    ) * (nxt[:, 0] - poly[:, 0])
-    tol = _REL_TOL * ch.scale
-    if (cross < -1e3 * tol * ch.scale).any():
-        return False
-    for local, i in enumerate(centers_idx):
-        p, r = poly[i], ch.radii[local]
-        for j in range(n):
-            if j != i and float(np.hypot(*(poly[j] - p))) < r - 1e3 * tol:
-                return False
-        for j in range(n):
-            k = (j + 1) % n
-            if i in (j, k):
-                continue
-            a, b = poly[j], poly[k]
-            ab = b - a
-            t = float((p - a) @ ab) / float(ab @ ab)
-            t = min(1.0, max(0.0, t))
-            if float(np.hypot(*(a + t * ab - p))) < r - 1e3 * tol:
-                return False
-    return True
-
-
-def _decomposition_area(ch: DiskChain, poly: np.ndarray, centers_idx) -> float:
+def chain_region_area(ch: DiskChain) -> ChainRegion:
+    """Exact area of the region enclosed by the chain (and container lines):
+    the region polygon's shoelace area minus the disk sector at each center."""
+    poly, centers_idx = _region_polygon(ch)
     x, y = poly[:, 0], poly[:, 1]
     area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
     n = len(poly)
     for local, i in enumerate(centers_idx):
         ang = _interior_angle(poly[(i - 1) % n], poly[i], poly[(i + 1) % n])
         area -= 0.5 * ang * ch.radii[local] ** 2
-    return area
-
-
-def _point_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Even-odd crossing test, vectorized over points; handles simple polygons."""
-    inside = np.zeros(len(points), dtype=bool)
-    x, y = points[:, 0], points[:, 1]
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
-        crosses = (y0 > y) != (y1 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-        hit = crosses & (x < xi)
-        inside ^= hit
-    return inside
-
-
-def monte_carlo_area(ch: DiskChain, samples: int = 10_000_000, seed: int = 0) -> ChainRegion:
-    """Stratified Monte Carlo estimate of the enclosed region's area.
-
-    The region is the part of the center polygon outside every disk; its
-    boundary is covered by the disks and the container lines.  The sample
-    error is the binomial standard deviation scaled by the box area.
-    """
-    poly = region_polygon(ch)
-    lo = poly.min(axis=0)
-    hi = poly.max(axis=0)
-    span = hi - lo
-    n = max(2, int(math.sqrt(samples)))
-    rng = np.random.default_rng(seed)
-    total = n * n
-    hits = 0
-    # stratify by rows of cells to bound memory
-    ys = (np.arange(n) + 0.0) / n
-    for row in range(n):
-        px = lo[0] + span[0] * (np.arange(n) + rng.random(n)) / n
-        py = lo[1] + span[1] * (ys[row] + rng.random(n) / n)
-        pts = np.column_stack([px, py])
-        ok = _point_in_polygon(pts, poly)
-        for c, r in zip(ch.centers, ch.radii):
-            if not ok.any():
-                break
-            d2 = (pts[:, 0] - c[0]) ** 2 + (pts[:, 1] - c[1]) ** 2
-            ok &= d2 >= r * r
-        hits += int(ok.sum())
-    box = float(span[0] * span[1])
-    p = hits / total
-    return ChainRegion(p * box, "monte_carlo", box * math.sqrt(p * (1.0 - p) / total))
-
-
-def chain_region_area(ch: DiskChain, mc_samples: int = 10_000_000, mc_seed: int = 0) -> ChainRegion:
-    """Area of the region enclosed by the chain (and container lines).
-
-    Uses the exact polygon-minus-sectors decomposition when its convexity
-    preconditions hold, otherwise falls back to stratified Monte Carlo.
-    """
-    poly = region_polygon(ch)
-    if ch.flavor == CLOSED:
-        centers_idx = list(range(ch.m))
-    elif ch.flavor == HALF_PLANE:
-        centers_idx = list(range(1, ch.m + 1))
-    else:
-        centers_idx = list(range(2, ch.m + 2))
-    # polygon orientation may have been flipped; recompute indices if so
-    if not np.allclose(poly[centers_idx[0]], ch.centers[0]):
-        n = len(poly)
-        centers_idx = [
-            int(np.argmin(np.hypot(poly[:, 0] - c[0], poly[:, 1] - c[1])))
-            for c in ch.centers
-        ]
-    if _decomposition_valid(ch, poly, centers_idx):
-        return ChainRegion(_decomposition_area(ch, poly, centers_idx), "decomposition", 0.0)
-    return monte_carlo_area(ch, mc_samples, mc_seed)
+    return ChainRegion(area, "decomposition")
 
 
 class ChainBoundReport(NamedTuple):
@@ -338,14 +236,13 @@ class ChainBoundReport(NamedTuple):
     bound: float
     holds: bool
     method: str
-    sample_error: float
 
 
-def verify_chain_bound(ch: DiskChain, mc_samples: int = 10_000_000, mc_seed: int = 0) -> ChainBoundReport:
+def verify_chain_bound(ch: DiskChain) -> ChainBoundReport:
     """Compare the enclosed area against the flavor's lower bound at r* = min radius."""
     if ch.m < 3:
         raise ValidationError(f"chain bound needs m >= 3 disks, got {ch.m}")
-    region = chain_region_area(ch, mc_samples, mc_seed)
+    region = chain_region_area(ch)
     r_star = float(ch.radii.min())
     delta, wedge, corner = reference_areas(r_star)
     bound = (ch.m - 2) * delta
@@ -353,9 +250,8 @@ def verify_chain_bound(ch: DiskChain, mc_samples: int = 10_000_000, mc_seed: int
         bound += wedge
     elif ch.flavor == SECTOR:
         bound += wedge + corner
-    tol = 3.0 * region.sample_error + 1e-9 * max(1.0, r_star * r_star)
-    return ChainBoundReport(region.area, bound, bool(region.area >= bound - tol),
-                            region.method, region.sample_error)
+    tol = 1e-9 * max(1.0, r_star * r_star)
+    return ChainBoundReport(region.area, bound, bool(region.area >= bound - tol), region.method)
 
 
 def pocket_outline(ch: DiskChain):
@@ -611,19 +507,19 @@ def random_chain(flavor: str, m: int, seed, r_range=(0.6, 1.5)) -> DiskChain:
     raise GenerationError(f"no valid {flavor} chain with m = {m} after {_ATTEMPTS} attempts")
 
 
-def run_chain_sweep(flavor: str, count: int, seed: int, m_values=(3, 4, 5, 6),
-                    mc_samples: int = 200_000):
-    """Generate ``count`` chains and check the area bound on each.
+def run_chain_sweep(flavor: str, count: int, seed: int, m_values=(3, 4, 5, 6)):
+    """Generate ``count`` chains and check the exact area against the bound on each.
 
-    Returns (records, violations): one record per chain with the bound report.
-    Budgets are configuration values so CI can scale the sweep down.
+    Chain i has m = m_values[i % len(m_values)] disks and is drawn from the seed
+    [seed, i].  Returns (records, violations): one record per chain with the
+    bound report, and the records whose bound fails.
     """
     records = []
     violations = []
     for i in range(count):
         m = m_values[i % len(m_values)]
         chain = random_chain(flavor, m, seed=[seed, i])
-        rep = verify_chain_bound(chain, mc_samples=mc_samples)
+        rep = verify_chain_bound(chain)
         rec = {
             "index": i,
             "flavor": flavor,

@@ -654,8 +654,10 @@ def random_class_a_domain(seed, curved: bool = True, n_min: int = 4, n_max: int 
             continue
         if min(_inner_curve_exterior_angles(edges)) < 0.05:
             continue
-        lam = math.sqrt(math.pi / signed_area(inner))
-        inner = transform_curve(inner, scale=lam)
+        area = signed_area(inner)
+        if area <= 0.0:
+            continue
+        inner = transform_curve(inner, scale=math.sqrt(math.pi / area))
         if any(
             isinstance(e, Arc) and e.turning == -1 and e.radius < 1.05
             for e in inner.edges

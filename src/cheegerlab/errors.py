@@ -34,4 +34,5 @@ class GenerationError(RuntimeError):
 
 
 class OptimizationError(RuntimeError):
-    """The derivative-free search could not leave degenerate configurations."""
+    """The search found no feasible configuration, or an evaluated value fell
+    below the certified lower bound (an inconsistent Cheeger solve)."""

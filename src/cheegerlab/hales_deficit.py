@@ -24,7 +24,6 @@ from .arc_geometry import (
     Segment,
     curve_length,
     locate_on_edge,
-    oriented_area,
     signed_area,
     split_edge,
 )
@@ -190,7 +189,7 @@ def chord_deficits(gamma_r: ArcCurve, nodes: NodeSet, clamp_bound: Optional[floa
     portions.append(current)
 
     if clamp_bound is None:
-        clamp_bound = abs(oriented_area(gamma_r))
+        clamp_bound = abs(signed_area(gamma_r))
     tol = 1e-9 * max(curve_length(gamma_r), gamma_r.scale)
     xs = []
     for portion in portions:
@@ -227,7 +226,7 @@ def hales_check(
     if clamp_mode not in ("scaled", "literal"):
         raise ContractViolation(f"unknown clamp mode {clamp_mode!r}")
     norm = math.pi * r_star * r_star
-    area = oriented_area(gamma_r)
+    area = signed_area(gamma_r)
     if area < norm * (1.0 - 1e-9):
         raise ContractViolation(
             f"enclosed area {area:.6g} is below pi*r_star^2 = {norm:.6g}; "

@@ -15,7 +15,6 @@ Degenerate diagrams score +inf so the simplex can move away from them.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -238,7 +237,7 @@ def _eval_config(k, container, seeds, weights, records, lower):
     hs = [cheeger_convex(cell).h for cell in cells]
     value = max(hs)
     if value < lower:
-        raise AssertionError(
+        raise OptimizationError(
             f"evaluated objective {value} beats the certified lower bound; "
             "the Cheeger solver is inconsistent"
         )
@@ -303,13 +302,12 @@ def optimize(
     budget: int = 3000,
     seed: int = 0,
     restarts: int = 8,
-    threads: int = 1,
 ) -> OptimizationTrace:
     """Derivative-free search for a good k-cell power-diagram partition.
 
     Runs a hexagonal-lattice start plus ``restarts`` random restarts, each with
     an equal share of the evaluation budget; the result is deterministic for
-    fixed (seed, budget, restarts) regardless of ``threads``.
+    fixed (seed, budget, restarts).
     """
     if k < 1 or budget < 1:
         raise ValidationError("need k >= 1 and budget >= 1")
@@ -342,11 +340,7 @@ def optimize(
         best_x, best_f = _nelder_mead(f, x0, steps, local, xtol)
         return best_x, best_f, records, local.used
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_start, range(len(starts))))
-    else:
-        results = [run_start(i) for i in range(len(starts))]
+    results = [run_start(i) for i in range(len(starts))]
 
     history = []
     best_x = None
@@ -391,7 +385,6 @@ def asymptotic_report(
     budget: int = 3000,
     seed: int = 0,
     restarts: int = 8,
-    threads: int = 1,
 ):
     """Optimizer upper bounds for each k, scaled by sqrt(|T|/k) and divided by h(H).
 
@@ -404,31 +397,12 @@ def asymptotic_report(
     h_ref = hexagon_constant()
     rows = []
     for k in ks:
-        trace = optimize(int(k), container, budget=budget, seed=seed,
-                         restarts=restarts, threads=threads)
+        trace = optimize(int(k), container, budget=budget, seed=seed, restarts=restarts)
         scaled = trace.scaled_best
         ratio = scaled / h_ref
         if ratio < 1.0 - 1e-9:
-            raise AssertionError(f"ratio {ratio} below 1 at k={k}: solver inconsistency")
+            raise OptimizationError(f"ratio {ratio} below 1 at k={k}: solver inconsistency")
         rows.append(AsymptoticRow(int(k), trace.best_objective, scaled, ratio))
-    return rows
-
-
-def honeycomb_incumbent_rows(ls: Sequence[int]):
-    """Reference rows for k-triangles with the honeycomb itself as incumbent.
-
-    The scaled objective of the honeycomb equals h(H), so every ratio is 1 up
-    to the Cheeger solver's tolerance.
-    """
-    from .cluster import honeycomb_cluster, objective
-
-    h_ref = hexagon_constant()
-    rows = []
-    for l in ls:
-        cl = honeycomb_cluster(int(l))
-        best = objective(cl, math.inf)
-        scaled = best * math.sqrt(cl.container_area / cl.k)
-        rows.append(AsymptoticRow(cl.k, best, scaled, scaled / h_ref))
     return rows
 
 

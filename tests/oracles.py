@@ -3,14 +3,17 @@
 These deliberately avoid the closed forms under test: the rasterized winding
 oracle computes index-weighted area by exact scanline/curve intersections and
 signed crossing counts; the quadrature oracle integrates x dy over a dense
-polyline; the polygon Cheeger oracle solves the corner-quadratic directly.
+polyline; the polygon Cheeger oracle solves the corner-quadratic directly; the
+Monte Carlo chain oracle samples the disk-chain region point by point.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from cheegerlab.arc_geometry import Arc, ArcCurve, Segment
+from cheegerlab.chamber_lemmas import CLOSED, SECTOR, DiskChain, chain_feet
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,3 +124,63 @@ def polygon_cheeger_closed_form(vertices) -> float:
     c = cot - math.pi
     r = (per - math.sqrt(per * per - 4.0 * area * c)) / (2.0 * c)
     return 1.0 / r
+
+
+def _point_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Even-odd crossing test, vectorized over points; handles simple polygons."""
+    inside = np.zeros(len(points), dtype=bool)
+    x, y = points[:, 0], points[:, 1]
+    n = len(poly)
+    for i in range(n):
+        x0, y0 = poly[i]
+        x1, y1 = poly[(i + 1) % n]
+        crosses = (y0 > y) != (y1 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+        hit = crosses & (x < xi)
+        inside ^= hit
+    return inside
+
+
+class MonteCarloArea(NamedTuple):
+    area: float
+    sample_error: float
+
+
+def monte_carlo_area(ch: DiskChain, samples: int = 10_000_000, seed: int = 0) -> MonteCarloArea:
+    """Stratified Monte Carlo estimate of the area enclosed by a disk chain.
+
+    The region is the part of the polygon through the centers (plus the feet
+    and the sector apex) outside every disk.  The sample error is the binomial
+    standard deviation scaled by the box area.
+    """
+    rows = list(ch.centers)
+    if ch.flavor != CLOSED:
+        f0, f1 = chain_feet(ch)
+        rows = [f0] + rows + [f1]
+        if ch.flavor == SECTOR:
+            rows = [np.zeros(2)] + rows
+    poly = np.vstack(rows)
+    lo = poly.min(axis=0)
+    hi = poly.max(axis=0)
+    span = hi - lo
+    n = max(2, int(math.sqrt(samples)))
+    rng = np.random.default_rng(seed)
+    total = n * n
+    hits = 0
+    # stratify by rows of cells to bound memory
+    ys = (np.arange(n) + 0.0) / n
+    for row in range(n):
+        px = lo[0] + span[0] * (np.arange(n) + rng.random(n)) / n
+        py = lo[1] + span[1] * (ys[row] + rng.random(n) / n)
+        pts = np.column_stack([px, py])
+        ok = _point_in_polygon(pts, poly)
+        for c, r in zip(ch.centers, ch.radii):
+            if not ok.any():
+                break
+            d2 = (pts[:, 0] - c[0]) ** 2 + (pts[:, 1] - c[1]) ** 2
+            ok &= d2 >= r * r
+        hits += int(ok.sum())
+    box = float(span[0] * span[1])
+    p = hits / total
+    return MonteCarloArea(p * box, box * math.sqrt(p * (1.0 - p) / total))

@@ -25,7 +25,6 @@ from cheegerlab.cheeger import (
 from cheegerlab.chamber_lemmas import (
     DiskChain,
     chain_region_area,
-    monte_carlo_area,
     phi,
     reference_areas,
     run_chain_sweep,
@@ -36,6 +35,7 @@ from cheegerlab.cluster import canonical_graph, honeycomb_cluster, lower_bound_c
 from cheegerlab.hales_deficit import NodeSet, hales_check, place_nodes
 from cheegerlab.partition_optimizer import optimize
 from cheegerlab.arc_geometry import ArcCurve, Point, Segment
+from oracles import monte_carlo_area
 
 PI = math.pi
 SQRT3 = math.sqrt(3.0)

@@ -9,7 +9,6 @@ from cheegerlab.chamber_lemmas import (
     chain_from_dict,
     chain_region_area,
     chain_to_dict,
-    monte_carlo_area,
     phi,
     pocket_outline,
     random_chain,
@@ -19,6 +18,7 @@ from cheegerlab.chamber_lemmas import (
     verify_chain_bound,
 )
 from cheegerlab.errors import GenerationError, ValidationError
+from oracles import monte_carlo_area
 
 PI = math.pi
 SQRT3 = math.sqrt(3.0)
@@ -79,6 +79,15 @@ class TestChainRegionArea:
         rep = chain_region_area(hp)
         assert rep.area == pytest.approx(delta + wedge, abs=1e-12)
         assert rep.area == pytest.approx(0.5904577, abs=1e-6)
+
+    def test_touching_nonconsecutive_rhombus(self):
+        # 60-degree rhombus: disks 1 and 3 touch, which the pocket outline cannot represent
+        rh = DiskChain(np.array([[0, 0], [2, 0], [3, SQRT3], [1, SQRT3]]), [1, 1, 1, 1], "closed")
+        assert rh.warnings == ("touching_nonconsecutive_1_3",)
+        delta, _, _ = reference_areas(1.0)
+        rep = chain_region_area(rh)
+        assert rep.method == "decomposition"
+        assert rep.area == pytest.approx(2.0 * delta, abs=1e-12)
 
     def test_monte_carlo_within_three_sigma(self):
         for chain, expected in [

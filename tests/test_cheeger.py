@@ -11,7 +11,6 @@ from cheegerlab.arc_geometry import (
     Point,
     Segment,
     curve_length,
-    oriented_area,
     signed_area,
 )
 from cheegerlab.cheeger import (
@@ -130,7 +129,7 @@ class TestInnerCheegerBoundary:
         assert curve_length(off.curve) == pytest.approx(4.0 * math.sqrt(PI) * r, abs=1e-10)
         assert curve_length(off.curve) == pytest.approx(4.0 * (1.0 - 2.0 * r), abs=1e-10)
         assert curve_length(off.curve) == pytest.approx(1.8793644, abs=1e-6)
-        assert oriented_area(off.curve) == pytest.approx(PI / (2 + math.sqrt(PI)) ** 2, abs=1e-10)
+        assert signed_area(off.curve) == pytest.approx(PI / (2 + math.sqrt(PI)) ** 2, abs=1e-10)
         assert len(off.collapsed_indices) == 4
 
     def test_hexagon_perimeter_identity(self):
@@ -207,6 +206,12 @@ class TestRandomDomains:
         assert a.h == b.h
         assert len(a.boundary.edges) == len(b.boundary.edges)
         assert signed_area(a.boundary) == signed_area(b.boundary)
+
+    def test_nonpositive_inner_area_draw_rejected(self):
+        # this seed draws a bowed inner curve of non-positive area, which used to
+        # raise a bare math domain error instead of being rejected like other draws
+        rep = structure_report(random_class_a_domain([2, 0, 374]))
+        assert rep.is_class_A, rep.violations
 
     def test_vertex_count_range(self):
         rng = np.random.default_rng(0)

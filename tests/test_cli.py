@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -92,6 +93,7 @@ class TestPipelines:
         out = tmp_path / "rep.json"
         assert run(["chain", "--input", cfile, "--output", str(out)]) == 0
         rep = read(out)
+        assert set(rep) == {"schema", "area", "bound", "holds", "method", "warnings"}
         assert rep["holds"] is True
         assert rep["area"] == pytest.approx(0.5 * (2 * math.sqrt(3) - PI), abs=1e-10)
 
@@ -194,6 +196,16 @@ class TestDeterminism:
             assert run(["render", "--input", str(hc), "--output", str(svg)]) == 0
             outs.append((res.read_bytes(), hc.read_bytes(), svg.read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_chain_sweep_artifact_pinned(self, tmp_path):
+        # criterion 8's sweep; the digest pins the exact area path's output bytes
+        sweep = write(tmp_path / "sweep.json", {
+            "sweep": {"flavors": ["closed"], "count": 20, "seed": 11},
+        })
+        out = tmp_path / "sweep.jsonl"
+        assert run(["chain", "--input", sweep, "--output", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "8a78b147bf743f0a479a78c67bf5cfd853a6943d5c0e963e3c1e9c79d50c5d1d"
 
     def test_round_trip_cluster_json(self, tmp_path):
         cl = make_domino_cluster()

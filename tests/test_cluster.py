@@ -78,6 +78,10 @@ class TestJunctionCurvature:
             p = float(rng.uniform(1.0, 6.0))
             assert junction_curvature(h_j, a_j, h_l, a_l, p) < h_j
 
+    def test_negligible_neighbour_rounds_to_h(self):
+        # exactly below h_j, but the rounded value equals it (also under python -O)
+        assert junction_curvature(1.0, 1.0, 1e-20, 1.0, 2.0) == 1.0
+
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
             junction_curvature(-1.0, 1.0, 1.0, 1.0, 1.0)

@@ -10,7 +10,6 @@ from cheegerlab.arc_geometry import (
     Segment,
     curve_length,
     full_circle,
-    oriented_area,
     signed_area,
     transform_curve,
 )

@@ -1,15 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cheegerlab.cheeger import ConvexPolygon, cheeger_convex, hexagon_constant, regular_polygon
-from cheegerlab.errors import DegenerateConfigurationError, ValidationError
+from cheegerlab import partition_optimizer
+from cheegerlab.cluster import honeycomb_cluster, objective
+from cheegerlab.errors import DegenerateConfigurationError, OptimizationError, ValidationError
 from cheegerlab.partition_optimizer import (
     SeedConfiguration,
     asymptotic_report,
     hex_lattice_seeds,
-    honeycomb_incumbent_rows,
     optimize,
     power_diagram_cells,
     trace_to_dict,
@@ -89,12 +91,6 @@ class TestOptimize:
         assert np.array_equal(a.seed_config.seeds, b.seed_config.seeds)
         assert np.array_equal(a.seed_config.weights, b.seed_config.weights)
 
-    def test_thread_count_does_not_change_result(self):
-        a = optimize(4, TRIANGLE, budget=120, seed=7, restarts=2, threads=1)
-        b = optimize(4, TRIANGLE, budget=120, seed=7, restarts=2, threads=4)
-        assert a.best_objective == b.best_objective
-        assert a.history == b.history
-
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(4)
         seeds = hex_lattice_seeds(4, TRIANGLE)
@@ -142,8 +138,18 @@ class TestAsymptoticReport:
             )
 
     def test_honeycomb_incumbent_ratio_is_one(self):
-        for row in honeycomb_incumbent_rows([1, 2, 3]):
-            assert row.ratio == pytest.approx(1.0, abs=1e-9)
+        # the honeycomb k-triangle as incumbent: its scaled objective equals h(H)
+        for l in (1, 2, 3):
+            cl = honeycomb_cluster(l)
+            scaled = objective(cl, math.inf) * math.sqrt(cl.container_area / cl.k)
+            assert scaled / hexagon_constant() == pytest.approx(1.0, abs=1e-9)
+
+    def test_ratio_below_one_is_optimization_error(self, monkeypatch):
+        below = hexagon_constant() * (1.0 - 1e-6)
+        fake = SimpleNamespace(best_objective=below, scaled_best=below)
+        monkeypatch.setattr(partition_optimizer, "optimize", lambda *a, **kw: fake)
+        with pytest.raises(OptimizationError):
+            asymptotic_report([1], TRIANGLE, budget=10)
 
     def test_ks_validation(self):
         with pytest.raises(ValidationError):
