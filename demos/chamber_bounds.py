@@ -13,7 +13,6 @@ import numpy as np
 
 from cheegerlab.chamber_lemmas import (
     DiskChain,
-    chain_from_dict,
     chain_region_area,
     chain_to_dict,
     phi,

@@ -8,7 +8,6 @@ Cheeger set to cheeger_square.svg.
 
 import math
 
-from cheegerlab import jsonio
 from cheegerlab.arc_geometry import curve_length, curve_to_dict, signed_area
 from cheegerlab.cheeger import (
     ConvexPolygon,
@@ -25,7 +24,7 @@ square = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
 res = cheeger_convex(square)
 print("unit square:")
 print(f"  h = {res.h:.12f}   (closed form 2 + sqrt(pi) = {2 + math.sqrt(math.pi):.12f})")
-print(f"  solved in {res.iterations} iterations, residual {res.residual:.2e}")
+print(f"  {res.iterations} quadratic solves, residual {res.residual:.2e}")
 
 hexagon = regular_polygon(6, area=1.0)
 print("unit-area regular hexagon:")

@@ -6,9 +6,6 @@ honeycomb equals the hexagon Cheeger constant exactly.  Writes the l = 3
 cluster to honeycomb3.svg.
 """
 
-import math
-
-from cheegerlab import jsonio
 from cheegerlab.cheeger import hexagon_constant
 from cheegerlab.cli import render_svg
 from cheegerlab.cluster import (
@@ -16,7 +13,6 @@ from cheegerlab.cluster import (
     cluster_to_dict,
     honeycomb_cluster,
     lower_bound_certificate,
-    objective,
     theorem_lower_bound,
 )
 

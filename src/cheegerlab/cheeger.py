@@ -2,7 +2,10 @@
 
 For a convex body the Cheeger radius r solves ``area(inner_parallel(p, r)) =
 pi*r**2`` and the Cheeger set is the inner parallel body fattened back by r
-(inner polygon edges joined by radius-r corner arcs).  The same radius turns a
+(inner polygon edges joined by radius-r corner arcs).  For a polygon the inner
+parallel area is a quadratic in r between edge-collapse events, so r is the
+smaller root of one quadratic per event, in closed form (Kawohl &
+Lachand-Robert, Pacific J. Math. 225, 2006).  The same radius turns a
 labeled arc-domain boundary into its inner parallel curve, on which the
 Steiner-type identities
 
@@ -36,7 +39,7 @@ from .arc_geometry import (
     signed_area,
     transform_curve,
 )
-from .errors import SolverError, ValidationError
+from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,7 +53,7 @@ def hexagon_constant() -> float:
 # Convex polygons.
 
 def _shoelace(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
+    x, y = (pts - pts[0]).T
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
@@ -252,58 +255,56 @@ def _rounded_polygon(core: np.ndarray, r: float):
     return ArcCurve(tuple(edges), closed=True), tuple(roles)
 
 
-def cheeger_convex(p: ConvexPolygon, tol: float = 1e-13) -> CheegerResult:
-    """Cheeger constant of a convex polygon via the inner-parallel area equation.
+def cheeger_convex(p: ConvexPolygon) -> CheegerResult:
+    """Cheeger constant and Cheeger set of a convex polygon, in closed form.
 
-    Solves area(inner_parallel(p, r)) = pi*r**2 on (0, inradius) by bracketed
-    Newton steps (dA/dt = -perimeter, exact between edge-collapse events) that
-    fall back to bisection whenever a step would leave the bracket; g is
-    strictly decreasing so the sign change is never lost.
+    Kawohl & Lachand-Robert (*Characterization of Cheeger sets for convex
+    subsets of the plane*, Pacific J. Math. 225, 2006): r solves
+    ``area(inner_parallel(p, r)) = pi*r**2``.  If Q is the inner polygon at
+    offset t, the one at t + s has area ``|Q| - Per*s + C*s**2`` until an edge
+    collapses, with ``C = sum(k_i)`` and ``k_i = cot(theta_i / 2)`` over Q's
+    angles.  So s is the smaller root of ``(C - pi) s**2 - (Per + 2 pi t) s +
+    |Q| - pi t**2``, unless edge i collapses first, at ``L_i / (k_i + k_{i+1})``;
+    then the vertices move to that offset, the collapsed one is dropped and
+    the next quadratic is solved.  A triangle reaches its root before its
+    inradius, so there are at most n - 2 solves.
+
+    ``iterations`` counts the quadratic solves; ``residual`` is
+    ``|area(inner polygon at r) - pi*r**2|``.
     """
-    area = p.area
-    lo, g_lo = 0.0, area
-    hi = math.sqrt(area / math.pi)  # g(hi) = A(hi) - area < 0 for any polygon
-    normals, offsets = p.edge_normals()
-
-    x = 0.5 * hi
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > 200:
-            raise SolverError(
-                f"cheeger_convex did not converge below {tol}", bracket=(lo, hi)
-            )
-        ring = clip_convex(p.vertices, normals, offsets - x)
-        if ring is None:
-            ax, px = 0.0, 0.0
-        else:
-            ax = _shoelace(ring)
-            d = np.roll(ring, -1, axis=0) - ring
-            px = float(np.hypot(d[:, 0], d[:, 1]).sum())
-        g = ax - math.pi * x * x
-        if g > 0.0:
-            lo = x
-        else:
-            hi = x
-        if hi - lo <= tol:
-            x = 0.5 * (lo + hi)
+    origin = p.vertices.mean(axis=0)  # relative coordinates keep translates accurate
+    q = p.vertices - origin
+    d = np.roll(q, -1, axis=0) - q
+    u = d / np.hypot(d[:, 0], d[:, 1])[:, None]  # edge directions, fixed per edge
+    t = 0.0
+    for solves in range(1, len(q) - 1):
+        prev = np.roll(u, 1, axis=0)
+        # k_i = tan(phi_i / 2) for the turning angle phi_i; the vertex moves along
+        # n_i + k_i u_i.  Both stay accurate at sharp corners.
+        k = np.tan(0.5 * np.arctan2(prev[:, 0] * u[:, 1] - prev[:, 1] * u[:, 0],
+                                    np.einsum("ij,ij->i", prev, u)))
+        velocity = np.column_stack([-u[:, 1], u[:, 0]]) + k[:, None] * u
+        d = np.roll(q, -1, axis=0) - q
+        lengths = np.hypot(d[:, 0], d[:, 1])
+        a = float(k.sum()) - math.pi
+        b = float(lengths.sum()) + TWO_PI * t
+        c = _shoelace(q) - math.pi * t * t
+        disc = b * b - 4.0 * a * c
+        s = 2.0 * c / (b + math.sqrt(disc)) if disc >= 0.0 else math.inf
+        collapse = lengths / (k + np.roll(k, -1))
+        j = int(np.argmin(collapse))
+        if len(q) == 3 or s <= collapse[j]:
             break
-        slope = px + TWO_PI * x
-        step = x + g / slope
-        if abs(g) / slope <= 0.1 * tol:
-            x = min(max(step, lo), hi)
-            break
-        x = step if lo < step < hi else 0.5 * (lo + hi)
+        t += float(collapse[j])
+        q = np.delete(q + collapse[j] * velocity, j, axis=0)
+        u = np.delete(u, j, axis=0)
 
-    r = x
-    ring = clip_convex(p.vertices, normals, offsets - r)
-    if ring is None:
-        raise SolverError("inner polygon vanished at the computed radius", bracket=(lo, hi))
-    scale = max(1.0, float(np.abs(p.vertices).max()))
-    core = _clean_ring(ring, 1e-9 * scale)
+    r = t + s
+    ring = q + s * velocity
     residual = abs(_shoelace(ring) - math.pi * r * r)
+    core = _clean_ring(ring, 1e-9 * float(np.abs(ring).max())) + origin
     boundary, roles = _rounded_polygon(core, r)
-    return CheegerResult(1.0 / r, r, boundary, iterations, residual, roles)
+    return CheegerResult(1.0 / r, r, boundary, solves, residual, roles)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +345,9 @@ class ArcDomain:
         return curve_length(self.boundary)
 
 
-def cheeger_domain(p: ConvexPolygon, tol: float = 1e-13) -> ArcDomain:
+def cheeger_domain(p: ConvexPolygon) -> ArcDomain:
     """Cheeger set of a convex polygon packaged as a labeled ArcDomain."""
-    res = cheeger_convex(p, tol)
+    res = cheeger_convex(p)
     return ArcDomain(res.cheeger_set_boundary, res.roles, res.h)
 
 

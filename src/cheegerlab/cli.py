@@ -6,7 +6,7 @@ optimize, render.  Inputs and outputs are schema-tagged JSON artifacts
 SVG 1.1 with true elliptical-arc path commands.
 
 Exit codes: 0 success, 1 validation failure (including malformed JSON, with
-line/column diagnostics), 2 solver or optimizer failure.
+line/column diagnostics), 2 optimizer or chain-generation failure.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .cluster import (
 from .errors import (
     GenerationError,
     OptimizationError,
-    SolverError,
     ValidationError,
 )
 from .hales_deficit import deficit_report_to_dict, hales_check, place_nodes
@@ -69,7 +68,7 @@ def _write_text(path: str, text: str):
 def _cmd_cheeger(args) -> int:
     obj = _read_json(args.input)
     jsonio.require_keys(obj, ["vertices"])
-    result = cheeger_convex(polygon_from_dict(obj), tol=args.tol)
+    result = cheeger_convex(polygon_from_dict(obj))
     out = {
         "h": result.h,
         "r": result.r,
@@ -350,7 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("cheeger", help="Cheeger constant of a convex polygon")
     c.add_argument("--input", required=True)
     c.add_argument("--output", required=True)
-    c.add_argument("--tol", type=float, default=1e-13)
     c.set_defaults(fn=_cmd_cheeger)
 
     s = sub.add_parser("structure", help="class-A report for an arc domain")
@@ -405,7 +403,7 @@ def run(argv) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, OptimizationError, GenerationError) as exc:
+    except (OptimizationError, GenerationError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
 

@@ -479,7 +479,7 @@ def theorem_lower_bound(k: int, container_area: float) -> float:
 class CellCertificate:
     structure: StructureReport
     area: float
-    inner_length: float
+    inner_length: Optional[float]  # None when the cell is not class A
     largest_root_margin: Optional[float] = None  # h_j - H1(Gamma_j)/|cell|
     step1_margin: Optional[float] = None         # h*^2 |cell| - h* H1(Gamma_j) - 2 pi
     hales: Optional[DeficitReport] = None
@@ -534,7 +534,7 @@ def lower_bound_certificate(cl: Cluster, clamp_mode: str = "scaled") -> Certific
             applicable = False
             for rule in rep.violations:
                 failing.append((j, rule))
-            per_cell.append(CellCertificate(rep, area, math.nan))
+            per_cell.append(CellCertificate(rep, area, None))
             continue
         off = inner_cheeger_boundary(cell)
         length = curve_length(off.curve)

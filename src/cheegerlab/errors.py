@@ -17,14 +17,6 @@ class DegenerateOffsetError(ValidationError):
     """Inner offset would invert a positively curved arc (radius <= offset distance)."""
 
 
-class SolverError(RuntimeError):
-    """Root finder failed to converge; carries the final bracket state."""
-
-    def __init__(self, message, bracket=None):
-        super().__init__(message)
-        self.bracket = bracket
-
-
 class DegenerateConfigurationError(RuntimeError):
     """A power-diagram cell came out empty for the given seeds/weights."""
 

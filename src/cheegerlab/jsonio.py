@@ -2,7 +2,9 @@
 
 Every artifact carries ``"schema": 1``; readers reject unknown schema versions
 and unknown keys.  Floats are rendered with 17 significant digits so repeated
-runs with identical inputs produce byte-identical files.
+runs with identical inputs produce byte-identical files.  Only finite floats
+are valid: writing NaN or infinity, or reading the ``NaN``/``Infinity``
+tokens, raises ``ValidationError``; a missing value is written as null.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ def _render(obj) -> str:
         return str(obj)
     if isinstance(obj, float):
         if not math.isfinite(obj):
-            return '"%s"' % repr(obj)
+            raise ValidationError(f"cannot write non-finite float {obj!r}")
         if obj == int(obj) and abs(obj) < 1e16:
             return "%.1f" % obj
         return format(obj, ".17g")
@@ -50,9 +52,13 @@ def dumps(obj: dict) -> str:
     return _render(tagged) + "\n"
 
 
+def _reject_constant(token: str):
+    raise ValidationError(f"non-finite number {token} is not valid JSON")
+
+
 def loads(text: str) -> dict:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -3,8 +3,9 @@
 These deliberately avoid the closed forms under test: the rasterized winding
 oracle computes index-weighted area by exact scanline/curve intersections and
 signed crossing counts; the quadrature oracle integrates x dy over a dense
-polyline; the polygon Cheeger oracle solves the corner-quadratic directly; the
-Monte Carlo chain oracle samples the disk-chain region point by point.
+polyline; the polygon Cheeger oracles solve the corner-quadratic directly or
+bisect on the clipped inner polygon's area; the Monte Carlo chain oracle
+samples the disk-chain region point by point.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 
 from cheegerlab.arc_geometry import Arc, ArcCurve, Segment
 from cheegerlab.chamber_lemmas import CLOSED, SECTOR, DiskChain, chain_feet
+from cheegerlab.cheeger import ConvexPolygon, inner_parallel_polygon
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,6 +126,25 @@ def polygon_cheeger_closed_form(vertices) -> float:
     c = cot - math.pi
     r = (per - math.sqrt(per * per - 4.0 * area * c)) / (2.0 * c)
     return 1.0 / r
+
+
+def polygon_cheeger_bisection(p: ConvexPolygon) -> float:
+    """Cheeger constant of a convex polygon by bisection on its defining function.
+
+    g(t) = area(inner_parallel_polygon(p, t)) - pi t^2 is strictly decreasing,
+    positive at 0 and negative at sqrt(area / pi); the bracket is halved until
+    floating point cannot split it, so the loop ends after about 60 steps.
+    """
+    lo, hi = 0.0, math.sqrt(p.area / math.pi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return 1.0 / mid
+        inner = inner_parallel_polygon(p, mid)
+        if inner is not None and inner.area > math.pi * mid * mid:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _point_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:

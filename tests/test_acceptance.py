@@ -4,12 +4,10 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines
 (budgets: the randomized sweeps here are the full-size ones).
 """
 
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
 from cheegerlab import jsonio
 from cheegerlab.cheeger import (

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cheegerlab.arc_geometry import signed_area, transform_curve
+from cheegerlab.arc_geometry import signed_area
 from cheegerlab.chamber_lemmas import (
     DiskChain,
     chain_from_dict,
@@ -17,7 +17,7 @@ from cheegerlab.chamber_lemmas import (
     tangency_geometry,
     verify_chain_bound,
 )
-from cheegerlab.errors import GenerationError, ValidationError
+from cheegerlab.errors import ValidationError
 from oracles import monte_carlo_area
 
 PI = math.pi

@@ -19,6 +19,7 @@ from cheegerlab.cheeger import (
     cheeger_convex,
     cheeger_domain,
     class_a_violations,
+    convex_hull,
     hexagon_constant,
     inner_cheeger_boundary,
     inner_parallel_polygon,
@@ -28,10 +29,32 @@ from cheegerlab.cheeger import (
     structure_report,
 )
 from cheegerlab.errors import ValidationError
-from oracles import polygon_cheeger_closed_form
+from cheegerlab.partition_optimizer import SeedConfiguration, hex_lattice_seeds, power_diagram_cells
+from oracles import polygon_cheeger_bisection, polygon_cheeger_closed_form
 
 PI = math.pi
 SQUARE = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+
+
+def _random_polygons():
+    rng = np.random.default_rng(17)
+    return [random_convex_polygon(rng, 3, 12) for _ in range(40)]
+
+
+def _thin_polygons():
+    """Ellipse-like polygons of aspect 4 to 150, evenly and randomly sampled."""
+    rng = np.random.default_rng(3)
+    polys = []
+    for ecc in (4.0, 20.0, 150.0):
+        for n in (7, 16, 33):
+            for ang in (0.3 + 2 * PI * np.arange(n) / n, np.sort(rng.uniform(0.0, 2 * PI, n))):
+                polys.append(ConvexPolygon(convex_hull(np.column_stack([ecc * np.cos(ang), np.sin(ang)]))))
+    return polys
+
+
+def _lattice_cells():
+    tri = regular_polygon(3, area=1.0)
+    return power_diagram_cells(SeedConfiguration(hex_lattice_seeds(64, tri), np.zeros(64)), tri)
 
 
 class TestInnerParallelPolygon:
@@ -85,6 +108,38 @@ class TestCheegerConvex:
         h1 = cheeger_convex(poly).h
         h2 = cheeger_convex(poly.scaled(lam)).h
         assert h2 == pytest.approx(h1 / lam, rel=1e-11)
+
+    @pytest.mark.parametrize("polygons", [_random_polygons, _thin_polygons, _lattice_cells],
+                             ids=["random", "thin", "lattice64"])
+    def test_bisection_oracle(self, polygons):
+        polys = polygons()
+        results = [cheeger_convex(p) for p in polys]
+        for poly, res in zip(polys, results):
+            assert res.h == pytest.approx(polygon_cheeger_bisection(poly), rel=1e-11)
+            assert 1 <= res.iterations <= len(poly.vertices) - 2
+        # collapse events are exercised: some polygon needs more than one solve
+        assert any(res.iterations > 1 for res in results)
+
+    @pytest.mark.parametrize("lam", [1e-8, 1e-4, 1e4, 1e8])
+    def test_rigid_motion_and_dilation_invariance(self, lam):
+        ang = np.linspace(0.0, 2 * PI, 40, endpoint=False)
+        thin = ConvexPolygon(np.column_stack([30.0 * np.cos(ang), np.sin(ang)]))
+        for poly in _random_polygons()[:10] + [thin]:
+            h = cheeger_convex(poly).h
+            for theta in (0.7, 2.9):
+                rot = np.array([[math.cos(theta), -math.sin(theta)],
+                                [math.sin(theta), math.cos(theta)]])
+                moved = ConvexPolygon((poly.vertices @ rot.T + [12.5, -7.25]) * lam)
+                assert cheeger_convex(moved).h * lam == pytest.approx(h, rel=1e-12)
+
+    def test_large_scale_square(self):
+        assert cheeger_convex(SQUARE.scaled(1e6)).h == pytest.approx(
+            (2.0 + math.sqrt(PI)) / 1e6, rel=1e-14
+        )
+
+    def test_translated_square(self):
+        res = cheeger_convex(ConvexPolygon(SQUARE.vertices + 1e8))
+        assert res.h == pytest.approx(2.0 + math.sqrt(PI), rel=1e-14)
 
     def test_monotone_under_inclusion(self):
         outer = ConvexPolygon([[0, 0], [3, 0], [3, 2], [0, 2]])
@@ -232,6 +287,9 @@ class TestConvexPolygonValidation:
     def test_cw_input_reoriented(self):
         poly = ConvexPolygon([[0, 0], [0, 1], [1, 1], [1, 0]])
         assert poly.area > 0
+
+    def test_translated_square_area(self):
+        assert ConvexPolygon(SQUARE.vertices + 1e8).area == 1.0
 
     def test_collinear_cleanup(self):
         poly = ConvexPolygon([[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]])

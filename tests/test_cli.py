@@ -9,6 +9,7 @@ from cheegerlab import jsonio
 from cheegerlab.cheeger import hexagon_constant
 from cheegerlab.cli import run
 from cheegerlab.cluster import cluster_to_dict
+from cheegerlab.errors import ValidationError
 from conftest import make_domino_cluster
 
 PI = math.pi
@@ -53,6 +54,18 @@ class TestCheegerCommand:
         path = tmp_path / "poly.json"
         path.write_text('{"schema": 9, "vertices": [[0,0],[1,0],[0,1]]}\n')
         assert run(["cheeger", "--input", str(path), "--output", str(tmp_path / "o.json")]) == 1
+
+
+class TestJsonio:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_not_written(self, value):
+        with pytest.raises(ValidationError):
+            jsonio.dumps({"x": value})
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_token_rejected(self, token):
+        with pytest.raises(ValidationError):
+            jsonio.loads('{"x": %s}' % token)
 
 
 class TestPipelines:

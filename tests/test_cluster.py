@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from cheegerlab.arc_geometry import Arc, ArcCurve, FREE, Point, curve_length, signed_area
-from cheegerlab.cheeger import ArcDomain, ConvexPolygon, hexagon_constant, regular_polygon
+from cheegerlab import jsonio
+from cheegerlab.arc_geometry import Arc, ArcCurve, FREE, Point
+from cheegerlab.cheeger import ArcDomain, hexagon_constant, regular_polygon
 from cheegerlab.chamber_lemmas import reference_areas
 from cheegerlab.cluster import (
     Adjacency,
-    BorderContact,
     Cluster,
     canonical_graph,
     certificate_to_dict,
@@ -257,6 +257,12 @@ class TestCertificate:
         cert = lower_bound_certificate(honeycomb_cluster(2))
         assert not cert.applicable
         assert cert.failing  # hexagonal cells carry no free arcs
+
+    def test_non_class_a_cells_write_null_inner_length(self):
+        text = jsonio.dumps(certificate_to_dict(lower_bound_certificate(honeycomb_cluster(2))))
+        cells = jsonio.loads(text)["per_cell"]
+        assert cells and all(c["inner_length"] is None for c in cells)
+        assert '"inner_length":null' in text
 
     def test_theorem_bound(self):
         assert theorem_lower_bound(100, 1.0) == pytest.approx(10 * hexagon_constant(), abs=1e-9)

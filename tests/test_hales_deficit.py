@@ -8,7 +8,6 @@ from cheegerlab.arc_geometry import (
     ArcCurve,
     Point,
     Segment,
-    curve_length,
     full_circle,
     signed_area,
     transform_curve,

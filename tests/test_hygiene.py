@@ -1,0 +1,34 @@
+"""Source hygiene: no unused imports in the package, the tests or the demos.
+
+Package ``__init__.py`` files are skipped, since their imports are re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _unused_imports(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    files = [p for p in (ROOT / "src" / "cheegerlab").glob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    unused = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in files
+        for line, name in _unused_imports(path)
+    ]
+    assert not unused, "unused imports:\n" + "\n".join(unused)
