@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     ContractViolation,
@@ -126,7 +128,9 @@ class Arc:
         return Arc(self.center, self.radius, self.end_angle, self.start_angle, -self.turning)
 
 
-Edge = Union[Arc, Segment]
+# types.UnionType, not typing.Union: typing caches Union[...] globally, which
+# would keep every re-imported copy of this module alive
+Edge = Arc | Segment
 
 
 @dataclass(frozen=True)
@@ -210,66 +214,119 @@ def signed_area(c: ArcCurve) -> float:
     return sum(_edge_area_integral(e) for e in c.edges)
 
 
-def _distance_to_edge(q: Point, e: Edge) -> float:
-    if isinstance(e, Segment):
-        vx, vy = e.end.x - e.start.x, e.end.y - e.start.y
-        wx, wy = q.x - e.start.x, q.y - e.start.y
-        t = (vx * wx + vy * wy) / (vx * vx + vy * vy)
-        t = min(1.0, max(0.0, t))
-        return math.hypot(wx - t * vx, wy - t * vy)
-    rho = q.distance_to(e.center)
-    if rho == 0.0:
-        return e.radius
-    ang = math.atan2(q.y - e.center.y, q.x - e.center.x)
-    rel = (e.turning * (ang - e.start_angle)) % TWO_PI
-    if rel <= e.sweep:
-        return abs(rho - e.radius)
-    return min(q.distance_to(e.start), q.distance_to(e.end))
+def _edge_columns(c: ArcCurve):
+    """Per-field arrays of the curve's segments and of its arcs (None when absent).
+
+    Segments: start x, start y, end x, end y.  Arcs: center x, center y,
+    radius, start angle, opening angle, turning, start x, start y, end x,
+    end y.  Each field is a row, so it broadcasts against a column of points.
+    """
+    segs, arcs = [], []
+    for e in c.edges:
+        s, t = e.start, e.end
+        if isinstance(e, Segment):
+            segs.append((s.x, s.y, t.x, t.y))
+        else:
+            arcs.append((e.center.x, e.center.y, e.radius, e.start_angle, e.sweep,
+                         e.turning, s.x, s.y, t.x, t.y))
+    return (np.array(segs).T if segs else None), (np.array(arcs).T if arcs else None)
+
+
+def _points(x, y):
+    # query coordinates as columns, so every edge field broadcasts along axis 1
+    return np.asarray(x, dtype=float)[:, None], np.asarray(y, dtype=float)[:, None]
+
+
+def _distances(segs, arcs, x, y) -> np.ndarray:
+    # nearest distance from each point column entry to the edge columns
+    best = np.full(len(x), np.inf)
+    if segs is not None:
+        x0, y0, x1, y1 = segs
+        vx, vy = x1 - x0, y1 - y0
+        wx, wy = x - x0, y - y0
+        t = np.clip((vx * wx + vy * wy) / (vx * vx + vy * vy), 0.0, 1.0)
+        best = np.minimum(best, np.hypot(wx - t * vx, wy - t * vy).min(axis=1))
+    if arcs is not None:
+        cx, cy, radius, a0, sweep, turning, sx, sy, ex, ey = arcs
+        dx, dy = x - cx, y - cy
+        rho = np.hypot(dx, dy)
+        # the nearest point is radial when q's direction falls within the arc
+        rel = (turning * (np.arctan2(dy, dx) - a0)) % TWO_PI
+        ends = np.minimum(np.hypot(x - sx, y - sy), np.hypot(x - ex, y - ey))
+        d = np.where(rel <= sweep, np.abs(rho - radius), ends)
+        best = np.minimum(best, np.where(rho == 0.0, radius, d).min(axis=1))
+    return best
+
+
+def curve_distances(c: ArcCurve, x, y) -> np.ndarray:
+    """Distance from each point ``(x[i], y[i])`` to the curve, for arrays x and y."""
+    return _distances(*_edge_columns(c), *_points(x, y))
 
 
 def distance_to_curve(q: Point, c: ArcCurve) -> float:
-    return min(_distance_to_edge(q, e) for e in c.edges)
+    """Distance from q to the curve: a one-point call of ``curve_distances``."""
+    return float(curve_distances(c, [q.x], [q.y])[0])
 
 
-def _turn(q: Point, a: Point, b: Point) -> float:
-    # Signed angle of (b - q) relative to (a - q), in (-pi, pi].
-    v0x, v0y = a.x - q.x, a.y - q.y
-    v1x, v1y = b.x - q.x, b.y - q.y
-    return math.atan2(v0x * v1y - v0y * v1x, v0x * v1x + v0y * v1y)
+def _principal_turn(x, y, ax, ay, bx, by):
+    # signed angle of (b - q) relative to (a - q), in (-pi, pi]
+    v0x, v0y = ax - x, ay - y
+    v1x, v1y = bx - x, by - y
+    return np.arctan2(v0x * v1y - v0y * v1x, v0x * v1x + v0y * v1y)
+
+
+def winding_numbers(c: ArcCurve, x, y) -> np.ndarray:
+    """Winding number of the closed curve around each point ``(x[i], y[i])``.
+
+    Every edge contributes its exact turn in O(1).  A segment, or an arc seen
+    from outside its supporting disk, turns by the principal angle between
+    its endpoints, since all its directions fit in an open half-plane.  Seen
+    from inside or on its supporting circle (``rho <= R``), the direction to
+    an arc of opening S rotates monotonically with the arc's turning through
+    an angle V in ``[S/2, S/2 + pi)``, which is 2*pi for a full circle.  V is
+    the difference of the endpoint directions taken modulo 2*pi; the residue
+    is picked from the window of width 2*pi centred on S/2 + pi/2, which keeps
+    pi/2 clear of every possible V, so rounding in the endpoint coordinates
+    (a full circle's end point landing on either side of its start) cannot
+    move it by 2*pi.
+
+    Raises ``OnBoundaryError`` for the first point within the curve's
+    tolerance, and ``ValidationError`` if a total is not within 1/4 of an
+    integer.
+    """
+    if not c.closed:
+        raise ContractViolation("winding_number requires a closed curve")
+    segs, arcs = _edge_columns(c)
+    x, y = _points(x, y)
+    d = _distances(segs, arcs, x, y)
+    on = np.flatnonzero(d <= c.tolerance)
+    if on.size:
+        raise OnBoundaryError(f"query point is on the curve (distance {d[on[0]]:.3e})")
+    total = np.zeros(len(x))
+    if segs is not None:
+        total += _principal_turn(x, y, *segs).sum(axis=1)
+    if arcs is not None:
+        cx, cy, radius, _, sweep, turning, sx, sy, ex, ey = arcs
+        outside = np.hypot(x - cx, y - cy) > radius
+        raw = turning * (np.arctan2(ey - y, ex - x) - np.arctan2(sy - y, sx - x))
+        centre = 0.5 * sweep + 0.5 * math.pi
+        inside = turning * (raw + TWO_PI * np.rint((centre - raw) / TWO_PI))
+        total += np.where(outside, _principal_turn(x, y, sx, sy, ex, ey), inside).sum(axis=1)
+    m = total / TWO_PI
+    n = np.rint(m)
+    off = np.flatnonzero(np.abs(m - n) > 0.25)
+    if off.size:
+        raise ValidationError(f"winding number did not converge to an integer: {float(m[off[0]])}")
+    return n.astype(int)
 
 
 def winding_number(c: ArcCurve, q: Point) -> int:
     """Total turning of the closed curve around q, divided by 2*pi (an exact integer).
 
-    Arcs seen from inside their supporting disk can subtend more than pi, so
-    they are walked in steps short enough (relative to the distance from q)
-    that each step's turn stays below pi and the branch of atan2 is exact.
+    A one-point call of ``winding_numbers``: each edge adds its exact turn, in
+    O(1) however close q is to the curve.
     """
-    if not c.closed:
-        raise ContractViolation("winding_number requires a closed curve")
-    d = distance_to_curve(q, c)
-    if d <= c.tolerance:
-        raise OnBoundaryError(f"query point is on the curve (distance {d:.3e})")
-    total = 0.0
-    for e in c.edges:
-        if isinstance(e, Segment):
-            total += _turn(q, e.start, e.end)
-            continue
-        if q.distance_to(e.center) > e.radius:
-            # All directions toward the arc fit in an open half-plane.
-            total += _turn(q, e.start, e.end)
-            continue
-        steps = max(1, math.ceil(e.length / _distance_to_edge(q, e)))
-        prev = e.start
-        for s in range(1, steps + 1):
-            cur = e.point_at(s / steps)
-            total += _turn(q, prev, cur)
-            prev = cur
-    m = total / TWO_PI
-    n = round(m)
-    if abs(m - n) > 0.25:
-        raise ValidationError(f"winding number did not converge to an integer: {m}")
-    return int(n)
+    return int(winding_numbers(c, [q.x], [q.y])[0])
 
 
 def _segment_inner_normal(s: Segment):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -119,17 +120,33 @@ class ConvexPolygon:
         diffs = np.roll(self.vertices, -1, axis=0) - self.vertices
         return float(np.hypot(diffs[:, 0], diffs[:, 1]).sum())
 
-    def edge_normals(self):
-        """Outward unit normals and line offsets c with x . n <= c inside."""
+    @cached_property
+    def _halfplanes(self):
         diffs = np.roll(self.vertices, -1, axis=0) - self.vertices
         lengths = np.hypot(diffs[:, 0], diffs[:, 1])
         normals = np.column_stack([diffs[:, 1], -diffs[:, 0]]) / lengths[:, None]
         offsets = np.einsum("ij,ij->i", normals, self.vertices)
+        normals.setflags(write=False)
+        offsets.setflags(write=False)
         return normals, offsets
 
-    def contains(self, x: float, y: float, tol: float = 0.0) -> bool:
+    def edge_normals(self):
+        """Outward unit normals and line offsets c with x . n <= c inside.
+
+        Computed on first use and kept; the arrays are read-only.
+        """
+        return self._halfplanes
+
+    def contains(self, x, y, tol: float = 0.0):
+        """Whether (x, y) lies in the polygon grown by tol.
+
+        Scalars give a bool; arrays of coordinates give a boolean array, one
+        half-plane test per point and edge.
+        """
         normals, offsets = self.edge_normals()
-        return bool((normals[:, 0] * x + normals[:, 1] * y <= offsets + tol).all())
+        inside = (np.multiply.outer(x, normals[:, 0]) + np.multiply.outer(y, normals[:, 1])
+                  <= offsets + tol).all(axis=-1)
+        return inside if inside.ndim else bool(inside)
 
     def scaled(self, lam: float) -> "ConvexPolygon":
         return ConvexPolygon(self.vertices * lam)

@@ -29,9 +29,10 @@ from .arc_geometry import (
     INNER_JUNCTION,
     Point,
     Segment,
+    curve_distances,
     curve_length,
-    distance_to_curve,
     winding_number,
+    winding_numbers,
 )
 from .cheeger import (
     ArcDomain,
@@ -57,6 +58,9 @@ TWO_PI = 2.0 * math.pi
 
 #: square of the hexagon constant, the right-hand side of the final bound
 HEX_SQUARED = math.pi + 2.0 * math.sqrt(3.0) + 2.0 * math.sqrt(math.pi) * 12.0 ** 0.25
+
+#: midpoint samples per edge for the cluster's containment and overlap checks
+BOUNDARY_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,6 @@ class Cluster:
     border_contacts: tuple = ()
     container_area: Optional[float] = None
     claimed_optimal: bool = False
-    boundary_samples: int = 64
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
@@ -131,27 +134,21 @@ class Cluster:
         for bc in self.border_contacts:
             if not 0 <= bc.cell < k:
                 raise ValidationError(f"bad border contact cell {bc.cell}")
-        self._check_containment()
-        self._check_disjointness()
+        samples = [_sample_boundary(c) for c in self.cells]
+        self._check_containment(samples)
+        self._check_disjointness(samples)
 
     @property
     def k(self) -> int:
         return len(self.cells)
 
-    def _sample_boundary(self, cell: ArcDomain):
-        pts = []
-        n = max(2, self.boundary_samples)
-        for e in cell.boundary.edges:
-            for s in range(n):
-                pts.append(e.point_at((s + 0.5) / n))
-        return pts
-
-    def _check_containment(self):
+    def _check_containment(self, samples):
         tol = 1e-6 * max(1.0, math.sqrt(self.container.area))
-        for j, cell in enumerate(self.cells):
-            for q in self._sample_boundary(cell):
-                if not self.container.contains(q.x, q.y, tol):
-                    raise ValidationError(f"cell {j} leaves the container near ({q.x:.6g}, {q.y:.6g})")
+        for j, (x, y) in enumerate(samples):
+            inside = self.container.contains(x, y, tol)
+            if not inside.all():
+                q = np.argmin(inside)
+                raise ValidationError(f"cell {j} leaves the container near ({x[q]:.6g}, {y[q]:.6g})")
 
     def _bbox(self, cell: ArcDomain):
         xs, ys = [], []
@@ -164,30 +161,52 @@ class Cluster:
                 ys += [e.start.y, e.end.y]
         return min(xs), min(ys), max(xs), max(ys)
 
-    def _check_disjointness(self):
+    def _check_disjointness(self, samples):
         # sampled separation test: boundary points of one cell must not lie
         # strictly inside another (shared arcs sit on the boundary, distance 0)
         boxes = [self._bbox(c) for c in self.cells]
         tol = 1e-9 * max(1.0, math.sqrt(self.container.area))
-        samples = [self._sample_boundary(c) for c in self.cells]
-        for i in range(self.k):
-            for j in range(self.k):
-                if i == j:
+        pad = 10.0 * tol
+        for i, (x, y) in enumerate(samples):
+            bi = boxes[i]
+            for j, bj in enumerate(boxes):
+                if i == j or bi[0] > bj[2] or bj[0] > bi[2] or bi[1] > bj[3] or bj[1] > bi[3]:
                     continue
-                bi, bj = boxes[i], boxes[j]
-                if bi[0] > bj[2] or bj[0] > bi[2] or bi[1] > bj[3] or bj[1] > bi[3]:
-                    continue
+                near = ((bj[0] - pad <= x) & (x <= bj[2] + pad)
+                        & (bj[1] - pad <= y) & (y <= bj[3] + pad))
                 other = self.cells[j].boundary
-                pad = 10.0 * tol
-                for q in samples[i]:
-                    if not (bj[0] - pad <= q.x <= bj[2] + pad and bj[1] - pad <= q.y <= bj[3] + pad):
-                        continue
-                    if distance_to_curve(q, other) <= pad:
-                        continue
-                    if winding_number(other, q) != 0:
-                        raise ValidationError(
-                            f"cells {i} and {j} overlap near ({q.x:.6g}, {q.y:.6g})"
-                        )
+                qx, qy = x[near], y[near]
+                d = curve_distances(other, qx, qy)
+                far = d > pad
+                qx, qy, d = qx[far], qy[far], d[far]
+                # the first offending point wins: an overlap, or a point that
+                # winding_number rejects as on the curve (which can happen when
+                # the curve's tolerance exceeds the pad, far from the origin)
+                on = np.flatnonzero(d <= other.tolerance)
+                stop = on[0] if on.size else len(d)
+                hit = np.flatnonzero(winding_numbers(other, qx[:stop], qy[:stop]))
+                if hit.size:
+                    q = hit[0]
+                    raise ValidationError(
+                        f"cells {i} and {j} overlap near ({qx[q]:.6g}, {qy[q]:.6g})"
+                    )
+                if on.size:
+                    winding_number(other, Point(qx[stop], qy[stop]))  # raises OnBoundaryError
+
+
+def _sample_boundary(cell: ArcDomain):
+    """x and y arrays of BOUNDARY_SAMPLES midpoint samples per edge, in traversal order."""
+    t = (np.arange(BOUNDARY_SAMPLES) + 0.5) / BOUNDARY_SAMPLES
+    xs, ys = [], []
+    for e in cell.boundary.edges:
+        if isinstance(e, Arc):
+            a = e.start_angle + e.signed_sweep * t
+            xs.append(e.center.x + e.radius * np.cos(a))
+            ys.append(e.center.y + e.radius * np.sin(a))
+        else:
+            xs.append(e.start.x + t * (e.end.x - e.start.x))
+            ys.append(e.start.y + t * (e.end.y - e.start.y))
+    return np.concatenate(xs), np.concatenate(ys)
 
 
 # ---------------------------------------------------------------------------

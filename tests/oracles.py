@@ -3,7 +3,8 @@
 These deliberately avoid the closed forms under test: the rasterized winding
 oracle computes index-weighted area by exact scanline/curve intersections and
 signed crossing counts; the quadrature oracle integrates x dy over a dense
-polyline; the polygon Cheeger oracles solve the corner-quadratic directly or
+polyline; the stepping winding oracle walks each arc seen from inside its
+disk in short steps; the polygon Cheeger oracles solve the corner-quadratic directly or
 bisect on the clipped inner polygon's area; the Monte Carlo chain oracle
 samples the disk-chain region point by point.
 """
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cheegerlab.arc_geometry import Arc, ArcCurve, Segment
+from cheegerlab.arc_geometry import Arc, ArcCurve, Point, Segment
 from cheegerlab.chamber_lemmas import CLOSED, SECTOR, DiskChain, chain_feet
 from cheegerlab.cheeger import ConvexPolygon, inner_parallel_polygon
 
@@ -93,6 +94,48 @@ def rasterized_winding_area(curve: ArcCurve, n: int = 2048) -> float:
         winding = -prefix[np.searchsorted(xs, cols, side="right")]
         total += winding.sum() * dx * dy
     return float(total)
+
+
+def _turn(q: Point, a: Point, b: Point) -> float:
+    # signed angle of (b - q) relative to (a - q), in (-pi, pi]
+    v0x, v0y = a.x - q.x, a.y - q.y
+    v1x, v1y = b.x - q.x, b.y - q.y
+    return math.atan2(v0x * v1y - v0y * v1x, v0x * v1x + v0y * v1y)
+
+
+def _distance_to_arc(q: Point, e: Arc) -> float:
+    rho = q.distance_to(e.center)
+    if rho == 0.0:
+        return e.radius
+    ang = math.atan2(q.y - e.center.y, q.x - e.center.x)
+    if (e.turning * (ang - e.start_angle)) % TWO_PI <= e.sweep:
+        return abs(rho - e.radius)
+    return min(q.distance_to(e.start), q.distance_to(e.end))
+
+
+def winding_number_stepping(curve: ArcCurve, q: Point) -> int:
+    """Winding number by summing principal turns along a walk of the curve.
+
+    Segments, and arcs seen from outside their supporting disk, take one
+    step.  An arc seen from inside is walked in steps no longer than q's
+    distance to it, so each step turns by less than pi and atan2 picks the
+    right branch; the cost grows like the arc length over that distance.
+    """
+    total = 0.0
+    for e in curve.edges:
+        if isinstance(e, Segment) or q.distance_to(e.center) > e.radius:
+            total += _turn(q, e.start, e.end)
+            continue
+        steps = max(1, math.ceil(e.length / _distance_to_arc(q, e)))
+        prev = e.start
+        for s in range(1, steps + 1):
+            cur = e.point_at(s / steps)
+            total += _turn(q, prev, cur)
+            prev = cur
+    m = total / TWO_PI
+    n = round(m)
+    assert abs(m - n) <= 0.25, f"stepping walk did not close to an integer: {m}"
+    return int(n)
 
 
 def quadrature_curve_area(curve: ArcCurve, samples_per_edge: int = 4096) -> float:

@@ -28,7 +28,11 @@ from cheegerlab.errors import (
     OnBoundaryError,
     ValidationError,
 )
-from oracles import quadrature_curve_area, rasterized_winding_area
+from oracles import (
+    quadrature_curve_area,
+    rasterized_winding_area,
+    winding_number_stepping,
+)
 
 PI = math.pi
 
@@ -103,7 +107,6 @@ class TestWindingNumber:
         assert winding_number(c2, Point(0.05, -0.02)) == 2
 
     def test_point_near_curve_inside_disk(self):
-        # point close to the arc on the concave side exercises the stepped path
         c = full_circle(Point(0, 0), 1.0)
         assert winding_number(c, Point(0.999, 0.0)) == 1
 
@@ -111,6 +114,62 @@ class TestWindingNumber:
         c = full_circle(Point(0, 0), 1.0)
         with pytest.raises(OnBoundaryError):
             winding_number(c, Point(1.0, 0.0))
+
+    @pytest.mark.parametrize("turning", [1, -1])
+    def test_full_circles_at_any_start_angle(self, turning):
+        # the end point of a full circle can round to just before or after its
+        # start, and the turn must still be one whole revolution per lap
+        for start in np.linspace(-10.0, 10.0, 401):
+            arc = Arc(Point(0.3, -0.2), 1.0, start, start, turning)
+            for laps in (1, 2):
+                c = ArcCurve((arc,) * laps, closed=True)
+                assert winding_number(c, Point(0.1, 0.05)) == turning * laps
+                assert winding_number(c, Point(1.5, 0.0)) == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_stepping_oracle(self, seed):
+        # every arc of a class-A domain and of its reversal (clockwise arcs),
+        # with q on the normal through the arc's midpoint, inside and outside
+        # the supporting circle, at eps times the arc length
+        d = random_class_a_domain(seed)
+        seen = set()
+        for curve in (d.boundary, d.boundary.reversed()):
+            for arc in (e for e in curve.edges if isinstance(e, Arc)):
+                mid = arc.point_at(0.5)
+                ux = (mid.x - arc.center.x) / arc.radius
+                uy = (mid.y - arc.center.y) / arc.radius
+                for eps in (1e-2, 1e-3, 1e-4):
+                    for side in (-1.0, 1.0):
+                        rho = arc.radius + side * eps * arc.length
+                        q = Point(arc.center.x + rho * ux, arc.center.y + rho * uy)
+                        w = winding_number(curve, q)
+                        assert w == winding_number_stepping(curve, q)
+                        seen.add(w)
+        assert seen == {-1, 0, 1}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_free_arc_at_boundary_tolerance(self, seed):
+        # twice the curve's tolerance (1e-9 times its coordinate scale) from a
+        # free arc; walking the arc in steps of that length would take about
+        # 1e8 steps
+        d = random_class_a_domain(seed)
+        c = d.boundary
+        tol = c.tolerance
+        arc = next(e for e, role in zip(c.edges, d.roles) if role == FREE)
+        mid = arc.point_at(0.5)
+        ux = (mid.x - arc.center.x) / arc.radius
+        uy = (mid.y - arc.center.y) / arc.radius
+
+        def at(offset):
+            rho = arc.radius + offset
+            return Point(arc.center.x + rho * ux, arc.center.y + rho * uy)
+
+        for offset, expected in ((-2.0 * tol, 1), (2.0 * tol, 0)):
+            assert winding_number(c, at(offset)) == expected
+            assert winding_number(c.reversed(), at(offset)) == -expected
+        for offset in (-0.5 * tol, 0.5 * tol):
+            with pytest.raises(OnBoundaryError):
+                winding_number(c, at(offset))
 
 
 class TestOrientedArea:

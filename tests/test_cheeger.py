@@ -294,3 +294,16 @@ class TestConvexPolygonValidation:
     def test_collinear_cleanup(self):
         poly = ConvexPolygon([[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]])
         assert len(poly.vertices) == 4
+
+    def test_contains_broadcasts_over_point_arrays(self):
+        # an array call agrees with one scalar call per point; scalars give bool
+        rng = np.random.default_rng(3)
+        poly = random_convex_polygon(rng)
+        x, y = rng.uniform(-1.5, 1.5, (2, 200))
+        for tol in (0.0, 1e-3, -1e-3):
+            inside = poly.contains(x, y, tol)
+            assert inside.shape == (200,)
+            scalar = [poly.contains(float(a), float(b), tol) for a, b in zip(x, y)]
+            assert all(type(v) is bool for v in scalar)
+            assert inside.tolist() == scalar
+        assert 0 < inside.sum() < 200

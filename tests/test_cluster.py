@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 
 from cheegerlab import jsonio
-from cheegerlab.arc_geometry import Arc, ArcCurve, FREE, Point
-from cheegerlab.cheeger import ArcDomain, hexagon_constant, regular_polygon
+from cheegerlab.arc_geometry import (
+    Arc,
+    ArcCurve,
+    BORDER_PIECE,
+    FREE,
+    Point,
+    Segment,
+    transform_curve,
+)
+from cheegerlab.cheeger import ArcDomain, ConvexPolygon, hexagon_constant, regular_polygon
 from cheegerlab.chamber_lemmas import reference_areas
 from cheegerlab.cluster import (
+    BOUNDARY_SAMPLES,
     Adjacency,
     Cluster,
     canonical_graph,
@@ -17,12 +26,13 @@ from cheegerlab.cluster import (
     empty_chamber_report,
     honeycomb_cluster,
     honeycomb_kcell,
+    _sample_boundary,
     junction_curvature,
     lower_bound_certificate,
     objective,
     theorem_lower_bound,
 )
-from cheegerlab.errors import ValidationError
+from cheegerlab.errors import OnBoundaryError, ValidationError
 
 PI = math.pi
 
@@ -168,6 +178,25 @@ def _disk_domain(cx, cy, radius):
     return ArcDomain(curve, (FREE,), 2.0 / radius)
 
 
+def _polygon_cell(vertices):
+    pts = [Point(*v) for v in vertices]
+    edges = tuple(Segment(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts)))
+    return ArcDomain(ArcCurve(edges, closed=True), (BORDER_PIECE,) * len(edges), 1.0)
+
+
+def _hexagon(cx, cy, angle=0.0):
+    """Vertices of the unit-side hexagon with a vertex at 30 + angle degrees."""
+    return [(cx + math.cos(t), cy + math.sin(t))
+            for t in math.pi / 6 + angle + np.arange(6) * math.pi / 3]
+
+
+def _square_1e4():
+    return [(1e4, 0.0), (1e4 + 1, 0.0), (1e4 + 1, 1.0), (1e4, 1.0)]
+
+
+_BOX_1E4 = ConvexPolygon([[1e4 - 1, -1], [1e4 + 3, -1], [1e4 + 3, 2], [1e4 - 1, 2]])
+
+
 class TestEmptyChamber:
     def test_honeycomb_tiles_exactly(self):
         rep = empty_chamber_report(honeycomb_cluster(2))
@@ -215,6 +244,16 @@ class TestHoneycomb:
         assert cl.container_area == pytest.approx(4.0, abs=1e-12)
         g = canonical_graph(cl)
         assert g.count_identity_ok
+
+    def test_l12_builds_round_trips_and_certifies(self):
+        # k = 78: cluster validation, the JSON round trip and the certificate
+        cl = honeycomb_cluster(12)
+        assert cl.k == 78
+        back = cluster_from_dict(jsonio.loads(jsonio.dumps(cluster_to_dict(cl))))
+        assert back.k == 78
+        assert cluster_to_dict(back) == cluster_to_dict(cl)
+        cert = lower_bound_certificate(back)
+        assert abs(cert.scaled_objective - hexagon_constant()) <= 1e-9
 
     def test_kcell_disconnected_rejected(self):
         with pytest.raises(ValidationError):
@@ -300,6 +339,71 @@ class TestClusterModel:
         tri = regular_polygon(3, area=1.0, center=(0, 0))
         with pytest.raises(ValidationError):
             Cluster(tri, (_disk_domain(5.0, 5.0, 1.0),))
+
+    def test_boundary_samples_are_edge_midpoints(self, domino_cluster):
+        # the per-point reference: point_at at the midpoint of each of the
+        # BOUNDARY_SAMPLES equal parameter steps of every edge, in order
+        for cell in domino_cluster.cells + honeycomb_cluster(2).cells:
+            x, y = _sample_boundary(cell)
+            ref = [e.point_at((s + 0.5) / BOUNDARY_SAMPLES)
+                   for e in cell.boundary.edges for s in range(BOUNDARY_SAMPLES)]
+            assert x.tolist() == [p.x for p in ref]
+            assert y.tolist() == [p.y for p in ref]
+
+    # The three rejections below name the first offending boundary sample;
+    # each message was recorded from the point-by-point checks they replace.
+
+    def test_hexagon_sliver_overlap_rejected(self):
+        # the second hexagon is turned by 0.002 rad and pushed so that only
+        # 3 of each cell's 384 samples lie inside the other
+        box = ConvexPolygon([[-3, -3], [6, -3], [6, 3], [-3, 3]])
+        cells = (_polygon_cell(_hexagon(0.0, 0.0)),
+                 _polygon_cell(_hexagon(math.sqrt(3.0) + 0.0009, 0.0, 0.002)))
+        with pytest.raises(ValidationError) as err:
+            Cluster(box, cells)
+        assert type(err.value) is ValidationError
+        assert str(err.value) == "cells 0 and 1 overlap near (0.866025, 0.460937)"
+
+    def test_polygon_sliver_outside_container_rejected(self):
+        # the vertex at x = 1.002 puts the last 2 samples of two edges outside
+        square = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+        cell = _polygon_cell([(0.1, 0.1), (0.9, 0.1), (1.002, 0.5), (0.9, 0.9), (0.1, 0.9)])
+        with pytest.raises(ValidationError) as err:
+            Cluster(square, (cell,))
+        assert type(err.value) is ValidationError
+        assert str(err.value) == "cell 0 leaves the container near (1.0012, 0.496875)"
+
+    def test_shifted_arc_cell_overlap_rejected(self, domino_cluster):
+        left, right = domino_cluster.cells
+        moved = ArcDomain(transform_curve(left.boundary, dx=0.01), left.roles, left.h)
+        with pytest.raises(ValidationError) as err:
+            Cluster(domino_cluster.container, (moved, right),
+                    domino_cluster.adjacency, domino_cluster.border_contacts)
+        assert type(err.value) is ValidationError
+        assert str(err.value) == "cells 0 and 1 overlap near (1.00552, 0.216559)"
+
+    def test_sample_near_other_cell_far_from_origin_rejected(self):
+        # near x = 1e4 a curve's tolerance (1e-9 times its coordinate scale) is
+        # 1e-5, above the 3.5e-8 overlap pad, so a sample 1e-6 from the other
+        # cell is on that cell's boundary for the winding number
+        cells = (_polygon_cell(_square_1e4()), _polygon_cell([
+            (1e4 + 1 + 1e-6, 51.5 / 64), (1e4 + 2, 0.5), (1e4 + 2, 1.5),
+            (1e4 + 0.5, 1.5), (1e4 + 0.5, 1.001), (1e4 + 1 + 1e-6, 1.001),
+        ]))
+        with pytest.raises(OnBoundaryError) as err:
+            Cluster(_BOX_1E4, cells)
+        assert str(err.value) == "query point is on the curve (distance 1.000e-06)"
+
+    def test_overlap_reported_before_later_on_curve_sample(self):
+        # the same on-curve sample, but earlier samples of the square lie
+        # inside the trapezoid, and the first of them is reported
+        cells = (_polygon_cell(_square_1e4()), _polygon_cell([
+            (1e4 + 0.7, -0.5), (1e4 + 2, -0.5), (1e4 + 2, 51.5 / 64), (1e4 + 1 + 1e-6, 51.5 / 64),
+        ]))
+        with pytest.raises(ValidationError) as err:
+            Cluster(_BOX_1E4, cells)
+        assert type(err.value) is ValidationError
+        assert str(err.value) == "cells 0 and 1 overlap near (10000.8, 0)"
 
     def test_scaled_objective_equals_graph_free_quantity(self):
         cl = honeycomb_cluster(3)

@@ -1,6 +1,8 @@
-"""Source hygiene: no unused imports in the package, the tests or the demos.
+"""Source hygiene: no unused imports in the package, the tests or the demos,
+and no ``assert`` statement in the package.
 
-Package ``__init__.py`` files are skipped, since their imports are re-exports.
+Package ``__init__.py`` files are skipped by the import scan, since their
+imports are re-exports.
 """
 
 import ast
@@ -32,3 +34,14 @@ def test_no_unused_imports():
         for line, name in _unused_imports(path)
     ]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_no_assert_in_package():
+    # python -O strips assert statements, so the package raises named errors
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "cheegerlab").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, "assert statements in the package:\n" + "\n".join(found)
