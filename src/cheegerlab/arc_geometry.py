@@ -350,6 +350,11 @@ class OffsetResult:
     collapse_points: tuple  # ((edge_index, Point), ...)
 
 
+def has_radius(a: Arc, r: float) -> bool:
+    """Whether the arc's radius is r, to the relative 1e-6 that the offset allows."""
+    return abs(a.radius - r) <= 1e-6 * r
+
+
 def offset_inner(c: ArcCurve, r: float, roles: Sequence[str]) -> OffsetResult:
     """Inner parallel curve at distance r of a labeled class-A style boundary.
 
@@ -370,14 +375,13 @@ def offset_inner(c: ArcCurve, r: float, roles: Sequence[str]) -> OffsetResult:
         if role not in ROLES:
             raise ContractViolation(f"unknown edge role {role!r}")
 
-    radius_tol = 1e-6 * r
     new_edges = []
     collapsed = []
     collapse_points = []
     for i, (e, role) in enumerate(zip(c.edges, roles)):
         if isinstance(e, Arc):
-            if role == FREE or (role == BORDER_PIECE and abs(e.radius - r) <= radius_tol):
-                if abs(e.radius - r) > radius_tol or e.turning != 1:
+            if role == FREE or (role == BORDER_PIECE and has_radius(e, r)):
+                if not has_radius(e, r) or e.turning != 1:
                     raise ContractViolation(
                         f"edge {i}: role {role!r} requires a CCW arc of radius {r}, "
                         f"got radius {e.radius} turning {e.turning}"
@@ -433,14 +437,12 @@ def transform_curve(c: ArcCurve, angle: float = 0.0, dx: float = 0.0,
     out = []
     for e in c.edges:
         if isinstance(e, Arc):
+            start = e.start_angle + angle
+            # a full circle keeps equal angles: the two sums need not differ by 2*pi
+            end = start if e.sweep == TWO_PI else e.end_angle + angle
             out.append(
-                Arc(
-                    _map_point(e.center, ca, sa, dx, dy, scale),
-                    e.radius * scale,
-                    e.start_angle + angle,
-                    e.end_angle + angle,
-                    e.turning,
-                )
+                Arc(_map_point(e.center, ca, sa, dx, dy, scale), e.radius * scale,
+                    start, end, e.turning)
             )
         else:
             out.append(

@@ -36,6 +36,7 @@ from .arc_geometry import (
     Point,
     Segment,
     curve_length,
+    has_radius,
     offset_inner,
     signed_area,
     transform_curve,
@@ -468,7 +469,9 @@ class StructureReport:
     ``representation_residuals`` holds the relative residuals of
     A(inner curve) = pi r^2 and area = r H1(inner curve) + 2 pi r^2; the
     perimeter and area residuals cover the two Steiner formulas; the angle
-    rule residual is absolute, in radians.
+    rule residual is absolute, in radians.  ``offset`` is the inner offset at
+    r, the curve Gamma of the representation identity and of Hales'
+    inequality; it is None exactly when ``offset_degenerate`` is reported.
     """
 
     is_class_A: bool
@@ -477,6 +480,7 @@ class StructureReport:
     perimeter_residual: Optional[float]
     area_residual: Optional[float]
     representation_residuals: Optional[tuple]
+    offset: Optional[OffsetResult]
 
 
 def _angle_sums(d: ArcDomain):
@@ -485,7 +489,7 @@ def _angle_sums(d: ArcDomain):
     for e, role in zip(d.boundary.edges, d.roles):
         if not isinstance(e, Arc):
             continue
-        if role == FREE or (role == BORDER_PIECE and abs(e.radius - r) <= 1e-6 * r):
+        if role == FREE or (role == BORDER_PIECE and has_radius(e, r)):
             theta += e.sweep
         elif e.turning == -1:
             alpha += e.sweep
@@ -508,7 +512,7 @@ def structure_report(d: ArcDomain) -> StructureReport:
     except ValidationError:
         return StructureReport(
             False, tuple(violations + ["offset_degenerate"]),
-            angle_residual, None, None, None,
+            angle_residual, None, None, None, None,
         )
     r = d.r
     per_outer = curve_length(d.boundary)
@@ -524,7 +528,7 @@ def structure_report(d: ArcDomain) -> StructureReport:
     )
     return StructureReport(
         not violations, tuple(violations), angle_residual,
-        perimeter_residual, area_residual, rep,
+        perimeter_residual, area_residual, rep, off,
     )
 
 

@@ -43,7 +43,6 @@ from .cheeger import (
     domain_from_dict,
     domain_to_dict,
     hexagon_constant,
-    inner_cheeger_boundary,
     maximal_arcs,
     polygon_from_dict,
     polygon_to_dict,
@@ -321,26 +320,19 @@ def canonical_graph(cl: Cluster) -> CanonicalGraph:
     for a, b in inner_edges + outer_edges:
         neighbors[a].add(b)
         neighbors[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        cur = stack.pop()
-        for nxt in neighbors[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    components = 1
+    seen = set()
+    components = 0
     for i in range(v):
-        if i not in seen:
-            components += 1
-            comp = [i]
-            seen.add(i)
-            while comp:
-                cur = comp.pop()
-                for nxt in neighbors[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        comp.append(nxt)
+        if i in seen:
+            continue
+        components += 1
+        seen.add(i)
+        stack = [i]
+        while stack:
+            for nxt in neighbors[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
     connected = components == 1
     faces = e - v + 1 + components
     euler_residual = v - e + faces - 2  # zero exactly when connected
@@ -386,13 +378,11 @@ def empty_chamber_report(cl: Cluster) -> ChamberReport:
 # ---------------------------------------------------------------------------
 # Honeycomb clusters.
 
+#: neighbor offsets in the lattice directions 0, 60, ..., 300 degrees
 _AXIAL_OFFSETS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
-
-def _offset_direction_index(off) -> int:
-    # neighbor at lattice direction phi covers the hexagon edge (phi/60 - 1) mod 6
-    angle = {(1, 0): 0, (0, 1): 60, (-1, 1): 120, (-1, 0): 180, (0, -1): 240, (1, -1): 300}[off]
-    return (angle // 60 - 1) % 6
+#: neighbor offset across hexagon edge j, which faces the direction 60 (j + 1) degrees
+_EDGE_OFFSETS = _AXIAL_OFFSETS[1:] + _AXIAL_OFFSETS[:1]
 
 
 def _hexagon_edges(center, side):
@@ -442,20 +432,18 @@ def honeycomb_kcell(coords: Sequence, unit_hexagon: bool = True) -> Cluster:
     for i, t in coords:
         center = i * u + t * v
         edges, verts = _hexagon_edges(center, side)
-        roles = []
-        for j in range(6):
-            roles.append(INNER_JUNCTION if _edge_neighbor((i, t), j) in index else BORDER_PIECE)
+        roles = [INNER_JUNCTION if (i + di, t + dt) in index else BORDER_PIECE
+                 for di, dt in _EDGE_OFFSETS]
         cells.append(ArcDomain(ArcCurve(tuple(edges), closed=True), tuple(roles), h_hex))
         all_vertices.extend([(p.x, p.y) for p in verts])
 
     adjacency = []
     for c, j_cell in index.items():
-        for off in _AXIAL_OFFSETS:
-            nb = (c[0] + off[0], c[1] + off[1])
+        for a, (di, dt) in enumerate(_AXIAL_OFFSETS):
+            nb = (c[0] + di, c[1] + dt)
             if nb in index and index[nb] > j_cell:
-                ea = _offset_direction_index(off)
-                eb = _offset_direction_index((-off[0], -off[1]))
-                adjacency.append(Adjacency(j_cell, index[nb], ea, eb))
+                # direction a faces edge a - 1; the opposite direction a + 3 faces edge a + 2
+                adjacency.append(Adjacency(j_cell, index[nb], (a - 1) % 6, (a + 2) % 6))
 
     contacts = []
     for j, cell in enumerate(cells):
@@ -467,13 +455,6 @@ def honeycomb_kcell(coords: Sequence, unit_hexagon: bool = True) -> Cluster:
         ConvexPolygon(hull), tuple(cells), tuple(adjacency), tuple(contacts),
         container_area=hex_area * len(coords),
     )
-
-
-def _edge_neighbor(coord, edge_index):
-    for off in _AXIAL_OFFSETS:
-        if _offset_direction_index(off) == edge_index:
-            return (coord[0] + off[0], coord[1] + off[1])
-    raise AssertionError("unreachable")
 
 
 def honeycomb_cluster(l: int, unit_hexagon: bool = True) -> Cluster:
@@ -555,11 +536,10 @@ def lower_bound_certificate(cl: Cluster, clamp_mode: str = "scaled") -> Certific
                 failing.append((j, rule))
             per_cell.append(CellCertificate(rep, area, None))
             continue
-        off = inner_cheeger_boundary(cell)
-        length = curve_length(off.curve)
+        length = curve_length(rep.offset.curve)
         sum_lengths += length
-        nodes = place_nodes(off, cell)
-        hales = hales_check(off.curve, nodes, r_star, clamp_mode)
+        nodes = place_nodes(rep.offset, cell)
+        hales = hales_check(rep.offset.curve, nodes, r_star, clamp_mode)
         if not hales.satisfied:
             applicable = False
             failing.append((j, "hales_violation"))

@@ -18,16 +18,19 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .arc_geometry import (
+    FREE,
+    Arc,
     ArcCurve,
     OffsetResult,
     Point,
     Segment,
     curve_length,
+    has_radius,
     locate_on_edge,
     signed_area,
     split_edge,
 )
-from .cheeger import ArcDomain, inner_cheeger_boundary
+from .cheeger import ArcDomain
 from .errors import ContractViolation
 
 HEX_UNIT_PERIMETER = 2.0 * 12.0 ** 0.25  # perimeter of the unit-area regular hexagon
@@ -66,30 +69,31 @@ class DeficitReport:
     satisfied: Optional[bool] = None
 
 
-def place_nodes(gamma_r, d: ArcDomain) -> NodeSet:
-    """Nodes of the inner Cheeger boundary of d.
+def place_nodes(off: OffsetResult, d: ArcDomain) -> NodeSet:
+    """Nodes of the inner Cheeger boundary of d, read from its offset ``off``.
 
+    ``off`` is the OffsetResult of d, as returned by
+    ``inner_cheeger_boundary(d)`` or carried on ``structure_report(d).offset``.
     One node per collapsed free arc, plus one exceptional node per radius-r
     corner arc inside a multi-segment border junction arc (those corners are
     the points of the inner curve at distance r from the adjacent segment
-    endpoints).  ``gamma_r`` may be the OffsetResult or its curve; it must
-    match ``inner_cheeger_boundary(d)``.
+    endpoints).  Every collapse point must be the center of a CCW radius-r
+    arc of d at its index, and every collapsed index a free edge.
     """
-    off = inner_cheeger_boundary(d)
-    supplied = gamma_r.curve if isinstance(gamma_r, OffsetResult) else gamma_r
-    if not isinstance(supplied, ArcCurve):
-        raise ContractViolation("gamma_r must be an ArcCurve or OffsetResult")
-    mine = off.curve
-    if len(supplied.edges) != len(mine.edges) or abs(
-        curve_length(supplied) - curve_length(mine)
-    ) > 1e-6 * max(1.0, curve_length(mine)):
-        raise ContractViolation("gamma_r does not match the inner boundary of the domain")
+    if not isinstance(off, OffsetResult):
+        raise ContractViolation("off must be the OffsetResult of the domain")
+    edges, r = d.boundary.edges, d.r
+    if any(not 0 <= i < len(edges) or d.roles[i] != FREE for i in off.collapsed_indices):
+        raise ContractViolation("a collapsed index does not name a free edge of the domain")
     free = set(off.collapsed_indices)
     nodes = []
     flags = []
-    for idx, point in off.collapse_points:
+    for i, point in off.collapse_points:
+        e = edges[i] if 0 <= i < len(edges) else None
+        if not (isinstance(e, Arc) and e.turning == 1 and has_radius(e, r) and e.center == point):
+            raise ContractViolation(f"collapse point {i} is not the center of a radius-r arc of d")
         nodes.append(point)
-        flags.append(idx not in free)
+        flags.append(i not in free)
     if not nodes:
         raise ContractViolation("domain has no radius-r arcs, so no nodes exist")
     return NodeSet(tuple(nodes), tuple(flags))

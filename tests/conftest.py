@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cheegerlab import cheeger
 from cheegerlab.arc_geometry import BORDER_PIECE, FREE, INNER_JUNCTION, Arc, Segment
 from cheegerlab.cheeger import ArcDomain, ConvexPolygon, cheeger_domain
 from cheegerlab.cluster import Adjacency, BorderContact, Cluster, border_runs
@@ -64,3 +65,18 @@ def make_domino_cluster() -> Cluster:
 @pytest.fixture(scope="session")
 def domino_cluster():
     return make_domino_cluster()
+
+
+@pytest.fixture
+def validation_counts(monkeypatch):
+    """Calls of ``class_a_violations`` and ``offset_inner`` made through ``cheeger``."""
+    counts = {"class_a_violations": 0, "offset_inner": 0}
+    for name in counts:
+        original = getattr(cheeger, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cheeger, name, counted)
+    return counts

@@ -301,6 +301,18 @@ class TestInvariances:
         assert curve_length(scaled) == pytest.approx(lam * curve_length(curve), rel=1e-12)
         assert signed_area(scaled) == pytest.approx(lam * lam * signed_area(curve), rel=1e-12)
 
+    @pytest.mark.parametrize("turning", [1, -1])
+    def test_rotated_full_circle_stays_full(self, turning):
+        # rotating by 1.8, 4.1, 4.3, 4.6 or 5.1 rad used to round the two
+        # angles apart by a hair off 2*pi, collapsing the circle to length ~0
+        radius = 1.5
+        circle = full_circle(Point(0.0, 0.0), radius, ccw=turning == 1)
+        for angle in [1.8, 4.1, 4.3, 4.6, 5.1, *np.linspace(-7.0, 7.0, 61)]:
+            moved = transform_curve(circle, angle=angle, dx=0.25, dy=-0.5)
+            assert curve_length(moved) == pytest.approx(2 * PI * radius, rel=1e-14)
+            assert signed_area(moved) == pytest.approx(turning * PI * radius ** 2, rel=1e-14)
+            assert winding_number(moved, Point(0.25, -0.5)) == turning
+
     def test_reversal(self):
         curve = stadium_curve()
         rev = curve.reversed()

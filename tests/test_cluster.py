@@ -13,7 +13,15 @@ from cheegerlab.arc_geometry import (
     Segment,
     transform_curve,
 )
-from cheegerlab.cheeger import ArcDomain, ConvexPolygon, hexagon_constant, regular_polygon
+from cheegerlab.cheeger import (
+    ArcDomain,
+    ConvexPolygon,
+    hexagon_constant,
+    inner_cheeger_boundary,
+    random_class_a_domain,
+    regular_polygon,
+    structure_report,
+)
 from cheegerlab.chamber_lemmas import reference_areas
 from cheegerlab.cluster import (
     BOUNDARY_SAMPLES,
@@ -151,6 +159,21 @@ class TestCanonicalGraph:
         assert sum(g.lambdas) + g.e_out + 6 == 12 <= 12
         assert g.euler_residual == 0
         assert 2 * (g.e_in + g.e_out) >= 3 * g.faces
+
+    def test_isolated_cells_count_as_components(self):
+        # counts recorded from the earlier two-pass component search
+        square = ConvexPolygon([[0, 0], [4, 0], [4, 4], [0, 4]])
+        g = canonical_graph(Cluster(square, (_disk_domain(2.0, 2.0, 1.0),)))
+        assert (g.connected, g.faces, g.euler_residual) == (False, 1, 1)
+        pair = (_disk_domain(1.0, 1.0, 0.5), _disk_domain(3.0, 3.0, 0.5))
+        g = canonical_graph(Cluster(square, pair))
+        assert (g.connected, g.faces, g.euler_residual) == (False, 1, 2)
+        hc = honeycomb_cluster(2)
+        box = ConvexPolygon([[-5, -5], [5, -5], [5, 5], [-5, 5]])
+        cells = hc.cells + (_disk_domain(3.5, 3.5, 1.0),)
+        g = canonical_graph(Cluster(box, cells, hc.adjacency, hc.border_contacts))
+        assert (g.connected, g.faces, g.euler_residual) == (False, 4, 1)
+        assert not g.junction_bound_checked
 
     def test_inconsistent_adjacency_rejected(self, domino_cluster):
         bad = Cluster(
@@ -291,6 +314,18 @@ class TestCertificate:
             assert cell_cert.largest_root_margin > 0.0
             assert cell_cert.step1_margin > -1e-9
             assert cell_cert.hales.satisfied
+
+    def test_validates_and_offsets_each_cell_once(self, domino_cluster, validation_counts):
+        assert lower_bound_certificate(domino_cluster).applicable
+        assert validation_counts == {"class_a_violations": 2, "offset_inner": 2}
+
+    def test_structure_report_carries_the_offset(self, domino_cluster):
+        hexagon = structure_report(honeycomb_cluster(2).cells[0])
+        assert "offset_degenerate" in hexagon.violations and hexagon.offset is None
+        for dom in (domino_cluster.cells[0], random_class_a_domain(5)):
+            rep = structure_report(dom)
+            assert rep.is_class_A
+            assert rep.offset == inner_cheeger_boundary(dom)
 
     def test_honeycomb_marked_not_applicable(self):
         cert = lower_bound_certificate(honeycomb_cluster(2))

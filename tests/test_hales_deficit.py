@@ -66,6 +66,21 @@ class TestPlaceNodes:
         with pytest.raises(ContractViolation):
             place_nodes(other.curve, dom)
 
+    @pytest.mark.parametrize("foreign", [
+        regular_polygon(6, area=1.0),  # other edge count and roles
+        ConvexPolygon([[2, 0], [3, 0], [3, 1], [2, 1]]),  # same ones, every center elsewhere
+    ])
+    def test_foreign_offset_rejected(self, foreign):
+        # a well-formed OffsetResult, but of another domain's Cheeger set
+        dom = cheeger_domain(SQUARE)
+        with pytest.raises(ContractViolation):
+            place_nodes(inner_cheeger_boundary(cheeger_domain(foreign)), dom)
+
+    def test_validates_and_offsets_once(self, validation_counts):
+        dom = random_class_a_domain(3)
+        place_nodes(inner_cheeger_boundary(dom), dom)
+        assert validation_counts == {"class_a_violations": 1, "offset_inner": 1}
+
 
 class TestChordDeficits:
     def test_straight_portions_have_zero_deficit(self):

@@ -1,5 +1,5 @@
 """Source hygiene: no unused imports in the package, the tests or the demos,
-and no ``assert`` statement in the package.
+and no ``assert`` statement or ``raise AssertionError`` in the package.
 
 Package ``__init__.py`` files are skipped by the import scan, since their
 imports are re-exports.
@@ -36,12 +36,23 @@ def test_no_unused_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
+def _is_assertion(node) -> bool:
+    # an assert statement, or a raise of AssertionError (bare or called)
+    if isinstance(node, ast.Assert):
+        return True
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_in_package():
-    # python -O strips assert statements, so the package raises named errors
+    # python -O strips assert statements, and an AssertionError is no named
+    # error either, so the package raises the errors of cheegerlab.errors
     found = [
         f"{path.relative_to(ROOT)}:{node.lineno}"
         for path in sorted((ROOT / "src" / "cheegerlab").glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
+        if _is_assertion(node)
     ]
-    assert not found, "assert statements in the package:\n" + "\n".join(found)
+    assert not found, "assertions in the package:\n" + "\n".join(found)
