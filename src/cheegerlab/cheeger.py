@@ -20,7 +20,7 @@ are checked as residuals by ``structure_report``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -54,31 +54,45 @@ def hexagon_constant() -> float:
 # ---------------------------------------------------------------------------
 # Convex polygons.
 
+def _next(a: np.ndarray) -> np.ndarray:
+    """``np.roll(a, -1, axis=0)``: row i holds row i + 1, cyclically."""
+    return np.concatenate((a[1:], a[:1]))
+
+
+def _prev(a: np.ndarray) -> np.ndarray:
+    """``np.roll(a, 1, axis=0)``: row i holds row i - 1, cyclically."""
+    return np.concatenate((a[-1:], a[:-1]))
+
+
 def _shoelace(pts: np.ndarray) -> float:
     x, y = (pts - pts[0]).T
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return 0.5 * float(np.dot(x, _next(y)) - np.dot(y, _next(x)))
 
 
 def _clean_ring(pts: np.ndarray, tol: float) -> np.ndarray:
-    """Drop duplicate and collinear vertices from a closed ring."""
-    out = []
-    n = len(pts)
-    for i in range(n):
-        if not out or np.hypot(*(pts[i] - out[-1])) > tol:
-            out.append(pts[i])
-    while len(out) > 1 and np.hypot(*(out[0] - out[-1])) <= tol:
-        out.pop()
-    pts = np.array(out)
-    n = len(pts)
-    if n < 3:
-        return pts
-    keep = []
-    for i in range(n):
-        a, b, c = pts[i - 1], pts[i], pts[(i + 1) % n]
-        cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-        if abs(cross) > tol * (np.hypot(*(b - a)) + np.hypot(*(c - b))):
-            keep.append(i)
-    return pts[keep]
+    """Drop duplicate and collinear vertices from a closed ring (always a new array).
+
+    A vertex within tol of the last kept one is dropped, and so are trailing
+    vertices within tol of the first; then every vertex whose corner cross
+    product is at most tol times its two edge lengths.
+    """
+    step = pts - _prev(pts)  # step[i] = pts[i] - pts[i - 1]
+    gap = np.hypot(step[:, 0], step[:, 1])
+    if len(pts) < 3 or not (gap > tol).all():
+        out = []
+        for p in pts:
+            if not out or np.hypot(*(p - out[-1])) > tol:
+                out.append(p)
+        while len(out) > 1 and np.hypot(*(out[0] - out[-1])) <= tol:
+            out.pop()
+        pts = np.array(out)
+        if len(pts) < 3:
+            return pts
+        step = pts - _prev(pts)
+        gap = np.hypot(step[:, 0], step[:, 1])
+    ahead = _next(step)
+    cross = step[:, 0] * ahead[:, 1] - step[:, 1] * ahead[:, 0]
+    return pts[np.abs(cross) > tol * (gap + _next(gap))]
 
 
 @dataclass(frozen=True)
@@ -99,8 +113,8 @@ class ConvexPolygon:
         pts = _clean_ring(pts, 1e-12 * scale)
         if len(pts) < 3:
             raise ValidationError("polygon degenerates to fewer than 3 vertices after cleanup")
-        nxt = np.roll(pts, -1, axis=0)
-        prv = np.roll(pts, 1, axis=0)
+        nxt = _next(pts)
+        prv = _prev(pts)
         cross = (pts[:, 0] - prv[:, 0]) * (nxt[:, 1] - pts[:, 1]) - (
             pts[:, 1] - prv[:, 1]
         ) * (nxt[:, 0] - pts[:, 0])
@@ -118,12 +132,12 @@ class ConvexPolygon:
 
     @property
     def perimeter(self) -> float:
-        diffs = np.roll(self.vertices, -1, axis=0) - self.vertices
+        diffs = _next(self.vertices) - self.vertices
         return float(np.hypot(diffs[:, 0], diffs[:, 1]).sum())
 
     @cached_property
     def _halfplanes(self):
-        diffs = np.roll(self.vertices, -1, axis=0) - self.vertices
+        diffs = _next(self.vertices) - self.vertices
         lengths = np.hypot(diffs[:, 0], diffs[:, 1])
         normals = np.column_stack([diffs[:, 1], -diffs[:, 0]]) / lengths[:, None]
         offsets = np.einsum("ij,ij->i", normals, self.vertices)
@@ -185,35 +199,41 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def _clip_halfplane(pts: np.ndarray, nx: float, ny: float, c: float) -> Optional[np.ndarray]:
-    d = pts[:, 0] * nx + pts[:, 1] * ny - c
-    inside = d <= 0.0
-    if inside.all():
+def _clip_halfplane(pts: list, nx: float, ny: float, c: float) -> Optional[list]:
+    """Clip a convex ring, a list of [x, y], by the half-plane x*nx + y*ny <= c.
+
+    Plain float arithmetic: on rings of a few vertices numpy's cost per call
+    outweighs the work.  Returns ``pts`` itself when no vertex is outside and
+    None when fewer than 3 vertices remain.
+    """
+    d = [x * nx + y * ny - c for x, y in pts]
+    inside = [v <= 0.0 for v in d]
+    if all(inside):
         return pts
-    if not inside.any():
-        return None
     out = []
     n = len(pts)
     for i in range(n):
         j = (i + 1) % n
         if inside[i]:
             out.append(pts[i])
-            if not inside[j]:
-                t = d[i] / (d[i] - d[j])
-                out.append(pts[i] + t * (pts[j] - pts[i]))
-        elif inside[j]:
-            t = d[i] / (d[i] - d[j])
-            out.append(pts[i] + t * (pts[j] - pts[i]))
-    return np.array(out) if len(out) >= 3 else None
+            if inside[j]:
+                continue
+        elif not inside[j]:
+            continue
+        t = d[i] / (d[i] - d[j])
+        (xi, yi), (xj, yj) = pts[i], pts[j]
+        out.append([xi + t * (xj - xi), yi + t * (yj - yi)])
+    return out if len(out) >= 3 else None
 
 
 def clip_convex(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> Optional[np.ndarray]:
     """Clip a convex CCW polygon by the half-planes x . n_i <= c_i."""
-    for (nx, ny), c in zip(normals, offsets):
-        pts = _clip_halfplane(pts, nx, ny, c)
-        if pts is None:
+    ring = pts.tolist()
+    for (nx, ny), c in zip(normals.tolist(), offsets.tolist()):
+        ring = _clip_halfplane(ring, nx, ny, c)
+        if ring is None:
             return None
-    return pts
+    return np.array(ring)
 
 
 def inner_parallel_polygon(p: ConvexPolygon, t: float) -> Optional[ConvexPolygon]:
@@ -238,20 +258,37 @@ def inner_parallel_polygon(p: ConvexPolygon, t: float) -> Optional[ConvexPolygon
 
 @dataclass(frozen=True)
 class CheegerResult:
-    """Cheeger constant h, radius r = 1/h, and the Cheeger set boundary."""
+    """Cheeger constant h, radius r = 1/h, and the Cheeger set on demand.
+
+    The Cheeger set is ``core`` (the inner polygon at offset r, CCW) fattened
+    back by r.  Its boundary ``cheeger_set_boundary`` and the per-edge
+    ``roles`` (border segments and free corner arcs) are built on first
+    access and kept, so a caller that needs only h builds no curve.
+    """
 
     h: float
     r: float
-    cheeger_set_boundary: ArcCurve
+    core: np.ndarray = field(compare=False)
     iterations: int
     residual: float
-    roles: tuple  # per-edge labels of the boundary (free corner arcs / border segments)
+
+    @cached_property
+    def _cheeger_set(self):
+        return _rounded_polygon(self.core, self.r)
+
+    @property
+    def cheeger_set_boundary(self) -> ArcCurve:
+        return self._cheeger_set[0]
+
+    @property
+    def roles(self) -> tuple:
+        return self._cheeger_set[1]
 
 
 def _rounded_polygon(core: np.ndarray, r: float):
     """Minkowski sum of a convex CCW polygon with a radius-r disk, as an ArcCurve."""
     n = len(core)
-    diffs = np.roll(core, -1, axis=0) - core
+    diffs = _next(core) - core
     lengths = np.hypot(diffs[:, 0], diffs[:, 1])
     normals = np.column_stack([diffs[:, 1], -diffs[:, 0]]) / lengths[:, None]
     edges = []
@@ -292,24 +329,24 @@ def cheeger_convex(p: ConvexPolygon) -> CheegerResult:
     """
     origin = p.vertices.mean(axis=0)  # relative coordinates keep translates accurate
     q = p.vertices - origin
-    d = np.roll(q, -1, axis=0) - q
+    d = _next(q) - q
     u = d / np.hypot(d[:, 0], d[:, 1])[:, None]  # edge directions, fixed per edge
     t = 0.0
     for solves in range(1, len(q) - 1):
-        prev = np.roll(u, 1, axis=0)
+        prev = _prev(u)
         # k_i = tan(phi_i / 2) for the turning angle phi_i; the vertex moves along
         # n_i + k_i u_i.  Both stay accurate at sharp corners.
         k = np.tan(0.5 * np.arctan2(prev[:, 0] * u[:, 1] - prev[:, 1] * u[:, 0],
                                     np.einsum("ij,ij->i", prev, u)))
         velocity = np.column_stack([-u[:, 1], u[:, 0]]) + k[:, None] * u
-        d = np.roll(q, -1, axis=0) - q
+        d = _next(q) - q
         lengths = np.hypot(d[:, 0], d[:, 1])
         a = float(k.sum()) - math.pi
         b = float(lengths.sum()) + TWO_PI * t
         c = _shoelace(q) - math.pi * t * t
         disc = b * b - 4.0 * a * c
         s = 2.0 * c / (b + math.sqrt(disc)) if disc >= 0.0 else math.inf
-        collapse = lengths / (k + np.roll(k, -1))
+        collapse = lengths / (k + _next(k))
         j = int(np.argmin(collapse))
         if len(q) == 3 or s <= collapse[j]:
             break
@@ -321,8 +358,8 @@ def cheeger_convex(p: ConvexPolygon) -> CheegerResult:
     ring = q + s * velocity
     residual = abs(_shoelace(ring) - math.pi * r * r)
     core = _clean_ring(ring, 1e-9 * float(np.abs(ring).max())) + origin
-    boundary, roles = _rounded_polygon(core, r)
-    return CheegerResult(1.0 / r, r, boundary, solves, residual, roles)
+    core.setflags(write=False)
+    return CheegerResult(1.0 / r, r, core, solves, residual)
 
 
 # ---------------------------------------------------------------------------

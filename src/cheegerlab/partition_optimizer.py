@@ -10,6 +10,13 @@ from above; the certified lower bound h(H) sqrt(k/|T|) brackets it from below.
 The search is a deterministic Nelder-Mead on the flattened (seeds, weights)
 vector, with a hexagonal-lattice start plus uniform-random restarts.
 Degenerate diagrams score +inf so the simplex can move away from them.
+
+One evaluation clips the container by the k - 1 radical-axis half-planes of
+each cell, in site order, with a plain-float kernel that returns a ring
+unchanged when a half-plane cuts nothing; the cell's ring is cleaned once,
+when it is validated as a ``ConvexPolygon``.  Only h is read from each
+Cheeger solve, so no Cheeger-set curve is built.  The O(k^2) clipping
+dominates from k of a few dozen on.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ import numpy as np
 
 from .cheeger import (
     ConvexPolygon,
-    _clean_ring,
     _clip_halfplane,
+    _next,
     cheeger_convex,
     hexagon_constant,
 )
@@ -64,27 +71,25 @@ def power_diagram_cells(cfg: SeedConfiguration, container: ConvexPolygon):
     """The k power cells clipped to the container (they tile it up to measure zero).
 
     Cell i is the set where |x - s_i|^2 - w_i is minimal, i.e. the container
-    intersected with the k-1 radical-axis half-planes.  An empty cell raises
-    DegenerateConfigurationError.
+    intersected with the k-1 radical-axis half-planes.  An empty cell, or one
+    that fails ``ConvexPolygon`` validation (a sliver that cleans up to fewer
+    than 3 vertices, say), raises DegenerateConfigurationError.
     """
     seeds, weights = cfg.seeds, cfg.weights
     k = cfg.k
     norms = (seeds ** 2).sum(axis=1)
-    scale = max(1.0, float(np.abs(container.vertices).max()))
+    ring = container.vertices.tolist()
     cells = []
     for i in range(k):
-        pts = container.vertices
+        normals = (2.0 * (seeds - seeds[i])).tolist()
+        offsets = (norms - norms[i] + weights[i] - weights).tolist()
+        pts = ring
         for j in range(k):
             if j == i:
                 continue
-            n = 2.0 * (seeds[j] - seeds[i])
-            c = norms[j] - norms[i] + weights[i] - weights[j]
-            pts = _clip_halfplane(pts, n[0], n[1], c)
+            pts = _clip_halfplane(pts, normals[j][0], normals[j][1], offsets[j])
             if pts is None:
                 raise DegenerateConfigurationError(f"power cell {i} is empty")
-        pts = _clean_ring(pts, 1e-12 * scale)
-        if len(pts) < 3:
-            raise DegenerateConfigurationError(f"power cell {i} degenerates to a sliver")
         try:
             cells.append(ConvexPolygon(pts))
         except ValidationError as exc:
@@ -259,7 +264,7 @@ def _make_objective(k, container, records):
 def _polygon_centroid(poly: ConvexPolygon) -> np.ndarray:
     v = poly.vertices
     x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = _next(x), _next(y)
     cr = x * yn - xn * y
     a = cr.sum() / 2.0
     return np.array([((x + xn) * cr).sum() / (6.0 * a), ((y + yn) * cr).sum() / (6.0 * a)])

@@ -68,15 +68,29 @@ def domino_cluster():
 
 
 @pytest.fixture
-def validation_counts(monkeypatch):
+def call_counts(monkeypatch):
+    """``count(module, *names)`` wraps each ``module.name`` for one test.
+
+    Returns a dict of call counts by name that the wrappers keep up to date.
+    A wrapper replaces the module attribute, so it sees the calls that look
+    the name up there at call time.
+    """
+    def count(module, *names):
+        tally = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                tally[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return tally
+
+    return count
+
+
+@pytest.fixture
+def validation_counts(call_counts):
     """Calls of ``class_a_violations`` and ``offset_inner`` made through ``cheeger``."""
-    counts = {"class_a_violations": 0, "offset_inner": 0}
-    for name in counts:
-        original = getattr(cheeger, name)
-
-        def counted(*args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(cheeger, name, counted)
-    return counts
+    return call_counts(cheeger, "class_a_violations", "offset_inner")

@@ -6,7 +6,9 @@ signed crossing counts; the quadrature oracle integrates x dy over a dense
 polyline; the stepping winding oracle walks each arc seen from inside its
 disk in short steps; the polygon Cheeger oracles solve the corner-quadratic directly or
 bisect on the clipped inner polygon's area; the Monte Carlo chain oracle
-samples the disk-chain region point by point.
+samples the disk-chain region point by point; the power-diagram oracle clips
+numpy vertex arrays one half-plane at a time and cleans each ring with a
+vertex-by-vertex loop before validating it.
 """
 
 import math
@@ -17,6 +19,7 @@ import numpy as np
 from cheegerlab.arc_geometry import Arc, ArcCurve, Point, Segment
 from cheegerlab.chamber_lemmas import CLOSED, SECTOR, DiskChain, chain_feet
 from cheegerlab.cheeger import ConvexPolygon, inner_parallel_polygon
+from cheegerlab.errors import DegenerateConfigurationError, ValidationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -248,3 +251,79 @@ def monte_carlo_area(ch: DiskChain, samples: int = 10_000_000, seed: int = 0) ->
     box = float(span[0] * span[1])
     p = hits / total
     return MonteCarloArea(p * box, box * math.sqrt(p * (1.0 - p) / total))
+
+
+def clean_ring_loop(pts: np.ndarray, tol: float) -> np.ndarray:
+    """Drop duplicate and collinear vertices from a closed ring, vertex by vertex."""
+    out = []
+    n = len(pts)
+    for i in range(n):
+        if not out or np.hypot(*(pts[i] - out[-1])) > tol:
+            out.append(pts[i])
+    while len(out) > 1 and np.hypot(*(out[0] - out[-1])) <= tol:
+        out.pop()
+    pts = np.array(out)
+    n = len(pts)
+    if n < 3:
+        return pts
+    keep = []
+    for i in range(n):
+        a, b, c = pts[i - 1], pts[i], pts[(i + 1) % n]
+        cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+        if abs(cross) > tol * (np.hypot(*(b - a)) + np.hypot(*(c - b))):
+            keep.append(i)
+    return pts[keep]
+
+
+def _clip_halfplane_array(pts: np.ndarray, nx, ny, c):
+    d = pts[:, 0] * nx + pts[:, 1] * ny - c
+    inside = d <= 0.0
+    if inside.all():
+        return pts
+    if not inside.any():
+        return None
+    out = []
+    n = len(pts)
+    for i in range(n):
+        j = (i + 1) % n
+        if inside[i]:
+            out.append(pts[i])
+            if not inside[j]:
+                t = d[i] / (d[i] - d[j])
+                out.append(pts[i] + t * (pts[j] - pts[i]))
+        elif inside[j]:
+            t = d[i] / (d[i] - d[j])
+            out.append(pts[i] + t * (pts[j] - pts[i]))
+    return np.array(out) if len(out) >= 3 else None
+
+
+def power_diagram_cells_reference(cfg, container: ConvexPolygon):
+    """Power cells by numpy half-plane clips, each ring cleaned before validation.
+
+    Clips in the same order as ``power_diagram_cells`` (j = 0..k-1), so equal
+    arithmetic gives bit-identical cells.  Raises DegenerateConfigurationError
+    for an empty cell, a sliver or a cell that fails validation.
+    """
+    seeds, weights = cfg.seeds, cfg.weights
+    k = cfg.k
+    norms = (seeds ** 2).sum(axis=1)
+    scale = max(1.0, float(np.abs(container.vertices).max()))
+    cells = []
+    for i in range(k):
+        pts = container.vertices
+        for j in range(k):
+            if j == i:
+                continue
+            n = 2.0 * (seeds[j] - seeds[i])
+            c = norms[j] - norms[i] + weights[i] - weights[j]
+            pts = _clip_halfplane_array(pts, n[0], n[1], c)
+            if pts is None:
+                raise DegenerateConfigurationError(f"power cell {i} is empty")
+        pts = clean_ring_loop(pts, 1e-12 * scale)
+        if len(pts) < 3:
+            raise DegenerateConfigurationError(f"power cell {i} degenerates to a sliver")
+        try:
+            cells.append(ConvexPolygon(pts))
+        except ValidationError as exc:
+            raise DegenerateConfigurationError(f"power cell {i}: {exc}") from exc
+    return cells

@@ -13,6 +13,7 @@ from cheegerlab.arc_geometry import (
     curve_length,
     signed_area,
 )
+from cheegerlab import cheeger
 from cheegerlab.cheeger import (
     ArcDomain,
     ConvexPolygon,
@@ -30,7 +31,7 @@ from cheegerlab.cheeger import (
 )
 from cheegerlab.errors import ValidationError
 from cheegerlab.partition_optimizer import SeedConfiguration, hex_lattice_seeds, power_diagram_cells
-from oracles import polygon_cheeger_bisection, polygon_cheeger_closed_form
+from oracles import clean_ring_loop, polygon_cheeger_bisection, polygon_cheeger_closed_form
 
 PI = math.pi
 SQUARE = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -159,6 +160,15 @@ class TestCheegerConvex:
     def test_boundary_is_class_a(self):
         dom = cheeger_domain(SQUARE)
         assert structure_report(dom).is_class_A
+
+    def test_cheeger_set_built_once_on_demand(self, call_counts):
+        counts = call_counts(cheeger, "_rounded_polygon")
+        res = cheeger_convex(regular_polygon(5, area=2.0))
+        assert counts == {"_rounded_polygon": 0}
+        boundary, roles = res.cheeger_set_boundary, res.roles
+        assert res.cheeger_set_boundary is boundary and res.roles is roles
+        assert counts == {"_rounded_polygon": 1}
+        assert len(roles) == len(boundary.edges) == 2 * len(res.core)
 
 
 class TestHexagonConstant:
@@ -294,6 +304,32 @@ class TestConvexPolygonValidation:
     def test_collinear_cleanup(self):
         poly = ConvexPolygon([[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]])
         assert len(poly.vertices) == 4
+
+    def test_clean_ring_matches_loop_reference(self):
+        # clean rings, and rings with vertices repeated within tol (also across
+        # the seam), exact midpoints and midpoints moved off the edge by about tol
+        rng = np.random.default_rng(11)
+        tol = 1e-12
+        for trial in range(400):
+            n = int(rng.integers(3, 10))
+            ang = np.sort(rng.uniform(0.0, 2 * PI, n))
+            pts = np.column_stack([np.cos(ang), np.sin(ang)]) * 10.0 ** rng.uniform(-3, 3)
+            rows = []
+            for i in range(n):
+                rows.append(pts[i])
+                kind = trial % 5 and rng.integers(0, 4)
+                if kind == 1:
+                    rows.append(pts[i] + rng.uniform(-1.0, 1.0, 2) * 0.6 * tol)
+                elif kind in (2, 3):
+                    mid = 0.5 * (pts[i] + pts[(i + 1) % n])
+                    rows.append(mid + (kind == 3) * rng.uniform(-2.0, 2.0, 2) * tol)
+            if trial % 7 == 0:
+                rows.append(pts[0] + 0.5 * tol)
+            ring = np.array(rows)
+            ring.setflags(write=False)
+            cleaned = cheeger._clean_ring(ring, tol)
+            assert np.array_equal(cleaned, clean_ring_loop(ring, tol))
+            assert cleaned.flags.writeable
 
     def test_contains_broadcasts_over_point_arrays(self):
         # an array call agrees with one scalar call per point; scalars give bool

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cheegerlab.cheeger import ConvexPolygon, cheeger_convex, hexagon_constant, regular_polygon
-from cheegerlab import partition_optimizer
+from cheegerlab import cheeger, partition_optimizer
 from cheegerlab.cluster import honeycomb_cluster, objective
 from cheegerlab.errors import DegenerateConfigurationError, OptimizationError, ValidationError
 from cheegerlab.partition_optimizer import (
@@ -16,9 +16,36 @@ from cheegerlab.partition_optimizer import (
     power_diagram_cells,
     trace_to_dict,
 )
+from oracles import power_diagram_cells_reference
 
 PI = math.pi
 TRIANGLE = regular_polygon(3, area=1.0)
+UNIT_SQUARE = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+# The oracle's containers: unit scale, far from the origin, and small.
+REFERENCE_CONTAINERS = {
+    "triangle": TRIANGLE,
+    "pentagon50": ConvexPolygon(regular_polygon(5, area=50.0).vertices + [3e3, -2e3]),
+    "square1e-4": regular_polygon(4, area=1e-4, phase=0.3),
+}
+REFERENCE_KS = list(range(2, 30)) + [40, 50, 64, 80, 100]
+
+
+def _reference_configurations(container):
+    """Lattice seeds with Gaussian jitter of sd sqrt(area / k) / 5, or uniform
+    seeds; zero weights, or Gaussian weights of sd a third to twice the mean
+    cell area (some cells come out empty)."""
+    area = container.area
+    for k in REFERENCE_KS:
+        for mode in range(4):
+            rng = np.random.default_rng([k, mode])
+            if mode < 2:
+                seeds = hex_lattice_seeds(k, container)
+                seeds = seeds + rng.normal(0.0, 0.2 * math.sqrt(area / k), seeds.shape)
+            else:
+                seeds = partition_optimizer._random_seeds(k, container, rng)
+            weights = (np.zeros(k) if mode % 2 == 0
+                       else rng.normal(0.0, rng.uniform(0.3, 2.0) * area / k, k))
+            yield SeedConfiguration(seeds, weights)
 
 
 class TestPowerDiagram:
@@ -61,6 +88,43 @@ class TestPowerDiagram:
         weights = np.array([10.0, 0.0])  # the heavy site swallows the other cell
         with pytest.raises(DegenerateConfigurationError):
             power_diagram_cells(SeedConfiguration(seeds, weights), TRIANGLE)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONTAINERS))
+    def test_matches_numpy_reference(self, name):
+        container = REFERENCE_CONTAINERS[name]
+        outcomes = {"cells": 0, "degenerate": 0}
+        for cfg in _reference_configurations(container):
+            try:
+                expected = power_diagram_cells_reference(cfg, container)
+            except DegenerateConfigurationError:
+                with pytest.raises(DegenerateConfigurationError):
+                    power_diagram_cells(cfg, container)
+                outcomes["degenerate"] += 1
+                continue
+            cells = power_diagram_cells(cfg, container)
+            assert len(cells) == len(expected)
+            for cell, ref in zip(cells, expected):
+                assert np.array_equal(cell.vertices, ref.vertices)
+                assert cheeger_convex(cell).h == cheeger_convex(ref).h
+            outcomes["cells"] += len(cells)
+        assert outcomes["cells"] > 1000 and outcomes["degenerate"] > 10
+
+    def test_sliver_cell_raises(self):
+        # cell 1 is the strip 0.5 - 2e-15 <= x <= 0.5 + 2e-15, four vertices
+        # before cleanup and two after it
+        cfg = SeedConfiguration(np.array([[0.25, 0.5], [0.5, 0.5], [0.75, 0.5]]),
+                                np.array([0.0, -0.0625 + 1e-15, 0.0]))
+        with pytest.raises(DegenerateConfigurationError,
+                           match=r"^power cell 1: polygon degenerates to fewer than 3 "
+                                 r"vertices after cleanup$"):
+            power_diagram_cells(cfg, UNIT_SQUARE)
+        with pytest.raises(DegenerateConfigurationError):
+            power_diagram_cells_reference(cfg, UNIT_SQUARE)
+
+    def test_cleans_each_cell_once(self, call_counts):
+        counts = call_counts(cheeger, "_clean_ring")
+        power_diagram_cells(SeedConfiguration(hex_lattice_seeds(16, TRIANGLE), np.zeros(16)), TRIANGLE)
+        assert counts == {"_clean_ring": 16}
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValidationError):
@@ -112,6 +176,12 @@ class TestOptimize:
         moved_seeds = seeds @ rot.T + np.array([1.5, -0.5])
         moved_cells = power_diagram_cells(SeedConfiguration(moved_seeds, w), moved_container)
         assert max(cheeger_convex(c).h for c in moved_cells) == pytest.approx(base, rel=1e-9)
+
+    def test_builds_no_cheeger_set(self, call_counts):
+        counts = call_counts(cheeger, "_rounded_polygon")
+        trace = optimize(16, TRIANGLE, budget=60, seed=0, restarts=1)
+        assert trace.evaluations == 60
+        assert counts == {"_rounded_polygon": 0}
 
     def test_bad_arguments(self):
         with pytest.raises(ValidationError):
