@@ -3,9 +3,10 @@
 Curves are stored as ordered edge lists.  Every metric quantity (length, signed
 area, winding number, inner offset) is evaluated edge-exactly from closed
 forms; nothing here ever approximates an arc by a polyline.  Signed/oriented
-area is the Gauss-Green line integral ``integral x dy``, which for curves with
-self intersections equals the winding-index-weighted area of the enclosed
-components, so no arrangement computation is needed.
+area is the Gauss-Green line integral ``integral (x - x0) dy`` with x0 on the
+curve; with self intersections it is the area weighted by winding index, so
+no arrangement computation is needed.  Tolerances are ``CHAIN_TOL`` times the
+curve's extent.
 
 Angle convention for arcs: ``(start_angle, end_angle, turning)`` with
 ``turning = +1`` for counterclockwise traversal and ``-1`` for clockwise.  The
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +38,7 @@ INNER_JUNCTION = "inner_junction"
 BORDER_PIECE = "border_junction_piece"
 ROLES = (FREE, INNER_JUNCTION, BORDER_PIECE)
 
-# Endpoint-coincidence tolerance, absolute in the curve's own length scale.
+# Endpoint-coincidence and on-curve tolerance, relative to the curve's extent.
 CHAIN_TOL = 1e-9
 
 
@@ -159,19 +161,29 @@ class ArcCurve:
                     f"closed curve does not close: terminal gap {gap:.3e} > {tol:.3e}"
                 )
 
-    @property
-    def scale(self) -> float:
-        m = 0.0
+    @cached_property
+    def bbox(self):
+        """(xmin, ymin, xmax, ymax) of the edges, an arc counting its whole circle."""
+        xs, ys = [], []
         for e in self.edges:
             if isinstance(e, Arc):
-                m = max(m, abs(e.center.x) + e.radius, abs(e.center.y) + e.radius)
+                xs += [e.center.x - e.radius, e.center.x + e.radius]
+                ys += [e.center.y - e.radius, e.center.y + e.radius]
             else:
-                m = max(m, abs(e.start.x), abs(e.start.y), abs(e.end.x), abs(e.end.y))
-        return max(1.0, m)
+                xs += [e.start.x, e.end.x]
+                ys += [e.start.y, e.end.y]
+        return min(xs), min(ys), max(xs), max(ys)
+
+    @property
+    def extent(self) -> float:
+        """Diagonal of ``bbox``: the length every tolerance on the curve is relative to."""
+        x0, y0, x1, y1 = self.bbox
+        return math.hypot(x1 - x0, y1 - y0)
 
     @property
     def tolerance(self) -> float:
-        return CHAIN_TOL * self.scale
+        """``CHAIN_TOL * extent``: the largest gap between edges, and the on-curve distance."""
+        return CHAIN_TOL * self.extent
 
     def vertices(self):
         """Start point of every edge (plus the terminal point if the curve is open)."""
@@ -189,13 +201,13 @@ def curve_length(c: ArcCurve) -> float:
     return sum(e.length for e in c.edges)
 
 
-def _edge_area_integral(e: Edge) -> float:
-    # Closed form of integral x dy along the edge.
+def _edge_area_integral(e: Edge, x0: float) -> float:
+    # Closed form of integral (x - x0) dy along the edge.
     if isinstance(e, Segment):
-        return 0.5 * (e.start.x + e.end.x) * (e.end.y - e.start.y)
+        return 0.5 * ((e.start.x - x0) + (e.end.x - x0)) * (e.end.y - e.start.y)
     t0 = e.start_angle
     t1 = t0 + e.signed_sweep
-    first = e.center.x * e.radius * (math.sin(t1) - math.sin(t0))
+    first = (e.center.x - x0) * e.radius * (math.sin(t1) - math.sin(t0))
     second = e.radius * e.radius * (
         0.5 * (t1 - t0) + 0.25 * (math.sin(2.0 * t1) - math.sin(2.0 * t0))
     )
@@ -203,15 +215,19 @@ def _edge_area_integral(e: Edge) -> float:
 
 
 def signed_area(c: ArcCurve) -> float:
-    """Gauss-Green area ``integral x dy``; positive for counterclockwise Jordan curves.
+    """Gauss-Green area ``integral (x - x0) dy``; positive for counterclockwise Jordan curves.
 
+    x0 is the x of the first edge's start, as ``cheeger._shoelace`` measures
+    from the first vertex; on a closed curve ``integral x0 dy`` vanishes, and
+    relative coordinates keep a far translate from cancelling its area away.
     For any closed curve, self-intersecting or multiply wound, this equals the
     winding-index-weighted area (the integral of the winding number over the
     plane), so self intersections are harmless.
     """
     if not c.closed:
         raise ContractViolation("signed_area requires a closed curve")
-    return sum(_edge_area_integral(e) for e in c.edges)
+    x0 = c.edges[0].start.x
+    return sum(_edge_area_integral(e, x0) for e in c.edges)
 
 
 def _edge_columns(c: ArcCurve):

@@ -97,9 +97,13 @@ def _clean_ring(pts: np.ndarray, tol: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvexPolygon:
-    """Strictly convex polygon with CCW vertices (collinear runs are cleaned up)."""
+    """Strictly convex polygon with CCW vertices (collinear runs are cleaned up).
+
+    The cleanup tolerance is ``1e-12 * extent``, the vertices' bounding-box diagonal.
+    """
 
     vertices: np.ndarray
+    extent: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.vertices, dtype=float)
@@ -109,8 +113,10 @@ class ConvexPolygon:
             raise ValidationError("polygon has non-finite vertices")
         if _shoelace(pts) < 0.0:
             pts = pts[::-1]
-        scale = max(1.0, float(np.abs(pts).max()))
-        pts = _clean_ring(pts, 1e-12 * scale)
+        xs, ys = zip(*pts.tolist())  # plain floats: cheaper than numpy on a few vertices
+        extent = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+        tol = 1e-12 * extent
+        pts = _clean_ring(pts, tol)
         if len(pts) < 3:
             raise ValidationError("polygon degenerates to fewer than 3 vertices after cleanup")
         nxt = _next(pts)
@@ -121,10 +127,11 @@ class ConvexPolygon:
         if (cross <= 0.0).any():
             raise ValidationError(f"polygon is not strictly convex (min corner cross {cross.min():.3e})")
         area = _shoelace(pts)
-        if area <= (1e-12 * scale) ** 2:
+        if area <= tol * tol:
             raise ValidationError(f"polygon area {area:.3e} is not positive")
         pts.setflags(write=False)
         object.__setattr__(self, "vertices", pts)
+        object.__setattr__(self, "extent", extent)
 
     @property
     def area(self) -> float:
@@ -239,7 +246,8 @@ def clip_convex(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> Op
 def inner_parallel_polygon(p: ConvexPolygon, t: float) -> Optional[ConvexPolygon]:
     """Erosion of a convex polygon: intersect the inward-translated edge lines.
 
-    Returns None once t reaches the inradius (the erosion is empty or a point).
+    Returns None once t reaches the inradius: the erosion is empty, its area is
+    at most ``(1e-9 * p.extent)**2``, or it cleans up to a segment.
     """
     if t < 0.0:
         raise ValidationError(f"offset distance must be nonnegative, got {t}")
@@ -247,13 +255,12 @@ def inner_parallel_polygon(p: ConvexPolygon, t: float) -> Optional[ConvexPolygon
         return p
     normals, offsets = p.edge_normals()
     pts = clip_convex(p.vertices, normals, offsets - t)
-    if pts is None:
+    if pts is None or _shoelace(pts) <= (1e-9 * p.extent) ** 2:
         return None
-    scale = max(1.0, float(np.abs(p.vertices).max()))
-    pts = _clean_ring(pts, 1e-12 * scale)
-    if len(pts) < 3 or _shoelace(pts) <= (1e-9 * scale) ** 2:
+    try:
+        return ConvexPolygon(pts)
+    except ValidationError:
         return None
-    return ConvexPolygon(pts)
 
 
 @dataclass(frozen=True)

@@ -250,18 +250,6 @@ def _curve_path(c: ArcCurve) -> str:
     return " ".join(cmds)
 
 
-def _curve_bbox(c: ArcCurve):
-    xs, ys = [], []
-    for e in c.edges:
-        if isinstance(e, Arc):
-            xs += [e.center.x - e.radius, e.center.x + e.radius]
-            ys += [e.center.y - e.radius, e.center.y + e.radius]
-        else:
-            xs += [e.start.x, e.end.x]
-            ys += [e.start.y, e.end.y]
-    return min(xs), min(ys), max(xs), max(ys)
-
-
 def _svg_document(body, bbox) -> str:
     x0, y0, x1, y1 = bbox
     pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
@@ -288,12 +276,12 @@ def render_svg(obj: dict) -> str:
     if "edges" in obj:
         curve = curve_from_dict(obj)
         return _svg_document(
-            [f'<path {style} d="{_curve_path(curve)}"/>\n'], _curve_bbox(curve)
+            [f'<path {style} d="{_curve_path(curve)}"/>\n'], curve.bbox
         )
     if "boundary" in obj:
         curve = curve_from_dict(obj["boundary"])
         return _svg_document(
-            [f'<path {style} d="{_curve_path(curve)}"/>\n'], _curve_bbox(curve)
+            [f'<path {style} d="{_curve_path(curve)}"/>\n'], curve.bbox
         )
     if "cells" in obj:
         cl = cluster_from_dict(obj)
@@ -303,7 +291,7 @@ def render_svg(obj: dict) -> str:
         body.append(f'<path {heavy} d="{_curve_path(container)}"/>\n')
         for cell in cl.cells:
             body.append(f'<path {style} d="{_curve_path(cell.boundary)}"/>\n')
-        return _svg_document(body, _curve_bbox(container))
+        return _svg_document(body, container.bbox)
     if "flavor" in obj:
         chain = chain_from_dict(obj)
         body = []
@@ -328,7 +316,7 @@ def render_svg(obj: dict) -> str:
         poly = polygon_from_dict(obj)
         curve = _polygon_curve(poly.vertices)
         return _svg_document(
-            [f'<path {style} d="{_curve_path(curve)}"/>\n'], _curve_bbox(curve)
+            [f'<path {style} d="{_curve_path(curve)}"/>\n'], curve.bbox
         )
     raise ValidationError("unknown geometry kind: expected curve, polygon, domain, cluster, or chain")
 

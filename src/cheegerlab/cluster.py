@@ -31,7 +31,6 @@ from .arc_geometry import (
     Segment,
     curve_distances,
     curve_length,
-    winding_number,
     winding_numbers,
 )
 from .cheeger import (
@@ -142,55 +141,37 @@ class Cluster:
         return len(self.cells)
 
     def _check_containment(self, samples):
-        tol = 1e-6 * max(1.0, math.sqrt(self.container.area))
+        tol = 1e-6 * self.container.extent
         for j, (x, y) in enumerate(samples):
             inside = self.container.contains(x, y, tol)
             if not inside.all():
                 q = np.argmin(inside)
                 raise ValidationError(f"cell {j} leaves the container near ({x[q]:.6g}, {y[q]:.6g})")
 
-    def _bbox(self, cell: ArcDomain):
-        xs, ys = [], []
-        for e in cell.boundary.edges:
-            if isinstance(e, Arc):
-                xs += [e.center.x - e.radius, e.center.x + e.radius]
-                ys += [e.center.y - e.radius, e.center.y + e.radius]
-            else:
-                xs += [e.start.x, e.end.x]
-                ys += [e.start.y, e.end.y]
-        return min(xs), min(ys), max(xs), max(ys)
-
     def _check_disjointness(self, samples):
         # sampled separation test: boundary points of one cell must not lie
-        # strictly inside another (shared arcs sit on the boundary, distance 0)
-        boxes = [self._bbox(c) for c in self.cells]
-        tol = 1e-9 * max(1.0, math.sqrt(self.container.area))
-        pad = 10.0 * tol
+        # strictly inside another (shared arcs sit on the boundary, distance 0).
+        # The pad is ten times the other curve's tolerance, so every sample
+        # beyond it is off that curve for the winding number.
+        boxes = [c.boundary.bbox for c in self.cells]
         for i, (x, y) in enumerate(samples):
             bi = boxes[i]
             for j, bj in enumerate(boxes):
                 if i == j or bi[0] > bj[2] or bj[0] > bi[2] or bi[1] > bj[3] or bj[1] > bi[3]:
                     continue
+                other = self.cells[j].boundary
+                pad = 10.0 * other.tolerance
                 near = ((bj[0] - pad <= x) & (x <= bj[2] + pad)
                         & (bj[1] - pad <= y) & (y <= bj[3] + pad))
-                other = self.cells[j].boundary
                 qx, qy = x[near], y[near]
-                d = curve_distances(other, qx, qy)
-                far = d > pad
-                qx, qy, d = qx[far], qy[far], d[far]
-                # the first offending point wins: an overlap, or a point that
-                # winding_number rejects as on the curve (which can happen when
-                # the curve's tolerance exceeds the pad, far from the origin)
-                on = np.flatnonzero(d <= other.tolerance)
-                stop = on[0] if on.size else len(d)
-                hit = np.flatnonzero(winding_numbers(other, qx[:stop], qy[:stop]))
+                far = curve_distances(other, qx, qy) > pad
+                qx, qy = qx[far], qy[far]
+                hit = np.flatnonzero(winding_numbers(other, qx, qy))
                 if hit.size:
                     q = hit[0]
                     raise ValidationError(
                         f"cells {i} and {j} overlap near ({qx[q]:.6g}, {qy[q]:.6g})"
                     )
-                if on.size:
-                    winding_number(other, Point(qx[stop], qy[stop]))  # raises OnBoundaryError
 
 
 def _sample_boundary(cell: ArcDomain):
@@ -273,7 +254,7 @@ def canonical_graph(cl: Cluster) -> CanonicalGraph:
     every border junction run must be covered by exactly one border contact.
     """
     k = cl.k
-    tol = 1e-6 * max(1.0, math.sqrt(cl.container.area))
+    tol = 1e-6 * cl.container.extent
 
     inner_needed = {}
     for j, cell in enumerate(cl.cells):
@@ -368,7 +349,7 @@ def empty_chamber_report(cl: Cluster) -> ChamberReport:
     delta, _, corner = reference_areas(r_star)
     bound = (2 * cl.k - 2) * delta + 3.0 * corner
     report = ChamberReport(area, bound, cl.claimed_optimal)
-    if cl.claimed_optimal and area < bound - 1e-9 * max(1.0, cl.container_area):
+    if cl.claimed_optimal and area < bound - 1e-9 * cl.container_area:
         raise ValidationError(
             f"claimed-optimal cluster violates the empty-chamber bound: {area} < {bound}"
         )

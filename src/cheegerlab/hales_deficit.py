@@ -101,7 +101,7 @@ def place_nodes(off: OffsetResult, d: ArcDomain) -> NodeSet:
 
 def _node_positions(curve: ArcCurve, nodes: Sequence[Point]):
     """(edge index, parameter) of each node, snapped to shared vertices when close."""
-    tol = 1e-9 * max(curve_length(curve), curve.scale)
+    tol = curve.tolerance
     n_edges = len(curve.edges)
     positions = []
     for k, node in enumerate(nodes):
@@ -194,7 +194,7 @@ def chord_deficits(gamma_r: ArcCurve, nodes: NodeSet, clamp_bound: Optional[floa
 
     if clamp_bound is None:
         clamp_bound = abs(signed_area(gamma_r))
-    tol = 1e-9 * max(curve_length(gamma_r), gamma_r.scale)
+    tol = gamma_r.tolerance
     xs = []
     for portion in portions:
         a = portion[0].start

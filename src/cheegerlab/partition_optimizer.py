@@ -113,7 +113,7 @@ def hex_lattice_seeds(k: int, container: ConvexPolygon) -> np.ndarray:
         while y < hi[1]:
             off = 0.5 * spacing if row % 2 else 0.0
             for x in xs:
-                if container.contains(x + off, y, tol=-1e-9):
+                if container.contains(x + off, y, tol=-1e-9 * container.extent):
                     pts.append((x + off, y))
             row += 1
             y += spacing * math.sqrt(3.0) / 2.0
@@ -251,7 +251,7 @@ def _eval_config(k, container, seeds, weights, records, lower):
 
 
 def _make_objective(k, container, records):
-    lower = hexagon_constant() * math.sqrt(k / container.area) - 1e-9
+    lower = hexagon_constant() * math.sqrt(k / container.area) * (1.0 - 1e-9)
 
     def f(x):
         value, _, _ = _eval_config(k, container, x[: 2 * k].reshape(k, 2), x[2 * k:],
@@ -284,7 +284,7 @@ def _precondition(k, container, seeds, budget: _Budget, records,
         except (DegenerateConfigurationError, ValidationError):
             return seeds, w
         seeds = np.array([_polygon_centroid(c) for c in cells])
-    lower = hexagon_constant() * math.sqrt(k / container.area) - 1e-9
+    lower = hexagon_constant() * math.sqrt(k / container.area) * (1.0 - 1e-9)
     s2 = container.area / k
     best = (math.inf, seeds, w)
     for _ in range(min(balance_steps, max(budget.left - 10, 0))):
@@ -327,7 +327,7 @@ def optimize(
 
     share = max(1, budget // len(starts))
     coord_step = 0.25 * math.sqrt(area / k)
-    xtol = 1e-6 * max(1.0, diam)
+    xtol = 1e-6 * diam
 
     def run_start(idx):
         records = []

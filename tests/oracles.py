@@ -24,18 +24,6 @@ from cheegerlab.errors import DegenerateConfigurationError, ValidationError
 TWO_PI = 2.0 * math.pi
 
 
-def _curve_bbox(curve: ArcCurve):
-    xs, ys = [], []
-    for e in curve.edges:
-        if isinstance(e, Arc):
-            xs += [e.center.x - e.radius, e.center.x + e.radius]
-            ys += [e.center.y - e.radius, e.center.y + e.radius]
-        else:
-            xs += [e.start.x, e.end.x]
-            ys += [e.start.y, e.end.y]
-    return min(xs), min(ys), max(xs), max(ys)
-
-
 def _row_crossings(curve: ArcCurve, y: float):
     """Signed crossings (x, direction) of the curve with the horizontal line."""
     out = []
@@ -76,7 +64,7 @@ def rasterized_winding_area(curve: ArcCurve, n: int = 2048) -> float:
     horizontal tangencies; winding along a row is the running sum of signed
     crossings, evaluated at the column centers.
     """
-    x0, y0, x1, y1 = _curve_bbox(curve)
+    x0, y0, x1, y1 = curve.bbox
     pad = 1e-6 * max(x1 - x0, y1 - y0)
     x0, y0, x1, y1 = x0 - pad, y0 - pad, x1 + pad, y1 + pad
     dy = (y1 - y0) / n
@@ -307,7 +295,6 @@ def power_diagram_cells_reference(cfg, container: ConvexPolygon):
     seeds, weights = cfg.seeds, cfg.weights
     k = cfg.k
     norms = (seeds ** 2).sum(axis=1)
-    scale = max(1.0, float(np.abs(container.vertices).max()))
     cells = []
     for i in range(k):
         pts = container.vertices
@@ -319,7 +306,8 @@ def power_diagram_cells_reference(cfg, container: ConvexPolygon):
             pts = _clip_halfplane_array(pts, n[0], n[1], c)
             if pts is None:
                 raise DegenerateConfigurationError(f"power cell {i} is empty")
-        pts = clean_ring_loop(pts, 1e-12 * scale)
+        extent = math.hypot(*np.ptp(pts, axis=0))  # the bounding box diagonal
+        pts = clean_ring_loop(pts, 1e-12 * extent)
         if len(pts) < 3:
             raise DegenerateConfigurationError(f"power cell {i} degenerates to a sliver")
         try:

@@ -149,7 +149,7 @@ class TestWindingNumber:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_free_arc_at_boundary_tolerance(self, seed):
-        # twice the curve's tolerance (1e-9 times its coordinate scale) from a
+        # twice the curve's tolerance (1e-9 times its extent) from a
         # free arc; walking the arc in steps of that length would take about
         # 1e8 steps
         d = random_class_a_domain(seed)

@@ -77,6 +77,19 @@ class TestInnerParallelPolygon:
         with pytest.raises(ValidationError):
             inner_parallel_polygon(SQUARE, -0.1)
 
+    def test_cleans_once(self, call_counts):
+        poly = regular_polygon(7, area=1.0)
+        counts = call_counts(cheeger, "_clean_ring")
+        assert inner_parallel_polygon(poly, 0.1) is not None
+        assert counts == {"_clean_ring": 1}
+
+    def test_sliver_below_inradius_is_empty(self):
+        # the erosion of a 2 x 1 rectangle at 0.5 - 1e-14 is a strip of width
+        # 2e-14, which cleans up to a segment
+        rect = ConvexPolygon([[0, 0], [2, 0], [2, 1], [0, 1]])
+        assert inner_parallel_polygon(rect, 0.5 - 1e-14) is None
+        assert inner_parallel_polygon(rect, 0.5 - 1e-6).area == pytest.approx(2e-6, rel=1e-5)
+
 
 class TestCheegerConvex:
     def test_unit_square(self):
@@ -125,7 +138,7 @@ class TestCheegerConvex:
     def test_rigid_motion_and_dilation_invariance(self, lam):
         ang = np.linspace(0.0, 2 * PI, 40, endpoint=False)
         thin = ConvexPolygon(np.column_stack([30.0 * np.cos(ang), np.sin(ang)]))
-        for poly in _random_polygons()[:10] + [thin]:
+        for poly in _random_polygons()[:10] + [thin, regular_polygon(1024)]:
             h = cheeger_convex(poly).h
             for theta in (0.7, 2.9):
                 rot = np.array([[math.cos(theta), -math.sin(theta)],

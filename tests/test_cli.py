@@ -6,13 +6,15 @@ import re
 import pytest
 
 from cheegerlab import jsonio
-from cheegerlab.cheeger import hexagon_constant
+from cheegerlab.arc_geometry import curve_to_dict
+from cheegerlab.cheeger import ConvexPolygon, cheeger_convex, hexagon_constant
 from cheegerlab.cli import run
 from cheegerlab.cluster import cluster_to_dict
 from cheegerlab.errors import ValidationError
 from conftest import make_domino_cluster
 
 PI = math.pi
+SQUARE = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
 
 
 def write(path, obj):
@@ -191,6 +193,20 @@ class TestRender:
         svg = out.read_text()
         assert svg.count("<circle") == 3
         assert svg.count("<path") == 1  # shaded pocket overlay
+
+    @pytest.mark.parametrize("name, digest", [
+        ("domino", "8e5fffb83ef1cea4f56d384b8ac9e8137f41240c0f6cd2d825a295d0828ef9b7"),
+        ("cheeger_square", "c246bd3b57216ca5b78f68a4c36b9ac7b3d71026cd2ea3e5032b1e84d61d0883"),
+    ])
+    def test_render_bytes_pinned(self, tmp_path, name, digest):
+        # the view box comes from ArcCurve.bbox: the container's for a cluster,
+        # the curve's own (arcs counting their whole circles) for a curve
+        obj = (cluster_to_dict(make_domino_cluster()) if name == "domino"
+               else curve_to_dict(cheeger_convex(SQUARE).cheeger_set_boundary))
+        out = tmp_path / f"{name}.svg"
+        assert run(["render", "--input", write(tmp_path / f"{name}.json", obj),
+                    "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_unknown_kind_exit_1(self, tmp_path):
         bad = write(tmp_path / "x.json", {"species": "octahedron"})

@@ -40,7 +40,7 @@ from cheegerlab.cluster import (
     objective,
     theorem_lower_bound,
 )
-from cheegerlab.errors import OnBoundaryError, ValidationError
+from cheegerlab.errors import ValidationError
 
 PI = math.pi
 
@@ -417,17 +417,20 @@ class TestClusterModel:
         assert type(err.value) is ValidationError
         assert str(err.value) == "cells 0 and 1 overlap near (1.00552, 0.216559)"
 
-    def test_sample_near_other_cell_far_from_origin_rejected(self):
-        # near x = 1e4 a curve's tolerance (1e-9 times its coordinate scale) is
-        # 1e-5, above the 3.5e-8 overlap pad, so a sample 1e-6 from the other
-        # cell is on that cell's boundary for the winding number
-        cells = (_polygon_cell(_square_1e4()), _polygon_cell([
+    @pytest.mark.parametrize("dx", [-1e4, 0.0], ids=["origin", "x1e4"])
+    def test_sample_near_other_cell_accepted_anywhere(self, dx):
+        # a sample of the square lies 1e-6 from the other cell, beyond the pad
+        # of ten times that cell's tolerance (1e-9 times its extent), wherever
+        # the pair sits
+        def moved(vertices):
+            return [(x + dx, y) for x, y in vertices]
+
+        box = ConvexPolygon(_BOX_1E4.vertices + [dx, 0.0])
+        cells = (_polygon_cell(moved(_square_1e4())), _polygon_cell(moved([
             (1e4 + 1 + 1e-6, 51.5 / 64), (1e4 + 2, 0.5), (1e4 + 2, 1.5),
             (1e4 + 0.5, 1.5), (1e4 + 0.5, 1.001), (1e4 + 1 + 1e-6, 1.001),
-        ]))
-        with pytest.raises(OnBoundaryError) as err:
-            Cluster(_BOX_1E4, cells)
-        assert str(err.value) == "query point is on the curve (distance 1.000e-06)"
+        ])))
+        assert Cluster(box, cells).k == 2
 
     def test_overlap_reported_before_later_on_curve_sample(self):
         # the same on-curve sample, but earlier samples of the square lie

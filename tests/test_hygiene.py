@@ -1,5 +1,6 @@
 """Source hygiene: no unused imports in the package, the tests or the demos,
-and no ``assert`` statement or ``raise AssertionError`` in the package.
+no ``assert`` statement or ``raise AssertionError`` in the package, and no
+tolerance floored at one unit.
 
 Package ``__init__.py`` files are skipped by the import scan, since their
 imports are re-exports.
@@ -56,3 +57,27 @@ def test_no_assert_in_package():
         if _is_assertion(node)
     ]
     assert not found, "assertions in the package:\n" + "\n".join(found)
+
+
+def _is_unit_floor(node) -> bool:
+    # max(1.0, ...): a floor that ties a tolerance to the unit of length
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "max"
+            and any(isinstance(a, ast.Constant) and type(a.value) is float and a.value == 1.0
+                    for a in node.args))
+
+
+def test_no_floored_tolerance():
+    # tolerances are relative to the extent of the object they judge, so a
+    # verdict does not change when the object is moved or dilated.
+    # chamber_lemmas is exempt: its chains sit at canonical positions (on a
+    # half-plane's line or at a sector's apex, the origin), and its accept
+    # rule fixes the bytes of the pinned chain sweeps.
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "cheegerlab").glob("*.py"))
+        if path.name != "chamber_lemmas.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _is_unit_floor(node)
+    ]
+    assert not found, "max(1.0, ...) floors:\n" + "\n".join(found)
