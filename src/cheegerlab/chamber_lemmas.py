@@ -86,35 +86,40 @@ class DiskChain:
 
     @property
     def scale(self) -> float:
-        return max(1.0, float(np.abs(self.centers).max()), float(self.radii.max()))
+        return _chain_scale(self.centers.tolist(), self.radii.tolist())
 
 
-def _sector_inward_normals():
-    # Region of the sector: y >= 0 and x sin60 - y cos60 >= 0.
-    return np.array([[0.0, 1.0], [math.sin(SECTOR_OPENING), -math.cos(SECTOR_OPENING)]])
+# Direction of the sector's second ray and its inward unit normal; the first
+# ray runs along the x-axis with inward normal (0, 1).
+_RAY_DIRECTION = (math.cos(SECTOR_OPENING), math.sin(SECTOR_OPENING))
+_RAY_NORMAL = (math.sin(SECTOR_OPENING), -math.cos(SECTOR_OPENING))
 
 
-def _line_distances(points: np.ndarray, flavor: str) -> np.ndarray:
-    """Distances to the container lines, one column per line (empty for closed)."""
-    if flavor == CLOSED:
-        return np.zeros((len(points), 0))
-    normals = _sector_inward_normals()
+def _ray_distance(x: float, y: float) -> float:
+    """Signed distance from (x, y) to the sector's second ray, positive inside."""
+    return x * _RAY_NORMAL[0] + y * _RAY_NORMAL[1]
+
+
+def _chain_scale(centers, radii) -> float:
+    """Largest coordinate or radius, floored at 1: the unit of the chain tolerances."""
+    return max(1.0, max(abs(v) for c in centers for v in c), max(radii))
+
+
+def _feet(centers, radii, flavor):
+    """Tangency feet of the end disks on the container lines, as float pairs."""
+    first = (centers[0][0], 0.0)
     if flavor == HALF_PLANE:
-        normals = normals[:1]
-    return points @ normals.T
+        return first, (centers[-1][0], 0.0)
+    (x, y), r = centers[-1], radii[-1]
+    return first, (x - r * _RAY_NORMAL[0], y - r * _RAY_NORMAL[1])
 
 
 def chain_feet(ch: DiskChain):
     """Tangency feet of the end disks on the container lines (open flavors)."""
     if ch.flavor == CLOSED:
         return None, None
-    first = np.array([ch.centers[0, 0], 0.0])
-    if ch.flavor == HALF_PLANE:
-        last = np.array([ch.centers[-1, 0], 0.0])
-    else:
-        n = np.array([math.sin(SECTOR_OPENING), -math.cos(SECTOR_OPENING)])
-        last = ch.centers[-1] - ch.radii[-1] * n
-    return first, last
+    first, last = _feet(ch.centers.tolist(), ch.radii.tolist(), ch.flavor)
+    return np.array(first), np.array(last)
 
 
 def _interior_angle(prev, v, nxt) -> float:
@@ -123,66 +128,74 @@ def _interior_angle(prev, v, nxt) -> float:
     return math.atan2(abs(a[0] * b[1] - a[1] * b[0]), float(a @ b))
 
 
-def _pocket_angle(prev, v, nxt) -> float:
-    """Interior angle at v of a CCW polygon, in [0, 2*pi); reflex gives > pi.
-
-    The region polygon winds CCW around the pocket, so this is the angle seen
-    from the pocket side; the chain hypotheses require it strictly below pi.
-    """
-    a = prev - v
-    b = nxt - v
-    ang = math.atan2(b[0] * a[1] - b[1] * a[0], float(a @ b))
-    return ang % (2.0 * math.pi)
-
-
 def validate_chain(ch: DiskChain):
-    """Raise on hypothesis violations; return warnings for degenerate features."""
-    m = ch.m
-    if len(ch.centers) != m:
+    """Raise on hypothesis violations; return warnings for degenerate features.
+
+    Runs on plain floats, since rejection sampling validates every chain it
+    builds.
+    """
+    centers = ch.centers.tolist()
+    radii = ch.radii.tolist()
+    m = len(radii)
+    if len(centers) != m:
         raise ValidationError("centers and radii length mismatch")
     if m < 2 or (ch.flavor == CLOSED and m < 3):
         raise ValidationError(f"chain of flavor {ch.flavor} needs more disks, got {m}")
-    if (ch.radii <= 0.0).any():
+    if any(r <= 0.0 for r in radii):
         raise ValidationError("disk radii must be positive")
-    tol = _REL_TOL * ch.scale
+    tol = _REL_TOL * _chain_scale(centers, radii)
+    limit = 1e3 * tol
     warnings = []
 
-    pairs = [(i, (i + 1) % m) for i in range(m if ch.flavor == CLOSED else m - 1)]
-    for i, j in pairs:
-        d = float(np.hypot(*(ch.centers[i] - ch.centers[j])))
-        want = ch.radii[i] + ch.radii[j]
-        if abs(d - want) > 1e3 * tol:
+    for i in range(m if ch.flavor == CLOSED else m - 1):
+        j = (i + 1) % m
+        d = math.hypot(centers[i][0] - centers[j][0], centers[i][1] - centers[j][1])
+        want = radii[i] + radii[j]
+        if abs(d - want) > limit:
             raise ValidationError(
                 f"disks {i},{j} must be tangent: distance {d:.12g}, radii sum {want:.12g}"
             )
     for i in range(m):
+        xi, yi = centers[i]
         for j in range(i + 2, m):
             if ch.flavor == CLOSED and i == 0 and j == m - 1:
                 continue
-            d = float(np.hypot(*(ch.centers[i] - ch.centers[j])))
-            want = ch.radii[i] + ch.radii[j]
-            if d < want - 1e3 * tol:
+            d = math.hypot(xi - centers[j][0], yi - centers[j][1])
+            want = radii[i] + radii[j]
+            if d < want - limit:
                 raise ValidationError(
                     f"non-consecutive disks {i},{j} overlap: {d:.12g} < {want:.12g}"
                 )
-            if d < want + 1e3 * tol:
+            if d < want + limit:
                 warnings.append(f"touching_nonconsecutive_{i}_{j}")
 
     if ch.flavor != CLOSED:
-        dists = _line_distances(ch.centers, ch.flavor)
-        if (dists < ch.radii[:, None] - 1e3 * tol).any():
-            raise ValidationError("a disk leaves the container region")
-        if abs(dists[0, 0] - ch.radii[0]) > 1e3 * tol:
+        sector = ch.flavor == SECTOR
+        for (x, y), r in zip(centers, radii):
+            if y < r - limit or (sector and _ray_distance(x, y) < r - limit):
+                raise ValidationError("a disk leaves the container region")
+        if abs(centers[0][1] - radii[0]) > limit:
             raise ValidationError("first disk must be tangent to the first line")
-        last_col = 0 if ch.flavor == HALF_PLANE else 1
-        if abs(dists[-1, last_col] - ch.radii[-1]) > 1e3 * tol:
+        x, y = centers[-1]
+        if abs((_ray_distance(x, y) if sector else y) - radii[-1]) > limit:
             raise ValidationError("last disk must be tangent to the last line")
 
-    # pocket-side angles at the centers must stay below pi (straight is degenerate)
-    poly, centers_idx = _region_polygon(ch)
-    n = len(poly)
-    for k, i in enumerate(centers_idx):
-        ang = _pocket_angle(poly[(i - 1) % n], poly[i], poly[(i + 1) % n])
+    # Pocket-side angles at the centers must stay below pi (straight is
+    # degenerate).  The region polygon winds CCW around the pocket, so with
+    # a CW vertex order the neighbours of each center swap.
+    rows, first = _region_rows(centers, radii, ch.flavor)
+    n = len(rows)
+    twice_area = 0.0
+    for (x0, y0), (x1, y1) in zip(rows, rows[1:] + rows[:1]):
+        twice_area += x0 * y1 - y0 * x1
+    for k in range(m):
+        i = first + k
+        vx, vy = rows[i]
+        (ax, ay), (bx, by) = rows[i - 1], rows[(i + 1) % n]
+        if twice_area < 0.0:
+            (ax, ay), (bx, by) = (bx, by), (ax, ay)
+        ax, ay, bx, by = ax - vx, ay - vy, bx - vx, by - vy
+        ang = math.atan2(bx * ay - by * ax, ax * bx + ay * by) % (2.0 * math.pi)
         if ang > math.pi - 1e-12:
             if ang > math.pi + 1e-9:
                 raise ValidationError(f"pocket angle at disk {k} is not below pi")
@@ -190,23 +203,33 @@ def validate_chain(ch: DiskChain):
     return warnings
 
 
+def _region_rows(centers, radii, flavor):
+    """Vertices of the region polygon as float pairs in chain order (sector
+    apex, first foot, centers, last foot), and the index of the first center."""
+    if flavor == CLOSED:
+        return centers, 0
+    first, last = _feet(centers, radii, flavor)
+    rows = [first, *centers, last]
+    if flavor == SECTOR:
+        return [(0.0, 0.0), *rows], 2
+    return rows, 1
+
+
+def _twice_signed_area(poly: np.ndarray) -> float:
+    """Shoelace sum over a polygon's rows: twice its signed area."""
+    x, y = poly[:, 0], poly[:, 1]
+    x_next = np.concatenate((x[1:], x[:1]))
+    y_next = np.concatenate((y[1:], y[:1]))
+    return float(np.dot(x, y_next) - np.dot(y, x_next))
+
+
 def _region_polygon(ch: DiskChain):
     """CCW polygon through the centers (plus feet and the sector apex for open
     flavors), and the polygon index of each center."""
-    if ch.flavor == CLOSED:
-        poly = ch.centers
-        first = 0
-    else:
-        f0, f1 = chain_feet(ch)
-        rows = [f0] + [c for c in ch.centers] + [f1]
-        first = 1
-        if ch.flavor == SECTOR:
-            rows = [np.zeros(2)] + rows
-            first = 2
-        poly = np.vstack(rows)
+    rows, first = _region_rows(ch.centers.tolist(), ch.radii.tolist(), ch.flavor)
+    poly = np.array(rows)
     centers_idx = list(range(first, first + ch.m))
-    x, y = poly[:, 0], poly[:, 1]
-    if float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) < 0.0:
+    if _twice_signed_area(poly) < 0.0:
         n = len(poly)
         poly = poly[::-1]
         centers_idx = [n - 1 - i for i in centers_idx]
@@ -222,8 +245,7 @@ def chain_region_area(ch: DiskChain) -> ChainRegion:
     """Exact area of the region enclosed by the chain (and container lines):
     the region polygon's shoelace area minus the disk sector at each center."""
     poly, centers_idx = _region_polygon(ch)
-    x, y = poly[:, 0], poly[:, 1]
-    area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    area = 0.5 * _twice_signed_area(poly)
     n = len(poly)
     for local, i in enumerate(centers_idx):
         ang = _interior_angle(poly[(i - 1) % n], poly[i], poly[(i + 1) % n])
@@ -395,10 +417,17 @@ def phi(variant: str, t: float, aux: Optional[float] = None) -> float:
 # Random chain generator (rejection sampling within the lemma hypotheses).
 
 _ATTEMPTS = 4000
+_RADIUS_RANGE = (0.6, 1.5)
+
+
+def _step(center, length: float, heading: float):
+    """The point ``length`` from ``center`` along ``heading``."""
+    return (center[0] + length * math.cos(heading), center[1] + length * math.sin(heading))
 
 
 def _circle_intersections(c0, r0, c1, r1):
-    d = float(np.hypot(*(c1 - c0)))
+    dx, dy = c1[0] - c0[0], c1[1] - c0[1]
+    d = float(np.hypot(dx, dy))  # np.hypot: math.hypot differs in the last bit for some inputs
     if d > r0 + r1 or d < abs(r0 - r1) or d == 0.0:
         return []
     a = (r0 * r0 - r1 * r1 + d * d) / (2.0 * d)
@@ -406,102 +435,100 @@ def _circle_intersections(c0, r0, c1, r1):
     if h2 < 0.0:
         return []
     h = math.sqrt(h2)
-    mid = c0 + a * (c1 - c0) / d
-    off = np.array([-(c1 - c0)[1], (c1 - c0)[0]]) * h / d
-    return [mid + off, mid - off]
+    mx, my = c0[0] + a * dx / d, c0[1] + a * dy / d
+    ox, oy = -dy * h / d, dx * h / d
+    return [(mx + ox, my + oy), (mx - ox, my - oy)]
 
 
-def _try_chain(rng: np.random.Generator, flavor: str, m: int, r_lo: float, r_hi: float):
-    radii = rng.uniform(r_lo, r_hi, m)
+def _try_chain(rng: np.random.Generator, flavor: str, m: int):
+    radii = rng.uniform(*_RADIUS_RANGE, m)
+    r = radii.tolist()
     margin = 0.05
     if flavor == CLOSED:
-        centers = [np.zeros(2), np.array([radii[0] + radii[1], 0.0])]
+        centers = [(0.0, 0.0), (r[0] + r[1], 0.0)]
         heading = 0.0
         for i in range(2, m - 1):
             heading += rng.uniform(0.25, 1.9 * math.pi / m)
-            step = radii[i - 1] + radii[i]
-            centers.append(centers[-1] + step * np.array([math.cos(heading), math.sin(heading)]))
+            centers.append(_step(centers[-1], r[i - 1] + r[i], heading))
         cands = _circle_intersections(
-            centers[-1], radii[m - 2] + radii[m - 1], centers[0], radii[0] + radii[m - 1]
+            centers[-1], r[m - 2] + r[m - 1], centers[0], r[0] + r[m - 1]
         )
         last = [c for c in cands if c[1] > 0.0] if m == 3 else cands
         for cand in last:
-            pts = np.vstack(centers + [cand])
             try:
-                return DiskChain(pts, radii, CLOSED)
+                return DiskChain(np.array(centers + [cand]), radii, CLOSED)
             except ValidationError:
                 continue
         return None
     if flavor == HALF_PLANE:
         # arch over the line: headings sweep monotonically from +theta0 downward
-        centers = [np.array([0.0, radii[0]])]
+        centers = [(0.0, r[0])]
         theta0 = rng.uniform(0.45, 1.1)
         heading = theta0
         drop = 2.0 * theta0 / max(m - 2, 1)
         for i in range(1, m - 1):
             if i > 1:
                 heading -= drop * rng.uniform(0.6, 1.4)
-            step = radii[i - 1] + radii[i]
-            cand = centers[-1] + step * np.array([math.cos(heading), math.sin(heading)])
-            if cand[1] < radii[i] * (1.0 + margin):
+            cand = _step(centers[-1], r[i - 1] + r[i], heading)
+            if cand[1] < r[i] * (1.0 + margin):
                 return None
             centers.append(cand)
-        prev = centers[-1]
-        reach = (radii[-2] + radii[-1]) ** 2 - (prev[1] - radii[-1]) ** 2
+        x, y = centers[-1]
+        reach = (r[-2] + r[-1]) ** 2 - (y - r[-1]) ** 2
         if reach <= 0.0:
             return None
-        x_last = prev[0] + math.sqrt(reach)
-        centers.append(np.array([x_last, radii[-1]]))
+        centers.append((x + math.sqrt(reach), r[-1]))
         try:
-            return DiskChain(np.vstack(centers), radii, HALF_PLANE)
+            return DiskChain(np.array(centers), radii, HALF_PLANE)
         except ValidationError:
             return None
     # sector: wrap nearly circularly around the apex, from the x-axis ray to the
     # pi/3 ray; the polar radius must roughly match chain length * 3 / pi for
     # the last disk to land tangent on the second ray
-    chain_arc = 2.0 * float(radii.sum()) - radii[0] - radii[-1]
-    start_x = max(chain_arc * rng.uniform(0.9, 1.4), 1.02 * SQRT3 * radii[0])
-    centers = [np.array([start_x, radii[0]])]
-    normals = _sector_inward_normals()
+    # numpy's pairwise sum: a float loop differs from it for m >= 8, and start_x is stored
+    chain_arc = 2.0 * float(radii.sum()) - r[0] - r[-1]
+    start_x = max(chain_arc * rng.uniform(0.9, 1.4), 1.02 * SQRT3 * r[0])
+    centers = [(start_x, r[0])]
     for i in range(1, m - 1):
-        polar = math.atan2(centers[-1][1], centers[-1][0])
-        heading = polar + math.pi / 2.0 + rng.uniform(0.0, 0.1)
-        step = radii[i - 1] + radii[i]
-        cand = centers[-1] + step * np.array([math.cos(heading), math.sin(heading)])
-        if (cand @ normals.T < radii[i] * (1.0 + margin)).any():
+        x, y = centers[-1]
+        heading = math.atan2(y, x) + math.pi / 2.0 + rng.uniform(0.0, 0.1)
+        cand = _step(centers[-1], r[i - 1] + r[i], heading)
+        floor = r[i] * (1.0 + margin)
+        if cand[1] < floor or _ray_distance(*cand) < floor:
             return None
         centers.append(cand)
-    n2 = normals[1]
-    d2 = np.array([math.cos(SECTOR_OPENING), math.sin(SECTOR_OPENING)])
-    prev = centers[-1]
-    base = radii[-1] * n2
-    # solve |base + t d2 - prev| = radii[-2] + radii[-1]
-    b = float(d2 @ (base - prev))
-    c0 = float((base - prev) @ (base - prev)) - (radii[-2] + radii[-1]) ** 2
+    x, y = centers[-1]
+    bx, by = r[-1] * _RAY_NORMAL[0], r[-1] * _RAY_NORMAL[1]
+    # solve |base + t d2 - prev| = radii[-2] + radii[-1], base = (bx, by), d2 the ray direction
+    diff = np.array([bx - x, by - y])
+    b = float(np.array(_RAY_DIRECTION) @ diff)  # numpy's dot: a0*b0 + a1*b1 differs in the last bit
+    c0 = float(diff @ diff) - (r[-2] + r[-1]) ** 2  # numpy's dot, as for b
     disc = b * b - c0
     if disc <= 0.0:
         return None
     for t in (-b + math.sqrt(disc), -b - math.sqrt(disc)):
-        cand = base + t * d2
-        if cand[1] < radii[-1] * (1.0 - 1e-9):
+        cand = (bx + t * _RAY_DIRECTION[0], by + t * _RAY_DIRECTION[1])
+        if cand[1] < r[-1] * (1.0 - 1e-9):
             continue
         try:
-            return DiskChain(np.vstack(centers + [cand]), radii, SECTOR)
+            return DiskChain(np.array(centers + [cand]), radii, SECTOR)
         except ValidationError:
             continue
     return None
 
 
-def random_chain(flavor: str, m: int, seed, r_range=(0.6, 1.5)) -> DiskChain:
-    """Deterministic random chain satisfying the lemma hypotheses (rejection sampling)."""
+def random_chain(flavor: str, m: int, seed) -> DiskChain:
+    """Deterministic random chain satisfying the lemma hypotheses (rejection sampling).
+
+    Radii are drawn uniformly from ``_RADIUS_RANGE``.
+    """
     if flavor not in FLAVORS:
         raise ValidationError(f"unknown chain flavor {flavor!r}")
     if m < 3:
         raise ValidationError(f"need at least 3 disks, got {m}")
     rng = np.random.default_rng(seed)
-    r_lo, r_hi = r_range
     for _ in range(_ATTEMPTS):
-        chain = _try_chain(rng, flavor, m, r_lo, r_hi)
+        chain = _try_chain(rng, flavor, m)
         if chain is not None and not chain.warnings:
             return chain
     raise GenerationError(f"no valid {flavor} chain with m = {m} after {_ATTEMPTS} attempts")

@@ -8,7 +8,9 @@ disk in short steps; the polygon Cheeger oracles solve the corner-quadratic dire
 bisect on the clipped inner polygon's area; the Monte Carlo chain oracle
 samples the disk-chain region point by point; the power-diagram oracle clips
 numpy vertex arrays one half-plane at a time and cleans each ring with a
-vertex-by-vertex loop before validating it.
+vertex-by-vertex loop before validating it; the chain-generation oracle is
+the rejection sampler and chain validator on numpy 2-vectors, with the
+region polygon oriented by ``np.roll`` shoelace sums.
 """
 
 import math
@@ -17,9 +19,18 @@ from typing import NamedTuple
 import numpy as np
 
 from cheegerlab.arc_geometry import Arc, ArcCurve, Point, Segment
-from cheegerlab.chamber_lemmas import CLOSED, SECTOR, DiskChain, chain_feet
+from cheegerlab.chamber_lemmas import (
+    CLOSED,
+    HALF_PLANE,
+    SECTOR,
+    SECTOR_OPENING,
+    SQRT3,
+    DiskChain,
+    chain_feet,
+    reference_areas,
+)
 from cheegerlab.cheeger import ConvexPolygon, inner_parallel_polygon
-from cheegerlab.errors import DegenerateConfigurationError, ValidationError
+from cheegerlab.errors import DegenerateConfigurationError, GenerationError, ValidationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -315,3 +326,222 @@ def power_diagram_cells_reference(cfg, container: ConvexPolygon):
         except ValidationError as exc:
             raise DegenerateConfigurationError(f"power cell {i}: {exc}") from exc
     return cells
+
+
+# ---------------------------------------------------------------------------
+# Chain generation on numpy 2-vectors.
+
+_SECTOR_NORMALS = np.array([[0.0, 1.0], [math.sin(SECTOR_OPENING), -math.cos(SECTOR_OPENING)]])
+
+
+def _region_polygon_reference(centers: np.ndarray, radii: np.ndarray, flavor: str):
+    """CCW region polygon (feet and apex for open flavors) and its center indices."""
+    if flavor == CLOSED:
+        poly = centers
+        first = 0
+    else:
+        f0 = np.array([centers[0, 0], 0.0])
+        if flavor == HALF_PLANE:
+            f1 = np.array([centers[-1, 0], 0.0])
+        else:
+            f1 = centers[-1] - radii[-1] * _SECTOR_NORMALS[1]
+        rows = [f0] + [c for c in centers] + [f1]
+        first = 1
+        if flavor == SECTOR:
+            rows = [np.zeros(2)] + rows
+            first = 2
+        poly = np.vstack(rows)
+    centers_idx = list(range(first, first + len(radii)))
+    x, y = poly[:, 0], poly[:, 1]
+    if float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) < 0.0:
+        n = len(poly)
+        poly = poly[::-1]
+        centers_idx = [n - 1 - i for i in centers_idx]
+    return poly, centers_idx
+
+
+def validate_chain_reference(centers, radii, flavor: str):
+    """The chain hypotheses checked on numpy arrays; returns the warnings."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    radii = np.asarray(radii, dtype=float).ravel()
+    m = len(radii)
+    if len(centers) != m:
+        raise ValidationError("centers and radii length mismatch")
+    if m < 2 or (flavor == CLOSED and m < 3):
+        raise ValidationError(f"chain of flavor {flavor} needs more disks, got {m}")
+    if (radii <= 0.0).any():
+        raise ValidationError("disk radii must be positive")
+    tol = 1e-9 * max(1.0, float(np.abs(centers).max()), float(radii.max()))
+    warnings = []
+    for i in range(m if flavor == CLOSED else m - 1):
+        j = (i + 1) % m
+        d = float(np.hypot(*(centers[i] - centers[j])))
+        want = radii[i] + radii[j]
+        if abs(d - want) > 1e3 * tol:
+            raise ValidationError(
+                f"disks {i},{j} must be tangent: distance {d:.12g}, radii sum {want:.12g}"
+            )
+    for i in range(m):
+        for j in range(i + 2, m):
+            if flavor == CLOSED and i == 0 and j == m - 1:
+                continue
+            d = float(np.hypot(*(centers[i] - centers[j])))
+            want = radii[i] + radii[j]
+            if d < want - 1e3 * tol:
+                raise ValidationError(
+                    f"non-consecutive disks {i},{j} overlap: {d:.12g} < {want:.12g}"
+                )
+            if d < want + 1e3 * tol:
+                warnings.append(f"touching_nonconsecutive_{i}_{j}")
+    if flavor != CLOSED:
+        normals = _SECTOR_NORMALS[:1] if flavor == HALF_PLANE else _SECTOR_NORMALS
+        dists = centers @ normals.T
+        if (dists < radii[:, None] - 1e3 * tol).any():
+            raise ValidationError("a disk leaves the container region")
+        if abs(dists[0, 0] - radii[0]) > 1e3 * tol:
+            raise ValidationError("first disk must be tangent to the first line")
+        if abs(dists[-1, -1] - radii[-1]) > 1e3 * tol:
+            raise ValidationError("last disk must be tangent to the last line")
+    poly, centers_idx = _region_polygon_reference(centers, radii, flavor)
+    n = len(poly)
+    for k, i in enumerate(centers_idx):
+        a = poly[(i - 1) % n] - poly[i]
+        b = poly[(i + 1) % n] - poly[i]
+        ang = math.atan2(b[0] * a[1] - b[1] * a[0], float(a @ b)) % TWO_PI
+        if ang > math.pi - 1e-12:
+            if ang > math.pi + 1e-9:
+                raise ValidationError(f"pocket angle at disk {k} is not below pi")
+            warnings.append(f"straight_angle_{k}")
+    return warnings
+
+
+def _circle_intersections_reference(c0, r0, c1, r1):
+    d = float(np.hypot(*(c1 - c0)))
+    if d > r0 + r1 or d < abs(r0 - r1) or d == 0.0:
+        return []
+    a = (r0 * r0 - r1 * r1 + d * d) / (2.0 * d)
+    h2 = r0 * r0 - a * a
+    if h2 < 0.0:
+        return []
+    h = math.sqrt(h2)
+    mid = c0 + a * (c1 - c0) / d
+    off = np.array([-(c1 - c0)[1], (c1 - c0)[0]]) * h / d
+    return [mid + off, mid - off]
+
+
+def _accepted(centers, radii, flavor):
+    """(centers, radii, warnings) if the chain is valid, else None."""
+    try:
+        return centers, radii, tuple(validate_chain_reference(centers, radii, flavor))
+    except ValidationError:
+        return None
+
+
+def _try_chain_reference(rng: np.random.Generator, flavor: str, m: int):
+    radii = rng.uniform(0.6, 1.5, m)
+    margin = 0.05
+    if flavor == CLOSED:
+        centers = [np.zeros(2), np.array([radii[0] + radii[1], 0.0])]
+        heading = 0.0
+        for i in range(2, m - 1):
+            heading += rng.uniform(0.25, 1.9 * math.pi / m)
+            step = radii[i - 1] + radii[i]
+            centers.append(centers[-1] + step * np.array([math.cos(heading), math.sin(heading)]))
+        cands = _circle_intersections_reference(
+            centers[-1], radii[m - 2] + radii[m - 1], centers[0], radii[0] + radii[m - 1]
+        )
+        last = [c for c in cands if c[1] > 0.0] if m == 3 else cands
+        for cand in last:
+            chain = _accepted(np.vstack(centers + [cand]), radii, CLOSED)
+            if chain is not None:
+                return chain
+        return None
+    if flavor == HALF_PLANE:
+        centers = [np.array([0.0, radii[0]])]
+        theta0 = rng.uniform(0.45, 1.1)
+        heading = theta0
+        drop = 2.0 * theta0 / max(m - 2, 1)
+        for i in range(1, m - 1):
+            if i > 1:
+                heading -= drop * rng.uniform(0.6, 1.4)
+            step = radii[i - 1] + radii[i]
+            cand = centers[-1] + step * np.array([math.cos(heading), math.sin(heading)])
+            if cand[1] < radii[i] * (1.0 + margin):
+                return None
+            centers.append(cand)
+        prev = centers[-1]
+        reach = (radii[-2] + radii[-1]) ** 2 - (prev[1] - radii[-1]) ** 2
+        if reach <= 0.0:
+            return None
+        centers.append(np.array([prev[0] + math.sqrt(reach), radii[-1]]))
+        return _accepted(np.vstack(centers), radii, HALF_PLANE)
+    chain_arc = 2.0 * float(radii.sum()) - radii[0] - radii[-1]
+    start_x = max(chain_arc * rng.uniform(0.9, 1.4), 1.02 * SQRT3 * radii[0])
+    centers = [np.array([start_x, radii[0]])]
+    for i in range(1, m - 1):
+        polar = math.atan2(centers[-1][1], centers[-1][0])
+        heading = polar + math.pi / 2.0 + rng.uniform(0.0, 0.1)
+        step = radii[i - 1] + radii[i]
+        cand = centers[-1] + step * np.array([math.cos(heading), math.sin(heading)])
+        if (cand @ _SECTOR_NORMALS.T < radii[i] * (1.0 + margin)).any():
+            return None
+        centers.append(cand)
+    d2 = np.array([math.cos(SECTOR_OPENING), math.sin(SECTOR_OPENING)])
+    prev = centers[-1]
+    base = radii[-1] * _SECTOR_NORMALS[1]
+    b = float(d2 @ (base - prev))
+    c0 = float((base - prev) @ (base - prev)) - (radii[-2] + radii[-1]) ** 2
+    disc = b * b - c0
+    if disc <= 0.0:
+        return None
+    for t in (-b + math.sqrt(disc), -b - math.sqrt(disc)):
+        cand = base + t * d2
+        if cand[1] < radii[-1] * (1.0 - 1e-9):
+            continue
+        chain = _accepted(np.vstack(centers + [cand]), radii, SECTOR)
+        if chain is not None:
+            return chain
+    return None
+
+
+class ReferenceChain(NamedTuple):
+    centers: np.ndarray
+    radii: np.ndarray
+    warnings: tuple
+    area: float
+    bound: float
+    holds: bool
+
+
+def random_chain_reference(flavor: str, m: int, seed) -> ReferenceChain:
+    """``random_chain`` and ``verify_chain_bound`` on numpy 2-vectors.
+
+    Draws the same random numbers in the same order as ``random_chain``, so
+    equal arithmetic gives bit-identical chains; the area is the region
+    polygon's ``np.roll`` shoelace area minus the disk sector at each center.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(4000):
+        chain = _try_chain_reference(rng, flavor, m)
+        if chain is not None and not chain[2]:
+            break
+    else:
+        raise GenerationError(f"no valid {flavor} chain with m = {m} after 4000 attempts")
+    centers, radii, warnings = chain
+    poly, centers_idx = _region_polygon_reference(centers, radii, flavor)
+    x, y = poly[:, 0], poly[:, 1]
+    area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    n = len(poly)
+    for local, i in enumerate(centers_idx):
+        a = poly[(i - 1) % n] - poly[i]
+        b = poly[(i + 1) % n] - poly[i]
+        area -= 0.5 * math.atan2(abs(a[0] * b[1] - a[1] * b[0]), float(a @ b)) * radii[local] ** 2
+    r_star = float(radii.min())
+    delta, wedge, corner = reference_areas(r_star)
+    bound = (m - 2) * delta
+    if flavor == HALF_PLANE:
+        bound += wedge
+    elif flavor == SECTOR:
+        bound += wedge + corner
+    holds = bool(area >= bound - 1e-9 * max(1.0, r_star * r_star))
+    return ReferenceChain(centers, radii, warnings, area, bound, holds)

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from cheegerlab import chamber_lemmas
 from cheegerlab.arc_geometry import signed_area
 from cheegerlab.chamber_lemmas import (
     DiskChain,
@@ -17,8 +19,8 @@ from cheegerlab.chamber_lemmas import (
     tangency_geometry,
     verify_chain_bound,
 )
-from cheegerlab.errors import ValidationError
-from oracles import monte_carlo_area
+from cheegerlab.errors import GenerationError, ValidationError
+from oracles import monte_carlo_area, random_chain_reference, validate_chain_reference
 
 PI = math.pi
 SQRT3 = math.sqrt(3.0)
@@ -257,11 +259,113 @@ class TestRandomChain:
         d = chain.centers[-1, 0] * math.sin(PI / 3) - chain.centers[-1, 1] * math.cos(PI / 3)
         assert d == pytest.approx(chain.radii[-1], abs=1e-9)
 
+    @pytest.mark.parametrize("flavor", ["closed", "half_plane", "sector"])
+    def test_matches_numpy_reference(self, flavor):
+        # the rejection sampler on plain floats against the numpy 2-vector oracle
+        exhausted = 0
+        for i in range(1002):
+            m = 3 + i % 6
+            try:
+                chain = random_chain(flavor, m, seed=[29, i])
+            except GenerationError as exc:
+                with pytest.raises(GenerationError, match=str(exc)):
+                    random_chain_reference(flavor, m, seed=[29, i])
+                exhausted += 1
+                continue
+            ref = random_chain_reference(flavor, m, seed=[29, i])
+            assert np.array_equal(chain.centers, ref.centers), (m, i)
+            assert np.array_equal(chain.radii, ref.radii), (m, i)
+            rep = verify_chain_bound(chain)
+            assert (chain.warnings, rep.area, rep.bound, rep.holds) == (
+                ref.warnings, ref.area, ref.bound, ref.holds), (m, i)
+        assert exhausted < 50  # nearly every seed compares a chain, not an error
+
+    def test_validates_once_per_built_chain(self, call_counts):
+        validated = call_counts(chamber_lemmas, "validate_chain")
+        built = call_counts(DiskChain, "__post_init__")
+        random_chain("sector", 5, seed=3)
+        assert built["__post_init__"] > 1  # rejected chains were built too
+        assert validated["validate_chain"] == built["__post_init__"]
+
     def test_bad_arguments(self):
         with pytest.raises(ValidationError):
             random_chain("moebius", 4, seed=0)
         with pytest.raises(ValidationError):
             random_chain("closed", 2, seed=0)
+
+
+# the side of a 50-degree rhombus of unit disks, whose disks 1 and 3 overlap
+_RHOMBUS_50 = [2 * math.cos(math.radians(50.0)), 2 * math.sin(math.radians(50.0))]
+
+
+class TestValidateChain:
+    # messages recorded with the numpy validator this one replaced
+    @pytest.mark.parametrize("centers, radii, flavor, message", [
+        ([[0, 0], [2, 0], [1, SQRT3]], [1, 1], "closed", "centers and radii length mismatch"),
+        ([[0, 0], [2, 0]], [1, 1], "closed", "chain of flavor closed needs more disks, got 2"),
+        ([[0, 1]], [1], "half_plane", "chain of flavor half_plane needs more disks, got 1"),
+        ([[0, 0], [2, 0], [1, SQRT3]], [1, 0, 1], "closed", "disk radii must be positive"),
+        ([[0, 0], [2, 0], [1, 2]], [1, 1, 1], "closed",
+         "disks 1,2 must be tangent: distance 2.2360679775, radii sum 2"),
+        ([[0, 0], [2, 0], [2 + _RHOMBUS_50[0], _RHOMBUS_50[1]], _RHOMBUS_50], [1, 1, 1, 1], "closed",
+         "non-consecutive disks 1,3 overlap: 1.69047304696 < 2"),
+        ([[0, 1], [SQRT3, 0], [2 * SQRT3, 1]], [1, 1, 1], "half_plane",
+         "a disk leaves the container region"),
+        ([[0, 2], [2, 2]], [1, 1], "half_plane", "first disk must be tangent to the first line"),
+        ([[0, 1], [SQRT3, 2]], [1, 1], "half_plane", "last disk must be tangent to the last line"),
+        ([[4, 1], [4, 3]], [1, 1], "sector", "last disk must be tangent to the last line"),
+    ], ids=["length", "few_closed", "few_open", "radius", "tangent", "overlap", "leaves",
+            "first_line", "last_line", "last_ray"])
+    def test_rule_message(self, centers, radii, flavor, message):
+        with pytest.raises(ValidationError) as exc:
+            DiskChain(np.array(centers, dtype=float), radii, flavor)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["ccw", "cw"])
+    def test_reflex_pocket_angle(self, reverse):
+        # a dart: center 2 lies inside the triangle of centers 0, 1 and 3
+        r2 = 0.3
+        r1 = math.hypot(0.2, 2.0) - r2
+        r0 = math.hypot(3.0, 2.0) - r1
+        centers = [(0.0, 0.0), (3.0, 2.0), (2.8, 0.0), (3.0, -2.0)]
+        radii = [r0, r1, r2, r1]
+        if reverse:
+            centers, radii = centers[::-1], radii[::-1]
+        with pytest.raises(ValidationError) as exc:
+            DiskChain(np.array(centers), radii, "closed")
+        assert str(exc.value) == f"pocket angle at disk {1 if reverse else 2} is not below pi"
+
+    @pytest.mark.parametrize("centers, radii, flavor, warnings", [
+        ([[0, 0], [2, 0], [3, SQRT3], [1, SQRT3]], [1, 1, 1, 1], "closed",
+         ("touching_nonconsecutive_1_3",)),
+        ([[0, 1], [2, 1], [4, 1]], [1, 1, 1], "half_plane", ("straight_angle_1",)),
+        ([[4, 1], [2, 1], [0, 1]], [1, 1, 1], "half_plane", ("straight_angle_1",)),
+    ], ids=["touching", "straight", "straight_cw"])
+    def test_warning(self, centers, radii, flavor, warnings):
+        assert DiskChain(np.array(centers, dtype=float), radii, flavor).warnings == warnings
+
+    def test_nudged_chains_match_numpy_reference(self):
+        # nudges of 1e-7 to 1e-5 straddle the 1e-6 * scale thresholds
+        rng = np.random.default_rng(41)
+        seen = set()
+        for i in range(2100):
+            chain = random_chain(("closed", "half_plane", "sector")[i % 3], 3 + i % 4, seed=[43, i // 3])
+            shape = chain.centers.shape
+            nudge = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-7.0, -5.0, shape)
+            centers = chain.centers + nudge
+            try:
+                got = ("ok", DiskChain(centers, chain.radii, chain.flavor).warnings)
+            except ValidationError as exc:
+                got = ("raised", str(exc))
+            try:
+                want = ("ok", tuple(validate_chain_reference(centers, chain.radii, chain.flavor)))
+            except ValidationError as exc:
+                want = ("raised", str(exc))
+            assert got == want, i
+            seen.add(got[0] if got[0] == "ok" else re.sub(r"\d", "#", got[1].split(":")[0]))
+        assert {"ok", "disks #,# must be tangent", "a disk leaves the container region",
+                "first disk must be tangent to the first line",
+                "last disk must be tangent to the last line"} <= seen
 
 
 class TestJson:

@@ -432,9 +432,9 @@ class TestClusterModel:
         ])))
         assert Cluster(box, cells).k == 2
 
-    def test_overlap_reported_before_later_on_curve_sample(self):
-        # the same on-curve sample, but earlier samples of the square lie
-        # inside the trapezoid, and the first of them is reported
+    def test_first_overlapping_sample_reported(self):
+        # several boundary samples of the square lie inside the trapezoid;
+        # the error names the first of them
         cells = (_polygon_cell(_square_1e4()), _polygon_cell([
             (1e4 + 0.7, -0.5), (1e4 + 2, -0.5), (1e4 + 2, 51.5 / 64), (1e4 + 1 + 1e-6, 51.5 / 64),
         ]))
