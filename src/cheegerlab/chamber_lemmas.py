@@ -24,6 +24,7 @@ half-plane >= (m-2) delta + wedge, sector >= (m-2) delta + wedge + corner.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -136,6 +137,9 @@ def validate_chain(ch: DiskChain):
     """
     centers = ch.centers.tolist()
     radii = ch.radii.tolist()
+    # every rule below is a comparison, which NaN would pass
+    if not all(map(math.isfinite, itertools.chain(radii, *centers))):
+        raise ValidationError("disk centers and radii must be finite")
     m = len(radii)
     if len(centers) != m:
         raise ValidationError("centers and radii length mismatch")

@@ -8,9 +8,11 @@ disk in short steps; the polygon Cheeger oracles solve the corner-quadratic dire
 bisect on the clipped inner polygon's area; the Monte Carlo chain oracle
 samples the disk-chain region point by point; the power-diagram oracle clips
 numpy vertex arrays one half-plane at a time and cleans each ring with a
-vertex-by-vertex loop before validating it; the chain-generation oracle is
-the rejection sampler and chain validator on numpy 2-vectors, with the
-region polygon oriented by ``np.roll`` shoelace sums.
+vertex-by-vertex loop before validating it; the convex-polygon and
+closed-form Cheeger oracles are the polygon validation and the Cheeger solve
+on numpy vertex arrays, with ``np.dot`` shoelace sums; the chain-generation
+oracle is the rejection sampler and chain validator on numpy 2-vectors, with
+the region polygon oriented by ``np.roll`` shoelace sums.
 """
 
 import math
@@ -29,7 +31,7 @@ from cheegerlab.chamber_lemmas import (
     chain_feet,
     reference_areas,
 )
-from cheegerlab.cheeger import ConvexPolygon, inner_parallel_polygon
+from cheegerlab.cheeger import CheegerResult, ConvexPolygon, inner_parallel_polygon
 from cheegerlab.errors import DegenerateConfigurationError, GenerationError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -326,6 +328,88 @@ def power_diagram_cells_reference(cfg, container: ConvexPolygon):
         except ValidationError as exc:
             raise DegenerateConfigurationError(f"power cell {i}: {exc}") from exc
     return cells
+
+
+# ---------------------------------------------------------------------------
+# Convex polygons and their Cheeger solve on numpy vertex arrays.
+
+def _next_rows(a: np.ndarray) -> np.ndarray:
+    return np.concatenate((a[1:], a[:1]))
+
+
+def _prev_rows(a: np.ndarray) -> np.ndarray:
+    return np.concatenate((a[-1:], a[:-1]))
+
+
+def shoelace_reference(pts: np.ndarray) -> float:
+    """Signed area relative to the first vertex, as two ``np.dot`` sums."""
+    x, y = (pts - pts[0]).T
+    return 0.5 * float(np.dot(x, _next_rows(y)) - np.dot(y, _next_rows(x)))
+
+
+def convex_polygon_reference(vertices) -> np.ndarray:
+    """The vertex rows ``ConvexPolygon`` stores, validated with numpy arrays.
+
+    Raises ValidationError with the messages of ``ConvexPolygon``.
+    """
+    pts = np.asarray(vertices, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
+        raise ValidationError(f"polygon needs an (n, 2) vertex array with n >= 3, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValidationError("polygon has non-finite vertices")
+    if shoelace_reference(pts) < 0.0:
+        pts = pts[::-1]
+    xs, ys = zip(*pts.tolist())
+    extent = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    tol = 1e-12 * extent
+    pts = clean_ring_loop(pts, tol)
+    if len(pts) < 3:
+        raise ValidationError("polygon degenerates to fewer than 3 vertices after cleanup")
+    nxt = _next_rows(pts)
+    prv = _prev_rows(pts)
+    cross = (pts[:, 0] - prv[:, 0]) * (nxt[:, 1] - pts[:, 1]) - (
+        pts[:, 1] - prv[:, 1]
+    ) * (nxt[:, 0] - pts[:, 0])
+    if (cross <= 0.0).any():
+        raise ValidationError(f"polygon is not strictly convex (min corner cross {cross.min():.3e})")
+    area = shoelace_reference(pts)
+    if area <= tol * tol:
+        raise ValidationError(f"polygon area {area:.3e} is not positive")
+    return pts
+
+
+def cheeger_convex_reference(p: ConvexPolygon) -> CheegerResult:
+    """The closed-form Cheeger solve on numpy arrays: one quadratic per collapse event."""
+    origin = p.vertices.mean(axis=0)
+    q = p.vertices - origin
+    d = _next_rows(q) - q
+    u = d / np.hypot(d[:, 0], d[:, 1])[:, None]
+    t = 0.0
+    for solves in range(1, len(q) - 1):
+        prev = _prev_rows(u)
+        k = np.tan(0.5 * np.arctan2(prev[:, 0] * u[:, 1] - prev[:, 1] * u[:, 0],
+                                    np.einsum("ij,ij->i", prev, u)))
+        velocity = np.column_stack([-u[:, 1], u[:, 0]]) + k[:, None] * u
+        d = _next_rows(q) - q
+        lengths = np.hypot(d[:, 0], d[:, 1])
+        a = float(k.sum()) - math.pi
+        b = float(lengths.sum()) + TWO_PI * t
+        c = shoelace_reference(q) - math.pi * t * t
+        disc = b * b - 4.0 * a * c
+        s = 2.0 * c / (b + math.sqrt(disc)) if disc >= 0.0 else math.inf
+        collapse = lengths / (k + _next_rows(k))
+        j = int(np.argmin(collapse))
+        if len(q) == 3 or s <= collapse[j]:
+            break
+        t += float(collapse[j])
+        q = np.delete(q + collapse[j] * velocity, j, axis=0)
+        u = np.delete(u, j, axis=0)
+
+    r = t + s
+    ring = q + s * velocity
+    residual = abs(shoelace_reference(ring) - math.pi * r * r)
+    core = clean_ring_loop(ring, 1e-9 * float(np.abs(ring).max())) + origin
+    return CheegerResult(1.0 / r, r, core, solves, residual)
 
 
 # ---------------------------------------------------------------------------

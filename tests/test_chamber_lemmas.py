@@ -299,8 +299,14 @@ _RHOMBUS_50 = [2 * math.cos(math.radians(50.0)), 2 * math.sin(math.radians(50.0)
 
 
 class TestValidateChain:
-    # messages recorded with the numpy validator this one replaced
+    # messages recorded with the numpy validator this one replaced, except the
+    # non-finite rule, which it lacked (a NaN chain passed every comparison)
     @pytest.mark.parametrize("centers, radii, flavor, message", [
+        ([[0, 0], [2, 0], [math.nan, math.nan]], [1, 1, 1], "closed",
+         "disk centers and radii must be finite"),
+        ([[0, 1], [2, 1]], [1, math.inf], "half_plane", "disk centers and radii must be finite"),
+        ([[0, 0], [2, 0], [1, SQRT3]], [1, math.nan, 1], "closed",
+         "disk centers and radii must be finite"),
         ([[0, 0], [2, 0], [1, SQRT3]], [1, 1], "closed", "centers and radii length mismatch"),
         ([[0, 0], [2, 0]], [1, 1], "closed", "chain of flavor closed needs more disks, got 2"),
         ([[0, 1]], [1], "half_plane", "chain of flavor half_plane needs more disks, got 1"),
@@ -314,8 +320,8 @@ class TestValidateChain:
         ([[0, 2], [2, 2]], [1, 1], "half_plane", "first disk must be tangent to the first line"),
         ([[0, 1], [SQRT3, 2]], [1, 1], "half_plane", "last disk must be tangent to the last line"),
         ([[4, 1], [4, 3]], [1, 1], "sector", "last disk must be tangent to the last line"),
-    ], ids=["length", "few_closed", "few_open", "radius", "tangent", "overlap", "leaves",
-            "first_line", "last_line", "last_ray"])
+    ], ids=["nan_center", "inf_radius", "nan_radius", "length", "few_closed", "few_open",
+            "radius", "tangent", "overlap", "leaves", "first_line", "last_line", "last_ray"])
     def test_rule_message(self, centers, radii, flavor, message):
         with pytest.raises(ValidationError) as exc:
             DiskChain(np.array(centers, dtype=float), radii, flavor)

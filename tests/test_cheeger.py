@@ -31,7 +31,13 @@ from cheegerlab.cheeger import (
 )
 from cheegerlab.errors import ValidationError
 from cheegerlab.partition_optimizer import SeedConfiguration, hex_lattice_seeds, power_diagram_cells
-from oracles import clean_ring_loop, polygon_cheeger_bisection, polygon_cheeger_closed_form
+from oracles import (
+    cheeger_convex_reference,
+    clean_ring_loop,
+    convex_polygon_reference,
+    polygon_cheeger_bisection,
+    polygon_cheeger_closed_form,
+)
 
 PI = math.pi
 SQUARE = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -50,6 +56,17 @@ def _thin_polygons():
         for n in (7, 16, 33):
             for ang in (0.3 + 2 * PI * np.arange(n) / n, np.sort(rng.uniform(0.0, 2 * PI, n))):
                 polys.append(ConvexPolygon(convex_hull(np.column_stack([ecc * np.cos(ang), np.sin(ang)]))))
+    return polys
+
+
+def _moved_polygons():
+    """Random polygons translated by 1e4 and dilated by 1e-6 to 1e6."""
+    rng = np.random.default_rng(29)
+    polys = []
+    for _ in range(60):
+        poly = random_convex_polygon(rng, 3, 12)
+        polys.append(ConvexPolygon(poly.vertices + [1e4, -1e4]))
+        polys += [poly.scaled(lam) for lam in (1e-6, 1e-3, 1e3, 1e6)]
     return polys
 
 
@@ -133,6 +150,18 @@ class TestCheegerConvex:
             assert 1 <= res.iterations <= len(poly.vertices) - 2
         # collapse events are exercised: some polygon needs more than one solve
         assert any(res.iterations > 1 for res in results)
+
+    @pytest.mark.parametrize("polygons", [_random_polygons, _thin_polygons, _moved_polygons,
+                                          _lattice_cells],
+                             ids=["random", "thin", "moved", "lattice64"])
+    def test_matches_numpy_reference(self, polygons):
+        # the float solve against the numpy solve it replaced: the same
+        # collapse events, and h equal up to the order of the sums
+        for poly in polygons():
+            res, ref = cheeger_convex(poly), cheeger_convex_reference(poly)
+            assert res.iterations == ref.iterations
+            assert abs(res.h - ref.h) <= 1e-13 * ref.h
+            assert res.residual <= 1e-12 * poly.area
 
     @pytest.mark.parametrize("lam", [1e-8, 1e-4, 1e4, 1e8])
     def test_rigid_motion_and_dilation_invariance(self, lam):
@@ -343,6 +372,41 @@ class TestConvexPolygonValidation:
             cleaned = cheeger._clean_ring(ring, tol)
             assert np.array_equal(cleaned, clean_ring_loop(ring, tol))
             assert cleaned.flags.writeable
+
+    @pytest.mark.parametrize("ring, message", [
+        ([[0, 0], [0, 1], [1, 1], [1, 0]], None),
+        ([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1], [0, 0]], None),
+        ([[0, 0], [1, 0], [1 + 3e-13, 2e-13], [1, 1], [0, 1], [-2e-13, 1e-13]], None),
+        ([[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1], [0, 0.5]], None),
+        ([[0, 0], [1, 1], [0, 1], [0, 0.5]], None),
+        ([[0, 0], [2, 0], [1, 0.2], [0, 2]], "polygon is not strictly convex"),
+        ([[0, 2], [1, 0.2], [2, 0], [0, 0]], "polygon is not strictly convex"),
+        ([[0, 0], [1, 1], [1, 0], [0, 1]], "polygon is not strictly convex"),
+        ([[0, 0], [1, 0], [2, 0]], "polygon degenerates"),
+        ([[0, 0], [1, 0], [1, 0], [0, 0]], "polygon degenerates"),
+        ([[0, 0], [1, 0], [1, 1e-13], [0, 1e-13]], "polygon degenerates"),
+        ([[0, 0], [1e-170, 0], [1e-170, 1e-170], [0, 1e-170]], "polygon degenerates"),
+        ([[0, 0], [1, 0], [math.nan, 1]], "polygon has non-finite vertices"),
+        ([[0, 0], [1, 0], [0, math.inf]], "polygon has non-finite vertices"),
+        ([[0, 0], [1, 0]], "polygon needs an (n, 2) vertex array"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], "polygon needs an (n, 2) vertex array"),
+        ([0.0, 1.0, 2.0], "polygon needs an (n, 2) vertex array"),
+    ], ids=["clockwise", "duplicates", "near_duplicates", "collinear", "collinear_closing",
+            "nonconvex", "nonconvex_cw", "bowtie", "zero_area", "doubled_segment", "sliver",
+            "underflow", "nan", "inf", "two_vertices", "three_columns", "flat"])
+    def test_matches_numpy_reference(self, ring, message):
+        # the float validation against the numpy one it replaced: the same
+        # stored rows, or the same message
+        try:
+            expected = convex_polygon_reference(ring)
+        except ValidationError as exc:
+            assert message is not None and str(exc).startswith(message)
+            with pytest.raises(ValidationError) as info:
+                ConvexPolygon(ring)
+            assert str(info.value) == str(exc)
+        else:
+            assert message is None
+            assert np.array_equal(ConvexPolygon(ring).vertices, expected)
 
     def test_contains_broadcasts_over_point_arrays(self):
         # an array call agrees with one scalar call per point; scalars give bool

@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports in the package, the tests or the demos,
-no ``assert`` statement or ``raise AssertionError`` in the package, and no
-tolerance floored at one unit.
+no ``assert`` statement or ``raise AssertionError`` in the package, no
+tolerance floored at one unit, and no private function the package never
+references.
 
 Package ``__init__.py`` files are skipped by the import scan, since their
 imports are re-exports.
@@ -81,3 +82,25 @@ def test_no_floored_tolerance():
         if _is_unit_floor(node)
     ]
     assert not found, "max(1.0, ...) floors:\n" + "\n".join(found)
+
+
+def test_no_uncalled_private_functions():
+    # a module-level _name function that nothing in the package names is a
+    # fork left behind by a rewrite; the tests may not keep it alive
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "cheegerlab").glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        and not node.name.startswith("__") and node.name not in named
+    ]
+    assert not found, "private functions nothing references:\n" + "\n".join(found)

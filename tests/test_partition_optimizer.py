@@ -16,7 +16,7 @@ from cheegerlab.partition_optimizer import (
     power_diagram_cells,
     trace_to_dict,
 )
-from oracles import power_diagram_cells_reference
+from oracles import cheeger_convex_reference, convex_polygon_reference, power_diagram_cells_reference
 
 PI = math.pi
 TRIANGLE = regular_polygon(3, area=1.0)
@@ -108,6 +108,40 @@ class TestPowerDiagram:
                 assert cheeger_convex(cell).h == cheeger_convex(ref).h
             outcomes["cells"] += len(cells)
         assert outcomes["cells"] > 1000 and outcomes["degenerate"] > 10
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONTAINERS))
+    def test_cells_match_numpy_validation_and_solve(self, name, monkeypatch):
+        # every clipped ring that power_diagram_cells validates, against the
+        # numpy validation and Cheeger solve: the same stored rows or message,
+        # the same collapse events, and h equal up to the order of the sums
+        container = REFERENCE_CONTAINERS[name]
+        rings = []
+
+        def recording(pts):
+            rings.append(pts)
+            return ConvexPolygon(pts)
+
+        monkeypatch.setattr(partition_optimizer, "ConvexPolygon", recording)
+        for cfg in _reference_configurations(container):
+            try:
+                power_diagram_cells(cfg, container)
+            except DegenerateConfigurationError:
+                pass
+        monkeypatch.undo()
+        assert len(rings) > 1500
+        for ring in rings:
+            try:
+                expected = convex_polygon_reference(ring)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as info:
+                    ConvexPolygon(ring)
+                assert str(info.value) == str(exc)
+                continue
+            cell = ConvexPolygon(ring)
+            assert np.array_equal(cell.vertices, expected)
+            res, ref = cheeger_convex(cell), cheeger_convex_reference(cell)
+            assert res.iterations == ref.iterations
+            assert abs(res.h - ref.h) <= 1e-13 * ref.h
 
     def test_sliver_cell_raises(self):
         # cell 1 is the strip 0.5 - 2e-15 <= x <= 0.5 + 2e-15, four vertices
