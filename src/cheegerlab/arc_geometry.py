@@ -8,10 +8,11 @@ curve; with self intersections it is the area weighted by winding index, so
 no arrangement computation is needed.  Tolerances are ``CHAIN_TOL`` times the
 curve's extent.
 
-Angle convention for arcs: ``(start_angle, end_angle, turning)`` with
-``turning = +1`` for counterclockwise traversal and ``-1`` for clockwise.  The
-opening angle is reduced to ``(0, 2*pi]``, so a full circle is representable
-(equal start and end angles).
+Angle convention for arcs: ``(start_angle, signed_sweep)``, where the arc runs
+from ``start_angle`` to ``start_angle + signed_sweep`` and ``0 < |signed_sweep|
+<= 2*pi``.  A positive sweep is counterclockwise (``turning = +1``), a negative
+one clockwise (``turning = -1``), and ``signed_sweep = ±2*pi`` is a full circle
+at any start angle.  Only ``Arc.between`` reduces two endpoint angles to a sweep.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import jsonio
 from .errors import (
     ContractViolation,
     DegenerateOffsetError,
@@ -83,26 +85,33 @@ class Arc:
     center: Point
     radius: float
     start_angle: float
-    end_angle: float
-    turning: int  # +1 counterclockwise, -1 clockwise
+    signed_sweep: float  # > 0 counterclockwise, < 0 clockwise; magnitude at most 2*pi
 
     def __post_init__(self):
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValidationError(f"arc radius must be positive, got {self.radius}")
-        if self.turning not in (1, -1):
-            raise ValidationError(f"arc turning must be +1 or -1, got {self.turning}")
-        if not (math.isfinite(self.start_angle) and math.isfinite(self.end_angle)):
+        if not math.isfinite(self.start_angle):
             raise ValidationError("non-finite arc angle")
+        if not 0.0 < abs(self.signed_sweep) <= TWO_PI:
+            raise ValidationError("arc sweep must be nonzero, finite and at most 2*pi in "
+                                  f"magnitude, got {self.signed_sweep}")
+
+    @classmethod
+    def between(cls, center: Point, radius: float, a0: float, a1: float, turning: int) -> "Arc":
+        """Arc from angle a0 to a1 turning +1 (CCW) or -1; equal angles give a full circle."""
+        if turning not in (1, -1):
+            raise ValidationError(f"arc turning must be +1 or -1, got {turning}")
+        s = (turning * (a1 - a0)) % TWO_PI
+        return cls(center, radius, a0, turning * (TWO_PI if s == 0.0 else s))
+
+    @property
+    def turning(self) -> int:
+        return 1 if self.signed_sweep > 0.0 else -1
 
     @property
     def sweep(self) -> float:
-        """Opening angle in (0, 2*pi]; equal endpoint angles mean a full circle."""
-        s = (self.turning * (self.end_angle - self.start_angle)) % TWO_PI
-        return TWO_PI if s == 0.0 else s
-
-    @property
-    def signed_sweep(self) -> float:
-        return self.turning * self.sweep
+        """Opening angle in (0, 2*pi]."""
+        return abs(self.signed_sweep)
 
     @property
     def length(self) -> float:
@@ -127,7 +136,7 @@ class Arc:
         return self.point_at(1.0)
 
     def reversed(self) -> "Arc":
-        return Arc(self.center, self.radius, self.end_angle, self.start_angle, -self.turning)
+        return Arc(self.center, self.radius, self.angle_at(1.0), -self.signed_sweep)
 
 
 # types.UnionType, not typing.Union: typing caches Union[...] globally, which
@@ -411,15 +420,12 @@ def offset_inner(c: ArcCurve, r: float, roles: Sequence[str]) -> OffsetResult:
                     f"edge {i}: border junction arcs must have curvature 1/r, "
                     f"got radius {e.radius}"
                 )
-            if e.turning == -1:
-                new_edges.append(Arc(e.center, e.radius + r, e.start_angle, e.end_angle, -1))
-            else:
-                if e.radius <= r * (1.0 + 1e-12):
-                    raise DegenerateOffsetError(
-                        f"edge {i}: positive-curvature arc of radius {e.radius} "
-                        f"cannot be offset inward by {r}"
-                    )
-                new_edges.append(Arc(e.center, e.radius - r, e.start_angle, e.end_angle, 1))
+            if e.turning == 1 and e.radius <= r * (1.0 + 1e-12):
+                raise DegenerateOffsetError(
+                    f"edge {i}: positive-curvature arc of radius {e.radius} "
+                    f"cannot be offset inward by {r}"
+                )
+            new_edges.append(Arc(e.center, e.radius - e.turning * r, e.start_angle, e.signed_sweep))
         else:
             nx, ny = _segment_inner_normal(e)
             new_edges.append(
@@ -453,12 +459,9 @@ def transform_curve(c: ArcCurve, angle: float = 0.0, dx: float = 0.0,
     out = []
     for e in c.edges:
         if isinstance(e, Arc):
-            start = e.start_angle + angle
-            # a full circle keeps equal angles: the two sums need not differ by 2*pi
-            end = start if e.sweep == TWO_PI else e.end_angle + angle
             out.append(
                 Arc(_map_point(e.center, ca, sa, dx, dy, scale), e.radius * scale,
-                    start, end, e.turning)
+                    e.start_angle + angle, e.signed_sweep)
             )
         else:
             out.append(
@@ -500,10 +503,11 @@ def split_edge(e: Edge, t: float):
     if isinstance(e, Segment):
         mid = e.point_at(t)
         return Segment(e.start, mid), Segment(mid, e.end)
-    cut = e.angle_at(t)
+    rest = e.signed_sweep - e.signed_sweep * t
+    first = e.signed_sweep - rest  # exact, so the two sweeps sum to the edge's
     return (
-        Arc(e.center, e.radius, e.start_angle, cut, e.turning),
-        Arc(e.center, e.radius, cut, e.end_angle, e.turning),
+        Arc(e.center, e.radius, e.start_angle, first),
+        Arc(e.center, e.radius, e.start_angle + first, rest),
     )
 
 
@@ -518,8 +522,7 @@ def edge_to_dict(e: Edge) -> dict:
             "cy": e.center.y,
             "r": e.radius,
             "a0": e.start_angle,
-            "a1": e.end_angle,
-            "turn": e.turning,
+            "sweep": e.signed_sweep,
         }
     return {
         "kind": "seg",
@@ -533,8 +536,10 @@ def edge_to_dict(e: Edge) -> dict:
 def edge_from_dict(d: dict) -> Edge:
     kind = d.get("kind")
     if kind == "arc":
-        return Arc(Point(d["cx"], d["cy"]), d["r"], d["a0"], d["a1"], int(d["turn"]))
+        jsonio.require_keys(d, ["kind", "cx", "cy", "r", "a0", "sweep"])
+        return Arc(Point(d["cx"], d["cy"]), d["r"], d["a0"], d["sweep"])
     if kind == "seg":
+        jsonio.require_keys(d, ["kind", "x0", "y0", "x1", "y1"])
         return Segment(Point(d["x0"], d["y0"]), Point(d["x1"], d["y1"]))
     raise ValidationError(f"unknown edge kind {kind!r}")
 
@@ -545,9 +550,10 @@ def curve_to_dict(c: ArcCurve) -> dict:
 
 def curve_from_dict(d: dict) -> ArcCurve:
     try:
+        jsonio.require_keys(d, ["closed", "edges"])
         edges = tuple(edge_from_dict(e) for e in d["edges"])
         return ArcCurve(edges, bool(d["closed"]))
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, TypeError) as exc:  # a non-object edge or a mistyped value
         raise ValidationError(f"malformed curve object: {exc}") from exc
 
 
@@ -556,4 +562,4 @@ def curve_from_dict(d: dict) -> ArcCurve:
 
 def full_circle(center: Point, radius: float, ccw: bool = True) -> ArcCurve:
     turning = 1 if ccw else -1
-    return ArcCurve((Arc(center, radius, 0.0, TWO_PI * turning, turning),), closed=True)
+    return ArcCurve((Arc(center, radius, 0.0, TWO_PI * turning),), closed=True)

@@ -297,7 +297,7 @@ def pocket_outline(ch: DiskChain):
         c = ch.centers[i]
         a0 = math.atan2(entry[1] - c[1], entry[0] - c[0])
         a1 = math.atan2(exit_[1] - c[1], exit_[0] - c[0])
-        return Arc(Point(c[0], c[1]), float(ch.radii[i]), a0, a1, -1)
+        return Arc.between(Point(c[0], c[1]), float(ch.radii[i]), a0, a1, -1)
 
     m = ch.m
     edges = []

@@ -339,7 +339,7 @@ def _rounded_polygon(core: np.ndarray, r: float):
         roles.append(BORDER_PIECE)
         a0 = math.atan2(ni[1], ni[0])
         a1 = math.atan2(normals[j][1], normals[j][0])
-        edges.append(Arc(Point(core[j, 0], core[j, 1]), r, a0, a1, 1))
+        edges.append(Arc.between(Point(core[j, 0], core[j, 1]), r, a0, a1, 1))
         roles.append(FREE)
     return ArcCurve(tuple(edges), closed=True), tuple(roles)
 
@@ -713,33 +713,32 @@ def _domain_from_inner_curve(inner: ArcCurve, r: float) -> ArcDomain:
                     Point(e.end.x + r * nx, e.end.y + r * ny),
                 )
             )
-        elif e.turning == 1:
-            edges.append(Arc(e.center, e.radius + r, e.start_angle, e.end_angle, 1))
         else:
-            if e.radius <= r:
+            if e.turning == -1 and e.radius <= r:
                 raise ValidationError("concave inner radius must exceed r")
-            edges.append(Arc(e.center, e.radius - r, e.start_angle, e.end_angle, -1))
+            edges.append(Arc(e.center, e.radius + e.turning * r, e.start_angle, e.signed_sweep))
         roles.append(INNER_JUNCTION)
         nxt = inner.edges[(i + 1) % n]
         a0 = outward_normal_angle(e, 1.0)
         a1 = outward_normal_angle(nxt, 0.0)
-        if ((a1 - a0) % TWO_PI) > 1e-9:
-            edges.append(Arc(e.end, r, a0, a1, 1))
+        sweep = (a1 - a0) % TWO_PI
+        if sweep > 1e-9:
+            edges.append(Arc(e.end, r, a0, sweep))
             roles.append(FREE)
     return ArcDomain(ArcCurve(tuple(edges), closed=True), tuple(roles), 1.0 / r)
 
 
-def random_class_a_domain(seed, curved: bool = True, n_min: int = 4, n_max: int = 9) -> ArcDomain:
+def random_class_a_domain(seed) -> ArcDomain:
     """Random self-Cheeger class-A domain built from a normalized inner curve.
 
-    Starts from a random convex polygon, optionally bows some edges into
-    shallow arcs (both signs of curvature), rescales the curve to enclose area
-    pi (so r = 1), and fattens it outward by r.  A random rigid motion and
-    dilation are applied at the end.
+    Starts from a random convex polygon with 4 to 9 vertices, bows some edges
+    into shallow arcs (both signs of curvature), rescales the curve to enclose
+    area pi (so r = 1), and fattens it outward by r.  A random rigid motion
+    and dilation are applied at the end.
     """
     rng = np.random.default_rng(seed)
     for _ in range(200):
-        poly = random_convex_polygon(rng, n_min, n_max)
+        poly = random_convex_polygon(rng, 4, 9)
         pts = poly.vertices * math.sqrt(math.pi / poly.area)
         n = len(pts)
         edges = []
@@ -747,7 +746,7 @@ def random_class_a_domain(seed, curved: bool = True, n_min: int = 4, n_max: int 
             a, b = pts[i], pts[(i + 1) % n]
             length = float(np.hypot(*(b - a)))
             bow = 0.0
-            if curved and length > 1.0 and rng.random() < 0.6:
+            if length > 1.0 and rng.random() < 0.6:
                 bow = float(rng.uniform(-0.18, 0.18)) * length
             if abs(bow) < 0.02 * length:
                 edges.append(Segment(Point(*a), Point(*b)))
@@ -767,7 +766,7 @@ def random_class_a_domain(seed, curved: bool = True, n_min: int = 4, n_max: int 
                 turning = -1
             a0 = math.atan2(a[1] - center[1], a[0] - center[0])
             a1 = math.atan2(b[1] - center[1], b[0] - center[0])
-            edges.append(Arc(Point(*center), radius, a0, a1, turning))
+            edges.append(Arc.between(Point(*center), radius, a0, a1, turning))
         try:
             inner = ArcCurve(tuple(edges), closed=True)
         except ValidationError:

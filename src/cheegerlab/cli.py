@@ -106,7 +106,7 @@ def _cmd_hales(args) -> int:
     off = inner_cheeger_boundary(domain)
     nodes = place_nodes(off, domain)
     r_star = args.r_star if args.r_star is not None else domain.r
-    rep = hales_check(off.curve, nodes, r_star, clamp_mode=args.clamp_mode)
+    rep = hales_check(off.curve, nodes, r_star)
     out = deficit_report_to_dict(rep)
     out["r_star"] = r_star
     out["exceptional_nodes"] = int(sum(nodes.exceptional))
@@ -121,7 +121,7 @@ def _cmd_certificate(args) -> int:
         ["container", "cells"],
         ["container_area", "claimed_optimal", "adjacency", "border_contacts"],
     )
-    cert = lower_bound_certificate(cluster_from_dict(obj), clamp_mode=args.clamp_mode)
+    cert = lower_bound_certificate(cluster_from_dict(obj))
     _write_text(args.output, jsonio.dumps(certificate_to_dict(cert)))
     return 0
 
@@ -348,13 +348,11 @@ def _build_parser() -> argparse.ArgumentParser:
     h.add_argument("--input", required=True)
     h.add_argument("--output", required=True)
     h.add_argument("--r-star", type=float, default=None)
-    h.add_argument("--clamp-mode", choices=["scaled", "literal"], default="scaled")
     h.set_defaults(fn=_cmd_hales)
 
     ce = sub.add_parser("certificate", help="lower-bound certificate for a cluster")
     ce.add_argument("--input", required=True)
     ce.add_argument("--output", required=True)
-    ce.add_argument("--clamp-mode", choices=["scaled", "literal"], default="scaled")
     ce.set_defaults(fn=_cmd_certificate)
 
     hc = sub.add_parser("honeycomb", help="build a honeycomb k-triangle or k-cell cluster")

@@ -492,7 +492,7 @@ class Certificate:
     theorem_bound: float
 
 
-def lower_bound_certificate(cl: Cluster, clamp_mode: str = "scaled") -> Certificate:
+def lower_bound_certificate(cl: Cluster) -> Certificate:
     """Assemble the lower-bound chain cell by cell.
 
     Structural failures mark the certificate not applicable (with the failing
@@ -520,7 +520,7 @@ def lower_bound_certificate(cl: Cluster, clamp_mode: str = "scaled") -> Certific
         length = curve_length(rep.offset.curve)
         sum_lengths += length
         nodes = place_nodes(rep.offset, cell)
-        hales = hales_check(rep.offset.curve, nodes, r_star, clamp_mode)
+        hales = hales_check(rep.offset.curve, nodes, r_star)
         if not hales.satisfied:
             applicable = False
             failing.append((j, "hales_violation"))

@@ -216,19 +216,15 @@ def hales_check(
     gamma_r: ArcCurve,
     nodes: NodeSet,
     r_star: float,
-    clamp_mode: str = "scaled",
 ) -> DeficitReport:
     """Evaluate the hexagonal isoperimetric inequality for the curve and node family.
 
-    ``clamp_mode="scaled"`` truncates the chord areas at pi*r_star**2 (unit
-    truncation after normalization); ``"literal"`` truncates the raw areas at
-    1.  The enclosed area must be at least pi*r_star**2 for the inequality to
-    apply.
+    The chord areas are truncated at pi*r_star**2, the unit truncation after
+    normalization, so the verdict does not depend on scale.  The enclosed
+    area must be at least pi*r_star**2 for the inequality to apply.
     """
     if r_star <= 0.0:
         raise ContractViolation(f"r_star must be positive, got {r_star}")
-    if clamp_mode not in ("scaled", "literal"):
-        raise ContractViolation(f"unknown clamp mode {clamp_mode!r}")
     norm = math.pi * r_star * r_star
     area = signed_area(gamma_r)
     if area < norm * (1.0 - 1e-9):
@@ -236,8 +232,7 @@ def hales_check(
             f"enclosed area {area:.6g} is below pi*r_star^2 = {norm:.6g}; "
             "the hexagonal inequality does not apply"
         )
-    clamp = norm if clamp_mode == "scaled" else 1.0
-    report = chord_deficits(gamma_r, nodes, clamp_bound=clamp)
+    report = chord_deficits(gamma_r, nodes, clamp_bound=norm)
     lhs = curve_length(gamma_r) / math.sqrt(norm)
     rhs = (
         -report.truncated_T / norm * 12.0 ** 0.25

@@ -72,10 +72,13 @@ def loads(text: str) -> dict:
 
 
 def require_keys(obj: dict, required, optional=()):
-    """Reject missing required keys and any unknown key."""
+    """Reject missing required keys and any unknown key, naming both in one message."""
     missing = [k for k in required if k not in obj]
-    if missing:
-        raise ValidationError(f"missing keys: {', '.join(missing)}")
     unknown = [k for k in obj if k not in set(required) | set(optional)]
+    problems = []
+    if missing:
+        problems.append(f"missing keys: {', '.join(missing)}")
     if unknown:
-        raise ValidationError(f"unknown keys: {', '.join(unknown)}")
+        problems.append(f"unknown keys: {', '.join(unknown)}")
+    if problems:
+        raise ValidationError("; ".join(problems))

@@ -273,15 +273,14 @@ def _polygon_centroid(poly: ConvexPolygon) -> np.ndarray:
     return np.array([((x + xn) * cr).sum() / (6.0 * a), ((y + yn) * cr).sum() / (6.0 * a)])
 
 
-def _precondition(k, container, seeds, budget: _Budget, records,
-                  lloyd_steps: int = 6, balance_steps: int = 40, eta: float = 0.6):
+def _precondition(k, container, seeds, budget: _Budget, records):
     """Lloyd smoothing then weight balancing toward equal per-cell Cheeger values.
 
     Lloyd steps cost no objective evaluations (geometry only); each balancing
     step is a full evaluation and is charged against the budget.
     """
     w = np.zeros(k)
-    for _ in range(lloyd_steps):
+    for _ in range(6):
         try:
             cells = power_diagram_cells(SeedConfiguration(seeds, w), container)
         except (DegenerateConfigurationError, ValidationError):
@@ -290,7 +289,7 @@ def _precondition(k, container, seeds, budget: _Budget, records,
     lower = hexagon_constant() * math.sqrt(k / container.area) * (1.0 - 1e-9)
     s2 = container.area / k
     best = (math.inf, seeds, w)
-    for _ in range(min(balance_steps, max(budget.left - 10, 0))):
+    for _ in range(min(40, max(budget.left - 10, 0))):
         if not budget.take():
             break
         value, cells, hs = _eval_config(k, container, seeds, w, records, lower)
@@ -299,7 +298,7 @@ def _precondition(k, container, seeds, budget: _Budget, records,
         if value < best[0]:
             best = (value, seeds, w)
         hs = np.asarray(hs)
-        w = w + eta * s2 * (hs - hs.mean()) / hs.mean()
+        w = w + 0.6 * s2 * (hs - hs.mean()) / hs.mean()
         seeds = 0.7 * seeds + 0.3 * np.array([_polygon_centroid(c) for c in cells])
     return best[1], best[2]
 

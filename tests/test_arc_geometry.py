@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cheegerlab import jsonio
 from cheegerlab.arc_geometry import (
     Arc,
     ArcCurve,
@@ -18,8 +19,10 @@ from cheegerlab.arc_geometry import (
     full_circle,
     offset_inner,
     signed_area,
+    split_edge,
     transform_curve,
     winding_number,
+    winding_numbers,
 )
 from cheegerlab.cheeger import random_class_a_domain, regular_polygon
 from cheegerlab.errors import (
@@ -41,9 +44,9 @@ def stadium_curve():
     """Convex hull of two unit disks with centers distance 2 apart."""
     return ArcCurve((
         Segment(Point(-1, -1), Point(1, -1)),
-        Arc(Point(1, 0), 1.0, -PI / 2, PI / 2, 1),
+        Arc.between(Point(1, 0), 1.0, -PI / 2, PI / 2, 1),
         Segment(Point(1, 1), Point(-1, 1)),
-        Arc(Point(-1, 0), 1.0, PI / 2, 3 * PI / 2, 1),
+        Arc.between(Point(-1, 0), 1.0, PI / 2, 3 * PI / 2, 1),
     ), closed=True)
 
 
@@ -63,7 +66,7 @@ class TestCurveLength:
         assert curve_length(hexagon_boundary()) == pytest.approx(2 * 12 ** 0.25, abs=1e-12)
 
     def test_quarter_arc_radius_two(self):
-        arc = Arc(Point(0, 0), 2.0, 0.0, PI / 2, 1)
+        arc = Arc(Point(0, 0), 2.0, 0.0, PI / 2)
         assert arc.length == pytest.approx(PI, abs=1e-14)
 
     def test_malformed_curve_rejected(self):
@@ -101,8 +104,8 @@ class TestWindingNumber:
 
     def test_doubly_traversed_circle(self):
         c2 = ArcCurve((
-            Arc(Point(0, 0), 1.0, 0.0, 2 * PI, 1),
-            Arc(Point(0, 0), 1.0, 0.0, 2 * PI, 1),
+            Arc(Point(0, 0), 1.0, 0.0, 2 * PI),
+            Arc(Point(0, 0), 1.0, 0.0, 2 * PI),
         ), closed=True)
         assert winding_number(c2, Point(0.05, -0.02)) == 2
 
@@ -120,11 +123,32 @@ class TestWindingNumber:
         # the end point of a full circle can round to just before or after its
         # start, and the turn must still be one whole revolution per lap
         for start in np.linspace(-10.0, 10.0, 401):
-            arc = Arc(Point(0.3, -0.2), 1.0, start, start, turning)
+            arc = Arc(Point(0.3, -0.2), 1.0, start, turning * 2 * PI)
             for laps in (1, 2):
                 c = ArcCurve((arc,) * laps, closed=True)
                 assert winding_number(c, Point(0.1, 0.05)) == turning * laps
                 assert winding_number(c, Point(1.5, 0.0)) == 0
+        # a full circle keeps its sweep, so its length, area and turn, through
+        # JSON, motions and splitting at any start angle; stored as the two
+        # endpoint angles s and s + 2*pi, about one in seven of these circles
+        # reads back with a sweep of ~1e-15
+        starts = np.concatenate([np.linspace(0.0, 2 * PI, 4002, endpoint=False),
+                                 np.linspace(-100.0, 100.0, 4002)])
+        for start in starts:
+            arc = Arc(Point(0.3, -0.2), 1.5, start, turning * 2 * PI)
+            circle = ArcCurve((arc,), closed=True)
+            read = curve_from_dict(jsonio.loads(jsonio.dumps(curve_to_dict(circle))))
+            moved = transform_curve(circle, angle=0.7, dx=0.25, dy=-0.5, scale=2.0)
+            assert read == circle
+            assert moved.edges[0].signed_sweep == arc.signed_sweep
+            first, second = split_edge(arc, 0.3)
+            assert first.signed_sweep + second.signed_sweep == arc.signed_sweep
+            for c in (read, moved):
+                e = c.edges[0]
+                assert curve_length(c) == pytest.approx(2 * PI * e.radius, rel=1e-15)
+                assert signed_area(c) == pytest.approx(turning * PI * e.radius ** 2, rel=1e-14)
+                x, y = e.center.x, e.center.y
+                assert winding_numbers(c, [x + 0.1, x + 4.0], [y, y]).tolist() == [turning, 0]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_stepping_oracle(self, seed):
@@ -175,16 +199,16 @@ class TestWindingNumber:
 class TestOrientedArea:
     def test_figure_eight_cancels(self):
         f8 = ArcCurve((
-            Arc(Point(-1, 0), 1.0, 0.0, 2 * PI, 1),
-            Arc(Point(1, 0), 1.0, PI, -PI, -1),
+            Arc(Point(-1, 0), 1.0, 0.0, 2 * PI),
+            Arc(Point(1, 0), 1.0, PI, -2 * PI),
         ), closed=True)
         assert signed_area(f8) == pytest.approx(0.0, abs=1e-13)
         assert rasterized_winding_area(f8, 1024) == pytest.approx(0.0, abs=1e-3)
 
     def test_doubly_traversed_circle(self):
         c2 = ArcCurve((
-            Arc(Point(0, 0), 1.0, 0.0, 2 * PI, 1),
-            Arc(Point(0, 0), 1.0, 0.0, 2 * PI, 1),
+            Arc(Point(0, 0), 1.0, 0.0, 2 * PI),
+            Arc(Point(0, 0), 1.0, 0.0, 2 * PI),
         ), closed=True)
         assert signed_area(c2) == pytest.approx(2 * PI, abs=1e-13)
         assert rasterized_winding_area(c2, 1024) == pytest.approx(2 * PI, abs=2e-3)
@@ -257,10 +281,10 @@ def _two_arc_ring():
         return math.atan2(to[1] - frm[1], to[0] - frm[0])
 
     # left free arc runs the long way (CCW) from the top junction to the bottom one
-    left = Arc(Point(*f1), r, ang(f1, ctop), ang(f1, cbot), 1)
-    right = Arc(Point(*f2), r, ang(f2, cbot), ang(f2, ctop), 1)
-    top = Arc(Point(*ctop), rho, ang(ctop, f2), ang(ctop, f1), -1)
-    bot = Arc(Point(*cbot), rho, ang(cbot, f1), ang(cbot, f2), -1)
+    left = Arc.between(Point(*f1), r, ang(f1, ctop), ang(f1, cbot), 1)
+    right = Arc.between(Point(*f2), r, ang(f2, cbot), ang(f2, ctop), 1)
+    top = Arc.between(Point(*ctop), rho, ang(ctop, f2), ang(ctop, f1), -1)
+    bot = Arc.between(Point(*cbot), rho, ang(cbot, f1), ang(cbot, f2), -1)
     return ArcCurve((left, bot, right, top), closed=True)
 
 
@@ -279,7 +303,7 @@ def _square_cheeger_like(side=1.0, r=0.2):
         roles.append(BORDER_PIECE)
         cx, cy = corners[i]
         a0, a1 = angles[i]
-        edges.append(Arc(Point(cx, cy), r, a0, a1, 1))
+        edges.append(Arc.between(Point(cx, cy), r, a0, a1, 1))
         roles.append(FREE)
     return {"curve": ArcCurve(tuple(edges), closed=True), "roles": roles}
 
@@ -309,6 +333,7 @@ class TestInvariances:
         circle = full_circle(Point(0.0, 0.0), radius, ccw=turning == 1)
         for angle in [1.8, 4.1, 4.3, 4.6, 5.1, *np.linspace(-7.0, 7.0, 61)]:
             moved = transform_curve(circle, angle=angle, dx=0.25, dy=-0.5)
+            assert moved.edges[0].signed_sweep == circle.edges[0].signed_sweep
             assert curve_length(moved) == pytest.approx(2 * PI * radius, rel=1e-14)
             assert signed_area(moved) == pytest.approx(turning * PI * radius ** 2, rel=1e-14)
             assert winding_number(moved, Point(0.25, -0.5)) == turning
@@ -340,3 +365,23 @@ class TestJson:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValidationError):
             curve_from_dict({"closed": True, "edges": [{"kind": "spline"}]})
+        with pytest.raises(ValidationError, match="^malformed curve object: "):
+            curve_from_dict({"closed": True, "edges": [3]})
+
+    def test_arc_keys_checked(self):
+        # an arc in the older endpoint-angle form is refused by key name
+        old = {"kind": "arc", "cx": 0, "cy": 0, "r": 1, "a0": 0, "a1": 2 * PI, "turn": 1}
+        with pytest.raises(ValidationError, match="^missing keys: sweep; unknown keys: a1, turn$"):
+            curve_from_dict({"closed": True, "edges": [old]})
+        seg = {"kind": "seg", "x0": 0, "y0": 0, "x1": 1, "y1": 0, "turn": 1}
+        with pytest.raises(ValidationError, match="^unknown keys: turn$"):
+            curve_from_dict({"closed": False, "edges": [seg]})
+        with pytest.raises(ValidationError, match="^unknown keys: open$"):
+            curve_from_dict({"closed": False, "open": True, "edges": [seg]})
+
+    @pytest.mark.parametrize("sweep", [0.0, -0.0, math.nan, math.inf, -math.inf,
+                                       2 * PI + 1e-12, -7.0])
+    def test_bad_sweep_rejected(self, sweep):
+        with pytest.raises(ValidationError, match="^arc sweep must be nonzero, finite and at "
+                                                  r"most 2\*pi in magnitude, got "):
+            Arc(Point(0, 0), 1.0, 0.0, sweep)

@@ -247,7 +247,7 @@ class TestInnerCheegerBoundary:
 
     def test_ball_rejected(self):
         ball = ArcDomain(
-            ArcCurve((Arc(Point(0, 0), 1.0, 0.0, 2 * PI, 1),), closed=True),
+            ArcCurve((Arc(Point(0, 0), 1.0, 0.0, 2 * PI),), closed=True),
             (FREE,),
             2.0,  # h(B) = 2/R, so the free-arc curvature 1/R cannot equal h
         )
@@ -271,9 +271,9 @@ class TestStructureReport:
         per, area = 2 * PI + 4.0, PI + 4.0
         stadium = ArcCurve((
             Segment(Point(-1, -1), Point(1, -1)),
-            Arc(Point(1, 0), 1.0, -PI / 2, PI / 2, 1),
+            Arc.between(Point(1, 0), 1.0, -PI / 2, PI / 2, 1),
             Segment(Point(1, 1), Point(-1, 1)),
-            Arc(Point(-1, 0), 1.0, PI / 2, 3 * PI / 2, 1),
+            Arc.between(Point(-1, 0), 1.0, PI / 2, 3 * PI / 2, 1),
         ), closed=True)
         dom = ArcDomain(stadium, (INNER_JUNCTION, FREE, INNER_JUNCTION, FREE), per / area)
         rep = structure_report(dom)
@@ -282,7 +282,7 @@ class TestStructureReport:
 
     def test_ball_violations(self):
         ball = ArcDomain(
-            ArcCurve((Arc(Point(0, 0), 1.0, 0.0, 2 * PI, 1),), closed=True),
+            ArcCurve((Arc(Point(0, 0), 1.0, 0.0, 2 * PI),), closed=True),
             (FREE,), 2.0,
         )
         violations = class_a_violations(ball)

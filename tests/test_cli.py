@@ -151,7 +151,7 @@ class TestRender:
     def test_unit_circle_single_path_two_arc_commands(self, tmp_path):
         circle = {
             "closed": True,
-            "edges": [{"kind": "arc", "cx": 0, "cy": 0, "r": 1, "a0": 0, "a1": 2 * PI, "turn": 1}],
+            "edges": [{"kind": "arc", "cx": 0, "cy": 0, "r": 1, "a0": 0, "sweep": 2 * PI}],
         }
         cfile = write(tmp_path / "circle.json", circle)
         out = tmp_path / "circle.svg"
@@ -159,6 +159,15 @@ class TestRender:
         svg = out.read_text()
         assert svg.count("<path") == 1
         assert len(re.findall(r"A ", svg)) == 2
+
+    def test_endpoint_angle_arc_rejected(self, tmp_path, capsys):
+        circle = {
+            "closed": True,
+            "edges": [{"kind": "arc", "cx": 0, "cy": 0, "r": 1, "a0": 0, "a1": 2 * PI, "turn": 1}],
+        }
+        cfile = write(tmp_path / "circle.json", circle)
+        assert run(["render", "--input", cfile, "--output", str(tmp_path / "c.svg")]) == 1
+        assert capsys.readouterr().err == "error: missing keys: sweep; unknown keys: a1, turn\n"
 
     def test_honeycomb_outline_counts(self, tmp_path):
         hc = tmp_path / "hc.json"

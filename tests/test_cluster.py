@@ -197,7 +197,7 @@ class TestCanonicalGraph:
 
 
 def _disk_domain(cx, cy, radius):
-    curve = ArcCurve((Arc(Point(cx, cy), radius, 0.0, 2 * PI, 1),), closed=True)
+    curve = ArcCurve((Arc(Point(cx, cy), radius, 0.0, 2 * PI),), closed=True)
     return ArcDomain(curve, (FREE,), 2.0 / radius)
 
 

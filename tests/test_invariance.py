@@ -2,9 +2,9 @@
 
 Every input is rotated by 0.3 rad, dilated by lambda from 1e-8 to 1e8 and then
 translated by 0, 1e2 or 1e4 of its own (dilated) extents.  The certificate's
-applicability, its failing rules and its dimensionless margins, and the
-class-A verdicts of random domains, must not depend on where the input sits or
-on its scale; nor may the optimizer's lattice start.
+applicability, its failing rules and its dimensionless margins, the class-A
+and Hales verdicts of random domains and their Hales margins, must not depend
+on where the input sits or on its scale; nor may the optimizer's lattice start.
 """
 
 import math
@@ -17,10 +17,12 @@ from cheegerlab.cheeger import (
     ArcDomain,
     ConvexPolygon,
     class_a_violations,
+    inner_cheeger_boundary,
     random_class_a_domain,
     regular_polygon,
 )
 from cheegerlab.cluster import Cluster, honeycomb_cluster, lower_bound_certificate
+from cheegerlab.hales_deficit import hales_check, place_nodes
 from cheegerlab.partition_optimizer import hex_lattice_seeds
 from conftest import make_domino_cluster
 
@@ -58,6 +60,11 @@ def _verdicts(cert):
                   for c in cert.per_cell)
     return (cert.applicable, cert.failing, graph, cells, cert.endstep2_ok,
             cert.boundbelow_ok, cert.scompo_ok, cert.holds)
+
+
+def _hales(d: ArcDomain):
+    off = inner_cheeger_boundary(d)
+    return hales_check(off.curve, place_nodes(off, d), d.r)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +106,9 @@ def test_class_a_verdicts_of_random_domains(lam, shift):
         assert class_a_violations(d) == []
         moved = _move_domain(d, *_motion([(p.x, p.y) for p in d.boundary.vertices()], lam, shift))
         assert class_a_violations(moved) == []
+        ref, rep = _hales(d), _hales(moved)
+        assert rep.satisfied == ref.satisfied
+        assert abs((rep.lhs - rep.rhs) - (ref.lhs - ref.rhs)) <= 1e-9
 
 
 @pytest.mark.parametrize("shift", SHIFTS)
