@@ -235,8 +235,13 @@ def signed_area(c: ArcCurve) -> float:
     """
     if not c.closed:
         raise ContractViolation("signed_area requires a closed curve")
-    x0 = c.edges[0].start.x
-    return sum(_edge_area_integral(e, x0) for e in c.edges)
+    return edges_area(c.edges)
+
+
+def edges_area(edges: Sequence[Edge]) -> float:
+    """``signed_area`` of edges that close up, without building or checking a curve."""
+    x0 = edges[0].start.x
+    return sum(_edge_area_integral(e, x0) for e in edges)
 
 
 def _edge_columns(c: ArcCurve):
@@ -476,24 +481,35 @@ def transform_curve(c: ArcCurve, angle: float = 0.0, dx: float = 0.0,
 # ---------------------------------------------------------------------------
 # Edge splitting (node placement needs curves cut at arbitrary on-curve points).
 
-def locate_on_edge(q: Point, e: Edge, tol: float):
-    """Parameter t in [0, 1] of q on the edge, or None if q is farther than tol."""
+def edge_row(e: Edge) -> tuple:
+    """The edge as floats: ``(x0, y0, x1, y1)`` for a segment, ``(cx, cy, r, a0, sweep)`` for an arc."""
     if isinstance(e, Segment):
-        vx, vy = e.end.x - e.start.x, e.end.y - e.start.y
-        wx, wy = q.x - e.start.x, q.y - e.start.y
-        t = (vx * wx + vy * wy) / (vx * vx + vy * vy)
-        t = min(1.0, max(0.0, t))
-        if q.distance_to(e.point_at(t)) <= tol:
-            return t
-        return None
-    ang = math.atan2(q.y - e.center.y, q.x - e.center.x)
-    rel = (e.turning * (ang - e.start_angle)) % TWO_PI
-    if rel > e.sweep:
-        rel = 0.0 if TWO_PI - rel < rel - e.sweep else e.sweep
-    t = rel / e.sweep
-    if q.distance_to(e.point_at(t)) <= tol:
-        return t
-    return None
+        return e.start.x, e.start.y, e.end.x, e.end.y
+    return e.center.x, e.center.y, e.radius, e.start_angle, e.signed_sweep
+
+
+def edge_point(row: tuple, t: float):
+    """(x, y) of ``point_at(t)`` on the edge given as an ``edge_row``."""
+    if len(row) == 4:
+        return row[0] + t * (row[2] - row[0]), row[1] + t * (row[3] - row[1])
+    cx, cy, r, a0, sweep = row
+    return cx + r * math.cos(a0 + sweep * t), cy + r * math.sin(a0 + sweep * t)
+
+
+def locate_on_edge(x: float, y: float, row: tuple):
+    """Parameter t in [0, 1] of the ``edge_row`` point nearest to (x, y), and the distance to it."""
+    if len(row) == 4:
+        x0, y0, x1, y1 = row
+        vx, vy = x1 - x0, y1 - y0
+        t = min(1.0, max(0.0, (vx * (x - x0) + vy * (y - y0)) / (vx * vx + vy * vy)))
+    else:
+        cx, cy, _, a0, sweep = row
+        rel = (math.copysign(1.0, sweep) * (math.atan2(y - cy, x - cx) - a0)) % TWO_PI
+        span = abs(sweep)
+        if rel > span:  # past the arc: the nearer end
+            rel = 0.0 if TWO_PI - rel < rel - span else span
+        t = rel / span
+    return t, math.dist((x, y), edge_point(row, t))
 
 
 def split_edge(e: Edge, t: float):
@@ -537,10 +553,12 @@ def edge_from_dict(d: dict) -> Edge:
     kind = d.get("kind")
     if kind == "arc":
         jsonio.require_keys(d, ["kind", "cx", "cy", "r", "a0", "sweep"])
-        return Arc(Point(d["cx"], d["cy"]), d["r"], d["a0"], d["sweep"])
+        cx, cy, r, a0, sweep = (jsonio.number(d[k], k) for k in ("cx", "cy", "r", "a0", "sweep"))
+        return Arc(Point(cx, cy), r, a0, sweep)
     if kind == "seg":
         jsonio.require_keys(d, ["kind", "x0", "y0", "x1", "y1"])
-        return Segment(Point(d["x0"], d["y0"]), Point(d["x1"], d["y1"]))
+        x0, y0, x1, y1 = (jsonio.number(d[k], k) for k in ("x0", "y0", "x1", "y1"))
+        return Segment(Point(x0, y0), Point(x1, y1))
     raise ValidationError(f"unknown edge kind {kind!r}")
 
 

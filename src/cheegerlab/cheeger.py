@@ -34,6 +34,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import jsonio
 from .arc_geometry import (
     Arc,
     ArcCurve,
@@ -43,7 +44,9 @@ from .arc_geometry import (
     OffsetResult,
     Point,
     Segment,
+    curve_from_dict,
     curve_length,
+    curve_to_dict,
     has_radius,
     offset_inner,
     signed_area,
@@ -157,6 +160,8 @@ class ConvexPolygon:
         tol = 1e-12 * extent
         verts = _clean_ring(ring, tol)
         if len(verts) < 3:
+            if not all(map(math.isfinite, _corners(ring)[1])):
+                raise ValidationError("polygon coordinates overflow: a corner cross product is not finite")
             raise ValidationError("polygon degenerates to fewer than 3 vertices after cleanup")
         ring = verts.tolist()
         lowest = min(_corners(ring)[1])
@@ -321,25 +326,17 @@ class CheegerResult:
 
 def _rounded_polygon(core: np.ndarray, r: float):
     """Minkowski sum of a convex CCW polygon with a radius-r disk, as an ArcCurve."""
-    n = len(core)
     diffs = _next(core) - core
     lengths = np.hypot(diffs[:, 0], diffs[:, 1])
-    normals = np.column_stack([diffs[:, 1], -diffs[:, 0]]) / lengths[:, None]
+    normals = (np.column_stack([diffs[:, 1], -diffs[:, 0]]) / lengths[:, None]).tolist()
+    pts = core.tolist()
     edges = []
     roles = []
-    for i in range(n):
-        j = (i + 1) % n
-        ni = normals[i]
-        edges.append(
-            Segment(
-                Point(core[i, 0] + r * ni[0], core[i, 1] + r * ni[1]),
-                Point(core[j, 0] + r * ni[0], core[j, 1] + r * ni[1]),
-            )
-        )
+    for (x0, y0), (x1, y1), (nx, ny), (mx, my) in zip(pts, pts[1:] + pts[:1], normals,
+                                                      normals[1:] + normals[:1]):
+        edges.append(Segment(Point(x0 + r * nx, y0 + r * ny), Point(x1 + r * nx, y1 + r * ny)))
         roles.append(BORDER_PIECE)
-        a0 = math.atan2(ni[1], ni[0])
-        a1 = math.atan2(normals[j][1], normals[j][0])
-        edges.append(Arc.between(Point(core[j, 0], core[j, 1]), r, a0, a1, 1))
+        edges.append(Arc.between(Point(x1, y1), r, math.atan2(ny, nx), math.atan2(my, mx), 1))
         roles.append(FREE)
     return ArcCurve(tuple(edges), closed=True), tuple(roles)
 
@@ -807,21 +804,21 @@ def polygon_to_dict(p: ConvexPolygon) -> dict:
 
 def polygon_from_dict(d: dict) -> ConvexPolygon:
     try:
-        return ConvexPolygon(np.asarray(d["vertices"], dtype=float))
+        coords = np.asarray(d["vertices"], dtype=object)
+        for v in coords.flat:
+            jsonio.number(v, "vertex coordinate")
+        return ConvexPolygon(coords.astype(float))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed polygon object: {exc}") from exc
 
 
 def domain_to_dict(d: ArcDomain) -> dict:
-    from .arc_geometry import curve_to_dict
-
     return {"boundary": curve_to_dict(d.boundary), "roles": list(d.roles), "h": d.h}
 
 
 def domain_from_dict(obj: dict) -> ArcDomain:
-    from .arc_geometry import curve_from_dict
-
     try:
-        return ArcDomain(curve_from_dict(obj["boundary"]), tuple(obj["roles"]), float(obj["h"]))
+        return ArcDomain(curve_from_dict(obj["boundary"]), tuple(obj["roles"]),
+                         float(jsonio.number(obj["h"], "h")))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed domain object: {exc}") from exc

@@ -149,29 +149,35 @@ class Cluster:
                 raise ValidationError(f"cell {j} leaves the container near ({x[q]:.6g}, {y[q]:.6g})")
 
     def _check_disjointness(self, samples):
-        # sampled separation test: boundary points of one cell must not lie
-        # strictly inside another (shared arcs sit on the boundary, distance 0).
-        # The pad is ten times the other curve's tolerance, so every sample
-        # beyond it is off that curve for the winding number.
+        """No boundary sample of a cell i lies strictly inside another cell j.
+
+        Samples within ten times j's tolerance of its curve (shared arcs) are
+        skipped.  One distance and one winding call per cell j takes the near
+        samples of every cell whose box meets j's: 36 each for the l = 8
+        honeycomb, against 168 with one per meeting pair.  The error names the
+        first pair in the order i, then j, and the first sample of i inside j.
+        """
         boxes = [c.boundary.bbox for c in self.cells]
-        for i, (x, y) in enumerate(samples):
-            bi = boxes[i]
-            for j, bj in enumerate(boxes):
-                if i == j or bi[0] > bj[2] or bj[0] > bi[2] or bi[1] > bj[3] or bj[1] > bi[3]:
-                    continue
-                other = self.cells[j].boundary
-                pad = 10.0 * other.tolerance
-                near = ((bj[0] - pad <= x) & (x <= bj[2] + pad)
-                        & (bj[1] - pad <= y) & (y <= bj[3] + pad))
-                qx, qy = x[near], y[near]
-                far = curve_distances(other, qx, qy) > pad
-                qx, qy = qx[far], qy[far]
-                hit = np.flatnonzero(winding_numbers(other, qx, qy))
-                if hit.size:
-                    q = hit[0]
-                    raise ValidationError(
-                        f"cells {i} and {j} overlap near ({qx[q]:.6g}, {qy[q]:.6g})"
-                    )
+        hits = []
+        for j, (x0, y0, x1, y1) in enumerate(boxes):
+            other = self.cells[j].boundary
+            pad = 10.0 * other.tolerance
+            near = [(i, (x0 - pad <= x) & (x <= x1 + pad) & (y0 - pad <= y) & (y <= y1 + pad))
+                    for i, ((x, y), b) in enumerate(zip(samples, boxes))
+                    if i != j and b[0] <= x1 and x0 <= b[2] and b[1] <= y1 and y0 <= b[3]]
+            if not near:
+                continue
+            owners = np.concatenate([np.full(np.count_nonzero(m), i) for i, m in near])
+            qx = np.concatenate([samples[i][0][m] for i, m in near])
+            qy = np.concatenate([samples[i][1][m] for i, m in near])
+            far = np.flatnonzero(curve_distances(other, qx, qy) > pad)
+            hit = np.flatnonzero(winding_numbers(other, qx[far], qy[far]))
+            if hit.size:
+                q = far[hit[0]]
+                hits.append((owners[q], j, qx[q], qy[q]))
+        if hits:
+            i, j, x, y = min(hits)  # one hit per j, so (i, j) decides
+            raise ValidationError(f"cells {i} and {j} overlap near ({x:.6g}, {y:.6g})")
 
 
 def _sample_boundary(cell: ArcDomain):

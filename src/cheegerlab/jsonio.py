@@ -11,13 +11,30 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 
 from .errors import ValidationError
 
 SCHEMA_VERSION = 1
 
 
+@lru_cache(maxsize=1024)
+def _key(name: str) -> str:  # artifacts repeat a few dozen key names
+    return json.dumps(name) + ":"
+
+
 def _render(obj) -> str:
+    # floats, dicts and lists first: nearly every value of an artifact is one
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValidationError(f"cannot write non-finite float {obj!r}")
+        if obj == int(obj) and abs(obj) < 1e16:
+            return "%.1f" % obj
+        return format(obj, ".17g")
+    if isinstance(obj, dict):
+        return "{" + ",".join([_key(str(k)) + _render(v) for k, v in obj.items()]) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join([_render(v) for v in obj]) + "]"
     if obj is None:
         return "null"
     if obj is True:
@@ -26,19 +43,8 @@ def _render(obj) -> str:
         return "false"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValidationError(f"cannot write non-finite float {obj!r}")
-        if obj == int(obj) and abs(obj) < 1e16:
-            return "%.1f" % obj
-        return format(obj, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{_render(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_render(v) for v in obj) + "]"
     # numpy scalars and similar
     if hasattr(obj, "item"):
         return _render(obj.item())
@@ -82,3 +88,10 @@ def require_keys(obj: dict, required, optional=()):
         problems.append(f"unknown keys: {', '.join(unknown)}")
     if problems:
         raise ValidationError("; ".join(problems))
+
+
+def number(value, what: str):
+    """``value`` if it is a number; booleans (an ``int`` subclass), strings and null raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return value

@@ -12,7 +12,11 @@ vertex-by-vertex loop before validating it; the convex-polygon and
 closed-form Cheeger oracles are the polygon validation and the Cheeger solve
 on numpy vertex arrays, with ``np.dot`` shoelace sums; the chain-generation
 oracle is the rejection sampler and chain validator on numpy 2-vectors, with
-the region polygon oriented by ``np.roll`` shoelace sums.
+the region polygon oriented by ``np.roll`` shoelace sums; the chord-deficit
+oracle locates every node on every edge through ``Point`` objects and builds
+each portion with its chord into a validated ``ArcCurve`` for its area; the
+overlap oracle makes one distance and one winding call per meeting pair of
+cells.
 """
 
 import math
@@ -20,7 +24,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cheegerlab.arc_geometry import Arc, ArcCurve, Point, Segment
+from cheegerlab.arc_geometry import (
+    Arc,
+    ArcCurve,
+    Point,
+    Segment,
+    curve_distances,
+    signed_area,
+    winding_numbers,
+)
 from cheegerlab.chamber_lemmas import (
     CLOSED,
     HALF_PLANE,
@@ -32,7 +44,14 @@ from cheegerlab.chamber_lemmas import (
     reference_areas,
 )
 from cheegerlab.cheeger import CheegerResult, ConvexPolygon, inner_parallel_polygon
-from cheegerlab.errors import DegenerateConfigurationError, GenerationError, ValidationError
+from cheegerlab.cluster import _sample_boundary
+from cheegerlab.errors import (
+    ContractViolation,
+    DegenerateConfigurationError,
+    GenerationError,
+    ValidationError,
+)
+from cheegerlab.hales_deficit import DeficitReport, _split_at_nodes
 
 TWO_PI = 2.0 * math.pi
 
@@ -629,3 +648,125 @@ def random_chain_reference(flavor: str, m: int, seed) -> ReferenceChain:
         bound += wedge + corner
     holds = bool(area >= bound - 1e-9 * max(1.0, r_star * r_star))
     return ReferenceChain(centers, radii, warnings, area, bound, holds)
+
+
+# ---------------------------------------------------------------------------
+# Hales chord deficits and the cluster overlap check on Point objects.
+
+def _locate_on_edge_reference(q: Point, e, tol: float):
+    """Parameter t in [0, 1] of q on the edge, or None if q is farther than tol."""
+    if isinstance(e, Segment):
+        vx, vy = e.end.x - e.start.x, e.end.y - e.start.y
+        wx, wy = q.x - e.start.x, q.y - e.start.y
+        t = (vx * wx + vy * wy) / (vx * vx + vy * vy)
+        t = min(1.0, max(0.0, t))
+        if q.distance_to(e.point_at(t)) <= tol:
+            return t
+        return None
+    ang = math.atan2(q.y - e.center.y, q.x - e.center.x)
+    rel = (e.turning * (ang - e.start_angle)) % TWO_PI
+    if rel > e.sweep:
+        rel = 0.0 if TWO_PI - rel < rel - e.sweep else e.sweep
+    t = rel / e.sweep
+    if q.distance_to(e.point_at(t)) <= tol:
+        return t
+    return None
+
+
+def _node_positions_reference(curve: ArcCurve, nodes):
+    """(edge index, parameter) of each node, every node tried on every edge."""
+    tol = curve.tolerance
+    n_edges = len(curve.edges)
+    positions = []
+    for k, node in enumerate(nodes):
+        best = None
+        for i, e in enumerate(curve.edges):
+            t = _locate_on_edge_reference(node, e, 10.0 * tol)
+            if t is None:
+                continue
+            dist = node.distance_to(e.point_at(t))
+            if best is None or dist < best[0]:
+                best = (dist, i, t)
+        if best is None or best[0] > tol:
+            worst = best[0] if best else math.inf
+            raise ContractViolation(f"node {k} is not on the curve (best distance {worst:.3e})")
+        _, i, t = best
+        if node.distance_to(curve.edges[i].point_at(0.0)) <= tol:
+            positions.append((i, 0.0))
+        elif node.distance_to(curve.edges[i].point_at(1.0)) <= tol:
+            positions.append(((i + 1) % n_edges, 0.0))
+        else:
+            positions.append((i, t))
+    return positions
+
+
+def chord_deficits_reference(gamma_r: ArcCurve, nodes, clamp_bound=None) -> DeficitReport:
+    """``chord_deficits`` with every portion and its chord built into a validated ArcCurve."""
+    if not gamma_r.closed:
+        raise ContractViolation("chord_deficits requires a closed curve")
+    positions = _node_positions_reference(gamma_r, nodes.nodes)
+    edges, starts = _split_at_nodes(gamma_r, positions)
+    order = [k for k in starts if k is not None]
+    n = len(nodes)
+    if len(order) != n:
+        raise ContractViolation("node splitting lost a node")
+    shift = order.index(0)
+    if [order[(shift + j) % n] for j in range(n)] != list(range(n)):
+        raise ContractViolation("nodes are not in cyclic order along the curve")
+
+    first = next(i for i, k in enumerate(starts) if k is not None)
+    ring = edges[first:] + edges[:first]
+    labels = starts[first:] + starts[:first]
+    portions = []
+    current = []
+    for e, k in zip(ring, labels):
+        if k is not None and current:
+            portions.append(current)
+            current = []
+        current.append(e)
+    portions.append(current)
+
+    if clamp_bound is None:
+        clamp_bound = abs(signed_area(gamma_r))
+    tol = gamma_r.tolerance
+    xs = []
+    for portion in portions:
+        a = portion[0].start
+        b = portion[-1].end
+        pieces = list(portion)
+        if b.distance_to(a) > tol:
+            pieces.append(Segment(b, a))
+        xs.append(signed_area(ArcCurve(tuple(pieces), closed=True)))
+    rot = (labels[0] + 1) % n
+    if rot:
+        xs = xs[-rot:] + xs[:-rot]
+    t = sum(min(clamp_bound, max(-clamp_bound, x)) for x in xs)
+    return DeficitReport(tuple(xs), t, n, clamp_bound)
+
+
+def overlap_message_reference(cells):
+    """The overlap error ``Cluster`` raises for these cells, or None: one call per pair.
+
+    For each cell i in order and each other cell j whose box meets i's, the
+    samples of i inside j's padded box and off j's curve are tested with
+    ``winding_numbers`` on j; the first nonzero names the pair.
+    """
+    samples = [_sample_boundary(c) for c in cells]
+    boxes = [c.boundary.bbox for c in cells]
+    for i, (x, y) in enumerate(samples):
+        bi = boxes[i]
+        for j, bj in enumerate(boxes):
+            if i == j or bi[0] > bj[2] or bj[0] > bi[2] or bi[1] > bj[3] or bj[1] > bi[3]:
+                continue
+            other = cells[j].boundary
+            pad = 10.0 * other.tolerance
+            near = ((bj[0] - pad <= x) & (x <= bj[2] + pad)
+                    & (bj[1] - pad <= y) & (y <= bj[3] + pad))
+            qx, qy = x[near], y[near]
+            far = curve_distances(other, qx, qy) > pad
+            qx, qy = qx[far], qy[far]
+            hit = np.flatnonzero(winding_numbers(other, qx, qy))
+            if hit.size:
+                q = hit[0]
+                return f"cells {i} and {j} overlap near ({qx[q]:.6g}, {qy[q]:.6g})"
+    return None

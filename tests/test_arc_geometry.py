@@ -379,6 +379,18 @@ class TestJson:
         with pytest.raises(ValidationError, match="^unknown keys: open$"):
             curve_from_dict({"closed": False, "open": True, "edges": [seg]})
 
+    @pytest.mark.parametrize("key", ["cx", "cy", "r", "a0", "sweep", "x0", "y0", "x1", "y1"])
+    def test_booleans_are_not_numbers(self, key):
+        # True passes math.isfinite and would be written back as true
+        edges = [{"kind": "arc", "cx": 0.0, "cy": 0.0, "r": 1.0, "a0": 0.0, "sweep": 2 * PI},
+                 {"kind": "seg", "x0": 0.0, "y0": 0.0, "x1": 1.0, "y1": 0.0}]
+        edge = next(e for e in edges if key in e)
+        closed = edge["kind"] == "arc"
+        assert curve_from_dict({"closed": closed, "edges": [edge]}).closed is closed
+        for bad in (True, False, "0.5"):
+            with pytest.raises(ValidationError, match=f"^{key} must be a number, got {bad!r}$"):
+                curve_from_dict({"closed": closed, "edges": [dict(edge, **{key: bad})]})
+
     @pytest.mark.parametrize("sweep", [0.0, -0.0, math.nan, math.inf, -math.inf,
                                        2 * PI + 1e-12, -7.0])
     def test_bad_sweep_rejected(self, sweep):

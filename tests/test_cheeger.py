@@ -23,7 +23,10 @@ from cheegerlab.cheeger import (
     convex_hull,
     hexagon_constant,
     inner_cheeger_boundary,
+    domain_from_dict,
+    domain_to_dict,
     inner_parallel_polygon,
+    polygon_from_dict,
     random_class_a_domain,
     random_convex_polygon,
     regular_polygon,
@@ -347,6 +350,14 @@ class TestConvexPolygonValidation:
         poly = ConvexPolygon([[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]])
         assert len(poly.vertices) == 4
 
+    def test_overflowing_square_named(self):
+        # the corner cross products of a 1e160 square overflow to inf, so the
+        # cleanup drops every vertex; the message names the overflow
+        with pytest.raises(ValidationError, match="^polygon coordinates overflow: a corner cross "
+                                                  "product is not finite$"):
+            ConvexPolygon([[0, 0], [1e160, 0], [1e160, 1e160], [0, 1e160]])
+        assert ConvexPolygon([[0, 0], [1e150, 0], [1e150, 1e150], [0, 1e150]]).area == pytest.approx(1e300)
+
     def test_clean_ring_matches_loop_reference(self):
         # clean rings, and rings with vertices repeated within tol (also across
         # the seam), exact midpoints and midpoints moved off the edge by about tol
@@ -420,3 +431,22 @@ class TestConvexPolygonValidation:
             assert all(type(v) is bool for v in scalar)
             assert inside.tolist() == scalar
         assert 0 < inside.sum() < 200
+
+
+class TestJson:
+    def test_boolean_h_rejected(self):
+        # float(True) is 1.0, so a boolean h would read as a number
+        d = domain_to_dict(cheeger_domain(SQUARE))
+        assert domain_from_dict(d).h == d["h"]
+        for bad in (True, False, "3.5", None):
+            with pytest.raises(ValidationError, match=f"^h must be a number, got {bad!r}$"):
+                domain_from_dict(dict(d, h=bad))
+
+    def test_boolean_vertex_rejected(self):
+        ok = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
+        assert polygon_from_dict(ok).area == 1.0
+        for bad in (True, "1", None):
+            d = {"vertices": [[0, 0], [1, 0], [1, bad], [0, 1]]}
+            with pytest.raises(ValidationError,
+                               match=f"^vertex coordinate must be a number, got {bad!r}$"):
+                polygon_from_dict(d)

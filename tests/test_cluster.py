@@ -41,6 +41,7 @@ from cheegerlab.cluster import (
     theorem_lower_bound,
 )
 from cheegerlab.errors import ValidationError
+from oracles import overlap_message_reference
 
 PI = math.pi
 
@@ -442,6 +443,50 @@ class TestClusterModel:
             Cluster(_BOX_1E4, cells)
         assert type(err.value) is ValidationError
         assert str(err.value) == "cells 0 and 1 overlap near (10000.8, 0)"
+
+    def test_overlaps_match_pairwise_reference(self, domino_cluster):
+        # one winding call per cell against the reference's one per meeting
+        # pair: the same first pair and the same first sample
+        def moved(cell, **motion):
+            return ArcDomain(transform_curve(cell.boundary, **motion), cell.roles, cell.h)
+
+        box = ConvexPolygon([[-20, -20], [20, -20], [20, 20], [-20, 20]])
+        left, right = domino_cluster.cells
+        hc3, hc4 = honeycomb_cluster(3).cells, honeycomb_cluster(4).cells
+        dom = random_class_a_domain(5)
+        cases = [
+            (moved(left, dx=0.01), right),
+            (moved(left, dx=0.01), moved(right, dx=0.5), moved(left, dx=1.2)),
+            hc3[:4] + (moved(hc3[4], dx=0.3, dy=0.1),) + hc3[5:],
+            (moved(hc4[0], angle=0.01),) + hc4[1:],
+            hc4[:6] + (moved(hc4[6], dx=-0.05, dy=0.02),) + hc4[7:],
+            (dom, moved(dom, dx=0.1 * dom.r), moved(dom, angle=0.5)),
+        ]
+        for cells in cases:
+            expected = overlap_message_reference(cells)
+            assert expected is not None
+            with pytest.raises(ValidationError) as err:
+                Cluster(box, cells)
+            assert str(err.value) == expected
+        assert overlap_message_reference(hc4) is None
+
+    def test_first_pair_in_cell_order_reported(self):
+        # cell 0 lies inside cell 3 and cell 2 inside cell 1, and no sample of
+        # a large disk is inside a small one: the hits are (0, 3) and (2, 1),
+        # and (0, 3) comes first in the order i, then j
+        box = ConvexPolygon([[-5, -5], [15, -5], [15, 5], [-5, 5]])
+        cells = (_disk_domain(0.0, 0.0, 0.5), _disk_domain(10.0, 0.0, 2.0),
+                 _disk_domain(10.0, 0.5, 0.5), _disk_domain(0.0, 0.3, 2.0))
+        expected = overlap_message_reference(cells)
+        assert expected.startswith("cells 0 and 3 overlap near (")
+        with pytest.raises(ValidationError) as err:
+            Cluster(box, cells)
+        assert str(err.value) == expected
+        swapped = (cells[2], cells[1], cells[0], cells[3])
+        assert overlap_message_reference(swapped).startswith("cells 0 and 1 overlap near (")
+        with pytest.raises(ValidationError) as err:
+            Cluster(box, swapped)
+        assert str(err.value) == overlap_message_reference(swapped)
 
     def test_scaled_objective_equals_graph_free_quantity(self):
         cl = honeycomb_cluster(3)

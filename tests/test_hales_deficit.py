@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cheegerlab import hales_deficit, jsonio
 from cheegerlab.arc_geometry import (
     Arc,
     ArcCurve,
@@ -20,15 +21,18 @@ from cheegerlab.cheeger import (
     random_class_a_domain,
     regular_polygon,
 )
-from cheegerlab.errors import ContractViolation
+from cheegerlab.cluster import honeycomb_cluster
+from cheegerlab.errors import ContractViolation, ValidationError
 from cheegerlab.hales_deficit import (
     HEX_UNIT_PERIMETER,
     NODE_PENALTY,
     NodeSet,
     chord_deficits,
+    deficit_report_to_dict,
     hales_check,
     place_nodes,
 )
+from oracles import chord_deficits_reference
 
 PI = math.pi
 SQUARE = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -162,6 +166,25 @@ class TestChordDeficits:
         with pytest.raises(ContractViolation):
             chord_deficits(off.curve, shuffled)
 
+    def test_short_portion_judged_by_the_curve_tolerance(self):
+        # a 5e-10 gap inside the bottom edge is within the square's tolerance
+        # (1.41e-9); the portion between the two close nodes spans 2e-4, and
+        # its pieces are judged by the curve's tolerance, not their own
+        gap = 5e-10
+        curve = ArcCurve((
+            Segment(Point(0, 0), Point(0.5, 0)), Segment(Point(0.5 + gap, 0), Point(1, 0)),
+            Segment(Point(1, 0), Point(1, 1)), Segment(Point(1, 1), Point(0, 1)),
+            Segment(Point(0, 1), Point(0, 0)),
+        ), closed=True)
+        nodes = NodeSet((Point(0.4999, 0), Point(0.5001, 0)), (False, False))
+        rep = chord_deficits(curve, nodes)
+        assert rep.per_arc_x[0] == pytest.approx(1.0, abs=1e-9)
+        assert rep.per_arc_x[1] == 0.0
+        # a curve built from the short portion alone checks its gap against 2e-13
+        with pytest.raises(ValidationError, match="^gap 5.000e-10 between edges 0 and 1 exceeds "
+                                                  "tolerance 2.000e-13$"):
+            chord_deficits_reference(curve, nodes)
+
     def test_rigid_motion_invariance_of_T(self):
         dom = random_class_a_domain(3)
         off = inner_cheeger_boundary(dom)
@@ -211,3 +234,64 @@ class TestHalesCheck:
             nodes = place_nodes(off, dom)
             rep = hales_check(off.curve, nodes, r_star=dom.r)
             assert rep.satisfied, (seed, rep)
+
+
+def _class_a_cases():
+    """(curve, nodes, r_star) of random class-A domains.
+
+    Each domain gives its inner Cheeger boundary with ``place_nodes`` (nodes
+    at vertices) and with one node inside every edge.  For every fourth seed
+    the interior nodes are also taken on copies rotated, dilated by 1e-6 and
+    1e6 and moved by 1e4 extents.
+    """
+    cases = []
+    for seed in range(120):
+        dom = random_class_a_domain(seed)
+        off = inner_cheeger_boundary(dom)
+        cases.append((off.curve, place_nodes(off, dom), dom.r))
+        for angle, scale, shift in ((0.0, 1.0, 0.0), (0.3, 1e-6, 0.0), (2.1, 1e6, 1e4)):
+            if seed % 4 and scale != 1.0:
+                continue
+            curve = transform_curve(off.curve, angle, shift * scale, -shift * scale, scale)
+            inside = tuple(e.point_at(0.37) for e in curve.edges)
+            cases.append((curve, NodeSet(inside, (False,) * len(inside)), dom.r * scale))
+    return cases
+
+
+def _cluster_cases(cl):
+    """Each cell's boundary with its vertex nodes, and its Cheeger set's inner curve with place_nodes."""
+    cases = []
+    for cell in cl.cells:
+        corners = tuple(e.start for e in cell.boundary.edges)
+        if all(isinstance(e, Segment) for e in cell.boundary.edges):
+            cases.append((cell.boundary, NodeSet(corners, (False,) * len(corners)), cell.r))
+            dom = cheeger_domain(ConvexPolygon([[p.x, p.y] for p in corners]))
+        else:
+            dom = cell
+        off = inner_cheeger_boundary(dom)
+        cases.append((off.curve, place_nodes(off, dom), dom.r))
+    return cases
+
+
+class TestAgainstReference:
+    """Chord deficits and Hales sides, bit for bit against the Point-based reference."""
+
+    @staticmethod
+    def _check(monkeypatch, cases):
+        for curve, nodes, r_star in cases:
+            got = [chord_deficits(curve, nodes), hales_check(curve, nodes, r_star)]
+            with monkeypatch.context() as m:
+                m.setattr(hales_deficit, "chord_deficits", chord_deficits_reference)
+                want = [chord_deficits_reference(curve, nodes), hales_check(curve, nodes, r_star)]
+            assert ([jsonio.dumps(deficit_report_to_dict(r)) for r in got]
+                    == [jsonio.dumps(deficit_report_to_dict(r)) for r in want])
+
+    def test_random_class_a_corpus(self, monkeypatch):
+        self._check(monkeypatch, _class_a_cases())
+
+    @pytest.mark.parametrize("l", [4, 8, 12])
+    def test_honeycomb_cells(self, monkeypatch, l):
+        self._check(monkeypatch, _cluster_cases(honeycomb_cluster(l)))
+
+    def test_domino_cells(self, monkeypatch, domino_cluster):
+        self._check(monkeypatch, _cluster_cases(domino_cluster))
