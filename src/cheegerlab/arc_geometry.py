@@ -570,7 +570,7 @@ def curve_from_dict(d: dict) -> ArcCurve:
     try:
         jsonio.require_keys(d, ["closed", "edges"])
         edges = tuple(edge_from_dict(e) for e in d["edges"])
-        return ArcCurve(edges, bool(d["closed"]))
+        return ArcCurve(edges, jsonio.boolean(d["closed"], "closed"))
     except (AttributeError, TypeError) as exc:  # a non-object edge or a mistyped value
         raise ValidationError(f"malformed curve object: {exc}") from exc
 

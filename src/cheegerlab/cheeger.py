@@ -20,9 +20,11 @@ Polygon validation and the closed-form solve run on plain Python floats
 (``math.atan2``, ``tan`` and ``hypot``, sums taken in sequence): on the four to
 eight vertices of a power cell, numpy's cost per call outweighs the
 arithmetic.  In one batch of the benchmark's ``partition`` workload
-(k = 16 and 64 on the unit triangle; 182 diagrams, 3680 solves), the solves
-take about a fifth of the time, validating the power cells a sixth, and
-clipping them about half.
+(k = 16 and 64 on the unit triangle; 182 diagrams, 2427 solves, since a cell
+whose ring did not change is not solved again), the solves take about a
+quarter of the time, validating the power cells a fifth, and clipping them,
+which stops at the security radius (see ``partition_optimizer``), about two
+fifths.
 """
 
 from __future__ import annotations

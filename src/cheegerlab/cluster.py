@@ -22,6 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import jsonio
 from .arc_geometry import (
     Arc,
     ArcCurve,
@@ -608,15 +609,22 @@ def cluster_to_dict(cl: Cluster) -> dict:
     }
 
 
+def _index_row(row, what: str) -> list:
+    return [jsonio.integer(v, what) for v in row]
+
+
 def cluster_from_dict(d: dict) -> Cluster:
     try:
+        area = d.get("container_area")
         return Cluster(
             polygon_from_dict(d["container"]),
             tuple(domain_from_dict(c) for c in d["cells"]),
-            tuple(Adjacency(*map(int, row)) for row in d.get("adjacency", [])),
-            tuple(BorderContact(*map(int, row)) for row in d.get("border_contacts", [])),
-            container_area=d.get("container_area"),
-            claimed_optimal=bool(d.get("claimed_optimal", False)),
+            tuple(Adjacency(*_index_row(row, "adjacency entry"))
+                  for row in d.get("adjacency", [])),
+            tuple(BorderContact(*_index_row(row, "border contact entry"))
+                  for row in d.get("border_contacts", [])),
+            container_area=None if area is None else jsonio.number(area, "container_area"),
+            claimed_optimal=jsonio.boolean(d.get("claimed_optimal", False), "claimed_optimal"),
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed cluster object: {exc}") from exc

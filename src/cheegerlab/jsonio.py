@@ -95,3 +95,17 @@ def number(value, what: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{what} must be a number, got {value!r}")
     return value
+
+
+def integer(value, what: str):
+    """``value`` if it is an ``int``; booleans, floats such as 2.7, strings and null raise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def boolean(value, what: str):
+    """``value`` if it is ``true`` or ``false``; numbers, strings and null raise."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{what} must be true or false, got {value!r}")
+    return value

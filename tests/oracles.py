@@ -6,11 +6,12 @@ signed crossing counts; the quadrature oracle integrates x dy over a dense
 polyline; the stepping winding oracle walks each arc seen from inside its
 disk in short steps; the polygon Cheeger oracles solve the corner-quadratic directly or
 bisect on the clipped inner polygon's area; the Monte Carlo chain oracle
-samples the disk-chain region point by point; the power-diagram oracle clips
-numpy vertex arrays one half-plane at a time and cleans each ring with a
-vertex-by-vertex loop before validating it; the convex-polygon and
-closed-form Cheeger oracles are the polygon validation and the Cheeger solve
-on numpy vertex arrays, with ``np.dot`` shoelace sums; the chain-generation
+samples the disk-chain region point by point; the power-diagram oracles clip
+numpy vertex arrays by every half-plane, one at a time (in site order and
+absolute coordinates, or nearest site first in site-centred coordinates), and
+clean each ring with a vertex-by-vertex loop before validating it; the
+convex-polygon and closed-form Cheeger oracles are the polygon validation and
+the Cheeger solve on numpy vertex arrays, with ``np.dot`` shoelace sums; the chain-generation
 oracle is the rejection sampler and chain validator on numpy 2-vectors, with
 the region polygon oriented by ``np.roll`` shoelace sums; the chord-deficit
 oracle locates every node on every edge through ``Point`` objects and builds
@@ -318,11 +319,13 @@ def _clip_halfplane_array(pts: np.ndarray, nx, ny, c):
 
 
 def power_diagram_cells_reference(cfg, container: ConvexPolygon):
-    """Power cells by numpy half-plane clips, each ring cleaned before validation.
+    """Power cells by numpy half-plane clips in absolute coordinates and site
+    order (j = 0..k-1), each ring cleaned before validation.
 
-    Clips in the same order as ``power_diagram_cells`` (j = 0..k-1), so equal
-    arithmetic gives bit-identical cells.  Raises DegenerateConfigurationError
-    for an empty cell, a sliver or a cell that fails validation.
+    An independent check of ``power_diagram_cells``, which clips in another
+    order and other coordinates, so the two agree to rounding, not bit for
+    bit.  Raises DegenerateConfigurationError for an empty cell, a sliver or
+    a cell that fails validation.
     """
     seeds, weights = cfg.seeds, cfg.weights
     k = cfg.k
@@ -338,14 +341,43 @@ def power_diagram_cells_reference(cfg, container: ConvexPolygon):
             pts = _clip_halfplane_array(pts, n[0], n[1], c)
             if pts is None:
                 raise DegenerateConfigurationError(f"power cell {i} is empty")
-        extent = math.hypot(*np.ptp(pts, axis=0))  # the bounding box diagonal
-        pts = clean_ring_loop(pts, 1e-12 * extent)
-        if len(pts) < 3:
-            raise DegenerateConfigurationError(f"power cell {i} degenerates to a sliver")
-        try:
-            cells.append(ConvexPolygon(pts))
-        except ValidationError as exc:
-            raise DegenerateConfigurationError(f"power cell {i}: {exc}") from exc
+        cells.append(_validated_cell(i, pts))
+    return cells
+
+
+def _validated_cell(i, pts):
+    extent = math.hypot(*np.ptp(pts, axis=0))  # the bounding box diagonal
+    pts = clean_ring_loop(pts, 1e-12 * extent)
+    if len(pts) < 3:
+        raise DegenerateConfigurationError(f"power cell {i} degenerates to a sliver")
+    try:
+        return ConvexPolygon(pts)
+    except ValidationError as exc:
+        raise DegenerateConfigurationError(f"power cell {i}: {exc}") from exc
+
+
+def power_diagram_cells_nearest_first_reference(cfg, container: ConvexPolygon):
+    """Power cells clipped in site-centred coordinates by every other site's
+    half-plane, nearest site first, on numpy arrays.
+
+    The order of ``power_diagram_cells`` (a stable argsort of the squared
+    distances) with no stop rule, so equal arithmetic gives bit-identical
+    cells exactly when every clip that rule skips cuts nothing.
+    """
+    seeds, weights = cfg.seeds, cfg.weights
+    cells = []
+    for i in range(cfg.k):
+        d = seeds - seeds[i]
+        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        pts = container.vertices - seeds[i]
+        for j in np.argsort(d2, kind="stable"):
+            if j == i:
+                continue
+            pts = _clip_halfplane_array(pts, 2.0 * d[j, 0], 2.0 * d[j, 1],
+                                        d2[j] + (weights[i] - weights[j]))
+            if pts is None:
+                raise DegenerateConfigurationError(f"power cell {i} is empty")
+        cells.append(_validated_cell(i, pts + seeds[i]))
     return cells
 
 

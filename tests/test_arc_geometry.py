@@ -391,6 +391,12 @@ class TestJson:
             with pytest.raises(ValidationError, match=f"^{key} must be a number, got {bad!r}$"):
                 curve_from_dict({"closed": closed, "edges": [dict(edge, **{key: bad})]})
 
+    def test_closed_must_be_a_boolean(self):
+        seg = {"kind": "seg", "x0": 0.0, "y0": 0.0, "x1": 1.0, "y1": 0.0}
+        for bad in ("no", 0, 1.0, None):
+            with pytest.raises(ValidationError, match=f"^closed must be true or false, got {bad!r}$"):
+                curve_from_dict({"closed": bad, "edges": [seg]})
+
     @pytest.mark.parametrize("sweep", [0.0, -0.0, math.nan, math.inf, -math.inf,
                                        2 * PI + 1e-12, -7.0])
     def test_bad_sweep_rejected(self, sweep):

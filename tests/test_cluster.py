@@ -365,6 +365,30 @@ class TestClusterModel:
         g2 = canonical_graph(back)
         assert g1.lambdas == g2.lambdas
 
+    def test_container_area_must_be_a_number(self, domino_cluster):
+        d = cluster_to_dict(domino_cluster)
+        assert cluster_from_dict(dict(d, container_area=None)).container_area == 2.0
+        with pytest.raises(ValidationError, match="^container_area must be a number, got True$"):
+            cluster_from_dict(dict(d, container_area=True))
+
+    def test_adjacency_entries_must_be_integers(self, domino_cluster):
+        d = cluster_to_dict(domino_cluster)
+        (row,) = d["adjacency"]
+        for bad in (2.7, 2.0, True, "2"):
+            with pytest.raises(ValidationError,
+                               match=f"^adjacency entry must be an integer, got {bad!r}$"):
+                cluster_from_dict(dict(d, adjacency=[row[:2] + [bad] + row[3:]]))
+        with pytest.raises(ValidationError, match="^border contact entry must be an integer"):
+            cluster_from_dict(dict(d, border_contacts=[[0, 0.5], [1, 0]]))
+
+    def test_claimed_optimal_must_be_a_boolean(self, domino_cluster):
+        d = cluster_to_dict(domino_cluster)
+        assert cluster_from_dict(dict(d, claimed_optimal=True)).claimed_optimal is True
+        for bad in ("no", 1, None):
+            with pytest.raises(ValidationError,
+                               match=f"^claimed_optimal must be true or false, got {bad!r}$"):
+                cluster_from_dict(dict(d, claimed_optimal=bad))
+
     def test_overlapping_cells_rejected(self):
         tri = regular_polygon(3, area=60.0, center=(0, 0))
         disks = (_disk_domain(0.0, 0.5, 1.0), _disk_domain(0.5, 0.5, 1.0))

@@ -4,7 +4,8 @@ Every input is rotated by 0.3 rad, dilated by lambda from 1e-8 to 1e8 and then
 translated by 0, 1e2 or 1e4 of its own (dilated) extents.  The certificate's
 applicability, its failing rules and its dimensionless margins, the class-A
 and Hales verdicts of random domains and their Hales margins, must not depend
-on where the input sits or on its scale; nor may the optimizer's lattice start.
+on where the input sits or on its scale; nor may the optimizer's lattice start
+or the Cheeger constants of its power cells.
 """
 
 import math
@@ -16,6 +17,7 @@ from cheegerlab.arc_geometry import transform_curve
 from cheegerlab.cheeger import (
     ArcDomain,
     ConvexPolygon,
+    cheeger_convex,
     class_a_violations,
     inner_cheeger_boundary,
     random_class_a_domain,
@@ -23,7 +25,11 @@ from cheegerlab.cheeger import (
 )
 from cheegerlab.cluster import Cluster, honeycomb_cluster, lower_bound_certificate
 from cheegerlab.hales_deficit import hales_check, place_nodes
-from cheegerlab.partition_optimizer import hex_lattice_seeds
+from cheegerlab.partition_optimizer import (
+    SeedConfiguration,
+    hex_lattice_seeds,
+    power_diagram_cells,
+)
 from conftest import make_domino_cluster
 
 ANGLE = 0.3
@@ -119,3 +125,22 @@ def test_hex_lattice_seeds(lam, shift):
     _, dx, dy, _ = _motion(tri.vertices, lam, shift)
     seeds = hex_lattice_seeds(16, ConvexPolygon(lam * tri.vertices + [dx, dy]))
     assert np.abs((seeds - [dx, dy]) / lam - hex_lattice_seeds(16, tri)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e4])
+@pytest.mark.parametrize("lam", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("k", [16, 64, 256])
+def test_power_cell_cheeger_constants(k, lam, shift):
+    # jittered lattice seeds with random weights; weights scale like lambda^2
+    tri = regular_polygon(3, area=1.0)
+    rng = np.random.default_rng(k)
+    seeds = hex_lattice_seeds(k, tri) + rng.normal(0.0, 0.05 / math.sqrt(k), (k, 2))
+    weights = rng.normal(0.0, 0.1 / k, k)
+    ref = [cheeger_convex(c).h for c in power_diagram_cells(SeedConfiguration(seeds, weights), tri)]
+    angle, dx, dy, _ = _motion(tri.vertices, lam, shift)
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    container = ConvexPolygon(lam * tri.vertices @ rot.T + [dx, dy])
+    moved = SeedConfiguration(lam * seeds @ rot.T + [dx, dy], lam * lam * weights)
+    hs = [cheeger_convex(c).h for c in power_diagram_cells(moved, container)]
+    assert len(hs) == k
+    assert max(abs(lam * h - h0) / h0 for h, h0 in zip(hs, ref)) <= 1e-9

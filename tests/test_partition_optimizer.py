@@ -16,7 +16,12 @@ from cheegerlab.partition_optimizer import (
     power_diagram_cells,
     trace_to_dict,
 )
-from oracles import cheeger_convex_reference, convex_polygon_reference, power_diagram_cells_reference
+from oracles import (
+    cheeger_convex_reference,
+    convex_polygon_reference,
+    power_diagram_cells_nearest_first_reference,
+    power_diagram_cells_reference,
+)
 
 PI = math.pi
 TRIANGLE = regular_polygon(3, area=1.0)
@@ -91,11 +96,12 @@ class TestPowerDiagram:
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_CONTAINERS))
     def test_matches_numpy_reference(self, name):
+        # the pruned loop against the same order with every half-plane clipped
         container = REFERENCE_CONTAINERS[name]
         outcomes = {"cells": 0, "degenerate": 0}
         for cfg in _reference_configurations(container):
             try:
-                expected = power_diagram_cells_reference(cfg, container)
+                expected = power_diagram_cells_nearest_first_reference(cfg, container)
             except DegenerateConfigurationError:
                 with pytest.raises(DegenerateConfigurationError):
                     power_diagram_cells(cfg, container)
@@ -108,6 +114,52 @@ class TestPowerDiagram:
                 assert cheeger_convex(cell).h == cheeger_convex(ref).h
             outcomes["cells"] += len(cells)
         assert outcomes["cells"] > 1000 and outcomes["degenerate"] > 10
+
+    def test_cocircular_sites_match_reference(self):
+        # square grids: four sites share each cell corner and the diagonal
+        # neighbor sits exactly where the stop test turns, at |d| = 2R, so
+        # only its rounding allowance keeps the rings bit for bit
+        unit = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+        for n in (4, 5, 6, 8, 10, 12):
+            grid = (np.arange(n) + 0.5) / n
+            seeds = np.array([(x, y) for y in grid for x in grid])
+            for scale, shift in ((1.0, 0.0), (1e-4, 0.0), (3.0, 1e3), (0.1, 0.37)):
+                square = ConvexPolygon(unit * scale + shift)
+                cfg = SeedConfiguration(seeds * scale + shift, np.zeros(n * n))
+                expected = power_diagram_cells_nearest_first_reference(cfg, square)
+                for cell, ref in zip(power_diagram_cells(cfg, square), expected):
+                    assert np.array_equal(cell.vertices, ref.vertices)
+
+    @pytest.mark.parametrize("name", ["square1e-4", "triangle"])
+    def test_matches_site_order_reference(self, name):
+        # an independent order and absolute coordinates: the same cells up to
+        # rounding (pentagon50 sits 3e3 from the origin, where the reference
+        # loses digits to the offsets |s_j|^2 - |s_i|^2)
+        container = REFERENCE_CONTAINERS[name]
+        count = 0
+        for cfg in _reference_configurations(container):
+            try:
+                expected = power_diagram_cells_reference(cfg, container)
+            except DegenerateConfigurationError:
+                continue
+            for cell, ref in zip(power_diagram_cells(cfg, container), expected):
+                h, h_ref = cheeger_convex(cell).h, cheeger_convex(ref).h
+                assert abs(h - h_ref) <= 1e-12 * h_ref
+                assert abs(cell.area - ref.area) <= 1e-14 * container.area
+                count += 1
+        assert count > 1000
+
+    def test_clips_few_half_planes(self, call_counts):
+        # the stop rule: a lattice diagram clips each cell by about its
+        # neighbors, not by all k - 1 = 255 half-planes
+        k = 256
+        rng = np.random.default_rng(0)
+        cfg = SeedConfiguration(hex_lattice_seeds(k, TRIANGLE),
+                                rng.uniform(-0.05, 0.05, k) * TRIANGLE.area / k)
+        counts = call_counts(partition_optimizer, "_clip_halfplane")
+        cells = power_diagram_cells(cfg, TRIANGLE)
+        assert sum(c.area for c in cells) == pytest.approx(TRIANGLE.area, rel=1e-12)
+        assert counts["_clip_halfplane"] <= 16 * k
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_CONTAINERS))
     def test_cells_match_numpy_validation_and_solve(self, name, monkeypatch):
@@ -216,6 +268,18 @@ class TestOptimize:
         trace = optimize(16, TRIANGLE, budget=60, seed=0, restarts=1)
         assert trace.evaluations == 60
         assert counts == {"_rounded_polygon": 0}
+
+    def test_unchanged_cells_are_not_solved_again(self, call_counts):
+        counts = call_counts(partition_optimizer, "cheeger_convex")
+        trace = optimize(16, TRIANGLE, budget=150, seed=1, restarts=1)
+        assert 0 < counts["cheeger_convex"] < trace.evaluations * 16
+
+    def test_best_objective_from_a_fresh_diagram(self):
+        # the kept cells never stand in for a changed one
+        for k, seed in ((4, 1), (16, 1), (16, 3)):
+            trace = optimize(k, TRIANGLE, budget=150, seed=seed, restarts=1)
+            cells = power_diagram_cells(trace.seed_config, TRIANGLE)
+            assert max(cheeger_convex(c).h for c in cells) == trace.best_objective
 
     def test_bad_arguments(self):
         with pytest.raises(ValidationError):
