@@ -326,12 +326,17 @@ def winding_numbers(c: ArcCurve, x, y) -> np.ndarray:
     """
     if not c.closed:
         raise ContractViolation("winding_number requires a closed curve")
-    segs, arcs = _edge_columns(c)
+    columns = _edge_columns(c)
     x, y = _points(x, y)
-    d = _distances(segs, arcs, x, y)
+    d = _distances(*columns, x, y)
     on = np.flatnonzero(d <= c.tolerance)
     if on.size:
         raise OnBoundaryError(f"query point is on the curve (distance {d[on[0]]:.3e})")
+    return _winding_totals(*columns, x, y)
+
+
+def _winding_totals(segs, arcs, x, y) -> np.ndarray:
+    # ``winding_numbers`` of point columns known to lie off the curve
     total = np.zeros(len(x))
     if segs is not None:
         total += _principal_turn(x, y, *segs).sum(axis=1)

@@ -31,6 +31,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import jsonio
 from .errors import GenerationError, ValidationError
 
 SQRT3 = math.sqrt(3.0)
@@ -545,6 +546,8 @@ def run_chain_sweep(flavor: str, count: int, seed: int, m_values=(3, 4, 5, 6)):
     [seed, i].  Returns (records, violations): one record per chain with the
     bound report, and the records whose bound fails.
     """
+    if seed < 0:
+        raise ValidationError(f"chain sweep seed must be >= 0, got {seed}")
     records = []
     violations = []
     for i in range(count):
@@ -590,8 +593,8 @@ def chain_to_dict(ch: DiskChain) -> dict:
 def chain_from_dict(d: dict) -> DiskChain:
     try:
         return DiskChain(
-            np.asarray(d["centers"], dtype=float),
-            np.asarray(d["radii"], dtype=float),
+            jsonio.numbers(d["centers"], "center coordinate"),
+            jsonio.numbers(d["radii"], "radius"),
             d["flavor"],
         )
     except (KeyError, TypeError) as exc:

@@ -806,10 +806,7 @@ def polygon_to_dict(p: ConvexPolygon) -> dict:
 
 def polygon_from_dict(d: dict) -> ConvexPolygon:
     try:
-        coords = np.asarray(d["vertices"], dtype=object)
-        for v in coords.flat:
-            jsonio.number(v, "vertex coordinate")
-        return ConvexPolygon(coords.astype(float))
+        return ConvexPolygon(jsonio.numbers(d["vertices"], "vertex coordinate"))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed polygon object: {exc}") from exc
 

@@ -151,15 +151,17 @@ def _cmd_chain(args) -> int:
         jsonio.require_keys(obj, ["sweep"])
         cfg = obj["sweep"]
         jsonio.require_keys(cfg, ["flavors", "count", "seed"], ["m_values"])
+        flavors = [jsonio.string(f, "flavor") for f in jsonio.array(cfg["flavors"], "flavors")]
+        count = jsonio.integer(cfg["count"], "count")
+        seed = jsonio.integer(cfg["seed"], "seed")
+        m_values = tuple(jsonio.integer(m, "m_values entry")
+                         for m in jsonio.array(cfg.get("m_values", [3, 4, 5, 6]), "m_values"))
+        if not m_values:
+            raise ValidationError("m_values must not be empty")
         lines = []
         total_violations = 0
-        for flavor in cfg["flavors"]:
-            records, violations = run_chain_sweep(
-                flavor,
-                int(cfg["count"]),
-                int(cfg["seed"]),
-                m_values=tuple(cfg.get("m_values", (3, 4, 5, 6))),
-            )
+        for flavor in flavors:
+            records, violations = run_chain_sweep(flavor, count, seed, m_values=m_values)
             total_violations += len(violations)
             for rec in records:
                 lines.append(jsonio.dumps(rec))
@@ -185,19 +187,20 @@ def _cmd_optimize(args) -> int:
         cfg, ["container", "budget", "seed"], ["k", "ks", "restarts"]
     )
     container = polygon_from_dict(cfg["container"])
-    restarts = int(cfg.get("restarts", 8))
+    runs = {
+        "budget": jsonio.integer(cfg["budget"], "budget"),
+        "seed": jsonio.integer(cfg["seed"], "seed"),
+        "restarts": jsonio.integer(cfg.get("restarts", 8), "restarts"),
+    }
+    k = jsonio.integer(cfg["k"], "k") if "k" in cfg else None
+    ks = ([jsonio.integer(v, "ks entry") for v in jsonio.array(cfg["ks"], "ks")]
+          if "ks" in cfg else None)
     lines = []
-    if "k" in cfg:
-        trace = optimize(
-            int(cfg["k"]), container, budget=int(cfg["budget"]),
-            seed=int(cfg["seed"]), restarts=restarts,
-        )
+    if k is not None:
+        trace = optimize(k, container, **runs)
         lines.append(jsonio.dumps(trace_to_dict(trace)))
-    if "ks" in cfg:
-        rows = asymptotic_report(
-            [int(k) for k in cfg["ks"]], container, budget=int(cfg["budget"]),
-            seed=int(cfg["seed"]), restarts=restarts,
-        )
+    if ks is not None:
+        rows = asymptotic_report(ks, container, **runs)
         for row in rows:
             lines.append(jsonio.dumps({
                 "k": row.k,

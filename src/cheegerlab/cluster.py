@@ -30,9 +30,11 @@ from .arc_geometry import (
     INNER_JUNCTION,
     Point,
     Segment,
-    curve_distances,
+    _distances,
+    _edge_columns,
+    _points,
+    _winding_totals,
     curve_length,
-    winding_numbers,
 )
 from .cheeger import (
     ArcDomain,
@@ -153,10 +155,11 @@ class Cluster:
         """No boundary sample of a cell i lies strictly inside another cell j.
 
         Samples within ten times j's tolerance of its curve (shared arcs) are
-        skipped.  One distance and one winding call per cell j takes the near
-        samples of every cell whose box meets j's: 36 each for the l = 8
-        honeycomb, against 168 with one per meeting pair.  The error names the
-        first pair in the order i, then j, and the first sample of i inside j.
+        skipped.  One distance pass and one winding pass per cell j, on one
+        set of j's edge columns, take the near samples of every cell whose box
+        meets j's: 36 each for the l = 8 honeycomb, against 168 with one per
+        meeting pair.  The error names the first pair in the order i, then j,
+        and the first sample of i inside j.
         """
         boxes = [c.boundary.bbox for c in self.cells]
         hits = []
@@ -169,13 +172,14 @@ class Cluster:
             if not near:
                 continue
             owners = np.concatenate([np.full(np.count_nonzero(m), i) for i, m in near])
-            qx = np.concatenate([samples[i][0][m] for i, m in near])
-            qy = np.concatenate([samples[i][1][m] for i, m in near])
-            far = np.flatnonzero(curve_distances(other, qx, qy) > pad)
-            hit = np.flatnonzero(winding_numbers(other, qx[far], qy[far]))
+            qx, qy = _points(np.concatenate([samples[i][0][m] for i, m in near]),
+                             np.concatenate([samples[i][1][m] for i, m in near]))
+            columns = _edge_columns(other)
+            far = np.flatnonzero(_distances(*columns, qx, qy) > pad)
+            hit = np.flatnonzero(_winding_totals(*columns, qx[far], qy[far]))
             if hit.size:
                 q = far[hit[0]]
-                hits.append((owners[q], j, qx[q], qy[q]))
+                hits.append((owners[q], j, qx[q, 0], qy[q, 0]))
         if hits:
             i, j, x, y = min(hits)  # one hit per j, so (i, j) decides
             raise ValidationError(f"cells {i} and {j} overlap near ({x:.6g}, {y:.6g})")

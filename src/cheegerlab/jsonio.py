@@ -13,6 +13,8 @@ import json
 import math
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import ValidationError
 
 SCHEMA_VERSION = 1
@@ -79,6 +81,8 @@ def loads(text: str) -> dict:
 
 def require_keys(obj: dict, required, optional=()):
     """Reject missing required keys and any unknown key, naming both in one message."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"expected a JSON object, got {obj!r}")
     missing = [k for k in required if k not in obj]
     unknown = [k for k in obj if k not in set(required) | set(optional)]
     problems = []
@@ -97,10 +101,32 @@ def number(value, what: str):
     return value
 
 
+def numbers(value, what: str) -> np.ndarray:
+    """``value`` as a float array if every entry of it is a number (see ``number``)."""
+    values = np.asarray(value, dtype=object)
+    for v in values.flat:
+        number(v, what)
+    return values.astype(float)
+
+
 def integer(value, what: str):
     """``value`` if it is an ``int``; booleans, floats such as 2.7, strings and null raise."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def string(value, what: str):
+    """``value`` if it is a string; numbers, lists and null raise."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def array(value, what: str):
+    """``value`` if it is a list; a bare string or number raises."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a list, got {value!r}")
     return value
 
 

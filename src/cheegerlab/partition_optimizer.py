@@ -7,9 +7,10 @@ rigorous upper bound for the optimal value.  The optimal cells of the true
 problem are non-convex arc domains, so this family only brackets the optimum
 from above; the certified lower bound h(H) sqrt(k/|T|) brackets it from below.
 
-The search is a deterministic Nelder-Mead on the flattened (seeds, weights)
-vector, with a hexagonal-lattice start plus uniform-random restarts.
-Degenerate diagrams score +inf so the simplex can move away from them.
+The search is a deterministic compass search on the flattened (seeds,
+weights) vector, with a hexagonal-lattice start plus uniform-random restarts.
+Each probe moves one coordinate, and degenerate diagrams score +inf, so a
+probe into one is never kept.
 
 One evaluation clips the container, in coordinates centred on each site, by
 the radical-axis half-planes of the other sites, nearest first, and stops at
@@ -235,77 +236,39 @@ class OptimizationTrace:
 class _Budget:
     def __init__(self, total: int):
         self.left = total
-        self.used = 0
 
     def take(self) -> bool:
         if self.left <= 0:
             return False
         self.left -= 1
-        self.used += 1
         return True
 
 
-def _nelder_mead(f, x0, steps, budget: _Budget, xtol: float):
-    """Deterministic reflect/expand/contract/shrink descent; first-found tie-break."""
-    n = len(x0)
-    pts = [np.array(x0, dtype=float)]
-    for i in range(n):
-        q = np.array(x0, dtype=float)
-        q[i] += steps[i]
-        pts.append(q)
-    vals = []
-    for q in pts:
-        if not budget.take():
-            pts = pts[: len(vals)]
-            break
-        vals.append(f(q))
-    order = sorted(range(len(vals)), key=lambda i: (vals[i], i))
-    pts = [pts[i] for i in order]
-    vals = [vals[i] for i in order]
-    while budget.left > 0 and len(pts) == n + 1:
-        spread = max(float(np.abs(p - pts[0]).max()) for p in pts[1:])
-        if spread < xtol and math.isfinite(vals[0]):
-            break
-        centroid = np.mean(pts[:-1], axis=0)
-        worst = pts[-1]
-        xr = centroid + (centroid - worst)
-        if not budget.take():
-            break
-        fr = f(xr)
-        if fr < vals[0]:
-            if budget.take():
-                xe = centroid + 2.0 * (centroid - worst)
-                fe = f(xe)
-                if fe < fr:
-                    xr, fr = xe, fe
-            pts[-1], vals[-1] = xr, fr
-        elif fr < vals[-2]:
-            pts[-1], vals[-1] = xr, fr
-        else:
-            if not budget.take():
-                break
-            if fr < vals[-1]:
-                xc = centroid + 0.5 * (xr - centroid)
-            else:
-                xc = centroid + 0.5 * (worst - centroid)
-            fc = f(xc)
-            if fc < min(fr, vals[-1]):
-                pts[-1], vals[-1] = xc, fc
-            else:
-                # shrink toward the best vertex
-                for i in range(1, n + 1):
-                    if not budget.take():
-                        pts = pts[:i]
-                        vals = vals[:i]
-                        break
-                    pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
-                    vals[i] = f(pts[i])
-                if len(pts) != n + 1:
-                    break
-        order = sorted(range(len(pts)), key=lambda i: (vals[i], i))
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-    return pts[0], vals[0]
+def _compass_search(f, x0, steps, budget: _Budget, xtol: float):
+    """Deterministic compass search (Kolda, Lewis & Torczon, SIAM Rev. 45, 2003).
+
+    A pass probes x + steps[i] e_i for every coordinate i in order, then
+    x - steps[i] e_i, and moves to every probe that lowers f; a pass with no
+    move halves every step.  Stops when the budget runs out or the largest
+    step falls below ``xtol``.
+    """
+    x = np.array(x0, dtype=float)
+    steps = np.array(steps, dtype=float)
+    fx = f(x) if budget.take() else math.inf
+    while steps.max() >= xtol:
+        moved = False
+        for sign in (1.0, -1.0):
+            for i in range(len(x)):
+                if not budget.take():
+                    return x, fx
+                q = x.copy()
+                q[i] += sign * steps[i]
+                fq = f(q)
+                if fq < fx:
+                    x, fx, moved = q, fq, True
+        if not moved:
+            steps *= 0.5
+    return x, fx
 
 
 def _eval_config(container, seeds, weights, records, lower, kept):
@@ -315,8 +278,7 @@ def _eval_config(container, seeds, weights, records, lower, kept):
     of the same start.  A cell whose clipped ring equals its kept ring float
     for float takes the kept cell and h: validation and the solve are
     deterministic functions of the ring, so the reuse is exact.  Moving one
-    coordinate, as each point of the start simplex does, leaves most rings
-    unchanged.
+    coordinate, as each compass probe does, leaves most rings unchanged.
     """
     try:
         cfg = SeedConfiguration(seeds, weights)
@@ -397,14 +359,16 @@ def optimize(
     seed: int = 0,
     restarts: int = 8,
 ) -> OptimizationTrace:
-    """Derivative-free search for a good k-cell power-diagram partition.
+    """Compass search for a good k-cell power-diagram partition.
 
-    Runs a hexagonal-lattice start plus ``restarts`` random restarts, each with
-    an equal share of the evaluation budget; the result is deterministic for
-    fixed (seed, budget, restarts).
+    Runs a hexagonal-lattice start, smoothed and weight-balanced first, plus
+    ``restarts`` random starts, each with an equal share of the evaluation
+    budget.  The compass steps start at a quarter cell width on the seeds and
+    (diameter / max(k, 2))^2 / 5 on the weights, and stop below 1e-6
+    diameters.  The result is deterministic for fixed (seed, budget, restarts).
     """
-    if k < 1 or budget < 1:
-        raise ValidationError("need k >= 1 and budget >= 1")
+    if k < 1 or budget < 1 or seed < 0:
+        raise ValidationError("need k >= 1, budget >= 1 and seed >= 0")
     rng = np.random.default_rng(seed)
     area = container.area
     diam = float(np.ptp(container.vertices, axis=0).max())
@@ -428,12 +392,9 @@ def optimize(
         if idx == 0:
             seeds0, w0 = _precondition(k, container, seeds0, local, records, kept)
         x0 = np.concatenate([seeds0.ravel(), w0])
-        steps = np.concatenate([
-            np.full(2 * k, coord_step),
-            np.full(k, 0.2 * wscale),
-        ])
-        best_x, best_f = _nelder_mead(f, x0, steps, local, xtol)
-        return best_x, best_f, records, local.used
+        steps = np.repeat([coord_step, 0.2 * wscale], [2 * k, k])
+        best_x, best_f = _compass_search(f, x0, steps, local, xtol)
+        return best_x, best_f, records
 
     results = [run_start(i) for i in range(len(starts))]
 
@@ -443,7 +404,7 @@ def optimize(
     evaluations = 0
     min_scaled = math.inf
     scale_factor = math.sqrt(area / k)
-    for x, fval, records, used in results:
+    for x, fval, records in results:
         for rec in records:
             evaluations += 1
             if rec < best_f:

@@ -382,3 +382,14 @@ class TestJson:
         assert np.allclose(back.centers, chain.centers)
         assert np.allclose(back.radii, chain.radii)
         assert len(d["lines"]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("radii", [True, "1", 1]),
+        ("centers", [[0, "0"], [2, 0], [1, math.sqrt(3)]]),
+        ("centers", [[0, 0], [2], [1, math.sqrt(3)]]),
+    ])
+    def test_non_numbers_rejected(self, field, value):
+        d = {"flavor": "closed", "centers": [[0, 0], [2, 0], [1, math.sqrt(3)]],
+             "radii": [1, 1, 1], field: value}
+        with pytest.raises(ValidationError):
+            chain_from_dict(d)

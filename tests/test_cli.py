@@ -147,6 +147,39 @@ class TestPipelines:
         assert run(["optimize", "--config", cfg, "--output", str(tmp_path / "t.jsonl")]) == 1
 
 
+class TestConfigTypes:
+    """Config values of the wrong JSON type exit 1 instead of being coerced."""
+
+    TRIANGLE = {"vertices": [[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]]}
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", True), ("budget", 20.9), ("seed", "3"), ("restarts", 1.5), ("seed", -1),
+    ])
+    def test_optimize_value_rejected(self, tmp_path, key, value):
+        config = {"container": self.TRIANGLE, "k": 1, "budget": 20, "seed": 0, "restarts": 1}
+        cfg = write(tmp_path / "run.json", {**config, key: value})
+        assert run(["optimize", "--config", cfg, "--output", str(tmp_path / "t.jsonl")]) == 1
+
+    @pytest.mark.parametrize("ks", [4, [1, 2.0], ["1"]])
+    def test_optimize_ks_rejected(self, tmp_path, ks):
+        config = {"container": self.TRIANGLE, "ks": ks, "budget": 20, "seed": 0}
+        cfg = write(tmp_path / "run.json", config)
+        assert run(["optimize", "--config", cfg, "--output", str(tmp_path / "t.jsonl")]) == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("flavors", "closed"), ("flavors", [1]), ("count", 2.0), ("seed", True),
+        ("seed", -1), ("m_values", [3.9]), ("m_values", "34"), ("m_values", []),
+    ])
+    def test_chain_sweep_value_rejected(self, tmp_path, key, value):
+        sweep = {"flavors": ["closed"], "count": 2, "seed": 0}
+        path = write(tmp_path / "sweep.json", {"sweep": {**sweep, key: value}})
+        assert run(["chain", "--input", path, "--output", str(tmp_path / "o.jsonl")]) == 1
+
+    def test_chain_sweep_not_an_object(self, tmp_path):
+        path = write(tmp_path / "sweep.json", {"sweep": 5})
+        assert run(["chain", "--input", path, "--output", str(tmp_path / "o.jsonl")]) == 1
+
+
 class TestRender:
     def test_unit_circle_single_path_two_arc_commands(self, tmp_path):
         circle = {

@@ -274,6 +274,34 @@ class TestOptimize:
         trace = optimize(16, TRIANGLE, budget=150, seed=1, restarts=1)
         assert 0 < counts["cheeger_convex"] < trace.evaluations * 16
 
+    def test_probes_move_one_coordinate(self, monkeypatch):
+        # the compass search probes one coordinate at a time away from the
+        # start's best point so far, which is what lets the kept cells of the
+        # other sites be reused
+        starts = {}
+        original = partition_optimizer._eval_config
+
+        def recorded(container, seeds, weights, records, lower, kept):
+            result = original(container, seeds, weights, records, lower, kept)
+            x = np.concatenate([np.ravel(seeds), weights])
+            starts.setdefault(id(records), []).append((x, result[0]))
+            return result
+
+        monkeypatch.setattr(partition_optimizer, "_eval_config", recorded)
+        trace = optimize(4, TRIANGLE, budget=300, seed=0, restarts=1)
+        lattice, random_start = starts.values()
+        assert len(lattice) + len(random_start) == trace.evaluations == 300
+        # the lattice start balances weights for 40 evaluations, then its
+        # search starts at the best balanced point; the random start's search
+        # starts at its first evaluation
+        for evals, start in ((lattice, 40), (random_start, 0)):
+            best_x, best_f = evals[0]
+            for n, (x, value) in enumerate(evals):
+                if n >= start:
+                    assert np.count_nonzero(x != best_x) == (n > start), n
+                if value < best_f:
+                    best_x, best_f = x, value
+
     def test_best_objective_from_a_fresh_diagram(self):
         # the kept cells never stand in for a changed one
         for k, seed in ((4, 1), (16, 1), (16, 3)):
