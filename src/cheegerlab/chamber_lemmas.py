@@ -32,6 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import jsonio
+from .arc_geometry import Arc, ArcCurve, Point, Segment, signed_area
 from .errors import GenerationError, ValidationError
 
 SQRT3 = math.sqrt(3.0)
@@ -288,8 +289,6 @@ def pocket_outline(ch: DiskChain):
     Only defined when the region is connected and bounded by one arc per disk,
     which is the generic case produced by ``random_chain``.
     """
-    from .arc_geometry import Arc, ArcCurve, Point, Segment, signed_area
-
     def tangency(i, j):
         ci, cj = ch.centers[i], ch.centers[j]
         return ci + ch.radii[i] * (cj - ci) / float(np.hypot(*(cj - ci)))
@@ -546,8 +545,8 @@ def run_chain_sweep(flavor: str, count: int, seed: int, m_values=(3, 4, 5, 6)):
     [seed, i].  Returns (records, violations): one record per chain with the
     bound report, and the records whose bound fails.
     """
-    if seed < 0:
-        raise ValidationError(f"chain sweep seed must be >= 0, got {seed}")
+    if count < 0 or seed < 0:
+        raise ValidationError(f"chain sweep needs count >= 0 and seed >= 0, got {count} and {seed}")
     records = []
     violations = []
     for i in range(count):

@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import jsonio
-from .arc_geometry import Arc, ArcCurve, Segment, curve_from_dict, curve_to_dict
+from .arc_geometry import Arc, ArcCurve, Point, Segment, curve_from_dict, curve_to_dict
 from .chamber_lemmas import (
     chain_from_dict,
     pocket_outline,
@@ -128,14 +128,10 @@ def _cmd_certificate(args) -> int:
 
 def _cmd_honeycomb(args) -> int:
     if args.coords is not None:
-        import json as _json
-
-        try:
-            coords = _json.loads(args.coords)
-        except _json.JSONDecodeError as exc:
-            raise ValidationError(f"--coords is not valid JSON: {exc}") from exc
-        if not isinstance(coords, list):
-            raise ValidationError("--coords expects a JSON array like [[0,0],[1,0]]")
+        coords = [[jsonio.integer(v, "--coords entry") for v in jsonio.array(pair, "--coords pair")]
+                  for pair in jsonio.array(jsonio.parse(args.coords), "--coords")]
+        if any(len(pair) != 2 for pair in coords):
+            raise ValidationError("--coords expects integer pairs like [[0,0],[1,0]]")
         cl = honeycomb_kcell(coords, unit_hexagon=not args.unit_side)
     else:
         if args.l is None:
@@ -266,8 +262,6 @@ def _svg_document(body, bbox) -> str:
 
 
 def _polygon_curve(vertices) -> ArcCurve:
-    from .arc_geometry import Point
-
     pts = [Point(float(x), float(y)) for x, y in vertices]
     edges = [Segment(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
     return ArcCurve(tuple(edges), closed=True)

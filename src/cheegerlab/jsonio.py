@@ -64,13 +64,18 @@ def _reject_constant(token: str):
     raise ValidationError(f"non-finite number {token} is not valid JSON")
 
 
-def loads(text: str) -> dict:
+def parse(text: str):
+    """Any JSON value; malformed text and the ``NaN``/``Infinity`` tokens raise."""
     try:
-        obj = json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def loads(text: str) -> dict:
+    obj = parse(text)
     if not isinstance(obj, dict):
         raise ValidationError("top-level JSON value must be an object")
     schema = obj.pop("schema", SCHEMA_VERSION)

@@ -9,8 +9,10 @@ from above; the certified lower bound h(H) sqrt(k/|T|) brackets it from below.
 
 The search is a deterministic compass search on the flattened (seeds,
 weights) vector, with a hexagonal-lattice start plus uniform-random restarts.
-Each probe moves one coordinate, and degenerate diagrams score +inf, so a
-probe into one is never kept.
+The lattice start spends min(40, share - 10) of its evaluations on weight
+balancing, and its search starts at the best balanced point without scoring
+it again.  Each probe moves one coordinate, and degenerate diagrams score
++inf, so a probe into one is never kept.
 
 One evaluation clips the container, in coordinates centred on each site, by
 the radical-axis half-planes of the other sites, nearest first, and stops at
@@ -183,16 +185,15 @@ def hex_lattice_seeds(k: int, container: ConvexPolygon) -> np.ndarray:
     hi = verts.max(axis=0)
     area = container.area
     spacing = math.sqrt(2.0 * area / (math.sqrt(3.0) * k))
+    tol = -1e-9 * container.extent
     for _ in range(40):
         xs = np.arange(lo[0] - spacing, hi[0] + spacing, spacing)
         pts = []
         row = 0
         y = lo[1] + 0.25 * spacing
         while y < hi[1]:
-            off = 0.5 * spacing if row % 2 else 0.0
-            for x in xs:
-                if container.contains(x + off, y, tol=-1e-9 * container.extent):
-                    pts.append((x + off, y))
+            row_x = xs + (0.5 * spacing if row % 2 else 0.0)
+            pts += [(x, y) for x in row_x[container.contains(row_x, y, tol)]]
             row += 1
             y += spacing * math.sqrt(3.0) / 2.0
         if len(pts) >= k:
@@ -233,34 +234,26 @@ class OptimizationTrace:
         return self.best_objective * math.sqrt(self.container_area / self.k)
 
 
-class _Budget:
-    def __init__(self, total: int):
-        self.left = total
-
-    def take(self) -> bool:
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        return True
-
-
-def _compass_search(f, x0, steps, budget: _Budget, xtol: float):
+def _compass_search(f, x, fx, steps, left: int, xtol: float):
     """Deterministic compass search (Kolda, Lewis & Torczon, SIAM Rev. 45, 2003).
 
-    A pass probes x + steps[i] e_i for every coordinate i in order, then
+    Starts at x with the value fx, or evaluates x first when fx is None.  A
+    pass probes x + steps[i] e_i for every coordinate i in order, then
     x - steps[i] e_i, and moves to every probe that lowers f; a pass with no
-    move halves every step.  Stops when the budget runs out or the largest
-    step falls below ``xtol``.
+    move halves every step.  Stops after ``left`` evaluations or when the
+    largest step falls below ``xtol``.
     """
-    x = np.array(x0, dtype=float)
+    x = np.array(x, dtype=float)
     steps = np.array(steps, dtype=float)
-    fx = f(x) if budget.take() else math.inf
+    if fx is None:
+        fx, left = (f(x), left - 1) if left > 0 else (math.inf, 0)
     while steps.max() >= xtol:
         moved = False
         for sign in (1.0, -1.0):
             for i in range(len(x)):
-                if not budget.take():
+                if left <= 0:
                     return x, fx
+                left -= 1
                 q = x.copy()
                 q[i] += sign * steps[i]
                 fq = f(q)
@@ -302,17 +295,6 @@ def _eval_config(container, seeds, weights, records, lower, kept):
     return value, [cell for _, cell, _ in kept], hs
 
 
-def _make_objective(k, container, records, kept):
-    lower = hexagon_constant() * math.sqrt(k / container.area) * (1.0 - 1e-9)
-
-    def f(x):
-        value, _, _ = _eval_config(container, x[: 2 * k].reshape(k, 2), x[2 * k:],
-                                   records, lower, kept)
-        return value
-
-    return f
-
-
 def _polygon_centroid(poly: ConvexPolygon) -> np.ndarray:
     v = poly.vertices
     x, y = v[:, 0], v[:, 1]
@@ -322,34 +304,34 @@ def _polygon_centroid(poly: ConvexPolygon) -> np.ndarray:
     return np.array([((x + xn) * cr).sum() / (6.0 * a), ((y + yn) * cr).sum() / (6.0 * a)])
 
 
-def _precondition(k, container, seeds, budget: _Budget, records, kept):
+def _precondition(k, container, seeds, left, lower, records, kept):
     """Lloyd smoothing then weight balancing toward equal per-cell Cheeger values.
 
     Lloyd steps cost no objective evaluations (geometry only); each balancing
-    step is a full evaluation and is charged against the budget.
+    step is a full evaluation, and min(40, left - 10) of them run.  Returns
+    the best balanced (seeds, weights, value) and leaves that point's (ring,
+    cell, h) in ``kept``; the value is None when no balancing step ran.
     """
     w = np.zeros(k)
     for _ in range(6):
         try:
             cells = power_diagram_cells(SeedConfiguration(seeds, w), container)
         except (DegenerateConfigurationError, ValidationError):
-            return seeds, w
+            return seeds, w, None
         seeds = np.array([_polygon_centroid(c) for c in cells])
-    lower = hexagon_constant() * math.sqrt(k / container.area) * (1.0 - 1e-9)
     s2 = container.area / k
-    best = (math.inf, seeds, w)
-    for _ in range(min(40, max(budget.left - 10, 0))):
-        if not budget.take():
-            break
+    best = (None, seeds, w, kept[:])
+    for _ in range(min(40, left - 10)):
         value, cells, hs = _eval_config(container, seeds, w, records, lower, kept)
+        if best[0] is None or value < best[0]:
+            best = (value, seeds, w, kept[:])
         if cells is None:
             break
-        if value < best[0]:
-            best = (value, seeds, w)
         hs = np.asarray(hs)
         w = w + 0.6 * s2 * (hs - hs.mean()) / hs.mean()
         seeds = 0.7 * seeds + 0.3 * np.array([_polygon_centroid(c) for c in cells])
-    return best[1], best[2]
+    kept[:] = best[3]
+    return best[1], best[2], best[0]
 
 
 def optimize(
@@ -361,70 +343,61 @@ def optimize(
 ) -> OptimizationTrace:
     """Compass search for a good k-cell power-diagram partition.
 
-    Runs a hexagonal-lattice start, smoothed and weight-balanced first, plus
-    ``restarts`` random starts, each with an equal share of the evaluation
-    budget.  The compass steps start at a quarter cell width on the seeds and
-    (diameter / max(k, 2))^2 / 5 on the weights, and stop below 1e-6
-    diameters.  The result is deterministic for fixed (seed, budget, restarts).
+    Runs a hexagonal-lattice start plus ``restarts`` random starts, each with
+    an equal share of the evaluation budget (the lattice start also takes the
+    remainder).  The lattice start is smoothed first and spends min(40,
+    share - 10) evaluations on weight balancing; its search starts at the
+    best balanced point without scoring it again.  A random start's search
+    scores its start point first.  The compass steps start at a quarter cell
+    width on the seeds and (diameter / max(k, 2))^2 / 5 on the weights, and
+    stop below 1e-6 diameters.  The result is deterministic for fixed (seed,
+    budget, restarts); on a tie the last start that reaches the best value wins.
     """
-    if k < 1 or budget < 1 or seed < 0:
-        raise ValidationError("need k >= 1, budget >= 1 and seed >= 0")
+    if k < 1 or budget < 1 or seed < 0 or restarts < 0:
+        raise ValidationError("need k >= 1, budget >= 1, seed >= 0 and restarts >= 0")
     rng = np.random.default_rng(seed)
     area = container.area
     diam = float(np.ptp(container.vertices, axis=0).max())
-    wscale = (diam / max(k, 2)) ** 2
-
     starts = [hex_lattice_seeds(k, container)]
-    for _ in range(restarts):
-        starts.append(_random_seeds(k, container, rng))
+    starts += [_random_seeds(k, container, rng) for _ in range(restarts)]
 
     share = max(1, budget // len(starts))
-    coord_step = 0.25 * math.sqrt(area / k)
+    steps = np.repeat([0.25 * math.sqrt(area / k), 0.2 * (diam / max(k, 2)) ** 2], [2 * k, k])
     xtol = 1e-6 * diam
+    lower = hexagon_constant() * math.sqrt(k / area) * (1.0 - 1e-9)
 
-    def run_start(idx):
-        records = []
+    records = []  # every evaluation's value, in evaluation order
+    best_x, best_f = None, math.inf
+    for n, seeds in enumerate(starts):
         kept = [None] * k
-        f = _make_objective(k, container, records, kept)
-        local = _Budget(share if idx else share + budget - share * len(starts))
-        seeds0 = starts[idx]
-        w0 = np.zeros(k)
-        if idx == 0:
-            seeds0, w0 = _precondition(k, container, seeds0, local, records, kept)
-        x0 = np.concatenate([seeds0.ravel(), w0])
-        steps = np.repeat([coord_step, 0.2 * wscale], [2 * k, k])
-        best_x, best_f = _compass_search(f, x0, steps, local, xtol)
-        return best_x, best_f, records
-
-    results = [run_start(i) for i in range(len(starts))]
-
-    history = []
-    best_x = None
-    best_f = math.inf
-    evaluations = 0
-    min_scaled = math.inf
-    scale_factor = math.sqrt(area / k)
-    for x, fval, records in results:
-        for rec in records:
-            evaluations += 1
-            if rec < best_f:
-                best_f = rec
-                history.append((evaluations, rec))
-            if math.isfinite(rec):
-                min_scaled = min(min_scaled, rec * scale_factor)
-        if fval <= best_f:
-            best_x = x
-    if best_x is None or not math.isfinite(best_f):
+        left = budget - share * restarts if n == 0 else share
+        w, value = np.zeros(k), None
+        if n == 0:
+            seeds, w, value = _precondition(k, container, seeds, left, lower, records, kept)
+            left -= len(records)
+        x, fx = _compass_search(
+            lambda q: _eval_config(container, q[: 2 * k].reshape(k, 2), q[2 * k:],
+                                   records, lower, kept)[0],
+            np.concatenate([seeds.ravel(), w]), value, steps, left, xtol)
+        if fx <= best_f:  # fx is the least value of its start
+            best_x, best_f = x, fx
+    if not math.isfinite(best_f):
         raise OptimizationError("no feasible configuration found within the budget")
-    cfg = SeedConfiguration(best_x[: 2 * k].reshape(k, 2), best_x[2 * k:])
+
+    history, low = [], math.inf
+    for i, rec in enumerate(records, 1):
+        if rec < low:
+            low = rec
+            history.append((i, rec))
     return OptimizationTrace(
         best_objective=best_f,
-        evaluations=evaluations,
+        evaluations=len(records),
         history=tuple(history),
-        seed_config=cfg,
+        seed_config=SeedConfiguration(best_x[: 2 * k].reshape(k, 2), best_x[2 * k:]),
         k=k,
         container_area=area,
-        min_scaled_evaluated=min_scaled,
+        # the least finite value evaluated is the best one
+        min_scaled_evaluated=best_f * math.sqrt(area / k),
     )
 
 

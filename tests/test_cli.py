@@ -154,6 +154,7 @@ class TestConfigTypes:
 
     @pytest.mark.parametrize("key, value", [
         ("k", True), ("budget", 20.9), ("seed", "3"), ("restarts", 1.5), ("seed", -1),
+        ("restarts", -3),
     ])
     def test_optimize_value_rejected(self, tmp_path, key, value):
         config = {"container": self.TRIANGLE, "k": 1, "budget": 20, "seed": 0, "restarts": 1}
@@ -169,6 +170,7 @@ class TestConfigTypes:
     @pytest.mark.parametrize("key, value", [
         ("flavors", "closed"), ("flavors", [1]), ("count", 2.0), ("seed", True),
         ("seed", -1), ("m_values", [3.9]), ("m_values", "34"), ("m_values", []),
+        ("count", -5),
     ])
     def test_chain_sweep_value_rejected(self, tmp_path, key, value):
         sweep = {"flavors": ["closed"], "count": 2, "seed": 0}
@@ -178,6 +180,20 @@ class TestConfigTypes:
     def test_chain_sweep_not_an_object(self, tmp_path):
         path = write(tmp_path / "sweep.json", {"sweep": 5})
         assert run(["chain", "--input", path, "--output", str(tmp_path / "o.jsonl")]) == 1
+
+    @pytest.mark.parametrize("coords", [
+        "[[0.5,0],[1,0]]", "[[true,0],[0,0]]", '[["0",0]]', "[[NaN,0]]", "[[0,0,5]]",
+        "[[1e400,0]]",
+    ])
+    def test_honeycomb_coords_rejected(self, tmp_path, coords):
+        out = tmp_path / "hc.json"
+        assert run(["honeycomb", "--coords", coords, "--output", str(out)]) == 1
+        assert not out.exists()
+
+    def test_honeycomb_coords_accepted(self, tmp_path):
+        out = tmp_path / "hc.json"
+        assert run(["honeycomb", "--coords", "[[0,0],[1,0]]", "--output", str(out)]) == 0
+        assert len(read(out)["cells"]) == 2
 
 
 class TestRender:

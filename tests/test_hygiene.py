@@ -1,7 +1,7 @@
 """Source hygiene: no unused imports in the package, the tests or the demos,
 no ``assert`` statement or ``raise AssertionError`` in the package, no
-tolerance floored at one unit, and no private function the package never
-references.
+tolerance floored at one unit, no private function the package never
+references, and no import inside a function of the package.
 
 Package ``__init__.py`` files are skipped by the import scan, since their
 imports are re-exports.
@@ -104,3 +104,17 @@ def test_no_uncalled_private_functions():
         and not node.name.startswith("__") and node.name not in named
     ]
     assert not found, "private functions nothing references:\n" + "\n".join(found)
+
+
+def test_no_function_local_imports():
+    # every import of the package sits at module level, where a reader sees
+    # all of a module's dependencies; none of them breaks an import cycle
+    found = sorted({
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "cheegerlab").glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+    assert not found, "imports inside functions:\n" + "\n".join(found)

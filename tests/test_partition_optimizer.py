@@ -284,7 +284,7 @@ class TestOptimize:
         def recorded(container, seeds, weights, records, lower, kept):
             result = original(container, seeds, weights, records, lower, kept)
             x = np.concatenate([np.ravel(seeds), weights])
-            starts.setdefault(id(records), []).append((x, result[0]))
+            starts.setdefault(id(kept), []).append((x, result[0]))
             return result
 
         monkeypatch.setattr(partition_optimizer, "_eval_config", recorded)
@@ -292,15 +292,33 @@ class TestOptimize:
         lattice, random_start = starts.values()
         assert len(lattice) + len(random_start) == trace.evaluations == 300
         # the lattice start balances weights for 40 evaluations, then its
-        # search starts at the best balanced point; the random start's search
-        # starts at its first evaluation
-        for evals, start in ((lattice, 40), (random_start, 0)):
+        # search probes away from the best balanced point without scoring it
+        # again; the random start's search starts at its first evaluation
+        for evals, start in ((lattice, 40), (random_start, 1)):
             best_x, best_f = evals[0]
             for n, (x, value) in enumerate(evals):
                 if n >= start:
-                    assert np.count_nonzero(x != best_x) == (n > start), n
+                    assert np.count_nonzero(x != best_x) == 1, n
                 if value < best_f:
                     best_x, best_f = x, value
+
+    def test_search_starts_with_the_best_balanced_cells(self, call_counts, monkeypatch):
+        # the lattice start's first probe, evaluation 40, moves one coordinate
+        # of the best balanced point, whose cells are kept: only the cells
+        # that the move changes are solved
+        counts = call_counts(partition_optimizer, "cheeger_convex")
+        solves = []
+        original = partition_optimizer._eval_config
+
+        def recorded(*args):
+            before = counts["cheeger_convex"]
+            result = original(*args)
+            solves.append(counts["cheeger_convex"] - before)
+            return result
+
+        monkeypatch.setattr(partition_optimizer, "_eval_config", recorded)
+        optimize(16, TRIANGLE, budget=150, seed=1, restarts=1)
+        assert solves[40] < 16
 
     def test_best_objective_from_a_fresh_diagram(self):
         # the kept cells never stand in for a changed one
@@ -314,6 +332,8 @@ class TestOptimize:
             optimize(0, TRIANGLE, budget=10)
         with pytest.raises(ValidationError):
             optimize(2, TRIANGLE, budget=0)
+        with pytest.raises(ValidationError):
+            optimize(2, TRIANGLE, budget=10, restarts=-1)
 
     def test_trace_json(self):
         trace = optimize(2, TRIANGLE, budget=60, seed=0, restarts=1)
