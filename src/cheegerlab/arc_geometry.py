@@ -293,11 +293,6 @@ def curve_distances(c: ArcCurve, x, y) -> np.ndarray:
     return _distances(*_edge_columns(c), *_points(x, y))
 
 
-def distance_to_curve(q: Point, c: ArcCurve) -> float:
-    """Distance from q to the curve: a one-point call of ``curve_distances``."""
-    return float(curve_distances(c, [q.x], [q.y])[0])
-
-
 def _principal_turn(x, y, ax, ay, bx, by):
     # signed angle of (b - q) relative to (a - q), in (-pi, pi]
     v0x, v0y = ax - x, ay - y

@@ -75,6 +75,8 @@ class DiskChain:
     def __post_init__(self):
         centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         radii = np.asarray(self.radii, dtype=float).ravel()
+        if centers.ndim != 2 or centers.shape[1] != 2:
+            raise ValidationError(f"centers must be an (m, 2) array, got shape {centers.shape}")
         centers.setflags(write=False)
         radii.setflags(write=False)
         object.__setattr__(self, "centers", centers)
@@ -86,10 +88,6 @@ class DiskChain:
     @property
     def m(self) -> int:
         return len(self.radii)
-
-    @property
-    def scale(self) -> float:
-        return _chain_scale(self.centers.tolist(), self.radii.tolist())
 
 
 # Direction of the sector's second ray and its inward unit normal; the first
@@ -571,30 +569,35 @@ def run_chain_sweep(flavor: str, count: int, seed: int, m_values=(3, 4, 5, 6)):
 # ---------------------------------------------------------------------------
 # JSON encoding.
 
+def _container_lines(flavor: str) -> list:
+    """The container lines of a flavor as ``chain_to_dict`` writes them."""
+    angles = {CLOSED: (), HALF_PLANE: (0.0,), SECTOR: (0.0, SECTOR_OPENING)}[flavor]
+    return [{"origin": [0.0, 0.0], "angle": a} for a in angles]
+
+
 def chain_to_dict(ch: DiskChain) -> dict:
-    if ch.flavor == CLOSED:
-        lines = []
-    elif ch.flavor == HALF_PLANE:
-        lines = [{"origin": [0.0, 0.0], "angle": 0.0}]
-    else:
-        lines = [
-            {"origin": [0.0, 0.0], "angle": 0.0},
-            {"origin": [0.0, 0.0], "angle": SECTOR_OPENING},
-        ]
     return {
         "flavor": ch.flavor,
         "centers": [[float(x), float(y)] for x, y in ch.centers],
         "radii": [float(r) for r in ch.radii],
-        "lines": lines,
+        "lines": _container_lines(ch.flavor),
     }
 
 
 def chain_from_dict(d: dict) -> DiskChain:
-    try:
-        return DiskChain(
-            jsonio.numbers(d["centers"], "center coordinate"),
-            jsonio.numbers(d["radii"], "radius"),
-            d["flavor"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed chain object: {exc}") from exc
+    """Read a chain; ``lines``, when present, must be its flavor's canonical lines."""
+    jsonio.require_keys(d, ["flavor", "centers", "radii"], ["lines"])
+    chain = DiskChain(
+        jsonio.numbers(d["centers"], "center coordinate"),
+        jsonio.numbers(d["radii"], "radius"),
+        jsonio.string(d["flavor"], "flavor"),
+    )
+    if "lines" in d:
+        lines = []
+        for line in jsonio.array(d["lines"], "lines"):
+            jsonio.require_keys(line, ["origin", "angle"])
+            lines.append({"origin": jsonio.numbers(line["origin"], "line origin").tolist(),
+                          "angle": jsonio.number(line["angle"], "line angle")})
+        if lines != _container_lines(chain.flavor):
+            raise ValidationError(f"lines {d['lines']!r} are not those of a {chain.flavor} chain")
+    return chain

@@ -805,10 +805,8 @@ def polygon_to_dict(p: ConvexPolygon) -> dict:
 
 
 def polygon_from_dict(d: dict) -> ConvexPolygon:
-    try:
-        return ConvexPolygon(jsonio.numbers(d["vertices"], "vertex coordinate"))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed polygon object: {exc}") from exc
+    jsonio.require_keys(d, ["vertices"])
+    return ConvexPolygon(jsonio.numbers(d["vertices"], "vertex coordinate"))
 
 
 def domain_to_dict(d: ArcDomain) -> dict:
@@ -816,8 +814,7 @@ def domain_to_dict(d: ArcDomain) -> dict:
 
 
 def domain_from_dict(obj: dict) -> ArcDomain:
-    try:
-        return ArcDomain(curve_from_dict(obj["boundary"]), tuple(obj["roles"]),
-                         float(jsonio.number(obj["h"], "h")))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed domain object: {exc}") from exc
+    jsonio.require_keys(obj, ["boundary", "roles", "h"])
+    boundary = curve_from_dict(obj["boundary"])
+    roles = tuple(jsonio.string(r, "role") for r in jsonio.array(obj["roles"], "roles"))
+    return ArcDomain(boundary, roles, float(jsonio.number(obj["h"], "h")))

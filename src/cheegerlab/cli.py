@@ -66,9 +66,7 @@ def _write_text(path: str, text: str):
 # Subcommand implementations.
 
 def _cmd_cheeger(args) -> int:
-    obj = _read_json(args.input)
-    jsonio.require_keys(obj, ["vertices"])
-    result = cheeger_convex(polygon_from_dict(obj))
+    result = cheeger_convex(polygon_from_dict(_read_json(args.input)))
     out = {
         "h": result.h,
         "r": result.r,
@@ -82,9 +80,7 @@ def _cmd_cheeger(args) -> int:
 
 
 def _cmd_structure(args) -> int:
-    obj = _read_json(args.input)
-    jsonio.require_keys(obj, ["boundary", "roles", "h"])
-    rep = structure_report(domain_from_dict(obj))
+    rep = structure_report(domain_from_dict(_read_json(args.input)))
     out = {
         "is_class_A": rep.is_class_A,
         "violations": list(rep.violations),
@@ -100,9 +96,7 @@ def _cmd_structure(args) -> int:
 
 
 def _cmd_hales(args) -> int:
-    obj = _read_json(args.input)
-    jsonio.require_keys(obj, ["boundary", "roles", "h"])
-    domain = domain_from_dict(obj)
+    domain = domain_from_dict(_read_json(args.input))
     off = inner_cheeger_boundary(domain)
     nodes = place_nodes(off, domain)
     r_star = args.r_star if args.r_star is not None else domain.r
@@ -115,13 +109,7 @@ def _cmd_hales(args) -> int:
 
 
 def _cmd_certificate(args) -> int:
-    obj = _read_json(args.input)
-    jsonio.require_keys(
-        obj,
-        ["container", "cells"],
-        ["container_area", "claimed_optimal", "adjacency", "border_contacts"],
-    )
-    cert = lower_bound_certificate(cluster_from_dict(obj))
+    cert = lower_bound_certificate(cluster_from_dict(_read_json(args.input)))
     _write_text(args.output, jsonio.dumps(certificate_to_dict(cert)))
     return 0
 
@@ -163,7 +151,6 @@ def _cmd_chain(args) -> int:
                 lines.append(jsonio.dumps(rec))
         _write_text(args.output, "".join(lines))
         return 0 if total_violations == 0 else 2
-    jsonio.require_keys(obj, ["flavor", "centers", "radii"], ["lines"])
     chain = chain_from_dict(obj)
     rep = verify_chain_bound(chain)
     out = {
@@ -319,8 +306,7 @@ def render_svg(obj: dict) -> str:
 
 
 def _cmd_render(args) -> int:
-    obj = _read_json(args.input)
-    _write_text(args.output, render_svg(obj))
+    _write_text(args.output, render_svg(_read_json(args.input)))
     return 0
 
 

@@ -613,25 +613,31 @@ def cluster_to_dict(cl: Cluster) -> dict:
     }
 
 
-def _index_row(row, what: str) -> list:
-    return [jsonio.integer(v, what) for v in row]
+def _index_rows(d: dict, key: str, size: int, what: str) -> list:
+    """The rows under ``key`` (none when it is absent), each ``size`` integers."""
+    rows = [[jsonio.integer(v, f"{what} entry") for v in jsonio.array(row, f"{what} row")]
+            for row in jsonio.array(d.get(key, []), key)]
+    if any(len(row) != size for row in rows):
+        raise ValidationError(f"every {what} row must hold {size} integers, got {rows!r}")
+    return rows
 
 
 def cluster_from_dict(d: dict) -> Cluster:
-    try:
-        area = d.get("container_area")
-        return Cluster(
-            polygon_from_dict(d["container"]),
-            tuple(domain_from_dict(c) for c in d["cells"]),
-            tuple(Adjacency(*_index_row(row, "adjacency entry"))
-                  for row in d.get("adjacency", [])),
-            tuple(BorderContact(*_index_row(row, "border contact entry"))
-                  for row in d.get("border_contacts", [])),
-            container_area=None if area is None else jsonio.number(area, "container_area"),
-            claimed_optimal=jsonio.boolean(d.get("claimed_optimal", False), "claimed_optimal"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed cluster object: {exc}") from exc
+    jsonio.require_keys(
+        d,
+        ["container", "cells"],
+        ["container_area", "claimed_optimal", "adjacency", "border_contacts"],
+    )
+    area = d.get("container_area")
+    return Cluster(
+        polygon_from_dict(d["container"]),
+        tuple(domain_from_dict(c) for c in jsonio.array(d["cells"], "cells")),
+        tuple(Adjacency(*row) for row in _index_rows(d, "adjacency", 4, "adjacency")),
+        tuple(BorderContact(*row)
+              for row in _index_rows(d, "border_contacts", 2, "border contact")),
+        container_area=None if area is None else jsonio.number(area, "container_area"),
+        claimed_optimal=jsonio.boolean(d.get("claimed_optimal", False), "claimed_optimal"),
+    )
 
 
 def certificate_to_dict(cert: Certificate) -> dict:

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ValidationError
 
 SCHEMA_VERSION = 1
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @lru_cache(maxsize=1024)
@@ -72,6 +73,10 @@ def parse(text: str):
         raise ValidationError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValidationError:
+        raise
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ValidationError(f"malformed JSON: {exc}") from exc
 
 
 def loads(text: str) -> dict:
@@ -100,9 +105,11 @@ def require_keys(obj: dict, required, optional=()):
 
 
 def number(value, what: str):
-    """``value`` if it is a number; booleans (an ``int`` subclass), strings and null raise."""
+    """``value`` if it is a number a float can hold; booleans, strings and null raise."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{what} must be a number, got {value!r}")
+    if type(value) is int and abs(value) > _FLOAT_MAX:  # the parser makes 1e400 inf
+        raise ValidationError(f"{what} must fit a float, got {len(str(value))} integer digits")
     return value
 
 

@@ -91,8 +91,11 @@ def _neighbors(table: np.ndarray, head: int = 32):
     yield from table[head:].tolist()
 
 
-def _power_rings(cfg: SeedConfiguration, container: ConvexPolygon):
+def _power_rings(seeds: np.ndarray, weights: np.ndarray, container: ConvexPolygon):
     """Yield each site's clipped ring, a list of [x, y], in site order.
+
+    ``seeds`` (k, 2) and ``weights`` (k) are finite; two equal seeds raise
+    DegenerateConfigurationError.
 
     Cell i is clipped in coordinates centred on s_i, where the radical-axis
     half-plane of site j is ``2 d.y <= |d|^2 + w_i - w_j`` with d = s_j - s_i:
@@ -117,8 +120,7 @@ def _power_rings(cfg: SeedConfiguration, container: ConvexPolygon):
     ring unchanged, and the rings are bit for bit those of the same loop run
     over every site.
     """
-    seeds, weights = cfg.seeds, cfg.weights
-    k = cfg.k
+    k = len(weights)
     dx = seeds[None, :, 0] - seeds[:, None, 0]  # dx[i, j] = x_j - x_i
     dy = seeds[None, :, 1] - seeds[:, None, 1]
     d2 = dx * dx + dy * dy
@@ -126,6 +128,8 @@ def _power_rings(cfg: SeedConfiguration, container: ConvexPolygon):
     order = order[order != np.arange(k)[:, None]].reshape(k, k - 1)  # drop site i
     rows = np.arange(k)[:, None]
     d2 = d2[rows, order]
+    if k > 1 and not d2[:, 0].min() > 0.0:
+        raise DegenerateConfigurationError("seeds must be pairwise distinct")
     wabs = np.abs(weights)
     table = np.stack([
         2.0 * dx[rows, order],
@@ -174,7 +178,8 @@ def power_diagram_cells(cfg: SeedConfiguration, container: ConvexPolygon):
     fails ``ConvexPolygon`` validation (a sliver that cleans up to fewer than 3
     vertices, say), raises DegenerateConfigurationError.
     """
-    return [_power_cell(i, ring) for i, ring in enumerate(_power_rings(cfg, container))]
+    rings = _power_rings(cfg.seeds, cfg.weights, container)
+    return [_power_cell(i, ring) for i, ring in enumerate(rings)]
 
 
 def hex_lattice_seeds(k: int, container: ConvexPolygon) -> np.ndarray:
@@ -274,12 +279,11 @@ def _eval_config(container, seeds, weights, records, lower, kept):
     coordinate, as each compass probe does, leaves most rings unchanged.
     """
     try:
-        cfg = SeedConfiguration(seeds, weights)
         fresh = []
-        for i, (ring, old) in enumerate(zip(_power_rings(cfg, container), kept)):
+        for i, (ring, old) in enumerate(zip(_power_rings(seeds, weights, container), kept)):
             fresh.append(old if old is not None and old[0] == ring
                          else (ring, _power_cell(i, ring), None))
-    except (DegenerateConfigurationError, ValidationError):
+    except DegenerateConfigurationError:
         records.append(math.inf)
         return math.inf, None, None
     kept[:] = [(ring, cell, cheeger_convex(cell).h if h is None else h)
@@ -345,7 +349,8 @@ def optimize(
 
     Runs a hexagonal-lattice start plus ``restarts`` random starts, each with
     an equal share of the evaluation budget (the lattice start also takes the
-    remainder).  The lattice start is smoothed first and spends min(40,
+    remainder, all of it when budget < restarts + 1), so at most ``budget``
+    evaluations run.  The lattice start is smoothed first and spends min(40,
     share - 10) evaluations on weight balancing; its search starts at the
     best balanced point without scoring it again.  A random start's search
     scores its start point first.  The compass steps start at a quarter cell
@@ -361,7 +366,7 @@ def optimize(
     starts = [hex_lattice_seeds(k, container)]
     starts += [_random_seeds(k, container, rng) for _ in range(restarts)]
 
-    share = max(1, budget // len(starts))
+    share = budget // len(starts)
     steps = np.repeat([0.25 * math.sqrt(area / k), 0.2 * (diam / max(k, 2)) ** 2], [2 * k, k])
     xtol = 1e-6 * diam
     lower = hexagon_constant() * math.sqrt(k / area) * (1.0 - 1e-9)

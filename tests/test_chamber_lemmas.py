@@ -375,6 +375,13 @@ class TestValidateChain:
 
 
 class TestJson:
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_centers_must_be_pairs(self, columns):
+        centers = np.zeros((3, columns))
+        centers[:, 0] = [0.0, 2.0, 1.0]
+        with pytest.raises(ValidationError, match=r"^centers must be an \(m, 2\) array"):
+            DiskChain(centers, [1.0, 1.0, 1.0], "closed")
+
     def test_round_trip(self):
         chain = random_chain("sector", 4, seed=11)
         d = chain_to_dict(chain)

@@ -7,7 +7,14 @@ import pytest
 
 from cheegerlab import jsonio
 from cheegerlab.arc_geometry import curve_to_dict
-from cheegerlab.cheeger import ConvexPolygon, cheeger_convex, hexagon_constant
+from cheegerlab.chamber_lemmas import chain_to_dict, random_chain
+from cheegerlab.cheeger import (
+    ConvexPolygon,
+    cheeger_convex,
+    cheeger_domain,
+    domain_to_dict,
+    hexagon_constant,
+)
 from cheegerlab.cli import run
 from cheegerlab.cluster import cluster_to_dict
 from cheegerlab.errors import ValidationError
@@ -68,6 +75,15 @@ class TestJsonio:
     def test_non_finite_token_rejected(self, token):
         with pytest.raises(ValidationError):
             jsonio.loads('{"x": %s}' % token)
+
+    def test_integer_past_the_digit_limit_rejected(self):
+        with pytest.raises(ValidationError, match="^malformed JSON: "):
+            jsonio.loads('{"x": %s}' % ("1" * 5000))
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="^x must fit a float, got 401 integer digits$"):
+            jsonio.number(10 ** 400, "x")
+        assert jsonio.number(10 ** 300, "x") == 10 ** 300
 
 
 class TestPipelines:
@@ -302,3 +318,112 @@ class TestDeterminism:
         assert read(cert)["applicable"] is True
         svg = tmp_path / "cluster.svg"
         assert run(["render", "--input", cfile, "--output", str(svg)]) == 0
+
+
+# One artifact per reading subcommand, with the keys that may be left out at
+# any level.
+_TRIANGLE = {"vertices": [[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]]}
+_ARTIFACTS = {
+    "cheeger": ({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, ()),
+    "structure": (domain_to_dict(cheeger_domain(SQUARE)), ()),
+    "hales": (domain_to_dict(cheeger_domain(SQUARE)), ()),
+    "certificate": (cluster_to_dict(make_domino_cluster()),
+                    ("container_area", "claimed_optimal", "adjacency", "border_contacts")),
+    "chain": (chain_to_dict(random_chain("half_plane", 3, seed=0)), ("lines",)),
+    "chain-sweep": ({"sweep": {"flavors": ["closed"], "count": 1, "seed": 0}}, ("m_values",)),
+    "optimize": ({"k": 1, "container": _TRIANGLE, "budget": 3, "seed": 0, "restarts": 0},
+                 ("k", "ks", "restarts")),
+}
+_JUNK = (None, True, 1.5, "s", [], {})
+
+
+def _kind(value) -> str:
+    """The JSON type of a value, integers and floats both being numbers."""
+    if isinstance(value, bool):
+        return "bool"
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+def _object_mutations(label, obj, optional, rebuild):
+    """Each key deleted, an unknown key added, each value replaced by junk:
+    (label, artifact, whether it must exit 1).  An optional key may be null."""
+    for key, value in obj.items():
+        rest = {k: v for k, v in obj.items() if k != key}
+        yield f"{label}-{key}", rebuild(rest), key not in optional
+        for junk in _JUNK:
+            typo = _kind(junk) != _kind(value) and not (junk is None and key in optional)
+            yield f"{label}.{key}={junk!r}", rebuild({**obj, key: junk}), typo
+    yield f"{label}+bogus", rebuild({**obj, "bogus": 1}), True
+
+
+def _mutations(obj, optional):
+    """Mutations at the top level and one level down: in each nested object,
+    and in the first entry of each list."""
+    yield from _object_mutations("", obj, optional, lambda d: d)
+    for key, value in obj.items():
+        def put(v, key=key):
+            return {**obj, key: v}
+        first = value[0] if isinstance(value, list) and value else None
+        if isinstance(value, dict):
+            yield from _object_mutations(key, value, optional, put)
+        elif isinstance(first, dict):
+            yield from _object_mutations(f"{key}[0]", first, optional,
+                                         lambda d, put=put, value=value: put([d] + value[1:]))
+        elif first is not None:
+            for junk in _JUNK:
+                yield (f"{key}[0]={junk!r}", put([junk] + value[1:]),
+                       _kind(junk) != _kind(first))
+
+
+_CASES = [(command, label, artifact, must_fail)
+          for command, (obj, optional) in _ARTIFACTS.items()
+          for label, artifact, must_fail in _mutations(obj, optional)]
+
+
+def _run(tmp_path, command, artifact) -> int:
+    path = write(tmp_path / "in.json", artifact)
+    flag = "--config" if command == "optimize" else "--input"
+    return run([command.split("-")[0], flag, path, "--output", str(tmp_path / "out.json")])
+
+
+class TestMalformedArtifacts:
+    """Every reader checks its keys and value types, nested objects too."""
+
+    @pytest.mark.parametrize("command, obj", [(c, o) for c, (o, _) in _ARTIFACTS.items()])
+    def test_artifact_is_valid(self, tmp_path, command, obj):
+        assert _run(tmp_path, command, obj) == 0
+
+    @pytest.mark.parametrize("command, label, artifact, must_fail", _CASES,
+                             ids=[f"{c}:{label}" for c, label, _, _ in _CASES])
+    def test_mutation(self, tmp_path, capsys, command, label, artifact, must_fail):
+        # a raised exception would be a traceback: run() returns for every input
+        code = _run(tmp_path, command, artifact)
+        if must_fail:
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: ")
+        else:
+            assert code in (0, 1, 2)
+
+    @pytest.mark.parametrize("command, change", [
+        ("certificate", lambda d: d["cells"][0].update(bogus=1)),
+        ("certificate", lambda d: d["container"].update(bogus=1)),
+        ("certificate", lambda d: d.update(adjacency={})),
+        ("optimize", lambda d: d.update(container={**_TRIANGLE, "bogus": 1})),
+        ("chain", lambda d: d.update(lines=None)),
+        ("chain", lambda d: d.update(lines=1)),
+        ("chain", lambda d: d.update(lines="s")),
+        ("chain", lambda d: d.update(lines=[[1, 2, 3]])),
+        ("chain", lambda d: d.update(centers=[c + [0.0] for c in d["centers"]])),
+        ("chain", lambda d: d.update(centers=[c[:1] for c in d["centers"]])),
+    ], ids=["cell-unknown-key", "container-unknown-key", "adjacency-object",
+            "optimize-container-unknown-key", "lines-null", "lines-number", "lines-string",
+            "lines-integer-rows", "centers-3-columns", "centers-1-column"])
+    def test_formerly_accepted_inputs_exit_1(self, tmp_path, command, change):
+        obj = json.loads(json.dumps(_ARTIFACTS[command][0]))
+        change(obj)
+        assert _run(tmp_path, command, obj) == 1
+
+    def test_lines_of_another_flavor_rejected(self, tmp_path, capsys):
+        obj = dict(_ARTIFACTS["chain"][0], lines=[])
+        assert _run(tmp_path, "chain", obj) == 1
+        assert capsys.readouterr().err == "error: lines [] are not those of a half_plane chain\n"

@@ -381,6 +381,18 @@ class TestClusterModel:
         with pytest.raises(ValidationError, match="^border contact entry must be an integer"):
             cluster_from_dict(dict(d, border_contacts=[[0, 0.5], [1, 0]]))
 
+    def test_index_rows_must_have_their_length(self, domino_cluster):
+        d = cluster_to_dict(domino_cluster)
+        (row,) = d["adjacency"]
+        for bad in (row[:3], row + [0], []):
+            with pytest.raises(ValidationError, match="^every adjacency row must hold 4 integers"):
+                cluster_from_dict(dict(d, adjacency=[bad]))
+        with pytest.raises(ValidationError, match="^every border contact row must hold 2 integers"):
+            cluster_from_dict(dict(d, border_contacts=[[0], [1, 0]]))
+        for key in ("adjacency", "border_contacts", "cells"):
+            with pytest.raises(ValidationError, match=f"^{key} must be a list, got {{}}$"):
+                cluster_from_dict(dict(d, **{key: {}}))
+
     def test_claimed_optimal_must_be_a_boolean(self, domino_cluster):
         d = cluster_to_dict(domino_cluster)
         assert cluster_from_dict(dict(d, claimed_optimal=True)).claimed_optimal is True

@@ -1,7 +1,8 @@
 """Source hygiene: no unused imports in the package, the tests or the demos,
 no ``assert`` statement or ``raise AssertionError`` in the package, no
 tolerance floored at one unit, no private function the package never
-references, and no import inside a function of the package.
+references, no import inside a function of the package, and no artifact
+reader that leaves its keys unchecked.
 
 Package ``__init__.py`` files are skipped by the import scan, since their
 imports are re-exports.
@@ -118,3 +119,25 @@ def test_no_function_local_imports():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     })
     assert not found, "imports inside functions:\n" + "\n".join(found)
+
+
+def _calls_require_keys(func) -> bool:
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "require_keys"
+               and isinstance(node.func.value, ast.Name) and node.func.value.id == "jsonio"
+               for node in ast.walk(func))
+
+
+def test_readers_check_their_keys():
+    # each artifact reader owns its schema: it rejects missing and unknown
+    # keys itself, so an object is checked the same at the top level and nested
+    readers = [
+        (path, node)
+        for path in sorted((ROOT / "src" / "cheegerlab").glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("_from_dict")
+    ]
+    assert len(readers) >= 6
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+             for path, node in readers if not _calls_require_keys(node)]
+    assert not found, "readers that do not call jsonio.require_keys:\n" + "\n".join(found)

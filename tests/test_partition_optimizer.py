@@ -216,6 +216,11 @@ class TestPowerDiagram:
         with pytest.raises(ValidationError):
             SeedConfiguration(np.array([[0.0, 0.0], [0.0, 0.0]]), np.zeros(2))
 
+    def test_duplicate_seeds_are_degenerate_rings(self):
+        seeds = np.array([[0.1, 0.0], [-0.1, 0.05], [0.1, 0.0]])
+        with pytest.raises(DegenerateConfigurationError, match="pairwise distinct"):
+            list(partition_optimizer._power_rings(seeds, np.zeros(3), TRIANGLE))
+
 
 class TestOptimize:
     def test_k1_returns_container_cheeger(self):
@@ -232,6 +237,24 @@ class TestOptimize:
         values = [v for _, v in trace.history]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert trace.evaluations <= 200
+
+    @pytest.mark.parametrize("budget", range(1, 8))
+    @pytest.mark.parametrize("restarts", range(0, 7))
+    def test_never_more_than_budget_evaluations(self, budget, restarts):
+        # below restarts + 1 the random starts get no share and the lattice
+        # start spends the whole budget
+        trace = optimize(4, TRIANGLE, budget=budget, seed=0, restarts=restarts)
+        assert trace.evaluations == budget
+        assert trace.history[-1][1] == trace.best_objective
+
+    def test_one_seed_configuration_per_lloyd_step_and_result(self, call_counts):
+        # probes hand their arrays to the diagram; only the six Lloyd steps
+        # and the returned trace build a SeedConfiguration
+        for budget in (60, 150):
+            counts = call_counts(partition_optimizer, "SeedConfiguration")
+            trace = optimize(16, TRIANGLE, budget=budget, seed=1, restarts=1)
+            assert trace.evaluations == budget
+            assert counts == {"SeedConfiguration": 7}
 
     def test_determinism_bitwise(self):
         a = optimize(4, TRIANGLE, budget=120, seed=7, restarts=2)
