@@ -44,6 +44,8 @@ SECTOR = "sector"
 FLAVORS = (CLOSED, HALF_PLANE, SECTOR)
 
 _REL_TOL = 1e-9
+#: pocket angles above this are reflex, and validate_chain raises on them
+_REFLEX = math.pi + 1e-9
 
 
 def reference_areas(r: float):
@@ -184,27 +186,35 @@ def validate_chain(ch: DiskChain):
         if abs((_ray_distance(x, y) if sector else y) - radii[-1]) > limit:
             raise ValidationError("last disk must be tangent to the last line")
 
-    # Pocket-side angles at the centers must stay below pi (straight is
-    # degenerate).  The region polygon winds CCW around the pocket, so with
-    # a CW vertex order the neighbours of each center swap.
-    rows, first = _region_rows(centers, radii, ch.flavor)
+    # pocket-side angles at the centers must stay below pi (straight is degenerate)
+    for k, ang in enumerate(_pocket_angles(centers, radii, ch.flavor)):
+        if ang > math.pi - 1e-12:
+            if ang > _REFLEX:
+                raise ValidationError(f"pocket angle at disk {k} is not below pi")
+            warnings.append(f"straight_angle_{k}")
+    return warnings
+
+
+def _pocket_angles(centers, radii, flavor):
+    """Pocket-side angle in [0, 2 pi) at each center, on float pairs.
+
+    The region polygon winds CCW around the pocket, so with a CW vertex order
+    the neighbours of each center swap.
+    """
+    rows, first = _region_rows(centers, radii, flavor)
     n = len(rows)
     twice_area = 0.0
     for (x0, y0), (x1, y1) in zip(rows, rows[1:] + rows[:1]):
         twice_area += x0 * y1 - y0 * x1
-    for k in range(m):
-        i = first + k
+    angles = []
+    for i in range(first, first + len(radii)):
         vx, vy = rows[i]
         (ax, ay), (bx, by) = rows[i - 1], rows[(i + 1) % n]
         if twice_area < 0.0:
             (ax, ay), (bx, by) = (bx, by), (ax, ay)
         ax, ay, bx, by = ax - vx, ay - vy, bx - vx, by - vy
-        ang = math.atan2(bx * ay - by * ax, ax * bx + ay * by) % (2.0 * math.pi)
-        if ang > math.pi - 1e-12:
-            if ang > math.pi + 1e-9:
-                raise ValidationError(f"pocket angle at disk {k} is not below pi")
-            warnings.append(f"straight_angle_{k}")
-    return warnings
+        angles.append(math.atan2(bx * ay - by * ax, ax * bx + ay * by) % (2.0 * math.pi))
+    return angles
 
 
 def _region_rows(centers, radii, flavor):
@@ -417,9 +427,43 @@ def phi(variant: str, t: float, aux: Optional[float] = None) -> float:
 
 # ---------------------------------------------------------------------------
 # Random chain generator (rejection sampling within the lemma hypotheses).
+#
+# Every draw of the sampler is one uniform double of the generator, scaled as
+# Generator.uniform scales it, so reading the stream in blocks gives the same
+# doubles in the same order as one rng.uniform call per draw.  A candidate
+# with a reflex pocket angle is rejected on its float pairs before a DiskChain
+# is built; validate_chain would raise on exactly those.  Every chain that is
+# built is still validated once, in full.
 
 _ATTEMPTS = 4000
 _RADIUS_RANGE = (0.6, 1.5)
+_BLOCK = 256
+
+
+class _Draws:
+    """Uniform draws from one generator, read ``_BLOCK`` doubles at a time.
+
+    ``draws(lo, hi)`` is ``lo + (hi - lo) * u`` for the next double u of
+    ``rng.random``, the formula of ``Generator.uniform``: bit for bit the
+    value of ``rng.uniform(lo, hi)`` at the same place in the stream.  The
+    reader runs ahead of the draws it hands out, so nothing else may draw from
+    the generator it wraps.
+    """
+
+    __slots__ = ("_rng", "_block", "_next")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._block = []
+        self._next = 0
+
+    def __call__(self, lo: float, hi: float) -> float:
+        if self._next == len(self._block):
+            self._block = self._rng.random(_BLOCK).tolist()
+            self._next = 0
+        u = self._block[self._next]
+        self._next += 1
+        return lo + (hi - lo) * u
 
 
 def _step(center, length: float, heading: float):
@@ -442,35 +486,47 @@ def _circle_intersections(c0, r0, c1, r1):
     return [(mx + ox, my + oy), (mx - ox, my - oy)]
 
 
-def _try_chain(rng: np.random.Generator, flavor: str, m: int):
-    radii = rng.uniform(*_RADIUS_RANGE, m)
-    r = radii.tolist()
+def _build(centers, r, flavor):
+    """The DiskChain on these centers, or None where validate_chain rejects it.
+
+    A reflex pocket is rejected on the float pairs, before a DiskChain is built.
+    """
+    if any(ang > _REFLEX for ang in _pocket_angles(centers, r, flavor)):
+        return None
+    try:
+        return DiskChain(np.array(centers), r, flavor)
+    except ValidationError:
+        return None
+
+
+def _try_chain(draws: _Draws, flavor: str, m: int):
+    """One rejection-sampling attempt: a valid chain, or None."""
+    r = [draws(*_RADIUS_RANGE) for _ in range(m)]
     margin = 0.05
     if flavor == CLOSED:
         centers = [(0.0, 0.0), (r[0] + r[1], 0.0)]
         heading = 0.0
         for i in range(2, m - 1):
-            heading += rng.uniform(0.25, 1.9 * math.pi / m)
+            heading += draws(0.25, 1.9 * math.pi / m)
             centers.append(_step(centers[-1], r[i - 1] + r[i], heading))
         cands = _circle_intersections(
             centers[-1], r[m - 2] + r[m - 1], centers[0], r[0] + r[m - 1]
         )
         last = [c for c in cands if c[1] > 0.0] if m == 3 else cands
         for cand in last:
-            try:
-                return DiskChain(np.array(centers + [cand]), radii, CLOSED)
-            except ValidationError:
-                continue
+            chain = _build(centers + [cand], r, CLOSED)
+            if chain is not None:
+                return chain
         return None
     if flavor == HALF_PLANE:
         # arch over the line: headings sweep monotonically from +theta0 downward
         centers = [(0.0, r[0])]
-        theta0 = rng.uniform(0.45, 1.1)
+        theta0 = draws(0.45, 1.1)
         heading = theta0
         drop = 2.0 * theta0 / max(m - 2, 1)
         for i in range(1, m - 1):
             if i > 1:
-                heading -= drop * rng.uniform(0.6, 1.4)
+                heading -= drop * draws(0.6, 1.4)
             cand = _step(centers[-1], r[i - 1] + r[i], heading)
             if cand[1] < r[i] * (1.0 + margin):
                 return None
@@ -480,20 +536,17 @@ def _try_chain(rng: np.random.Generator, flavor: str, m: int):
         if reach <= 0.0:
             return None
         centers.append((x + math.sqrt(reach), r[-1]))
-        try:
-            return DiskChain(np.array(centers), radii, HALF_PLANE)
-        except ValidationError:
-            return None
+        return _build(centers, r, HALF_PLANE)
     # sector: wrap nearly circularly around the apex, from the x-axis ray to the
     # pi/3 ray; the polar radius must roughly match chain length * 3 / pi for
     # the last disk to land tangent on the second ray
     # numpy's pairwise sum: a float loop differs from it for m >= 8, and start_x is stored
-    chain_arc = 2.0 * float(radii.sum()) - r[0] - r[-1]
-    start_x = max(chain_arc * rng.uniform(0.9, 1.4), 1.02 * SQRT3 * r[0])
+    chain_arc = 2.0 * float(np.array(r).sum()) - r[0] - r[-1]
+    start_x = max(chain_arc * draws(0.9, 1.4), 1.02 * SQRT3 * r[0])
     centers = [(start_x, r[0])]
     for i in range(1, m - 1):
         x, y = centers[-1]
-        heading = math.atan2(y, x) + math.pi / 2.0 + rng.uniform(0.0, 0.1)
+        heading = math.atan2(y, x) + math.pi / 2.0 + draws(0.0, 0.1)
         cand = _step(centers[-1], r[i - 1] + r[i], heading)
         floor = r[i] * (1.0 + margin)
         if cand[1] < floor or _ray_distance(*cand) < floor:
@@ -512,25 +565,29 @@ def _try_chain(rng: np.random.Generator, flavor: str, m: int):
         cand = (bx + t * _RAY_DIRECTION[0], by + t * _RAY_DIRECTION[1])
         if cand[1] < r[-1] * (1.0 - 1e-9):
             continue
-        try:
-            return DiskChain(np.array(centers + [cand]), radii, SECTOR)
-        except ValidationError:
-            continue
+        chain = _build(centers + [cand], r, SECTOR)
+        if chain is not None:
+            return chain
     return None
 
 
 def random_chain(flavor: str, m: int, seed) -> DiskChain:
     """Deterministic random chain satisfying the lemma hypotheses (rejection sampling).
 
-    Radii are drawn uniformly from ``_RADIUS_RANGE``.
+    Radii are drawn uniformly from ``_RADIUS_RANGE``.  All draws come from
+    ``np.random.default_rng(seed)`` through one buffered ``_Draws`` stream:
+    the same doubles in the same order as one ``rng.uniform`` call per draw,
+    so the chains are those of unbuffered sampling bit for bit.  Candidates
+    with a reflex pocket angle are rejected before a ``DiskChain`` is built;
+    every chain that is built is validated once, in full.
     """
     if flavor not in FLAVORS:
         raise ValidationError(f"unknown chain flavor {flavor!r}")
     if m < 3:
         raise ValidationError(f"need at least 3 disks, got {m}")
-    rng = np.random.default_rng(seed)
+    draws = _Draws(np.random.default_rng(seed))
     for _ in range(_ATTEMPTS):
-        chain = _try_chain(rng, flavor, m)
+        chain = _try_chain(draws, flavor, m)
         if chain is not None and not chain.warnings:
             return chain
     raise GenerationError(f"no valid {flavor} chain with m = {m} after {_ATTEMPTS} attempts")

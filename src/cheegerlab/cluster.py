@@ -126,15 +126,24 @@ class Cluster:
         object.__setattr__(self, "border_contacts", tuple(self.border_contacts))
         if self.container_area is None:
             object.__setattr__(self, "container_area", self.container.area)
+        if not (math.isfinite(self.container_area) and self.container_area > 0.0):
+            raise ValidationError(f"container area must be finite and positive, got {self.container_area}")
         if not self.cells:
             raise ValidationError("cluster needs at least one cell")
         k = len(self.cells)
         for adj in self.adjacency:
             if not (0 <= adj.cell_a < k and 0 <= adj.cell_b < k) or adj.cell_a == adj.cell_b:
                 raise ValidationError(f"bad adjacency cells ({adj.cell_a}, {adj.cell_b})")
+            for cell, edge in ((adj.cell_a, adj.edge_a), (adj.cell_b, adj.edge_b)):
+                n = len(self.cells[cell].boundary.edges)
+                if not 0 <= edge < n:
+                    raise ValidationError(f"bad adjacency edge {edge} of cell {cell}, which has {n} edges")
+        # a run index past the cell's last run is left to canonical_graph's run cover
         for bc in self.border_contacts:
             if not 0 <= bc.cell < k:
                 raise ValidationError(f"bad border contact cell {bc.cell}")
+            if bc.run < 0:
+                raise ValidationError(f"bad border contact run {bc.run}")
         samples = [_sample_boundary(c) for c in self.cells]
         self._check_containment(samples)
         self._check_disjointness(samples)

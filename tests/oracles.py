@@ -495,6 +495,19 @@ def _region_polygon_reference(centers: np.ndarray, radii: np.ndarray, flavor: st
     return poly, centers_idx
 
 
+def pocket_angles_reference(centers, radii, flavor: str):
+    """Pocket-side angle in [0, 2 pi) at each center, on the CCW region polygon."""
+    poly, centers_idx = _region_polygon_reference(
+        np.atleast_2d(np.asarray(centers, dtype=float)), np.asarray(radii, dtype=float).ravel(), flavor)
+    n = len(poly)
+    angles = []
+    for i in centers_idx:
+        a = poly[(i - 1) % n] - poly[i]
+        b = poly[(i + 1) % n] - poly[i]
+        angles.append(math.atan2(b[0] * a[1] - b[1] * a[0], float(a @ b)) % TWO_PI)
+    return angles
+
+
 def validate_chain_reference(centers, radii, flavor: str):
     """The chain hypotheses checked on numpy arrays; returns the warnings."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
@@ -537,12 +550,7 @@ def validate_chain_reference(centers, radii, flavor: str):
             raise ValidationError("first disk must be tangent to the first line")
         if abs(dists[-1, -1] - radii[-1]) > 1e3 * tol:
             raise ValidationError("last disk must be tangent to the last line")
-    poly, centers_idx = _region_polygon_reference(centers, radii, flavor)
-    n = len(poly)
-    for k, i in enumerate(centers_idx):
-        a = poly[(i - 1) % n] - poly[i]
-        b = poly[(i + 1) % n] - poly[i]
-        ang = math.atan2(b[0] * a[1] - b[1] * a[0], float(a @ b)) % TWO_PI
+    for k, ang in enumerate(pocket_angles_reference(centers, radii, flavor)):
         if ang > math.pi - 1e-12:
             if ang > math.pi + 1e-9:
                 raise ValidationError(f"pocket angle at disk {k} is not below pi")

@@ -20,7 +20,12 @@ from cheegerlab.chamber_lemmas import (
     verify_chain_bound,
 )
 from cheegerlab.errors import GenerationError, ValidationError
-from oracles import monte_carlo_area, random_chain_reference, validate_chain_reference
+from oracles import (
+    monte_carlo_area,
+    pocket_angles_reference,
+    random_chain_reference,
+    validate_chain_reference,
+)
 
 PI = math.pi
 SQRT3 = math.sqrt(3.0)
@@ -280,12 +285,52 @@ class TestRandomChain:
                 ref.warnings, ref.area, ref.bound, ref.holds), (m, i)
         assert exhausted < 50  # nearly every seed compares a chain, not an error
 
-    def test_validates_once_per_built_chain(self, call_counts):
+    def test_validates_once_per_built_chain(self, call_counts, monkeypatch):
         validated = call_counts(chamber_lemmas, "validate_chain")
-        built = call_counts(DiskChain, "__post_init__")
+        attempts = call_counts(chamber_lemmas, "_try_chain")
+        post_init = DiskChain.__post_init__
+        built = []
+
+        def recorded(chain):
+            built.append(max(pocket_angles_reference(chain.centers, chain.radii, chain.flavor)))
+            post_init(chain)
+
+        monkeypatch.setattr(DiskChain, "__post_init__", recorded)
+        random_chain("closed", 5, seed=1)
+        assert len(built) > 1  # overlapping candidates are built and rejected
+        assert validated["validate_chain"] == len(built)
+        # two rejected attempts of this seed end in a candidate with a reflex
+        # pocket (validate_chain would say "pocket angle at disk 3 is not
+        # below pi"); neither is built
+        built.clear()
+        validated["validate_chain"] = attempts["_try_chain"] = 0
         random_chain("sector", 5, seed=3)
-        assert built["__post_init__"] > 1  # rejected chains were built too
-        assert validated["validate_chain"] == built["__post_init__"]
+        assert attempts["_try_chain"] > 1
+        assert validated["validate_chain"] == len(built) == 1
+        for flavor, m in (("closed", 6), ("half_plane", 5), ("sector", 6)):
+            for seed in range(10):
+                random_chain(flavor, m, seed=seed)
+        assert max(built) <= PI + 1e-9
+
+    def test_draws_match_generator_uniform(self):
+        # the buffered reader against one Generator.uniform call per draw, on
+        # every range the sampler draws from, across several block refills
+        m = 6
+        ranges = [chamber_lemmas._RADIUS_RANGE, (0.25, 1.9 * PI / m), (0.45, 1.1),
+                  (0.6, 1.4), (0.9, 1.4), (0.0, 0.1)]
+        draws = chamber_lemmas._Draws(np.random.default_rng([5, 17]))
+        rng = np.random.default_rng([5, 17])
+        count = 0
+        while count < 3 * chamber_lemmas._BLOCK + 10:
+            radii = np.array([draws(*chamber_lemmas._RADIUS_RANGE) for _ in range(m)])
+            want = rng.uniform(*chamber_lemmas._RADIUS_RANGE, m)
+            assert radii.tobytes() == want.tobytes()
+            assert np.sum(radii).tobytes() == np.sum(want).tobytes()
+            for lo, hi in ranges:
+                got = draws(lo, hi)
+                assert type(got) is float
+                assert got == float(rng.uniform(lo, hi)), (count, lo, hi)
+            count += m + len(ranges)
 
     def test_bad_arguments(self):
         with pytest.raises(ValidationError):

@@ -423,6 +423,22 @@ class TestMalformedArtifacts:
         change(obj)
         assert _run(tmp_path, command, obj) == 1
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda d: d.update(adjacency=[[0, 1, 99, 6]]), "bad adjacency edge 99 of cell 0, which has 8 edges"),
+        (lambda d: d.update(adjacency=[[0, 1, -1, 6]]), "bad adjacency edge -1 of cell 0, which has 8 edges"),
+        (lambda d: d.update(adjacency=[[0, 1, 2, 8]]), "bad adjacency edge 8 of cell 1, which has 8 edges"),
+        (lambda d: d.update(border_contacts=[[0, -1], [1, 0]]), "bad border contact run -1"),
+        (lambda d: d.update(container_area=-2.0), "container area must be finite and positive, got -2.0"),
+        (lambda d: d.update(container_area=0.0), "container area must be finite and positive, got 0.0"),
+    ], ids=["edge-past-end", "edge-negative", "edge-b-past-end", "run-negative", "area-negative",
+            "area-zero"])
+    def test_cluster_index_out_of_range(self, tmp_path, capsys, change, message):
+        # these escaped as an IndexError or a math domain error, or exited 0
+        obj = json.loads(json.dumps(_ARTIFACTS["certificate"][0]))
+        change(obj)
+        assert _run(tmp_path, "certificate", obj) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_lines_of_another_flavor_rejected(self, tmp_path, capsys):
         obj = dict(_ARTIFACTS["chain"][0], lines=[])
         assert _run(tmp_path, "chain", obj) == 1

@@ -11,6 +11,8 @@ imports are re-exports.
 import ast
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -141,3 +143,22 @@ def test_readers_check_their_keys():
     found = [f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
              for path, node in readers if not _calls_require_keys(node)]
     assert not found, "readers that do not call jsonio.require_keys:\n" + "\n".join(found)
+
+
+def test_chain_sampler_draws_only_through_its_reader():
+    # _Draws reads the generator ahead of the draws it hands out, so a direct
+    # draw anywhere else would reorder the stream that random_chain_reference
+    # replays with one rng.uniform call per draw
+    methods = {name for name in dir(np.random.Generator) if not name.startswith("_")}
+    assert {"uniform", "random"} <= methods
+    tree = ast.parse((ROOT / "src" / "cheegerlab" / "chamber_lemmas.py").read_text(encoding="utf-8"))
+    reader = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Draws"]
+    assert len(reader) == 1
+    inside = {id(node) for node in ast.walk(reader[0])}
+    draws = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in methods]
+    assert [node.func.attr for node in draws if id(node) in inside] == ["random"]
+    found = [f"chamber_lemmas.py:{node.lineno}: .{node.func.attr}(" for node in draws
+             if id(node) not in inside]
+    assert not found, "draws that bypass _Draws:\n" + "\n".join(found)
