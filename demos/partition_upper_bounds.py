@@ -8,7 +8,10 @@ hexagonal interior dominates the boundary effects.
 
 The last table times one power diagram on lattice seeds at large k: each
 cell is clipped only by the half-planes of its nearest sites, up to the
-security-radius stop, so the clip count grows like k rather than k^2.
+security-radius stop, so the clip count grows like k rather than k^2.  Next
+to it is one compass probe that moves the worst cell's site by a quarter cell
+width: it re-clips only the sites whose stop the moved site falls within,
+and validates and solves only the cells that changed.
 """
 
 import math
@@ -38,7 +41,8 @@ for k, budget, restarts in ((1, 60, 2), (4, 1200, 4), (9, 900, 3), (16, 600, 2))
           f"{trace.scaled_best:<10.6f} {trace.scaled_best / h_ref:<15.6f} {dt:4.1f}s")
 
 print(f"\ncertified floor: scaled value can never drop below h(H) = {h_ref:.6f}")
-print("(every evaluated configuration is checked against it)")
+print("(every diagram the search clips and solves is checked against it; a probe\n"
+      " rejected without clipping records its incumbent's value, which was checked)")
 
 print("\nhoneycomb incumbents on k-triangles (the equality case):")
 for l in (1, 2, 3, 4):
@@ -49,8 +53,9 @@ for l in (1, 2, 3, 4):
 print("\nnote: k = 1 recovers the triangle's own Cheeger constant "
       f"sqrt(pi) + 3^(3/4) = {math.sqrt(math.pi) + 3 ** 0.75:.9f}")
 
-print("\none lattice power diagram (weights uniform in +-5% of the mean cell area):")
-print("k     time      clips    clips per cell   (all k - 1 half-planes: k(k-1) clips)")
+print("\none lattice power diagram (weights uniform in +-5% of the mean cell area),")
+print("and one compass probe from it (x of the worst cell's site + a quarter cell width):")
+print("k     diagram: time     clips  per cell  (k(k-1))   probe: sites  clips    time")
 clip = partition_optimizer._clip_halfplane
 clips = 0
 
@@ -61,15 +66,33 @@ def counted(*args):
     return clip(*args)
 
 
+def timed_and_counted(run):
+    """Time of run(), then its clip count on a second, untimed call."""
+    global clips
+    t0 = time.perf_counter()
+    run()
+    dt = time.perf_counter() - t0
+    clips = 0
+    partition_optimizer._clip_halfplane = counted
+    run()
+    partition_optimizer._clip_halfplane = clip
+    return dt, clips
+
+
 for k in (256, 1024):
     rng = np.random.default_rng(0)
     cfg = SeedConfiguration(hex_lattice_seeds(k, triangle),
                             rng.uniform(-0.05, 0.05, k) * triangle.area / k)
-    t0 = time.perf_counter()
-    power_diagram_cells(cfg, triangle)
-    dt = time.perf_counter() - t0
-    clips = 0
-    partition_optimizer._clip_halfplane = counted  # count on a second, untimed run
-    power_diagram_cells(cfg, triangle)
-    partition_optimizer._clip_halfplane = clip
-    print(f"{k:<5d} {1e3 * dt:6.0f} ms {clips:8d} {clips / k:10.1f}        {k * (k - 1):9d}")
+    dt, n = timed_and_counted(lambda: power_diagram_cells(cfg, triangle))
+    everyone = np.ones(k, dtype=bool)
+    _, incumbent = partition_optimizer._eval_config(
+        triangle, cfg.seeds, cfg.weights, [], 0.0, partition_optimizer._blank(k), everyone)
+    x = np.concatenate([cfg.seeds.ravel(), cfg.weights])
+    i = 2 * int(np.argmax(incumbent.hs))
+    q = x.copy()
+    q[i] += 0.25 * math.sqrt(triangle.area / k)
+    affected = partition_optimizer._affected(x, q, i, incumbent.stops)
+    dt_probe, n_probe = timed_and_counted(lambda: partition_optimizer._eval_config(
+        triangle, q[:2 * k].reshape(k, 2), q[2 * k:], [], 0.0, incumbent, affected))
+    print(f"{k:<5d} {1e3 * dt:9.0f} ms {n:9d} {n / k:8.1f} {k * (k - 1):10d}"
+          f"   {int(affected.sum()):11d} {n_probe:6d} {1e3 * dt_probe:6.1f} ms")

@@ -14,21 +14,27 @@ balancing, and its search starts at the best balanced point without scoring
 it again.  Each probe moves one coordinate, and degenerate diagrams score
 +inf, so a probe into one is never kept.
 
-One evaluation clips the container, in coordinates centred on each site, by
-the radical-axis half-planes of the other sites, nearest first, and stops at
-the security radius (Levy & Bonneel, IMR 2012, with power weights): once
-the next site is so far that its half-plane holds the disk around the site
-that contains the ring, no later one can cut.  The clips use a plain-float
-kernel that returns a ring unchanged when a half-plane cuts nothing; the
-ring is cleaned once, when it is validated as a ``ConvexPolygon``.  Each
-optimizer start keeps the last evaluation's ring, cell and h per site, and a
-cell whose ring comes out float for float the same is neither validated nor
-solved again.  Only h is read from each Cheeger solve, so no Cheeger-set
-curve is built.  In one batch of the benchmark's ``partition`` workload
-(k = 16 and 64, seed 5: 25 395 clips, 2 907 validations, 2 427 solves) clipping
-takes about two fifths of the time, the Cheeger solves a quarter and cell
-validation a fifth.  A lattice diagram clips six to nine half-planes per
-cell from k = 16 to k = 1024, so the clip count grows about like k, not k^2.
+A diagram clips the container, in coordinates centred on each site, by the
+radical-axis half-planes of the other sites, nearest first, and stops at the
+security radius (Levy & Bonneel, IMR 2012, with power weights): once the
+next site is so far that its half-plane holds the disk around the site that
+contains the ring, no later one can cut.  The clips use a plain-float kernel
+that returns a ring unchanged when a half-plane cuts nothing; the ring is
+cleaned once, when it is validated as a ``ConvexPolygon``.  Each search
+keeps its incumbent's ring, cell, h and stop distance per site.  A probe
+re-clips only the sites whose stop its moved site falls within, before or
+after the move, and every other ring is the incumbent's bit for bit; a cell
+whose ring comes out float for float the same is neither validated nor
+solved again.  A probe that leaves a cell with the incumbent's largest h
+alone cannot win and is rejected without clipping.  Only h is read from each
+Cheeger solve, so no Cheeger-set curve is built.  One batch of the
+benchmark's ``partition`` workload (k = 16 and 64, seed 5) makes 12 546
+clips, 1 977 validations and 1 497 solves, against 25 432, 2 682 and 2 202
+when every probe clipped the whole diagram, and decides 80 of its 119 probes
+without clipping.  Clipping takes about two fifths of its time, and the
+Cheeger solves and cell validation a quarter each.  A lattice diagram clips
+six to nine half-planes per cell from k = 16 to k = 1024, so the clip count
+grows about like k, not k^2.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ import numpy as np
 from .cheeger import (
     ConvexPolygon,
     _clip_halfplane,
-    _next,
     cheeger_convex,
     hexagon_constant,
 )
@@ -84,25 +89,29 @@ class SeedConfiguration:
 _STOP_SLACK = 2.0 ** -48
 
 
-def _neighbors(table: np.ndarray, head: int = 32):
-    """The rows of one site's neighbor table as float lists, the nearest ``head``
-    first: a cell rarely needs more, so most of a large row is never converted."""
-    yield from table[:head].tolist()
-    yield from table[head:].tolist()
+def _neighbors(row: np.ndarray, head: int = 32):
+    """One site's neighbor rows as float lists, the nearest ``head`` first: a
+    cell rarely needs more, so most of a large row is never converted."""
+    yield from row[:head].tolist()
+    yield from row[head:].tolist()
 
 
-def _power_rings(seeds: np.ndarray, weights: np.ndarray, container: ConvexPolygon):
-    """Yield each site's clipped ring, a list of [x, y], in site order.
+def _power_rings(seeds: np.ndarray, weights: np.ndarray, container: ConvexPolygon, chosen):
+    """Yield (ring, stop) for each site in ``chosen``, in that order.
 
-    ``seeds`` (k, 2) and ``weights`` (k) are finite; two equal seeds raise
+    ``seeds`` (k, 2) and ``weights`` (k) are finite, and ``chosen`` is a
+    sequence of site indices (all k of them for the whole diagram).  The ring
+    is the site's clipped cell, a list of [x, y]; ``stop`` is the sorted
+    |d|^2 at which its loop stopped, +inf if it clipped by every other site.
+    A chosen site whose nearest other site is at distance zero raises
     DegenerateConfigurationError.
 
     Cell i is clipped in coordinates centred on s_i, where the radical-axis
     half-plane of site j is ``2 d.y <= |d|^2 + w_i - w_j`` with d = s_j - s_i:
     no offset carries |s|^2, whose rounding grows with the distance from the
     origin, so a translated diagram keeps its digits.  The other sites are
-    visited nearest first (a stable argsort of |d|^2, once per diagram), and
-    the loop stops at the first site with |d| > R and
+    visited nearest first (a stable argsort of |d|^2, one row per chosen
+    site), and the loop stops at the first site with |d| > R and
     ``(|d| - R)^2 - max w >= R^2 - w_i``, where R is the largest distance from
     s_i to the ring, recomputed when a clip changes the ring (the security
     radius of Levy & Bonneel, IMR 2012, with power weights as in Aurenhammer,
@@ -118,15 +127,18 @@ def _power_rings(seeds: np.ndarray, weights: np.ndarray, container: ConvexPolygo
     the rounding of the sort key.  ``_STOP_SLACK`` = 2^-48 = 32u covers their
     sum, about 20u.  Every skipped clip would therefore have returned the
     ring unchanged, and the rings are bit for bit those of the same loop run
-    over every site.
+    over every site.  A ring reads only the sites up to its stop, with max w
+    and max |w|, so it and its stop stay bit for bit the same while every
+    site that moves or changes weight sorts after the stop (``_affected``).
     """
     k = len(weights)
-    dx = seeds[None, :, 0] - seeds[:, None, 0]  # dx[i, j] = x_j - x_i
-    dy = seeds[None, :, 1] - seeds[:, None, 1]
+    chosen = np.asarray(chosen, dtype=np.intp)
+    dx = seeds[None, :, 0] - seeds[chosen, None, 0]  # dx[n, j] = x_j - x_i, i = chosen[n]
+    dy = seeds[None, :, 1] - seeds[chosen, None, 1]
     d2 = dx * dx + dy * dy
     order = np.argsort(d2, axis=1, kind="stable")
-    order = order[order != np.arange(k)[:, None]].reshape(k, k - 1)  # drop site i
-    rows = np.arange(k)[:, None]
+    order = order[order != chosen[:, None]].reshape(len(chosen), k - 1)  # drop site i
+    rows = np.arange(len(chosen))[:, None]
     d2 = d2[rows, order]
     if k > 1 and not d2[:, 0].min() > 0.0:
         raise DegenerateConfigurationError("seeds must be pairwise distinct")
@@ -134,21 +146,21 @@ def _power_rings(seeds: np.ndarray, weights: np.ndarray, container: ConvexPolygo
     table = np.stack([
         2.0 * dx[rows, order],
         2.0 * dy[rows, order],
-        d2 + (weights[:, None] - weights[order]),
+        d2 + (weights[chosen, None] - weights[order]),
         np.sqrt(d2),
-        _STOP_SLACK * (d2 + (wabs[:, None] + wabs.max())),
+        _STOP_SLACK * (d2 + (wabs[chosen, None] + wabs.max())),
+        d2,
     ], axis=-1)
     w = weights.tolist()
     w_max = max(w)
     # + 0.0 turns a -0.0 coordinate into 0.0, so no ring vertex is -0.0 and ==
     # on two rings (``_eval_config``) compares them float for float
-    sites = (seeds + 0.0).tolist()
+    sites = (seeds[chosen] + 0.0).tolist()
     verts = container.vertices.tolist()
-    for i in range(k):
-        sx, sy = sites[i]
+    for i, (sx, sy), row in zip(chosen.tolist(), sites, table):
         pts = [[x - sx, y - sy] for x, y in verts]
         reach = None
-        for nx, ny, c, dist, slack in _neighbors(table[i]):
+        for nx, ny, c, dist, slack, stop in _neighbors(row):
             if reach is None:  # the ring changed: R, and site i's largest power over it
                 R = math.sqrt(max([x * x + y * y for x, y in pts]))
                 reach = R * R - w[i]
@@ -159,7 +171,9 @@ def _power_rings(seeds: np.ndarray, weights: np.ndarray, container: ConvexPolygo
                 raise DegenerateConfigurationError(f"power cell {i} is empty")
             if clipped is not pts:
                 pts, reach = clipped, None
-        yield [[x + sx, y + sy] for x, y in pts]
+        else:
+            stop = math.inf
+        yield [[x + sx, y + sy] for x, y in pts], stop
 
 
 def _power_cell(i: int, ring: list) -> ConvexPolygon:
@@ -178,8 +192,8 @@ def power_diagram_cells(cfg: SeedConfiguration, container: ConvexPolygon):
     fails ``ConvexPolygon`` validation (a sliver that cleans up to fewer than 3
     vertices, say), raises DegenerateConfigurationError.
     """
-    rings = _power_rings(cfg.seeds, cfg.weights, container)
-    return [_power_cell(i, ring) for i, ring in enumerate(rings)]
+    rings = _power_rings(cfg.seeds, cfg.weights, container, range(cfg.k))
+    return [_power_cell(i, ring) for i, (ring, _) in enumerate(rings)]
 
 
 def hex_lattice_seeds(k: int, container: ConvexPolygon) -> np.ndarray:
@@ -239,19 +253,77 @@ class OptimizationTrace:
         return self.best_objective * math.sqrt(self.container_area / self.k)
 
 
-def _compass_search(f, x, fx, steps, left: int, xtol: float):
+class _Diagram(NamedTuple):
+    """One evaluated diagram: each site's ring, cell, h and stop (``_power_rings``).
+
+    The blank diagram of a search with no finite value yet has no rings and
+    cells, h = +inf and every stop +inf, so a probe from it clips every site.
+    """
+
+    rings: list
+    cells: list
+    hs: np.ndarray
+    stops: np.ndarray
+
+
+def _blank(k: int) -> _Diagram:
+    return _Diagram([None] * k, [None] * k, np.full(k, math.inf), np.full(k, math.inf))
+
+
+def _affected(x: np.ndarray, q: np.ndarray, i: int, stops: np.ndarray) -> np.ndarray:
+    """The mask of the sites whose rings the move of coordinate i from x to q can change.
+
+    x and q are flattened (seeds, weights) vectors.  The move takes site p
+    from s_p to s_p' (s_p' = s_p for a weight).  It can change ring j only if
+    p sorts up to j's stop before or after it: |s_p - s_j|^2 <= stop_j or
+    |s_p' - s_j|^2 <= stop_j, each computed as in j's row of
+    ``_power_rings``.  Every other ring visits the same sites with the same
+    half-planes up to the same stop.  The stop tests read max w and max |w|,
+    so a weight move that changes either reaches every site.
+    """
+    k = len(stops)
+    if i >= 2 * k:
+        p, ends = i - 2 * k, (x,)
+        w, v = x[2 * k:], q[2 * k:]
+        if w.max() != v.max() or np.abs(w).max() != np.abs(v).max():
+            return np.ones(k, dtype=bool)
+    else:
+        p, ends = i // 2, (x, q)
+    xs, ys = x[0:2 * k:2], x[1:2 * k:2]
+    mask = np.zeros(k, dtype=bool)
+    for end in ends:
+        dx = end[2 * p] - xs
+        dy = end[2 * p + 1] - ys
+        mask |= dx * dx + dy * dy <= stops
+    mask[p] = True
+    return mask
+
+
+def _compass_search(container, x, fx, diagram: _Diagram, steps, left: int, xtol: float,
+                    records, lower):
     """Deterministic compass search (Kolda, Lewis & Torczon, SIAM Rev. 45, 2003).
 
-    Starts at x with the value fx, or evaluates x first when fx is None.  A
-    pass probes x + steps[i] e_i for every coordinate i in order, then
-    x - steps[i] e_i, and moves to every probe that lowers f; a pass with no
-    move halves every step.  Stops after ``left`` evaluations or when the
+    x is the flattened (seeds, weights) vector.  Starts at x with the value fx
+    and its ``diagram``, or evaluates x first, as a whole diagram, when fx is
+    None.  A pass probes x + steps[i] e_i for every coordinate i in order,
+    then x - steps[i] e_i, and moves to every probe that lowers the value; a
+    pass with no move halves every step.  A probe clips only the sites its
+    move can reach (``_affected``) and keeps the rest of the incumbent's
+    diagram.  A probe that leaves a cell with the incumbent's largest h alone
+    cannot win: it is rejected without clipping and records the incumbent's
+    value (``_eval_config``).  Every probe, rejected so or not, is one of the
+    ``left`` evaluations.  Stops after ``left`` evaluations or when the
     largest step falls below ``xtol``.
     """
+    k = len(diagram.rings)
     x = np.array(x, dtype=float)
     steps = np.array(steps, dtype=float)
     if fx is None:
-        fx, left = (f(x), left - 1) if left > 0 else (math.inf, 0)
+        if left <= 0:
+            return x, math.inf
+        fx, diagram = _eval_config(container, x[: 2 * k].reshape(k, 2), x[2 * k:], records,
+                                   lower, diagram, np.ones(k, dtype=bool))
+        left -= 1
     while steps.max() >= xtol:
         moved = False
         for sign in (1.0, -1.0):
@@ -261,81 +333,127 @@ def _compass_search(f, x, fx, steps, left: int, xtol: float):
                 left -= 1
                 q = x.copy()
                 q[i] += sign * steps[i]
-                fq = f(q)
+                fq, dq = _eval_config(container, q[: 2 * k].reshape(k, 2), q[2 * k:], records,
+                                      lower, diagram, _affected(x, q, i, diagram.stops))
                 if fq < fx:
-                    x, fx, moved = q, fq, True
+                    x, fx, diagram, moved = q, fq, dq, True
         if not moved:
             steps *= 0.5
     return x, fx
 
 
-def _eval_config(container, seeds, weights, records, lower, kept):
-    """One objective evaluation; returns (value, cells, per-cell h) or inf on degeneracy.
+def _eval_config(container, seeds, weights, records, lower, incumbent: _Diagram, affected):
+    """One objective evaluation; returns (value, diagram), value +inf on degeneracy.
 
-    ``kept`` holds each site's (ring, cell, h) from the last finite evaluation
-    of the same start.  A cell whose clipped ring equals its kept ring float
-    for float takes the kept cell and h: validation and the solve are
-    deterministic functions of the ring, so the reuse is exact.  Moving one
-    coordinate, as each compass probe does, leaves most rings unchanged.
+    The diagram differs from the ``incumbent`` only in the rings of the sites
+    in the mask ``affected``, so only those are clipped; every other site keeps
+    the incumbent's ring, cell, h and stop.  A clipped ring that comes out
+    float for float equal to the incumbent's takes its cell and h too:
+    validation and the solve are deterministic functions of the ring, so the
+    reuse is exact.  If a site outside ``affected`` has the incumbent's largest
+    h, this diagram's value is at least the incumbent's: nothing is clipped,
+    and the incumbent's value, which was checked against the floor when it
+    was evaluated, is recorded and returned with the incumbent.  A degenerate
+    diagram records +inf and returns a blank diagram.
     """
+    fx = float(incumbent.hs.max())
+    if (incumbent.hs[~affected] >= fx).any():
+        records.append(fx)
+        return fx, incumbent
+    chosen = np.flatnonzero(affected)
+    rings, cells = list(incumbent.rings), list(incumbent.cells)
+    hs, stops = incumbent.hs.copy(), incumbent.stops.copy()
+    fresh = []
     try:
-        fresh = []
-        for i, (ring, old) in enumerate(zip(_power_rings(seeds, weights, container), kept)):
-            fresh.append(old if old is not None and old[0] == ring
-                         else (ring, _power_cell(i, ring), None))
+        for i, (ring, stop) in zip(chosen.tolist(),
+                                   _power_rings(seeds, weights, container, chosen)):
+            stops[i] = stop
+            if ring != rings[i]:
+                rings[i], cells[i] = ring, _power_cell(i, ring)
+                fresh.append(i)
     except DegenerateConfigurationError:
         records.append(math.inf)
-        return math.inf, None, None
-    kept[:] = [(ring, cell, cheeger_convex(cell).h if h is None else h)
-               for ring, cell, h in fresh]
-    hs = [h for _, _, h in kept]
-    value = max(hs)
+        return math.inf, _blank(len(weights))
+    for i in fresh:
+        hs[i] = cheeger_convex(cells[i]).h
+    value = float(hs.max())
     if value < lower:
         raise OptimizationError(
             f"evaluated objective {value} beats the certified lower bound; "
             "the Cheeger solver is inconsistent"
         )
     records.append(value)
-    return value, [cell for _, cell, _ in kept], hs
+    return value, _Diagram(rings, cells, hs, stops)
 
 
-def _polygon_centroid(poly: ConvexPolygon) -> np.ndarray:
-    v = poly.vertices
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = _next(x), _next(y)
-    cr = x * yn - xn * y
-    a = cr.sum() / 2.0
-    return np.array([((x + xn) * cr).sum() / (6.0 * a), ((y + yn) * cr).sum() / (6.0 * a)])
+def _numpy_sum(terms: list) -> float:
+    """``np.sum`` of a list of floats, bit for bit: 0.0 plus numpy's pairwise sum."""
+    return 0.0 + _pairwise_sum(terms)
 
 
-def _precondition(k, container, seeds, left, lower, records, kept):
+def _pairwise_sum(terms: list) -> float:
+    # numpy's order: in sequence below 8 terms; up to 128 terms, eight
+    # interleaved partial sums combined as ((0+1)+(2+3))+((4+5)+(6+7)), then
+    # the remainder in sequence; longer lists split at a multiple of 8
+    n = len(terms)
+    if n < 8:
+        total = -0.0
+        for t in terms:
+            total += t
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    r = terms[:8]
+    body = n - n % 8
+    for j in range(8, body, 8):
+        r = [a + b for a, b in zip(r, terms[j:j + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for t in terms[body:]:
+        total += t
+    return total
+
+
+def _polygon_centroid(poly: ConvexPolygon) -> list:
+    """[x, y] of the centroid, in plain floats with numpy's sums (``_numpy_sum``)."""
+    v = poly.vertices.tolist()
+    pairs = list(zip(v, v[1:] + v[:1]))
+    cr = [x * yn - xn * y for (x, y), (xn, yn) in pairs]
+    six_a = 6.0 * (_numpy_sum(cr) / 2.0)
+    return [_numpy_sum([(x + xn) * c for ((x, _), (xn, _)), c in zip(pairs, cr)]) / six_a,
+            _numpy_sum([(y + yn) * c for ((_, y), (_, yn)), c in zip(pairs, cr)]) / six_a]
+
+
+def _precondition(k, container, seeds, left, lower, records):
     """Lloyd smoothing then weight balancing toward equal per-cell Cheeger values.
 
     Lloyd steps cost no objective evaluations (geometry only); each balancing
-    step is a full evaluation, and min(40, left - 10) of them run.  Returns
-    the best balanced (seeds, weights, value) and leaves that point's (ring,
-    cell, h) in ``kept``; the value is None when no balancing step ran.
+    step is a whole-diagram evaluation, and min(40, left - 10) of them run.
+    Returns the best balanced (value, seeds, weights, diagram); the value is
+    None, and the diagram blank, when no balancing step ran.
     """
     w = np.zeros(k)
     for _ in range(6):
         try:
-            cells = power_diagram_cells(SeedConfiguration(seeds, w), container)
-        except (DegenerateConfigurationError, ValidationError):
-            return seeds, w, None
+            rings = _power_rings(seeds, w, container, range(k))
+            cells = [_power_cell(i, ring) for i, (ring, _) in enumerate(rings)]
+        except DegenerateConfigurationError:
+            return None, seeds, w, _blank(k)
         seeds = np.array([_polygon_centroid(c) for c in cells])
     s2 = container.area / k
-    best = (None, seeds, w, kept[:])
+    everyone = np.ones(k, dtype=bool)
+    diagram = _blank(k)
+    best = (None, seeds, w, diagram)
     for _ in range(min(40, left - 10)):
-        value, cells, hs = _eval_config(container, seeds, w, records, lower, kept)
+        value, diagram = _eval_config(container, seeds, w, records, lower, diagram, everyone)
         if best[0] is None or value < best[0]:
-            best = (value, seeds, w, kept[:])
-        if cells is None:
+            best = (value, seeds, w, diagram)
+        if value == math.inf:
             break
-        hs = np.asarray(hs)
+        hs = diagram.hs
         w = w + 0.6 * s2 * (hs - hs.mean()) / hs.mean()
-        seeds = 0.7 * seeds + 0.3 * np.array([_polygon_centroid(c) for c in cells])
-    kept[:] = best[3]
-    return best[1], best[2], best[0]
+        seeds = 0.7 * seeds + 0.3 * np.array([_polygon_centroid(c) for c in diagram.cells])
+    return best
 
 
 def optimize(
@@ -350,13 +468,17 @@ def optimize(
     Runs a hexagonal-lattice start plus ``restarts`` random starts, each with
     an equal share of the evaluation budget (the lattice start also takes the
     remainder, all of it when budget < restarts + 1), so at most ``budget``
-    evaluations run.  The lattice start is smoothed first and spends min(40,
-    share - 10) evaluations on weight balancing; its search starts at the
-    best balanced point without scoring it again.  A random start's search
-    scores its start point first.  The compass steps start at a quarter cell
-    width on the seeds and (diameter / max(k, 2))^2 / 5 on the weights, and
-    stop below 1e-6 diameters.  The result is deterministic for fixed (seed,
-    budget, restarts); on a tie the last start that reaches the best value wins.
+    evaluations run.  An evaluation is a balancing step, a start point or a
+    compass probe; a probe that cannot beat its incumbent is rejected without
+    clipping and records the incumbent's value, so the history, which keeps
+    only strict improvements, is that of scoring every probe.  The lattice
+    start is smoothed first and spends min(40, share - 10) evaluations on
+    weight balancing; its search starts at the best balanced point without
+    scoring it again.  A random start's search scores its start point first.
+    The compass steps start at a quarter cell width on the seeds and
+    (diameter / max(k, 2))^2 / 5 on the weights, and stop below 1e-6
+    diameters.  The result is deterministic for fixed (seed, budget,
+    restarts); on a tie the last start that reaches the best value wins.
     """
     if k < 1 or budget < 1 or seed < 0 or restarts < 0:
         raise ValidationError("need k >= 1, budget >= 1, seed >= 0 and restarts >= 0")
@@ -374,16 +496,13 @@ def optimize(
     records = []  # every evaluation's value, in evaluation order
     best_x, best_f = None, math.inf
     for n, seeds in enumerate(starts):
-        kept = [None] * k
         left = budget - share * restarts if n == 0 else share
-        w, value = np.zeros(k), None
+        value, w, diagram = None, np.zeros(k), _blank(k)
         if n == 0:
-            seeds, w, value = _precondition(k, container, seeds, left, lower, records, kept)
+            value, seeds, w, diagram = _precondition(k, container, seeds, left, lower, records)
             left -= len(records)
-        x, fx = _compass_search(
-            lambda q: _eval_config(container, q[: 2 * k].reshape(k, 2), q[2 * k:],
-                                   records, lower, kept)[0],
-            np.concatenate([seeds.ravel(), w]), value, steps, left, xtol)
+        x, fx = _compass_search(container, np.concatenate([seeds.ravel(), w]), value, diagram,
+                                steps, left, xtol, records, lower)
         if fx <= best_f:  # fx is the least value of its start
             best_x, best_f = x, fx
     if not math.isfinite(best_f):

@@ -10,8 +10,8 @@ samples the disk-chain region point by point; the power-diagram oracles clip
 numpy vertex arrays by every half-plane, one at a time (in site order and
 absolute coordinates, or nearest site first in site-centred coordinates), and
 clean each ring with a vertex-by-vertex loop before validating it; the
-convex-polygon and closed-form Cheeger oracles are the polygon validation and
-the Cheeger solve on numpy vertex arrays, with ``np.dot`` shoelace sums; the chain-generation
+centroid oracle sums cross products with numpy; the convex-polygon and
+closed-form Cheeger oracles are the polygon validation and the Cheeger solve on numpy vertex arrays, with ``np.dot`` shoelace sums; the chain-generation
 oracle is the rejection sampler and chain validator on numpy 2-vectors, with
 the region polygon oriented by ``np.roll`` shoelace sums; the chord-deficit
 oracle locates every node on every edge through ``Point`` objects and builds
@@ -379,6 +379,16 @@ def power_diagram_cells_nearest_first_reference(cfg, container: ConvexPolygon):
                 raise DegenerateConfigurationError(f"power cell {i} is empty")
         cells.append(_validated_cell(i, pts + seeds[i]))
     return cells
+
+
+def polygon_centroid_reference(poly: ConvexPolygon) -> np.ndarray:
+    """The centroid from the cross products of consecutive vertices, with numpy sums."""
+    v = poly.vertices
+    x, y = v[:, 0], v[:, 1]
+    xn, yn = _next_rows(x), _next_rows(y)
+    cr = x * yn - xn * y
+    a = cr.sum() / 2.0
+    return np.array([((x + xn) * cr).sum() / (6.0 * a), ((y + yn) * cr).sum() / (6.0 * a)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from cheegerlab.cheeger import ConvexPolygon, cheeger_convex, hexagon_constant, regular_polygon
-from cheegerlab import cheeger, partition_optimizer
+from cheegerlab import cheeger, jsonio, partition_optimizer
 from cheegerlab.cluster import honeycomb_cluster, objective
 from cheegerlab.errors import DegenerateConfigurationError, OptimizationError, ValidationError
 from cheegerlab.partition_optimizer import (
@@ -21,6 +22,7 @@ from oracles import (
     convex_polygon_reference,
     power_diagram_cells_nearest_first_reference,
     power_diagram_cells_reference,
+    polygon_centroid_reference,
 )
 
 PI = math.pi
@@ -219,7 +221,162 @@ class TestPowerDiagram:
     def test_duplicate_seeds_are_degenerate_rings(self):
         seeds = np.array([[0.1, 0.0], [-0.1, 0.05], [0.1, 0.0]])
         with pytest.raises(DegenerateConfigurationError, match="pairwise distinct"):
-            list(partition_optimizer._power_rings(seeds, np.zeros(3), TRIANGLE))
+            list(partition_optimizer._power_rings(seeds, np.zeros(3), TRIANGLE, range(3)))
+
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONTAINERS))
+    def test_centroids_match_numpy(self, name):
+        # the Lloyd and balancing centroids in plain floats against numpy's
+        # sums, bit for bit, on every cell of the reference corpus
+        container = REFERENCE_CONTAINERS[name]
+        count = 0
+        for cfg in _reference_configurations(container):
+            try:
+                cells = power_diagram_cells(cfg, container)
+            except DegenerateConfigurationError:
+                continue
+            for cell in cells:
+                centroid = np.array(partition_optimizer._polygon_centroid(cell))
+                assert centroid.tobytes() == polygon_centroid_reference(cell).tobytes()
+                count += 1
+        assert count > 500
+
+    def test_sums_match_numpy(self):
+        # every branch of numpy's pairwise order: in sequence, eight partial
+        # sums, and the split above 128 terms; signed zeros included
+        rng = np.random.default_rng(0)
+        lists = [[], [-0.0], [-0.0] * 9, [0.0, -0.0]]
+        lists += [(rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)).tolist()
+                  for n in list(range(1, 40)) + [127, 128, 129, 136, 300, 1001]]
+        for terms in lists:
+            total = partition_optimizer._numpy_sum(terms)
+            assert np.float64(total).tobytes() == np.sum(np.array(terms)).tobytes()
+
+
+def _probe_moves(k, rng):
+    """One-coordinate moves of three diagrams in the triangle: the lattice
+    with zero weights, a jittered lattice and uniform seeds, both with
+    weights.  Yields (x, [(i, q), ...]) for flattened (seeds, weights)
+    vectors x and q that differ in coordinate i only."""
+    area = TRIANGLE.area
+    cell = math.sqrt(area / k)
+    wstep = 0.2 * (float(np.ptp(TRIANGLE.vertices, axis=0).max()) / max(k, 2)) ** 2
+    lattice = hex_lattice_seeds(k, TRIANGLE)
+    for seeds, weights in (
+        (lattice, np.zeros(k)),
+        (lattice + rng.normal(0.0, 0.1 * cell, lattice.shape), rng.normal(0.0, 0.1 * area / k, k)),
+        (partition_optimizer._random_seeds(k, TRIANGLE, rng), rng.normal(0.0, 0.01 * area / k, k)),
+    ):
+        x = np.concatenate([seeds.ravel(), weights])
+        top, big = int(np.argmax(weights)), int(np.argmax(np.abs(weights)))
+        sites = range(k) if k <= 16 else sorted({top, big, *rng.choice(k, 5 if k <= 64 else 1)
+                                                 .tolist()})
+        moves = []
+        for p in sites:  # compass-sized and much smaller steps
+            for i, step in ((2 * p, cell), (2 * p + 1, cell), (2 * k + p, wstep)):
+                for sign in (1.0, -1.0):
+                    moves.append((i, x[i] + sign * step * 10.0 ** rng.uniform(-3.0, 0.3)))
+        # weight moves that change max w or max |w|
+        moves += [(2 * k + top, weights[top] + wstep), (2 * k + top, weights[top] - wstep),
+                  (2 * k + big, 2.0 * weights[big] - wstep),
+                  (2 * k + int(np.argmin(weights)), weights.max() + wstep)]
+        # a site moved onto another one that shares a coordinate with it
+        for p in sites:
+            for j in range(k):
+                if p != j and seeds[p, 1] == seeds[j, 1]:
+                    moves.append((2 * p, seeds[j, 0]))
+                    break
+        yield x, [(i, np.concatenate([x[:i], [v], x[i + 1:]])) for i, v in moves]
+
+
+class TestLocalProbes:
+    @pytest.mark.parametrize("k", [2, 3, 16, 64, 256])
+    def test_local_rings_match_the_whole_diagram(self, k):
+        # a probe clips only the sites its move can affected; every ring, stop
+        # and accept/reject decision equals that of the whole diagram
+        rng = np.random.default_rng(k)
+        everyone = np.ones(k, dtype=bool)
+        seen = dict.fromkeys(["onto a site", "max w changed", "stop crossed", "pruned",
+                              "clipped"], 0)
+        for x, moves in _probe_moves(k, rng):
+            fx, incumbent = partition_optimizer._eval_config(
+                TRIANGLE, x[:2 * k].reshape(k, 2), x[2 * k:], [], 0.0,
+                partition_optimizer._blank(k), everyone)
+            assert math.isfinite(fx)
+            xs, ys, stops = x[0:2 * k:2], x[1:2 * k:2], incumbent.stops
+            for i, q in moves:
+                seeds, weights = q[:2 * k].reshape(k, 2), q[2 * k:]
+                affected = partition_optimizer._affected(x, q, i, stops)
+                chosen = np.flatnonzero(affected).tolist()
+                try:
+                    whole = list(partition_optimizer._power_rings(seeds, weights, TRIANGLE,
+                                                                  range(k)))
+                except DegenerateConfigurationError:
+                    whole = None
+                try:
+                    local = dict(zip(chosen, partition_optimizer._power_rings(
+                        seeds, weights, TRIANGLE, chosen)))
+                except DegenerateConfigurationError:
+                    local = None
+                assert (whole is None) == (local is None), i
+                if whole is not None:
+                    for j in range(k):
+                        ring, stop = local.get(j, (incumbent.rings[j], incumbent.stops[j]))
+                        assert np.array_equal(ring, whole[j][0]) and stop == whole[j][1], (i, j)
+                fq, _ = partition_optimizer._eval_config(TRIANGLE, seeds, weights, [], 0.0,
+                                                         incumbent, affected)
+                f_whole, _ = partition_optimizer._eval_config(TRIANGLE, seeds, weights, [], 0.0,
+                                                              incumbent, everyone)
+                assert (fq < fx) == (f_whole < fx), i
+                pruned = bool((incumbent.hs[~affected] >= fx).any())
+                assert fq == (fx if pruned else f_whole), i
+                p = i // 2 if i < 2 * k else i - 2 * k
+                if i < 2 * k and np.count_nonzero(np.all(seeds == seeds[p], axis=1)) > 1:
+                    assert whole is None and f_whole == math.inf
+                    seen["onto a site"] += 1
+                if i >= 2 * k and (weights.max() != x[2 * k:].max()
+                                   or np.abs(weights).max() != np.abs(x[2 * k:]).max()):
+                    assert affected.all()
+                    seen["max w changed"] += 1
+                before = (xs[p] - xs) ** 2 + (ys[p] - ys) ** 2 <= stops
+                after = (seeds[p, 0] - xs) ** 2 + (seeds[p, 1] - ys) ** 2 <= stops
+                seen["stop crossed"] += bool(np.any(before != after))
+                seen["pruned" if pruned else "clipped"] += 1
+        if k <= 3:  # no loop stops before its last site: every move reaches all
+            assert not np.isfinite(stops).any()
+            del seen["stop crossed"], seen["pruned"]
+        assert all(seen.values()), seen
+
+    # sha256 of jsonio.dumps(trace_to_dict(trace)), recorded while every probe
+    # still clipped the whole diagram: the two ``partition`` benchmark jobs at
+    # seeds 1-3, the five runs of acceptance criterion 7, and k = 256
+    TRACE_PINS = {
+        (16, 150, 1, 1): "e77ea3296accecd112a2e50b00b89e967ab8c5e9db1c9a0a82024d2117b34208",
+        (16, 150, 2, 1): "e77ea3296accecd112a2e50b00b89e967ab8c5e9db1c9a0a82024d2117b34208",
+        (16, 150, 3, 1): "e77ea3296accecd112a2e50b00b89e967ab8c5e9db1c9a0a82024d2117b34208",
+        (64, 20, 1, 0): "3345416c702b0b7e6d6e62c023a7a1f772bc6372ea09b9163f2f399581342bfe",
+        (64, 20, 2, 0): "3345416c702b0b7e6d6e62c023a7a1f772bc6372ea09b9163f2f399581342bfe",
+        (64, 20, 3, 0): "3345416c702b0b7e6d6e62c023a7a1f772bc6372ea09b9163f2f399581342bfe",
+        (1, 60, 0, 2): "7b68ff77b858fb122223cfc79cc42cc2bafe996afb6aa140a843fc4ffc6881d1",
+        (4, 1500, 0, 5): "908b8de09f89e09512ccb5eb3d81e180ff6f4df0309b448a2458ea93aaa5839c",
+        (9, 1000, 0, 3): "ad24a24fd09287607d8623ffb68b384644d74e30002935069fa98be5e05cfb66",
+        (16, 700, 0, 2): "bba8bb4067ccb362686dcb7ab682078e73a97e2045329a56e0af56de26abd320",
+        (64, 220, 0, 0): "b31b3d9d577a566eb2e276c9595f3f163d7508575f3c25aa0b0ac0ddcd06e313",
+        (256, 50, 0, 0): "16c756ccba043287a523aa4542edb19ae37db3e9edb168781632e55aa6dd85a8",
+    }
+
+    @pytest.mark.parametrize("k, budget, seed, restarts", sorted(TRACE_PINS))
+    def test_traces_are_pinned(self, k, budget, seed, restarts):
+        trace = optimize(k, TRIANGLE, budget=budget, seed=seed, restarts=restarts)
+        text = jsonio.dumps(trace_to_dict(trace))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            self.TRACE_PINS[k, budget, seed, restarts]
+
+    def test_probes_clip_fewer_half_planes(self, call_counts):
+        # with whole-diagram probes this run clipped 78 017 half-planes
+        counts = call_counts(partition_optimizer, "_clip_halfplane")
+        optimize(64, TRIANGLE, budget=220, seed=0, restarts=0)
+        assert counts["_clip_halfplane"] < 78017 // 2
 
 
 class TestOptimize:
@@ -248,13 +405,14 @@ class TestOptimize:
         assert trace.history[-1][1] == trace.best_objective
 
     def test_one_seed_configuration_per_lloyd_step_and_result(self, call_counts):
-        # probes hand their arrays to the diagram; only the six Lloyd steps
-        # and the returned trace build a SeedConfiguration
+        # probes and the Lloyd steps hand their arrays to the diagram, whose
+        # sorted distances check that the seeds are distinct; only the
+        # returned trace builds a SeedConfiguration
         for budget in (60, 150):
             counts = call_counts(partition_optimizer, "SeedConfiguration")
             trace = optimize(16, TRIANGLE, budget=budget, seed=1, restarts=1)
             assert trace.evaluations == budget
-            assert counts == {"SeedConfiguration": 7}
+            assert counts == {"SeedConfiguration": 1}
 
     def test_determinism_bitwise(self):
         a = optimize(4, TRIANGLE, budget=120, seed=7, restarts=2)
@@ -299,21 +457,22 @@ class TestOptimize:
 
     def test_probes_move_one_coordinate(self, monkeypatch):
         # the compass search probes one coordinate at a time away from the
-        # start's best point so far, which is what lets the kept cells of the
-        # other sites be reused
-        starts = {}
+        # start's best point so far, which is what lets a probe keep the
+        # incumbent's rings of the sites its move cannot reach
+        evals = []
         original = partition_optimizer._eval_config
 
-        def recorded(container, seeds, weights, records, lower, kept):
-            result = original(container, seeds, weights, records, lower, kept)
-            x = np.concatenate([np.ravel(seeds), weights])
-            starts.setdefault(id(kept), []).append((x, result[0]))
+        def recorded(container, seeds, weights, records, lower, incumbent, affected):
+            result = original(container, seeds, weights, records, lower, incumbent, affected)
+            evals.append((np.concatenate([np.ravel(seeds), weights]), result[0]))
             return result
 
         monkeypatch.setattr(partition_optimizer, "_eval_config", recorded)
         trace = optimize(4, TRIANGLE, budget=300, seed=0, restarts=1)
-        lattice, random_start = starts.values()
-        assert len(lattice) + len(random_start) == trace.evaluations == 300
+        # every evaluation, a probe rejected without clipping too, is one
+        # call, and each start spends its share of 150
+        assert len(evals) == trace.evaluations == 300
+        lattice, random_start = evals[:150], evals[150:]
         # the lattice start balances weights for 40 evaluations, then its
         # search probes away from the best balanced point without scoring it
         # again; the random start's search starts at its first evaluation
