@@ -144,9 +144,29 @@ class Arc:
 Edge = Arc | Segment
 
 
+def _endpoint(e: Edge, t: float):
+    """(x, y) of ``e.point_at(t)`` for t = 0.0 or 1.0, as floats, without building a ``Point``."""
+    if isinstance(e, Segment):
+        p = e.end if t else e.start
+        return p.x, p.y
+    a = e.start_angle + e.signed_sweep * t
+    x = e.center.x + e.radius * math.cos(a)
+    y = e.center.y + e.radius * math.sin(a)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValidationError(f"non-finite point ({x}, {y})")
+    return x, y
+
+
 @dataclass(frozen=True)
 class ArcCurve:
-    """Oriented chain of arcs and segments; consecutive endpoints must coincide."""
+    """Oriented chain of arcs and segments; consecutive endpoints must coincide.
+
+    Validation computes each edge endpoint once, as floats with the arithmetic
+    of ``point_at`` but without building a ``Point``, and checks every gap
+    between consecutive edges (and the closing gap) against ``tolerance``.
+    An arc endpoint that is not finite raises ``ValidationError`` as a
+    non-finite ``Point`` would.
+    """
 
     edges: tuple
     closed: bool = True
@@ -158,13 +178,17 @@ class ArcCurve:
             raise ValidationError("curve needs at least one edge")
         tol = self.tolerance
         for i in range(len(edges) - 1):
-            gap = edges[i].end.distance_to(edges[i + 1].start)
+            ex, ey = _endpoint(edges[i], 1.0)
+            sx, sy = _endpoint(edges[i + 1], 0.0)
+            gap = math.hypot(ex - sx, ey - sy)
             if gap > tol:
                 raise ValidationError(
                     f"gap {gap:.3e} between edges {i} and {i + 1} exceeds tolerance {tol:.3e}"
                 )
         if self.closed:
-            gap = edges[-1].end.distance_to(edges[0].start)
+            ex, ey = _endpoint(edges[-1], 1.0)
+            sx, sy = _endpoint(edges[0], 0.0)
+            gap = math.hypot(ex - sx, ey - sy)
             if gap > tol:
                 raise ValidationError(
                     f"closed curve does not close: terminal gap {gap:.3e} > {tol:.3e}"
@@ -353,10 +377,56 @@ def _winding_totals(segs, arcs, x, y) -> np.ndarray:
 def winding_number(c: ArcCurve, q: Point) -> int:
     """Total turning of the closed curve around q, divided by 2*pi (an exact integer).
 
-    A one-point call of ``winding_numbers``: each edge adds its exact turn, in
-    O(1) however close q is to the curve.
+    ``winding_numbers`` for one point, on plain floats: each edge adds the same
+    exact turn in O(1), however close q is to the curve, and q within the
+    curve's tolerance of it, by the same per-edge distances, raises
+    ``OnBoundaryError``.  The turns are summed in edge order, so the total can
+    differ from the array kernel's in its last bits, never in the integer.
     """
-    return int(winding_numbers(c, [q.x], [q.y])[0])
+    if not c.closed:
+        raise ContractViolation("winding_number requires a closed curve")
+    x, y = q.x, q.y
+    nearest = math.inf
+    total = 0.0
+    for e in c.edges:
+        sx, sy = _endpoint(e, 0.0)
+        ex, ey = _endpoint(e, 1.0)
+        if isinstance(e, Segment):
+            vx, vy = ex - sx, ey - sy
+            wx, wy = x - sx, y - sy
+            t = min(1.0, max(0.0, (vx * wx + vy * wy) / (vx * vx + vy * vy)))
+            nearest = min(nearest, math.hypot(wx - t * vx, wy - t * vy))
+            total += _scalar_turn(x, y, sx, sy, ex, ey)
+            continue
+        dx, dy = x - e.center.x, y - e.center.y
+        rho = math.hypot(dx, dy)
+        sweep, turning = e.sweep, e.turning
+        if rho == 0.0:
+            nearest = min(nearest, e.radius)
+        elif (turning * (math.atan2(dy, dx) - e.start_angle)) % TWO_PI <= sweep:
+            nearest = min(nearest, abs(rho - e.radius))
+        else:
+            nearest = min(nearest, math.hypot(x - sx, y - sy), math.hypot(x - ex, y - ey))
+        if rho > e.radius:
+            total += _scalar_turn(x, y, sx, sy, ex, ey)
+        else:
+            raw = turning * (math.atan2(ey - y, ex - x) - math.atan2(sy - y, sx - x))
+            centre = 0.5 * sweep + 0.5 * math.pi
+            total += turning * (raw + TWO_PI * round((centre - raw) / TWO_PI))
+    if nearest <= c.tolerance:
+        raise OnBoundaryError(f"query point is on the curve (distance {nearest:.3e})")
+    m = total / TWO_PI
+    n = round(m)
+    if abs(m - n) > 0.25:
+        raise ValidationError(f"winding number did not converge to an integer: {m}")
+    return n
+
+
+def _scalar_turn(x, y, ax, ay, bx, by):
+    # ``_principal_turn`` of one point and one edge, on floats
+    v0x, v0y = ax - x, ay - y
+    v1x, v1y = bx - x, by - y
+    return math.atan2(v0x * v1y - v0y * v1x, v0x * v1x + v0y * v1y)
 
 
 def _segment_inner_normal(s: Segment):
@@ -448,31 +518,31 @@ def offset_inner(c: ArcCurve, r: float, roles: Sequence[str]) -> OffsetResult:
 # ---------------------------------------------------------------------------
 # Rigid motions and dilations (used by tests and cluster assembly).
 
-def _map_point(p: Point, cos_a, sin_a, dx, dy, lam):
-    return Point(
-        lam * (cos_a * p.x - sin_a * p.y) + dx,
-        lam * (sin_a * p.x + cos_a * p.y) + dy,
-    )
-
-
 def transform_curve(c: ArcCurve, angle: float = 0.0, dx: float = 0.0,
                     dy: float = 0.0, scale: float = 1.0) -> ArcCurve:
-    """Apply rotation by ``angle``, dilation by ``scale`` and then translation."""
+    """Apply rotation by ``angle``, dilation by ``scale`` and then translation.
+
+    A point p maps to ``scale * R(angle) p + (dx, dy)``, computed inline on
+    floats; an arc keeps its signed sweep and turns its start angle by
+    ``angle``, and its radius is multiplied by ``scale``.
+    """
     if scale <= 0.0:
         raise ValidationError("scale must be positive")
     ca, sa = math.cos(angle), math.sin(angle)
     out = []
     for e in c.edges:
         if isinstance(e, Arc):
+            x, y = e.center.x, e.center.y
             out.append(
-                Arc(_map_point(e.center, ca, sa, dx, dy, scale), e.radius * scale,
-                    e.start_angle + angle, e.signed_sweep)
+                Arc(Point(scale * (ca * x - sa * y) + dx, scale * (sa * x + ca * y) + dy),
+                    e.radius * scale, e.start_angle + angle, e.signed_sweep)
             )
         else:
+            x0, y0, x1, y1 = e.start.x, e.start.y, e.end.x, e.end.y
             out.append(
                 Segment(
-                    _map_point(e.start, ca, sa, dx, dy, scale),
-                    _map_point(e.end, ca, sa, dx, dy, scale),
+                    Point(scale * (ca * x0 - sa * y0) + dx, scale * (sa * x0 + ca * y0) + dy),
+                    Point(scale * (ca * x1 - sa * y1) + dx, scale * (sa * x1 + ca * y1) + dy),
                 )
             )
     return ArcCurve(tuple(out), c.closed)

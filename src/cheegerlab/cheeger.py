@@ -19,7 +19,9 @@ are checked as residuals by ``structure_report``.
 Polygon validation and the closed-form solve run on plain Python floats
 (``math.atan2``, ``tan`` and ``hypot``, sums taken in sequence): on the four to
 eight vertices of a power cell, numpy's cost per call outweighs the
-arithmetic.  In one batch of the benchmark's ``partition`` workload
+arithmetic.  So do ``convex_hull`` and the per-edge arithmetic of
+``random_class_a_domain``, with outputs bit for bit those of the numpy forms
+kept as test oracles.  In one batch of the benchmark's ``partition`` workload
 (k = 16 and 64 on the unit triangle; 182 diagrams, 2427 solves, since a cell
 whose ring did not change is not solved again), the solves take about a
 quarter of the time, validating the power cells a fifth, and clipping them,
@@ -222,12 +224,17 @@ def regular_polygon(n: int, area: float = 1.0, center=(0.0, 0.0), phase: float =
     return ConvexPolygon(pts)
 
 
-def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Andrew's monotone chain; returns CCW hull vertices."""
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+def convex_hull(points) -> np.ndarray:
+    """Andrew's monotone chain on plain floats; returns the CCW hull vertices as an (m, 2) array.
+
+    The rows are deduplicated and sorted by (x, y) as float tuples with
+    ``sorted(set(...))``, so 0.0 and -0.0 count as one value.  Collinear
+    points are dropped from the hull; fewer than 3 distinct rows come back
+    sorted.
+    """
+    pts = sorted(set(map(tuple, np.asarray(points, dtype=float).tolist())))
     if len(pts) < 3:
-        return pts
+        return np.array(pts, dtype=float).reshape(-1, 2)
 
     def half(seq):
         out = []
@@ -733,39 +740,41 @@ def random_class_a_domain(seed) -> ArcDomain:
     Starts from a random convex polygon with 4 to 9 vertices, bows some edges
     into shallow arcs (both signs of curvature), rescales the curve to enclose
     area pi (so r = 1), and fattens it outward by r.  A random rigid motion
-    and dilation are applied at the end.
+    and dilation are applied at the end.  Edge lengths, midpoints, normals
+    and centres are computed on plain floats; edge lengths use ``np.hypot``,
+    the C library's, which ``math.hypot`` does not always match to the bit.
     """
     rng = np.random.default_rng(seed)
     for _ in range(200):
         poly = random_convex_polygon(rng, 4, 9)
-        pts = poly.vertices * math.sqrt(math.pi / poly.area)
-        n = len(pts)
+        scale = math.sqrt(math.pi / poly.area)
+        pts = [(x * scale, y * scale) for x, y in poly.vertices.tolist()]
         edges = []
-        for i in range(n):
-            a, b = pts[i], pts[(i + 1) % n]
-            length = float(np.hypot(*(b - a)))
+        for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+            vx, vy = bx - ax, by - ay
+            length = float(np.hypot(vx, vy))
             bow = 0.0
             if length > 1.0 and rng.random() < 0.6:
                 bow = float(rng.uniform(-0.18, 0.18)) * length
             if abs(bow) < 0.02 * length:
-                edges.append(Segment(Point(*a), Point(*b)))
+                edges.append(Segment(Point(ax, ay), Point(bx, by)))
                 continue
             s = abs(bow)
             radius = (length * length / 4.0 + s * s) / (2.0 * s)
-            mid = 0.5 * (a + b)
-            left = np.array([-(b - a)[1], (b - a)[0]]) / length  # interior side
+            mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
+            lx, ly = -vy / length, vx / length  # interior side
             if bow > 0.0:  # outward bulge, convex arc
-                center = mid + (radius - s) * left
+                cx, cy = mx + (radius - s) * lx, my + (radius - s) * ly
                 turning = 1
             else:  # inward bulge, concave arc
                 if radius < 1.4:
-                    edges.append(Segment(Point(*a), Point(*b)))
+                    edges.append(Segment(Point(ax, ay), Point(bx, by)))
                     continue
-                center = mid - (radius - s) * left
+                cx, cy = mx - (radius - s) * lx, my - (radius - s) * ly
                 turning = -1
-            a0 = math.atan2(a[1] - center[1], a[0] - center[0])
-            a1 = math.atan2(b[1] - center[1], b[0] - center[0])
-            edges.append(Arc.between(Point(*center), radius, a0, a1, turning))
+            a0 = math.atan2(ay - cy, ax - cx)
+            a1 = math.atan2(by - cy, bx - cx)
+            edges.append(Arc.between(Point(cx, cy), radius, a0, a1, turning))
         try:
             inner = ArcCurve(tuple(edges), closed=True)
         except ValidationError:

@@ -138,12 +138,15 @@ class Cluster:
                 n = len(self.cells[cell].boundary.edges)
                 if not 0 <= edge < n:
                     raise ValidationError(f"bad adjacency edge {edge} of cell {cell}, which has {n} edges")
-        # a run index past the cell's last run is left to canonical_graph's run cover
         for bc in self.border_contacts:
             if not 0 <= bc.cell < k:
                 raise ValidationError(f"bad border contact cell {bc.cell}")
             if bc.run < 0:
                 raise ValidationError(f"bad border contact run {bc.run}")
+            n = len(border_runs(self.cells[bc.cell]))
+            if bc.run >= n:
+                raise ValidationError(f"bad border contact run {bc.run} of cell {bc.cell}, "
+                                      f"whose border run count is {n}")
         samples = [_sample_boundary(c) for c in self.cells]
         self._check_containment(samples)
         self._check_disjointness(samples)
@@ -298,9 +301,7 @@ def canonical_graph(cl: Cluster) -> CanonicalGraph:
 
     runs = [border_runs(cell) for cell in cl.cells]
     run_cover = {(j, r): 0 for j in range(k) for r in range(len(runs[j]))}
-    for bc in cl.border_contacts:
-        if (bc.cell, bc.run) not in run_cover:
-            raise ValidationError(f"border contact references missing run: {bc}")
+    for bc in cl.border_contacts:  # Cluster has checked every run index
         run_cover[(bc.cell, bc.run)] += 1
     bad = [key for key, n in run_cover.items() if n != 1]
     if bad:

@@ -17,7 +17,9 @@ the region polygon oriented by ``np.roll`` shoelace sums; the chord-deficit
 oracle locates every node on every edge through ``Point`` objects and builds
 each portion with its chord into a validated ``ArcCurve`` for its area; the
 overlap oracle makes one distance and one winding call per meeting pair of
-cells.
+cells; the curve-gap oracle measures every gap between ``Point`` endpoints;
+the class-A fixture oracles build hulls from ``np.unique`` rows, bow edges
+with numpy 2-vectors and map every point through a helper call.
 """
 
 import math
@@ -26,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cheegerlab.arc_geometry import (
+    CHAIN_TOL,
     Arc,
     ArcCurve,
     Point,
@@ -44,7 +47,14 @@ from cheegerlab.chamber_lemmas import (
     chain_feet,
     reference_areas,
 )
-from cheegerlab.cheeger import CheegerResult, ConvexPolygon, inner_parallel_polygon
+from cheegerlab.cheeger import (
+    ArcDomain,
+    CheegerResult,
+    ConvexPolygon,
+    _domain_from_inner_curve,
+    _inner_curve_exterior_angles,
+    inner_parallel_polygon,
+)
 from cheegerlab.cluster import _sample_boundary
 from cheegerlab.errors import (
     ContractViolation,
@@ -820,3 +830,181 @@ def overlap_message_reference(cells):
                 q = hit[0]
                 return f"cells {i} and {j} overlap near ({qx[q]:.6g}, {qy[q]:.6g})"
     return None
+
+
+# ---------------------------------------------------------------------------
+# Class-A fixtures and curve construction through numpy rows and Point objects.
+
+def curve_gap_error_reference(edges, closed: bool):
+    """The message of the ``ValidationError`` ``ArcCurve(edges, closed)`` raises, or None.
+
+    Every endpoint is a ``Point`` from ``start``/``end``, so a non-finite arc
+    end raises as the ``Point`` does, in the order the gaps are visited.  The
+    tolerance is ``CHAIN_TOL`` times the diagonal of the edges' box, an arc
+    counting its whole circle.
+    """
+    edges = tuple(edges)
+    if not edges:
+        return "curve needs at least one edge"
+    xs, ys = [], []
+    for e in edges:
+        if isinstance(e, Arc):
+            xs += [e.center.x - e.radius, e.center.x + e.radius]
+            ys += [e.center.y - e.radius, e.center.y + e.radius]
+        else:
+            xs += [e.start.x, e.end.x]
+            ys += [e.start.y, e.end.y]
+    tol = CHAIN_TOL * math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    pairs = [(i, i + 1) for i in range(len(edges) - 1)] + ([(-1, 0)] if closed else [])
+    for i, j in pairs:
+        try:
+            gap = edges[i].end.distance_to(edges[j].start)
+        except ValidationError as exc:
+            return str(exc)
+        if gap > tol:
+            if i == -1:
+                return f"closed curve does not close: terminal gap {gap:.3e} > {tol:.3e}"
+            return f"gap {gap:.3e} between edges {i} and {j} exceeds tolerance {tol:.3e}"
+    return None
+
+
+def _map_point_reference(p: Point, cos_a, sin_a, dx, dy, lam):
+    return Point(
+        lam * (cos_a * p.x - sin_a * p.y) + dx,
+        lam * (sin_a * p.x + cos_a * p.y) + dy,
+    )
+
+
+def transform_curve_reference(c: ArcCurve, angle: float = 0.0, dx: float = 0.0,
+                              dy: float = 0.0, scale: float = 1.0) -> ArcCurve:
+    """``transform_curve`` with a ``Point`` mapped by a helper call per point."""
+    if scale <= 0.0:
+        raise ValidationError("scale must be positive")
+    ca, sa = math.cos(angle), math.sin(angle)
+    out = []
+    for e in c.edges:
+        if isinstance(e, Arc):
+            out.append(
+                Arc(_map_point_reference(e.center, ca, sa, dx, dy, scale), e.radius * scale,
+                    e.start_angle + angle, e.signed_sweep)
+            )
+        else:
+            out.append(
+                Segment(
+                    _map_point_reference(e.start, ca, sa, dx, dy, scale),
+                    _map_point_reference(e.end, ca, sa, dx, dy, scale),
+                )
+            )
+    return ArcCurve(tuple(out), c.closed)
+
+
+def convex_hull_reference(points) -> np.ndarray:
+    """Andrew's monotone chain on the rows of ``np.unique(axis=0)``, walked as numpy rows."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    if len(pts) < 3:
+        return pts
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    lower = half(pts)
+    upper = half(pts[::-1])
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def random_convex_polygon_reference(rng: np.random.Generator, n_min: int = 3,
+                                    n_max: int = 12) -> ConvexPolygon:
+    """``random_convex_polygon`` with the hull of ``convex_hull_reference``."""
+    for _ in range(200):
+        n = int(rng.integers(n_min, n_max + 1))
+        ang = np.sort(rng.uniform(0.0, TWO_PI, n))
+        if n > 3 and np.diff(np.concatenate([ang, [ang[0] + TWO_PI]])).min() < 0.08:
+            continue
+        rad = rng.uniform(0.5, 1.5, n)
+        pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+        hull = convex_hull_reference(pts)
+        if not n_min <= len(hull) <= n_max:
+            continue
+        try:
+            return ConvexPolygon(hull)
+        except ValidationError:
+            continue
+    raise ValidationError("random polygon generation failed")
+
+
+def random_class_a_domain_reference(seed) -> ArcDomain:
+    """``random_class_a_domain`` with the per-edge arithmetic on numpy 2-vectors.
+
+    The polygon comes from ``random_convex_polygon_reference`` and both
+    motions from ``transform_curve_reference``.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        poly = random_convex_polygon_reference(rng, 4, 9)
+        pts = poly.vertices * math.sqrt(math.pi / poly.area)
+        n = len(pts)
+        edges = []
+        for i in range(n):
+            a, b = pts[i], pts[(i + 1) % n]
+            length = float(np.hypot(*(b - a)))
+            bow = 0.0
+            if length > 1.0 and rng.random() < 0.6:
+                bow = float(rng.uniform(-0.18, 0.18)) * length
+            if abs(bow) < 0.02 * length:
+                edges.append(Segment(Point(*a), Point(*b)))
+                continue
+            s = abs(bow)
+            radius = (length * length / 4.0 + s * s) / (2.0 * s)
+            mid = 0.5 * (a + b)
+            left = np.array([-(b - a)[1], (b - a)[0]]) / length  # interior side
+            if bow > 0.0:  # outward bulge, convex arc
+                center = mid + (radius - s) * left
+                turning = 1
+            else:  # inward bulge, concave arc
+                if radius < 1.4:
+                    edges.append(Segment(Point(*a), Point(*b)))
+                    continue
+                center = mid - (radius - s) * left
+                turning = -1
+            a0 = math.atan2(a[1] - center[1], a[0] - center[0])
+            a1 = math.atan2(b[1] - center[1], b[0] - center[0])
+            edges.append(Arc.between(Point(*center), radius, a0, a1, turning))
+        try:
+            inner = ArcCurve(tuple(edges), closed=True)
+        except ValidationError:
+            continue
+        if min(_inner_curve_exterior_angles(edges)) < 0.05:
+            continue
+        area = signed_area(inner)
+        if area <= 0.0:
+            continue
+        inner = transform_curve_reference(inner, scale=math.sqrt(math.pi / area))
+        if any(
+            isinstance(e, Arc) and e.turning == -1 and e.radius < 1.05
+            for e in inner.edges
+        ):
+            continue
+        try:
+            d = _domain_from_inner_curve(inner, 1.0)
+        except ValidationError:
+            continue
+        lam = float(rng.uniform(0.5, 2.0))
+        moved = transform_curve_reference(
+            d.boundary,
+            angle=float(rng.uniform(0.0, TWO_PI)),
+            dx=float(rng.uniform(-3.0, 3.0)),
+            dy=float(rng.uniform(-3.0, 3.0)),
+            scale=lam,
+        )
+        return ArcDomain(moved, d.roles, d.h / lam)
+    raise ValidationError("random class-A domain generation failed")

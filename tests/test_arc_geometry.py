@@ -15,6 +15,7 @@ from cheegerlab.arc_geometry import (
     Segment,
     curve_from_dict,
     curve_length,
+    curve_distances,
     curve_to_dict,
     full_circle,
     offset_inner,
@@ -32,8 +33,10 @@ from cheegerlab.errors import (
     ValidationError,
 )
 from oracles import (
+    curve_gap_error_reference,
     quadrature_curve_area,
     rasterized_winding_area,
+    transform_curve_reference,
     winding_number_stepping,
 )
 
@@ -48,6 +51,22 @@ def stadium_curve():
         Segment(Point(1, 1), Point(-1, 1)),
         Arc.between(Point(-1, 0), 1.0, PI / 2, 3 * PI / 2, 1),
     ), closed=True)
+
+
+def lens_curve():
+    """Intersection of the unit disks centred at (-0.5, 0) and (0.5, 0): two arcs meeting at kinks."""
+    return ArcCurve((
+        Arc.between(Point(-0.5, 0), 1.0, -PI / 3, PI / 3, 1),
+        Arc.between(Point(0.5, 0), 1.0, 2 * PI / 3, 4 * PI / 3, 1),
+    ), closed=True)
+
+
+def _tangent(e, t):
+    # unit direction of travel along the edge at parameter t
+    if isinstance(e, Segment):
+        return (e.end.x - e.start.x) / e.length, (e.end.y - e.start.y) / e.length
+    a = e.angle_at(t)
+    return -e.turning * math.sin(a), e.turning * math.cos(a)
 
 
 def hexagon_boundary():
@@ -152,24 +171,102 @@ class TestWindingNumber:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_stepping_oracle(self, seed):
-        # every arc of a class-A domain and of its reversal (clockwise arcs),
-        # with q on the normal through the arc's midpoint, inside and outside
-        # the supporting circle, at eps times the arc length
+        # every edge of a class-A domain and of its reversal (clockwise arcs),
+        # with q on the normal through the edge's midpoint at eps times the
+        # edge length, eps = 1e-2 ... 1e-6, on both sides: the one-point call
+        # gives the array kernel's integer, and the stepping oracle's wherever
+        # its walk is short (it walks about 1/eps steps of an arc seen from
+        # inside)
         d = random_class_a_domain(seed)
         seen = set()
         for curve in (d.boundary, d.boundary.reversed()):
-            for arc in (e for e in curve.edges if isinstance(e, Arc)):
-                mid = arc.point_at(0.5)
-                ux = (mid.x - arc.center.x) / arc.radius
-                uy = (mid.y - arc.center.y) / arc.radius
-                for eps in (1e-2, 1e-3, 1e-4):
+            queries = []
+            for e in curve.edges:
+                mid = e.point_at(0.5)
+                if isinstance(e, Arc):
+                    ux, uy = (mid.x - e.center.x) / e.radius, (mid.y - e.center.y) / e.radius
+                else:
+                    ux, uy = (e.start.y - e.end.y) / e.length, (e.end.x - e.start.x) / e.length
+                for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
                     for side in (-1.0, 1.0):
-                        rho = arc.radius + side * eps * arc.length
-                        q = Point(arc.center.x + rho * ux, arc.center.y + rho * uy)
-                        w = winding_number(curve, q)
-                        assert w == winding_number_stepping(curve, q)
-                        seen.add(w)
+                        q = Point(mid.x + side * eps * e.length * ux, mid.y + side * eps * e.length * uy)
+                        short = eps >= 1e-4 or isinstance(e, Segment) or side > 0.0
+                        queries.append((q, short))
+            xs, ys = [q.x for q, _ in queries], [q.y for q, _ in queries]
+            expected = winding_numbers(curve, xs, ys).tolist()
+            assert [winding_number(curve, q) for q, _ in queries] == expected
+            assert all(winding_number_stepping(curve, q) == w
+                       for (q, short), w in zip(queries, expected) if short)
+            seen.update(expected)
         assert seen == {-1, 0, 1}
+
+    def test_matches_stepping_oracle_close_to_a_free_arc(self):
+        # the walks the test above leaves out: 1e5 and 1e6 steps
+        d = random_class_a_domain(0)
+        arc = next(e for e, role in zip(d.boundary.edges, d.roles) if role == FREE)
+        mid = arc.point_at(0.5)
+        ux, uy = (mid.x - arc.center.x) / arc.radius, (mid.y - arc.center.y) / arc.radius
+        for eps in (1e-5, 1e-6):
+            rho = arc.radius - eps * arc.length
+            q = Point(arc.center.x + rho * ux, arc.center.y + rho * uy)
+            assert winding_number(d.boundary, q) == winding_number_stepping(d.boundary, q) == 1
+
+    @staticmethod
+    def _check_against_array_kernel(curve, xs, ys):
+        # every point within the tolerance by the array kernel's distances
+        # raises, and every other point gets the array kernel's integer
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        on = curve_distances(curve, xs, ys) <= curve.tolerance
+        assert on.any() and not on.all()
+        for x, y in zip(xs[on], ys[on]):
+            with pytest.raises(OnBoundaryError):
+                winding_number(curve, Point(x, y))
+        expected = winding_numbers(curve, xs[~on], ys[~on]).tolist()
+        assert [winding_number(curve, Point(x, y)) for x, y in zip(xs[~on], ys[~on])] == expected
+
+    def test_one_point_matches_array_kernel_on_fixtures(self):
+        # a grid over each fixture, with its rows and columns through the
+        # fixture's vertices
+        twice = ArcCurve((Arc(Point(0.3, -0.2), 1.0, 0.4, 2 * PI),) * 2, closed=True)
+        for curve in (stadium_curve(), stadium_curve().reversed(), hexagon_boundary(),
+                      full_circle(Point(0.0, 0.0), 1.0, ccw=False), twice):
+            x0, y0, x1, y1 = curve.bbox
+            xs = np.concatenate([np.linspace(x0 - 0.5, x1 + 0.5, 23), [p.x for p in curve.vertices()]])
+            ys = np.concatenate([np.linspace(y0 - 0.5, y1 + 0.5, 23), [p.y for p in curve.vertices()]])
+            self._check_against_array_kernel(curve, *(a.ravel() for a in np.meshgrid(xs, ys)))
+
+    @pytest.mark.parametrize("seed", ["lens", 0, 1, 2, 3])
+    def test_one_point_matches_array_kernel_at_the_tolerance(self, seed):
+        # on both sides of every edge near its ends and middle, and past every
+        # kink along the difference of its two tangents (outside the angular
+        # range of both arcs at the lens's kinks; class-A boundaries have
+        # none), at half and twice the curve's tolerance
+        boundary = lens_curve() if seed == "lens" else random_class_a_domain(seed).boundary
+        for curve in (boundary, boundary.reversed()):
+            tol = curve.tolerance
+            xs, ys = [], []
+            for e in curve.edges:
+                for t in (1e-4, 0.5, 1.0 - 1e-4):
+                    p = e.point_at(t)
+                    if isinstance(e, Arc):
+                        nx, ny = (p.x - e.center.x) / e.radius, (p.y - e.center.y) / e.radius
+                    else:
+                        nx, ny = (e.start.y - e.end.y) / e.length, (e.end.x - e.start.x) / e.length
+                    for f in (-2.0, -0.5, 0.5, 2.0):
+                        xs.append(p.x + f * tol * nx)
+                        ys.append(p.y + f * tol * ny)
+            edges = curve.edges
+            for e0, e1 in zip(edges, edges[1:] + edges[:1]):
+                (ax, ay), (bx, by) = _tangent(e0, 1.0), _tangent(e1, 0.0)
+                ux, uy = ax - bx, ay - by
+                norm = math.hypot(ux, uy)
+                if norm < 1e-6:  # a smooth corner: the normal points above cover it
+                    continue
+                v = e1.start
+                for f in (0.5, 2.0):
+                    xs.append(v.x + f * tol * ux / norm)
+                    ys.append(v.y + f * tol * uy / norm)
+            self._check_against_array_kernel(curve, xs, ys)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_free_arc_at_boundary_tolerance(self, seed):
@@ -306,6 +403,73 @@ def _square_cheeger_like(side=1.0, r=0.2):
         edges.append(Arc.between(Point(cx, cy), r, a0, a1, 1))
         roles.append(FREE)
     return {"curve": ArcCurve(tuple(edges), closed=True), "roles": roles}
+
+
+def _outcome(build):
+    # the curve's JSON text, or the message of the ValidationError it raised
+    try:
+        return jsonio.dumps(curve_to_dict(build()))
+    except ValidationError as exc:
+        return f"error: {exc}"
+
+
+class TestConstruction:
+    def test_gap_checks_match_point_reference(self):
+        # rotations, reversals, a dropped edge and nudged endpoints of class-A
+        # boundaries: the same verdict and message as gaps between Points
+        verdicts = set()
+        for seed in range(20):
+            edges = random_class_a_domain(seed).boundary.edges
+            tol = ArcCurve(edges).tolerance
+            cases = [(edges, True), (edges, False), (edges[:-1], True), (edges[:-1], False),
+                     (edges[1:] + edges[:1], True), (edges[::-1], True)]
+            for i, e in enumerate(edges):
+                if isinstance(e, Arc):
+                    nudged = [Arc(e.center, e.radius, e.start_angle + da, e.signed_sweep)
+                              for da in (1e-12 / e.radius, 1e-8 / e.radius, 1e-6)]
+                else:
+                    nudged = [Segment(e.start, Point(e.end.x + f * tol, e.end.y)) for f in (0.5, 2.0)]
+                cases += [(edges[:i] + (m,) + edges[i + 1:], True) for m in nudged]
+            for es, closed in cases:
+                expected = curve_gap_error_reference(es, closed)
+                verdicts.add(expected is None)
+                if expected is None:
+                    ArcCurve(es, closed)
+                else:
+                    with pytest.raises(ValidationError) as exc:
+                        ArcCurve(es, closed)
+                    assert str(exc.value) == expected
+        assert verdicts == {True, False}
+
+    def test_overflowing_arc_end_rejected(self):
+        # an arc whose center and radius are finite but whose end point
+        # overflows raises as a non-finite Point, as the first gap reads it
+        arc = Arc(Point(1.5e308, 0.0), 1e308, PI, -PI)  # from (5e307, 0) to (inf, 0)
+        seg = Segment(Point(1e308, 0.0), Point(5e307, 0.0))
+        for edges, closed in (((arc, seg), False), ((arc, seg), True), ((arc,), True)):
+            expected = curve_gap_error_reference(edges, closed)
+            assert expected.startswith("non-finite point (inf, ")
+            with pytest.raises(ValidationError) as exc:
+                ArcCurve(edges, closed)
+            assert str(exc.value) == expected
+        ArcCurve((arc,), closed=False)  # an open curve of one edge has no gap to measure
+
+    def test_transform_matches_point_reference(self):
+        # dilations 1e-8 ... 1e8 with rotations and translates at the same
+        # scale, and a unit translate that opens gaps at small scales: the
+        # same JSON bytes, or the same error
+        errors = 0
+        for seed in range(4):
+            d = random_class_a_domain(seed)
+            for c in (d.boundary, d.boundary.reversed()):
+                for k in range(-8, 9):
+                    lam = 10.0 ** k
+                    for angle, dx, dy in ((0.0, 0.0, 0.0), (0.7, 3.0 * lam, -2.0 * lam),
+                                          (-2.5, -lam, 0.5 * lam), (1.1, 1.0, -1.0)):
+                        got = _outcome(lambda: transform_curve(c, angle, dx, dy, lam))
+                        assert got == _outcome(lambda: transform_curve_reference(c, angle, dx, dy, lam))
+                        errors += got.startswith("error: ")
+        assert errors > 0
 
 
 class TestInvariances:

@@ -13,7 +13,7 @@ from cheegerlab.arc_geometry import (
     curve_length,
     signed_area,
 )
-from cheegerlab import cheeger
+from cheegerlab import cheeger, cluster, jsonio
 from cheegerlab.cheeger import (
     ArcDomain,
     ConvexPolygon,
@@ -27,6 +27,7 @@ from cheegerlab.cheeger import (
     domain_to_dict,
     inner_parallel_polygon,
     polygon_from_dict,
+    polygon_to_dict,
     random_class_a_domain,
     random_convex_polygon,
     regular_polygon,
@@ -37,9 +38,12 @@ from cheegerlab.partition_optimizer import SeedConfiguration, hex_lattice_seeds,
 from oracles import (
     cheeger_convex_reference,
     clean_ring_loop,
+    convex_hull_reference,
     convex_polygon_reference,
     polygon_cheeger_bisection,
     polygon_cheeger_closed_form,
+    random_class_a_domain_reference,
+    random_convex_polygon_reference,
 )
 
 PI = math.pi
@@ -328,6 +332,84 @@ class TestRandomDomains:
         for _ in range(10):
             poly = random_convex_polygon(rng, 3, 12)
             assert 3 <= len(poly.vertices) <= 12
+
+    def test_domains_match_numpy_reference(self):
+        # the same artifact bytes as the per-edge arithmetic on numpy 2-vectors,
+        # with the same rejections, over 2000 seeds of both seed forms
+        for i in range(2000):
+            seed = i if i % 2 else [i // 7, 0, i]
+            try:
+                expected = jsonio.dumps(domain_to_dict(random_class_a_domain_reference(seed)))
+            except (ValidationError, ValueError) as exc:
+                with pytest.raises(type(exc), match=f"^{exc}$"):
+                    random_class_a_domain(seed)
+                continue
+            assert jsonio.dumps(domain_to_dict(random_class_a_domain(seed))) == expected, seed
+
+    def test_polygons_match_numpy_reference(self):
+        # two polygons per seed, with the class-A fixtures' 4..9 vertices and
+        # the default 3..12, and the generator left in the same state
+        for seed in range(2000):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n_min, n_max in ((4, 9), (3, 12)):
+                got = jsonio.dumps(polygon_to_dict(random_convex_polygon(rng, n_min, n_max)))
+                want = jsonio.dumps(polygon_to_dict(random_convex_polygon_reference(ref, n_min, n_max)))
+                assert got == want, seed
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestConvexHull:
+    @staticmethod
+    def _check(points):
+        got, want = convex_hull(points), convex_hull_reference(points)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        return got
+
+    def test_duplicates(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            pts = rng.normal(size=(12, 2))
+            pts = np.concatenate([pts, pts[rng.integers(0, 12, 8)]])
+            rng.shuffle(pts)
+            self._check(pts)
+
+    def test_signed_zeros(self):
+        pts = [[0.0, 0.0], [-0.0, 0.0], [1.0, -0.0], [0.0, 1.0], [-0.0, 1.0],
+               [0.0, -0.0], [-0.0, -0.0], [1.0, 0.0]]
+        assert len(self._check(pts)) == 3
+        assert len(self._check([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0]])) == 2
+
+    def test_collinear_runs(self):
+        t = np.linspace(0.0, 1.0, 7)
+        square = np.concatenate([np.column_stack([t, 0 * t]), np.column_stack([1 + 0 * t, t]),
+                                 np.column_stack([t, 1 + 0 * t]), np.column_stack([0 * t, t])])
+        assert len(self._check(square)) == 4
+        assert len(self._check(square[::-1])) == 4
+        t = np.linspace(0.0, 1.0, 9)  # eighths, so the line's points are exact
+        line = np.column_stack([t, 2.0 * t - 1.0])
+        assert len(self._check(line)) == 2
+
+    def test_fewer_than_three_points(self):
+        for pts in ([], [[1.0, 2.0]], [[1.0, 2.0], [0.5, 3.0]], [[1.0, 2.0], [1.0, 2.0], [0.5, 3.0]]):
+            self._check(np.asarray(pts, dtype=float).reshape(-1, 2))
+
+    def test_honeycomb_vertex_list(self, monkeypatch):
+        # the container hull of the l = 8 honeycomb, from its 216 hexagon
+        # vertices, is the reference's bit for bit
+        seen = []
+
+        def spy(points):
+            seen.append(points)
+            return convex_hull(points)
+
+        monkeypatch.setattr(cluster, "convex_hull", spy)
+        cl = cluster.honeycomb_cluster(8)
+        (points,) = seen
+        assert len(points) == 216
+        hull = self._check(points)
+        assert hull.tobytes() == convex_hull_reference(points).tobytes()
+        assert np.array_equal(cl.container.vertices, ConvexPolygon(hull).vertices)
 
 
 class TestConvexPolygonValidation:

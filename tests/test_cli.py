@@ -428,10 +428,14 @@ class TestMalformedArtifacts:
         (lambda d: d.update(adjacency=[[0, 1, -1, 6]]), "bad adjacency edge -1 of cell 0, which has 8 edges"),
         (lambda d: d.update(adjacency=[[0, 1, 2, 8]]), "bad adjacency edge 8 of cell 1, which has 8 edges"),
         (lambda d: d.update(border_contacts=[[0, -1], [1, 0]]), "bad border contact run -1"),
+        (lambda d: d.update(border_contacts=[[0, 9], [1, 0]]),
+         "bad border contact run 9 of cell 0, whose border run count is 1"),
+        (lambda d: d.update(border_contacts=[[0, 0], [1, 1]]),
+         "bad border contact run 1 of cell 1, whose border run count is 1"),
         (lambda d: d.update(container_area=-2.0), "container area must be finite and positive, got -2.0"),
         (lambda d: d.update(container_area=0.0), "container area must be finite and positive, got 0.0"),
-    ], ids=["edge-past-end", "edge-negative", "edge-b-past-end", "run-negative", "area-negative",
-            "area-zero"])
+    ], ids=["edge-past-end", "edge-negative", "edge-b-past-end", "run-negative", "run-past-end",
+            "run-b-past-end", "area-negative", "area-zero"])
     def test_cluster_index_out_of_range(self, tmp_path, capsys, change, message):
         # these escaped as an IndexError or a math domain error, or exited 0
         obj = json.loads(json.dumps(_ARTIFACTS["certificate"][0]))
