@@ -1,11 +1,12 @@
+import hashlib
 import math
 import re
 
 import numpy as np
 import pytest
 
-from cheegerlab import chamber_lemmas
-from cheegerlab.arc_geometry import signed_area
+from cheegerlab import chamber_lemmas, jsonio
+from cheegerlab.arc_geometry import curve_to_dict, signed_area
 from cheegerlab.chamber_lemmas import (
     DiskChain,
     chain_from_dict,
@@ -111,6 +112,22 @@ class TestChainRegionArea:
                 outline_area = signed_area(pocket_outline(chain))
                 rep = chain_region_area(chain)
                 assert outline_area == pytest.approx(rep.area, rel=1e-10, abs=1e-12)
+
+    # sha256 over jsonio.dumps(curve_to_dict(pocket_outline(chain))) for the
+    # 100 chains random_chain(flavor, 3 + i % 4, seed=[23, i]), i = 0..99
+    POCKET_OUTLINE_PINS = {
+        "closed": "35e0d42452bfa67618c496ad966e23e7f2fb8101df14f2dc173cf5c8c883e1a4",
+        "half_plane": "cda04f9dcf0685e9df397d2f5d8e63dad6a8f0ac193f380223c28740f657124b",
+        "sector": "3017995f5115cbd3b24c67ee535ab83d9472e535242c37fd2f1a0edaea73607c",
+    }
+
+    @pytest.mark.parametrize("flavor", sorted(POCKET_OUTLINE_PINS))
+    def test_pocket_outline_bytes_pinned(self, flavor):
+        digest = hashlib.sha256()
+        for i in range(100):
+            chain = random_chain(flavor, 3 + i % 4, seed=[23, i])
+            digest.update(jsonio.dumps(curve_to_dict(pocket_outline(chain))).encode())
+        assert digest.hexdigest() == self.POCKET_OUTLINE_PINS[flavor]
 
     def test_shrinking_middle_radius_decreases_area(self):
         # D1, D3 fixed and tangent; the enclosed area grows with the middle radius
