@@ -3,8 +3,12 @@
 The optimizer tiles the unit-area equilateral triangle with power-diagram
 cells (always an admissible cluster, so every evaluation is an upper bound)
 and descends on seeds and weights.  The certified lower bound is
-h(H) sqrt(k); the scaled ratio upper/lower shrinks as k grows because the
-hexagonal interior dominates the boundary effects.
+h(H) sqrt(k).  The paper's theorem says the scaled ratio upper/lower of the
+optimal clusters tends to 1 as k grows, because the hexagonal interior comes
+to dominate the boundary effects.  The optimizer's own ratio does not follow
+it yet: it falls over the k <= 16 rows below but rises past k = 64 (1.0388 at
+k = 64 with budget 220, 1.0748 at k = 256 with budget 50), since at large k
+its budget runs out inside the first compass pass.
 
 The last table times one power diagram on lattice seeds at large k: each
 cell is clipped only by the half-planes of its nearest sites, up to the

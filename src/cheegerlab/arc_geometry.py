@@ -218,13 +218,6 @@ class ArcCurve:
         """``CHAIN_TOL * extent``: the largest gap between edges, and the on-curve distance."""
         return CHAIN_TOL * self.extent
 
-    def vertices(self):
-        """Start point of every edge (plus the terminal point if the curve is open)."""
-        pts = [e.start for e in self.edges]
-        if not self.closed:
-            pts.append(self.edges[-1].end)
-        return pts
-
     def reversed(self) -> "ArcCurve":
         return ArcCurve(tuple(e.reversed() for e in reversed(self.edges)), self.closed)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -72,7 +72,7 @@ class DiskChain:
     centers: np.ndarray
     radii: np.ndarray
     flavor: str
-    warnings: tuple = ()
+    warnings: tuple = field(init=False)
 
     def __post_init__(self):
         centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
@@ -115,14 +115,6 @@ def _feet(centers, radii, flavor):
         return first, (centers[-1][0], 0.0)
     (x, y), r = centers[-1], radii[-1]
     return first, (x - r * _RAY_NORMAL[0], y - r * _RAY_NORMAL[1])
-
-
-def chain_feet(ch: DiskChain):
-    """Tangency feet of the end disks on the container lines (open flavors)."""
-    if ch.flavor == CLOSED:
-        return None, None
-    first, last = _feet(ch.centers.tolist(), ch.radii.tolist(), ch.flavor)
-    return np.array(first), np.array(last)
 
 
 def _interior_angle(prev, v, nxt) -> float:
@@ -309,18 +301,18 @@ def pocket_outline(ch: DiskChain):
 
     m = ch.m
     edges = []
+    if ch.flavor != CLOSED:
+        f0, f1 = _feet(ch.centers.tolist(), ch.radii.tolist(), ch.flavor)
     if ch.flavor == CLOSED:
         for i in range(m):
             edges.append(arc(i, tangency(i, (i - 1) % m), tangency(i, (i + 1) % m)))
     elif ch.flavor == HALF_PLANE:
-        f0, f1 = chain_feet(ch)
         edges.append(Segment(Point(*f0), Point(*f1)))
         edges.append(arc(m - 1, f1, tangency(m - 1, m - 2)))
         for i in range(m - 2, 0, -1):
             edges.append(arc(i, tangency(i, i + 1), tangency(i, i - 1)))
         edges.append(arc(0, tangency(0, 1), f0))
     else:
-        f0, f1 = chain_feet(ch)
         origin = Point(0.0, 0.0)
         edges.append(Segment(origin, Point(*f0)))
         edges.append(arc(0, f0, tangency(0, 1)))
@@ -341,27 +333,17 @@ def tangency_geometry(r1: float, r2: float, r3: float, l: Optional[float] = None
     """Center of the middle disk tangent to two anchored disks, and the angle
     derivatives d(theta_1)/d(r_2), d(theta_3)/d(r_2).
 
-    With ``l is None`` the anchor disks are mutually tangent (centers at
-    distance r1 + r3); otherwise their centers sit at distance l > r1 + r3.
-    Both derivatives are positive whenever the configuration exists.
+    The anchor centers sit at distance l >= r1 + r3; ``l is None`` means
+    l = r1 + r3, mutually tangent anchors.  Both derivatives are positive
+    whenever the configuration exists.
     """
     for name, val in (("r1", r1), ("r2", r2), ("r3", r3)):
         if val <= 0.0 or not math.isfinite(val):
             raise ValidationError(f"{name} must be positive, got {val}")
     if l is None:
-        span = r1 + r3
-        x0 = (r1 * r1 + span * span + 2.0 * r1 * r2 - r3 * r3 - 2.0 * r3 * r2) / (2.0 * span)
-        y2 = (r1 + r2) ** 2 - ((r1 - r3) * (r1 + r3 + 2.0 * r2) + span * span) ** 2 / (4.0 * span * span)
-        if y2 <= 0.0:
-            raise ValidationError("middle disk cannot touch both anchors")
-        y0 = math.sqrt(y2)
-        inner = -r1 * r3 * (span * span - (r1 + r3 + 2.0 * r2) ** 2) / (span * span)
-        root = math.sqrt(inner)
-        d1 = 2.0 * r1 * r3 / (span * (r1 + r2) * root)
-        d3 = 2.0 * r1 * r3 / (span * (r2 + r3) * root)
-        return x0, y0, d1, d3
-    if l <= r1 + r3:
-        raise ValidationError(f"anchor distance l = {l} must exceed r1 + r3 = {r1 + r3}")
+        l = r1 + r3
+    elif l < r1 + r3:
+        raise ValidationError(f"anchor distance l = {l} is below r1 + r3 = {r1 + r3}")
     x0 = (l * l + r1 * r1 + 2.0 * r1 * r2 - r3 * r3 - 2.0 * r3 * r2) / (2.0 * l)
     y2 = (r1 + r2) ** 2 - (l * l + (r1 - r3) * (r1 + r3 + 2.0 * r2)) ** 2 / (4.0 * l * l)
     if y2 <= 0.0:

@@ -179,13 +179,12 @@ class ConvexPolygon:
         object.__setattr__(self, "extent", extent)
         object.__setattr__(self, "area", area)
 
-    @property
-    def perimeter(self) -> float:
-        diffs = _next(self.vertices) - self.vertices
-        return float(np.hypot(diffs[:, 0], diffs[:, 1]).sum())
-
     @cached_property
-    def _halfplanes(self):
+    def edge_normals(self):
+        """Outward unit normals and line offsets c with x . n <= c inside.
+
+        Computed on first use and kept; the arrays are read-only.
+        """
         diffs = _next(self.vertices) - self.vertices
         lengths = np.hypot(diffs[:, 0], diffs[:, 1])
         normals = np.column_stack([diffs[:, 1], -diffs[:, 0]]) / lengths[:, None]
@@ -194,26 +193,16 @@ class ConvexPolygon:
         offsets.setflags(write=False)
         return normals, offsets
 
-    def edge_normals(self):
-        """Outward unit normals and line offsets c with x . n <= c inside.
-
-        Computed on first use and kept; the arrays are read-only.
-        """
-        return self._halfplanes
-
     def contains(self, x, y, tol: float = 0.0):
         """Whether (x, y) lies in the polygon grown by tol.
 
         Scalars give a bool; arrays of coordinates give a boolean array, one
         half-plane test per point and edge.
         """
-        normals, offsets = self.edge_normals()
+        normals, offsets = self.edge_normals
         inside = (np.multiply.outer(x, normals[:, 0]) + np.multiply.outer(y, normals[:, 1])
                   <= offsets + tol).all(axis=-1)
         return inside if inside.ndim else bool(inside)
-
-    def scaled(self, lam: float) -> "ConvexPolygon":
-        return ConvexPolygon(self.vertices * lam)
 
 
 def regular_polygon(n: int, area: float = 1.0, center=(0.0, 0.0), phase: float = 0.0) -> ConvexPolygon:
@@ -290,7 +279,7 @@ def inner_parallel_polygon(p: ConvexPolygon, t: float) -> Optional[ConvexPolygon
         raise ValidationError(f"offset distance must be nonnegative, got {t}")
     if t == 0.0:
         return p
-    normals, offsets = p.edge_normals()
+    normals, offsets = p.edge_normals
     ring = p.vertices.tolist()
     for (nx, ny), c in zip(normals.tolist(), (offsets - t).tolist()):
         ring = _clip_halfplane(ring, nx, ny, c)
@@ -671,22 +660,15 @@ def random_convex_polygon(rng: np.random.Generator, n_min: int = 3, n_max: int =
 
 def _inner_curve_exterior_angles(edges):
     """Exterior angle at each vertex between consecutive edge tangents."""
-    def end_tangent(e):
+    def tangent(e, t):
         if isinstance(e, Segment):
             return math.atan2(e.end.y - e.start.y, e.end.x - e.start.x)
-        a = e.angle_at(1.0)
-        return a + e.turning * math.pi / 2.0
-
-    def start_tangent(e):
-        if isinstance(e, Segment):
-            return math.atan2(e.end.y - e.start.y, e.end.x - e.start.x)
-        a = e.angle_at(0.0)
-        return a + e.turning * math.pi / 2.0
+        return e.angle_at(t) + e.turning * math.pi / 2.0
 
     n = len(edges)
     out = []
     for i in range(n):
-        gap = (start_tangent(edges[(i + 1) % n]) - end_tangent(edges[i])) % TWO_PI
+        gap = (tangent(edges[(i + 1) % n], 0.0) - tangent(edges[i], 1.0)) % TWO_PI
         if gap > math.pi:
             gap -= TWO_PI
         out.append(gap)

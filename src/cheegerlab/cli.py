@@ -236,73 +236,65 @@ def _curve_path(c: ArcCurve) -> str:
     return " ".join(cmds)
 
 
-def _svg_document(body, bbox) -> str:
-    x0, y0, x1, y1 = bbox
-    pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
-    vb = (x0 - pad, -(y1 + pad), (x1 - x0) + 2 * pad, (y1 - y0) + 2 * pad)
-    head = (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_f(vb[0])} {_f(vb[1])} {_f(vb[2])} {_f(vb[3])}">\n'
-    )
-    return head + "".join(body) + "</svg>\n"
-
-
 def _polygon_curve(vertices) -> ArcCurve:
     pts = [Point(float(x), float(y)) for x, y in vertices]
     edges = [Segment(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
     return ArcCurve(tuple(edges), closed=True)
 
 
+#: the keys that name an artifact's kind, in the order render_svg reads them
+_RENDER_KINDS = ("edges", "boundary", "cells", "flavor", "vertices")
+#: stroke widths of outlines and of a cluster's container, as fractions of
+#: the view box's larger side
+_STROKE = 0.005
+_HEAVY_STROKE = 0.01
+
+
 def render_svg(obj: dict) -> str:
-    """Render a geometry artifact (curve, polygon, domain, cluster, chain) as SVG."""
-    style = 'fill="none" stroke="black" stroke-width="0.01"'
-    if "edges" in obj:
-        curve = curve_from_dict(obj)
-        return _svg_document(
-            [f'<path {style} d="{_curve_path(curve)}"/>\n'], curve.bbox
-        )
-    if "boundary" in obj:
-        curve = curve_from_dict(obj["boundary"])
-        return _svg_document(
-            [f'<path {style} d="{_curve_path(curve)}"/>\n'], curve.bbox
-        )
-    if "cells" in obj:
+    """Render a geometry artifact (curve, domain, cluster, chain, polygon) as SVG.
+
+    The kind is the first key of ``_RENDER_KINDS`` that the artifact has.  A
+    cluster draws its container heavy, a chain shades its pocket under its
+    circles, and every other kind is one outline.
+    """
+    kind = next((key for key in _RENDER_KINDS if key in obj), None)
+    if kind is None:
+        raise ValidationError("unknown geometry kind: expected curve, polygon, domain, cluster, or chain")
+    heavy, pocket, circles = [], None, []
+    if kind == "cells":
         cl = cluster_from_dict(obj)
-        body = []
-        container = _polygon_curve(cl.container.vertices)
-        heavy = 'fill="none" stroke="black" stroke-width="0.02"'
-        body.append(f'<path {heavy} d="{_curve_path(container)}"/>\n')
-        for cell in cl.cells:
-            body.append(f'<path {style} d="{_curve_path(cell.boundary)}"/>\n')
-        return _svg_document(body, container.bbox)
-    if "flavor" in obj:
+        heavy = [_polygon_curve(cl.container.vertices)]
+        outlines = [cell.boundary for cell in cl.cells]
+        bbox = heavy[0].bbox
+    elif kind == "flavor":
         chain = chain_from_dict(obj)
-        body = []
-        pocket = pocket_outline(chain)
-        body.append(
-            f'<path fill="#cccccc" stroke="none" d="{_curve_path(pocket)}"/>\n'
-        )
-        for (cx, cy), r in zip(chain.centers, chain.radii):
-            body.append(
-                f'<circle cx="{_f(cx)}" cy="{_f(-cy)}" r="{_f(r)}" {style}/>\n'
-            )
-        xs = chain.centers[:, 0]
-        ys = chain.centers[:, 1]
-        bbox = (
-            float(xs.min() - chain.radii.max()),
-            float(min(ys.min() - chain.radii.max(), 0.0)),
-            float(xs.max() + chain.radii.max()),
-            float(ys.max() + chain.radii.max()),
-        )
-        return _svg_document(body, bbox)
-    if "vertices" in obj:
-        poly = polygon_from_dict(obj)
-        curve = _polygon_curve(poly.vertices)
-        return _svg_document(
-            [f'<path {style} d="{_curve_path(curve)}"/>\n'], curve.bbox
-        )
-    raise ValidationError("unknown geometry kind: expected curve, polygon, domain, cluster, or chain")
+        pocket, outlines = pocket_outline(chain), []
+        circles = list(zip(chain.centers, chain.radii))
+        (xmin, ymin), (xmax, ymax) = chain.centers.min(axis=0), chain.centers.max(axis=0)
+        reach = chain.radii.max()
+        bbox = (xmin - reach, min(ymin - reach, 0.0), xmax + reach, ymax + reach)
+    else:
+        outlines = [_polygon_curve(polygon_from_dict(obj).vertices) if kind == "vertices"
+                    else curve_from_dict(obj if kind == "edges" else obj["boundary"])]
+        bbox = outlines[0].bbox
+    x0, y0, x1, y1 = bbox
+    pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
+    vb = (x0 - pad, -(y1 + pad), (x1 - x0) + 2 * pad, (y1 - y0) + 2 * pad)
+    side = max(vb[2], vb[3])
+    style = f'fill="none" stroke="black" stroke-width="{_f(_STROKE * side)}"'
+    heavy_style = f'fill="none" stroke="black" stroke-width="{_f(_HEAVY_STROKE * side)}"'
+    body = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="{_f(vb[0])} {_f(vb[1])} {_f(vb[2])} {_f(vb[3])}">\n'
+    ]
+    if pocket is not None:
+        body.append(f'<path fill="#cccccc" stroke="none" d="{_curve_path(pocket)}"/>\n')
+    body += [f'<path {heavy_style} d="{_curve_path(c)}"/>\n' for c in heavy]
+    body += [f'<path {style} d="{_curve_path(c)}"/>\n' for c in outlines]
+    body += [f'<circle cx="{_f(cx)}" cy="{_f(-cy)}" r="{_f(r)}" {style}/>\n'
+             for (cx, cy), r in circles]
+    return "".join(body) + "</svg>\n"
 
 
 def _cmd_render(args) -> int:

@@ -425,15 +425,13 @@ def honeycomb_kcell(coords: Sequence, unit_hexagon: bool = True) -> Cluster:
     hex_area = 1.0 if unit_hexagon else 1.5 * math.sqrt(3.0)
     side = math.sqrt(2.0 * hex_area / (3.0 * math.sqrt(3.0)))
     spacing = math.sqrt(3.0) * side
-    u = np.array([spacing, 0.0])
-    v = np.array([0.5 * spacing, 0.5 * math.sqrt(3.0) * spacing])
+    vx, vy = 0.5 * spacing, 0.5 * math.sqrt(3.0) * spacing
     h_hex = cheeger_convex(regular_polygon(6, area=hex_area)).h
 
     cells = []
     all_vertices = []
     for i, t in coords:
-        center = i * u + t * v
-        edges, verts = _hexagon_edges(center, side)
+        edges, verts = _hexagon_edges((i * spacing + t * vx, t * vy), side)
         roles = [INNER_JUNCTION if (i + di, t + dt) in index else BORDER_PIECE
                  for di, dt in _EDGE_OFFSETS]
         cells.append(ArcDomain(ArcCurve(tuple(edges), closed=True), tuple(roles), h_hex))
@@ -452,9 +450,8 @@ def honeycomb_kcell(coords: Sequence, unit_hexagon: bool = True) -> Cluster:
         for r in range(len(border_runs(cell))):
             contacts.append(BorderContact(j, r))
 
-    hull = convex_hull(np.asarray(all_vertices))
     return Cluster(
-        ConvexPolygon(hull), tuple(cells), tuple(adjacency), tuple(contacts),
+        ConvexPolygon(convex_hull(all_vertices)), tuple(cells), tuple(adjacency), tuple(contacts),
         container_area=hex_area * len(coords),
     )
 

@@ -6,7 +6,9 @@ signed crossing counts; the quadrature oracle integrates x dy over a dense
 polyline; the stepping winding oracle walks each arc seen from inside its
 disk in short steps; the polygon Cheeger oracles solve the corner-quadratic directly or
 bisect on the clipped inner polygon's area; the Monte Carlo chain oracle
-samples the disk-chain region point by point; the power-diagram oracles clip
+samples the disk-chain region point by point; the tangent-anchor oracle
+is the middle-disk closed form written for anchors at distance r1 + r3; the
+power-diagram oracles clip
 numpy vertex arrays by every half-plane, one at a time (in site order and
 absolute coordinates, or nearest site first in site-centred coordinates), and
 clean each ring with a vertex-by-vertex loop before validating it; the
@@ -44,7 +46,7 @@ from cheegerlab.chamber_lemmas import (
     SECTOR_OPENING,
     SQRT3,
     DiskChain,
-    chain_feet,
+    _feet,
     reference_areas,
 )
 from cheegerlab.cheeger import (
@@ -254,7 +256,7 @@ def monte_carlo_area(ch: DiskChain, samples: int = 10_000_000, seed: int = 0) ->
     """
     rows = list(ch.centers)
     if ch.flavor != CLOSED:
-        f0, f1 = chain_feet(ch)
+        f0, f1 = _feet(ch.centers.tolist(), ch.radii.tolist(), ch.flavor)
         rows = [f0] + rows + [f1]
         if ch.flavor == SECTOR:
             rows = [np.zeros(2)] + rows
@@ -282,6 +284,20 @@ def monte_carlo_area(ch: DiskChain, samples: int = 10_000_000, seed: int = 0) ->
     box = float(span[0] * span[1])
     p = hits / total
     return MonteCarloArea(p * box, box * math.sqrt(p * (1.0 - p) / total))
+
+
+def tangent_anchors_geometry_reference(r1: float, r2: float, r3: float):
+    """``tangency_geometry(r1, r2, r3)`` by the closed form written for mutually
+    tangent anchors, in terms of their span r1 + r3."""
+    span = r1 + r3
+    x0 = (r1 * r1 + span * span + 2.0 * r1 * r2 - r3 * r3 - 2.0 * r3 * r2) / (2.0 * span)
+    y2 = (r1 + r2) ** 2 - ((r1 - r3) * (r1 + r3 + 2.0 * r2) + span * span) ** 2 / (4.0 * span * span)
+    y0 = math.sqrt(y2)
+    inner = -r1 * r3 * (span * span - (r1 + r3 + 2.0 * r2) ** 2) / (span * span)
+    root = math.sqrt(inner)
+    d1 = 2.0 * r1 * r3 / (span * (r1 + r2) * root)
+    d3 = 2.0 * r1 * r3 / (span * (r2 + r3) * root)
+    return x0, y0, d1, d3
 
 
 def clean_ring_loop(pts: np.ndarray, tol: float) -> np.ndarray:

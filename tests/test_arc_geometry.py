@@ -231,8 +231,8 @@ class TestWindingNumber:
         for curve in (stadium_curve(), stadium_curve().reversed(), hexagon_boundary(),
                       full_circle(Point(0.0, 0.0), 1.0, ccw=False), twice):
             x0, y0, x1, y1 = curve.bbox
-            xs = np.concatenate([np.linspace(x0 - 0.5, x1 + 0.5, 23), [p.x for p in curve.vertices()]])
-            ys = np.concatenate([np.linspace(y0 - 0.5, y1 + 0.5, 23), [p.y for p in curve.vertices()]])
+            xs = np.concatenate([np.linspace(x0 - 0.5, x1 + 0.5, 23), [e.start.x for e in curve.edges]])
+            ys = np.concatenate([np.linspace(y0 - 0.5, y1 + 0.5, 23), [e.start.y for e in curve.edges]])
             self._check_against_array_kernel(curve, *(a.ravel() for a in np.meshgrid(xs, ys)))
 
     @pytest.mark.parametrize("seed", ["lens", 0, 1, 2, 3])

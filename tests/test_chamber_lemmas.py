@@ -25,6 +25,7 @@ from oracles import (
     monte_carlo_area,
     pocket_angles_reference,
     random_chain_reference,
+    tangent_anchors_geometry_reference,
     validate_chain_reference,
 )
 
@@ -187,9 +188,26 @@ class TestTangencyGeometry:
             assert d1 == pytest.approx((up1 - dn1) / (2 * step), rel=2e-5, abs=1e-5)
             assert d3 == pytest.approx((up3 - dn3) / (2 * step), rel=2e-5, abs=1e-5)
 
+    def test_tangent_anchors_match_reference(self):
+        # the one closed form at l = r1 + r3 against the form written for that case
+        rng = np.random.default_rng(29)
+        for r1, r2, r3 in rng.uniform(0.05, 5.0, (20_000, 3)).tolist():
+            got = tangency_geometry(r1, r2, r3)
+            want = tangent_anchors_geometry_reference(r1, r2, r3)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_explicit_tangent_distance(self):
+        # l = r1 + r3 is the mutually tangent configuration l = None names
+        rng = np.random.default_rng(31)
+        for r1, r2, r3 in rng.uniform(0.05, 5.0, (200, 3)).tolist():
+            span = r1 + r3
+            assert tangency_geometry(r1, r2, r3, l=span) == tangency_geometry(r1, r2, r3)
+            with pytest.raises(ValidationError, match="below r1 \\+ r3"):
+                tangency_geometry(r1, r2, r3, l=span * (1.0 - 1e-12))
+
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
-            tangency_geometry(1.0, 1.0, 1.0, l=1.5)  # l <= r1 + r3
+            tangency_geometry(1.0, 1.0, 1.0, l=1.5)  # l < r1 + r3
         with pytest.raises(ValidationError):
             tangency_geometry(1.0, 0.05, 1.0, l=4.0)  # middle disk cannot reach
         with pytest.raises(ValidationError):

@@ -73,7 +73,7 @@ def _moved_polygons():
     for _ in range(60):
         poly = random_convex_polygon(rng, 3, 12)
         polys.append(ConvexPolygon(poly.vertices + [1e4, -1e4]))
-        polys += [poly.scaled(lam) for lam in (1e-6, 1e-3, 1e3, 1e6)]
+        polys += [ConvexPolygon(poly.vertices * lam) for lam in (1e-6, 1e-3, 1e3, 1e6)]
     return polys
 
 
@@ -86,7 +86,8 @@ class TestInnerParallelPolygon:
     def test_square_quarter(self):
         inner = inner_parallel_polygon(SQUARE, 0.25)
         assert inner.area == pytest.approx(0.25, abs=1e-12)
-        assert inner.perimeter == pytest.approx(2.0, abs=1e-12)
+        sides = np.roll(inner.vertices, -1, axis=0) - inner.vertices
+        assert np.hypot(sides[:, 0], sides[:, 1]).sum() == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_is_identity(self):
         assert inner_parallel_polygon(SQUARE, 0.0) is SQUARE
@@ -144,7 +145,7 @@ class TestCheegerConvex:
         poly = random_convex_polygon(rng)
         lam = 2.5
         h1 = cheeger_convex(poly).h
-        h2 = cheeger_convex(poly.scaled(lam)).h
+        h2 = cheeger_convex(ConvexPolygon(poly.vertices * lam)).h
         assert h2 == pytest.approx(h1 / lam, rel=1e-11)
 
     @pytest.mark.parametrize("polygons", [_random_polygons, _thin_polygons, _lattice_cells],
@@ -183,7 +184,7 @@ class TestCheegerConvex:
                 assert cheeger_convex(moved).h * lam == pytest.approx(h, rel=1e-12)
 
     def test_large_scale_square(self):
-        assert cheeger_convex(SQUARE.scaled(1e6)).h == pytest.approx(
+        assert cheeger_convex(ConvexPolygon(SQUARE.vertices * 1e6)).h == pytest.approx(
             (2.0 + math.sqrt(PI)) / 1e6, rel=1e-14
         )
 

@@ -6,17 +6,18 @@ import re
 import pytest
 
 from cheegerlab import jsonio
-from cheegerlab.arc_geometry import curve_to_dict
+from cheegerlab.arc_geometry import curve_to_dict, transform_curve
 from cheegerlab.chamber_lemmas import chain_to_dict, random_chain
 from cheegerlab.cheeger import (
+    ArcDomain,
     ConvexPolygon,
     cheeger_convex,
     cheeger_domain,
     domain_to_dict,
     hexagon_constant,
 )
-from cheegerlab.cli import run
-from cheegerlab.cluster import cluster_to_dict
+from cheegerlab.cli import render_svg, run
+from cheegerlab.cluster import Cluster, cluster_to_dict
 from cheegerlab.errors import ValidationError
 from conftest import make_domino_cluster
 
@@ -268,19 +269,39 @@ class TestRender:
         assert svg.count("<circle") == 3
         assert svg.count("<path") == 1  # shaded pocket overlay
 
-    @pytest.mark.parametrize("name, digest", [
-        ("domino", "8e5fffb83ef1cea4f56d384b8ac9e8137f41240c0f6cd2d825a295d0828ef9b7"),
-        ("cheeger_square", "c246bd3b57216ca5b78f68a4c36b9ac7b3d71026cd2ea3e5032b1e84d61d0883"),
-    ])
-    def test_render_bytes_pinned(self, tmp_path, name, digest):
-        # the view box comes from ArcCurve.bbox: the container's for a cluster,
-        # the curve's own (arcs counting their whole circles) for a curve
+    # sha256 of the SVG bytes.  The view box comes from ArcCurve.bbox: the
+    # container's for a cluster, the curve's own (arcs counting their whole
+    # circles) for a curve.  The stroke widths are fractions of the view box.
+    RENDER_PINS = {
+        "domino": "d1688d649606cf3bd9c9a652d263a330be3e3f860ff37c73b82ca4a08e643f0b",
+        "cheeger_square": "5f0aeb58063ef7024e8217b66291ce40d48b3945eee5a7e79964290824c5aa37",
+    }
+
+    @pytest.mark.parametrize("name", sorted(RENDER_PINS))
+    def test_render_bytes_pinned(self, tmp_path, name):
         obj = (cluster_to_dict(make_domino_cluster()) if name == "domino"
                else curve_to_dict(cheeger_convex(SQUARE).cheeger_set_boundary))
         out = tmp_path / f"{name}.svg"
         assert run(["render", "--input", write(tmp_path / f"{name}.json", obj),
                     "--output", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.RENDER_PINS[name]
+
+    def test_stroke_widths_follow_the_view_box(self):
+        # each stroke is a fixed fraction of the view box, so a dilated domino
+        # neither vanishes under its strokes nor thins to nothing
+        ratios = []
+        for lam in (1e-4, 1.0, 1e4):
+            cl = make_domino_cluster()
+            cells = tuple(ArcDomain(transform_curve(c.boundary, scale=lam), c.roles, c.h / lam)
+                          for c in cl.cells)
+            svg = render_svg(cluster_to_dict(Cluster(
+                ConvexPolygon(cl.container.vertices * lam), cells, cl.adjacency, cl.border_contacts)))
+            width = float(re.search(r'viewBox="\S+ \S+ (\S+) \S+"', svg).group(1))
+            strokes = [float(w) for w in re.findall(r'stroke-width="([^"]+)"', svg)]
+            assert len(strokes) == 3  # the container and two cells
+            ratios.append([w / width for w in strokes])
+        assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
+        assert ratios[2] == pytest.approx(ratios[1], rel=1e-12)
 
     def test_unknown_kind_exit_1(self, tmp_path):
         bad = write(tmp_path / "x.json", {"species": "octahedron"})

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -278,6 +279,24 @@ class TestHoneycomb:
         assert cluster_to_dict(back) == cluster_to_dict(cl)
         cert = lower_bound_certificate(back)
         assert abs(cert.scaled_objective - hexagon_constant()) <= 1e-9
+
+    def test_points_are_plain_floats(self):
+        for l in range(1, 5):
+            for cell in honeycomb_cluster(l).cells:
+                for e in cell.boundary.edges:
+                    for p in (e.start, e.end):
+                        assert type(p.x) is float and type(p.y) is float
+
+    def test_artifacts_pinned(self):
+        # sha256 over jsonio.dumps(cluster_to_dict(...)) of the k-triangles
+        # l = 1..9 at unit area, then at unit side, then one 8-cell k-cell
+        digest = hashlib.sha256()
+        for unit_hexagon in (True, False):
+            for l in range(1, 10):
+                digest.update(jsonio.dumps(cluster_to_dict(honeycomb_cluster(l, unit_hexagon))).encode())
+        digest.update(jsonio.dumps(cluster_to_dict(honeycomb_kcell(
+            [(0, 0), (1, 0), (-1, 0), (0, 1), (-1, 1), (1, -1), (0, -1), (2, -1)]))).encode())
+        assert digest.hexdigest() == "c7b6de04fa8b3bf52e637af3156057f03d8e74d1c2e96f7cf1138010401bb8bb"
 
     def test_kcell_disconnected_rejected(self):
         with pytest.raises(ValidationError):

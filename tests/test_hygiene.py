@@ -1,8 +1,9 @@
 """Source hygiene: no unused imports in the package, the tests or the demos,
 no ``assert`` statement or ``raise AssertionError`` in the package, no
 tolerance floored at one unit, no private function the package never
-references, no import inside a function of the package, and no artifact
-reader that leaves its keys unchecked.
+references, no import inside a function of the package, no artifact reader
+that leaves its keys unchecked, and no dataclass argument that
+``__post_init__`` overwrites unread.
 
 Package ``__init__.py`` files are skipped by the import scan, since their
 imports are re-exports.
@@ -162,3 +163,47 @@ def test_chain_sampler_draws_only_through_its_reader():
     found = [f"chamber_lemmas.py:{node.lineno}: .{node.func.attr}(" for node in draws
              if id(node) not in inside]
     assert not found, "draws that bypass _Draws:\n" + "\n".join(found)
+
+
+def _init_false(value) -> bool:
+    # the default of a field(..., init=False, ...) declaration
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "field"
+            and any(k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+                    for k in value.keywords))
+
+
+def _overwritten_init_fields(cls: ast.ClassDef):
+    """Fields that ``__post_init__`` sets through ``object.__setattr__``
+    before any read of them, although the class takes them as arguments."""
+    fields = {node.target.id: node.value for node in cls.body
+              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+    for post in cls.body:
+        if not (isinstance(post, ast.FunctionDef) and post.name == "__post_init__"):
+            continue
+        reads = [(node.lineno, node.col_offset, node.attr) for node in ast.walk(post)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                 and isinstance(node.value, ast.Name) and node.value.id == "self"]
+        for call in ast.walk(post):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "__setattr__" and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id == "object" and isinstance(call.args[1], ast.Constant)):
+                continue
+            name = call.args[1].value
+            end = (call.end_lineno, call.end_col_offset)
+            read_first = any(attr == name and (line, col) < end for line, col, attr in reads)
+            if name in fields and not read_first and not _init_false(fields[name]):
+                yield cls.lineno, f"{cls.name}.{name}"
+
+
+def test_post_init_overwrites_no_argument():
+    # a field that __post_init__ computes without reading it ignores whatever
+    # a caller passes, so it must be field(init=False) and not an argument
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src" / "cheegerlab").glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for line, name in _overwritten_init_fields(cls)
+    ]
+    assert not found, "fields __post_init__ overwrites unread:\n" + "\n".join(found)

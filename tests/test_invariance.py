@@ -110,7 +110,7 @@ def test_class_a_verdicts_of_random_domains(lam, shift):
     for seed in range(8):
         d = random_class_a_domain(seed)
         assert class_a_violations(d) == []
-        moved = _move_domain(d, *_motion([(p.x, p.y) for p in d.boundary.vertices()], lam, shift))
+        moved = _move_domain(d, *_motion([(e.start.x, e.start.y) for e in d.boundary.edges], lam, shift))
         assert class_a_violations(moved) == []
         ref, rep = _hales(d), _hales(moved)
         assert rep.satisfied == ref.satisfied
