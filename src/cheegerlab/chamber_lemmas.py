@@ -342,8 +342,8 @@ def tangency_geometry(r1: float, r2: float, r3: float, l: Optional[float] = None
             raise ValidationError(f"{name} must be positive, got {val}")
     if l is None:
         l = r1 + r3
-    elif l < r1 + r3:
-        raise ValidationError(f"anchor distance l = {l} is below r1 + r3 = {r1 + r3}")
+    elif not r1 + r3 <= l < math.inf:
+        raise ValidationError(f"anchor distance l = {l} must be finite and at least r1 + r3 = {r1 + r3}")
     x0 = (l * l + r1 * r1 + 2.0 * r1 * r2 - r3 * r3 - 2.0 * r3 * r2) / (2.0 * l)
     y2 = (r1 + r2) ** 2 - (l * l + (r1 - r3) * (r1 + r3 + 2.0 * r2)) ** 2 / (4.0 * l * l)
     if y2 <= 0.0:

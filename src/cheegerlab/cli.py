@@ -278,7 +278,7 @@ def render_svg(obj: dict) -> str:
                     else curve_from_dict(obj if kind == "edges" else obj["boundary"])]
         bbox = outlines[0].bbox
     x0, y0, x1, y1 = bbox
-    pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
+    pad = 0.05 * max(x1 - x0, y1 - y0)  # positive: the readers reject zero-size drawings
     vb = (x0 - pad, -(y1 + pad), (x1 - x0) + 2 * pad, (y1 - y0) + 2 * pad)
     side = max(vb[2], vb[3])
     style = f'fill="none" stroke="black" stroke-width="{_f(_STROKE * side)}"'

@@ -6,12 +6,12 @@ signed crossing counts; the quadrature oracle integrates x dy over a dense
 polyline; the stepping winding oracle walks each arc seen from inside its
 disk in short steps; the polygon Cheeger oracles solve the corner-quadratic directly or
 bisect on the clipped inner polygon's area; the Monte Carlo chain oracle
-samples the disk-chain region point by point; the tangent-anchor oracle
-is the middle-disk closed form written for anchors at distance r1 + r3; the
-power-diagram oracles clip
-numpy vertex arrays by every half-plane, one at a time (in site order and
-absolute coordinates, or nearest site first in site-centred coordinates), and
-clean each ring with a vertex-by-vertex loop before validating it; the
+samples the disk-chain region point by point; the tangent-anchor oracle is
+the middle-disk closed form written for anchors at distance r1 + r3; the
+power-diagram oracles clip numpy vertex arrays by every half-plane, one at a
+time (in site order and absolute coordinates, or nearest site first in
+site-centred coordinates), and clean each ring with a vertex-by-vertex loop
+before validating it; the
 centroid oracle sums cross products with numpy; the convex-polygon and
 closed-form Cheeger oracles are the polygon validation and the Cheeger solve on numpy vertex arrays, with ``np.dot`` shoelace sums; the chain-generation
 oracle is the rejection sampler and chain validator on numpy 2-vectors, with

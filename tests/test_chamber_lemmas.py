@@ -202,12 +202,15 @@ class TestTangencyGeometry:
         for r1, r2, r3 in rng.uniform(0.05, 5.0, (200, 3)).tolist():
             span = r1 + r3
             assert tangency_geometry(r1, r2, r3, l=span) == tangency_geometry(r1, r2, r3)
-            with pytest.raises(ValidationError, match="below r1 \\+ r3"):
+            with pytest.raises(ValidationError, match="at least r1 \\+ r3"):
                 tangency_geometry(r1, r2, r3, l=span * (1.0 - 1e-12))
 
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
             tangency_geometry(1.0, 1.0, 1.0, l=1.5)  # l < r1 + r3
+        for l in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="must be finite"):
+                tangency_geometry(1.0, 1.0, 1.0, l=l)
         with pytest.raises(ValidationError):
             tangency_geometry(1.0, 0.05, 1.0, l=4.0)  # middle disk cannot reach
         with pytest.raises(ValidationError):

@@ -287,21 +287,23 @@ class TestRender:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.RENDER_PINS[name]
 
     def test_stroke_widths_follow_the_view_box(self):
-        # each stroke is a fixed fraction of the view box, so a dilated domino
-        # neither vanishes under its strokes nor thins to nothing
+        # each stroke is a fixed fraction of the view box, and the view box is
+        # the drawing's box grown by 5 % a side, so a dilated domino neither
+        # vanishes under its strokes nor shrinks inside its view box
         ratios = []
-        for lam in (1e-4, 1.0, 1e4):
+        for lam in (1e-12, 1e-4, 1.0, 1e4):
             cl = make_domino_cluster()
             cells = tuple(ArcDomain(transform_curve(c.boundary, scale=lam), c.roles, c.h / lam)
                           for c in cl.cells)
             svg = render_svg(cluster_to_dict(Cluster(
                 ConvexPolygon(cl.container.vertices * lam), cells, cl.adjacency, cl.border_contacts)))
             width = float(re.search(r'viewBox="\S+ \S+ (\S+) \S+"', svg).group(1))
+            assert width == pytest.approx(2.2 * lam, rel=1e-12)
             strokes = [float(w) for w in re.findall(r'stroke-width="([^"]+)"', svg)]
             assert len(strokes) == 3  # the container and two cells
             ratios.append([w / width for w in strokes])
-        assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
-        assert ratios[2] == pytest.approx(ratios[1], rel=1e-12)
+        for other in ratios[:2] + ratios[3:]:
+            assert other == pytest.approx(ratios[2], rel=1e-12)
 
     def test_unknown_kind_exit_1(self, tmp_path):
         bad = write(tmp_path / "x.json", {"species": "octahedron"})
