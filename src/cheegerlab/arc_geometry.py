@@ -40,7 +40,8 @@ INNER_JUNCTION = "inner_junction"
 BORDER_PIECE = "border_junction_piece"
 ROLES = (FREE, INNER_JUNCTION, BORDER_PIECE)
 
-# Endpoint-coincidence and on-curve tolerance, relative to the curve's extent.
+# The relative length tolerance: times a curve's extent for gaps and on-curve
+# tests, a disk chain's scale for its rules, and r for radius-r tests.
 CHAIN_TOL = 1e-9
 
 
@@ -444,8 +445,8 @@ class OffsetResult:
 
 
 def has_radius(a: Arc, r: float) -> bool:
-    """Whether the arc's radius is r, to the relative 1e-6 that the offset allows."""
-    return abs(a.radius - r) <= 1e-6 * r
+    """Whether the arc's radius is r to ``CHAIN_TOL`` relative: the one radius-r test."""
+    return abs(a.radius - r) <= CHAIN_TOL * r
 
 
 def offset_inner(c: ArcCurve, r: float, roles: Sequence[str]) -> OffsetResult:

@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import jsonio
-from .arc_geometry import Arc, ArcCurve, Point, Segment, signed_area
+from .arc_geometry import CHAIN_TOL, Arc, ArcCurve, Point, Segment
 from .errors import GenerationError, ValidationError
 
 SQRT3 = math.sqrt(3.0)
@@ -43,7 +43,6 @@ HALF_PLANE = "half_plane"
 SECTOR = "sector"
 FLAVORS = (CLOSED, HALF_PLANE, SECTOR)
 
-_REL_TOL = 1e-9
 #: pocket angles above this are reflex, and validate_chain raises on them
 _REFLEX = math.pi + 1e-9
 
@@ -103,9 +102,16 @@ def _ray_distance(x: float, y: float) -> float:
     return x * _RAY_NORMAL[0] + y * _RAY_NORMAL[1]
 
 
-def _chain_scale(centers, radii) -> float:
-    """Largest coordinate or radius, floored at 1: the unit of the chain tolerances."""
-    return max(1.0, max(abs(v) for c in centers for v in c), max(radii))
+def _chain_scale(centers, radii, flavor) -> float:
+    """Largest radius or center coordinate, measured from the region polygon's
+    first vertex (first center, first foot or sector apex): the unit of the chain
+    tolerances, unchanged when a closed chain is translated or a half-plane one
+    slides along its line."""
+    if flavor == CLOSED:
+        ax, ay = centers[0]
+    else:
+        ax, ay = (centers[0][0] if flavor == HALF_PLANE else 0.0), 0.0
+    return max(max(max(abs(x - ax), abs(y - ay)) for x, y in centers), max(radii))
 
 
 def _feet(centers, radii, flavor):
@@ -141,7 +147,7 @@ def validate_chain(ch: DiskChain):
         raise ValidationError(f"chain of flavor {ch.flavor} needs more disks, got {m}")
     if any(r <= 0.0 for r in radii):
         raise ValidationError("disk radii must be positive")
-    tol = _REL_TOL * _chain_scale(centers, radii)
+    tol = CHAIN_TOL * _chain_scale(centers, radii, ch.flavor)
     limit = 1e3 * tol
     warnings = []
 
@@ -231,9 +237,10 @@ def _twice_signed_area(poly: np.ndarray) -> float:
 
 def _region_polygon(ch: DiskChain):
     """CCW polygon through the centers (plus feet and the sector apex for open
-    flavors), and the polygon index of each center."""
+    flavors), measured from its first vertex in chain order so that a far
+    translate loses nothing to cancellation, and the polygon index of each center."""
     rows, first = _region_rows(ch.centers.tolist(), ch.radii.tolist(), ch.flavor)
-    poly = np.array(rows)
+    poly = np.array(rows) - rows[0]
     centers_idx = list(range(first, first + ch.m))
     if _twice_signed_area(poly) < 0.0:
         n = len(poly)
@@ -278,52 +285,43 @@ def verify_chain_bound(ch: DiskChain) -> ChainBoundReport:
         bound += wedge
     elif ch.flavor == SECTOR:
         bound += wedge + corner
-    tol = 1e-9 * max(1.0, r_star * r_star)
+    tol = 1e-9 * r_star * r_star
     return ChainBoundReport(region.area, bound, bool(region.area >= bound - tol), region.method)
 
 
 def pocket_outline(ch: DiskChain):
-    """The enclosed region's boundary as an ArcCurve (arcs on the disks plus
-    container-line segments), oriented counterclockwise.
-
-    Only defined when the region is connected and bounded by one arc per disk,
-    which is the generic case produced by ``random_chain``.
+    """The enclosed region's boundary as an ArcCurve, oriented counterclockwise:
+    the region polygon walked counterclockwise from its first vertex, with a
+    clockwise arc on the disk at each center and a segment between two other
+    vertices.  Only defined when the region is connected and bounded by one
+    arc per disk, which is the generic case produced by ``random_chain``.
     """
-    def tangency(i, j):
-        ci, cj = ch.centers[i], ch.centers[j]
-        return ci + ch.radii[i] * (cj - ci) / float(np.hypot(*(cj - ci)))
+    radii = ch.radii.tolist()
+    rows, first = _region_rows(ch.centers.tolist(), radii, ch.flavor)
+    disks = [None] * len(rows)
+    disks[first:first + ch.m] = range(ch.m)
+    if _twice_signed_area(np.array(rows)) < 0.0:  # a chain listed against the construction
+        rows, disks = rows[:1] + rows[:0:-1], disks[:1] + disks[:0:-1]
 
-    def arc(i, entry, exit_):
-        c = ch.centers[i]
-        a0 = math.atan2(entry[1] - c[1], entry[0] - c[0])
-        a1 = math.atan2(exit_[1] - c[1], exit_[0] - c[0])
-        return Arc.between(Point(c[0], c[1]), float(ch.radii[i]), a0, a1, -1)
+    def contact(k, j):  # where the walk between rows k and j meets the disk of row k
+        if disks[j] is None:
+            return rows[j]
+        (cx, cy), r = rows[k], radii[disks[k]]
+        dx, dy = rows[j][0] - cx, rows[j][1] - cy
+        d = float(np.hypot(dx, dy))  # np.hypot, as for _circle_intersections
+        return cx + r * dx / d, cy + r * dy / d
 
-    m = ch.m
+    n = len(rows)
     edges = []
-    if ch.flavor != CLOSED:
-        f0, f1 = _feet(ch.centers.tolist(), ch.radii.tolist(), ch.flavor)
-    if ch.flavor == CLOSED:
-        for i in range(m):
-            edges.append(arc(i, tangency(i, (i - 1) % m), tangency(i, (i + 1) % m)))
-    elif ch.flavor == HALF_PLANE:
-        edges.append(Segment(Point(*f0), Point(*f1)))
-        edges.append(arc(m - 1, f1, tangency(m - 1, m - 2)))
-        for i in range(m - 2, 0, -1):
-            edges.append(arc(i, tangency(i, i + 1), tangency(i, i - 1)))
-        edges.append(arc(0, tangency(0, 1), f0))
-    else:
-        origin = Point(0.0, 0.0)
-        edges.append(Segment(origin, Point(*f0)))
-        edges.append(arc(0, f0, tangency(0, 1)))
-        for i in range(1, m - 1):
-            edges.append(arc(i, tangency(i, i - 1), tangency(i, i + 1)))
-        edges.append(arc(m - 1, tangency(m - 1, m - 2), f1))
-        edges.append(Segment(Point(*f1), origin))
-    curve = ArcCurve(tuple(edges), closed=True)
-    if signed_area(curve) < 0.0:
-        curve = curve.reversed()
-    return curve
+    for k in range(n):
+        nxt = (k + 1) % n
+        if disks[k] is not None:
+            (cx, cy), (ex, ey), (lx, ly) = rows[k], contact(k, k - 1), contact(k, nxt)
+            edges.append(Arc.between(Point(cx, cy), radii[disks[k]], math.atan2(ey - cy, ex - cx),
+                                     math.atan2(ly - cy, lx - cx), -1))
+        elif disks[nxt] is None:
+            edges.append(Segment(Point(*rows[k]), Point(*rows[nxt])))
+    return ArcCurve(tuple(edges), closed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .arc_geometry import (
     Arc,
     ArcCurve,
     BORDER_PIECE,
+    CHAIN_TOL,
     FREE,
     INNER_JUNCTION,
     OffsetResult,
@@ -464,8 +465,6 @@ def cheeger_domain(p: ConvexPolygon) -> ArcDomain:
 
 MAX_EDGES = 10_000  # resource cap; Definition-level arc counts are unbounded
 
-_CURV_TOL = 1e-9  # relative tolerance for curvature comparisons against h
-
 
 def maximal_arcs(d: ArcDomain):
     """Cyclic list of (kind, edge_indices): border runs merge, others stand alone."""
@@ -518,13 +517,13 @@ def class_a_violations(d: ArcDomain):
 
     for i, (e, role) in enumerate(zip(edges, roles)):
         if role == FREE:
-            if not isinstance(e, Arc) or e.turning != 1 or abs(e.radius - r) > _CURV_TOL * r:
+            if not isinstance(e, Arc) or e.turning != 1 or not has_radius(e, r):
                 violations.append("free_curvature")
                 break
     for e, role in zip(edges, roles):
         if role == INNER_JUNCTION and isinstance(e, Arc):
             curv = e.turning / e.radius
-            if curv > h * (1.0 - _CURV_TOL):
+            if curv > h * (1.0 - CHAIN_TOL):
                 violations.append("inner_curvature")
                 break
     for kind, run in arcs:
@@ -540,7 +539,7 @@ def class_a_violations(d: ArcDomain):
                 else:
                     seg_count += 1
             else:
-                if not isinstance(e, Arc) or e.turning != 1 or abs(e.radius - r) > _CURV_TOL * r:
+                if not isinstance(e, Arc) or e.turning != 1 or not has_radius(e, r):
                     ok = False
         if seg_count > 3:
             ok = False

@@ -270,9 +270,7 @@ def render_svg(obj: dict) -> str:
         chain = chain_from_dict(obj)
         pocket, outlines = pocket_outline(chain), []
         circles = list(zip(chain.centers, chain.radii))
-        (xmin, ymin), (xmax, ymax) = chain.centers.min(axis=0), chain.centers.max(axis=0)
-        reach = chain.radii.max()
-        bbox = (xmin - reach, min(ymin - reach, 0.0), xmax + reach, ymax + reach)
+        bbox = pocket.bbox  # one whole circle per disk, the feet and the apex
     else:
         outlines = [_polygon_curve(polygon_from_dict(obj).vertices) if kind == "vertices"
                     else curve_from_dict(obj if kind == "edges" else obj["boundary"])]

@@ -555,7 +555,10 @@ def validate_chain_reference(centers, radii, flavor: str):
         raise ValidationError(f"chain of flavor {flavor} needs more disks, got {m}")
     if (radii <= 0.0).any():
         raise ValidationError("disk radii must be positive")
-    tol = 1e-9 * max(1.0, float(np.abs(centers).max()), float(radii.max()))
+    # coordinates measured from the region polygon's first vertex: the first
+    # center of a closed chain, the first foot or the sector apex
+    anchor = centers[0] if flavor == CLOSED else [centers[0, 0] if flavor == HALF_PLANE else 0.0, 0.0]
+    tol = 1e-9 * max(float(np.abs(centers - anchor).max()), float(radii.max()))
     warnings = []
     for i in range(m if flavor == CLOSED else m - 1):
         j = (i + 1) % m
@@ -722,7 +725,7 @@ def random_chain_reference(flavor: str, m: int, seed) -> ReferenceChain:
         bound += wedge
     elif flavor == SECTOR:
         bound += wedge + corner
-    holds = bool(area >= bound - 1e-9 * max(1.0, r_star * r_star))
+    holds = bool(area >= bound - 1e-9 * r_star * r_star)
     return ReferenceChain(centers, radii, warnings, area, bound, holds)
 
 

@@ -107,12 +107,18 @@ class TestChainRegionArea:
             assert abs(mc.area - expected) <= 3.0 * mc.sample_error
 
     def test_pocket_outline_matches_decomposition(self):
+        # a closed chain listed clockwise and a half-plane chain listed right to
+        # left are valid too, and their outlines bound the same pocket
         for flavor in ("closed", "half_plane", "sector"):
             for i in range(6):
                 chain = random_chain(flavor, 3 + i % 3, seed=[7, i])
-                outline_area = signed_area(pocket_outline(chain))
-                rep = chain_region_area(chain)
-                assert outline_area == pytest.approx(rep.area, rel=1e-10, abs=1e-12)
+                chains = [chain]
+                if flavor != "sector":
+                    chains.append(DiskChain(chain.centers[::-1], chain.radii[::-1], flavor))
+                for ch in chains:
+                    outline_area = signed_area(pocket_outline(ch))
+                    rep = chain_region_area(ch)
+                    assert outline_area == pytest.approx(rep.area, rel=1e-10, abs=1e-12)
 
     # sha256 over jsonio.dumps(curve_to_dict(pocket_outline(chain))) for the
     # 100 chains random_chain(flavor, 3 + i % 4, seed=[23, i]), i = 0..99

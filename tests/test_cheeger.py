@@ -6,6 +6,7 @@ import pytest
 from cheegerlab.arc_geometry import (
     Arc,
     ArcCurve,
+    BORDER_PIECE,
     FREE,
     INNER_JUNCTION,
     Point,
@@ -296,6 +297,33 @@ class TestStructureReport:
         violations = class_a_violations(ball)
         assert "alternation" in violations or "even_arc_count" in violations
         assert "free_curvature" in violations
+
+    def test_inner_junction_curving_more_than_h(self):
+        # the square's Cheeger set with one free arc relabeled as an inner
+        # junction, judged at 0.9 h: that arc curves by h / 0.9 > 0.9 h
+        dom = cheeger_domain(SQUARE)
+        roles = list(dom.roles)
+        roles[1] = INNER_JUNCTION
+        assert "inner_curvature" in class_a_violations(ArcDomain(dom.boundary, roles, 0.9 * dom.h))
+        assert "inner_curvature" not in class_a_violations(dom)
+
+    def test_border_run_ending_in_an_arc(self):
+        # edges 0 and 1 (a side and a corner arc) as one border run
+        dom = cheeger_domain(SQUARE)
+        roles = list(dom.roles)
+        roles[1] = BORDER_PIECE
+        roles[2] = INNER_JUNCTION
+        assert "border_structure" in class_a_violations(ArcDomain(dom.boundary, roles, dom.h))
+
+    def test_border_corner_arc_of_the_wrong_radius(self):
+        # side, corner arc, side as one border run; the corner arc fits r only
+        # while h is the domain's own
+        dom = cheeger_domain(SQUARE)
+        roles = list(dom.roles)
+        roles[1] = BORDER_PIECE
+        assert "border_structure" not in class_a_violations(ArcDomain(dom.boundary, roles, dom.h))
+        wrong = ArcDomain(dom.boundary, roles, dom.h * (1.0 + 1e-7))
+        assert "border_structure" in class_a_violations(wrong)
 
     def test_angle_rule_on_polygon_cheeger_sets(self):
         rng = np.random.default_rng(11)

@@ -19,6 +19,7 @@ from cheegerlab.cheeger import (
 from cheegerlab.cli import render_svg, run
 from cheegerlab.cluster import Cluster, cluster_to_dict
 from cheegerlab.errors import ValidationError
+from cheegerlab.partition_optimizer import asymptotic_report
 from conftest import make_domino_cluster
 
 PI = math.pi
@@ -153,6 +154,18 @@ class TestPipelines:
         expected = math.sqrt(PI / area) + 1.0 / (1.0 / (2.0 * math.sqrt(3)))
         assert trace["best_objective"] == pytest.approx(expected, rel=1e-6)
 
+    def test_optimize_ks_rows(self, tmp_path):
+        # a ks config writes one line per asymptotic_report row, in the order of ks
+        triangle = [[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]]
+        runs = {"budget": 20, "seed": 0, "restarts": 0}
+        cfg = write(tmp_path / "run.json", {"ks": [1, 4], "container": {"vertices": triangle}, **runs})
+        out = tmp_path / "rows.jsonl"
+        assert run(["optimize", "--config", cfg, "--output", str(out)]) == 0
+        rows = [jsonio.loads(line) for line in out.read_text().strip().split("\n")]
+        want = asymptotic_report([1, 4], ConvexPolygon(triangle), **runs)
+        assert rows == [{"k": w.k, "best_objective": w.best_objective, "scaled": w.scaled,
+                         "ratio": w.ratio} for w in want]
+
     def test_optimize_unknown_key_rejected(self, tmp_path):
         cfg = write(tmp_path / "run.json", {
             "k": 1,
@@ -268,6 +281,18 @@ class TestRender:
         svg = out.read_text()
         assert svg.count("<circle") == 3
         assert svg.count("<path") == 1  # shaded pocket overlay
+
+    def test_sector_chain_view_box(self):
+        # the view box holds the sector's apex and every circle, in SVG's
+        # coordinates, where y points down
+        for i in range(5):
+            chain = random_chain("sector", 3 + i % 3, seed=[5, i])
+            svg = render_svg(chain_to_dict(chain))
+            x, y, w, h = map(float, re.search(r'viewBox="(\S+) (\S+) (\S+) (\S+)"', svg).groups())
+            boxes = [(0.0, 0.0, 0.0, 0.0)] + [(cx - r, cy - r, cx + r, cy + r)
+                                               for (cx, cy), r in zip(chain.centers, chain.radii)]
+            for x0, y0, x1, y1 in boxes:
+                assert x <= x0 and x1 <= x + w and y <= -y1 and -y0 <= y + h, i
 
     # sha256 of the SVG bytes.  The view box comes from ArcCurve.bbox: the
     # container's for a cluster, the curve's own (arcs counting their whole

@@ -15,11 +15,13 @@ from cheegerlab.arc_geometry import (
 )
 from cheegerlab.chamber_lemmas import DiskChain, pocket_outline
 from cheegerlab.cheeger import (
+    ArcDomain,
     ConvexPolygon,
     cheeger_domain,
     inner_cheeger_boundary,
     random_class_a_domain,
     regular_polygon,
+    structure_report,
 )
 from cheegerlab.cluster import honeycomb_cluster
 from cheegerlab.errors import ContractViolation, ValidationError
@@ -79,6 +81,18 @@ class TestPlaceNodes:
         dom = cheeger_domain(SQUARE)
         with pytest.raises(ContractViolation):
             place_nodes(inner_cheeger_boundary(cheeger_domain(foreign)), dom)
+
+    def test_no_nodes_on_arcs_off_radius_r(self):
+        # with h off by 1e-9 relative, the free arcs no longer have radius r:
+        # validation flags them, the offset does not collapse them, and no
+        # node is placed on them
+        dom = cheeger_domain(SQUARE)
+        off_h = ArcDomain(dom.boundary, dom.roles, dom.h * (1.0 + 1e-9))
+        rep = structure_report(off_h)
+        assert rep.violations == ("free_curvature", "offset_degenerate")
+        assert rep.offset is None
+        with pytest.raises(ContractViolation, match="is not the center of a radius-r arc"):
+            place_nodes(inner_cheeger_boundary(dom), off_h)
 
     def test_validates_and_offsets_once(self, validation_counts):
         dom = random_class_a_domain(3)

@@ -1,9 +1,9 @@
 """Source hygiene: no unused imports in the package, the tests or the demos,
 no ``assert`` statement or ``raise AssertionError`` in the package, no
-tolerance floored at one unit, no private function the package never
-references, no import inside a function of the package, no artifact reader
-that leaves its keys unchecked, and no dataclass argument that
-``__post_init__`` overwrites unread.
+tolerance floored at one unit, one radius-r test, no private function the
+package never references, no import inside a function of the package, no
+artifact reader that leaves its keys unchecked, and no dataclass argument
+that ``__post_init__`` overwrites unread.
 
 Package ``__init__.py`` files are skipped by the import scan, since their
 imports are re-exports.
@@ -74,18 +74,49 @@ def _is_unit_floor(node) -> bool:
 
 def test_no_floored_tolerance():
     # tolerances are relative to the extent of the object they judge, so a
-    # verdict does not change when the object is moved or dilated.
-    # chamber_lemmas is exempt: its chains sit at canonical positions (on a
-    # half-plane's line or at a sector's apex, the origin), and its accept
-    # rule fixes the bytes of the pinned chain sweeps.
+    # verdict does not change when the object is moved or dilated
     found = [
         f"{path.relative_to(ROOT)}:{node.lineno}"
         for path in sorted((ROOT / "src" / "cheegerlab").glob("*.py"))
-        if path.name != "chamber_lemmas.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if _is_unit_floor(node)
     ]
     assert not found, "max(1.0, ...) floors:\n" + "\n".join(found)
+
+
+def _is_radius_test(node) -> bool:
+    # abs(<arc>.radius - r), either way round: an arc's radius against the
+    # domain radius r (a name r or an attribute .r)
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "abs"
+            and len(node.args) == 1 and isinstance(node.args[0], ast.BinOp)
+            and isinstance(node.args[0].op, ast.Sub)):
+        return False
+    diff = node.args[0]
+
+    def is_r(side):
+        return (isinstance(side, ast.Name) and side.id == "r"
+                or isinstance(side, ast.Attribute) and side.attr == "r")
+
+    def is_radius(side):
+        return isinstance(side, ast.Attribute) and side.attr == "radius"
+
+    return is_radius(diff.left) and is_r(diff.right) or is_r(diff.left) and is_radius(diff.right)
+
+
+def test_one_radius_r_test():
+    # "this arc has radius r" has one tolerance, that of has_radius; comparing
+    # two arcs' radii with each other is another question
+    found, inside = [], []
+    for path in sorted((ROOT / "src" / "cheegerlab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef) and func.name == "has_radius"
+                   for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if _is_radius_test(node):
+                (inside if id(node) in allowed else found).append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert len(inside) == 1
+    assert not found, "radius-r tests outside has_radius:\n" + "\n".join(found)
 
 
 def test_no_uncalled_private_functions():

@@ -5,7 +5,9 @@ translated by 0, 1e2 or 1e4 of its own (dilated) extents.  The certificate's
 applicability, its failing rules and its dimensionless margins, the class-A
 and Hales verdicts of random domains and their Hales margins, must not depend
 on where the input sits or on its scale; nor may the optimizer's lattice start
-or the Cheeger constants of its power cells.
+or the Cheeger constants of its power cells.  Disk chains keep their canonical
+container lines: every flavor is dilated about the origin, closed chains are
+also rotated and translated, and half-plane chains slide along their line.
 """
 
 import math
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from cheegerlab.arc_geometry import transform_curve
+from cheegerlab.chamber_lemmas import DiskChain, random_chain, verify_chain_bound
 from cheegerlab.cheeger import (
     ArcDomain,
     ConvexPolygon,
@@ -24,6 +27,7 @@ from cheegerlab.cheeger import (
     regular_polygon,
 )
 from cheegerlab.cluster import Cluster, honeycomb_cluster, lower_bound_certificate
+from cheegerlab.errors import ValidationError
 from cheegerlab.hales_deficit import hales_check, place_nodes
 from cheegerlab.partition_optimizer import (
     SeedConfiguration,
@@ -144,3 +148,50 @@ def test_power_cell_cheeger_constants(k, lam, shift):
     hs = [cheeger_convex(c).h for c in power_diagram_cells(moved, container)]
     assert len(hs) == k
     assert max(abs(lam * h - h0) / h0 for h, h0 in zip(hs, ref)) <= 1e-9
+
+
+SQRT3 = math.sqrt(3.0)
+#: three unit disks whose consecutive pairs overlap by 5 % of their radius sum
+OVERLAPPING = (np.array([[0.0, 0.0], [1.9, 0.0], [0.95, 0.95 * SQRT3]]), np.ones(3), "closed")
+#: chains with warnings: two non-consecutive disks touching, a straight angle
+WARNED = [
+    (np.array([[0.0, 0.0], [2.0, 0.0], [3.0, SQRT3], [1.0, SQRT3]]), np.ones(4), "closed"),
+    (np.array([[0.0, 1.0], [2.0, 1.0], [4.0, 1.0]]), np.ones(3), "half_plane"),
+]
+
+
+def _chains():
+    sampled = [random_chain(flavor, 3 + i % 4, seed=[31, i])
+               for flavor in ("closed", "half_plane", "sector") for i in range(4)]
+    return [(c.centers, c.radii, c.flavor) for c in sampled] + WARNED
+
+
+def _moved_chain(centers, flavor, lam, shift):
+    """Closed chains rotate and translate freely; a half-plane chain may only
+    slide along its line, and a sector chain stays at its apex."""
+    angle, dx, dy, _ = _motion(centers, lam, shift)
+    if flavor != "closed":
+        return lam * centers + [dx if flavor == "half_plane" else 0.0, 0.0]
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    return lam * centers @ rot.T + [dx, dy]
+
+
+@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("lam", SCALES)
+def test_chain_verdicts(lam, shift):
+    # the same warnings, the same holds and the same area / bound
+    for centers, radii, flavor in _chains():
+        want = DiskChain(centers, radii, flavor)
+        got = DiskChain(_moved_chain(centers, flavor, lam, shift), lam * radii, flavor)
+        assert got.warnings == want.warnings
+        rep, ref = verify_chain_bound(got), verify_chain_bound(want)
+        assert rep.holds == ref.holds
+        assert abs(rep.area / rep.bound - ref.area / ref.bound) <= 1e-9, (flavor, centers.tolist())
+
+
+def test_overlapping_chain_rejected_everywhere():
+    centers, radii, flavor = OVERLAPPING
+    for lam in SCALES:
+        for shift in SHIFTS:
+            with pytest.raises(ValidationError, match="^disks 0,1 must be tangent"):
+                DiskChain(_moved_chain(centers, flavor, lam, shift), lam * radii, flavor)
