@@ -16,17 +16,15 @@ Steiner-type identities
 
 are checked as residuals by ``structure_report``.
 
-Polygon validation and the closed-form solve run on plain Python floats
-(``math.atan2``, ``tan`` and ``hypot``, sums taken in sequence): on the four to
-eight vertices of a power cell, numpy's cost per call outweighs the
-arithmetic.  So do ``convex_hull`` and the per-edge arithmetic of
-``random_class_a_domain``, with outputs bit for bit those of the numpy forms
-kept as test oracles.  In one batch of the benchmark's ``partition`` workload
-(k = 16 and 64 on the unit triangle; 182 diagrams, 2427 solves, since a cell
-whose ring did not change is not solved again), the solves take about a
-quarter of the time, validating the power cells a fifth, and clipping them,
-which stops at the security radius (see ``partition_optimizer``), about two
-fifths.
+Polygon validation (``_convex_ring``) and the closed-form solve
+(``_cheeger_loop``) run on plain Python floats (``math.atan2``, ``tan`` and
+``hypot``, sums taken in sequence): on the four to eight vertices of a power
+cell, numpy's cost per call outweighs the arithmetic.  ``ConvexPolygon`` and
+``cheeger_convex`` are built on them; the optimizer calls them on float lists
+and reads only the radius (``_cheeger_radius``), and its cost split is given
+in ``partition_optimizer``.  ``convex_hull`` and the per-edge arithmetic of
+``random_class_a_domain`` run on floats too, with outputs bit for bit those
+of the numpy forms kept as test oracles.
 """
 
 from __future__ import annotations
@@ -111,16 +109,17 @@ def _corners(ring):
     return gaps, crosses
 
 
-def _clean_ring(pts, tol: float) -> np.ndarray:
+def _clean_ring(ring, tol: float, corners=None) -> list:
     """Drop duplicate and collinear vertices from a closed ring of (x, y) pairs.
 
     A vertex within tol of the last kept one is dropped, and so are trailing
     vertices within tol of the first; then every vertex whose corner cross
-    product is at most tol times its two edge lengths.  Returns a new (m, 2)
-    array of the kept rows.
+    product is at most tol times its two edge lengths.  ``corners`` is
+    ``_corners(ring)`` when the caller has it.  Returns a new list of the kept
+    pairs.
     """
-    ring = list(pts)
-    corners = _corners(ring) if len(ring) >= 3 else None
+    if corners is None and len(ring) >= 3:
+        corners = _corners(ring)
     if corners is None or min(corners[0]) <= tol:
         out = []
         for x, y in ring:
@@ -130,12 +129,48 @@ def _clean_ring(pts, tol: float) -> np.ndarray:
             out.pop()
         ring = out
         if len(ring) < 3:
-            return np.array(ring, dtype=float).reshape(-1, 2)
+            return ring
         corners = _corners(ring)
     gaps, crosses = corners
-    keep = [p for p, cross, g0, g1 in zip(ring, crosses, gaps, gaps[1:] + gaps[:1])
+    return [p for p, cross, g0, g1 in zip(ring, crosses, gaps, gaps[1:] + gaps[:1])
             if abs(cross) > tol * (g0 + g1)]
-    return np.array(keep, dtype=float).reshape(-1, 2)
+
+
+def _convex_ring(ring: list):
+    """Validate a ring of at least three (x, y) pairs as a strictly convex polygon.
+
+    Returns ``(vertices, extent, area)``: the CCW vertex list after cleanup at
+    ``1e-12 * extent``, the input's bounding-box diagonal, and the shoelace
+    area.  Raises ValidationError for a non-finite vertex, a ring that cleans
+    up to fewer than 3 vertices, a corner that does not turn left, or an area
+    of at most tol**2.  The ring itself is left as it is.  When the cleanup
+    drops nothing, the corner crosses and the area taken before it are the
+    cleaned ring's.
+    """
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in ring):
+        raise ValidationError("polygon has non-finite vertices")
+    area = _shoelace(ring)
+    if area < 0.0:
+        ring = ring[::-1]
+        area = _shoelace(ring)
+    xs, ys = zip(*ring)
+    extent = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    tol = 1e-12 * extent
+    corners = _corners(ring)
+    verts = _clean_ring(ring, tol, corners)
+    if len(verts) < 3:
+        if not all(map(math.isfinite, corners[1])):
+            raise ValidationError("polygon coordinates overflow: a corner cross product is not finite")
+        raise ValidationError("polygon degenerates to fewer than 3 vertices after cleanup")
+    if len(verts) < len(ring):
+        corners = _corners(verts)
+        area = _shoelace(verts)
+    lowest = min(corners[1])
+    if lowest <= 0.0:
+        raise ValidationError(f"polygon is not strictly convex (min corner cross {lowest:.3e})")
+    if area <= tol * tol:
+        raise ValidationError(f"polygon area {area:.3e} is not positive")
+    return verts, extent, area
 
 
 @dataclass(frozen=True)
@@ -143,8 +178,9 @@ class ConvexPolygon:
     """Strictly convex polygon with CCW vertices (collinear runs are cleaned up).
 
     The cleanup tolerance is ``1e-12 * extent``, the vertices' bounding-box
-    diagonal.  Validation runs on plain floats, since it runs once per power
-    cell of every optimizer evaluation; ``area`` is the value it checked.
+    diagonal.  Validation runs on plain floats (``_convex_ring``), the same
+    pass the optimizer runs on each fresh power cell; ``area`` is the value it
+    checked.
     """
 
     vertices: np.ndarray
@@ -155,26 +191,8 @@ class ConvexPolygon:
         pts = np.asarray(self.vertices, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
             raise ValidationError(f"polygon needs an (n, 2) vertex array with n >= 3, got shape {pts.shape}")
-        ring = pts.tolist()
-        if not all(math.isfinite(x) and math.isfinite(y) for x, y in ring):
-            raise ValidationError("polygon has non-finite vertices")
-        if _shoelace(ring) < 0.0:
-            ring.reverse()
-        xs, ys = zip(*ring)
-        extent = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-        tol = 1e-12 * extent
-        verts = _clean_ring(ring, tol)
-        if len(verts) < 3:
-            if not all(map(math.isfinite, _corners(ring)[1])):
-                raise ValidationError("polygon coordinates overflow: a corner cross product is not finite")
-            raise ValidationError("polygon degenerates to fewer than 3 vertices after cleanup")
-        ring = verts.tolist()
-        lowest = min(_corners(ring)[1])
-        if lowest <= 0.0:
-            raise ValidationError(f"polygon is not strictly convex (min corner cross {lowest:.3e})")
-        area = _shoelace(ring)
-        if area <= tol * tol:
-            raise ValidationError(f"polygon area {area:.3e} is not positive")
+        ring, extent, area = _convex_ring(pts.tolist())
+        verts = np.array(ring, dtype=float)
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "extent", extent)
@@ -350,25 +368,15 @@ def _advance(q: list, k: list, u: list, s: float) -> list:
     return [(x + s * (ki * ux - uy), y + s * (ki * uy + ux)) for (x, y), ki, (ux, uy) in zip(q, k, u)]
 
 
-def cheeger_convex(p: ConvexPolygon) -> CheegerResult:
-    """Cheeger constant and Cheeger set of a convex polygon, in closed form.
+def _cheeger_loop(rows: list):
+    """The quadratic/collapse loop of ``cheeger_convex`` on a CCW strictly convex ring.
 
-    Kawohl & Lachand-Robert (*Characterization of Cheeger sets for convex
-    subsets of the plane*, Pacific J. Math. 225, 2006): r solves
-    ``area(inner_parallel(p, r)) = pi*r**2``.  If Q is the inner polygon at
-    offset t, the one at t + s has area ``|Q| - Per*s + C*s**2`` until an edge
-    collapses, with ``C = sum(k_i)`` and ``k_i = cot(theta_i / 2)`` over Q's
-    angles.  So s is the smaller root of ``(C - pi) s**2 - (Per + 2 pi t) s +
-    |Q| - pi t**2``, unless edge i collapses first, at ``L_i / (k_i + k_{i+1})``;
-    then the vertices move to that offset, the collapsed one is dropped and
-    the next quadratic is solved.  A triangle reaches its root before its
-    inradius, so there are at most n - 2 solves.
-
-    ``iterations`` counts the quadratic solves; ``residual`` is
-    ``|area(inner polygon at r) - pi*r**2|``.  Plain float arithmetic: on a
-    few vertices numpy's cost per call outweighs the work.
+    ``rows`` is a list of (x, y) pairs, as ``_convex_ring`` returns them.
+    Returns ``(r, s, q, k, u, solves, ox, oy)``: the Cheeger radius r, the
+    root s of the last quadratic, that quadratic's inner polygon q (relative
+    to the vertex mean (ox, oy)) with its k_i and edge directions u_i, and
+    the number of quadratics solved.
     """
-    rows = p.vertices.tolist()
     ox = oy = 0.0
     for x, y in rows:
         ox += x
@@ -407,13 +415,42 @@ def cheeger_convex(p: ConvexPolygon) -> CheegerResult:
         q = _advance(q, k, u, step)
         del q[j], u[j]
         lengths = _edge_lengths(q)
+    return t + s, s, q, k, u, solves, ox, oy
 
-    r = t + s
+
+def _cheeger_radius(rows: list) -> float:
+    """Cheeger radius r = 1/h of a CCW strictly convex ring of (x, y) pairs.
+
+    The closed form of ``cheeger_convex`` with no Cheeger set: the optimizer
+    reads only h, so it solves each validated power cell with this.
+    """
+    return _cheeger_loop(rows)[0]
+
+
+def cheeger_convex(p: ConvexPolygon) -> CheegerResult:
+    """Cheeger constant and Cheeger set of a convex polygon, in closed form.
+
+    Kawohl & Lachand-Robert (*Characterization of Cheeger sets for convex
+    subsets of the plane*, Pacific J. Math. 225, 2006): r solves
+    ``area(inner_parallel(p, r)) = pi*r**2``.  If Q is the inner polygon at
+    offset t, the one at t + s has area ``|Q| - Per*s + C*s**2`` until an edge
+    collapses, with ``C = sum(k_i)`` and ``k_i = cot(theta_i / 2)`` over Q's
+    angles.  So s is the smaller root of ``(C - pi) s**2 - (Per + 2 pi t) s +
+    |Q| - pi t**2``, unless edge i collapses first, at ``L_i / (k_i + k_{i+1})``;
+    then the vertices move to that offset, the collapsed one is dropped and
+    the next quadratic is solved (``_cheeger_loop``).  A triangle reaches its
+    root before its inradius, so there are at most n - 2 solves.
+
+    ``iterations`` counts the quadratic solves; ``residual`` is
+    ``|area(inner polygon at r) - pi*r**2|``.  Plain float arithmetic: on a
+    few vertices numpy's cost per call outweighs the work.
+    """
+    r, s, q, k, u, solves, ox, oy = _cheeger_loop(p.vertices.tolist())
     ring = _advance(q, k, u, s)
     residual = abs(_shoelace(ring) - math.pi * r * r)
     xs, ys = zip(*ring)
     scale = max(max(xs), -min(xs), max(ys), -min(ys))  # the largest |coordinate|
-    core = _clean_ring(ring, 1e-9 * scale)
+    core = np.array(_clean_ring(ring, 1e-9 * scale), dtype=float).reshape(-1, 2)
     core += (ox, oy)
     core.setflags(write=False)
     return CheegerResult(1.0 / r, r, core, solves, residual)

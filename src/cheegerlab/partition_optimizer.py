@@ -1,11 +1,14 @@
 """Upper bounds for the max-Cheeger partition value via power-diagram descent.
 
-Cells of a power diagram clipped to a convex container are convex polygons, so
-the convex Cheeger solver is exact on each cell and every evaluated
-configuration is an admissible cluster; the reported objective is therefore a
-rigorous upper bound for the optimal value.  The optimal cells of the true
-problem are non-convex arc domains, so this family only brackets the optimum
-from above; the certified lower bound h(H) sqrt(k/|T|) brackets it from below.
+Cells of a power diagram clipped to a convex container are convex polygons,
+and the convex Cheeger solver is exact on each of them.  In exact arithmetic
+every evaluated configuration would be an admissible cluster and its value an
+upper bound for the optimal value.  In floating point the clipped cells are
+admissible only up to rounding: neighbors may overlap, or a cell may leave
+the container, by a few ulps, so the reported objective is an upper bound up
+to that rounding, not a verified one.  The optimal cells of the true problem
+are non-convex arc domains, so this family only brackets the optimum from
+above; the certified lower bound h(H) sqrt(k/|T|) brackets it from below.
 
 The search is a deterministic compass search on the flattened (seeds,
 weights) vector, with a hexagonal-lattice start plus uniform-random restarts.
@@ -19,22 +22,29 @@ radical-axis half-planes of the other sites, nearest first, and stops at the
 security radius (Levy & Bonneel, IMR 2012, with power weights): once the
 next site is so far that its half-plane holds the disk around the site that
 contains the ring, no later one can cut.  The clips use a plain-float kernel
-that returns a ring unchanged when a half-plane cuts nothing; the ring is
-cleaned once, when it is validated as a ``ConvexPolygon``.  Each search
-keeps its incumbent's ring, cell, h and stop distance per site.  A probe
-re-clips only the sites whose stop its moved site falls within, before or
-after the move, and every other ring is the incumbent's bit for bit; a cell
-whose ring comes out float for float the same is neither validated nor
+that returns a ring unchanged when a half-plane cuts nothing.  Each fresh
+ring stays a list of floats: it is validated and cleaned once by
+``_convex_ring``, the pass ``ConvexPolygon`` runs, and solved for its Cheeger
+radius alone by ``_cheeger_radius``, so an evaluation builds no
+``ConvexPolygon``, ``CheegerResult`` or Cheeger-set curve.  Each search keeps
+its incumbent's ring, validated vertex list, h and stop distance per site.  A
+probe re-clips only the sites whose stop its moved site falls within, before
+or after the move, and every other ring is the incumbent's bit for bit; a
+cell whose ring comes out float for float the same is neither validated nor
 solved again.  A probe that leaves a cell with the incumbent's largest h
-alone cannot win and is rejected without clipping.  Only h is read from each
-Cheeger solve, so no Cheeger-set curve is built.  One batch of the
-benchmark's ``partition`` workload (k = 16 and 64, seed 5) makes 12 546
-clips, 1 977 validations and 1 497 solves, against 25 432, 2 682 and 2 202
-when every probe clipped the whole diagram, and decides 80 of its 119 probes
-without clipping.  Clipping takes about two fifths of its time, and the
-Cheeger solves and cell validation a quarter each.  A lattice diagram clips
-six to nine half-planes per cell from k = 16 to k = 1024, so the clip count
-grows about like k, not k^2.
+alone cannot win and is rejected without clipping.  When every stop is +inf,
+as at k <= 4, every probe reaches every site, and neither the distance pass
+nor that test runs.
+
+One batch of the benchmark's ``partition`` workload (k = 16 and 64, seed 5)
+makes 12 546 clips, 1 977 validations and 1 497 solves, against 25 432,
+2 682 and 2 202 when every probe clipped the whole diagram, and decides 80 of
+its 119 probes without clipping.  Replaying its calls on a shared 2-core
+x86_64 host (Python 3.11) puts clipping, with each diagram's numpy set-up, at
+about half of its time, the solves at about a seventh and the validation at
+about an eighth.  A lattice diagram clips six to nine
+half-planes per cell from k = 16 to k = 1024, so the clip count grows about
+like k, not k^2.
 """
 
 from __future__ import annotations
@@ -47,16 +57,25 @@ import numpy as np
 
 from .cheeger import (
     ConvexPolygon,
+    _cheeger_radius,
     _clip_halfplane,
-    cheeger_convex,
+    _convex_ring,
     hexagon_constant,
 )
 from .errors import DegenerateConfigurationError, OptimizationError, ValidationError
 
 
+_PAIR_BLOCK = 2 ** 18  # squared distances per block of the distinct-seeds check
+
+
 @dataclass(frozen=True)
 class SeedConfiguration:
-    """Power-diagram sites and weights; seeds must be pairwise distinct."""
+    """Power-diagram sites and weights; seeds must be pairwise distinct.
+
+    Two seeds count as one when their squared distance dx^2 + dy^2 is 0, an
+    underflow included.  The distances are taken a block of rows at a time,
+    so the check holds about ``_PAIR_BLOCK`` of them at once, not k^2.
+    """
 
     seeds: np.ndarray
     weights: np.ndarray
@@ -69,9 +88,14 @@ class SeedConfiguration:
         if not (np.isfinite(seeds).all() and np.isfinite(weights).all()):
             raise ValidationError("non-finite seed configuration")
         k = len(seeds)
-        if k > 1:
-            d2 = ((seeds[:, None, :] - seeds[None, :, :]) ** 2).sum(-1)
-            d2[np.arange(k), np.arange(k)] = np.inf
+        xs, ys = seeds[:, 0], seeds[:, 1]
+        rows = max(1, _PAIR_BLOCK // k)
+        for a in range(0, k, rows):
+            dx = xs[a:a + rows, None] - xs
+            dy = ys[a:a + rows, None] - ys
+            d2 = dx * dx + dy * dy
+            n = np.arange(len(d2))
+            d2[n, a + n] = np.inf
             if d2.min() <= 0.0:
                 raise ValidationError("seeds must be pairwise distinct")
         seeds.setflags(write=False)
@@ -176,11 +200,18 @@ def _power_rings(seeds: np.ndarray, weights: np.ndarray, container: ConvexPolygo
         yield [[x + sx, y + sy] for x, y in pts], stop
 
 
-def _power_cell(i: int, ring: list) -> ConvexPolygon:
+def _power_cell(i: int, ring: list, build):
+    """``build(ring)`` for power cell i, its ValidationError raised as a
+    DegenerateConfigurationError."""
     try:
-        return ConvexPolygon(ring)
+        return build(ring)
     except ValidationError as exc:
         raise DegenerateConfigurationError(f"power cell {i}: {exc}") from exc
+
+
+def _cell_vertices(ring: list) -> list:
+    """The validated CCW vertex list of a clipped ring (``_convex_ring``)."""
+    return _convex_ring(ring)[0]
 
 
 def power_diagram_cells(cfg: SeedConfiguration, container: ConvexPolygon):
@@ -193,7 +224,7 @@ def power_diagram_cells(cfg: SeedConfiguration, container: ConvexPolygon):
     vertices, say), raises DegenerateConfigurationError.
     """
     rings = _power_rings(cfg.seeds, cfg.weights, container, range(cfg.k))
-    return [_power_cell(i, ring) for i, (ring, _) in enumerate(rings)]
+    return [_power_cell(i, ring, ConvexPolygon) for i, (ring, _) in enumerate(rings)]
 
 
 def hex_lattice_seeds(k: int, container: ConvexPolygon) -> np.ndarray:
@@ -254,7 +285,8 @@ class OptimizationTrace:
 
 
 class _Diagram(NamedTuple):
-    """One evaluated diagram: each site's ring, cell, h and stop (``_power_rings``).
+    """One evaluated diagram: each site's clipped ring, its validated vertex
+    list (``_convex_ring``), h and stop (``_power_rings``).
 
     The blank diagram of a search with no finite value yet has no rings and
     cells, h = +inf and every stop +inf, so a probe from it clips every site.
@@ -279,9 +311,13 @@ def _affected(x: np.ndarray, q: np.ndarray, i: int, stops: np.ndarray) -> np.nda
     |s_p' - s_j|^2 <= stop_j, each computed as in j's row of
     ``_power_rings``.  Every other ring visits the same sites with the same
     half-planes up to the same stop.  The stop tests read max w and max |w|,
-    so a weight move that changes either reaches every site.
+    so a weight move that changes either reaches every site.  When every stop
+    is +inf (every loop ran to its last site, as at k <= 4), so is the mask,
+    with no distance pass.
     """
     k = len(stops)
+    if stops.min() == math.inf:
+        return np.ones(k, dtype=bool)
     if i >= 2 * k:
         p, ends = i - 2 * k, (x,)
         w, v = x[2 * k:], q[2 * k:]
@@ -353,11 +389,12 @@ def _eval_config(container, seeds, weights, records, lower, incumbent: _Diagram,
     reuse is exact.  If a site outside ``affected`` has the incumbent's largest
     h, this diagram's value is at least the incumbent's: nothing is clipped,
     and the incumbent's value, which was checked against the floor when it
-    was evaluated, is recorded and returned with the incumbent.  A degenerate
-    diagram records +inf and returns a blank diagram.
+    was evaluated, is recorded and returned with the incumbent; a mask that
+    holds every site skips that test.  A degenerate diagram records +inf and
+    returns a blank diagram.
     """
     fx = float(incumbent.hs.max())
-    if (incumbent.hs[~affected] >= fx).any():
+    if not affected.all() and (incumbent.hs[~affected] >= fx).any():
         records.append(fx)
         return fx, incumbent
     chosen = np.flatnonzero(affected)
@@ -369,13 +406,13 @@ def _eval_config(container, seeds, weights, records, lower, incumbent: _Diagram,
                                    _power_rings(seeds, weights, container, chosen)):
             stops[i] = stop
             if ring != rings[i]:
-                rings[i], cells[i] = ring, _power_cell(i, ring)
+                rings[i], cells[i] = ring, _power_cell(i, ring, _cell_vertices)
                 fresh.append(i)
     except DegenerateConfigurationError:
         records.append(math.inf)
         return math.inf, _blank(len(weights))
     for i in fresh:
-        hs[i] = cheeger_convex(cells[i]).h
+        hs[i] = 1.0 / _cheeger_radius(cells[i])
     value = float(hs.max())
     if value < lower:
         raise OptimizationError(
@@ -414,9 +451,9 @@ def _pairwise_sum(terms: list) -> float:
     return total
 
 
-def _polygon_centroid(poly: ConvexPolygon) -> list:
-    """[x, y] of the centroid, in plain floats with numpy's sums (``_numpy_sum``)."""
-    v = poly.vertices.tolist()
+def _polygon_centroid(v: list) -> list:
+    """[x, y] of the centroid of a validated vertex list, in plain floats with
+    numpy's sums (``_numpy_sum``)."""
     pairs = list(zip(v, v[1:] + v[:1]))
     cr = [x * yn - xn * y for (x, y), (xn, yn) in pairs]
     six_a = 6.0 * (_numpy_sum(cr) / 2.0)
@@ -436,7 +473,7 @@ def _precondition(k, container, seeds, left, lower, records):
     for _ in range(6):
         try:
             rings = _power_rings(seeds, w, container, range(k))
-            cells = [_power_cell(i, ring) for i, (ring, _) in enumerate(rings)]
+            cells = [_power_cell(i, ring, _cell_vertices) for i, (ring, _) in enumerate(rings)]
         except DegenerateConfigurationError:
             return None, seeds, w, _blank(k)
         seeds = np.array([_polygon_centroid(c) for c in cells])

@@ -493,7 +493,6 @@ class TestConvexPolygonValidation:
             ring.setflags(write=False)
             cleaned = cheeger._clean_ring(ring, tol)
             assert np.array_equal(cleaned, clean_ring_loop(ring, tol))
-            assert cleaned.flags.writeable
 
     @pytest.mark.parametrize("ring, message", [
         ([[0, 0], [0, 1], [1, 1], [1, 0]], None),

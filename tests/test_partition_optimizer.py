@@ -1,11 +1,18 @@
 import hashlib
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cheegerlab.cheeger import ConvexPolygon, cheeger_convex, hexagon_constant, regular_polygon
+from cheegerlab.cheeger import (
+    CheegerResult,
+    ConvexPolygon,
+    cheeger_convex,
+    hexagon_constant,
+    regular_polygon,
+)
 from cheegerlab import cheeger, jsonio, partition_optimizer
 from cheegerlab.cluster import honeycomb_cluster, objective
 from cheegerlab.errors import DegenerateConfigurationError, OptimizationError, ValidationError
@@ -218,6 +225,29 @@ class TestPowerDiagram:
         with pytest.raises(ValidationError):
             SeedConfiguration(np.array([[0.0, 0.0], [0.0, 0.0]]), np.zeros(2))
 
+    def test_distinct_seed_check_memory_is_bounded(self):
+        # a k x k x 2 table of differences would take 268 MB at k = 4096; the
+        # duplicate sits in another block of rows than its twin
+        k = 4096
+        seeds = np.random.default_rng(0).random((k, 2))
+        tracemalloc.start()
+        try:
+            SeedConfiguration(seeds, np.zeros(k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        twins = seeds.copy()
+        twins[4000] = twins[17]
+        with pytest.raises(ValidationError, match="^seeds must be pairwise distinct$"):
+            SeedConfiguration(twins, np.zeros(k))
+
+    def test_underflowing_seed_distance_is_a_duplicate(self):
+        # (1e-170)^2 underflows to 0, (1e-150)^2 does not
+        with pytest.raises(ValidationError, match="^seeds must be pairwise distinct$"):
+            SeedConfiguration(np.array([[0.0, 0.0], [1e-170, 0.0]]), np.zeros(2))
+        assert SeedConfiguration(np.array([[0.0, 0.0], [1e-150, 0.0]]), np.zeros(2)).k == 2
+
     def test_duplicate_seeds_are_degenerate_rings(self):
         seeds = np.array([[0.1, 0.0], [-0.1, 0.05], [0.1, 0.0]])
         with pytest.raises(DegenerateConfigurationError, match="pairwise distinct"):
@@ -236,7 +266,7 @@ class TestPowerDiagram:
             except DegenerateConfigurationError:
                 continue
             for cell in cells:
-                centroid = np.array(partition_optimizer._polygon_centroid(cell))
+                centroid = np.array(partition_optimizer._polygon_centroid(cell.vertices.tolist()))
                 assert centroid.tobytes() == polygon_centroid_reference(cell).tobytes()
                 count += 1
         assert count > 500
@@ -251,6 +281,77 @@ class TestPowerDiagram:
         for terms in lists:
             total = partition_optimizer._numpy_sum(terms)
             assert np.float64(total).tobytes() == np.sum(np.array(terms)).tobytes()
+
+
+# (scale, shift) of the container, seeds and (by scale^2) weights
+FLOAT_PATH_FRAMES = ((1.0, 0.0), (1.0, 1e6), (1e-8, 0.0), (1e8, 0.0))
+
+
+def _float_path_diagrams():
+    """(container, seeds, weights) of power diagrams in every frame: jittered
+    lattice and uniform seeds in the unit triangle with zero or Gaussian
+    weights, more draws at small k, and the sliver of ``test_sliver_cell_raises``
+    in the unit square."""
+    base = []
+    for k, draws in ((4, 7), (16, 3), (64, 2), (256, 1)):
+        for draw in range(draws):
+            for mode in range(4):
+                rng = np.random.default_rng([k, draw, mode])
+                if mode < 2:
+                    seeds = hex_lattice_seeds(k, TRIANGLE)
+                    seeds = seeds + rng.normal(0.0, 0.1 * math.sqrt(TRIANGLE.area / k), seeds.shape)
+                else:
+                    seeds = partition_optimizer._random_seeds(k, TRIANGLE, rng)
+                weights = (np.zeros(k) if mode % 2 == 0
+                           else rng.normal(0.0, 0.3 * TRIANGLE.area / k, k))
+                base.append((TRIANGLE, seeds, weights))
+    base.append((UNIT_SQUARE, np.array([[0.25, 0.5], [0.5, 0.5], [0.75, 0.5]]),
+                 np.array([0.0, -0.0625 + 1e-15, 0.0])))
+    for scale, shift in FLOAT_PATH_FRAMES:
+        for container, seeds, weights in base:
+            yield (ConvexPolygon(container.vertices * scale + shift), seeds * scale + shift,
+                   weights * scale * scale)
+
+
+class TestFloatCells:
+    def test_optimizer_h_matches_polygon_solve_and_reference(self):
+        # the optimizer validates and solves each clipped ring on float lists;
+        # per cell, its h is cheeger_convex's on the ConvexPolygon of the same
+        # ring, bit for bit, and a ring it rejects fails ConvexPolygon with
+        # the same message
+        seen = dict.fromkeys(["diagrams", "cells", "rejected", "empty"], 0)
+        for container, seeds, weights in _float_path_diagrams():
+            k = len(weights)
+            seen["diagrams"] += 1
+            value, diagram = partition_optimizer._eval_config(
+                container, seeds, weights, [], 0.0, partition_optimizer._blank(k),
+                np.ones(k, dtype=bool))
+            try:
+                for i, (ring, _) in enumerate(partition_optimizer._power_rings(
+                        seeds, weights, container, range(k))):
+                    try:
+                        vertices = cheeger._convex_ring(ring)[0]
+                    except ValidationError as exc:
+                        with pytest.raises(ValidationError) as info:
+                            ConvexPolygon(ring)
+                        assert str(info.value) == str(exc)
+                        assert value == math.inf
+                        seen["rejected"] += 1
+                        continue
+                    cell = ConvexPolygon(ring)
+                    assert cell.vertices.tolist() == [list(v) for v in vertices]
+                    if value == math.inf:
+                        continue
+                    h = diagram.hs[i]
+                    assert h == cheeger_convex(cell).h
+                    ref = cheeger_convex_reference(cell).h
+                    assert abs(h - ref) <= 1e-13 * ref
+                    seen["cells"] += 1
+            except DegenerateConfigurationError:
+                assert value == math.inf
+                seen["empty"] += 1
+        assert seen["diagrams"] >= 200 and seen["cells"] > 4000, seen
+        assert seen["rejected"] >= 1, seen
 
 
 def _probe_moves(k, rng):
@@ -372,6 +473,32 @@ class TestLocalProbes:
         assert hashlib.sha256(text.encode()).hexdigest() == \
             self.TRACE_PINS[k, budget, seed, restarts]
 
+    def test_probe_stays_on_float_cells(self, call_counts):
+        # a probe that moves the worst cell's site validates each fresh ring
+        # once, on floats, and solves it for r alone: no ConvexPolygon and no
+        # CheegerResult is built
+        k = 16
+        rng = np.random.default_rng(5)
+        seeds = hex_lattice_seeds(k, TRIANGLE)
+        seeds = seeds + rng.normal(0.0, 0.1 * math.sqrt(TRIANGLE.area / k), seeds.shape)
+        x = np.concatenate([seeds.ravel(), np.zeros(k)])
+        _, incumbent = partition_optimizer._eval_config(
+            TRIANGLE, seeds, np.zeros(k), [], 0.0, partition_optimizer._blank(k),
+            np.ones(k, dtype=bool))
+        i = 2 * int(np.argmax(incumbent.hs))
+        q = x.copy()
+        q[i] += 0.05 * math.sqrt(TRIANGLE.area / k)
+        affected = partition_optimizer._affected(x, q, i, incumbent.stops)
+        cleaned = call_counts(cheeger, "_clean_ring")
+        polygons = call_counts(ConvexPolygon, "__post_init__")
+        results = call_counts(CheegerResult, "__init__")
+        fq, probe = partition_optimizer._eval_config(
+            TRIANGLE, q[:2 * k].reshape(k, 2), q[2 * k:], [], 0.0, incumbent, affected)
+        fresh = sum(a is not b for a, b in zip(probe.cells, incumbent.cells))
+        assert math.isfinite(fq) and 0 < fresh < k
+        assert cleaned == {"_clean_ring": fresh}
+        assert polygons == {"__post_init__": 0} and results == {"__init__": 0}
+
     def test_probes_clip_fewer_half_planes(self, call_counts):
         # with whole-diagram probes this run clipped 78 017 half-planes
         counts = call_counts(partition_optimizer, "_clip_halfplane")
@@ -451,9 +578,9 @@ class TestOptimize:
         assert counts == {"_rounded_polygon": 0}
 
     def test_unchanged_cells_are_not_solved_again(self, call_counts):
-        counts = call_counts(partition_optimizer, "cheeger_convex")
+        counts = call_counts(partition_optimizer, "_cheeger_radius")
         trace = optimize(16, TRIANGLE, budget=150, seed=1, restarts=1)
-        assert 0 < counts["cheeger_convex"] < trace.evaluations * 16
+        assert 0 < counts["_cheeger_radius"] < trace.evaluations * 16
 
     def test_probes_move_one_coordinate(self, monkeypatch):
         # the compass search probes one coordinate at a time away from the
@@ -488,14 +615,14 @@ class TestOptimize:
         # the lattice start's first probe, evaluation 40, moves one coordinate
         # of the best balanced point, whose cells are kept: only the cells
         # that the move changes are solved
-        counts = call_counts(partition_optimizer, "cheeger_convex")
+        counts = call_counts(partition_optimizer, "_cheeger_radius")
         solves = []
         original = partition_optimizer._eval_config
 
         def recorded(*args):
-            before = counts["cheeger_convex"]
+            before = counts["_cheeger_radius"]
             result = original(*args)
-            solves.append(counts["cheeger_convex"] - before)
+            solves.append(counts["_cheeger_radius"] - before)
             return result
 
         monkeypatch.setattr(partition_optimizer, "_eval_config", recorded)
