@@ -21,7 +21,7 @@ Polygon validation (``_convex_ring``) and the closed-form solve
 ``hypot``, sums taken in sequence): on the four to eight vertices of a power
 cell, numpy's cost per call outweighs the arithmetic.  ``ConvexPolygon`` and
 ``cheeger_convex`` are built on them; the optimizer calls them on float lists
-and reads only the radius (``_cheeger_radius``), and its cost split is given
+and reads only the loop's radius, and its cost split is given
 in ``partition_optimizer``.  ``convex_hull`` and the per-edge arithmetic of
 ``random_class_a_domain`` run on floats too, with outputs bit for bit those
 of the numpy forms kept as test oracles.
@@ -416,15 +416,6 @@ def _cheeger_loop(rows: list):
         del q[j], u[j]
         lengths = _edge_lengths(q)
     return t + s, s, q, k, u, solves, ox, oy
-
-
-def _cheeger_radius(rows: list) -> float:
-    """Cheeger radius r = 1/h of a CCW strictly convex ring of (x, y) pairs.
-
-    The closed form of ``cheeger_convex`` with no Cheeger set: the optimizer
-    reads only h, so it solves each validated power cell with this.
-    """
-    return _cheeger_loop(rows)[0]
 
 
 def cheeger_convex(p: ConvexPolygon) -> CheegerResult:

@@ -25,16 +25,14 @@ contains the ring, no later one can cut.  The clips use a plain-float kernel
 that returns a ring unchanged when a half-plane cuts nothing.  Each fresh
 ring stays a list of floats: it is validated and cleaned once by
 ``_convex_ring``, the pass ``ConvexPolygon`` runs, and solved for its Cheeger
-radius alone by ``_cheeger_radius``, so an evaluation builds no
+radius alone by ``_cheeger_loop``, so an evaluation builds no
 ``ConvexPolygon``, ``CheegerResult`` or Cheeger-set curve.  Each search keeps
 its incumbent's ring, validated vertex list, h and stop distance per site.  A
 probe re-clips only the sites whose stop its moved site falls within, before
 or after the move, and every other ring is the incumbent's bit for bit; a
 cell whose ring comes out float for float the same is neither validated nor
 solved again.  A probe that leaves a cell with the incumbent's largest h
-alone cannot win and is rejected without clipping.  When every stop is +inf,
-as at k <= 4, every probe reaches every site, and neither the distance pass
-nor that test runs.
+alone cannot win and is rejected without clipping.
 
 One batch of the benchmark's ``partition`` workload (k = 16 and 64, seed 5)
 makes 12 546 clips, 1 977 validations and 1 497 solves, against 25 432,
@@ -57,7 +55,7 @@ import numpy as np
 
 from .cheeger import (
     ConvexPolygon,
-    _cheeger_radius,
+    _cheeger_loop,
     _clip_halfplane,
     _convex_ring,
     hexagon_constant,
@@ -89,7 +87,7 @@ class SeedConfiguration:
             raise ValidationError("non-finite seed configuration")
         k = len(seeds)
         xs, ys = seeds[:, 0], seeds[:, 1]
-        rows = max(1, _PAIR_BLOCK // k)
+        rows = max(1, _PAIR_BLOCK // max(k, 1))
         for a in range(0, k, rows):
             dx = xs[a:a + rows, None] - xs
             dy = ys[a:a + rows, None] - ys
@@ -200,18 +198,14 @@ def _power_rings(seeds: np.ndarray, weights: np.ndarray, container: ConvexPolygo
         yield [[x + sx, y + sy] for x, y in pts], stop
 
 
-def _power_cell(i: int, ring: list, build):
-    """``build(ring)`` for power cell i, its ValidationError raised as a
+def _power_cell(i: int, ring: list) -> list:
+    """The validated CCW vertex list of power cell i's clipped ring
+    (``_convex_ring``), its ValidationError raised as a
     DegenerateConfigurationError."""
     try:
-        return build(ring)
+        return _convex_ring(ring)[0]
     except ValidationError as exc:
         raise DegenerateConfigurationError(f"power cell {i}: {exc}") from exc
-
-
-def _cell_vertices(ring: list) -> list:
-    """The validated CCW vertex list of a clipped ring (``_convex_ring``)."""
-    return _convex_ring(ring)[0]
 
 
 def power_diagram_cells(cfg: SeedConfiguration, container: ConvexPolygon):
@@ -223,8 +217,13 @@ def power_diagram_cells(cfg: SeedConfiguration, container: ConvexPolygon):
     fails ``ConvexPolygon`` validation (a sliver that cleans up to fewer than 3
     vertices, say), raises DegenerateConfigurationError.
     """
-    rings = _power_rings(cfg.seeds, cfg.weights, container, range(cfg.k))
-    return [_power_cell(i, ring, ConvexPolygon) for i, (ring, _) in enumerate(rings)]
+    cells = []
+    for i, (ring, _) in enumerate(_power_rings(cfg.seeds, cfg.weights, container, range(cfg.k))):
+        try:
+            cells.append(ConvexPolygon(ring))
+        except ValidationError as exc:
+            raise DegenerateConfigurationError(f"power cell {i}: {exc}") from exc
+    return cells
 
 
 def hex_lattice_seeds(k: int, container: ConvexPolygon) -> np.ndarray:
@@ -311,13 +310,9 @@ def _affected(x: np.ndarray, q: np.ndarray, i: int, stops: np.ndarray) -> np.nda
     |s_p' - s_j|^2 <= stop_j, each computed as in j's row of
     ``_power_rings``.  Every other ring visits the same sites with the same
     half-planes up to the same stop.  The stop tests read max w and max |w|,
-    so a weight move that changes either reaches every site.  When every stop
-    is +inf (every loop ran to its last site, as at k <= 4), so is the mask,
-    with no distance pass.
+    so a weight move that changes either reaches every site.
     """
     k = len(stops)
-    if stops.min() == math.inf:
-        return np.ones(k, dtype=bool)
     if i >= 2 * k:
         p, ends = i - 2 * k, (x,)
         w, v = x[2 * k:], q[2 * k:]
@@ -389,12 +384,11 @@ def _eval_config(container, seeds, weights, records, lower, incumbent: _Diagram,
     reuse is exact.  If a site outside ``affected`` has the incumbent's largest
     h, this diagram's value is at least the incumbent's: nothing is clipped,
     and the incumbent's value, which was checked against the floor when it
-    was evaluated, is recorded and returned with the incumbent; a mask that
-    holds every site skips that test.  A degenerate diagram records +inf and
+    was evaluated, is recorded and returned with the incumbent.  A degenerate diagram records +inf and
     returns a blank diagram.
     """
     fx = float(incumbent.hs.max())
-    if not affected.all() and (incumbent.hs[~affected] >= fx).any():
+    if (incumbent.hs[~affected] >= fx).any():
         records.append(fx)
         return fx, incumbent
     chosen = np.flatnonzero(affected)
@@ -406,13 +400,13 @@ def _eval_config(container, seeds, weights, records, lower, incumbent: _Diagram,
                                    _power_rings(seeds, weights, container, chosen)):
             stops[i] = stop
             if ring != rings[i]:
-                rings[i], cells[i] = ring, _power_cell(i, ring, _cell_vertices)
+                rings[i], cells[i] = ring, _power_cell(i, ring)
                 fresh.append(i)
     except DegenerateConfigurationError:
         records.append(math.inf)
         return math.inf, _blank(len(weights))
     for i in fresh:
-        hs[i] = 1.0 / _cheeger_radius(cells[i])
+        hs[i] = 1.0 / _cheeger_loop(cells[i])[0]
     value = float(hs.max())
     if value < lower:
         raise OptimizationError(
@@ -473,7 +467,7 @@ def _precondition(k, container, seeds, left, lower, records):
     for _ in range(6):
         try:
             rings = _power_rings(seeds, w, container, range(k))
-            cells = [_power_cell(i, ring, _cell_vertices) for i, (ring, _) in enumerate(rings)]
+            cells = [_power_cell(i, ring) for i, (ring, _) in enumerate(rings)]
         except DegenerateConfigurationError:
             return None, seeds, w, _blank(k)
         seeds = np.array([_polygon_centroid(c) for c in cells])

@@ -242,6 +242,10 @@ class TestPowerDiagram:
         with pytest.raises(ValidationError, match="^seeds must be pairwise distinct$"):
             SeedConfiguration(twins, np.zeros(k))
 
+    def test_empty_and_single_seed_configurations_are_valid(self):
+        assert SeedConfiguration(np.zeros((0, 2)), np.zeros(0)).k == 0
+        assert SeedConfiguration(np.zeros((1, 2)), np.zeros(1)).k == 1
+
     def test_underflowing_seed_distance_is_a_duplicate(self):
         # (1e-170)^2 underflows to 0, (1e-150)^2 does not
         with pytest.raises(ValidationError, match="^seeds must be pairwise distinct$"):
@@ -578,9 +582,9 @@ class TestOptimize:
         assert counts == {"_rounded_polygon": 0}
 
     def test_unchanged_cells_are_not_solved_again(self, call_counts):
-        counts = call_counts(partition_optimizer, "_cheeger_radius")
+        counts = call_counts(partition_optimizer, "_cheeger_loop")
         trace = optimize(16, TRIANGLE, budget=150, seed=1, restarts=1)
-        assert 0 < counts["_cheeger_radius"] < trace.evaluations * 16
+        assert 0 < counts["_cheeger_loop"] < trace.evaluations * 16
 
     def test_probes_move_one_coordinate(self, monkeypatch):
         # the compass search probes one coordinate at a time away from the
@@ -615,14 +619,14 @@ class TestOptimize:
         # the lattice start's first probe, evaluation 40, moves one coordinate
         # of the best balanced point, whose cells are kept: only the cells
         # that the move changes are solved
-        counts = call_counts(partition_optimizer, "_cheeger_radius")
+        counts = call_counts(partition_optimizer, "_cheeger_loop")
         solves = []
         original = partition_optimizer._eval_config
 
         def recorded(*args):
-            before = counts["_cheeger_radius"]
+            before = counts["_cheeger_loop"]
             result = original(*args)
-            solves.append(counts["_cheeger_radius"] - before)
+            solves.append(counts["_cheeger_loop"] - before)
             return result
 
         monkeypatch.setattr(partition_optimizer, "_eval_config", recorded)
