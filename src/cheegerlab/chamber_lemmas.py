@@ -74,8 +74,9 @@ class DiskChain:
     warnings: tuple = field(init=False)
 
     def __post_init__(self):
-        centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        radii = np.asarray(self.radii, dtype=float).ravel()
+        # copies, so freezing them leaves the caller's arrays writable
+        centers = np.atleast_2d(np.array(self.centers, dtype=float))
+        radii = np.array(self.radii, dtype=float).ravel()
         if centers.ndim != 2 or centers.shape[1] != 2:
             raise ValidationError(f"centers must be an (m, 2) array, got shape {centers.shape}")
         centers.setflags(write=False)
@@ -474,7 +475,7 @@ def _build(centers, r, flavor):
     if any(ang > _REFLEX for ang in _pocket_angles(centers, r, flavor)):
         return None
     try:
-        return DiskChain(np.array(centers), r, flavor)
+        return DiskChain(centers, r, flavor)
     except ValidationError:
         return None
 

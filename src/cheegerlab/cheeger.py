@@ -266,24 +266,24 @@ def _clip_halfplane(pts: list, nx: float, ny: float, c: float) -> Optional[list]
 
     Plain float arithmetic: on rings of a few vertices numpy's cost per call
     outweighs the work.  Returns ``pts`` itself when no vertex is outside and
-    None when fewer than 3 vertices remain.
+    None when fewer than 3 vertices remain.  A vertex is inside when its
+    ``x*nx + y*ny - c <= 0``, so a NaN there counts as outside: ``sum(d)``
+    carries it where ``max(d)`` may skip it.
     """
     d = [x * nx + y * ny - c for x, y in pts]
-    inside = [v <= 0.0 for v in d]
-    if all(inside):
+    if max(d) <= 0.0 and sum(d) <= 0.0:
         return pts
     out = []
-    n = len(pts)
-    for i in range(n):
-        j = (i + 1) % n
-        if inside[i]:
+    for i in range(-len(pts), 0):  # edge i runs from pts[i] to pts[i + 1], pts[0] last
+        di, dj = d[i], d[i + 1]
+        if di <= 0.0:
             out.append(pts[i])
-            if inside[j]:
+            if dj <= 0.0:
                 continue
-        elif not inside[j]:
+        elif not dj <= 0.0:
             continue
-        t = d[i] / (d[i] - d[j])
-        (xi, yi), (xj, yj) = pts[i], pts[j]
+        t = di / (di - dj)
+        (xi, yi), (xj, yj) = pts[i], pts[i + 1]
         out.append([xi + t * (xj - xi), yi + t * (yj - yi)])
     return out if len(out) >= 3 else None
 

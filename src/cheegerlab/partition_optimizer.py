@@ -21,9 +21,13 @@ A diagram clips the container, in coordinates centred on each site, by the
 radical-axis half-planes of the other sites, nearest first, and stops at the
 security radius (Levy & Bonneel, IMR 2012, with power weights): once the
 next site is so far that its half-plane holds the disk around the site that
-contains the ring, no later one can cut.  The clips use a plain-float kernel
-that returns a ring unchanged when a half-plane cuts nothing.  Each fresh
-ring stays a list of floats: it is validated and cleaned once by
+contains the ring, no later one can cut.  The only numpy work per diagram is
+the squared distances of the clipped sites and their stable argsort; a
+site's half-plane is computed in plain floats when a cell's loop reaches it,
+so a lattice diagram computes 8 to 11 of the k - 1 half-planes per cell from
+k = 16 to k = 2048.  The clips use a one-pass plain-float kernel that returns
+a ring unchanged when a half-plane cuts nothing.  Each fresh ring stays a
+list of floats: it is validated and cleaned once by
 ``_convex_ring``, the pass ``ConvexPolygon`` runs, and solved for its Cheeger
 radius alone by ``_cheeger_loop``, so an evaluation builds no
 ``ConvexPolygon``, ``CheegerResult`` or Cheeger-set curve.  Each search keeps
@@ -39,10 +43,12 @@ makes 12 546 clips, 1 977 validations and 1 497 solves, against 25 432,
 2 682 and 2 202 when every probe clipped the whole diagram, and decides 80 of
 its 119 probes without clipping.  Replaying its calls on a shared 2-core
 x86_64 host (Python 3.11) puts clipping, with each diagram's numpy set-up, at
-about half of its time, the solves at about a seventh and the validation at
-about an eighth.  A lattice diagram clips six to nine
-half-planes per cell from k = 16 to k = 1024, so the clip count grows about
-like k, not k^2.
+about half of its time, the solves at about a sixth, the validation at about
+a seventh and the Lloyd and balancing centroids at about 3 %.  A lattice
+diagram clips six to nine half-planes per cell from k = 16 to k = 1024, so
+the clip count grows about like k, not k^2; the distances and their
+argsort, k log k per site, take most of a whole diagram's time from
+k = 1024 on.
 """
 
 from __future__ import annotations
@@ -79,8 +85,9 @@ class SeedConfiguration:
     weights: np.ndarray
 
     def __post_init__(self):
-        seeds = np.atleast_2d(np.asarray(self.seeds, dtype=float))
-        weights = np.asarray(self.weights, dtype=float).ravel()
+        # copies, so freezing them leaves the caller's arrays writable
+        seeds = np.atleast_2d(np.array(self.seeds, dtype=float))
+        weights = np.array(self.weights, dtype=float).ravel()
         if seeds.shape[1] != 2 or len(weights) != len(seeds):
             raise ValidationError("seeds must be (k, 2) with one weight per seed")
         if not (np.isfinite(seeds).all() and np.isfinite(weights).all()):
@@ -111,13 +118,6 @@ class SeedConfiguration:
 _STOP_SLACK = 2.0 ** -48
 
 
-def _neighbors(row: np.ndarray, head: int = 32):
-    """One site's neighbor rows as float lists, the nearest ``head`` first: a
-    cell rarely needs more, so most of a large row is never converted."""
-    yield from row[:head].tolist()
-    yield from row[head:].tolist()
-
-
 def _power_rings(seeds: np.ndarray, weights: np.ndarray, container: ConvexPolygon, chosen):
     """Yield (ring, stop) for each site in ``chosen``, in that order.
 
@@ -132,14 +132,23 @@ def _power_rings(seeds: np.ndarray, weights: np.ndarray, container: ConvexPolygo
     half-plane of site j is ``2 d.y <= |d|^2 + w_i - w_j`` with d = s_j - s_i:
     no offset carries |s|^2, whose rounding grows with the distance from the
     origin, so a translated diagram keeps its digits.  The other sites are
-    visited nearest first (a stable argsort of |d|^2, one row per chosen
-    site), and the loop stops at the first site with |d| > R and
+    visited nearest first, in the order of a stable argsort of the |d|^2 rows
+    of the chosen sites, and the loop stops at the first site with |d| > R and
     ``(|d| - R)^2 - max w >= R^2 - w_i``, where R is the largest distance from
     s_i to the ring, recomputed when a clip changes the ring (the security
     radius of Levy & Bonneel, IMR 2012, with power weights as in Aurenhammer,
     SIAM J. Comput. 16, 1987).  For |y| <= R < |d| it gives |y|^2 - w_i <=
     (|d| - R)^2 - max w <= |y - d|^2 - w_j, so that site's half-plane and, the
     left side growing with |d|, every later one holds the whole ring.
+
+    Site j's values are computed in plain floats when the loop reaches it:
+    d, |d|^2 = dx*dx + dy*dy, |d|, the normal 2d, the offset
+    |d|^2 + (w_i - w_j) and the slack.  Each takes the same IEEE operations on
+    the same operands in the same order as the numpy column of a table of all
+    the rows built up front (``sqrt`` is correctly rounded in both, and
+    neither fuses a multiply-add), so every ring and stop is bit for bit that
+    of the table (``power_rings_table_reference`` in the tests), which held
+    k x (k - 1) x 6 floats per whole diagram.
 
     The kernel decides with the computed ``x*nx + y*ny - c``, so the stop also
     asks the gap to exceed the rounding, with u = 2^-53 and in units of
@@ -153,42 +162,37 @@ def _power_rings(seeds: np.ndarray, weights: np.ndarray, container: ConvexPolygo
     and max |w|, so it and its stop stay bit for bit the same while every
     site that moves or changes weight sorts after the stop (``_affected``).
     """
-    k = len(weights)
     chosen = np.asarray(chosen, dtype=np.intp)
     dx = seeds[None, :, 0] - seeds[chosen, None, 0]  # dx[n, j] = x_j - x_i, i = chosen[n]
     dy = seeds[None, :, 1] - seeds[chosen, None, 1]
     d2 = dx * dx + dy * dy
-    order = np.argsort(d2, axis=1, kind="stable")
-    order = order[order != chosen[:, None]].reshape(len(chosen), k - 1)  # drop site i
-    rows = np.arange(len(chosen))[:, None]
-    d2 = d2[rows, order]
-    if k > 1 and not d2[:, 0].min() > 0.0:
+    # s_i - s_i is the one 0 of row i unless a twin ties it, so site i sorts first
+    if np.count_nonzero(d2 > 0.0) < d2.size - len(chosen):
         raise DegenerateConfigurationError("seeds must be pairwise distinct")
-    wabs = np.abs(weights)
-    table = np.stack([
-        2.0 * dx[rows, order],
-        2.0 * dy[rows, order],
-        d2 + (weights[chosen, None] - weights[order]),
-        np.sqrt(d2),
-        _STOP_SLACK * (d2 + (wabs[chosen, None] + wabs.max())),
-        d2,
-    ], axis=-1)
+    order = np.argsort(d2, axis=1, kind="stable")
+    xs, ys = seeds[:, 0].tolist(), seeds[:, 1].tolist()
     w = weights.tolist()
     w_max = max(w)
-    # + 0.0 turns a -0.0 coordinate into 0.0, so no ring vertex is -0.0 and ==
-    # on two rings (``_eval_config``) compares them float for float
-    sites = (seeds[chosen] + 0.0).tolist()
+    wabs_max = max(map(abs, w))
     verts = container.vertices.tolist()
-    for i, (sx, sy), row in zip(chosen.tolist(), sites, table):
+    for i, row in zip(chosen.tolist(), order):
+        xi, yi, wi = xs[i], ys[i], w[i]
+        # + 0.0 turns a -0.0 coordinate into 0.0, so no ring vertex is -0.0
+        # and == on two rings (``_eval_config``) compares them float for float
+        sx, sy = xi + 0.0, yi + 0.0
+        wabs = abs(wi) + wabs_max
         pts = [[x - sx, y - sy] for x, y in verts]
         reach = None
-        for nx, ny, c, dist, slack, stop in _neighbors(row):
+        for j in row[1:]:
             if reach is None:  # the ring changed: R, and site i's largest power over it
                 R = math.sqrt(max([x * x + y * y for x, y in pts]))
-                reach = R * R - w[i]
-            if dist > R and (dist - R) ** 2 - w_max >= reach + slack:
+                reach = R * R - wi
+            dx, dy = xs[j] - xi, ys[j] - yi
+            stop = dx * dx + dy * dy
+            dist = math.sqrt(stop)
+            if dist > R and (dist - R) ** 2 - w_max >= reach + _STOP_SLACK * (stop + wabs):
                 break
-            clipped = _clip_halfplane(pts, nx, ny, c)
+            clipped = _clip_halfplane(pts, 2.0 * dx, 2.0 * dy, stop + (wi - w[j]))
             if clipped is None:
                 raise DegenerateConfigurationError(f"power cell {i} is empty")
             if clipped is not pts:
@@ -447,12 +451,23 @@ def _pairwise_sum(terms: list) -> float:
 
 def _polygon_centroid(v: list) -> list:
     """[x, y] of the centroid of a validated vertex list, in plain floats with
-    numpy's sums (``_numpy_sum``)."""
-    pairs = list(zip(v, v[1:] + v[:1]))
-    cr = [x * yn - xn * y for (x, y), (xn, yn) in pairs]
-    six_a = 6.0 * (_numpy_sum(cr) / 2.0)
-    return [_numpy_sum([(x + xn) * c for ((x, _), (xn, _)), c in zip(pairs, cr)]) / six_a,
-            _numpy_sum([(y + yn) * c for ((_, y), (_, yn)), c in zip(pairs, cr)]) / six_a]
+    numpy's sums: numpy adds fewer than 8 terms in sequence from -0.0, so such
+    a cell takes one pass over its edges; a larger one sums its term lists
+    with ``_numpy_sum``."""
+    if len(v) >= 8:
+        pairs = list(zip(v, v[1:] + v[:1]))
+        cr = [x * yn - xn * y for (x, y), (xn, yn) in pairs]
+        six_a = 6.0 * (_numpy_sum(cr) / 2.0)
+        return [_numpy_sum([(x + xn) * c for ((x, _), (xn, _)), c in zip(pairs, cr)]) / six_a,
+                _numpy_sum([(y + yn) * c for ((_, y), (_, yn)), c in zip(pairs, cr)]) / six_a]
+    a = sx = sy = -0.0
+    for (x, y), (xn, yn) in zip(v, v[1:] + v[:1]):
+        c = x * yn - xn * y
+        a += c
+        sx += (x + xn) * c
+        sy += (y + yn) * c
+    six_a = 6.0 * ((0.0 + a) / 2.0)
+    return [(0.0 + sx) / six_a, (0.0 + sy) / six_a]
 
 
 def _precondition(k, container, seeds, left, lower, records):

@@ -11,7 +11,9 @@ the middle-disk closed form written for anchors at distance r1 + r3; the
 power-diagram oracles clip numpy vertex arrays by every half-plane, one at a
 time (in site order and absolute coordinates, or nearest site first in
 site-centred coordinates), and clean each ring with a vertex-by-vertex loop
-before validating it; the
+before validating it; the power-ring table oracle stacks every chosen site's
+half-plane rows into one numpy table before clipping, with an inside-list
+clip kernel; the
 centroid oracle sums cross products with numpy; the convex-polygon and
 closed-form Cheeger oracles are the polygon validation and the Cheeger solve on numpy vertex arrays, with ``np.dot`` shoelace sums; the chain-generation
 oracle is the rejection sampler and chain validator on numpy 2-vectors, with
@@ -65,6 +67,7 @@ from cheegerlab.errors import (
     ValidationError,
 )
 from cheegerlab.hales_deficit import DeficitReport, _split_at_nodes
+from cheegerlab.partition_optimizer import _STOP_SLACK
 
 TWO_PI = 2.0 * math.pi
 
@@ -405,6 +408,81 @@ def power_diagram_cells_nearest_first_reference(cfg, container: ConvexPolygon):
                 raise DegenerateConfigurationError(f"power cell {i} is empty")
         cells.append(_validated_cell(i, pts + seeds[i]))
     return cells
+
+
+def _clip_ring_reference(pts: list, nx: float, ny: float, c: float):
+    """The ring clip with an inside list and modulo indexing; ``pts`` itself
+    when no vertex is outside."""
+    d = [x * nx + y * ny - c for x, y in pts]
+    inside = [v <= 0.0 for v in d]
+    if all(inside):
+        return pts
+    out = []
+    n = len(pts)
+    for i in range(n):
+        j = (i + 1) % n
+        if inside[i]:
+            out.append(pts[i])
+            if inside[j]:
+                continue
+        elif not inside[j]:
+            continue
+        t = d[i] / (d[i] - d[j])
+        (xi, yi), (xj, yj) = pts[i], pts[j]
+        out.append([xi + t * (xj - xi), yi + t * (yj - yi)])
+    return out if len(out) >= 3 else None
+
+
+def power_rings_table_reference(seeds: np.ndarray, weights: np.ndarray,
+                                container: ConvexPolygon, chosen) -> list:
+    """``partition_optimizer._power_rings`` with every half-plane row built up
+    front: a chosen x (k - 1) x 6 numpy table of 2 dx, 2 dy, |d|^2 + w_i - w_j,
+    |d|, the stop slack and |d|^2, in the order of a stable argsort of |d|^2,
+    clipped by ``_clip_ring_reference``.  Returns the list of (ring, stop).
+    """
+    k = len(weights)
+    chosen = np.asarray(chosen, dtype=np.intp)
+    dx = seeds[None, :, 0] - seeds[chosen, None, 0]
+    dy = seeds[None, :, 1] - seeds[chosen, None, 1]
+    d2 = dx * dx + dy * dy
+    order = np.argsort(d2, axis=1, kind="stable")
+    order = order[order != chosen[:, None]].reshape(len(chosen), k - 1)
+    rows = np.arange(len(chosen))[:, None]
+    d2 = d2[rows, order]
+    if k > 1 and not d2[:, 0].min() > 0.0:
+        raise DegenerateConfigurationError("seeds must be pairwise distinct")
+    wabs = np.abs(weights)
+    table = np.stack([
+        2.0 * dx[rows, order],
+        2.0 * dy[rows, order],
+        d2 + (weights[chosen, None] - weights[order]),
+        np.sqrt(d2),
+        _STOP_SLACK * (d2 + (wabs[chosen, None] + wabs.max())),
+        d2,
+    ], axis=-1)
+    w = weights.tolist()
+    w_max = max(w)
+    sites = (seeds[chosen] + 0.0).tolist()
+    verts = container.vertices.tolist()
+    out = []
+    for i, (sx, sy), row in zip(chosen.tolist(), sites, table):
+        pts = [[x - sx, y - sy] for x, y in verts]
+        reach = None
+        for nx, ny, c, dist, slack, stop in row.tolist():
+            if reach is None:
+                R = math.sqrt(max([x * x + y * y for x, y in pts]))
+                reach = R * R - w[i]
+            if dist > R and (dist - R) ** 2 - w_max >= reach + slack:
+                break
+            clipped = _clip_ring_reference(pts, nx, ny, c)
+            if clipped is None:
+                raise DegenerateConfigurationError(f"power cell {i} is empty")
+            if clipped is not pts:
+                pts, reach = clipped, None
+        else:
+            stop = math.inf
+        out.append(([[x + sx, y + sy] for x, y in pts], stop))
+    return out
 
 
 def polygon_centroid_reference(poly: ConvexPolygon) -> np.ndarray:

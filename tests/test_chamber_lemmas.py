@@ -157,6 +157,17 @@ class TestChainRegionArea:
             DiskChain(np.array([[0, 0], [1, 0], [0.5, 1]]), [1, 1, 1], "closed")
 
 
+    def test_caller_arrays_stay_writable(self):
+        # the chain freezes copies of its centers and radii, not the caller's arrays
+        centers = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, SQRT3]])
+        radii = np.ones(3)
+        chain = DiskChain(centers, radii, "closed")
+        assert centers.flags.writeable and radii.flags.writeable
+        assert not chain.centers.flags.writeable and not chain.radii.flags.writeable
+        centers[0] = 5.0
+        radii[0] = 5.0
+        assert chain.centers[0].tolist() == [0.0, 0.0] and chain.radii[0] == 1.0
+
 class TestTangencyGeometry:
     def test_symmetric_tangent_anchors(self):
         x0, y0, d1, d3 = tangency_geometry(1.0, 1.0, 1.0)

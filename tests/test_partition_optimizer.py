@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -29,6 +30,7 @@ from oracles import (
     convex_polygon_reference,
     power_diagram_cells_nearest_first_reference,
     power_diagram_cells_reference,
+    power_rings_table_reference,
     polygon_centroid_reference,
 )
 
@@ -225,6 +227,18 @@ class TestPowerDiagram:
         with pytest.raises(ValidationError):
             SeedConfiguration(np.array([[0.0, 0.0], [0.0, 0.0]]), np.zeros(2))
 
+    def test_caller_arrays_stay_writable(self):
+        # the configuration freezes copies of its seeds and weights, not the
+        # caller's arrays
+        seeds, weights = hex_lattice_seeds(4, TRIANGLE), np.zeros(4)
+        cfg = SeedConfiguration(seeds, weights)
+        assert seeds.flags.writeable and weights.flags.writeable
+        assert not cfg.seeds.flags.writeable and not cfg.weights.flags.writeable
+        before = cfg.seeds.tolist()
+        seeds[0] = 5.0
+        weights[0] = 5.0
+        assert cfg.seeds.tolist() == before and cfg.weights[0] == 0.0
+
     def test_distinct_seed_check_memory_is_bounded(self):
         # a k x k x 2 table of differences would take 268 MB at k = 4096; the
         # duplicate sits in another block of rows than its twin
@@ -356,6 +370,91 @@ class TestFloatCells:
                 seen["empty"] += 1
         assert seen["diagrams"] >= 200 and seen["cells"] > 4000, seen
         assert seen["rejected"] >= 1, seen
+
+
+def _table_oracle_cases(k):
+    """(container, seeds, weights, chosen) at k sites: a jittered lattice and
+    uniform seeds in the unit triangle with Gaussian weights (sd a tenth and
+    a hundredth of the mean cell area; at k = 16 also a third, so some cells
+    come out empty), in every frame of FLOAT_PATH_FRAMES, for the whole
+    diagram and for a random fifth of the sites."""
+    for mode, spreads in enumerate(((0.1,), (0.01,))):
+        for spread in spreads + ((0.3,) if k <= 16 else ()):
+            rng = np.random.default_rng([k, mode, int(100 * spread)])
+            if mode == 0:
+                seeds = hex_lattice_seeds(k, TRIANGLE)
+                seeds = seeds + rng.normal(0.0, 0.1 * math.sqrt(TRIANGLE.area / k), seeds.shape)
+            else:
+                seeds = partition_optimizer._random_seeds(k, TRIANGLE, rng)
+            weights = rng.normal(0.0, spread * TRIANGLE.area / k, k)
+            subset = np.sort(rng.choice(k, k // 5, replace=False))
+            for scale, shift in FLOAT_PATH_FRAMES:
+                container = ConvexPolygon(TRIANGLE.vertices * scale + shift)
+                for chosen in (range(k), subset):
+                    yield container, seeds * scale + shift, weights * scale * scale, chosen
+
+
+class TestOnDemandRows:
+    @pytest.mark.parametrize("k", [16, 256, 1024])
+    def test_rings_match_the_table_oracle(self, k):
+        # each cell computes a neighbor's half-plane when its loop reaches
+        # it; the rings and stops are those of the up-front table bit for
+        # bit (repr tells -0.0 from 0.0), and a degenerate diagram raises the
+        # same message
+        seen = {"rings": 0, "degenerate": 0}
+        for container, seeds, weights, chosen in _table_oracle_cases(k):
+            try:
+                expected = power_rings_table_reference(seeds, weights, container, chosen)
+            except DegenerateConfigurationError as exc:
+                with pytest.raises(DegenerateConfigurationError) as info:
+                    list(partition_optimizer._power_rings(seeds, weights, container, chosen))
+                assert str(info.value) == str(exc)
+                seen["degenerate"] += 1
+                continue
+            rings = list(partition_optimizer._power_rings(seeds, weights, container, chosen))
+            assert repr(rings) == repr(expected)
+            seen["rings"] += len(rings)
+        assert seen["rings"] >= 8 * (k + k // 5), seen
+        if k == 16:
+            assert seen["degenerate"] >= 1, seen
+
+    def test_duplicate_and_emptied_cells_raise_as_the_table_oracle(self):
+        seeds = hex_lattice_seeds(16, TRIANGLE)
+        twins = seeds.copy()
+        twins[11] = twins[4]
+        heavy = np.zeros(16)
+        heavy[5] = 0.5  # site 5's cell swallows its neighbors'
+        for s, w, message in ((twins, np.zeros(16), "^seeds must be pairwise distinct$"),
+                              (seeds, heavy, r"^power cell \d+ is empty$")):
+            for chosen in (range(16), [11], [4], [2, 7, 11], [0, 1, 6]):
+                try:
+                    expected = power_rings_table_reference(s, w, TRIANGLE, chosen)
+                except DegenerateConfigurationError as exc:
+                    assert re.match(message, str(exc))
+                    with pytest.raises(DegenerateConfigurationError) as info:
+                        list(partition_optimizer._power_rings(s, w, TRIANGLE, chosen))
+                    assert str(info.value) == str(exc)
+                    continue
+                rings = list(partition_optimizer._power_rings(s, w, TRIANGLE, chosen))
+                assert repr(rings) == repr(expected)
+        with pytest.raises(DegenerateConfigurationError, match="^seeds must be pairwise distinct$"):
+            list(partition_optimizer._power_rings(twins, np.zeros(16), TRIANGLE, [11]))
+        with pytest.raises(DegenerateConfigurationError, match="^power cell 4 is empty$"):
+            list(partition_optimizer._power_rings(seeds, heavy, TRIANGLE, [4]))
+
+    def test_whole_diagram_memory_is_bounded(self):
+        # a k x (k - 1) x 6 table of half-plane rows would peak at 120 MB
+        # here; the distances and their argsort take 32 MB
+        k = 1024
+        seeds = hex_lattice_seeds(k, TRIANGLE)
+        tracemalloc.start()
+        try:
+            rings = list(partition_optimizer._power_rings(seeds, np.zeros(k), TRIANGLE, range(k)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rings) == k
+        assert peak < 64 * 2 ** 20
 
 
 def _probe_moves(k, rng):
