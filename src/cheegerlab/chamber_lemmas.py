@@ -5,7 +5,10 @@ loop, resting on a line (half-plane flavor), or wedged into a 60-degree sector.
 The bounded region enclosed between the disks (and the container lines) is the
 quantity of interest.  Its area has one exact method: the region polygon
 through the disk centers (plus the tangency feet and the sector apex) minus
-the disk sector at each center.  The hypotheses that ``validate_chain``
+the disk sector at each center.  One float pass over that polygon gives its
+signed area and the pocket angle at each center; the sampler's reflex check,
+``validate_chain``, ``chain_region_area`` and ``pocket_outline`` all read
+their angles or orientation from it.  The hypotheses that ``validate_chain``
 enforces on every ``DiskChain`` (tangent consecutive disks, no overlap of
 non-consecutive disks, disks inside the container, pocket angles below pi)
 keep each disk off the polygon edges not incident to its center, so the
@@ -49,8 +52,8 @@ _REFLEX = math.pi + 1e-9
 
 def reference_areas(r: float):
     """(delta, wedge, corner) reference areas at radius r."""
-    if r <= 0.0:
-        raise ValidationError(f"radius must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise ValidationError(f"radius r must be positive and finite, got {r}")
     delta = 0.5 * r * r * (2.0 * SQRT3 - math.pi)
     wedge = r * r * (2.0 - math.pi / 2.0)
     corner = r * r * (3.0 * SQRT3 - math.pi) / 3.0
@@ -104,15 +107,15 @@ def _ray_distance(x: float, y: float) -> float:
 
 
 def _chain_scale(centers, radii, flavor) -> float:
-    """Largest radius or center coordinate, measured from the region polygon's
-    first vertex (first center, first foot or sector apex): the unit of the chain
-    tolerances, unchanged when a closed chain is translated or a half-plane one
-    slides along its line."""
+    """Largest radius or center distance from the region polygon's first vertex
+    (first center, first foot or sector apex), the vertex that the float region
+    pass measures from: the unit of the chain tolerances, unchanged when a
+    closed chain is moved rigidly or a half-plane one slides along its line."""
     if flavor == CLOSED:
         ax, ay = centers[0]
     else:
         ax, ay = (centers[0][0] if flavor == HALF_PLANE else 0.0), 0.0
-    return max(max(max(abs(x - ax), abs(y - ay)) for x, y in centers), max(radii))
+    return max(max(math.hypot(x - ax, y - ay) for x, y in centers), max(radii))
 
 
 def _feet(centers, radii, flavor):
@@ -122,12 +125,6 @@ def _feet(centers, radii, flavor):
         return first, (centers[-1][0], 0.0)
     (x, y), r = centers[-1], radii[-1]
     return first, (x - r * _RAY_NORMAL[0], y - r * _RAY_NORMAL[1])
-
-
-def _interior_angle(prev, v, nxt) -> float:
-    a = prev - v
-    b = nxt - v
-    return math.atan2(abs(a[0] * b[1] - a[1] * b[0]), float(a @ b))
 
 
 def validate_chain(ch: DiskChain):
@@ -186,7 +183,7 @@ def validate_chain(ch: DiskChain):
             raise ValidationError("last disk must be tangent to the last line")
 
     # pocket-side angles at the centers must stay below pi (straight is degenerate)
-    for k, ang in enumerate(_pocket_angles(centers, radii, ch.flavor)):
+    for k, ang in enumerate(_region(centers, radii, ch.flavor)[1]):
         if ang > math.pi - 1e-12:
             if ang > _REFLEX:
                 raise ValidationError(f"pocket angle at disk {k} is not below pi")
@@ -194,17 +191,21 @@ def validate_chain(ch: DiskChain):
     return warnings
 
 
-def _pocket_angles(centers, radii, flavor):
-    """Pocket-side angle in [0, 2 pi) at each center, on float pairs.
+def _region(centers, radii, flavor):
+    """One float pass over the region polygon: twice its signed area and the
+    pocket-side angle in [0, 2 pi) at each center.
 
-    The region polygon winds CCW around the pocket, so with a CW vertex order
-    the neighbours of each center swap.
+    The vertices are measured from the first one, so that a far translate loses
+    nothing to cancellation.  The region polygon winds CCW around the pocket,
+    so with a CW vertex order the neighbours of each center swap.
     """
     rows, first = _region_rows(centers, radii, flavor)
+    x0, y0 = rows[0]
+    rows = [(x - x0, y - y0) for x, y in rows]
     n = len(rows)
     twice_area = 0.0
-    for (x0, y0), (x1, y1) in zip(rows, rows[1:] + rows[:1]):
-        twice_area += x0 * y1 - y0 * x1
+    for (xa, ya), (xb, yb) in zip(rows, rows[1:] + rows[:1]):
+        twice_area += xa * yb - ya * xb
     angles = []
     for i in range(first, first + len(radii)):
         vx, vy = rows[i]
@@ -213,7 +214,7 @@ def _pocket_angles(centers, radii, flavor):
             (ax, ay), (bx, by) = (bx, by), (ax, ay)
         ax, ay, bx, by = ax - vx, ay - vy, bx - vx, by - vy
         angles.append(math.atan2(bx * ay - by * ax, ax * bx + ay * by) % (2.0 * math.pi))
-    return angles
+    return twice_area, angles
 
 
 def _region_rows(centers, radii, flavor):
@@ -228,28 +229,6 @@ def _region_rows(centers, radii, flavor):
     return rows, 1
 
 
-def _twice_signed_area(poly: np.ndarray) -> float:
-    """Shoelace sum over a polygon's rows: twice its signed area."""
-    x, y = poly[:, 0], poly[:, 1]
-    x_next = np.concatenate((x[1:], x[:1]))
-    y_next = np.concatenate((y[1:], y[:1]))
-    return float(np.dot(x, y_next) - np.dot(y, x_next))
-
-
-def _region_polygon(ch: DiskChain):
-    """CCW polygon through the centers (plus feet and the sector apex for open
-    flavors), measured from its first vertex in chain order so that a far
-    translate loses nothing to cancellation, and the polygon index of each center."""
-    rows, first = _region_rows(ch.centers.tolist(), ch.radii.tolist(), ch.flavor)
-    poly = np.array(rows) - rows[0]
-    centers_idx = list(range(first, first + ch.m))
-    if _twice_signed_area(poly) < 0.0:
-        n = len(poly)
-        poly = poly[::-1]
-        centers_idx = [n - 1 - i for i in centers_idx]
-    return poly, centers_idx
-
-
 class ChainRegion(NamedTuple):
     area: float
     method: str
@@ -257,13 +236,13 @@ class ChainRegion(NamedTuple):
 
 def chain_region_area(ch: DiskChain) -> ChainRegion:
     """Exact area of the region enclosed by the chain (and container lines):
-    the region polygon's shoelace area minus the disk sector at each center."""
-    poly, centers_idx = _region_polygon(ch)
-    area = 0.5 * _twice_signed_area(poly)
-    n = len(poly)
-    for local, i in enumerate(centers_idx):
-        ang = _interior_angle(poly[(i - 1) % n], poly[i], poly[(i + 1) % n])
-        area -= 0.5 * ang * ch.radii[local] ** 2
+    the region polygon's shoelace area minus the disk sector at each center,
+    both from the one float region pass that validation runs."""
+    radii = ch.radii.tolist()
+    twice_area, angles = _region(ch.centers.tolist(), radii, ch.flavor)
+    area = 0.5 * abs(twice_area)
+    for ang, r in zip(angles, radii):
+        area -= 0.5 * ang * r ** 2
     return ChainRegion(area, "decomposition")
 
 
@@ -297,11 +276,11 @@ def pocket_outline(ch: DiskChain):
     vertices.  Only defined when the region is connected and bounded by one
     arc per disk, which is the generic case produced by ``random_chain``.
     """
-    radii = ch.radii.tolist()
-    rows, first = _region_rows(ch.centers.tolist(), radii, ch.flavor)
+    centers, radii = ch.centers.tolist(), ch.radii.tolist()
+    rows, first = _region_rows(centers, radii, ch.flavor)
     disks = [None] * len(rows)
     disks[first:first + ch.m] = range(ch.m)
-    if _twice_signed_area(np.array(rows)) < 0.0:  # a chain listed against the construction
+    if _region(centers, radii, ch.flavor)[0] < 0.0:  # a chain listed against the construction
         rows, disks = rows[:1] + rows[:0:-1], disks[:1] + disks[:0:-1]
 
     def contact(k, j):  # where the walk between rows k and j meets the disk of row k
@@ -375,8 +354,8 @@ def phi(variant: str, t: float, aux: Optional[float] = None) -> float:
     ``pentagon`` takes no aux, ``sector`` takes aux = r*.
     """
     if variant == QUADRILATERAL:
-        if aux is None or aux < 1.0:
-            raise ValidationError("quadrilateral phi needs aux = l >= 1")
+        if aux is None or not 1.0 <= aux < math.inf:
+            raise ValidationError(f"quadrilateral phi needs a finite aux = l >= 1, got {aux}")
         if not 0.0 <= t <= math.pi:
             raise ValidationError(f"t = {t} outside [0, pi]")
         l = aux
@@ -390,8 +369,8 @@ def phi(variant: str, t: float, aux: Optional[float] = None) -> float:
             raise ValidationError(f"t = {t} outside [0, pi/3]")
         return math.cos(t) * (1.0 + math.sin(t))
     if variant == SECTOR_PHI:
-        if aux is None or aux <= 0.0:
-            raise ValidationError("sector phi needs aux = r* > 0")
+        if aux is None or not 0.0 < aux < math.inf:
+            raise ValidationError(f"sector phi needs a finite aux = r* > 0, got {aux}")
         lo, hi = _PHI_INTERVALS[SECTOR_PHI]
         if not lo - 1e-12 <= t <= hi + 1e-12:
             raise ValidationError(f"t = {t} outside [0, pi/2]")
@@ -472,7 +451,7 @@ def _build(centers, r, flavor):
 
     A reflex pocket is rejected on the float pairs, before a DiskChain is built.
     """
-    if any(ang > _REFLEX for ang in _pocket_angles(centers, r, flavor)):
+    if any(ang > _REFLEX for ang in _region(centers, r, flavor)[1]):
         return None
     try:
         return DiskChain(centers, r, flavor)

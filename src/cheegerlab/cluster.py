@@ -232,10 +232,11 @@ def junction_curvature(h_j: float, area_j: float, h_l: float, area_l: float, p: 
     arithmetic; in floating point it can round to h_j when the second cell's
     terms are negligible, so the result satisfies value <= h_j.
     """
-    if min(h_j, area_j, h_l, area_l) <= 0.0:
-        raise ValidationError("junction_curvature needs positive h and area values")
-    if p < 1.0:
-        raise ValidationError(f"p must be at least 1, got {p}")
+    for name, val in (("h_j", h_j), ("area_j", area_j), ("h_l", h_l), ("area_l", area_l)):
+        if not 0.0 < val < math.inf:
+            raise ValidationError(f"junction_curvature needs a positive finite {name}, got {val}")
+    if not 1.0 <= p < math.inf:
+        raise ValidationError(f"p must be finite and at least 1, got {p}")
     num = h_j ** p / area_j - h_l ** p / area_l
     den = h_j ** (p - 1) / area_j + h_l ** (p - 1) / area_l
     return num / den
@@ -469,8 +470,9 @@ def honeycomb_cluster(l: int, unit_hexagon: bool = True) -> Cluster:
 
 def theorem_lower_bound(k: int, container_area: float) -> float:
     """Certified lower bound h(H) * sqrt(k / |T|) for the max-Cheeger objective."""
-    if k < 1 or container_area <= 0.0:
-        raise ValidationError("need k >= 1 and positive container area")
+    if k < 1 or not 0.0 < container_area < math.inf:
+        raise ValidationError(
+            f"need k >= 1 and a positive finite container_area, got k = {k}, container_area = {container_area}")
     return hexagon_constant() * math.sqrt(k / container_area)
 
 

@@ -201,6 +201,8 @@ def chord_deficits(gamma_r: ArcCurve, nodes: NodeSet, clamp_bound: Optional[floa
 
     if clamp_bound is None:
         clamp_bound = abs(signed_area(gamma_r))
+    elif not 0.0 <= clamp_bound < math.inf:
+        raise ContractViolation(f"clamp_bound must be finite and non-negative, got {clamp_bound}")
     tol = gamma_r.tolerance
     xs = []
     for portion in portions:
@@ -229,8 +231,8 @@ def hales_check(
     normalization, so the verdict does not depend on scale.  The enclosed
     area must be at least pi*r_star**2 for the inequality to apply.
     """
-    if r_star <= 0.0:
-        raise ContractViolation(f"r_star must be positive, got {r_star}")
+    if not 0.0 < r_star < math.inf:
+        raise ContractViolation(f"r_star must be positive and finite, got {r_star}")
     norm = math.pi * r_star * r_star
     area = signed_area(gamma_r)
     if area < norm * (1.0 - 1e-9):

@@ -17,7 +17,9 @@ clip kernel; the
 centroid oracle sums cross products with numpy; the convex-polygon and
 closed-form Cheeger oracles are the polygon validation and the Cheeger solve on numpy vertex arrays, with ``np.dot`` shoelace sums; the chain-generation
 oracle is the rejection sampler and chain validator on numpy 2-vectors, with
-the region polygon oriented by ``np.roll`` shoelace sums; the chord-deficit
+the region polygon oriented by ``np.roll`` shoelace sums; the exact chain-area
+oracle sums the shoelace in ``fractions`` and the pocket angles in 50-digit
+``mpmath``; the chord-deficit
 oracle locates every node on every edge through ``Point`` objects and builds
 each portion with its chord into a validated ``ArcCurve`` for its area; the
 overlap oracle makes one distance and one winding call per meeting pair of
@@ -27,8 +29,10 @@ with numpy 2-vectors and map every point through a helper call.
 """
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
 from cheegerlab.arc_geometry import (
@@ -622,6 +626,29 @@ def pocket_angles_reference(centers, radii, flavor: str):
     return angles
 
 
+def chain_area_exact(centers, radii, flavor: str) -> float:
+    """The chain region's area on its float region polygon, rounded once: a
+    ``fractions`` shoelace over the vertices and 50-digit ``mpmath`` angles at
+    the centers, from exact vertex differences."""
+    radii = np.asarray(radii, dtype=float).ravel()
+    poly, centers_idx = _region_polygon_reference(np.atleast_2d(np.asarray(centers, dtype=float)), radii, flavor)
+    rows = [(Fraction(x), Fraction(y)) for x, y in poly.tolist()]
+    twice = sum(x0 * y1 - y0 * x1 for (x0, y0), (x1, y1) in zip(rows, rows[1:] + rows[:1]))
+
+    def mp(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    n = len(rows)
+    with mpmath.workdps(50):
+        area = mp(abs(twice)) / 2
+        for i, r in zip(centers_idx, radii.tolist()):
+            (vx, vy), (ax, ay), (bx, by) = rows[i], rows[i - 1], rows[(i + 1) % n]
+            ax, ay, bx, by = ax - vx, ay - vy, bx - vx, by - vy
+            angle = mpmath.atan2(mp(bx * ay - by * ax), mp(ax * bx + ay * by)) % (2 * mpmath.pi)
+            area -= angle * mp(Fraction(r) ** 2) / 2
+        return float(area)
+
+
 def validate_chain_reference(centers, radii, flavor: str):
     """The chain hypotheses checked on numpy arrays; returns the warnings."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
@@ -636,7 +663,7 @@ def validate_chain_reference(centers, radii, flavor: str):
     # coordinates measured from the region polygon's first vertex: the first
     # center of a closed chain, the first foot or the sector apex
     anchor = centers[0] if flavor == CLOSED else [centers[0, 0] if flavor == HALF_PLANE else 0.0, 0.0]
-    tol = 1e-9 * max(float(np.abs(centers - anchor).max()), float(radii.max()))
+    tol = 1e-9 * max(float(np.hypot(*(centers - anchor).T).max()), float(radii.max()))
     warnings = []
     for i in range(m if flavor == CLOSED else m - 1):
         j = (i + 1) % m

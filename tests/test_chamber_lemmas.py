@@ -22,6 +22,7 @@ from cheegerlab.chamber_lemmas import (
 )
 from cheegerlab.errors import GenerationError, ValidationError
 from oracles import (
+    chain_area_exact,
     monte_carlo_area,
     pocket_angles_reference,
     random_chain_reference,
@@ -63,6 +64,16 @@ class TestReferenceAreas:
     def test_nonpositive_radius(self):
         with pytest.raises(ValidationError):
             reference_areas(0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call, name", [
+        (reference_areas, "radius r"),
+        (lambda v: phi("quadrilateral", 1.0, v), "aux = l"),
+        (lambda v: phi("sector", 1.0, v), "aux = r\\*"),
+    ], ids=["reference_areas", "phi_quadrilateral", "phi_sector"])
+    def test_non_finite_scalar_rejected(self, call, name, value):
+        with pytest.raises(ValidationError, match=name):
+            call(value)
 
 
 class TestChainRegionArea:
@@ -321,7 +332,9 @@ class TestRandomChain:
 
     @pytest.mark.parametrize("flavor", ["closed", "half_plane", "sector"])
     def test_matches_numpy_reference(self, flavor):
-        # the rejection sampler on plain floats against the numpy 2-vector oracle
+        # the rejection sampler on plain floats against the numpy 2-vector
+        # oracle: the same chains, verdicts and bounds bit for bit; the two area
+        # sums round differently, so each is held to the exact area instead
         exhausted = 0
         for i in range(1002):
             m = 3 + i % 6
@@ -336,8 +349,10 @@ class TestRandomChain:
             assert np.array_equal(chain.centers, ref.centers), (m, i)
             assert np.array_equal(chain.radii, ref.radii), (m, i)
             rep = verify_chain_bound(chain)
-            assert (chain.warnings, rep.area, rep.bound, rep.holds) == (
-                ref.warnings, ref.area, ref.bound, ref.holds), (m, i)
+            assert (chain.warnings, rep.bound, rep.holds) == (ref.warnings, ref.bound, ref.holds), (m, i)
+            exact = chain_area_exact(chain.centers, chain.radii, flavor)
+            for area in (rep.area, ref.area):
+                assert abs(area - exact) <= 1e-14 * abs(exact), (m, i, area, exact)
         assert exhausted < 50  # nearly every seed compares a chain, not an error
 
     def test_validates_once_per_built_chain(self, call_counts, monkeypatch):

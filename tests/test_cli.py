@@ -115,6 +115,12 @@ class TestPipelines:
         assert hal["satisfied"] is True
         assert hal["N"] == 4
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_hales_rejects_non_finite_r_star(self, tmp_path, capsys, value):
+        dom_file = write(tmp_path / "dom.json", domain_to_dict(cheeger_domain(SQUARE)))
+        assert run(["hales", "--input", dom_file, f"--r-star={value}", "--output", str(tmp_path / "h.json")]) == 1
+        assert capsys.readouterr().err == f"error: r_star must be positive and finite, got {float(value)}\n"
+
     def test_chain_report_and_sweep(self, tmp_path):
         chain = {
             "flavor": "closed",
@@ -356,7 +362,7 @@ class TestDeterminism:
         out = tmp_path / "sweep.jsonl"
         assert run(["chain", "--input", sweep, "--output", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "8a78b147bf743f0a479a78c67bf5cfd853a6943d5c0e963e3c1e9c79d50c5d1d"
+        assert digest == "9f162e2ed6fac198603af0c7f84a82c2b8da66dcda713db99ee512d408c23291"
 
     def test_round_trip_cluster_json(self, tmp_path):
         cl = make_domino_cluster()

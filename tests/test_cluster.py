@@ -108,6 +108,14 @@ class TestJunctionCurvature:
         with pytest.raises(ValidationError):
             junction_curvature(1.0, 1.0, 1.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot, name", enumerate(["h_j", "area_j", "h_l", "area_l", "p"]))
+    def test_non_finite_argument_rejected(self, slot, name, value):
+        args = [1.0] * 5
+        args[slot] = value
+        with pytest.raises(ValidationError, match=rf"\b{name}\b"):
+            junction_curvature(*args)
+
 
 class TestCanonicalGraph:
     def test_honeycomb_l2(self):
@@ -357,6 +365,11 @@ class TestCertificate:
         cells = jsonio.loads(text)["per_cell"]
         assert cells and all(c["inner_length"] is None for c in cells)
         assert '"inner_length":null' in text
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_theorem_bound_rejects_non_finite_area(self, value):
+        with pytest.raises(ValidationError, match="container_area"):
+            theorem_lower_bound(4, value)
 
     def test_theorem_bound(self):
         assert theorem_lower_bound(100, 1.0) == pytest.approx(10 * hexagon_constant(), abs=1e-9)

@@ -236,6 +236,14 @@ class TestHalesCheck:
         assert rep.rhs == pytest.approx(3.8234194, abs=1e-6)
         assert rep.satisfied
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scalars_rejected(self, value):
+        curve, nodes = polygon_curve_and_nodes(SQUARE)
+        with pytest.raises(ValidationError, match="^r_star must be positive and finite"):
+            hales_check(curve, nodes, value)
+        with pytest.raises(ValidationError, match="^clamp_bound must be finite"):
+            chord_deficits(curve, nodes, clamp_bound=value)
+
     def test_area_precondition(self):
         curve, nodes = polygon_curve_and_nodes(SQUARE)
         with pytest.raises(ContractViolation):

@@ -195,3 +195,22 @@ def test_overlapping_chain_rejected_everywhere():
         for shift in SHIFTS:
             with pytest.raises(ValidationError, match="^disks 0,1 must be tangent"):
                 DiskChain(_moved_chain(centers, flavor, lam, shift), lam * radii, flavor)
+
+
+def _rotated_triangle(side, degrees):
+    """Three unit disks on an equilateral triangle of this side, turned about
+    the first center."""
+    turn = math.radians(degrees)
+    centers = side * np.array([[0.0, 0.0], [math.cos(turn), math.sin(turn)],
+                               [math.cos(turn + math.pi / 3.0), math.sin(turn + math.pi / 3.0)]])
+    return centers, np.ones(3), "closed"
+
+
+@pytest.mark.parametrize("degrees", range(0, 91, 15))
+def test_chain_tolerance_turns_with_the_chain(degrees):
+    # gaps of 1.97e-6 between the disks sit inside the tangency tolerance of
+    # 1e-6 times the chain's scale, which is the side: at every rotation, not
+    # only where a center lies on an axis; gaps of 3e-6 lie outside at every one
+    assert DiskChain(*_rotated_triangle(2.0 + 1.97e-6, degrees)).warnings == ()
+    with pytest.raises(ValidationError, match="^disks 0,1 must be tangent"):
+        DiskChain(*_rotated_triangle(2.0 + 3e-6, degrees))
