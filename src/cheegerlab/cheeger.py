@@ -294,7 +294,7 @@ def inner_parallel_polygon(p: ConvexPolygon, t: float) -> Optional[ConvexPolygon
     Returns None once t reaches the inradius: the erosion is empty, its area is
     at most ``(1e-9 * p.extent)**2``, or it cleans up to a segment.
     """
-    if t < 0.0:
+    if not t >= 0.0:  # NaN included
         raise ValidationError(f"offset distance must be nonnegative, got {t}")
     if t == 0.0:
         return p
@@ -479,10 +479,6 @@ class ArcDomain:
     @property
     def area(self) -> float:
         return signed_area(self.boundary)
-
-    @property
-    def perimeter(self) -> float:
-        return curve_length(self.boundary)
 
 
 def cheeger_domain(p: ConvexPolygon) -> ArcDomain:

@@ -118,8 +118,6 @@ def _cmd_honeycomb(args) -> int:
     if args.coords is not None:
         coords = [[jsonio.integer(v, "--coords entry") for v in jsonio.array(pair, "--coords pair")]
                   for pair in jsonio.array(jsonio.parse(args.coords), "--coords")]
-        if any(len(pair) != 2 for pair in coords):
-            raise ValidationError("--coords expects integer pairs like [[0,0],[1,0]]")
         cl = honeycomb_kcell(coords, unit_hexagon=not args.unit_side)
     else:
         if args.l is None:
@@ -140,8 +138,6 @@ def _cmd_chain(args) -> int:
         seed = jsonio.integer(cfg["seed"], "seed")
         m_values = tuple(jsonio.integer(m, "m_values entry")
                          for m in jsonio.array(cfg.get("m_values", [3, 4, 5, 6]), "m_values"))
-        if not m_values:
-            raise ValidationError("m_values must not be empty")
         lines = []
         total_violations = 0
         for flavor in flavors:

@@ -17,6 +17,7 @@ disk-chain estimates, and compares ``(|T|/k) h*^2`` against
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -401,13 +402,18 @@ def _hexagon_edges(center, side):
 def honeycomb_kcell(coords: Sequence, unit_hexagon: bool = True) -> Cluster:
     """Cluster of regular hexagons at the given axial lattice coordinates.
 
-    Coordinates (i, t) map to centers i*u + t*v in the hexagonal lattice; the
-    set must be connected.  With ``unit_hexagon`` the cells have unit area,
-    otherwise unit side length.  Cell h values are the hexagon Cheeger
+    Coordinates (i, t) map to centers i*u + t*v in the hexagonal lattice; each
+    is a pair of integers (anything ``operator.index`` takes), and the set
+    must be connected.  A coordinate that is no integer pair, such as (0.5, 0)
+    or (0, 0, 1), raises ValidationError.  With ``unit_hexagon`` the cells
+    have unit area, otherwise unit side length.  Cell h values are the hexagon Cheeger
     constant (each hexagonal cell costs exactly h of the regular hexagon, the
     equality case of the scaled partition objective).
     """
-    coords = [(int(i), int(t)) for i, t in coords]
+    try:
+        coords = [(operator.index(i), operator.index(t)) for i, t in coords]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"hexagon coordinates must be integer pairs: {exc}") from exc
     if not coords or len(set(coords)) != len(coords):
         raise ValidationError("coordinates must be a non-empty duplicate-free list")
     index = {c: j for j, c in enumerate(coords)}

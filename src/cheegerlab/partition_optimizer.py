@@ -69,16 +69,15 @@ from .cheeger import (
 from .errors import DegenerateConfigurationError, OptimizationError, ValidationError
 
 
-_PAIR_BLOCK = 2 ** 18  # squared distances per block of the distinct-seeds check
-
-
 @dataclass(frozen=True)
 class SeedConfiguration:
-    """Power-diagram sites and weights; seeds must be pairwise distinct.
+    """Power-diagram sites and weights: k finite (x, y) seeds and one finite
+    weight per seed, held as frozen copies of the caller's arrays.
 
-    Two seeds count as one when their squared distance dx^2 + dy^2 is 0, an
-    underflow included.  The distances are taken a block of rows at a time,
-    so the check holds about ``_PAIR_BLOCK`` of them at once, not k^2.
+    The seeds must be pairwise distinct, and that rule is checked where a
+    diagram is built, not here: ``power_diagram_cells`` raises
+    DegenerateConfigurationError on two seeds whose squared distance
+    dx^2 + dy^2 is 0, an underflow included (``_power_rings``).
     """
 
     seeds: np.ndarray
@@ -92,17 +91,6 @@ class SeedConfiguration:
             raise ValidationError("seeds must be (k, 2) with one weight per seed")
         if not (np.isfinite(seeds).all() and np.isfinite(weights).all()):
             raise ValidationError("non-finite seed configuration")
-        k = len(seeds)
-        xs, ys = seeds[:, 0], seeds[:, 1]
-        rows = max(1, _PAIR_BLOCK // max(k, 1))
-        for a in range(0, k, rows):
-            dx = xs[a:a + rows, None] - xs
-            dy = ys[a:a + rows, None] - ys
-            d2 = dx * dx + dy * dy
-            n = np.arange(len(d2))
-            d2[n, a + n] = np.inf
-            if d2.min() <= 0.0:
-                raise ValidationError("seeds must be pairwise distinct")
         seeds.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "seeds", seeds)
@@ -125,8 +113,10 @@ def _power_rings(seeds: np.ndarray, weights: np.ndarray, container: ConvexPolygo
     sequence of site indices (all k of them for the whole diagram).  The ring
     is the site's clipped cell, a list of [x, y]; ``stop`` is the sorted
     |d|^2 at which its loop stopped, +inf if it clipped by every other site.
-    A chosen site whose nearest other site is at distance zero raises
-    DegenerateConfigurationError.
+    A chosen site with a twin, another site at squared distance
+    dx*dx + dy*dy == 0 (an underflow included), raises
+    DegenerateConfigurationError("seeds must be pairwise distinct"): this is
+    the package's one check that sites are distinct.
 
     Cell i is clipped in coordinates centred on s_i, where the radical-axis
     half-plane of site j is ``2 d.y <= |d|^2 + w_i - w_j`` with d = s_j - s_i:
@@ -172,8 +162,8 @@ def _power_rings(seeds: np.ndarray, weights: np.ndarray, container: ConvexPolygo
     order = np.argsort(d2, axis=1, kind="stable")
     xs, ys = seeds[:, 0].tolist(), seeds[:, 1].tolist()
     w = weights.tolist()
-    w_max = max(w)
-    wabs_max = max(map(abs, w))
+    w_max = max(w, default=0.0)
+    wabs_max = max(map(abs, w), default=0.0)
     verts = container.vertices.tolist()
     for i, row in zip(chosen.tolist(), order):
         xi, yi, wi = xs[i], ys[i], w[i]
@@ -217,9 +207,12 @@ def power_diagram_cells(cfg: SeedConfiguration, container: ConvexPolygon):
 
     Cell i is the set where |x - s_i|^2 - w_i is minimal, i.e. the container
     intersected with the k-1 radical-axis half-planes, of which only the few
-    that can cut are clipped (``_power_rings``).  An empty cell, or one that
-    fails ``ConvexPolygon`` validation (a sliver that cleans up to fewer than 3
-    vertices, say), raises DegenerateConfigurationError.
+    that can cut are clipped (``_power_rings``).  Twin seeds (squared
+    distance 0, an underflow included), an empty cell, or a cell that fails
+    ``ConvexPolygon`` validation (a sliver that cleans up to fewer than 3
+    vertices, say) raise DegenerateConfigurationError; ``SeedConfiguration``
+    leaves the twin check to this call.  A configuration with k = 0 has no
+    cells.
     """
     cells = []
     for i, (ring, _) in enumerate(_power_rings(cfg.seeds, cfg.weights, container, range(cfg.k))):

@@ -310,6 +310,16 @@ class TestVerifyChainBound:
         _, violations = run_chain_sweep(flavor, 120, seed=23)
         assert violations == []
 
+    @pytest.mark.parametrize("flavor, count, m_values, message", [
+        ("closed", 3, (), "^m_values must not be empty$"),
+        ("closed", 0, (), "^m_values must not be empty$"),
+        ("moebius", 0, (3,), "^unknown chain flavor 'moebius'$"),
+        ("moebius", 0, (), "^unknown chain flavor 'moebius'$"),
+    ])
+    def test_sweep_arguments_rejected_before_any_chain(self, flavor, count, m_values, message):
+        with pytest.raises(ValidationError, match=message):
+            run_chain_sweep(flavor, count, 0, m_values=m_values)
+
 
 class TestRandomChain:
     def test_determinism(self):

@@ -103,6 +103,13 @@ class TestInnerParallelPolygon:
         with pytest.raises(ValidationError):
             inner_parallel_polygon(SQUARE, -0.1)
 
+    def test_nan_distance_rejected(self):
+        with pytest.raises(ValidationError, match="offset distance must be nonnegative, got nan"):
+            inner_parallel_polygon(SQUARE, math.nan)
+
+    def test_infinite_distance_empties(self):
+        assert inner_parallel_polygon(SQUARE, math.inf) is None
+
     def test_cleans_once(self, call_counts):
         poly = regular_polygon(7, area=1.0)
         counts = call_counts(cheeger, "_clean_ring")

@@ -310,6 +310,18 @@ class TestHoneycomb:
         with pytest.raises(ValidationError):
             honeycomb_kcell([(0, 0), (3, 3)])
 
+    @pytest.mark.parametrize("coords", [
+        [(0.5, 0), (1, 0)], [(0, 0), (1.0, 0)], [(0, 0, 5)], [(0,)], [("0", 0)], [0],
+    ])
+    def test_kcell_non_integer_pairs_rejected(self, coords):
+        # int() would truncate 0.5 to 0 and unpacking a 3-tuple raises a bare ValueError
+        with pytest.raises(ValidationError, match="^hexagon coordinates must be integer pairs"):
+            honeycomb_kcell(coords)
+
+    def test_kcell_numpy_integers_accepted(self):
+        cl = honeycomb_kcell([(np.int64(0), np.int32(0)), (np.int64(1), 0)])
+        assert cluster_to_dict(cl) == cluster_to_dict(honeycomb_kcell([(0, 0), (1, 0)]))
+
     def test_bad_l(self):
         with pytest.raises(ValidationError):
             honeycomb_cluster(0)

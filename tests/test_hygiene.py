@@ -1,7 +1,8 @@
 """Source hygiene: no unused imports in the package, the tests or the demos,
 no ``assert`` statement or ``raise AssertionError`` in the package, no
 tolerance floored at one unit, one radius-r test, no private function the
-package never references, no import inside a function of the package, no
+package never references, no private module-level constant the package
+never reads, no import inside a function of the package, no
 artifact reader that leaves its keys unchecked, and no dataclass argument
 that ``__post_init__`` overwrites unread.
 
@@ -119,11 +120,15 @@ def test_one_radius_r_test():
     assert not found, "radius-r tests outside has_radius:\n" + "\n".join(found)
 
 
+def _package_trees():
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src" / "cheegerlab").glob("*.py"))}
+
+
 def test_no_uncalled_private_functions():
     # a module-level _name function that nothing in the package names is a
     # fork left behind by a rewrite; the tests may not keep it alive
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted((ROOT / "src" / "cheegerlab").glob("*.py"))}
+    trees = _package_trees()
     named = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -139,6 +144,43 @@ def test_no_uncalled_private_functions():
         and not node.name.startswith("__") and node.name not in named
     ]
     assert not found, "private functions nothing references:\n" + "\n".join(found)
+
+
+def _read_names(trees) -> set:
+    # every name the package loads, bare or as an attribute
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+def _module_constants(tree):
+    # (line, name) of each module-level assignment target
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield node.lineno, name.id
+
+
+def test_no_unread_private_constants():
+    # a module-level _name that nothing in the package reads is a tuning
+    # constant left behind by a removed pass; the tests may not keep it alive
+    trees = _package_trees()
+    read = _read_names(trees)
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path, tree in trees.items()
+        for line, name in _module_constants(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+    assert not found, "private constants nothing reads:\n" + "\n".join(found)
 
 
 def test_no_function_local_imports():

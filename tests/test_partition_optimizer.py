@@ -224,8 +224,11 @@ class TestPowerDiagram:
         assert counts == {"_clean_ring": 16}
 
     def test_duplicate_seeds_rejected(self):
-        with pytest.raises(ValidationError):
-            SeedConfiguration(np.array([[0.0, 0.0], [0.0, 0.0]]), np.zeros(2))
+        # the configuration holds twins; the diagram is where they are caught
+        cfg = SeedConfiguration(np.array([[0.0, 0.0], [0.0, 0.0]]), np.zeros(2))
+        assert cfg.k == 2
+        with pytest.raises(DegenerateConfigurationError, match="^seeds must be pairwise distinct$"):
+            power_diagram_cells(cfg, TRIANGLE)
 
     def test_caller_arrays_stay_writable(self):
         # the configuration freezes copies of its seeds and weights, not the
@@ -241,30 +244,39 @@ class TestPowerDiagram:
 
     def test_distinct_seed_check_memory_is_bounded(self):
         # a k x k x 2 table of differences would take 268 MB at k = 4096; the
-        # duplicate sits in another block of rows than its twin
+        # configuration computes no distances, and the diagram finds a twin
+        # from the twin's own row of them
         k = 4096
         seeds = np.random.default_rng(0).random((k, 2))
+        twins = seeds.copy()
+        twins[4000] = twins[17]
         tracemalloc.start()
         try:
             SeedConfiguration(seeds, np.zeros(k))
+            cfg = SeedConfiguration(twins, np.zeros(k))
+            with pytest.raises(DegenerateConfigurationError, match="^seeds must be pairwise distinct$"):
+                list(partition_optimizer._power_rings(cfg.seeds, cfg.weights, TRIANGLE, [4000]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
-        twins = seeds.copy()
-        twins[4000] = twins[17]
-        with pytest.raises(ValidationError, match="^seeds must be pairwise distinct$"):
-            SeedConfiguration(twins, np.zeros(k))
 
     def test_empty_and_single_seed_configurations_are_valid(self):
         assert SeedConfiguration(np.zeros((0, 2)), np.zeros(0)).k == 0
         assert SeedConfiguration(np.zeros((1, 2)), np.zeros(1)).k == 1
 
+    def test_empty_configuration_has_no_cells(self):
+        assert power_diagram_cells(SeedConfiguration(np.zeros((0, 2)), np.zeros(0)), TRIANGLE) == []
+
     def test_underflowing_seed_distance_is_a_duplicate(self):
         # (1e-170)^2 underflows to 0, (1e-150)^2 does not
-        with pytest.raises(ValidationError, match="^seeds must be pairwise distinct$"):
-            SeedConfiguration(np.array([[0.0, 0.0], [1e-170, 0.0]]), np.zeros(2))
-        assert SeedConfiguration(np.array([[0.0, 0.0], [1e-150, 0.0]]), np.zeros(2)).k == 2
+        cfg = SeedConfiguration(np.array([[0.0, 0.0], [1e-170, 0.0]]), np.zeros(2))
+        with pytest.raises(DegenerateConfigurationError, match="^seeds must be pairwise distinct$"):
+            power_diagram_cells(cfg, TRIANGLE)
+        cells = power_diagram_cells(SeedConfiguration(np.array([[0.0, 0.0], [1e-150, 0.0]]),
+                                                      np.zeros(2)), TRIANGLE)
+        assert len(cells) == 2
+        assert sum(c.area for c in cells) == pytest.approx(TRIANGLE.area, rel=1e-12)
 
     def test_duplicate_seeds_are_degenerate_rings(self):
         seeds = np.array([[0.1, 0.0], [-0.1, 0.05], [0.1, 0.0]])
