@@ -74,8 +74,8 @@ class SeedConfiguration:
     """Power-diagram sites and weights: k finite (x, y) seeds and one finite
     weight per seed, held as frozen copies of the caller's arrays.
 
-    The seeds must be pairwise distinct, and that rule is checked where a
-    diagram is built, not here: ``power_diagram_cells`` raises
+    No two seeds may coincide, a rule checked where a diagram is built, not
+    here: ``power_diagram_cells`` raises
     DegenerateConfigurationError on two seeds whose squared distance
     dx^2 + dy^2 is 0, an underflow included (``_power_rings``).
     """
