@@ -1,8 +1,10 @@
-"""Bracketing the optimal partition value between certified bounds.
+"""Bracketing the optimal partition value between a numerical upper bound and a certified lower bound.
 
 The optimizer tiles the unit-area equilateral triangle with power-diagram
-cells (always an admissible cluster, so every evaluation is an upper bound)
-and descends on seeds and weights.  The certified lower bound is
+cells and descends on seeds and weights.  In exact arithmetic every evaluated
+configuration would be an admissible cluster; in floating point its cells
+are admissible only up to rounding, so each evaluation is an upper bound up
+to that rounding, not a verified one.  The certified lower bound is
 h(H) sqrt(k).  The paper's theorem says the scaled ratio upper/lower of the
 optimal clusters tends to 1 as k grows, because the hexagonal interior comes
 to dominate the boundary effects.  The optimizer's own ratio does not follow

@@ -6,20 +6,26 @@ forms; nothing here ever approximates an arc by a polyline.  Signed/oriented
 area is the Gauss-Green line integral ``integral (x - x0) dy`` with x0 on the
 curve; with self intersections it is the area weighted by winding index, so
 no arrangement computation is needed.  Tolerances are ``CHAIN_TOL`` times the
-curve's extent.
+diagonal of the curve's bounding box.
+
+An edge can also travel as a float row (``edge_row``).  ``_check_rows``,
+``_rows_area`` and ``_transform_rows`` are the curve rule, the area and the
+motions on rows, and ``ArcCurve``, ``edges_area`` and ``transform_curve`` are
+built on them, so a caller that builds a curve in stages builds its objects
+once.
 
 Angle convention for arcs: ``(start_angle, signed_sweep)``, where the arc runs
 from ``start_angle`` to ``start_angle + signed_sweep`` and ``0 < |signed_sweep|
 <= 2*pi``.  A positive sweep is counterclockwise (``turning = +1``), a negative
 one clockwise (``turning = -1``), and ``signed_sweep = ±2*pi`` is a full circle
-at any start angle.  Only ``Arc.between`` reduces two endpoint angles to a sweep.
+at any start angle.  Only ``_arc_sweep`` (behind ``Arc.between``) reduces two
+endpoint angles to a sweep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -99,11 +105,8 @@ class Arc:
 
     @classmethod
     def between(cls, center: Point, radius: float, a0: float, a1: float, turning: int) -> "Arc":
-        """Arc from angle a0 to a1 turning +1 (CCW) or -1; equal angles give a full circle."""
-        if turning not in (1, -1):
-            raise ValidationError(f"arc turning must be +1 or -1, got {turning}")
-        s = (turning * (a1 - a0)) % TWO_PI
-        return cls(center, radius, a0, turning * (TWO_PI if s == 0.0 else s))
+        """Arc from angle a0 to a1 turning +1 (CCW) or -1, with the sweep of ``_arc_sweep``."""
+        return cls(center, radius, a0, _arc_sweep(a0, a1, turning))
 
     @property
     def turning(self) -> int:
@@ -140,84 +143,119 @@ class Arc:
         return Arc(self.center, self.radius, self.angle_at(1.0), -self.signed_sweep)
 
 
+def _arc_sweep(a0: float, a1: float, turning: int) -> float:
+    """Signed sweep from angle a0 to a1 turning +1 (CCW) or -1; equal angles give a full circle."""
+    if turning not in (1, -1):
+        raise ValidationError(f"arc turning must be +1 or -1, got {turning}")
+    s = (turning * (a1 - a0)) % TWO_PI
+    return turning * (TWO_PI if s == 0.0 else s)
+
+
 # types.UnionType, not typing.Union: typing caches Union[...] globally, which
 # would keep every re-imported copy of this module alive
 Edge = Arc | Segment
 
 
-def _endpoint(e: Edge, t: float):
-    """(x, y) of ``e.point_at(t)`` for t = 0.0 or 1.0, as floats, without building a ``Point``."""
+def edge_row(e: Edge) -> tuple:
+    """The edge as floats: ``(x0, y0, x1, y1)`` for a segment, ``(cx, cy, r, a0, sweep)`` for an arc."""
     if isinstance(e, Segment):
-        p = e.end if t else e.start
-        return p.x, p.y
-    a = e.start_angle + e.signed_sweep * t
-    x = e.center.x + e.radius * math.cos(a)
-    y = e.center.y + e.radius * math.sin(a)
+        return e.start.x, e.start.y, e.end.x, e.end.y
+    return e.center.x, e.center.y, e.radius, e.start_angle, e.signed_sweep
+
+
+def _edge_from_row(row: tuple) -> Edge:
+    """The ``Segment`` or ``Arc`` of an ``edge_row``, validated as its constructor validates."""
+    if len(row) == 4:
+        return Segment(Point(row[0], row[1]), Point(row[2], row[3]))
+    cx, cy, r, a0, sweep = row
+    return Arc(Point(cx, cy), r, a0, sweep)
+
+
+def _edge_end(row: tuple, t: float):
+    """(x, y) of the ``edge_row`` at t = 0.0 or 1.0: a segment's own end, an arc's as ``point_at``.
+
+    An arc end that is not finite raises ``ValidationError`` as a ``Point`` would.
+    """
+    if len(row) == 4:
+        return (row[2], row[3]) if t else (row[0], row[1])
+    cx, cy, r, a0, sweep = row
+    a = a0 + sweep * t
+    x = cx + r * math.cos(a)
+    y = cy + r * math.sin(a)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValidationError(f"non-finite point ({x}, {y})")
     return x, y
+
+
+def _tolerance(box) -> float:
+    """``CHAIN_TOL`` times the diagonal of an (xmin, ymin, xmax, ymax) box."""
+    x0, y0, x1, y1 = box
+    return CHAIN_TOL * math.hypot(x1 - x0, y1 - y0)
+
+
+def _check_rows(rows: Sequence[tuple], closed: bool) -> tuple:
+    """The rule every curve obeys, on ``edge_row`` rows; returns their box.
+
+    The box is (xmin, ymin, xmax, ymax) of the edges, an arc counting its
+    whole circle.  Each gap between consecutive edge ends (and the closing
+    gap of a closed curve) must be at most ``_tolerance(box)``; the ends are
+    computed by ``_edge_end`` in the order the gaps are visited.
+    Raises ``ValidationError`` with the message ``ArcCurve`` reports.
+    """
+    if not rows:
+        raise ValidationError("curve needs at least one edge")
+    xs, ys = [], []
+    for row in rows:
+        if len(row) == 4:
+            xs += row[0], row[2]
+            ys += row[1], row[3]
+        else:
+            cx, cy, r = row[:3]
+            xs += cx - r, cx + r
+            ys += cy - r, cy + r
+    box = min(xs), min(ys), max(xs), max(ys)
+    tol = _tolerance(box)
+    for i in range(len(rows) - 1):
+        ex, ey = _edge_end(rows[i], 1.0)
+        sx, sy = _edge_end(rows[i + 1], 0.0)
+        gap = math.hypot(ex - sx, ey - sy)
+        if gap > tol:
+            raise ValidationError(
+                f"gap {gap:.3e} between edges {i} and {i + 1} exceeds tolerance {tol:.3e}"
+            )
+    if closed:
+        ex, ey = _edge_end(rows[-1], 1.0)
+        sx, sy = _edge_end(rows[0], 0.0)
+        gap = math.hypot(ex - sx, ey - sy)
+        if gap > tol:
+            raise ValidationError(
+                f"closed curve does not close: terminal gap {gap:.3e} > {tol:.3e}"
+            )
+    return box
 
 
 @dataclass(frozen=True)
 class ArcCurve:
     """Oriented chain of arcs and segments; consecutive endpoints must coincide.
 
-    Validation computes each edge endpoint once, as floats with the arithmetic
-    of ``point_at`` but without building a ``Point``, and checks every gap
-    between consecutive edges (and the closing gap) against ``tolerance``.
-    An arc endpoint that is not finite raises ``ValidationError`` as a
-    non-finite ``Point`` would.
+    Validation is ``_check_rows`` on the edges' rows, which also gives
+    ``bbox``: (xmin, ymin, xmax, ymax) of the edges, an arc counting its whole
+    circle.
     """
 
     edges: tuple
     closed: bool = True
+    bbox: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         edges = tuple(self.edges)
         object.__setattr__(self, "edges", edges)
-        if not edges:
-            raise ValidationError("curve needs at least one edge")
-        tol = self.tolerance
-        for i in range(len(edges) - 1):
-            ex, ey = _endpoint(edges[i], 1.0)
-            sx, sy = _endpoint(edges[i + 1], 0.0)
-            gap = math.hypot(ex - sx, ey - sy)
-            if gap > tol:
-                raise ValidationError(
-                    f"gap {gap:.3e} between edges {i} and {i + 1} exceeds tolerance {tol:.3e}"
-                )
-        if self.closed:
-            ex, ey = _endpoint(edges[-1], 1.0)
-            sx, sy = _endpoint(edges[0], 0.0)
-            gap = math.hypot(ex - sx, ey - sy)
-            if gap > tol:
-                raise ValidationError(
-                    f"closed curve does not close: terminal gap {gap:.3e} > {tol:.3e}"
-                )
-
-    @cached_property
-    def bbox(self):
-        """(xmin, ymin, xmax, ymax) of the edges, an arc counting its whole circle."""
-        xs, ys = [], []
-        for e in self.edges:
-            if isinstance(e, Arc):
-                xs += [e.center.x - e.radius, e.center.x + e.radius]
-                ys += [e.center.y - e.radius, e.center.y + e.radius]
-            else:
-                xs += [e.start.x, e.end.x]
-                ys += [e.start.y, e.end.y]
-        return min(xs), min(ys), max(xs), max(ys)
-
-    @property
-    def extent(self) -> float:
-        """Diagonal of ``bbox``: the length every tolerance on the curve is relative to."""
-        x0, y0, x1, y1 = self.bbox
-        return math.hypot(x1 - x0, y1 - y0)
+        object.__setattr__(self, "bbox", _check_rows(list(map(edge_row, edges)), self.closed))
 
     @property
     def tolerance(self) -> float:
-        """``CHAIN_TOL * extent``: the largest gap between edges, and the on-curve distance."""
-        return CHAIN_TOL * self.extent
+        """``_tolerance(bbox)``: the largest gap between edges, and the on-curve distance."""
+        return _tolerance(self.bbox)
 
     def reversed(self) -> "ArcCurve":
         return ArcCurve(tuple(e.reversed() for e in reversed(self.edges)), self.closed)
@@ -228,14 +266,15 @@ def curve_length(c: ArcCurve) -> float:
     return sum(e.length for e in c.edges)
 
 
-def _edge_area_integral(e: Edge, x0: float) -> float:
-    # Closed form of integral (x - x0) dy along the edge.
-    if isinstance(e, Segment):
-        return 0.5 * ((e.start.x - x0) + (e.end.x - x0)) * (e.end.y - e.start.y)
-    t0 = e.start_angle
-    t1 = t0 + e.signed_sweep
-    first = (e.center.x - x0) * e.radius * (math.sin(t1) - math.sin(t0))
-    second = e.radius * e.radius * (
+def _area_integral(row: tuple, x0: float) -> float:
+    # Closed form of integral (x - x0) dy along the edge of an ``edge_row``.
+    if len(row) == 4:
+        sx, sy, ex, ey = row
+        return 0.5 * ((sx - x0) + (ex - x0)) * (ey - sy)
+    cx, _, r, t0, sweep = row
+    t1 = t0 + sweep
+    first = (cx - x0) * r * (math.sin(t1) - math.sin(t0))
+    second = r * r * (
         0.5 * (t1 - t0) + 0.25 * (math.sin(2.0 * t1) - math.sin(2.0 * t0))
     )
     return first + second
@@ -258,8 +297,13 @@ def signed_area(c: ArcCurve) -> float:
 
 def edges_area(edges: Sequence[Edge]) -> float:
     """``signed_area`` of edges that close up, without building or checking a curve."""
-    x0 = edges[0].start.x
-    return sum(_edge_area_integral(e, x0) for e in edges)
+    return _rows_area(list(map(edge_row, edges)))
+
+
+def _rows_area(rows: Sequence[tuple]) -> float:
+    """``edges_area`` of the edges given as ``edge_row`` rows."""
+    x0 = _edge_end(rows[0], 0.0)[0]
+    return sum(_area_integral(row, x0) for row in rows)
 
 
 def _edge_columns(c: ArcCurve):
@@ -382,26 +426,27 @@ def winding_number(c: ArcCurve, q: Point) -> int:
     x, y = q.x, q.y
     nearest = math.inf
     total = 0.0
-    for e in c.edges:
-        sx, sy = _endpoint(e, 0.0)
-        ex, ey = _endpoint(e, 1.0)
-        if isinstance(e, Segment):
+    for row in map(edge_row, c.edges):
+        sx, sy = _edge_end(row, 0.0)
+        ex, ey = _edge_end(row, 1.0)
+        if len(row) == 4:
             vx, vy = ex - sx, ey - sy
             wx, wy = x - sx, y - sy
             t = min(1.0, max(0.0, (vx * wx + vy * wy) / (vx * vx + vy * vy)))
             nearest = min(nearest, math.hypot(wx - t * vx, wy - t * vy))
             total += _scalar_turn(x, y, sx, sy, ex, ey)
             continue
-        dx, dy = x - e.center.x, y - e.center.y
+        cx, cy, radius, a0, signed = row
+        dx, dy = x - cx, y - cy
         rho = math.hypot(dx, dy)
-        sweep, turning = e.sweep, e.turning
+        sweep, turning = abs(signed), (1 if signed > 0.0 else -1)
         if rho == 0.0:
-            nearest = min(nearest, e.radius)
-        elif (turning * (math.atan2(dy, dx) - e.start_angle)) % TWO_PI <= sweep:
-            nearest = min(nearest, abs(rho - e.radius))
+            nearest = min(nearest, radius)
+        elif (turning * (math.atan2(dy, dx) - a0)) % TWO_PI <= sweep:
+            nearest = min(nearest, abs(rho - radius))
         else:
             nearest = min(nearest, math.hypot(x - sx, y - sy), math.hypot(x - ex, y - ey))
-        if rho > e.radius:
+        if rho > radius:
             total += _scalar_turn(x, y, sx, sy, ex, ey)
         else:
             raw = turning * (math.atan2(ey - y, ex - x) - math.atan2(sy - y, sx - x))
@@ -514,7 +559,14 @@ def offset_inner(c: ArcCurve, r: float, roles: Sequence[str]) -> OffsetResult:
 
 def transform_curve(c: ArcCurve, angle: float = 0.0, dx: float = 0.0,
                     dy: float = 0.0, scale: float = 1.0) -> ArcCurve:
-    """Apply rotation by ``angle``, dilation by ``scale`` and then translation.
+    """Apply rotation by ``angle``, dilation by ``scale`` and then translation (``_transform_rows``)."""
+    rows = _transform_rows(map(edge_row, c.edges), angle, dx, dy, scale)
+    return ArcCurve(tuple(map(_edge_from_row, rows)), c.closed)
+
+
+def _transform_rows(rows, angle: float = 0.0, dx: float = 0.0,
+                   dy: float = 0.0, scale: float = 1.0) -> list:
+    """``transform_curve`` on ``edge_row`` rows, with nothing built or checked but ``scale``.
 
     A point p maps to ``scale * R(angle) p + (dx, dy)``, computed inline on
     floats; an arc keeps its signed sweep and turns its start angle by
@@ -524,33 +576,20 @@ def transform_curve(c: ArcCurve, angle: float = 0.0, dx: float = 0.0,
         raise ValidationError("scale must be positive")
     ca, sa = math.cos(angle), math.sin(angle)
     out = []
-    for e in c.edges:
-        if isinstance(e, Arc):
-            x, y = e.center.x, e.center.y
-            out.append(
-                Arc(Point(scale * (ca * x - sa * y) + dx, scale * (sa * x + ca * y) + dy),
-                    e.radius * scale, e.start_angle + angle, e.signed_sweep)
-            )
+    for row in rows:
+        if len(row) == 4:
+            x0, y0, x1, y1 = row
+            out.append((scale * (ca * x0 - sa * y0) + dx, scale * (sa * x0 + ca * y0) + dy,
+                        scale * (ca * x1 - sa * y1) + dx, scale * (sa * x1 + ca * y1) + dy))
         else:
-            x0, y0, x1, y1 = e.start.x, e.start.y, e.end.x, e.end.y
-            out.append(
-                Segment(
-                    Point(scale * (ca * x0 - sa * y0) + dx, scale * (sa * x0 + ca * y0) + dy),
-                    Point(scale * (ca * x1 - sa * y1) + dx, scale * (sa * x1 + ca * y1) + dy),
-                )
-            )
-    return ArcCurve(tuple(out), c.closed)
+            x, y, r, a0, sweep = row
+            out.append((scale * (ca * x - sa * y) + dx, scale * (sa * x + ca * y) + dy,
+                        r * scale, a0 + angle, sweep))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Edge splitting (node placement needs curves cut at arbitrary on-curve points).
-
-def edge_row(e: Edge) -> tuple:
-    """The edge as floats: ``(x0, y0, x1, y1)`` for a segment, ``(cx, cy, r, a0, sweep)`` for an arc."""
-    if isinstance(e, Segment):
-        return e.start.x, e.start.y, e.end.x, e.end.y
-    return e.center.x, e.center.y, e.radius, e.start_angle, e.signed_sweep
-
 
 def edge_point(row: tuple, t: float):
     """(x, y) of ``point_at(t)`` on the edge given as an ``edge_row``."""

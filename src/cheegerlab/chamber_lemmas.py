@@ -559,8 +559,9 @@ def run_chain_sweep(flavor: str, count: int, seed: int, m_values=(3, 4, 5, 6)):
     Chain i has m = m_values[i % len(m_values)] disks and is drawn from the seed
     [seed, i].  Returns (records, violations): one record per chain with the
     bound report, and the records whose bound fails.  An unknown flavor, a
-    negative count or seed and an empty ``m_values`` raise ValidationError
-    before any chain is drawn, even when count is 0.
+    negative count or seed, an empty ``m_values`` and an entry that is not an
+    integer of at least 3 raise ValidationError before any chain is drawn,
+    even when count is 0.
     """
     if flavor not in FLAVORS:
         raise ValidationError(f"unknown chain flavor {flavor!r}")
@@ -568,6 +569,9 @@ def run_chain_sweep(flavor: str, count: int, seed: int, m_values=(3, 4, 5, 6)):
         raise ValidationError(f"chain sweep needs count >= 0 and seed >= 0, got {count} and {seed}")
     if not m_values:
         raise ValidationError("m_values must not be empty")
+    for m in m_values:
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 3:
+            raise ValidationError(f"m_values entries must be integers >= 3, got {m!r}")
     records = []
     violations = []
     for i in range(count):

@@ -22,9 +22,13 @@ Polygon validation (``_convex_ring``) and the closed-form solve
 cell, numpy's cost per call outweighs the arithmetic.  ``ConvexPolygon`` and
 ``cheeger_convex`` are built on them; the optimizer calls them on float lists
 and reads only the loop's radius, and its cost split is given
-in ``partition_optimizer``.  ``convex_hull`` and the per-edge arithmetic of
-``random_class_a_domain`` run on floats too, with outputs bit for bit those
-of the numpy forms kept as test oracles.
+in ``partition_optimizer``.  ``convex_hull`` and the random fixtures run on
+floats too.  ``random_convex_polygon`` takes its gap test and hull on float
+lists, and ``random_class_a_domain`` carries its edges as ``edge_row`` rows
+through every stage, building the ``Segment`` and ``Arc`` objects once, for
+the domain it returns.  Their scalar draws are ``lo + (hi - lo) *
+rng.random()``, bit for bit ``rng.uniform``, and their outputs are bit for
+bit those of the numpy and object forms kept as test oracles.
 """
 
 from __future__ import annotations
@@ -53,7 +57,12 @@ from .arc_geometry import (
     has_radius,
     offset_inner,
     signed_area,
-    transform_curve,
+    _arc_sweep,
+    _check_rows,
+    _edge_end,
+    _edge_from_row,
+    _rows_area,
+    _transform_rows,
 )
 from .errors import ValidationError
 
@@ -241,8 +250,13 @@ def convex_hull(points) -> np.ndarray:
     sorted.
     """
     pts = sorted(set(map(tuple, np.asarray(points, dtype=float).tolist())))
+    return np.array(_hull(pts), dtype=float).reshape(-1, 2)
+
+
+def _hull(pts: list) -> list:
+    """The monotone chain of ``convex_hull`` on sorted distinct (x, y) tuples; fewer than 3 come back as they are."""
     if len(pts) < 3:
-        return np.array(pts, dtype=float).reshape(-1, 2)
+        return pts
 
     def half(seq):
         out = []
@@ -256,9 +270,7 @@ def convex_hull(points) -> np.ndarray:
             out.append(p)
         return out
 
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
+    return half(pts)[:-1] + half(pts[::-1])[:-1]
 
 
 def _clip_halfplane(pts: list, nx: float, ny: float, c: float) -> Optional[list]:
@@ -663,80 +675,96 @@ def inner_cheeger_boundary(d: ArcDomain) -> OffsetResult:
 # Randomized fixtures: convex polygons and synthetic class-A domains.
 
 def random_convex_polygon(rng: np.random.Generator, n_min: int = 3, n_max: int = 12) -> ConvexPolygon:
-    """Random strictly convex polygon with n_min..n_max vertices (hull of ring points)."""
+    """Random strictly convex polygon with n_min..n_max vertices (hull of ring points).
+
+    Each draw takes n, then n sorted angles, then n radii, as
+    ``rng.uniform`` arrays.  A draw of more than 3 angles with a gap below
+    0.08, a hull of the wrong size, or one that fails validation is drawn
+    again, up to 200 times.  ``np.cos`` and ``np.sin`` run on the whole
+    angle array; the gap test and the hull run on floats (``_random_ring``).
+    """
+    return _random_ring(rng, n_min, n_max, ConvexPolygon)
+
+
+def _random_ring(rng: np.random.Generator, n_min: int, n_max: int, build):
+    """``build(hull)`` of the first draw whose hull ``build`` accepts, as ``random_convex_polygon``.
+
+    ``build`` raises ValidationError to reject a hull: ``ConvexPolygon``, or
+    ``_convex_ring`` for the plain ``(vertices, extent, area)``.
+    """
     for _ in range(200):
         n = int(rng.integers(n_min, n_max + 1))
-        ang = np.sort(rng.uniform(0.0, TWO_PI, n))
-        if n > 3 and np.diff(np.concatenate([ang, [ang[0] + TWO_PI]])).min() < 0.08:
+        ang = rng.uniform(0.0, TWO_PI, n)
+        ang.sort()
+        a = ang.tolist()
+        if n > 3 and min(y - x for x, y in zip(a, a[1:] + [a[0] + TWO_PI])) < 0.08:
             continue
         rad = rng.uniform(0.5, 1.5, n)
-        pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-        hull = convex_hull(pts)
+        hull = _hull(sorted(set(zip((rad * np.cos(ang)).tolist(), (rad * np.sin(ang)).tolist()))))
         if not n_min <= len(hull) <= n_max:
             continue
         try:
-            return ConvexPolygon(hull)
+            return build(hull)
         except ValidationError:
             continue
     raise ValidationError("random polygon generation failed")
 
 
-def _inner_curve_exterior_angles(edges):
-    """Exterior angle at each vertex between consecutive edge tangents."""
-    def tangent(e, t):
-        if isinstance(e, Segment):
-            return math.atan2(e.end.y - e.start.y, e.end.x - e.start.x)
-        return e.angle_at(t) + e.turning * math.pi / 2.0
+def _tangent(row, t: float) -> float:
+    """Direction angle of the ``edge_row``'s tangent at t."""
+    if len(row) == 4:
+        return math.atan2(row[3] - row[1], row[2] - row[0])
+    return row[3] + row[4] * t + (1 if row[4] > 0.0 else -1) * math.pi / 2.0
 
-    n = len(edges)
+
+def _outward_normal(row, t: float) -> float:
+    """Angle of the ``edge_row``'s outward unit normal at t, for a CCW curve."""
+    if len(row) == 4:
+        return math.atan2(-(row[2] - row[0]), row[3] - row[1])
+    a = row[3] + row[4] * t
+    return a if row[4] > 0.0 else a + math.pi
+
+
+def _inner_curve_exterior_angles(rows) -> list:
+    """Exterior angle at each vertex between consecutive edge tangents, in (-pi, pi]."""
     out = []
-    for i in range(n):
-        gap = (tangent(edges[(i + 1) % n], 0.0) - tangent(edges[i], 1.0)) % TWO_PI
+    for row, nxt in zip(rows, rows[1:] + rows[:1]):
+        gap = (_tangent(nxt, 0.0) - _tangent(row, 1.0)) % TWO_PI
         if gap > math.pi:
             gap -= TWO_PI
         out.append(gap)
     return out
 
 
-def _domain_from_inner_curve(inner: ArcCurve, r: float) -> ArcDomain:
-    """Outward parallel body of a piecewise curve: the generic class-A construction.
+def _domain_rows(inner: list, r: float):
+    """Rows and roles of the outward parallel body of an inner curve's rows.
 
     Junction edges are the inner edges pushed outward by r; every convex kink
     becomes a free arc of radius r.  Because the inner curve has area pi*r**2
     by construction, the resulting domain is self-Cheeger with h = 1/r.
+    Raises ValidationError for a concave arc of radius at most r.
     """
-    def outward_normal_angle(e, t):
-        if isinstance(e, Segment):
-            return math.atan2(-(e.end.x - e.start.x), e.end.y - e.start.y)
-        a = e.angle_at(t)
-        return a if e.turning == 1 else a + math.pi
-
-    edges = []
+    rows = []
     roles = []
-    n = len(inner.edges)
-    for i, e in enumerate(inner.edges):
-        if isinstance(e, Segment):
-            na = outward_normal_angle(e, 0.0)
+    for row, nxt in zip(inner, inner[1:] + inner[:1]):
+        if len(row) == 4:
+            na = _outward_normal(row, 0.0)
             nx, ny = math.cos(na), math.sin(na)
-            edges.append(
-                Segment(
-                    Point(e.start.x + r * nx, e.start.y + r * ny),
-                    Point(e.end.x + r * nx, e.end.y + r * ny),
-                )
-            )
+            x0, y0, x1, y1 = row
+            rows.append((x0 + r * nx, y0 + r * ny, x1 + r * nx, y1 + r * ny))
         else:
-            if e.turning == -1 and e.radius <= r:
+            cx, cy, radius, a0, sweep = row
+            turning = 1 if sweep > 0.0 else -1
+            if turning == -1 and radius <= r:
                 raise ValidationError("concave inner radius must exceed r")
-            edges.append(Arc(e.center, e.radius + e.turning * r, e.start_angle, e.signed_sweep))
+            rows.append((cx, cy, radius + turning * r, a0, sweep))
         roles.append(INNER_JUNCTION)
-        nxt = inner.edges[(i + 1) % n]
-        a0 = outward_normal_angle(e, 1.0)
-        a1 = outward_normal_angle(nxt, 0.0)
-        sweep = (a1 - a0) % TWO_PI
+        a0 = _outward_normal(row, 1.0)
+        sweep = (_outward_normal(nxt, 0.0) - a0) % TWO_PI
         if sweep > 1e-9:
-            edges.append(Arc(e.end, r, a0, sweep))
+            rows.append((*_edge_end(row, 1.0), r, a0, sweep))
             roles.append(FREE)
-    return ArcDomain(ArcCurve(tuple(edges), closed=True), tuple(roles), 1.0 / r)
+    return rows, tuple(roles)
 
 
 def random_class_a_domain(seed) -> ArcDomain:
@@ -745,69 +773,71 @@ def random_class_a_domain(seed) -> ArcDomain:
     Starts from a random convex polygon with 4 to 9 vertices, bows some edges
     into shallow arcs (both signs of curvature), rescales the curve to enclose
     area pi (so r = 1), and fattens it outward by r.  A random rigid motion
-    and dilation are applied at the end.  Edge lengths, midpoints, normals
-    and centres are computed on plain floats; edge lengths use ``np.hypot``,
-    the C library's, which ``math.hypot`` does not always match to the bit.
+    and dilation are applied at the end.
+
+    The stages run on ``edge_row`` rows: the polygon is ``_random_ring``'s
+    plain vertex list, each stage's curve passes ``_check_rows`` where a curve
+    would be built, and the ``Segment``/``Arc`` objects are built once, for
+    the returned domain.  The numbers are those of one ``rng.uniform`` call
+    per scalar draw: a scalar draw is ``lo + (hi - lo) * rng.random()``, the
+    formula of ``Generator.uniform``, and the four motion draws are one
+    ``rng.random(4)``.  Edge lengths come from one ``np.hypot`` call, the C
+    library's, which ``math.hypot`` does not always match to the bit.
     """
     rng = np.random.default_rng(seed)
     for _ in range(200):
-        poly = random_convex_polygon(rng, 4, 9)
-        scale = math.sqrt(math.pi / poly.area)
-        pts = [(x * scale, y * scale) for x, y in poly.vertices.tolist()]
-        edges = []
-        for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
-            vx, vy = bx - ax, by - ay
-            length = float(np.hypot(vx, vy))
+        verts, _, area = _random_ring(rng, 4, 9, _convex_ring)
+        scale = math.sqrt(math.pi / area)
+        pts = [(x * scale, y * scale) for x, y in verts]
+        ends = pts[1:] + pts[:1]
+        lengths = np.hypot([bx - ax for (ax, _), (bx, _) in zip(pts, ends)],
+                           [by - ay for (_, ay), (_, by) in zip(pts, ends)]).tolist()
+        rows = []
+        for (ax, ay), (bx, by), length in zip(pts, ends, lengths):
             bow = 0.0
             if length > 1.0 and rng.random() < 0.6:
-                bow = float(rng.uniform(-0.18, 0.18)) * length
+                bow = (-0.18 + 0.36 * rng.random()) * length
             if abs(bow) < 0.02 * length:
-                edges.append(Segment(Point(ax, ay), Point(bx, by)))
+                rows.append((ax, ay, bx, by))
                 continue
             s = abs(bow)
             radius = (length * length / 4.0 + s * s) / (2.0 * s)
             mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
-            lx, ly = -vy / length, vx / length  # interior side
+            lx, ly = -(by - ay) / length, (bx - ax) / length  # interior side
             if bow > 0.0:  # outward bulge, convex arc
                 cx, cy = mx + (radius - s) * lx, my + (radius - s) * ly
                 turning = 1
             else:  # inward bulge, concave arc
                 if radius < 1.4:
-                    edges.append(Segment(Point(ax, ay), Point(bx, by)))
+                    rows.append((ax, ay, bx, by))
                     continue
                 cx, cy = mx - (radius - s) * lx, my - (radius - s) * ly
                 turning = -1
             a0 = math.atan2(ay - cy, ax - cx)
             a1 = math.atan2(by - cy, bx - cx)
-            edges.append(Arc.between(Point(cx, cy), radius, a0, a1, turning))
+            rows.append((cx, cy, radius, a0, _arc_sweep(a0, a1, turning)))
         try:
-            inner = ArcCurve(tuple(edges), closed=True)
+            _check_rows(rows, True)
         except ValidationError:
             continue
-        if min(_inner_curve_exterior_angles(edges)) < 0.05:
+        if min(_inner_curve_exterior_angles(rows)) < 0.05:
             continue
-        area = signed_area(inner)
+        area = _rows_area(rows)
         if area <= 0.0:
             continue
-        inner = transform_curve(inner, scale=math.sqrt(math.pi / area))
-        if any(
-            isinstance(e, Arc) and e.turning == -1 and e.radius < 1.05
-            for e in inner.edges
-        ):
+        rows = _transform_rows(rows, scale=math.sqrt(math.pi / area))
+        _check_rows(rows, True)
+        if any(len(row) == 5 and row[4] < 0.0 and row[2] < 1.05 for row in rows):  # concave arcs
             continue
         try:
-            d = _domain_from_inner_curve(inner, 1.0)
+            rows, roles = _domain_rows(rows, 1.0)
+            _check_rows(rows, True)
         except ValidationError:
             continue
-        lam = float(rng.uniform(0.5, 2.0))
-        moved = transform_curve(
-            d.boundary,
-            angle=float(rng.uniform(0.0, TWO_PI)),
-            dx=float(rng.uniform(-3.0, 3.0)),
-            dy=float(rng.uniform(-3.0, 3.0)),
-            scale=lam,
-        )
-        return ArcDomain(moved, d.roles, d.h / lam)
+        lam, angle, dx, dy = rng.random(4).tolist()  # uniform on [0.5, 2), [0, 2 pi), [-3, 3)
+        lam = 0.5 + 1.5 * lam
+        rows = _transform_rows(rows, TWO_PI * angle, -3.0 + 6.0 * dx, -3.0 + 6.0 * dy, lam)
+        return ArcDomain(ArcCurve(tuple(map(_edge_from_row, rows)), closed=True), roles, 1.0 / lam)
     raise ValidationError("random class-A domain generation failed")
 
 

@@ -25,7 +25,8 @@ each portion with its chord into a validated ``ArcCurve`` for its area; the
 overlap oracle makes one distance and one winding call per meeting pair of
 cells; the curve-gap oracle measures every gap between ``Point`` endpoints;
 the class-A fixture oracles build hulls from ``np.unique`` rows, bow edges
-with numpy 2-vectors and map every point through a helper call.
+with numpy 2-vectors, map every point through a helper call and build every
+stage of a domain as a validated ``ArcCurve`` of edge objects.
 """
 
 import math
@@ -37,6 +38,8 @@ import numpy as np
 
 from cheegerlab.arc_geometry import (
     CHAIN_TOL,
+    FREE,
+    INNER_JUNCTION,
     Arc,
     ArcCurve,
     Point,
@@ -59,8 +62,6 @@ from cheegerlab.cheeger import (
     ArcDomain,
     CheegerResult,
     ConvexPolygon,
-    _domain_from_inner_curve,
-    _inner_curve_exterior_angles,
     inner_parallel_polygon,
 )
 from cheegerlab.cluster import _sample_boundary
@@ -1066,11 +1067,65 @@ def random_convex_polygon_reference(rng: np.random.Generator, n_min: int = 3,
     raise ValidationError("random polygon generation failed")
 
 
+def _inner_curve_exterior_angles_reference(edges):
+    """Exterior angle at each vertex between consecutive edge tangents, from the edge objects."""
+    def tangent(e, t):
+        if isinstance(e, Segment):
+            return math.atan2(e.end.y - e.start.y, e.end.x - e.start.x)
+        return e.angle_at(t) + e.turning * math.pi / 2.0
+
+    n = len(edges)
+    out = []
+    for i in range(n):
+        gap = (tangent(edges[(i + 1) % n], 0.0) - tangent(edges[i], 1.0)) % TWO_PI
+        if gap > math.pi:
+            gap -= TWO_PI
+        out.append(gap)
+    return out
+
+
+def _domain_from_inner_curve_reference(inner: ArcCurve, r: float) -> ArcDomain:
+    """Outward parallel body of a piecewise curve, built edge by edge from its objects."""
+    def outward_normal_angle(e, t):
+        if isinstance(e, Segment):
+            return math.atan2(-(e.end.x - e.start.x), e.end.y - e.start.y)
+        a = e.angle_at(t)
+        return a if e.turning == 1 else a + math.pi
+
+    edges = []
+    roles = []
+    n = len(inner.edges)
+    for i, e in enumerate(inner.edges):
+        if isinstance(e, Segment):
+            na = outward_normal_angle(e, 0.0)
+            nx, ny = math.cos(na), math.sin(na)
+            edges.append(
+                Segment(
+                    Point(e.start.x + r * nx, e.start.y + r * ny),
+                    Point(e.end.x + r * nx, e.end.y + r * ny),
+                )
+            )
+        else:
+            if e.turning == -1 and e.radius <= r:
+                raise ValidationError("concave inner radius must exceed r")
+            edges.append(Arc(e.center, e.radius + e.turning * r, e.start_angle, e.signed_sweep))
+        roles.append(INNER_JUNCTION)
+        nxt = inner.edges[(i + 1) % n]
+        a0 = outward_normal_angle(e, 1.0)
+        a1 = outward_normal_angle(nxt, 0.0)
+        sweep = (a1 - a0) % TWO_PI
+        if sweep > 1e-9:
+            edges.append(Arc(e.end, r, a0, sweep))
+            roles.append(FREE)
+    return ArcDomain(ArcCurve(tuple(edges), closed=True), tuple(roles), 1.0 / r)
+
+
 def random_class_a_domain_reference(seed) -> ArcDomain:
     """``random_class_a_domain`` with the per-edge arithmetic on numpy 2-vectors.
 
-    The polygon comes from ``random_convex_polygon_reference`` and both
-    motions from ``transform_curve_reference``.
+    The polygon comes from ``random_convex_polygon_reference``, both motions
+    from ``transform_curve_reference``, and every stage is a validated
+    ``ArcCurve`` of edge objects.
     """
     rng = np.random.default_rng(seed)
     for _ in range(200):
@@ -1107,7 +1162,7 @@ def random_class_a_domain_reference(seed) -> ArcDomain:
             inner = ArcCurve(tuple(edges), closed=True)
         except ValidationError:
             continue
-        if min(_inner_curve_exterior_angles(edges)) < 0.05:
+        if min(_inner_curve_exterior_angles_reference(edges)) < 0.05:
             continue
         area = signed_area(inner)
         if area <= 0.0:
@@ -1119,7 +1174,7 @@ def random_class_a_domain_reference(seed) -> ArcDomain:
         ):
             continue
         try:
-            d = _domain_from_inner_curve(inner, 1.0)
+            d = _domain_from_inner_curve_reference(inner, 1.0)
         except ValidationError:
             continue
         lam = float(rng.uniform(0.5, 2.0))

@@ -315,6 +315,10 @@ class TestVerifyChainBound:
         ("closed", 0, (), "^m_values must not be empty$"),
         ("moebius", 0, (3,), "^unknown chain flavor 'moebius'$"),
         ("moebius", 0, (), "^unknown chain flavor 'moebius'$"),
+        ("closed", 0, (1,), "^m_values entries must be integers >= 3, got 1$"),
+        ("closed", 1, (3, 2), "^m_values entries must be integers >= 3, got 2$"),
+        ("closed", 0, (4, 3.0), "^m_values entries must be integers >= 3, got 3.0$"),
+        ("closed", 0, (True,), "^m_values entries must be integers >= 3, got True$"),
     ])
     def test_sweep_arguments_rejected_before_any_chain(self, flavor, count, m_values, message):
         with pytest.raises(ValidationError, match=message):

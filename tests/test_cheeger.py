@@ -363,6 +363,22 @@ class TestRandomDomains:
         rep = structure_report(random_class_a_domain([2, 0, 374]))
         assert rep.is_class_A, rep.violations
 
+    def test_one_curve_built_per_domain(self, monkeypatch):
+        # the inner curve, its rescale and the fattened domain are checked as
+        # float rows; the returned boundary is the only ArcCurve constructed
+        built = []
+        post_init = ArcCurve.__post_init__
+
+        def counting(curve):
+            built.append(curve)
+            post_init(curve)
+
+        monkeypatch.setattr(ArcCurve, "__post_init__", counting)
+        for seed in (0, 1, 5, 42, [2, 0, 374]):
+            built.clear()
+            d = random_class_a_domain(seed)
+            assert len(built) == 1 and built[0] is d.boundary, seed
+
     def test_vertex_count_range(self):
         rng = np.random.default_rng(0)
         for _ in range(10):

@@ -213,6 +213,14 @@ class TestConfigTypes:
         path = write(tmp_path / "sweep.json", {"sweep": {**sweep, key: value}})
         assert run(["chain", "--input", path, "--output", str(tmp_path / "o.jsonl")]) == 1
 
+    def test_chain_sweep_small_m_rejected_at_count_zero(self, tmp_path, capsys):
+        sweep = {"flavors": ["closed"], "count": 0, "seed": 0, "m_values": [1]}
+        path = write(tmp_path / "sweep.json", {"sweep": sweep})
+        out = tmp_path / "o.jsonl"
+        assert run(["chain", "--input", path, "--output", str(out)]) == 1
+        assert "m_values entries must be integers >= 3, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_chain_sweep_not_an_object(self, tmp_path):
         path = write(tmp_path / "sweep.json", {"sweep": 5})
         assert run(["chain", "--input", path, "--output", str(tmp_path / "o.jsonl")]) == 1
