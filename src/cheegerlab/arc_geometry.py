@@ -1,18 +1,20 @@
 """Exact-as-possible kernel for closed oriented curves made of circular arcs and segments.
 
-Curves are stored as ordered edge lists.  Every metric quantity (length, signed
-area, winding number, inner offset) is evaluated edge-exactly from closed
-forms; nothing here ever approximates an arc by a polyline.  Signed/oriented
+A curve is stored as the float rows of its edges (``edge_row``), in order.
+Every metric quantity (length, signed area, winding number, inner offset) is
+evaluated edge-exactly from closed forms on those rows; nothing here ever
+approximates an arc by a polyline.  Signed/oriented
 area is the Gauss-Green line integral ``integral (x - x0) dy`` with x0 on the
 curve; with self intersections it is the area weighted by winding index, so
 no arrangement computation is needed.  Tolerances are ``CHAIN_TOL`` times the
 diagonal of the curve's bounding box.
 
-An edge can also travel as a float row (``edge_row``).  ``_check_rows``,
-``_rows_area`` and ``_transform_rows`` are the curve rule, the area and the
-motions on rows, and ``ArcCurve``, ``edges_area`` and ``transform_curve`` are
-built on them, so a caller that builds a curve in stages builds its objects
-once.
+``_check_rows`` is the one rule for edges and curves: the ``Segment`` and
+``Arc`` constructors run it on their own row, and ``ArcCurve`` on all of them
+once, keeping the rows it checked.  ``ArcCurve._from_rows`` builds a curve
+from rows, and its ``Segment``/``Arc`` objects (``ArcCurve.edges``) are built
+the first time they are read, so the offset, Hales and class-A paths build
+none.
 
 Angle convention for arcs: ``(start_angle, signed_sweep)``, where the arc runs
 from ``start_angle`` to ``start_angle + signed_sweep`` and ``0 < |signed_sweep|
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +54,7 @@ ROLES = (FREE, INNER_JUNCTION, BORDER_PIECE)
 CHAIN_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     x: float
     y: float
@@ -64,14 +67,13 @@ class Point:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     start: Point
     end: Point
 
     def __post_init__(self):
-        if self.start.distance_to(self.end) == 0.0:
-            raise ValidationError("zero-length segment")
+        _check_rows((edge_row(self),), False)
 
     @property
     def length(self) -> float:
@@ -87,7 +89,7 @@ class Segment:
         return Segment(self.end, self.start)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     center: Point
     radius: float
@@ -95,13 +97,7 @@ class Arc:
     signed_sweep: float  # > 0 counterclockwise, < 0 clockwise; magnitude at most 2*pi
 
     def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValidationError(f"arc radius must be positive, got {self.radius}")
-        if not math.isfinite(self.start_angle):
-            raise ValidationError("non-finite arc angle")
-        if not 0.0 < abs(self.signed_sweep) <= TWO_PI:
-            raise ValidationError("arc sweep must be nonzero, finite and at most 2*pi in "
-                                  f"magnitude, got {self.signed_sweep}")
+        _check_rows((edge_row(self),), False)
 
     @classmethod
     def between(cls, center: Point, radius: float, a0: float, a1: float, turning: int) -> "Arc":
@@ -194,63 +190,94 @@ def _tolerance(box) -> float:
 
 
 def _check_rows(rows: Sequence[tuple], closed: bool) -> tuple:
-    """The rule every curve obeys, on ``edge_row`` rows; returns their box.
+    """The rule every edge and curve obeys, on ``edge_row`` rows; returns their box.
 
-    The box is (xmin, ymin, xmax, ymax) of the edges, an arc counting its
-    whole circle.  Each gap between consecutive edge ends (and the closing
-    gap of a closed curve) must be at most ``_tolerance(box)``; the ends are
-    computed by ``_edge_end`` in the order the gaps are visited.
-    Raises ``ValidationError`` with the message ``ArcCurve`` reports.
+    Each edge is checked first, in order: finite points, a segment of
+    non-zero length, an arc of finite positive radius, finite start angle and
+    sweep magnitude in (0, 2*pi].  The box is (xmin, ymin, xmax, ymax) of the
+    edges, an arc counting its whole circle.  Each gap between consecutive
+    edge ends (and the closing gap of a closed curve) must be at most
+    ``_tolerance(box)``; the ends are computed by ``_edge_end`` in the order
+    the gaps are visited.  Raises ``ValidationError`` with the message of the
+    ``Point``, ``Segment``, ``Arc`` or ``ArcCurve`` constructor.
     """
     if not rows:
         raise ValidationError("curve needs at least one edge")
     xs, ys = [], []
     for row in rows:
         if len(row) == 4:
-            xs += row[0], row[2]
-            ys += row[1], row[3]
-        else:
-            cx, cy, r = row[:3]
-            xs += cx - r, cx + r
-            ys += cy - r, cy + r
+            x0, y0, x1, y1 = row
+            if not (math.isfinite(x0) and math.isfinite(y0)):
+                raise ValidationError(f"non-finite point ({x0}, {y0})")
+            if not (math.isfinite(x1) and math.isfinite(y1)):
+                raise ValidationError(f"non-finite point ({x1}, {y1})")
+            if math.hypot(x0 - x1, y0 - y1) == 0.0:
+                raise ValidationError("zero-length segment")
+            xs += x0, x1
+            ys += y0, y1
+            continue
+        cx, cy, r, a0, sweep = row
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            raise ValidationError(f"non-finite point ({cx}, {cy})")
+        if not (r > 0.0 and math.isfinite(r)):
+            raise ValidationError(f"arc radius must be positive, got {r}")
+        if not math.isfinite(a0):
+            raise ValidationError("non-finite arc angle")
+        if not 0.0 < abs(sweep) <= TWO_PI:
+            raise ValidationError("arc sweep must be nonzero, finite and at most 2*pi in "
+                                  f"magnitude, got {sweep}")
+        xs += cx - r, cx + r
+        ys += cy - r, cy + r
     box = min(xs), min(ys), max(xs), max(ys)
     tol = _tolerance(box)
-    for i in range(len(rows) - 1):
+    n = len(rows)
+    for i in range(n if closed else n - 1):
         ex, ey = _edge_end(rows[i], 1.0)
-        sx, sy = _edge_end(rows[i + 1], 0.0)
+        sx, sy = _edge_end(rows[(i + 1) % n], 0.0)
         gap = math.hypot(ex - sx, ey - sy)
         if gap > tol:
             raise ValidationError(
-                f"gap {gap:.3e} between edges {i} and {i + 1} exceeds tolerance {tol:.3e}"
-            )
-    if closed:
-        ex, ey = _edge_end(rows[-1], 1.0)
-        sx, sy = _edge_end(rows[0], 0.0)
-        gap = math.hypot(ex - sx, ey - sy)
-        if gap > tol:
-            raise ValidationError(
-                f"closed curve does not close: terminal gap {gap:.3e} > {tol:.3e}"
+                f"closed curve does not close: terminal gap {gap:.3e} > {tol:.3e}" if i == n - 1
+                else f"gap {gap:.3e} between edges {i} and {i + 1} exceeds tolerance {tol:.3e}"
             )
     return box
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ArcCurve:
     """Oriented chain of arcs and segments; consecutive endpoints must coincide.
 
-    Validation is ``_check_rows`` on the edges' rows, which also gives
-    ``bbox``: (xmin, ymin, xmax, ymax) of the edges, an arc counting its whole
-    circle.
+    ``rows`` holds the ``edge_row`` of each edge, checked once by
+    ``_check_rows``, which also gives ``bbox``: (xmin, ymin, xmax, ymax) of
+    the edges, an arc counting its whole circle.  Two curves are equal when
+    their rows and ``closed`` are.  ``edges``, the ``Segment`` and ``Arc``
+    objects, is built from the rows when first read and kept.
     """
 
-    edges: tuple
-    closed: bool = True
-    bbox: tuple = field(init=False, repr=False, compare=False)
+    rows: tuple
+    closed: bool
+    bbox: tuple = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        edges = tuple(self.edges)
+    def __init__(self, edges: Sequence[Edge], closed: bool = True):
+        edges = tuple(edges)
+        self._store(tuple(map(edge_row, edges)), closed)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "bbox", _check_rows(list(map(edge_row, edges)), self.closed))
+
+    @classmethod
+    def _from_rows(cls, rows, closed: bool = True) -> "ArcCurve":
+        """The curve of these ``edge_row`` rows, checked as ``ArcCurve(edges)`` checks its edges."""
+        curve = cls.__new__(cls)
+        curve._store(tuple(rows), closed)
+        return curve
+
+    def _store(self, rows: tuple, closed: bool):
+        object.__setattr__(self, "bbox", _check_rows(rows, closed))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "closed", closed)
+
+    @cached_property
+    def edges(self) -> tuple:
+        return tuple(map(_edge_from_row, self.rows))
 
     @property
     def tolerance(self) -> float:
@@ -263,7 +290,8 @@ class ArcCurve:
 
 def curve_length(c: ArcCurve) -> float:
     """Total length: radius*opening for arcs, Euclidean length for segments."""
-    return sum(e.length for e in c.edges)
+    return sum(row[2] * abs(row[4]) if len(row) == 5 else math.hypot(row[0] - row[2], row[1] - row[3])
+               for row in c.rows)
 
 
 def _area_integral(row: tuple, x0: float) -> float:
@@ -292,16 +320,11 @@ def signed_area(c: ArcCurve) -> float:
     """
     if not c.closed:
         raise ContractViolation("signed_area requires a closed curve")
-    return edges_area(c.edges)
-
-
-def edges_area(edges: Sequence[Edge]) -> float:
-    """``signed_area`` of edges that close up, without building or checking a curve."""
-    return _rows_area(list(map(edge_row, edges)))
+    return _rows_area(c.rows)
 
 
 def _rows_area(rows: Sequence[tuple]) -> float:
-    """``edges_area`` of the edges given as ``edge_row`` rows."""
+    """``signed_area`` of ``edge_row`` rows that close up, without building or checking a curve."""
     x0 = _edge_end(rows[0], 0.0)[0]
     return sum(_area_integral(row, x0) for row in rows)
 
@@ -314,13 +337,13 @@ def _edge_columns(c: ArcCurve):
     end y.  Each field is a row, so it broadcasts against a column of points.
     """
     segs, arcs = [], []
-    for e in c.edges:
-        s, t = e.start, e.end
-        if isinstance(e, Segment):
-            segs.append((s.x, s.y, t.x, t.y))
+    for row in c.rows:
+        if len(row) == 4:
+            segs.append(row)
         else:
-            arcs.append((e.center.x, e.center.y, e.radius, e.start_angle, e.sweep,
-                         e.turning, s.x, s.y, t.x, t.y))
+            cx, cy, r, a0, sweep = row
+            arcs.append((cx, cy, r, a0, abs(sweep), 1 if sweep > 0.0 else -1,
+                         *_edge_end(row, 0.0), *_edge_end(row, 1.0)))
     return (np.array(segs).T if segs else None), (np.array(arcs).T if arcs else None)
 
 
@@ -426,7 +449,7 @@ def winding_number(c: ArcCurve, q: Point) -> int:
     x, y = q.x, q.y
     nearest = math.inf
     total = 0.0
-    for row in map(edge_row, c.edges):
+    for row in c.rows:
         sx, sy = _edge_end(row, 0.0)
         ex, ey = _edge_end(row, 1.0)
         if len(row) == 4:
@@ -468,30 +491,24 @@ def _scalar_turn(x, y, ax, ay, bx, by):
     return math.atan2(v0x * v1y - v0y * v1x, v0x * v1x + v0y * v1y)
 
 
-def _segment_inner_normal(s: Segment):
-    # Interior of a CCW boundary lies to the left of the travel direction.
-    dx, dy = s.end.x - s.start.x, s.end.y - s.start.y
-    n = math.hypot(dx, dy)
-    return -dy / n, dx / n
-
-
 @dataclass(frozen=True)
 class OffsetResult:
     """Inner-parallel curve plus bookkeeping for edges that degenerated to points.
 
     ``collapsed_indices`` lists the free arcs that collapsed; ``collapse_points``
     maps every collapsed edge index (free arcs and radius-r border corner arcs)
-    to its collapse point, in traversal order.
+    to its collapse point, the arc's center as an (x, y) pair, in traversal
+    order.
     """
 
     curve: ArcCurve
     collapsed_indices: tuple
-    collapse_points: tuple  # ((edge_index, Point), ...)
+    collapse_points: tuple  # ((edge_index, (x, y)), ...)
 
 
-def has_radius(a: Arc, r: float) -> bool:
-    """Whether the arc's radius is r to ``CHAIN_TOL`` relative: the one radius-r test."""
-    return abs(a.radius - r) <= CHAIN_TOL * r
+def has_radius(radius: float, r: float) -> bool:
+    """Whether an arc radius is r to ``CHAIN_TOL`` relative: the one radius-r test."""
+    return abs(radius - r) <= CHAIN_TOL * r
 
 
 def offset_inner(c: ArcCurve, r: float, roles: Sequence[str]) -> OffsetResult:
@@ -500,58 +517,59 @@ def offset_inner(c: ArcCurve, r: float, roles: Sequence[str]) -> OffsetResult:
     Radius-r arcs (role ``free`` or border corner pieces) collapse to their
     centers; negatively curved arcs widen to radius rho + r, positively curved
     junction arcs shrink to rho - r, and segments translate along the inner
-    normal.  The output closes through the collapse points.
+    normal (the interior of a CCW boundary lies to the left of the travel
+    direction).  The output closes through the collapse points; its rows are
+    checked once, when the curve is built.
     """
     if not c.closed:
         raise ContractViolation("offset_inner requires a closed curve")
     if r <= 0.0:
         raise ContractViolation(f"offset distance must be positive, got {r}")
-    if len(roles) != len(c.edges):
+    if len(roles) != len(c.rows):
         raise ContractViolation(
-            f"{len(roles)} roles supplied for {len(c.edges)} edges"
+            f"{len(roles)} roles supplied for {len(c.rows)} edges"
         )
     for role in roles:
         if role not in ROLES:
             raise ContractViolation(f"unknown edge role {role!r}")
 
-    new_edges = []
+    rows = []
     collapsed = []
     collapse_points = []
-    for i, (e, role) in enumerate(zip(c.edges, roles)):
-        if isinstance(e, Arc):
-            if role == FREE or (role == BORDER_PIECE and has_radius(e, r)):
-                if not has_radius(e, r) or e.turning != 1:
+    for i, (row, role) in enumerate(zip(c.rows, roles)):
+        if len(row) == 5:
+            cx, cy, radius, a0, sweep = row
+            turning = 1 if sweep > 0.0 else -1
+            if role == FREE or (role == BORDER_PIECE and has_radius(radius, r)):
+                if not has_radius(radius, r) or turning != 1:
                     raise ContractViolation(
                         f"edge {i}: role {role!r} requires a CCW arc of radius {r}, "
-                        f"got radius {e.radius} turning {e.turning}"
+                        f"got radius {radius} turning {turning}"
                     )
-                collapse_points.append((i, e.center))
+                collapse_points.append((i, (cx, cy)))
                 if role == FREE:
                     collapsed.append(i)
                 continue
             if role == BORDER_PIECE:
                 raise ValidationError(
                     f"edge {i}: border junction arcs must have curvature 1/r, "
-                    f"got radius {e.radius}"
+                    f"got radius {radius}"
                 )
-            if e.turning == 1 and e.radius <= r * (1.0 + 1e-12):
+            if turning == 1 and radius <= r * (1.0 + 1e-12):
                 raise DegenerateOffsetError(
-                    f"edge {i}: positive-curvature arc of radius {e.radius} "
+                    f"edge {i}: positive-curvature arc of radius {radius} "
                     f"cannot be offset inward by {r}"
                 )
-            new_edges.append(Arc(e.center, e.radius - e.turning * r, e.start_angle, e.signed_sweep))
+            rows.append((cx, cy, radius - turning * r, a0, sweep))
         else:
-            nx, ny = _segment_inner_normal(e)
-            new_edges.append(
-                Segment(
-                    Point(e.start.x + r * nx, e.start.y + r * ny),
-                    Point(e.end.x + r * nx, e.end.y + r * ny),
-                )
-            )
-    if not new_edges:
+            x0, y0, x1, y1 = row
+            dx, dy = x1 - x0, y1 - y0
+            n = math.hypot(dx, dy)
+            nx, ny = -dy / n, dx / n
+            rows.append((x0 + r * nx, y0 + r * ny, x1 + r * nx, y1 + r * ny))
+    if not rows:
         raise DegenerateOffsetError("every edge collapsed; offset curve is empty")
-    curve = ArcCurve(tuple(new_edges), closed=True)
-    return OffsetResult(curve, tuple(collapsed), tuple(collapse_points))
+    return OffsetResult(ArcCurve._from_rows(rows), tuple(collapsed), tuple(collapse_points))
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +578,7 @@ def offset_inner(c: ArcCurve, r: float, roles: Sequence[str]) -> OffsetResult:
 def transform_curve(c: ArcCurve, angle: float = 0.0, dx: float = 0.0,
                     dy: float = 0.0, scale: float = 1.0) -> ArcCurve:
     """Apply rotation by ``angle``, dilation by ``scale`` and then translation (``_transform_rows``)."""
-    rows = _transform_rows(map(edge_row, c.edges), angle, dx, dy, scale)
-    return ArcCurve(tuple(map(_edge_from_row, rows)), c.closed)
+    return ArcCurve._from_rows(_transform_rows(c.rows, angle, dx, dy, scale), c.closed)
 
 
 def _transform_rows(rows, angle: float = 0.0, dx: float = 0.0,

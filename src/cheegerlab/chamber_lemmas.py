@@ -68,13 +68,16 @@ class DiskChain:
     x-axis; ``sector`` chains live between the rays at angles 0 and pi/3 from
     the origin, first disk tangent to the x-axis ray, last disk tangent to the
     other ray.  ``warnings`` collects degenerate but admissible features
-    (touching non-consecutive disks, straight angles).
+    (touching non-consecutive disks, straight angles).  ``validate_chain``
+    keeps its region pass (``_region``) on the chain, for
+    ``chain_region_area`` and ``pocket_outline`` to read.
     """
 
     centers: np.ndarray
     radii: np.ndarray
     flavor: str
     warnings: tuple = field(init=False)
+    _region_pass: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # copies, so freezing them leaves the caller's arrays writable
@@ -183,7 +186,9 @@ def validate_chain(ch: DiskChain):
             raise ValidationError("last disk must be tangent to the last line")
 
     # pocket-side angles at the centers must stay below pi (straight is degenerate)
-    for k, ang in enumerate(_region(centers, radii, ch.flavor)[1]):
+    region = _region(centers, radii, ch.flavor)
+    object.__setattr__(ch, "_region_pass", region)
+    for k, ang in enumerate(region[1]):
         if ang > math.pi - 1e-12:
             if ang > _REFLEX:
                 raise ValidationError(f"pocket angle at disk {k} is not below pi")
@@ -237,11 +242,10 @@ class ChainRegion(NamedTuple):
 def chain_region_area(ch: DiskChain) -> ChainRegion:
     """Exact area of the region enclosed by the chain (and container lines):
     the region polygon's shoelace area minus the disk sector at each center,
-    both from the one float region pass that validation runs."""
-    radii = ch.radii.tolist()
-    twice_area, angles = _region(ch.centers.tolist(), radii, ch.flavor)
+    both from the one float region pass that validation ran and kept."""
+    twice_area, angles = ch._region_pass
     area = 0.5 * abs(twice_area)
-    for ang, r in zip(angles, radii):
+    for ang, r in zip(angles, ch.radii.tolist()):
         area -= 0.5 * ang * r ** 2
     return ChainRegion(area, "decomposition")
 
@@ -280,7 +284,7 @@ def pocket_outline(ch: DiskChain):
     rows, first = _region_rows(centers, radii, ch.flavor)
     disks = [None] * len(rows)
     disks[first:first + ch.m] = range(ch.m)
-    if _region(centers, radii, ch.flavor)[0] < 0.0:  # a chain listed against the construction
+    if ch._region_pass[0] < 0.0:  # a chain listed against the construction
         rows, disks = rows[:1] + rows[:0:-1], disks[:1] + disks[:0:-1]
 
     def contact(k, j):  # where the walk between rows k and j meets the disk of row k
@@ -567,7 +571,7 @@ def run_chain_sweep(flavor: str, count: int, seed: int, m_values=(3, 4, 5, 6)):
         raise ValidationError(f"unknown chain flavor {flavor!r}")
     if count < 0 or seed < 0:
         raise ValidationError(f"chain sweep needs count >= 0 and seed >= 0, got {count} and {seed}")
-    if not m_values:
+    if len(m_values) == 0:  # not `not m_values`, which a numpy array refuses
         raise ValidationError("m_values must not be empty")
     for m in m_values:
         if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 3:

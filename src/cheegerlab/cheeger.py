@@ -25,10 +25,11 @@ and reads only the loop's radius, and its cost split is given
 in ``partition_optimizer``.  ``convex_hull`` and the random fixtures run on
 floats too.  ``random_convex_polygon`` takes its gap test and hull on float
 lists, and ``random_class_a_domain`` carries its edges as ``edge_row`` rows
-through every stage, building the ``Segment`` and ``Arc`` objects once, for
-the domain it returns.  Their scalar draws are ``lo + (hi - lo) *
-rng.random()``, bit for bit ``rng.uniform``, and their outputs are bit for
-bit those of the numpy and object forms kept as test oracles.
+through every stage into the curve of rows it returns; class-A validation,
+the angle sums and the Cheeger set's rounded polygon read and write rows too.
+Their scalar draws are ``lo + (hi - lo) * rng.random()``, bit for bit
+``rng.uniform``, and their outputs are bit for bit those of the numpy and
+object forms kept as test oracles.
 """
 
 from __future__ import annotations
@@ -42,15 +43,12 @@ import numpy as np
 
 from . import jsonio
 from .arc_geometry import (
-    Arc,
     ArcCurve,
     BORDER_PIECE,
     CHAIN_TOL,
     FREE,
     INNER_JUNCTION,
     OffsetResult,
-    Point,
-    Segment,
     curve_from_dict,
     curve_length,
     curve_to_dict,
@@ -60,7 +58,6 @@ from .arc_geometry import (
     _arc_sweep,
     _check_rows,
     _edge_end,
-    _edge_from_row,
     _rows_area,
     _transform_rows,
 )
@@ -354,20 +351,18 @@ class CheegerResult:
 
 
 def _rounded_polygon(core: np.ndarray, r: float):
-    """Minkowski sum of a convex CCW polygon with a radius-r disk, as an ArcCurve."""
+    """Minkowski sum of a convex CCW polygon with a radius-r disk, as an ArcCurve of rows."""
     diffs = _next(core) - core
     lengths = np.hypot(diffs[:, 0], diffs[:, 1])
     normals = (np.column_stack([diffs[:, 1], -diffs[:, 0]]) / lengths[:, None]).tolist()
     pts = core.tolist()
-    edges = []
-    roles = []
+    rows = []
     for (x0, y0), (x1, y1), (nx, ny), (mx, my) in zip(pts, pts[1:] + pts[:1], normals,
                                                       normals[1:] + normals[:1]):
-        edges.append(Segment(Point(x0 + r * nx, y0 + r * ny), Point(x1 + r * nx, y1 + r * ny)))
-        roles.append(BORDER_PIECE)
-        edges.append(Arc.between(Point(x1, y1), r, math.atan2(ny, nx), math.atan2(my, mx), 1))
-        roles.append(FREE)
-    return ArcCurve(tuple(edges), closed=True), tuple(roles)
+        a0 = math.atan2(ny, nx)
+        rows += ((x0 + r * nx, y0 + r * ny, x1 + r * nx, y1 + r * ny),
+                 (x1, y1, r, a0, _arc_sweep(a0, math.atan2(my, mx), 1)))
+    return ArcCurve._from_rows(rows), (BORDER_PIECE, FREE) * len(pts)
 
 
 def _edge_lengths(q: list) -> list:
@@ -474,9 +469,9 @@ class ArcDomain:
         object.__setattr__(self, "roles", tuple(self.roles))
         if not self.boundary.closed:
             raise ValidationError("arc domain boundary must be closed")
-        if len(self.roles) != len(self.boundary.edges):
+        if len(self.roles) != len(self.boundary.rows):
             raise ValidationError(
-                f"{len(self.roles)} roles for {len(self.boundary.edges)} edges"
+                f"{len(self.roles)} roles for {len(self.boundary.rows)} edges"
             )
         for role in self.roles:
             if role not in (FREE, INNER_JUNCTION, BORDER_PIECE):
@@ -537,9 +532,9 @@ def maximal_arcs(d: ArcDomain):
 def class_a_violations(d: ArcDomain):
     """Structural class-A rule check (no offset computation); returns rule ids."""
     violations = []
-    edges, roles = d.boundary.edges, d.roles
+    rows, roles = d.boundary.rows, d.roles
     r, h = d.r, d.h
-    if len(edges) > MAX_EDGES:
+    if len(rows) > MAX_EDGES:
         return ["edge_cap"]
 
     arcs = maximal_arcs(d)
@@ -551,34 +546,23 @@ def class_a_violations(d: ArcDomain):
     if len(kinds) == 1:
         violations.append("alternation")
 
-    for i, (e, role) in enumerate(zip(edges, roles)):
-        if role == FREE:
-            if not isinstance(e, Arc) or e.turning != 1 or not has_radius(e, r):
-                violations.append("free_curvature")
-                break
-    for e, role in zip(edges, roles):
-        if role == INNER_JUNCTION and isinstance(e, Arc):
-            curv = e.turning / e.radius
+    def corner(row):  # a CCW arc of radius r (a row's sweep is never 0)
+        return len(row) == 5 and row[4] > 0.0 and has_radius(row[2], r)
+
+    if not all(corner(row) for row, role in zip(rows, roles) if role == FREE):
+        violations.append("free_curvature")
+    for row, role in zip(rows, roles):
+        if role == INNER_JUNCTION and len(row) == 5:
+            curv = (1 if row[4] > 0.0 else -1) / row[2]
             if curv > h * (1.0 - CHAIN_TOL):
                 violations.append("inner_curvature")
                 break
     for kind, run in arcs:
         if kind != "junction" or roles[run[0]] != BORDER_PIECE:
             continue
-        ok = isinstance(edges[run[0]], Segment) and isinstance(edges[run[-1]], Segment)
-        seg_count = 0
-        for pos, idx in enumerate(run):
-            e = edges[idx]
-            if pos % 2 == 0:
-                if not isinstance(e, Segment):
-                    ok = False
-                else:
-                    seg_count += 1
-            else:
-                if not isinstance(e, Arc) or e.turning != 1 or not has_radius(e, r):
-                    ok = False
-        if seg_count > 3:
-            ok = False
+        # segments at even positions, corner arcs between them, at most 3 segments
+        ok = len(run) % 2 == 1 and len(run) <= 5 and all(
+            len(rows[idx]) == 4 if pos % 2 == 0 else corner(rows[idx]) for pos, idx in enumerate(run))
         if not ok:
             violations.append("border_structure")
             break
@@ -614,15 +598,16 @@ class StructureReport:
 def _angle_sums(d: ArcDomain):
     theta = alpha = beta = 0.0
     r = d.r
-    for e, role in zip(d.boundary.edges, d.roles):
-        if not isinstance(e, Arc):
+    for row, role in zip(d.boundary.rows, d.roles):
+        if len(row) == 4:
             continue
-        if role == FREE or (role == BORDER_PIECE and has_radius(e, r)):
-            theta += e.sweep
-        elif e.turning == -1:
-            alpha += e.sweep
+        sweep = abs(row[4])
+        if role == FREE or (role == BORDER_PIECE and has_radius(row[2], r)):
+            theta += sweep
+        elif row[4] < 0.0:
+            alpha += sweep
         else:
-            beta += e.sweep
+            beta += sweep
     return theta, alpha, beta
 
 
@@ -777,10 +762,11 @@ def random_class_a_domain(seed) -> ArcDomain:
 
     The stages run on ``edge_row`` rows: the polygon is ``_random_ring``'s
     plain vertex list, each stage's curve passes ``_check_rows`` where a curve
-    would be built, and the ``Segment``/``Arc`` objects are built once, for
-    the returned domain.  The numbers are those of one ``rng.uniform`` call
-    per scalar draw: a scalar draw is ``lo + (hi - lo) * rng.random()``, the
-    formula of ``Generator.uniform``, and the four motion draws are one
+    would be built, and the returned boundary is a curve of rows, so no
+    ``Segment`` or ``Arc`` is built.  The numbers are those of one
+    ``rng.uniform`` call per scalar draw: a scalar draw is
+    ``lo + (hi - lo) * rng.random()``, the formula of ``Generator.uniform``,
+    and the four motion draws are one
     ``rng.random(4)``.  Edge lengths come from one ``np.hypot`` call, the C
     library's, which ``math.hypot`` does not always match to the bit.
     """
@@ -837,7 +823,7 @@ def random_class_a_domain(seed) -> ArcDomain:
         lam, angle, dx, dy = rng.random(4).tolist()  # uniform on [0.5, 2), [0, 2 pi), [-3, 3)
         lam = 0.5 + 1.5 * lam
         rows = _transform_rows(rows, TWO_PI * angle, -3.0 + 6.0 * dx, -3.0 + 6.0 * dy, lam)
-        return ArcDomain(ArcCurve(tuple(map(_edge_from_row, rows)), closed=True), roles, 1.0 / lam)
+        return ArcDomain(ArcCurve._from_rows(rows), roles, 1.0 / lam)
     raise ValidationError("random class-A domain generation failed")
 
 

@@ -136,7 +136,7 @@ class Cluster:
             if not (0 <= adj.cell_a < k and 0 <= adj.cell_b < k) or adj.cell_a == adj.cell_b:
                 raise ValidationError(f"bad adjacency cells ({adj.cell_a}, {adj.cell_b})")
             for cell, edge in ((adj.cell_a, adj.edge_a), (adj.cell_b, adj.edge_b)):
-                n = len(self.cells[cell].boundary.edges)
+                n = len(self.cells[cell].boundary.rows)
                 if not 0 <= edge < n:
                     raise ValidationError(f"bad adjacency edge {edge} of cell {cell}, which has {n} edges")
         for bc in self.border_contacts:
@@ -202,14 +202,14 @@ def _sample_boundary(cell: ArcDomain):
     """x and y arrays of BOUNDARY_SAMPLES midpoint samples per edge, in traversal order."""
     t = (np.arange(BOUNDARY_SAMPLES) + 0.5) / BOUNDARY_SAMPLES
     xs, ys = [], []
-    for e in cell.boundary.edges:
-        if isinstance(e, Arc):
-            a = e.start_angle + e.signed_sweep * t
-            xs.append(e.center.x + e.radius * np.cos(a))
-            ys.append(e.center.y + e.radius * np.sin(a))
+    for row in cell.boundary.rows:
+        if len(row) == 5:
+            a = row[3] + row[4] * t
+            xs.append(row[0] + row[2] * np.cos(a))
+            ys.append(row[1] + row[2] * np.sin(a))
         else:
-            xs.append(e.start.x + t * (e.end.x - e.start.x))
-            ys.append(e.start.y + t * (e.end.y - e.start.y))
+            xs.append(row[0] + t * (row[2] - row[0]))
+            ys.append(row[1] + t * (row[3] - row[1]))
     return np.concatenate(xs), np.concatenate(ys)
 
 

@@ -10,9 +10,11 @@ normalized length from below by
 
 with equality for the regular hexagon with its six vertex nodes.
 
-Nodes are located on float rows of the edges, and x_i is the ``edges_area`` of
-a portion and its chord: no curve is built.  ``chord_deficits`` takes ~90 us of
-the ~180 us of inner boundary, nodes and check on a random class-A domain.
+Nodes are located on the curve's rows, the curve is cut into rows, and x_i is
+the ``_rows_area`` of a portion's rows and its chord: no ``Segment``, ``Arc``
+or curve is built.  ``chord_deficits`` takes ~47 us of the ~115 us of inner
+boundary, nodes and check on a random class-A domain (timeit, best of 7 over
+300 domains, Python 3.11 on a shared 2-core x86_64 host).
 """
 
 from __future__ import annotations
@@ -23,19 +25,16 @@ from typing import Optional, Sequence
 
 from .arc_geometry import (
     FREE,
-    Arc,
     ArcCurve,
     OffsetResult,
     Point,
-    Segment,
     curve_length,
     edge_point,
-    edge_row,
-    edges_area,
     has_radius,
     locate_on_edge,
     signed_area,
-    split_edge,
+    _edge_end,
+    _rows_area,
 )
 from .cheeger import ArcDomain
 from .errors import ContractViolation
@@ -89,17 +88,17 @@ def place_nodes(off: OffsetResult, d: ArcDomain) -> NodeSet:
     """
     if not isinstance(off, OffsetResult):
         raise ContractViolation("off must be the OffsetResult of the domain")
-    edges, r = d.boundary.edges, d.r
-    if any(not 0 <= i < len(edges) or d.roles[i] != FREE for i in off.collapsed_indices):
+    rows, r = d.boundary.rows, d.r
+    if any(not 0 <= i < len(rows) or d.roles[i] != FREE for i in off.collapsed_indices):
         raise ContractViolation("a collapsed index does not name a free edge of the domain")
     free = set(off.collapsed_indices)
     nodes = []
     flags = []
     for i, point in off.collapse_points:
-        e = edges[i] if 0 <= i < len(edges) else None
-        if not (isinstance(e, Arc) and e.turning == 1 and has_radius(e, r) and e.center == point):
+        row = rows[i] if 0 <= i < len(rows) else ()
+        if not (len(row) == 5 and row[4] > 0.0 and has_radius(row[2], r) and row[:2] == point):
             raise ContractViolation(f"collapse point {i} is not the center of a radius-r arc of d")
-        nodes.append(point)
+        nodes.append(Point(*point))
         flags.append(i not in free)
     if not nodes:
         raise ContractViolation("domain has no radius-r arcs, so no nodes exist")
@@ -114,13 +113,13 @@ def _node_positions(curve: ArcCurve, nodes: Sequence[Point]):
     tol = curve.tolerance
     reach = 10.0 * tol
     rows = []
-    for e in curve.edges:
-        if isinstance(e, Arc):
-            (cx, cy), r = (e.center.x, e.center.y), e.radius
+    for row in curve.rows:
+        if len(row) == 5:
+            cx, cy, r = row[:3]
             xs, ys = (cx - r, cx + r), (cy - r, cy + r)
         else:
-            xs, ys = (e.start.x, e.end.x), (e.start.y, e.end.y)
-        rows.append((edge_row(e), min(xs) - reach, min(ys) - reach, max(xs) + reach, max(ys) + reach))
+            xs, ys = (row[0], row[2]), (row[1], row[3])
+        rows.append((row, min(xs) - reach, min(ys) - reach, max(xs) + reach, max(ys) + reach))
     positions = []
     for k, node in enumerate(nodes):
         x, y = node.x, node.y
@@ -145,13 +144,18 @@ def _node_positions(curve: ArcCurve, nodes: Sequence[Point]):
 
 
 def _split_at_nodes(curve: ArcCurve, positions):
-    """Edge list with every node at an edge-start vertex; returns (edges, node_at_start)."""
+    """Rows with every node at an edge-start vertex; returns (rows, node_at_start).
+
+    A cut at t splits a segment at ``edge_point(row, t)`` and an arc's sweep
+    into ``sweep - rest`` and ``rest = sweep - sweep*t``, which sum to it
+    exactly, as ``split_edge`` splits the edge objects.
+    """
     by_edge = {}
     for k, (i, t) in enumerate(positions):
         by_edge.setdefault(i, []).append((t, k))
-    edges = []
+    rows = []
     starts = []
-    for i, e in enumerate(curve.edges):
+    for i, row in enumerate(curve.rows):
         events = sorted(by_edge.get(i, []))
         head = None
         interior = []
@@ -162,19 +166,25 @@ def _split_at_nodes(curve: ArcCurve, positions):
                 head = k
             else:
                 interior.append((t, k))
-        pieces = [(e, head)]
+        rows.append(row)
+        starts.append(head)
         done = 0.0
         for t, k in interior:
-            cur, label = pieces.pop()
+            cur = rows.pop()
             local = (t - done) / (1.0 - done)
-            first, second = split_edge(cur, local)
-            pieces.append((first, label))
-            pieces.append((second, k))
+            if not 0.0 < local < 1.0:
+                raise ContractViolation(f"split parameter must be interior, got {local}")
+            if len(cur) == 4:
+                mx, my = edge_point(cur, local)
+                rows += (cur[0], cur[1], mx, my), (mx, my, cur[2], cur[3])
+            else:
+                cx, cy, r, a0, sweep = cur
+                rest = sweep - sweep * local
+                first = sweep - rest
+                rows += (cx, cy, r, a0, first), (cx, cy, r, a0 + first, rest)
+            starts.append(k)
             done = t
-        for piece, label in pieces:
-            edges.append(piece)
-            starts.append(label)
-    return edges, starts
+    return rows, starts
 
 
 def chord_deficits(gamma_r: ArcCurve, nodes: NodeSet, clamp_bound: Optional[float] = None) -> DeficitReport:
@@ -189,15 +199,15 @@ def chord_deficits(gamma_r: ArcCurve, nodes: NodeSet, clamp_bound: Optional[floa
     if not gamma_r.closed:
         raise ContractViolation("chord_deficits requires a closed curve")
     positions = _node_positions(gamma_r, nodes.nodes)
-    edges, starts = _split_at_nodes(gamma_r, positions)
+    rows, starts = _split_at_nodes(gamma_r, positions)
     cuts = [i for i, k in enumerate(starts) if k is not None]
     order = [starts[i] for i in cuts]
     n = len(nodes)
     if order != [(order[0] + j) % n for j in range(n)]:
         raise ContractViolation("nodes are not in cyclic order along the curve")
     # portion j of the walk runs from the j-th node along the curve to the next
-    loop = edges + edges
-    portions = [loop[a:b] for a, b in zip(cuts, cuts[1:] + [cuts[0] + len(edges)])]
+    loop = rows + rows
+    portions = [loop[a:b] for a, b in zip(cuts, cuts[1:] + [cuts[0] + len(rows)])]
 
     if clamp_bound is None:
         clamp_bound = abs(signed_area(gamma_r))
@@ -206,11 +216,11 @@ def chord_deficits(gamma_r: ArcCurve, nodes: NodeSet, clamp_bound: Optional[floa
     tol = gamma_r.tolerance
     xs = []
     for portion in portions:
-        a = portion[0].start
-        b = portion[-1].end
-        if b.distance_to(a) > tol:
-            portion.append(Segment(b, a))
-        xs.append(edges_area(portion))
+        ax, ay = _edge_end(portion[0], 0.0)
+        bx, by = _edge_end(portion[-1], 1.0)
+        if math.hypot(bx - ax, by - ay) > tol:
+            portion.append((bx, by, ax, ay))
+        xs.append(_rows_area(portion))
     # portion j of the walk ends at walk node j+1; x_i is indexed by the node
     # the portion ends at, so rotate back to the node numbering
     rot = (order[0] + 1) % n

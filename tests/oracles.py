@@ -19,9 +19,11 @@ closed-form Cheeger oracles are the polygon validation and the Cheeger solve on 
 oracle is the rejection sampler and chain validator on numpy 2-vectors, with
 the region polygon oriented by ``np.roll`` shoelace sums; the exact chain-area
 oracle sums the shoelace in ``fractions`` and the pocket angles in 50-digit
-``mpmath``; the chord-deficit
-oracle locates every node on every edge through ``Point`` objects and builds
-each portion with its chord into a validated ``ArcCurve`` for its area; the
+``mpmath``; the inner-offset and class-A oracles walk a curve's ``Segment``
+and ``Arc`` objects, building a new object per offset edge; the chord-deficit
+oracle locates every node on every edge through ``Point`` objects, cuts the
+edge objects with ``split_edge`` and builds each portion with its chord
+``Segment`` into a validated ``ArcCurve`` for its area; the
 overlap oracle makes one distance and one winding call per meeting pair of
 cells; the curve-gap oracle measures every gap between ``Point`` endpoints;
 the class-A fixture oracles build hulls from ``np.unique`` rows, bow edges
@@ -37,6 +39,7 @@ import mpmath
 import numpy as np
 
 from cheegerlab.arc_geometry import (
+    BORDER_PIECE,
     CHAIN_TOL,
     FREE,
     INNER_JUNCTION,
@@ -46,6 +49,7 @@ from cheegerlab.arc_geometry import (
     Segment,
     curve_distances,
     signed_area,
+    split_edge,
     winding_numbers,
 )
 from cheegerlab.chamber_lemmas import (
@@ -59,19 +63,22 @@ from cheegerlab.chamber_lemmas import (
     reference_areas,
 )
 from cheegerlab.cheeger import (
+    MAX_EDGES,
     ArcDomain,
     CheegerResult,
     ConvexPolygon,
     inner_parallel_polygon,
+    maximal_arcs,
 )
 from cheegerlab.cluster import _sample_boundary
 from cheegerlab.errors import (
     ContractViolation,
+    DegenerateOffsetError,
     DegenerateConfigurationError,
     GenerationError,
     ValidationError,
 )
-from cheegerlab.hales_deficit import DeficitReport, _split_at_nodes
+from cheegerlab.hales_deficit import DeficitReport
 from cheegerlab.partition_optimizer import _STOP_SLACK
 
 TWO_PI = 2.0 * math.pi
@@ -836,6 +843,84 @@ def random_chain_reference(flavor: str, m: int, seed) -> ReferenceChain:
 
 
 # ---------------------------------------------------------------------------
+# The inner offset and the class-A rules on edge objects.
+
+def _is_corner_arc(e, r: float) -> bool:
+    # a CCW arc whose radius is r to CHAIN_TOL relative
+    return isinstance(e, Arc) and e.turning == 1 and abs(e.radius - r) <= CHAIN_TOL * r
+
+
+def offset_inner_reference(c: ArcCurve, r: float, roles):
+    """``offset_inner`` on edge objects: (edges, collapsed indices, ((index, Point), ...)).
+
+    Each offset edge is a new ``Segment`` (translated along the inner normal
+    of its ``Point`` ends) or ``Arc``; the curve is not built, so its gaps
+    are left to the caller.  Roles are assumed valid.
+    """
+    edges, collapsed, points = [], [], []
+    for i, (e, role) in enumerate(zip(c.edges, roles)):
+        if isinstance(e, Segment):
+            dx, dy = e.end.x - e.start.x, e.end.y - e.start.y
+            n = math.hypot(dx, dy)
+            nx, ny = -dy / n, dx / n
+            edges.append(Segment(Point(e.start.x + r * nx, e.start.y + r * ny),
+                                 Point(e.end.x + r * nx, e.end.y + r * ny)))
+        elif role == FREE or (role == BORDER_PIECE and abs(e.radius - r) <= CHAIN_TOL * r):
+            if not _is_corner_arc(e, r):
+                raise ContractViolation(
+                    f"edge {i}: role {role!r} requires a CCW arc of radius {r}, "
+                    f"got radius {e.radius} turning {e.turning}")
+            points.append((i, e.center))
+            if role == FREE:
+                collapsed.append(i)
+        elif role == BORDER_PIECE:
+            raise ValidationError(f"edge {i}: border junction arcs must have curvature 1/r, "
+                                  f"got radius {e.radius}")
+        elif e.turning == 1 and e.radius <= r * (1.0 + 1e-12):
+            raise DegenerateOffsetError(f"edge {i}: positive-curvature arc of radius {e.radius} "
+                                        f"cannot be offset inward by {r}")
+        else:
+            edges.append(Arc(e.center, e.radius - e.turning * r, e.start_angle, e.signed_sweep))
+    if not edges:
+        raise DegenerateOffsetError("every edge collapsed; offset curve is empty")
+    return tuple(edges), tuple(collapsed), tuple(points)
+
+
+def class_a_violations_reference(d: ArcDomain):
+    """``class_a_violations`` on the boundary's edge objects, rule by rule."""
+    edges, roles, r, h = d.boundary.edges, d.roles, d.r, d.h
+    if len(edges) > MAX_EDGES:
+        return ["edge_cap"]
+    violations = []
+    arcs = maximal_arcs(d)
+    kinds = [kind for kind, _ in arcs]
+    if len(arcs) % 2:
+        violations.append("even_arc_count")
+    if len(kinds) == 1 or any(kinds[i] == kinds[(i + 1) % len(kinds)] for i in range(len(kinds))):
+        violations.append("alternation")
+    if any(role == FREE and not _is_corner_arc(e, r) for e, role in zip(edges, roles)):
+        violations.append("free_curvature")
+    if any(role == INNER_JUNCTION and isinstance(e, Arc) and e.turning / e.radius > h * (1.0 - CHAIN_TOL)
+           for e, role in zip(edges, roles)):
+        violations.append("inner_curvature")
+    for kind, run in arcs:
+        if kind != "junction" or roles[run[0]] != BORDER_PIECE:
+            continue
+        segments = [edges[i] for i in run[::2]]
+        corners = [edges[i] for i in run[1::2]]
+        if not (all(isinstance(e, Segment) for e in segments) and len(segments) <= 3
+                and isinstance(edges[run[-1]], Segment)
+                and all(_is_corner_arc(e, r) for e in corners)):
+            violations.append("border_structure")
+            break
+    per = sum(e.length for e in edges)
+    area = signed_area(ArcCurve(edges, True))
+    if area <= 0.0 or abs(h - per / area) > 1e-8 * h:
+        violations.append("self_cheeger_ratio")
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Hales chord deficits and the cluster overlap check on Point objects.
 
 def _locate_on_edge_reference(q: Point, e, tol: float):
@@ -885,12 +970,36 @@ def _node_positions_reference(curve: ArcCurve, nodes):
     return positions
 
 
+def _split_at_nodes_reference(curve: ArcCurve, positions):
+    """The curve's edge objects cut by ``split_edge`` so every node starts an edge; (edges, node_at_start)."""
+    edges, starts = [], []
+    for i, e in enumerate(curve.edges):
+        cuts = sorted((t, k) for k, (j, t) in enumerate(positions) if j == i)
+        label = None
+        if cuts and cuts[0][0] == 0.0:
+            label = cuts.pop(0)[1]
+        if cuts and cuts[0][0] == 0.0:
+            raise ContractViolation("two nodes coincide on the curve")
+        done = 0.0
+        for t, k in cuts:
+            first, e = split_edge(e, (t - done) / (1.0 - done))
+            edges.append(first)
+            starts.append(label)
+            label, done = k, t
+        edges.append(e)
+        starts.append(label)
+    return edges, starts
+
+
 def chord_deficits_reference(gamma_r: ArcCurve, nodes, clamp_bound=None) -> DeficitReport:
-    """``chord_deficits`` with every portion and its chord built into a validated ArcCurve."""
+    """``chord_deficits`` on edge objects: every node located on every edge
+    through ``Point`` objects, the edges cut with ``split_edge``, and each
+    portion with its chord ``Segment`` built into a validated ``ArcCurve``
+    for its area."""
     if not gamma_r.closed:
         raise ContractViolation("chord_deficits requires a closed curve")
     positions = _node_positions_reference(gamma_r, nodes.nodes)
-    edges, starts = _split_at_nodes(gamma_r, positions)
+    edges, starts = _split_at_nodes_reference(gamma_r, positions)
     order = [k for k in starts if k is not None]
     n = len(nodes)
     if len(order) != n:

@@ -77,6 +77,24 @@ class TestReferenceAreas:
 
 
 class TestChainRegionArea:
+    def test_one_region_pass_per_chain(self, monkeypatch):
+        # validation's region pass is kept on the chain: the area, the bound
+        # and the outline read it and run no pass of their own
+        chains = [random_chain(flavor, 4, seed=[3, i])
+                  for i, flavor in enumerate(("closed", "half_plane", "sector"))]
+        want = [(chain_region_area(ch), jsonio.dumps(curve_to_dict(pocket_outline(ch))))
+                for ch in chains]
+        calls = []
+        region = chamber_lemmas._region
+        monkeypatch.setattr(chamber_lemmas, "_region", lambda *a: calls.append(a) or region(*a))
+        got = [(chain_region_area(ch), jsonio.dumps(curve_to_dict(pocket_outline(ch))))
+               for ch in chains]
+        for ch in chains:
+            verify_chain_bound(ch)
+        assert got == want and not calls
+        rebuilt = DiskChain(chains[0].centers, chains[0].radii, chains[0].flavor)
+        assert len(calls) == 1 and chain_region_area(rebuilt) == want[0][0]
+
     def test_three_tangent_unit_disks(self):
         rep = chain_region_area(triangle_chain())
         delta, _, _ = reference_areas(1.0)
@@ -323,6 +341,14 @@ class TestVerifyChainBound:
     def test_sweep_arguments_rejected_before_any_chain(self, flavor, count, m_values, message):
         with pytest.raises(ValidationError, match=message):
             run_chain_sweep(flavor, count, 0, m_values=m_values)
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_sweep_takes_a_numpy_array_of_m_values(self, count):
+        got = run_chain_sweep("closed", count, 7, m_values=np.array([3, 4]))
+        assert got == run_chain_sweep("closed", count, 7, m_values=[3, 4])
+        assert len(got[0]) == count
+        with pytest.raises(ValidationError, match="^m_values must not be empty$"):
+            run_chain_sweep("closed", count, 7, m_values=np.array([], dtype=int))
 
 
 class TestRandomChain:

@@ -35,6 +35,7 @@ from cheegerlab.cheeger import (
     structure_report,
 )
 from cheegerlab.errors import ValidationError
+from cheegerlab.hales_deficit import hales_check, place_nodes
 from cheegerlab.partition_optimizer import SeedConfiguration, hex_lattice_seeds, power_diagram_cells
 from oracles import (
     cheeger_convex_reference,
@@ -364,20 +365,39 @@ class TestRandomDomains:
         assert rep.is_class_A, rep.violations
 
     def test_one_curve_built_per_domain(self, monkeypatch):
-        # the inner curve, its rescale and the fattened domain are checked as
-        # float rows; the returned boundary is the only ArcCurve constructed
-        built = []
-        post_init = ArcCurve.__post_init__
+        # a domain is drawn, checked, offset and put through Hales on float
+        # rows: the returned boundary is the only ArcCurve constructed while
+        # drawing, and no Point, Segment or Arc is built except the one Point
+        # per node that place_nodes returns.  A curve's edge objects are built
+        # the first time .edges is read, and kept.
+        curves, built = [], []
+        store = ArcCurve._store
 
-        def counting(curve):
-            built.append(curve)
-            post_init(curve)
+        def counting_store(curve, rows, closed):
+            curves.append(curve)
+            store(curve, rows, closed)
 
-        monkeypatch.setattr(ArcCurve, "__post_init__", counting)
+        monkeypatch.setattr(ArcCurve, "_store", counting_store)
+        for cls in (Point, Segment, Arc):
+            def counting(obj, post_init=cls.__post_init__):
+                built.append(obj)
+                post_init(obj)
+            monkeypatch.setattr(cls, "__post_init__", counting)
         for seed in (0, 1, 5, 42, [2, 0, 374]):
-            built.clear()
+            curves.clear()
             d = random_class_a_domain(seed)
-            assert len(built) == 1 and built[0] is d.boundary, seed
+            assert len(curves) == 1 and curves[0] is d.boundary, seed
+            rep = structure_report(d)
+            assert rep.is_class_A and not built, seed
+            nodes = place_nodes(rep.offset, d)
+            assert built == list(nodes.nodes), seed
+            built.clear()
+            hales_check(rep.offset.curve, nodes, d.r)
+            assert not built, seed
+            edges = d.boundary.edges
+            assert len(built) == len(edges) + sum(2 if isinstance(e, Segment) else 1 for e in edges)
+            built.clear()
+            assert d.boundary.edges is edges and not built, seed
 
     def test_vertex_count_range(self):
         rng = np.random.default_rng(0)

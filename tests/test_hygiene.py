@@ -86,8 +86,8 @@ def test_no_floored_tolerance():
 
 
 def _is_radius_test(node) -> bool:
-    # abs(<arc>.radius - r), either way round: an arc's radius against the
-    # domain radius r (a name r or an attribute .r)
+    # abs(<arc>.radius - r) or abs(radius - r), either way round: an arc's
+    # radius against the domain radius r (a name r or an attribute .r)
     if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "abs"
             and len(node.args) == 1 and isinstance(node.args[0], ast.BinOp)
             and isinstance(node.args[0].op, ast.Sub)):
@@ -99,7 +99,8 @@ def _is_radius_test(node) -> bool:
                 or isinstance(side, ast.Attribute) and side.attr == "r")
 
     def is_radius(side):
-        return isinstance(side, ast.Attribute) and side.attr == "radius"
+        return (isinstance(side, ast.Attribute) and side.attr == "radius"
+                or isinstance(side, ast.Name) and side.id == "radius")
 
     return is_radius(diff.left) and is_r(diff.right) or is_r(diff.left) and is_radius(diff.right)
 
