@@ -13,8 +13,8 @@ diagonal of the curve's bounding box.
 ``Arc`` constructors run it on their own row, and ``ArcCurve`` on all of them
 once, keeping the rows it checked.  ``ArcCurve._from_rows`` builds a curve
 from rows, and its ``Segment``/``Arc`` objects (``ArcCurve.edges``) are built
-the first time they are read, so the offset, Hales and class-A paths build
-none.
+the first time they are read, so the offset, Hales, class-A and JSON paths
+build none.
 
 Angle convention for arcs: ``(start_angle, signed_sweep)``, where the arc runs
 from ``start_angle`` to ``start_angle + signed_sweep`` and ``0 < |signed_sweep|
@@ -285,7 +285,10 @@ class ArcCurve:
         return _tolerance(self.bbox)
 
     def reversed(self) -> "ArcCurve":
-        return ArcCurve(tuple(e.reversed() for e in reversed(self.edges)), self.closed)
+        """The curve run backwards, each row reversed as ``Segment.reversed`` or ``Arc.reversed`` would."""
+        rows = tuple((r[2], r[3], r[0], r[1]) if len(r) == 4 else (r[0], r[1], r[2], r[3] + r[4] * 1.0, -r[4])
+                     for r in reversed(self.rows))
+        return ArcCurve._from_rows(rows, self.closed)
 
 
 def curve_length(c: ArcCurve) -> float:
@@ -650,47 +653,33 @@ def split_edge(e: Edge, t: float):
 # ---------------------------------------------------------------------------
 # JSON encoding: {"closed": bool, "edges": [{"kind": "arc", ...} | {"kind": "seg", ...}]}
 
-def edge_to_dict(e: Edge) -> dict:
-    if isinstance(e, Arc):
-        return {
-            "kind": "arc",
-            "cx": e.center.x,
-            "cy": e.center.y,
-            "r": e.radius,
-            "a0": e.start_angle,
-            "sweep": e.signed_sweep,
-        }
-    return {
-        "kind": "seg",
-        "x0": e.start.x,
-        "y0": e.start.y,
-        "x1": e.end.x,
-        "y1": e.end.y,
-    }
+#: the number keys of an edge object, after "kind", in ``edge_row`` order
+_EDGE_KEYS = {"seg": ("x0", "y0", "x1", "y1"), "arc": ("cx", "cy", "r", "a0", "sweep")}
 
 
-def edge_from_dict(d: dict) -> Edge:
+def _row_to_dict(row: tuple) -> dict:
+    kind = "seg" if len(row) == 4 else "arc"
+    return {"kind": kind, **dict(zip(_EDGE_KEYS[kind], row))}
+
+
+def _row_from_dict(d: dict) -> tuple:
+    """The ``edge_row`` of an edge object, its keys and numbers checked but not its geometry."""
     kind = d.get("kind")
-    if kind == "arc":
-        jsonio.require_keys(d, ["kind", "cx", "cy", "r", "a0", "sweep"])
-        cx, cy, r, a0, sweep = (jsonio.number(d[k], k) for k in ("cx", "cy", "r", "a0", "sweep"))
-        return Arc(Point(cx, cy), r, a0, sweep)
-    if kind == "seg":
-        jsonio.require_keys(d, ["kind", "x0", "y0", "x1", "y1"])
-        x0, y0, x1, y1 = (jsonio.number(d[k], k) for k in ("x0", "y0", "x1", "y1"))
-        return Segment(Point(x0, y0), Point(x1, y1))
-    raise ValidationError(f"unknown edge kind {kind!r}")
+    if kind not in ("seg", "arc"):  # not `in _EDGE_KEYS`, which an unhashable kind would break
+        raise ValidationError(f"unknown edge kind {kind!r}")
+    jsonio.require_keys(d, ["kind", *_EDGE_KEYS[kind]])
+    return tuple(jsonio.number(d[k], k) for k in _EDGE_KEYS[kind])
 
 
 def curve_to_dict(c: ArcCurve) -> dict:
-    return {"closed": c.closed, "edges": [edge_to_dict(e) for e in c.edges]}
+    return {"closed": c.closed, "edges": [_row_to_dict(row) for row in c.rows]}
 
 
 def curve_from_dict(d: dict) -> ArcCurve:
     try:
         jsonio.require_keys(d, ["closed", "edges"])
-        edges = tuple(edge_from_dict(e) for e in d["edges"])
-        return ArcCurve(edges, jsonio.boolean(d["closed"], "closed"))
+        rows = tuple(_row_from_dict(e) for e in d["edges"])
+        return ArcCurve._from_rows(rows, jsonio.boolean(d["closed"], "closed"))
     except (AttributeError, TypeError) as exc:  # a non-object edge or a mistyped value
         raise ValidationError(f"malformed curve object: {exc}") from exc
 
@@ -700,4 +689,4 @@ def curve_from_dict(d: dict) -> ArcCurve:
 
 def full_circle(center: Point, radius: float, ccw: bool = True) -> ArcCurve:
     turning = 1 if ccw else -1
-    return ArcCurve((Arc(center, radius, 0.0, TWO_PI * turning),), closed=True)
+    return ArcCurve._from_rows(((center.x, center.y, radius, 0.0, TWO_PI * turning),), closed=True)

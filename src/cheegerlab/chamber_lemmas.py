@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import jsonio
-from .arc_geometry import CHAIN_TOL, Arc, ArcCurve, Point, Segment
+from .arc_geometry import CHAIN_TOL, ArcCurve, _arc_sweep
 from .errors import GenerationError, ValidationError
 
 SQRT3 = math.sqrt(3.0)
@@ -292,7 +292,7 @@ def pocket_outline(ch: DiskChain):
             return rows[j]
         (cx, cy), r = rows[k], radii[disks[k]]
         dx, dy = rows[j][0] - cx, rows[j][1] - cy
-        d = float(np.hypot(dx, dy))  # np.hypot, as for _circle_intersections
+        d = math.hypot(dx, dy)
         return cx + r * dx / d, cy + r * dy / d
 
     n = len(rows)
@@ -301,11 +301,11 @@ def pocket_outline(ch: DiskChain):
         nxt = (k + 1) % n
         if disks[k] is not None:
             (cx, cy), (ex, ey), (lx, ly) = rows[k], contact(k, k - 1), contact(k, nxt)
-            edges.append(Arc.between(Point(cx, cy), radii[disks[k]], math.atan2(ey - cy, ex - cx),
-                                     math.atan2(ly - cy, lx - cx), -1))
+            a0 = math.atan2(ey - cy, ex - cx)
+            edges.append((cx, cy, radii[disks[k]], a0, _arc_sweep(a0, math.atan2(ly - cy, lx - cx), -1)))
         elif disks[nxt] is None:
-            edges.append(Segment(Point(*rows[k]), Point(*rows[nxt])))
-    return ArcCurve(tuple(edges), closed=True)
+            edges.append((*rows[k], *rows[nxt]))
+    return ArcCurve._from_rows(edges, closed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +392,21 @@ def phi(variant: str, t: float, aux: Optional[float] = None) -> float:
 # ---------------------------------------------------------------------------
 # Random chain generator (rejection sampling within the lemma hypotheses).
 #
-# Every draw of the sampler is one uniform double of the generator, scaled as
-# Generator.uniform scales it, so reading the stream in blocks gives the same
-# doubles in the same order as one rng.uniform call per draw.  A candidate
-# with a reflex pocket angle is rejected on its float pairs before a DiskChain
-# is built; validate_chain would raise on exactly those.  Every chain that is
-# built is still validated once, in full.
+# Plain floats throughout, on uniform doubles read from one generator in
+# blocks.  A candidate with a reflex pocket angle (on which validate_chain
+# would raise) is rejected on its float pairs before a DiskChain is built;
+# every chain that is built is validated once, in full.
 
 _ATTEMPTS = 4000
 _RADIUS_RANGE = (0.6, 1.5)
 _BLOCK = 256
+_MIN_DISKS = 3
+
+
+def _check_integer(value, least: int, what: str):
+    """Raise ValidationError unless value is an integer (a bool is not) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{what} >= {least}, got {value!r}")
 
 
 class _Draws:
@@ -437,7 +442,7 @@ def _step(center, length: float, heading: float):
 
 def _circle_intersections(c0, r0, c1, r1):
     dx, dy = c1[0] - c0[0], c1[1] - c0[1]
-    d = float(np.hypot(dx, dy))  # np.hypot: math.hypot differs in the last bit for some inputs
+    d = math.hypot(dx, dy)
     if d > r0 + r1 or d < abs(r0 - r1) or d == 0.0:
         return []
     a = (r0 * r0 - r1 * r1 + d * d) / (2.0 * d)
@@ -451,10 +456,7 @@ def _circle_intersections(c0, r0, c1, r1):
 
 
 def _build(centers, r, flavor):
-    """The DiskChain on these centers, or None where validate_chain rejects it.
-
-    A reflex pocket is rejected on the float pairs, before a DiskChain is built.
-    """
+    """The DiskChain on these centers, or None where validate_chain rejects it."""
     if any(ang > _REFLEX for ang in _region(centers, r, flavor)[1]):
         return None
     try:
@@ -504,8 +506,7 @@ def _try_chain(draws: _Draws, flavor: str, m: int):
     # sector: wrap nearly circularly around the apex, from the x-axis ray to the
     # pi/3 ray; the polar radius must roughly match chain length * 3 / pi for
     # the last disk to land tangent on the second ray
-    # numpy's pairwise sum: a float loop differs from it for m >= 8, and start_x is stored
-    chain_arc = 2.0 * float(np.array(r).sum()) - r[0] - r[-1]
+    chain_arc = 2.0 * sum(r) - r[0] - r[-1]
     start_x = max(chain_arc * draws(0.9, 1.4), 1.02 * SQRT3 * r[0])
     centers = [(start_x, r[0])]
     for i in range(1, m - 1):
@@ -519,9 +520,9 @@ def _try_chain(draws: _Draws, flavor: str, m: int):
     x, y = centers[-1]
     bx, by = r[-1] * _RAY_NORMAL[0], r[-1] * _RAY_NORMAL[1]
     # solve |base + t d2 - prev| = radii[-2] + radii[-1], base = (bx, by), d2 the ray direction
-    diff = np.array([bx - x, by - y])
-    b = float(np.array(_RAY_DIRECTION) @ diff)  # numpy's dot: a0*b0 + a1*b1 differs in the last bit
-    c0 = float(diff @ diff) - (r[-2] + r[-1]) ** 2  # numpy's dot, as for b
+    dx, dy = bx - x, by - y
+    b = _RAY_DIRECTION[0] * dx + _RAY_DIRECTION[1] * dy
+    c0 = dx * dx + dy * dy - (r[-2] + r[-1]) ** 2
     disc = b * b - c0
     if disc <= 0.0:
         return None
@@ -539,16 +540,14 @@ def random_chain(flavor: str, m: int, seed) -> DiskChain:
     """Deterministic random chain satisfying the lemma hypotheses (rejection sampling).
 
     Radii are drawn uniformly from ``_RADIUS_RANGE``.  All draws come from
-    ``np.random.default_rng(seed)`` through one buffered ``_Draws`` stream:
-    the same doubles in the same order as one ``rng.uniform`` call per draw,
-    so the chains are those of unbuffered sampling bit for bit.  Candidates
-    with a reflex pocket angle are rejected before a ``DiskChain`` is built;
-    every chain that is built is validated once, in full.
+    ``np.random.default_rng(seed)`` through one buffered ``_Draws`` stream.
+    Candidates with a reflex pocket angle are rejected before a ``DiskChain``
+    is built; every chain that is built is validated once, in full.  A disk
+    count m that is not an integer of at least 3 raises ValidationError.
     """
     if flavor not in FLAVORS:
         raise ValidationError(f"unknown chain flavor {flavor!r}")
-    if m < 3:
-        raise ValidationError(f"need at least 3 disks, got {m}")
+    _check_integer(m, _MIN_DISKS, "a random chain's disk count m must be an integer")
     draws = _Draws(np.random.default_rng(seed))
     for _ in range(_ATTEMPTS):
         chain = _try_chain(draws, flavor, m)
@@ -563,19 +562,18 @@ def run_chain_sweep(flavor: str, count: int, seed: int, m_values=(3, 4, 5, 6)):
     Chain i has m = m_values[i % len(m_values)] disks and is drawn from the seed
     [seed, i].  Returns (records, violations): one record per chain with the
     bound report, and the records whose bound fails.  An unknown flavor, a
-    negative count or seed, an empty ``m_values`` and an entry that is not an
-    integer of at least 3 raise ValidationError before any chain is drawn,
-    even when count is 0.
+    count or seed that is not a non-negative integer, an empty ``m_values``
+    and an entry that is not an integer of at least 3 raise ValidationError
+    before any chain is drawn, even when count is 0.
     """
     if flavor not in FLAVORS:
         raise ValidationError(f"unknown chain flavor {flavor!r}")
-    if count < 0 or seed < 0:
-        raise ValidationError(f"chain sweep needs count >= 0 and seed >= 0, got {count} and {seed}")
+    _check_integer(count, 0, "the chain sweep count must be an integer")
+    _check_integer(seed, 0, "the chain sweep seed must be an integer")
     if len(m_values) == 0:  # not `not m_values`, which a numpy array refuses
         raise ValidationError("m_values must not be empty")
     for m in m_values:
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 3:
-            raise ValidationError(f"m_values entries must be integers >= 3, got {m!r}")
+        _check_integer(m, _MIN_DISKS, "m_values entries must be integers")
     records = []
     violations = []
     for i in range(count):

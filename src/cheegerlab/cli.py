@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import jsonio
-from .arc_geometry import Arc, ArcCurve, Point, Segment, curve_from_dict, curve_to_dict
+from .arc_geometry import Arc, ArcCurve, Segment, curve_from_dict, curve_to_dict
 from .chamber_lemmas import (
     chain_from_dict,
     pocket_outline,
@@ -233,9 +233,8 @@ def _curve_path(c: ArcCurve) -> str:
 
 
 def _polygon_curve(vertices) -> ArcCurve:
-    pts = [Point(float(x), float(y)) for x, y in vertices]
-    edges = [Segment(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
-    return ArcCurve(tuple(edges), closed=True)
+    pts = [(float(x), float(y)) for x, y in vertices]
+    return ArcCurve._from_rows([(*pts[i], *pts[(i + 1) % len(pts)]) for i in range(len(pts))], closed=True)
 
 
 #: the keys that name an artifact's kind, in the order render_svg reads them

@@ -29,7 +29,6 @@ from .arc_geometry import (
     ArcCurve,
     BORDER_PIECE,
     INNER_JUNCTION,
-    Point,
     Segment,
     _distances,
     _edge_columns,
@@ -390,13 +389,14 @@ _EDGE_OFFSETS = _AXIAL_OFFSETS[1:] + _AXIAL_OFFSETS[:1]
 
 
 def _hexagon_edges(center, side):
+    """The ``edge_row`` rows of a regular hexagon's six sides, and its six vertices."""
     cx, cy = center
     verts = [
-        Point(cx + side * math.cos(math.pi / 6 + j * math.pi / 3),
-              cy + side * math.sin(math.pi / 6 + j * math.pi / 3))
+        (cx + side * math.cos(math.pi / 6 + j * math.pi / 3),
+         cy + side * math.sin(math.pi / 6 + j * math.pi / 3))
         for j in range(6)
     ]
-    return [Segment(verts[j], verts[(j + 1) % 6]) for j in range(6)], verts
+    return [(*verts[j], *verts[(j + 1) % 6]) for j in range(6)], verts
 
 
 def honeycomb_kcell(coords: Sequence, unit_hexagon: bool = True) -> Cluster:
@@ -441,8 +441,8 @@ def honeycomb_kcell(coords: Sequence, unit_hexagon: bool = True) -> Cluster:
         edges, verts = _hexagon_edges((i * spacing + t * vx, t * vy), side)
         roles = [INNER_JUNCTION if (i + di, t + dt) in index else BORDER_PIECE
                  for di, dt in _EDGE_OFFSETS]
-        cells.append(ArcDomain(ArcCurve(tuple(edges), closed=True), tuple(roles), h_hex))
-        all_vertices.extend([(p.x, p.y) for p in verts])
+        cells.append(ArcDomain(ArcCurve._from_rows(edges, closed=True), tuple(roles), h_hex))
+        all_vertices.extend(verts)
 
     adjacency = []
     for c, j_cell in index.items():

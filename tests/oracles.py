@@ -15,10 +15,10 @@ before validating it; the power-ring table oracle stacks every chosen site's
 half-plane rows into one numpy table before clipping, with an inside-list
 clip kernel; the
 centroid oracle sums cross products with numpy; the convex-polygon and
-closed-form Cheeger oracles are the polygon validation and the Cheeger solve on numpy vertex arrays, with ``np.dot`` shoelace sums; the chain-generation
-oracle is the rejection sampler and chain validator on numpy 2-vectors, with
-the region polygon oriented by ``np.roll`` shoelace sums; the exact chain-area
-oracle sums the shoelace in ``fractions`` and the pocket angles in 50-digit
+closed-form Cheeger oracles are the polygon validation and the Cheeger solve on numpy vertex arrays, with ``np.dot`` shoelace sums; the chain oracle is
+the chain validator on numpy 2-vectors, with the region polygon oriented by
+``np.roll`` shoelace sums; the exact chain-area
+oracle sums the shoelace in integers and the pocket angles in 50-digit
 ``mpmath``; the inner-offset and class-A oracles walk a curve's ``Segment``
 and ``Arc`` objects, building a new object per offset edge; the chord-deficit
 oracle locates every node on every edge through ``Point`` objects, cuts the
@@ -32,7 +32,6 @@ stage of a domain as a validated ``ArcCurve`` of edge objects.
 """
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
@@ -57,10 +56,8 @@ from cheegerlab.chamber_lemmas import (
     HALF_PLANE,
     SECTOR,
     SECTOR_OPENING,
-    SQRT3,
     DiskChain,
     _feet,
-    reference_areas,
 )
 from cheegerlab.cheeger import (
     MAX_EDGES,
@@ -75,7 +72,6 @@ from cheegerlab.errors import (
     ContractViolation,
     DegenerateOffsetError,
     DegenerateConfigurationError,
-    GenerationError,
     ValidationError,
 )
 from cheegerlab.hales_deficit import DeficitReport
@@ -635,26 +631,30 @@ def pocket_angles_reference(centers, radii, flavor: str):
 
 
 def chain_area_exact(centers, radii, flavor: str) -> float:
-    """The chain region's area on its float region polygon, rounded once: a
-    ``fractions`` shoelace over the vertices and 50-digit ``mpmath`` angles at
-    the centers, from exact vertex differences."""
+    """The chain region's area on its float region polygon, rounded once: an
+    integer shoelace over the vertices, each float written as an integer over
+    one common power of two, and 50-digit ``mpmath`` angles at the centers,
+    from exact vertex differences."""
     radii = np.asarray(radii, dtype=float).ravel()
     poly, centers_idx = _region_polygon_reference(np.atleast_2d(np.asarray(centers, dtype=float)), radii, flavor)
-    rows = [(Fraction(x), Fraction(y)) for x, y in poly.tolist()]
+    values = poly.ravel().tolist() + radii.tolist()
+    shift = max(v.as_integer_ratio()[1] for v in values).bit_length() - 1
+
+    def scaled(v):  # v * 2**shift, an integer
+        num, den = v.as_integer_ratio()
+        return num << (shift - den.bit_length() + 1)
+
+    rows = [(scaled(x), scaled(y)) for x, y in poly.tolist()]
     twice = sum(x0 * y1 - y0 * x1 for (x0, y0), (x1, y1) in zip(rows, rows[1:] + rows[:1]))
-
-    def mp(q):
-        return mpmath.mpf(q.numerator) / q.denominator
-
     n = len(rows)
     with mpmath.workdps(50):
-        area = mp(abs(twice)) / 2
+        area = mpmath.mpf(abs(twice)) / 2
         for i, r in zip(centers_idx, radii.tolist()):
             (vx, vy), (ax, ay), (bx, by) = rows[i], rows[i - 1], rows[(i + 1) % n]
             ax, ay, bx, by = ax - vx, ay - vy, bx - vx, by - vy
-            angle = mpmath.atan2(mp(bx * ay - by * ax), mp(ax * bx + ay * by)) % (2 * mpmath.pi)
-            area -= angle * mp(Fraction(r) ** 2) / 2
-        return float(area)
+            angle = mpmath.atan2(bx * ay - by * ax, ax * bx + ay * by) % (2 * mpmath.pi)
+            area -= angle * scaled(r) ** 2 / 2
+        return float(mpmath.ldexp(area, -2 * shift))
 
 
 def validate_chain_reference(centers, radii, flavor: str):
@@ -708,138 +708,6 @@ def validate_chain_reference(centers, radii, flavor: str):
                 raise ValidationError(f"pocket angle at disk {k} is not below pi")
             warnings.append(f"straight_angle_{k}")
     return warnings
-
-
-def _circle_intersections_reference(c0, r0, c1, r1):
-    d = float(np.hypot(*(c1 - c0)))
-    if d > r0 + r1 or d < abs(r0 - r1) or d == 0.0:
-        return []
-    a = (r0 * r0 - r1 * r1 + d * d) / (2.0 * d)
-    h2 = r0 * r0 - a * a
-    if h2 < 0.0:
-        return []
-    h = math.sqrt(h2)
-    mid = c0 + a * (c1 - c0) / d
-    off = np.array([-(c1 - c0)[1], (c1 - c0)[0]]) * h / d
-    return [mid + off, mid - off]
-
-
-def _accepted(centers, radii, flavor):
-    """(centers, radii, warnings) if the chain is valid, else None."""
-    try:
-        return centers, radii, tuple(validate_chain_reference(centers, radii, flavor))
-    except ValidationError:
-        return None
-
-
-def _try_chain_reference(rng: np.random.Generator, flavor: str, m: int):
-    radii = rng.uniform(0.6, 1.5, m)
-    margin = 0.05
-    if flavor == CLOSED:
-        centers = [np.zeros(2), np.array([radii[0] + radii[1], 0.0])]
-        heading = 0.0
-        for i in range(2, m - 1):
-            heading += rng.uniform(0.25, 1.9 * math.pi / m)
-            step = radii[i - 1] + radii[i]
-            centers.append(centers[-1] + step * np.array([math.cos(heading), math.sin(heading)]))
-        cands = _circle_intersections_reference(
-            centers[-1], radii[m - 2] + radii[m - 1], centers[0], radii[0] + radii[m - 1]
-        )
-        last = [c for c in cands if c[1] > 0.0] if m == 3 else cands
-        for cand in last:
-            chain = _accepted(np.vstack(centers + [cand]), radii, CLOSED)
-            if chain is not None:
-                return chain
-        return None
-    if flavor == HALF_PLANE:
-        centers = [np.array([0.0, radii[0]])]
-        theta0 = rng.uniform(0.45, 1.1)
-        heading = theta0
-        drop = 2.0 * theta0 / max(m - 2, 1)
-        for i in range(1, m - 1):
-            if i > 1:
-                heading -= drop * rng.uniform(0.6, 1.4)
-            step = radii[i - 1] + radii[i]
-            cand = centers[-1] + step * np.array([math.cos(heading), math.sin(heading)])
-            if cand[1] < radii[i] * (1.0 + margin):
-                return None
-            centers.append(cand)
-        prev = centers[-1]
-        reach = (radii[-2] + radii[-1]) ** 2 - (prev[1] - radii[-1]) ** 2
-        if reach <= 0.0:
-            return None
-        centers.append(np.array([prev[0] + math.sqrt(reach), radii[-1]]))
-        return _accepted(np.vstack(centers), radii, HALF_PLANE)
-    chain_arc = 2.0 * float(radii.sum()) - radii[0] - radii[-1]
-    start_x = max(chain_arc * rng.uniform(0.9, 1.4), 1.02 * SQRT3 * radii[0])
-    centers = [np.array([start_x, radii[0]])]
-    for i in range(1, m - 1):
-        polar = math.atan2(centers[-1][1], centers[-1][0])
-        heading = polar + math.pi / 2.0 + rng.uniform(0.0, 0.1)
-        step = radii[i - 1] + radii[i]
-        cand = centers[-1] + step * np.array([math.cos(heading), math.sin(heading)])
-        if (cand @ _SECTOR_NORMALS.T < radii[i] * (1.0 + margin)).any():
-            return None
-        centers.append(cand)
-    d2 = np.array([math.cos(SECTOR_OPENING), math.sin(SECTOR_OPENING)])
-    prev = centers[-1]
-    base = radii[-1] * _SECTOR_NORMALS[1]
-    b = float(d2 @ (base - prev))
-    c0 = float((base - prev) @ (base - prev)) - (radii[-2] + radii[-1]) ** 2
-    disc = b * b - c0
-    if disc <= 0.0:
-        return None
-    for t in (-b + math.sqrt(disc), -b - math.sqrt(disc)):
-        cand = base + t * d2
-        if cand[1] < radii[-1] * (1.0 - 1e-9):
-            continue
-        chain = _accepted(np.vstack(centers + [cand]), radii, SECTOR)
-        if chain is not None:
-            return chain
-    return None
-
-
-class ReferenceChain(NamedTuple):
-    centers: np.ndarray
-    radii: np.ndarray
-    warnings: tuple
-    area: float
-    bound: float
-    holds: bool
-
-
-def random_chain_reference(flavor: str, m: int, seed) -> ReferenceChain:
-    """``random_chain`` and ``verify_chain_bound`` on numpy 2-vectors.
-
-    Draws the same random numbers in the same order as ``random_chain``, so
-    equal arithmetic gives bit-identical chains; the area is the region
-    polygon's ``np.roll`` shoelace area minus the disk sector at each center.
-    """
-    rng = np.random.default_rng(seed)
-    for _ in range(4000):
-        chain = _try_chain_reference(rng, flavor, m)
-        if chain is not None and not chain[2]:
-            break
-    else:
-        raise GenerationError(f"no valid {flavor} chain with m = {m} after 4000 attempts")
-    centers, radii, warnings = chain
-    poly, centers_idx = _region_polygon_reference(centers, radii, flavor)
-    x, y = poly[:, 0], poly[:, 1]
-    area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-    n = len(poly)
-    for local, i in enumerate(centers_idx):
-        a = poly[(i - 1) % n] - poly[i]
-        b = poly[(i + 1) % n] - poly[i]
-        area -= 0.5 * math.atan2(abs(a[0] * b[1] - a[1] * b[0]), float(a @ b)) * radii[local] ** 2
-    r_star = float(radii.min())
-    delta, wedge, corner = reference_areas(r_star)
-    bound = (m - 2) * delta
-    if flavor == HALF_PLANE:
-        bound += wedge
-    elif flavor == SECTOR:
-        bound += wedge + corner
-    holds = bool(area >= bound - 1e-9 * r_star * r_star)
-    return ReferenceChain(centers, radii, warnings, area, bound, holds)
 
 
 # ---------------------------------------------------------------------------

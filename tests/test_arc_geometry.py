@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cheegerlab import jsonio
+from cheegerlab import arc_geometry, jsonio
 from cheegerlab.arc_geometry import (
     Arc,
     ArcCurve,
@@ -525,6 +525,29 @@ class TestJson:
         assert curve_length(back) == pytest.approx(curve_length(curve), abs=1e-15)
         assert d["closed"] is True
         assert {e["kind"] for e in d["edges"]} == {"arc", "seg"}
+
+    def test_each_row_checked_once(self, monkeypatch):
+        # the reader builds the curve from rows, so _check_rows sees each edge
+        # once, not once in its Segment or Arc and again in the curve
+        checked = []
+        check_rows = arc_geometry._check_rows
+
+        def counted(rows, closed):
+            checked.append(len(rows))
+            return check_rows(rows, closed)
+
+        boundary = random_class_a_domain(3).boundary
+        d = curve_to_dict(boundary)
+        assert len(d["edges"]) == 16
+        monkeypatch.setattr(arc_geometry, "_check_rows", counted)
+        back = curve_from_dict(d)
+        assert checked == [16]
+        assert back == boundary
+        checked.clear()
+        rev = back.reversed()
+        assert checked == [16]
+        # the reversed rows are those of the reversed edge objects
+        assert rev == ArcCurve(tuple(e.reversed() for e in reversed(boundary.edges)), True)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValidationError):

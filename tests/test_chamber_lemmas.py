@@ -25,7 +25,6 @@ from oracles import (
     chain_area_exact,
     monte_carlo_area,
     pocket_angles_reference,
-    random_chain_reference,
     tangent_anchors_geometry_reference,
     validate_chain_reference,
 )
@@ -150,11 +149,13 @@ class TestChainRegionArea:
                     assert outline_area == pytest.approx(rep.area, rel=1e-10, abs=1e-12)
 
     # sha256 over jsonio.dumps(curve_to_dict(pocket_outline(chain))) for the
-    # 100 chains random_chain(flavor, 3 + i % 4, seed=[23, i]), i = 0..99
+    # 100 chains random_chain(flavor, 3 + i % 4, seed=[23, i]), i = 0..99,
+    # recorded with math.hypot contact points and the plain-float sampler;
+    # test_pocket_outline_matches_decomposition is their oracle
     POCKET_OUTLINE_PINS = {
-        "closed": "35e0d42452bfa67618c496ad966e23e7f2fb8101df14f2dc173cf5c8c883e1a4",
-        "half_plane": "cda04f9dcf0685e9df397d2f5d8e63dad6a8f0ac193f380223c28740f657124b",
-        "sector": "3017995f5115cbd3b24c67ee535ab83d9472e535242c37fd2f1a0edaea73607c",
+        "closed": "f40c2b6c1681804811cfbf6364e9d296638db08956f29ab442be03094ef5c0d0",
+        "half_plane": "ec631fac1aa5c4091d9cddf1ff981a4e086745189394b074c4c3f089ac33342e",
+        "sector": "6c6df9a0fa607022ddd1131711fc4da9ee7fd7641ab2989d7585510fb408bc6b",
     }
 
     @pytest.mark.parametrize("flavor", sorted(POCKET_OUTLINE_PINS))
@@ -337,10 +338,18 @@ class TestVerifyChainBound:
         ("closed", 1, (3, 2), "^m_values entries must be integers >= 3, got 2$"),
         ("closed", 0, (4, 3.0), "^m_values entries must be integers >= 3, got 3.0$"),
         ("closed", 0, (True,), "^m_values entries must be integers >= 3, got True$"),
+        ("closed", 1.5, (3,), "^the chain sweep count must be an integer >= 0, got 1.5$"),
+        ("closed", -1, (3,), "^the chain sweep count must be an integer >= 0, got -1$"),
+        ("closed", False, (3,), "^the chain sweep count must be an integer >= 0, got False$"),
     ])
     def test_sweep_arguments_rejected_before_any_chain(self, flavor, count, m_values, message):
         with pytest.raises(ValidationError, match=message):
             run_chain_sweep(flavor, count, 0, m_values=m_values)
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, True, None])
+    def test_sweep_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError, match=f"^the chain sweep seed must be an integer >= 0, got {seed!r}$"):
+            run_chain_sweep("closed", 0, seed)
 
     @pytest.mark.parametrize("count", [0, 2])
     def test_sweep_takes_a_numpy_array_of_m_values(self, count):
@@ -371,29 +380,30 @@ class TestRandomChain:
         assert d == pytest.approx(chain.radii[-1], abs=1e-9)
 
     @pytest.mark.parametrize("flavor", ["closed", "half_plane", "sector"])
-    def test_matches_numpy_reference(self, flavor):
-        # the rejection sampler on plain floats against the numpy 2-vector
-        # oracle: the same chains, verdicts and bounds bit for bit; the two area
-        # sums round differently, so each is held to the exact area instead
+    def test_chains_pass_independent_oracles(self, flavor):
+        # each sampled chain against oracles that share none of the sampler's
+        # arithmetic: the numpy validator, the radius range, the exact area
+        # and the lemma's bound; a second call must give the same chain
+        lo, hi = chamber_lemmas._RADIUS_RANGE
         exhausted = 0
         for i in range(1002):
             m = 3 + i % 6
             try:
                 chain = random_chain(flavor, m, seed=[29, i])
             except GenerationError as exc:
-                with pytest.raises(GenerationError, match=str(exc)):
-                    random_chain_reference(flavor, m, seed=[29, i])
+                assert str(exc) == f"no valid {flavor} chain with m = {m} after 4000 attempts"
                 exhausted += 1
                 continue
-            ref = random_chain_reference(flavor, m, seed=[29, i])
-            assert np.array_equal(chain.centers, ref.centers), (m, i)
-            assert np.array_equal(chain.radii, ref.radii), (m, i)
+            assert chain.m == m
+            assert validate_chain_reference(chain.centers, chain.radii, flavor) == [], (m, i)
+            assert all(lo <= r <= hi for r in chain.radii.tolist()), (m, i)
             rep = verify_chain_bound(chain)
-            assert (chain.warnings, rep.bound, rep.holds) == (ref.warnings, ref.bound, ref.holds), (m, i)
             exact = chain_area_exact(chain.centers, chain.radii, flavor)
-            for area in (rep.area, ref.area):
-                assert abs(area - exact) <= 1e-14 * abs(exact), (m, i, area, exact)
-        assert exhausted < 50  # nearly every seed compares a chain, not an error
+            assert abs(rep.area - exact) <= 1e-14 * abs(exact), (m, i, rep.area, exact)
+            assert rep.holds, (m, i)
+            again = random_chain(flavor, m, seed=[29, i])
+            assert np.array_equal(again.centers, chain.centers) and np.array_equal(again.radii, chain.radii)
+        assert exhausted < 50  # nearly every seed yields a chain, not an error
 
     def test_validates_once_per_built_chain(self, call_counts, monkeypatch):
         validated = call_counts(chamber_lemmas, "validate_chain")
@@ -443,10 +453,12 @@ class TestRandomChain:
             count += m + len(ranges)
 
     def test_bad_arguments(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^unknown chain flavor 'moebius'$"):
             random_chain("moebius", 4, seed=0)
-        with pytest.raises(ValidationError):
-            random_chain("closed", 2, seed=0)
+        for m in (2, 4.0, True):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"a random chain's disk count m must be an integer >= 3, got {m!r}")):
+                random_chain("closed", m, seed=0)
 
 
 # the side of a 50-degree rhombus of unit disks, whose disks 1 and 3 overlap
