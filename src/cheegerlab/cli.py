@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import jsonio
-from .arc_geometry import Arc, ArcCurve, Segment, curve_from_dict, curve_to_dict
+from .arc_geometry import ArcCurve, _edge_end, curve_from_dict, curve_to_dict, edge_point
 from .chamber_lemmas import (
     chain_from_dict,
     pocket_outline,
@@ -200,33 +200,32 @@ def _f(x: float) -> str:
     return format(float(x), _FMT)
 
 
-def _arc_commands(e: Arc):
+def _arc_commands(row: tuple):
     # SVG y-axis points down, so math-CCW arcs use sweep flag 0 on negated y.
-    sweep_flag = 0 if e.turning == 1 else 1
+    r, signed = row[2], row[4]
+    sweep_flag = 0 if signed > 0.0 else 1
     pieces = []
-    sweep = e.sweep
+    sweep = abs(signed)
     splits = max(1, math.ceil(sweep / math.pi - 1e-12))
     prev_t = 0.0
     for s in range(1, splits + 1):
         t = s / splits
         frac = sweep * (t - prev_t)
-        end = e.point_at(t)
+        x, y = edge_point(row, t)
         large = 1 if frac > math.pi + 1e-12 else 0
-        pieces.append(
-            f"A {_f(e.radius)} {_f(e.radius)} 0 {large} {sweep_flag} {_f(end.x)} {_f(-end.y)}"
-        )
+        pieces.append(f"A {_f(r)} {_f(r)} 0 {large} {sweep_flag} {_f(x)} {_f(-y)}")
         prev_t = t
     return pieces
 
 
 def _curve_path(c: ArcCurve) -> str:
-    start = c.edges[0].start
-    cmds = [f"M {_f(start.x)} {_f(-start.y)}"]
-    for e in c.edges:
-        if isinstance(e, Segment):
-            cmds.append(f"L {_f(e.end.x)} {_f(-e.end.y)}")
+    x, y = _edge_end(c.rows[0], 0.0)
+    cmds = [f"M {_f(x)} {_f(-y)}"]
+    for row in c.rows:
+        if len(row) == 4:
+            cmds.append(f"L {_f(row[2])} {_f(-row[3])}")
         else:
-            cmds.extend(_arc_commands(e))
+            cmds.extend(_arc_commands(row))
     if c.closed:
         cmds.append("Z")
     return " ".join(cmds)

@@ -25,13 +25,12 @@ import numpy as np
 
 from . import jsonio
 from .arc_geometry import (
-    Arc,
     ArcCurve,
     BORDER_PIECE,
     INNER_JUNCTION,
-    Segment,
     _distances,
     _edge_columns,
+    _edge_end,
     _points,
     _winding_totals,
     curve_length,
@@ -88,18 +87,18 @@ def border_runs(d: ArcDomain):
             if kind == "junction" and d.roles[idx[0]] == BORDER_PIECE]
 
 
-def _edges_coincide(e1, e2, tol: float) -> bool:
-    # shared arcs are traversed in opposite directions by the two cells
-    if isinstance(e1, Segment) != isinstance(e2, Segment):
+def _edges_coincide(r1: tuple, r2: tuple, tol: float) -> bool:
+    """Whether two ``edge_row`` rows are one edge run both ways, to ``tol``:
+    shared arcs are traversed in opposite directions by the two cells."""
+    if len(r1) != len(r2):
         return False
-    if e1.start.distance_to(e2.end) > tol or e1.end.distance_to(e2.start) > tol:
+    (sx1, sy1), (ex1, ey1) = _edge_end(r1, 0.0), _edge_end(r1, 1.0)
+    (sx2, sy2), (ex2, ey2) = _edge_end(r2, 0.0), _edge_end(r2, 1.0)
+    if math.hypot(sx1 - ex2, sy1 - ey2) > tol or math.hypot(ex1 - sx2, ey1 - sy2) > tol:
         return False
-    if isinstance(e1, Arc):
-        return (
-            e1.center.distance_to(e2.center) <= tol
-            and abs(e1.radius - e2.radius) <= tol
-            and e1.turning == -e2.turning
-        )
+    if len(r1) == 5:  # the same circle, turned the other way
+        return (math.hypot(r1[0] - r2[0], r1[1] - r2[1]) <= tol and abs(r1[2] - r2[2]) <= tol
+                and (r1[4] > 0.0) != (r2[4] > 0.0))
     return True
 
 
@@ -286,8 +285,8 @@ def canonical_graph(cl: Cluster) -> CanonicalGraph:
             if role == INNER_JUNCTION:
                 inner_needed[(j, i)] = 0
     for adj in cl.adjacency:
-        ea = cl.cells[adj.cell_a].boundary.edges[adj.edge_a]
-        eb = cl.cells[adj.cell_b].boundary.edges[adj.edge_b]
+        ea = cl.cells[adj.cell_a].boundary.rows[adj.edge_a]
+        eb = cl.cells[adj.cell_b].boundary.rows[adj.edge_b]
         if (adj.cell_a, adj.edge_a) not in inner_needed or (adj.cell_b, adj.edge_b) not in inner_needed:
             raise ValidationError(f"adjacency references a non-junction edge: {adj}")
         if not _edges_coincide(ea, eb, tol):

@@ -132,13 +132,11 @@ def _power_rings(seeds: np.ndarray, weights: np.ndarray, container: ConvexPolygo
     left side growing with |d|, every later one holds the whole ring.
 
     Site j's values are computed in plain floats when the loop reaches it:
-    d, |d|^2 = dx*dx + dy*dy, |d|, the normal 2d, the offset
-    |d|^2 + (w_i - w_j) and the slack.  Each takes the same IEEE operations on
-    the same operands in the same order as the numpy column of a table of all
-    the rows built up front (``sqrt`` is correctly rounded in both, and
-    neither fuses a multiply-add), so every ring and stop is bit for bit that
-    of the table (``power_rings_table_reference`` in the tests), which held
-    k x (k - 1) x 6 floats per whole diagram.
+    d, |d|^2 = dx*dx + dy*dy, |d|, the normal 2d and the offset
+    |d|^2 + (w_i - w_j), each with the IEEE operations of numpy's elementwise
+    arrays in the same order, so a ring is bit for bit the numpy clips,
+    nearest first, by the sites up to its stop (``nearest_first_ring_reference``
+    in the tests).
 
     The kernel decides with the computed ``x*nx + y*ny - c``, so the stop also
     asks the gap to exceed the rounding, with u = 2^-53 and in units of
@@ -414,53 +412,21 @@ def _eval_config(container, seeds, weights, records, lower, incumbent: _Diagram,
     return value, _Diagram(rings, cells, hs, stops)
 
 
-def _numpy_sum(terms: list) -> float:
-    """``np.sum`` of a list of floats, bit for bit: 0.0 plus numpy's pairwise sum."""
-    return 0.0 + _pairwise_sum(terms)
-
-
-def _pairwise_sum(terms: list) -> float:
-    # numpy's order: in sequence below 8 terms; up to 128 terms, eight
-    # interleaved partial sums combined as ((0+1)+(2+3))+((4+5)+(6+7)), then
-    # the remainder in sequence; longer lists split at a multiple of 8
-    n = len(terms)
-    if n < 8:
-        total = -0.0
-        for t in terms:
-            total += t
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    r = terms[:8]
-    body = n - n % 8
-    for j in range(8, body, 8):
-        r = [a + b for a, b in zip(r, terms[j:j + 8])]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for t in terms[body:]:
-        total += t
-    return total
-
-
 def _polygon_centroid(v: list) -> list:
-    """[x, y] of the centroid of a validated vertex list, in plain floats with
-    numpy's sums: numpy adds fewer than 8 terms in sequence from -0.0, so such
-    a cell takes one pass over its edges; a larger one sums its term lists
-    with ``_numpy_sum``."""
-    if len(v) >= 8:
-        pairs = list(zip(v, v[1:] + v[:1]))
-        cr = [x * yn - xn * y for (x, y), (xn, yn) in pairs]
-        six_a = 6.0 * (_numpy_sum(cr) / 2.0)
-        return [_numpy_sum([(x + xn) * c for ((x, _), (xn, _)), c in zip(pairs, cr)]) / six_a,
-                _numpy_sum([(y + yn) * c for ((_, y), (_, yn)), c in zip(pairs, cr)]) / six_a]
-    a = sx = sy = -0.0
-    for (x, y), (xn, yn) in zip(v, v[1:] + v[:1]):
-        c = x * yn - xn * y
+    """[x, y] of the centroid of a validated vertex list, taken relative to
+    its first vertex as ``cheeger._shoelace`` takes area, so a cell far from
+    the origin keeps its digits."""
+    x0, y0 = v[0]
+    xa, ya = v[1][0] - x0, v[1][1] - y0
+    a = sx = sy = 0.0
+    for x, y in v[2:]:
+        xb, yb = x - x0, y - y0
+        c = xa * yb - ya * xb
         a += c
-        sx += (x + xn) * c
-        sy += (y + yn) * c
-    six_a = 6.0 * ((0.0 + a) / 2.0)
-    return [(0.0 + sx) / six_a, (0.0 + sy) / six_a]
+        sx += (xa + xb) * c
+        sy += (ya + yb) * c
+        xa, ya = xb, yb
+    return [x0 + sx / (3.0 * a), y0 + sy / (3.0 * a)]
 
 
 def _precondition(k, container, seeds, left, lower, records):

@@ -10,11 +10,9 @@ samples the disk-chain region point by point; the tangent-anchor oracle is
 the middle-disk closed form written for anchors at distance r1 + r3; the
 power-diagram oracles clip numpy vertex arrays by every half-plane, one at a
 time (in site order and absolute coordinates, or nearest site first in
-site-centred coordinates), and clean each ring with a vertex-by-vertex loop
-before validating it; the power-ring table oracle stacks every chosen site's
-half-plane rows into one numpy table before clipping, with an inside-list
-clip kernel; the
-centroid oracle sums cross products with numpy; the convex-polygon and
+site-centred coordinates, up to a given stop or with none), and clean each
+ring with a vertex-by-vertex loop before validating it; the exact centroid
+oracle sums cross products in integers; the convex-polygon and
 closed-form Cheeger oracles are the polygon validation and the Cheeger solve on numpy vertex arrays, with ``np.dot`` shoelace sums; the chain oracle is
 the chain validator on numpy 2-vectors, with the region polygon oriented by
 ``np.roll`` shoelace sums; the exact chain-area
@@ -32,6 +30,7 @@ stage of a domain as a validated ``ArcCurve`` of edge objects.
 """
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
@@ -75,7 +74,6 @@ from cheegerlab.errors import (
     ValidationError,
 )
 from cheegerlab.hales_deficit import DeficitReport
-from cheegerlab.partition_optimizer import _STOP_SLACK
 
 TWO_PI = 2.0 * math.pi
 
@@ -393,6 +391,26 @@ def _validated_cell(i, pts):
         raise DegenerateConfigurationError(f"power cell {i}: {exc}") from exc
 
 
+def nearest_first_ring_reference(seeds: np.ndarray, weights: np.ndarray,
+                                 container: ConvexPolygon, i: int, stop: float = math.inf):
+    """Site i's ring in site-centred coordinates, clipped on numpy arrays by the
+    other sites' half-planes nearest first (a stable argsort of |d|^2), up to
+    the sites with |d|^2 <= ``stop``.  Returns (ring, d, d2): the site-centred
+    vertex array, None once a clip empties it, and every site's offset d and
+    |d|^2 from site i."""
+    d = seeds - seeds[i]
+    d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    pts = container.vertices - seeds[i]
+    near = np.flatnonzero(d2 <= stop)  # sorted alone, in the order of the whole row
+    for j in near[np.argsort(d2[near], kind="stable")]:
+        if j != i:
+            pts = _clip_halfplane_array(pts, 2.0 * d[j, 0], 2.0 * d[j, 1],
+                                        d2[j] + (weights[i] - weights[j]))
+            if pts is None:
+                break
+    return pts, d, d2
+
+
 def power_diagram_cells_nearest_first_reference(cfg, container: ConvexPolygon):
     """Power cells clipped in site-centred coordinates by every other site's
     half-plane, nearest site first, on numpy arrays.
@@ -401,106 +419,29 @@ def power_diagram_cells_nearest_first_reference(cfg, container: ConvexPolygon):
     distances) with no stop rule, so equal arithmetic gives bit-identical
     cells exactly when every clip that rule skips cuts nothing.
     """
-    seeds, weights = cfg.seeds, cfg.weights
     cells = []
     for i in range(cfg.k):
-        d = seeds - seeds[i]
-        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-        pts = container.vertices - seeds[i]
-        for j in np.argsort(d2, kind="stable"):
-            if j == i:
-                continue
-            pts = _clip_halfplane_array(pts, 2.0 * d[j, 0], 2.0 * d[j, 1],
-                                        d2[j] + (weights[i] - weights[j]))
-            if pts is None:
-                raise DegenerateConfigurationError(f"power cell {i} is empty")
-        cells.append(_validated_cell(i, pts + seeds[i]))
+        pts = nearest_first_ring_reference(cfg.seeds, cfg.weights, container, i)[0]
+        if pts is None:
+            raise DegenerateConfigurationError(f"power cell {i} is empty")
+        cells.append(_validated_cell(i, pts + cfg.seeds[i]))
     return cells
 
 
-def _clip_ring_reference(pts: list, nx: float, ny: float, c: float):
-    """The ring clip with an inside list and modulo indexing; ``pts`` itself
-    when no vertex is outside."""
-    d = [x * nx + y * ny - c for x, y in pts]
-    inside = [v <= 0.0 for v in d]
-    if all(inside):
-        return pts
-    out = []
-    n = len(pts)
-    for i in range(n):
-        j = (i + 1) % n
-        if inside[i]:
-            out.append(pts[i])
-            if inside[j]:
-                continue
-        elif not inside[j]:
-            continue
-        t = d[i] / (d[i] - d[j])
-        (xi, yi), (xj, yj) = pts[i], pts[j]
-        out.append([xi + t * (xj - xi), yi + t * (yj - yi)])
-    return out if len(out) >= 3 else None
-
-
-def power_rings_table_reference(seeds: np.ndarray, weights: np.ndarray,
-                                container: ConvexPolygon, chosen) -> list:
-    """``partition_optimizer._power_rings`` with every half-plane row built up
-    front: a chosen x (k - 1) x 6 numpy table of 2 dx, 2 dy, |d|^2 + w_i - w_j,
-    |d|, the stop slack and |d|^2, in the order of a stable argsort of |d|^2,
-    clipped by ``_clip_ring_reference``.  Returns the list of (ring, stop).
-    """
-    k = len(weights)
-    chosen = np.asarray(chosen, dtype=np.intp)
-    dx = seeds[None, :, 0] - seeds[chosen, None, 0]
-    dy = seeds[None, :, 1] - seeds[chosen, None, 1]
-    d2 = dx * dx + dy * dy
-    order = np.argsort(d2, axis=1, kind="stable")
-    order = order[order != chosen[:, None]].reshape(len(chosen), k - 1)
-    rows = np.arange(len(chosen))[:, None]
-    d2 = d2[rows, order]
-    if k > 1 and not d2[:, 0].min() > 0.0:
-        raise DegenerateConfigurationError("seeds must be pairwise distinct")
-    wabs = np.abs(weights)
-    table = np.stack([
-        2.0 * dx[rows, order],
-        2.0 * dy[rows, order],
-        d2 + (weights[chosen, None] - weights[order]),
-        np.sqrt(d2),
-        _STOP_SLACK * (d2 + (wabs[chosen, None] + wabs.max())),
-        d2,
-    ], axis=-1)
-    w = weights.tolist()
-    w_max = max(w)
-    sites = (seeds[chosen] + 0.0).tolist()
-    verts = container.vertices.tolist()
-    out = []
-    for i, (sx, sy), row in zip(chosen.tolist(), sites, table):
-        pts = [[x - sx, y - sy] for x, y in verts]
-        reach = None
-        for nx, ny, c, dist, slack, stop in row.tolist():
-            if reach is None:
-                R = math.sqrt(max([x * x + y * y for x, y in pts]))
-                reach = R * R - w[i]
-            if dist > R and (dist - R) ** 2 - w_max >= reach + slack:
-                break
-            clipped = _clip_ring_reference(pts, nx, ny, c)
-            if clipped is None:
-                raise DegenerateConfigurationError(f"power cell {i} is empty")
-            if clipped is not pts:
-                pts, reach = clipped, None
-        else:
-            stop = math.inf
-        out.append(([[x + sx, y + sy] for x, y in pts], stop))
-    return out
-
-
-def polygon_centroid_reference(poly: ConvexPolygon) -> np.ndarray:
-    """The centroid from the cross products of consecutive vertices, with numpy sums."""
-    v = poly.vertices
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = _next_rows(x), _next_rows(y)
-    cr = x * yn - xn * y
-    a = cr.sum() / 2.0
-    return np.array([((x + xn) * cr).sum() / (6.0 * a), ((y + yn) * cr).sum() / (6.0 * a)])
+def polygon_centroid_exact(vertices) -> tuple:
+    """(x, y) of a polygon's centroid from its float vertices, each coordinate
+    rounded once: integer cross-product sums over the vertices, each float
+    written as an integer over one common power of two."""
+    ints, shift = _common_integers([v for p in vertices for v in p])
+    rows = list(zip(ints[0::2], ints[1::2]))
+    twice = sx = sy = 0
+    for (x0, y0), (x1, y1) in zip(rows, rows[1:] + rows[:1]):
+        c = x0 * y1 - x1 * y0
+        twice += c
+        sx += (x0 + x1) * c
+        sy += (y0 + y1) * c
+    den = 3 * twice << shift
+    return float(Fraction(sx, den)), float(Fraction(sy, den))
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +571,17 @@ def pocket_angles_reference(centers, radii, flavor: str):
     return angles
 
 
+def _common_integers(values):
+    """([v * 2**shift for v in values], shift): the floats as integers over
+    one common power of two, the least that makes every one of them whole."""
+    shift = max(v.as_integer_ratio()[1] for v in values).bit_length() - 1
+    ints = []
+    for v in values:
+        num, den = v.as_integer_ratio()
+        ints.append(num << (shift - den.bit_length() + 1))
+    return ints, shift
+
+
 def chain_area_exact(centers, radii, flavor: str) -> float:
     """The chain region's area on its float region polygon, rounded once: an
     integer shoelace over the vertices, each float written as an integer over
@@ -637,23 +589,17 @@ def chain_area_exact(centers, radii, flavor: str) -> float:
     from exact vertex differences."""
     radii = np.asarray(radii, dtype=float).ravel()
     poly, centers_idx = _region_polygon_reference(np.atleast_2d(np.asarray(centers, dtype=float)), radii, flavor)
-    values = poly.ravel().tolist() + radii.tolist()
-    shift = max(v.as_integer_ratio()[1] for v in values).bit_length() - 1
-
-    def scaled(v):  # v * 2**shift, an integer
-        num, den = v.as_integer_ratio()
-        return num << (shift - den.bit_length() + 1)
-
-    rows = [(scaled(x), scaled(y)) for x, y in poly.tolist()]
+    ints, shift = _common_integers(poly.ravel().tolist() + radii.tolist())
+    n = len(poly)
+    rows = list(zip(ints[0:2 * n:2], ints[1:2 * n:2]))
     twice = sum(x0 * y1 - y0 * x1 for (x0, y0), (x1, y1) in zip(rows, rows[1:] + rows[:1]))
-    n = len(rows)
     with mpmath.workdps(50):
         area = mpmath.mpf(abs(twice)) / 2
-        for i, r in zip(centers_idx, radii.tolist()):
+        for i, r in zip(centers_idx, ints[2 * n:]):
             (vx, vy), (ax, ay), (bx, by) = rows[i], rows[i - 1], rows[(i + 1) % n]
             ax, ay, bx, by = ax - vx, ay - vy, bx - vx, by - vy
             angle = mpmath.atan2(bx * ay - by * ax, ax * bx + ay * by) % (2 * mpmath.pi)
-            area -= angle * scaled(r) ** 2 / 2
+            area -= angle * r ** 2 / 2
         return float(mpmath.ldexp(area, -2 * shift))
 
 

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from cheegerlab import jsonio
+from cheegerlab import arc_geometry, cli, jsonio
 from cheegerlab.arc_geometry import curve_to_dict, transform_curve
 from cheegerlab.chamber_lemmas import chain_to_dict, random_chain
 from cheegerlab.cheeger import (
@@ -15,6 +15,7 @@ from cheegerlab.cheeger import (
     cheeger_domain,
     domain_to_dict,
     hexagon_constant,
+    random_class_a_domain,
 )
 from cheegerlab.cli import render_svg, run
 from cheegerlab.cluster import Cluster, cluster_to_dict
@@ -307,6 +308,24 @@ class TestRender:
                                                for (cx, cy), r in zip(chain.centers, chain.radii)]
             for x0, y0, x1, y1 in boxes:
                 assert x <= x0 and x1 <= x + w and y <= -y1 and -y0 <= y + h, i
+
+    def test_paths_are_written_from_rows(self, monkeypatch):
+        # reading a domain checks its boundary's rows once; drawing its path
+        # builds no edge object, whose constructor would check its row again
+        d = random_class_a_domain(3)
+        obj = domain_to_dict(d)
+        checked = []
+        check = arc_geometry._check_rows
+
+        def counting(rows, closed):
+            checked.append(len(rows))
+            return check(rows, closed)
+
+        monkeypatch.setattr(arc_geometry, "_check_rows", counting)
+        assert cli._curve_path(d.boundary).startswith("M ")
+        assert checked == []
+        render_svg(obj)
+        assert checked == [len(d.boundary.rows)]
 
     # sha256 of the SVG bytes.  The view box comes from ArcCurve.bbox: the
     # container's for a cluster, the curve's own (arcs counting their whole

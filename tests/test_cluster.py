@@ -359,6 +359,22 @@ class TestCertificate:
         assert lower_bound_certificate(domino_cluster).applicable
         assert validation_counts == {"class_a_violations": 2, "offset_inner": 2}
 
+    def test_certificate_builds_no_edge_objects(self, monkeypatch):
+        # the certificate reads every curve as float rows: checking the
+        # adjacency of a honeycomb, built or read back from JSON, builds no
+        # Segment or Arc
+        built = []
+        for cls in (Segment, Arc):
+            def counting(obj, post_init=cls.__post_init__):
+                built.append(obj)
+                post_init(obj)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        cl = honeycomb_cluster(4)
+        for cluster in (cl, cluster_from_dict(cluster_to_dict(cl))):
+            cert = lower_bound_certificate(cluster)
+            assert cert.graph.e_in == len(cluster.adjacency) > 0
+        assert built == []
+
     def test_structure_report_carries_the_offset(self, domino_cluster):
         hexagon = structure_report(honeycomb_cluster(2).cells[0])
         assert "offset_degenerate" in hexagon.violations and hexagon.offset is None

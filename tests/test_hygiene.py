@@ -4,8 +4,8 @@ tolerance floored at one unit, one radius-r test, no private function the
 package never references, no private module-level constant the package
 never reads, no import inside a function of the package, no
 artifact reader that leaves its keys unchecked, no dataclass argument
-that ``__post_init__`` overwrites unread, and no numpy call in the float
-chain sampler.
+that ``__post_init__`` overwrites unread, no numpy call in the float
+chain sampler, and no read of a curve's edge objects outside ``arc_geometry``.
 
 Package ``__init__.py`` files are skipped by the import scan, since their
 imports are re-exports.
@@ -195,6 +195,18 @@ def test_no_function_local_imports():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     })
     assert not found, "imports inside functions:\n" + "\n".join(found)
+
+
+def test_edge_objects_stay_in_arc_geometry():
+    # curves are stored as float rows; outside arc_geometry the package reads
+    # c.rows, since each read of c.edges builds and checks an object per edge
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path, tree in _package_trees().items() if path.name != "arc_geometry.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "edges" and isinstance(node.ctx, ast.Load)
+    ]
+    assert not found, ".edges reads outside arc_geometry:\n" + "\n".join(found)
 
 
 def _calls_require_keys(func) -> bool:

@@ -4,10 +4,11 @@ Every input is rotated by 0.3 rad, dilated by lambda from 1e-8 to 1e8 and then
 translated by 0, 1e2 or 1e4 of its own (dilated) extents.  The certificate's
 applicability, its failing rules and its dimensionless margins, the class-A
 and Hales verdicts of random domains and their Hales margins, must not depend
-on where the input sits or on its scale; nor may the optimizer's lattice start
-or the Cheeger constants of its power cells.  Disk chains keep their canonical
-container lines: every flavor is dilated about the origin, closed chains are
-also rotated and translated, and half-plane chains slide along their line.
+on where the input sits or on its scale; nor may the optimizer's lattice
+start, the Cheeger constants of its power cells or its scaled best value.
+Disk chains keep their canonical container lines: every flavor is dilated
+about the origin, closed chains are also rotated and translated, and
+half-plane chains slide along their line.
 """
 
 import math
@@ -32,6 +33,7 @@ from cheegerlab.hales_deficit import hales_check, place_nodes
 from cheegerlab.partition_optimizer import (
     SeedConfiguration,
     hex_lattice_seeds,
+    optimize,
     power_diagram_cells,
 )
 from conftest import make_domino_cluster
@@ -129,6 +131,31 @@ def test_hex_lattice_seeds(lam, shift):
     _, dx, dy, _ = _motion(tri.vertices, lam, shift)
     seeds = hex_lattice_seeds(16, ConvexPolygon(lam * tri.vertices + [dx, dy]))
     assert np.abs((seeds - [dx, dy]) / lam - hex_lattice_seeds(16, tri)).max() <= 1e-9
+
+
+#: (k, budget) of the optimizer runs, each with seed 0 and no restarts
+OPTIMIZER_RUNS = [(16, 60), (64, 20)]
+
+
+@pytest.fixture(scope="module")
+def optimizer_values():
+    tri = regular_polygon(3, area=1.0)
+    return {(k, budget): optimize(k, tri, budget=budget, seed=0, restarts=0).scaled_best
+            for k, budget in OPTIMIZER_RUNS}
+
+
+@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("lam", SCALES)
+@pytest.mark.parametrize("k, budget", OPTIMIZER_RUNS)
+def test_optimizer_value(optimizer_values, k, budget, lam, shift):
+    # the lattice start, its Lloyd centroids, the weight balancing and the
+    # compass search, in the lattice start's axis-aligned frames
+    tri = regular_polygon(3, area=1.0)
+    _, dx, dy, _ = _motion(tri.vertices, lam, shift)
+    trace = optimize(k, ConvexPolygon(lam * tri.vertices + [dx, dy]), budget=budget, seed=0,
+                     restarts=0)
+    ref = optimizer_values[k, budget]
+    assert abs(trace.scaled_best - ref) <= 1e-9 * ref
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e4])
