@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from . import jsonio
 from .errors import (
     ContractViolation,
@@ -332,120 +330,16 @@ def _rows_area(rows: Sequence[tuple]) -> float:
     return sum(_area_integral(row, x0) for row in rows)
 
 
-def _edge_columns(c: ArcCurve):
-    """Per-field arrays of the curve's segments and of its arcs (None when absent).
-
-    Segments: start x, start y, end x, end y.  Arcs: center x, center y,
-    radius, start angle, opening angle, turning, start x, start y, end x,
-    end y.  Each field is a row, so it broadcasts against a column of points.
-    """
-    segs, arcs = [], []
-    for row in c.rows:
-        if len(row) == 4:
-            segs.append(row)
-        else:
-            cx, cy, r, a0, sweep = row
-            arcs.append((cx, cy, r, a0, abs(sweep), 1 if sweep > 0.0 else -1,
-                         *_edge_end(row, 0.0), *_edge_end(row, 1.0)))
-    return (np.array(segs).T if segs else None), (np.array(arcs).T if arcs else None)
-
-
-def _points(x, y):
-    # query coordinates as columns, so every edge field broadcasts along axis 1
-    return np.asarray(x, dtype=float)[:, None], np.asarray(y, dtype=float)[:, None]
-
-
-def _distances(segs, arcs, x, y) -> np.ndarray:
-    # nearest distance from each point column entry to the edge columns
-    best = np.full(len(x), np.inf)
-    if segs is not None:
-        x0, y0, x1, y1 = segs
-        vx, vy = x1 - x0, y1 - y0
-        wx, wy = x - x0, y - y0
-        t = np.clip((vx * wx + vy * wy) / (vx * vx + vy * vy), 0.0, 1.0)
-        best = np.minimum(best, np.hypot(wx - t * vx, wy - t * vy).min(axis=1))
-    if arcs is not None:
-        cx, cy, radius, a0, sweep, turning, sx, sy, ex, ey = arcs
-        dx, dy = x - cx, y - cy
-        rho = np.hypot(dx, dy)
-        # the nearest point is radial when q's direction falls within the arc
-        rel = (turning * (np.arctan2(dy, dx) - a0)) % TWO_PI
-        ends = np.minimum(np.hypot(x - sx, y - sy), np.hypot(x - ex, y - ey))
-        d = np.where(rel <= sweep, np.abs(rho - radius), ends)
-        best = np.minimum(best, np.where(rho == 0.0, radius, d).min(axis=1))
-    return best
-
-
-def curve_distances(c: ArcCurve, x, y) -> np.ndarray:
-    """Distance from each point ``(x[i], y[i])`` to the curve, for arrays x and y."""
-    return _distances(*_edge_columns(c), *_points(x, y))
-
-
-def _principal_turn(x, y, ax, ay, bx, by):
-    # signed angle of (b - q) relative to (a - q), in (-pi, pi]
-    v0x, v0y = ax - x, ay - y
-    v1x, v1y = bx - x, by - y
-    return np.arctan2(v0x * v1y - v0y * v1x, v0x * v1x + v0y * v1y)
-
-
-def winding_numbers(c: ArcCurve, x, y) -> np.ndarray:
-    """Winding number of the closed curve around each point ``(x[i], y[i])``.
-
-    Every edge contributes its exact turn in O(1).  A segment, or an arc seen
-    from outside its supporting disk, turns by the principal angle between
-    its endpoints, since all its directions fit in an open half-plane.  Seen
-    from inside or on its supporting circle (``rho <= R``), the direction to
-    an arc of opening S rotates monotonically with the arc's turning through
-    an angle V in ``[S/2, S/2 + pi)``, which is 2*pi for a full circle.  V is
-    the difference of the endpoint directions taken modulo 2*pi; the residue
-    is picked from the window of width 2*pi centred on S/2 + pi/2, which keeps
-    pi/2 clear of every possible V, so rounding in the endpoint coordinates
-    (a full circle's end point landing on either side of its start) cannot
-    move it by 2*pi.
-
-    Raises ``OnBoundaryError`` for the first point within the curve's
-    tolerance, and ``ValidationError`` if a total is not within 1/4 of an
-    integer.
-    """
-    if not c.closed:
-        raise ContractViolation("winding_number requires a closed curve")
-    columns = _edge_columns(c)
-    x, y = _points(x, y)
-    d = _distances(*columns, x, y)
-    on = np.flatnonzero(d <= c.tolerance)
-    if on.size:
-        raise OnBoundaryError(f"query point is on the curve (distance {d[on[0]]:.3e})")
-    return _winding_totals(*columns, x, y)
-
-
-def _winding_totals(segs, arcs, x, y) -> np.ndarray:
-    # ``winding_numbers`` of point columns known to lie off the curve
-    total = np.zeros(len(x))
-    if segs is not None:
-        total += _principal_turn(x, y, *segs).sum(axis=1)
-    if arcs is not None:
-        cx, cy, radius, _, sweep, turning, sx, sy, ex, ey = arcs
-        outside = np.hypot(x - cx, y - cy) > radius
-        raw = turning * (np.arctan2(ey - y, ex - x) - np.arctan2(sy - y, sx - x))
-        centre = 0.5 * sweep + 0.5 * math.pi
-        inside = turning * (raw + TWO_PI * np.rint((centre - raw) / TWO_PI))
-        total += np.where(outside, _principal_turn(x, y, sx, sy, ex, ey), inside).sum(axis=1)
-    m = total / TWO_PI
-    n = np.rint(m)
-    off = np.flatnonzero(np.abs(m - n) > 0.25)
-    if off.size:
-        raise ValidationError(f"winding number did not converge to an integer: {float(m[off[0]])}")
-    return n.astype(int)
-
-
 def winding_number(c: ArcCurve, q: Point) -> int:
     """Total turning of the closed curve around q, divided by 2*pi (an exact integer).
 
-    ``winding_numbers`` for one point, on plain floats: each edge adds the same
-    exact turn in O(1), however close q is to the curve, and q within the
-    curve's tolerance of it, by the same per-edge distances, raises
-    ``OnBoundaryError``.  The turns are summed in edge order, so the total can
-    differ from the array kernel's in its last bits, never in the integer.
+    Each edge adds its exact turn in O(1), however close q is: a segment, or an
+    arc seen from outside its disk, the principal angle between its ends; an
+    arc of opening S seen from inside or on its circle, the turn V in
+    ``[S/2, S/2 + pi)`` (2*pi for a full circle) of the end directions modulo
+    2*pi, taken from the window of width 2*pi centred on S/2 + pi/2 so that
+    rounding at the ends cannot move it by 2*pi.  Raises ``OnBoundaryError``
+    within the curve's tolerance, ``ValidationError`` off an integer by 1/4.
     """
     if not c.closed:
         raise ContractViolation("winding_number requires a closed curve")
@@ -488,10 +382,94 @@ def winding_number(c: ArcCurve, q: Point) -> int:
 
 
 def _scalar_turn(x, y, ax, ay, bx, by):
-    # ``_principal_turn`` of one point and one edge, on floats
+    # signed angle of (b - q) relative to (a - q), in (-pi, pi]
     v0x, v0y = ax - x, ay - y
     v1x, v1y = bx - x, by - y
     return math.atan2(v0x * v1y - v0y * v1x, v0x * v1x + v0y * v1y)
+
+
+# ---------------------------------------------------------------------------
+# Edge pairs and supports, in closed form (cluster validation).
+
+def _edge_support(row: tuple, nx: float, ny: float, ox: float = 0.0, oy: float = 0.0):
+    """The largest ``(p - o) . n`` over the points p of an ``edge_row``, n a unit vector, and
+    a p reaching it: an end, or an arc's ``c + R n`` when n's direction is in its sweep."""
+    points = [_edge_end(row, 0.0), _edge_end(row, 1.0)]
+    if len(row) == 5 and (math.copysign(1.0, row[4]) * (math.atan2(ny, nx) - row[3])) % TWO_PI <= abs(row[4]):
+        points.append((row[0] + row[2] * nx, row[1] + row[2] * ny))
+    return max(((x - ox) * nx + (y - oy) * ny, x, y) for x, y in points)
+
+
+def _edge_box(row: tuple) -> tuple:
+    """(xmin, ymin, xmax, ymax) of an ``edge_row``'s own points, an arc's within its sweep."""
+    if len(row) == 4:
+        return min(row[0], row[2]), min(row[1], row[3]), max(row[0], row[2]), max(row[1], row[3])
+    return (-_edge_support(row, -1.0, 0.0)[0], -_edge_support(row, 0.0, -1.0)[0],
+            _edge_support(row, 1.0, 0.0)[0], _edge_support(row, 0.0, 1.0)[0])
+
+
+def _arc_overlap(a0: float, s0: float, a1: float, s1: float):
+    """The longest stretch (lo, hi) of the angles a0 + [0, s0] that a1 + [0, s1]
+    covers, both counterclockwise, measured from a0; hi <= lo when none."""
+    start = (a1 - a0) % TWO_PI
+    first, second = (start, min(s0, start + s1)), (0.0, min(s0, start + s1 - TWO_PI))
+    return first if first[1] - first[0] >= second[1] else second
+
+
+def _circle_intersections(c0, r0, c1, r1):
+    dx, dy = c1[0] - c0[0], c1[1] - c0[1]
+    d = math.hypot(dx, dy)
+    if d > r0 + r1 or d < abs(r0 - r1) or d == 0.0:
+        return []
+    a = (r0 * r0 - r1 * r1 + d * d) / (2.0 * d)
+    h2 = r0 * r0 - a * a
+    if h2 < 0.0:
+        return []
+    h = math.sqrt(h2)
+    mx, my = c0[0] + a * dx / d, c0[1] + a * dy / d
+    ox, oy = -dy * h / d, dx * h / d
+    return [(mx + ox, my + oy), (mx - ox, my - oy)]
+
+
+def _edge_crossing(a: tuple, b: tuple, pad: float):
+    """A point where two ``edge_row`` edges cross, or None where they are apart or touch.
+
+    Edges cross at a point of their lines or circles (one linear or quadratic
+    solve) that lies on both edges farther than ``pad`` from all four ends.
+    Edges on one line or circle, to ``pad``, do not cross, nor does a line or
+    circle that enters a circle no deeper than ``pad``.
+    """
+    # a segment before an arc, and the longer of two segments first
+    a, b = sorted((a, b), key=lambda e: (len(e), -math.hypot(e[2] - e[0], e[3] - e[1]) if len(e) == 4 else 0.0))
+    if len(a) == 4:
+        length = math.hypot(a[2] - a[0], a[3] - a[1])
+        ax, ay = a[0], a[1]
+        ux, uy = (a[2] - ax) / length, (a[3] - ay) / length
+        if len(b) == 4:
+            x0, y0, x1, y1 = b
+            d0 = ux * (y0 - ay) - uy * (x0 - ax)
+            d1 = ux * (y1 - ay) - uy * (x1 - ax)
+            if (d0 > 0.0) == (d1 > 0.0) or max(abs(d0), abs(d1)) <= pad:  # one side, or one line
+                return None
+            s = d0 / (d0 - d1)
+            points = [(x0 + s * (x1 - x0), y0 + s * (y1 - y0))]
+        else:
+            cx, cy, r = b[:3]
+            d = ux * (cy - ay) - uy * (cx - ax)  # the centre's signed distance from the line
+            if r - abs(d) <= pad:
+                return None
+            t = ux * (cx - ax) + uy * (cy - ay)
+            w = math.sqrt((r - d) * (r + d))
+            points = [(ax + (t - w) * ux, ay + (t - w) * uy), (ax + (t + w) * ux, ay + (t + w) * uy)]
+    else:
+        (cx0, cy0, r0), (cx1, cy1, r1) = a[:3], b[:3]
+        d = math.hypot(cx1 - cx0, cy1 - cy0)
+        if min(r0 + r1 - d, d - abs(r0 - r1)) <= pad:  # apart, touching, or one circle
+            return None
+        points = _circle_intersections((cx0, cy0), r0, (cx1, cy1), r1)
+    ends = [_edge_end(e, t) for e in (a, b) for t in (0.0, 1.0)]
+    return next(((x, y) for x, y in points if max(locate_on_edge(x, y, a)[1], locate_on_edge(x, y, b)[1]) <= pad
+                 and all(math.dist((x, y), end) > pad for end in ends)), None)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import jsonio
-from .arc_geometry import CHAIN_TOL, ArcCurve, _arc_sweep
+from .arc_geometry import CHAIN_TOL, ArcCurve, _arc_sweep, _circle_intersections
 from .errors import GenerationError, ValidationError
 
 SQRT3 = math.sqrt(3.0)
@@ -438,21 +438,6 @@ class _Draws:
 def _step(center, length: float, heading: float):
     """The point ``length`` from ``center`` along ``heading``."""
     return (center[0] + length * math.cos(heading), center[1] + length * math.sin(heading))
-
-
-def _circle_intersections(c0, r0, c1, r1):
-    dx, dy = c1[0] - c0[0], c1[1] - c0[1]
-    d = math.hypot(dx, dy)
-    if d > r0 + r1 or d < abs(r0 - r1) or d == 0.0:
-        return []
-    a = (r0 * r0 - r1 * r1 + d * d) / (2.0 * d)
-    h2 = r0 * r0 - a * a
-    if h2 < 0.0:
-        return []
-    h = math.sqrt(h2)
-    mx, my = c0[0] + a * dx / d, c0[1] + a * dy / d
-    ox, oy = -dy * h / d, dx * h / d
-    return [(mx + ox, my + oy), (mx - ox, my - oy)]
 
 
 def _build(centers, r, flavor):

@@ -56,7 +56,6 @@ from .arc_geometry import (
     offset_inner,
     signed_area,
     _arc_sweep,
-    _check_rows,
     _edge_end,
     _rows_area,
     _transform_rows,
@@ -761,12 +760,12 @@ def random_class_a_domain(seed) -> ArcDomain:
     and dilation are applied at the end.
 
     The stages run on ``edge_row`` rows: the polygon is ``_random_ring``'s
-    plain vertex list, each stage's curve passes ``_check_rows`` where a curve
-    would be built, and the returned boundary is a curve of rows, so no
-    ``Segment`` or ``Arc`` is built.  The numbers are those of one
-    ``rng.uniform`` call per scalar draw: a scalar draw is
-    ``lo + (hi - lo) * rng.random()``, the formula of ``Generator.uniform``,
-    and the four motion draws are one
+    plain vertex list, and only the returned boundary, a curve of rows, is
+    checked, once, when it is built; a draw whose rows fail there or in
+    ``_domain_rows`` is redrawn.  No ``Segment`` or ``Arc`` is built.  The
+    numbers are those of one ``rng.uniform`` call per scalar draw: a scalar
+    draw is ``lo + (hi - lo) * rng.random()``, the formula of
+    ``Generator.uniform``, and the four motion draws are one
     ``rng.random(4)``.  Edge lengths come from one ``np.hypot`` call, the C
     library's, which ``math.hypot`` does not always match to the bit.
     """
@@ -802,28 +801,23 @@ def random_class_a_domain(seed) -> ArcDomain:
             a0 = math.atan2(ay - cy, ax - cx)
             a1 = math.atan2(by - cy, bx - cx)
             rows.append((cx, cy, radius, a0, _arc_sweep(a0, a1, turning)))
-        try:
-            _check_rows(rows, True)
-        except ValidationError:
-            continue
         if min(_inner_curve_exterior_angles(rows)) < 0.05:
             continue
         area = _rows_area(rows)
         if area <= 0.0:
             continue
         rows = _transform_rows(rows, scale=math.sqrt(math.pi / area))
-        _check_rows(rows, True)
         if any(len(row) == 5 and row[4] < 0.0 and row[2] < 1.05 for row in rows):  # concave arcs
             continue
         try:
             rows, roles = _domain_rows(rows, 1.0)
-            _check_rows(rows, True)
+            lam, angle, dx, dy = rng.random(4).tolist()  # uniform on [0.5, 2), [0, 2 pi), [-3, 3)
+            lam = 0.5 + 1.5 * lam
+            rows = _transform_rows(rows, TWO_PI * angle, -3.0 + 6.0 * dx, -3.0 + 6.0 * dy, lam)
+            boundary = ArcCurve._from_rows(rows)
         except ValidationError:
             continue
-        lam, angle, dx, dy = rng.random(4).tolist()  # uniform on [0.5, 2), [0, 2 pi), [-3, 3)
-        lam = 0.5 + 1.5 * lam
-        rows = _transform_rows(rows, TWO_PI * angle, -3.0 + 6.0 * dx, -3.0 + 6.0 * dy, lam)
-        return ArcDomain(ArcCurve._from_rows(rows), roles, 1.0 / lam)
+        return ArcDomain(boundary, roles, 1.0 / lam)
     raise ValidationError("random class-A domain generation failed")
 
 

@@ -21,24 +21,27 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from . import jsonio
 from .arc_geometry import (
     ArcCurve,
     BORDER_PIECE,
+    CHAIN_TOL,
     INNER_JUNCTION,
-    _distances,
-    _edge_columns,
+    Point,
+    _arc_overlap,
+    _edge_box,
+    _edge_crossing,
     _edge_end,
-    _points,
-    _winding_totals,
+    _edge_support,
     curve_length,
+    locate_on_edge,
+    winding_number,
 )
 from .cheeger import (
     ArcDomain,
     ConvexPolygon,
     StructureReport,
+    _tangent,
     cheeger_convex,
     convex_hull,
     domain_from_dict,
@@ -58,9 +61,6 @@ TWO_PI = 2.0 * math.pi
 
 #: square of the hexagon constant, the right-hand side of the final bound
 HEX_SQUARED = math.pi + 2.0 * math.sqrt(3.0) + 2.0 * math.sqrt(math.pi) * 12.0 ** 0.25
-
-#: midpoint samples per edge for the cluster's containment and overlap checks
-BOUNDARY_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -146,69 +146,105 @@ class Cluster:
             if bc.run >= n:
                 raise ValidationError(f"bad border contact run {bc.run} of cell {bc.cell}, "
                                       f"whose border run count is {n}")
-        samples = [_sample_boundary(c) for c in self.cells]
-        self._check_containment(samples)
-        self._check_disjointness(samples)
+        edge_boxes = [tuple(map(_edge_box, c.boundary.rows)) for c in self.cells]
+        boxes = [tuple(f(side) for f, side in zip((min, min, max, max), zip(*bs))) for bs in edge_boxes]
+        self._check_containment(boxes)
+        self._check_disjointness(edge_boxes, boxes)
 
     @property
     def k(self) -> int:
         return len(self.cells)
 
-    def _check_containment(self, samples):
+    def _check_containment(self, boxes):
+        """No edge reaches more than ``1e-6 * extent`` past a container side, by
+        its support along the side's outward normal (``_edge_support``); the
+        error names the first such cell and its farthest point past that side."""
         tol = 1e-6 * self.container.extent
-        for j, (x, y) in enumerate(samples):
-            inside = self.container.contains(x, y, tol)
-            if not inside.all():
-                q = np.argmin(inside)
-                raise ValidationError(f"cell {j} leaves the container near ({x[q]:.6g}, {y[q]:.6g})")
+        sides = [(*n, *o) for n, o in zip(self.container.edge_normals[0].tolist(), self.container.vertices.tolist())]
+        for j, (cell, (x0, y0, x1, y1)) in enumerate(zip(self.cells, boxes)):
+            for nx, ny, ox, oy in sides:
+                if max((x0 - ox) * nx, (x1 - ox) * nx) + max((y0 - oy) * ny, (y1 - oy) * ny) <= tol:
+                    continue
+                reach, x, y = max(_edge_support(row, nx, ny, ox, oy) for row in cell.boundary.rows)
+                if reach > tol:
+                    raise ValidationError(f"cell {j} leaves the container near ({x:.6g}, {y:.6g})")
 
-    def _check_disjointness(self, samples):
-        """No boundary sample of a cell i lies strictly inside another cell j.
-
-        Samples within ten times j's tolerance of its curve (shared arcs) are
-        skipped.  One distance pass and one winding pass per cell j, on one
-        set of j's edge columns, take the near samples of every cell whose box
-        meets j's: 36 each for the l = 8 honeycomb, against 168 with one per
-        meeting pair.  The error names the first pair in the order i, then j,
-        and the first sample of i inside j.
-        """
-        boxes = [c.boundary.bbox for c in self.cells]
-        hits = []
-        for j, (x0, y0, x1, y1) in enumerate(boxes):
-            other = self.cells[j].boundary
-            pad = 10.0 * other.tolerance
-            near = [(i, (x0 - pad <= x) & (x <= x1 + pad) & (y0 - pad <= y) & (y <= y1 + pad))
-                    for i, ((x, y), b) in enumerate(zip(samples, boxes))
-                    if i != j and b[0] <= x1 and x0 <= b[2] and b[1] <= y1 and y0 <= b[3]]
-            if not near:
-                continue
-            owners = np.concatenate([np.full(np.count_nonzero(m), i) for i, m in near])
-            qx, qy = _points(np.concatenate([samples[i][0][m] for i, m in near]),
-                             np.concatenate([samples[i][1][m] for i, m in near]))
-            columns = _edge_columns(other)
-            far = np.flatnonzero(_distances(*columns, qx, qy) > pad)
-            hit = np.flatnonzero(_winding_totals(*columns, qx[far], qy[far]))
-            if hit.size:
-                q = far[hit[0]]
-                hits.append((owners[q], j, qx[q, 0], qy[q, 0]))
+    def _check_disjointness(self, edge_boxes, boxes):
+        """No two cells whose boxes meet overlap (``_cell_overlap``); the error
+        names the first overlapping pair (i, j), i < j, in cell order."""
+        cells = [(c.boundary, box, edges, _corners(c.boundary.rows))
+                 for c, box, edges in zip(self.cells, boxes, edge_boxes)]
+        hits = [(i, j, *p) for i, j in _box_pairs(boxes) if (p := _cell_overlap(cells[i], cells[j])) is not None]
         if hits:
-            i, j, x, y = min(hits)  # one hit per j, so (i, j) decides
+            i, j, x, y = min(hits)
             raise ValidationError(f"cells {i} and {j} overlap near ({x:.6g}, {y:.6g})")
 
 
-def _sample_boundary(cell: ArcDomain):
-    """x and y arrays of BOUNDARY_SAMPLES midpoint samples per edge, in traversal order."""
-    t = (np.arange(BOUNDARY_SAMPLES) + 0.5) / BOUNDARY_SAMPLES
-    xs, ys = [], []
-    for row in cell.boundary.rows:
-        if len(row) == 5:
-            a = row[3] + row[4] * t
-            xs.append(row[0] + row[2] * np.cos(a))
-            ys.append(row[1] + row[2] * np.sin(a))
-        else:
-            xs.append(row[0] + t * (row[2] - row[0]))
-            ys.append(row[1] + t * (row[3] - row[1]))
-    return np.concatenate(xs), np.concatenate(ys)
+def _meet(a, b) -> bool:
+    """Whether two (xmin, ymin, xmax, ymax) boxes meet."""
+    return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
+
+
+def _box_pairs(boxes):
+    """The pairs (i, j), i < j, whose boxes meet, from a sweep over their x-intervals."""
+    active = []
+    for j in sorted(range(len(boxes)), key=lambda j: boxes[j][0]):
+        active = [i for i in active if boxes[i][2] >= boxes[j][0]]
+        yield from ((min(i, j), max(i, j)) for i in active if _meet(boxes[i], boxes[j]))
+        active.append(j)
+
+
+def _holds(box, x: float, y: float, pad: float) -> bool:
+    """Whether the box grown by pad holds (x, y)."""
+    return box[0] - pad <= x <= box[2] + pad and box[1] - pad <= y <= box[3] + pad
+
+
+def _corners(rows) -> list:
+    """(x, y, start, size, radius) at the start of each edge: the vertex, the
+    counterclockwise interval of directions into the cell there, and the
+    smaller radius of the two edges (inf for segments)."""
+    return [(*_edge_end(row, 0.0), start, (_tangent(prev, 1.0) + math.pi - start) % TWO_PI,
+             min((e[2] for e in (prev, row) if len(e) == 5), default=math.inf))
+            for prev, row in zip(rows[-1:] + rows[:-1], rows) for start in (_tangent(row, 0.0),)]
+
+
+def _cell_overlap(a, b):
+    """A point where the interiors of two cells overlap, or None.
+
+    A cell comes as its boundary, box, edge boxes and ``_corners``; the pad is
+    ten times the larger curve tolerance.  In order: two edges cross
+    (``_edge_crossing``); at a vertex within the pad of the other cell, the
+    directions into the two (the other's at its vertex there, or left of its
+    edge) overlap by over ``10 * CHAIN_TOL + 2 sqrt(2 pad / R)`` radians, R the
+    least radius there; or a cell boxed within the other has its first vertex
+    off the other boundary inside it.
+    """
+    (ca, ba, ea, _), (cb, bb, eb, _) = a, b
+    pad = 10.0 * max(ca.tolerance, cb.tolerance)
+    near = [(row, box) for row, box in zip(cb.rows, eb) if _meet(box, ba)]
+    for row, box in zip(ca.rows, ea):
+        for other, other_box in near:
+            if _meet(box, other_box) and (p := _edge_crossing(row, other, pad)) is not None:
+                return p
+    for (_, ib, _, corners), (outer, ob, eo, other_corners) in ((a, b), (b, a)):
+        nested = _holds(ob, ib[0], ib[1], pad) and _holds(ob, ib[2], ib[3], pad)
+        for x, y, start, size, radius in corners:
+            if not _holds(ob, x, y, pad):
+                continue
+            there = next((c[2:] for c in other_corners if math.hypot(x - c[0], y - c[1]) <= pad), None)
+            for row, box in zip(outer.rows, eo):
+                t, dist = locate_on_edge(x, y, row) if there is None and _holds(box, x, y, pad) else (0.0, math.inf)
+                if dist <= pad:
+                    there = _tangent(row, t), math.pi, row[2] if len(row) == 5 else math.inf
+            if there is not None:
+                lo, hi = _arc_overlap(start, size, *there[:2])
+                if hi - lo > 10.0 * CHAIN_TOL + 2.0 * math.sqrt(2.0 * pad / min(radius, there[2])):
+                    return x, y
+            elif nested:
+                nested = False  # the boundaries do not cross, so one vertex decides
+                if winding_number(outer, Point(x, y)):
+                    return x, y
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,8 @@ def require_keys(obj: dict, required, optional=()):
     if not isinstance(obj, dict):
         raise ValidationError(f"expected a JSON object, got {obj!r}")
     missing = [k for k in required if k not in obj]
-    unknown = [k for k in obj if k not in set(required) | set(optional)]
+    allowed = {*required, *optional}
+    unknown = [k for k in obj if k not in allowed]
     problems = []
     if missing:
         problems.append(f"missing keys: {', '.join(missing)}")

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from cheegerlab import cheeger
-from cheegerlab.arc_geometry import BORDER_PIECE, FREE, INNER_JUNCTION, Arc, Segment
+from cheegerlab.arc_geometry import BORDER_PIECE, FREE, INNER_JUNCTION, Arc, Segment, transform_curve
 from cheegerlab.cheeger import ArcDomain, ConvexPolygon, cheeger_domain
 from cheegerlab.cluster import Adjacency, BorderContact, Cluster, border_runs
 
@@ -60,6 +62,25 @@ def make_domino_cluster() -> Cluster:
     assert len(border_runs(left)) == 1 and len(border_runs(right)) == 1
     contacts = (BorderContact(0, 0), BorderContact(1, 0))
     return Cluster(container, (left, right), adjacency, contacts)
+
+
+def make_turned_square_cell(x: float, y: float) -> ArcDomain:
+    """The Cheeger set of a unit-area square turned 45 degrees, moved so that
+    the lowest point of its rounded bottom corner (radius 0.265) is (x, y)."""
+    s = 1.0 / math.sqrt(2.0)
+    cell = cheeger_domain(ConvexPolygon([[0, -s], [s, 0], [0, s], [-s, 0]]))
+    cx, cy, r = min((row for row in cell.boundary.rows if len(row) == 5), key=lambda row: row[1] - row[2])[:3]
+    return ArcDomain(transform_curve(cell.boundary, dx=x - cx, dy=y - (cy - r)), cell.roles, cell.h)
+
+
+def make_lens_cells(x: float, depth: float):
+    """A container of extent 7.8 holding the unit square's Cheeger set and a
+    turned square whose rounded corner reaches ``depth`` below the first
+    cell's top side at abscissa x, 0.3 <= x <= 0.7; the two overlap in a lens
+    when depth > 0 and touch when it is 0."""
+    box = ConvexPolygon([[-2, -2], [3, -2], [3, 4], [-2, 4]])
+    square = cheeger_domain(ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]]))
+    return box, (square, make_turned_square_cell(x, 1.0 - depth))
 
 
 @pytest.fixture(scope="session")

@@ -21,10 +21,12 @@ oracle sums the shoelace in integers and the pocket angles in 50-digit
 and ``Arc`` objects, building a new object per offset edge; the chord-deficit
 oracle locates every node on every edge through ``Point`` objects, cuts the
 edge objects with ``split_edge`` and builds each portion with its chord
-``Segment`` into a validated ``ArcCurve`` for its area; the
-overlap oracle makes one distance and one winding call per meeting pair of
-cells; the curve-gap oracle measures every gap between ``Point`` endpoints;
-the class-A fixture oracles build hulls from ``np.unique`` rows, bow edges
+``Segment`` into a validated ``ArcCurve`` for its area; the array winding and
+distance kernels take every point against every edge at once in numpy
+columns; the overlap oracle samples 64 midpoints per edge and makes one
+distance and one winding call of those kernels per meeting pair of cells, so
+it sees an overlap only where a sample falls in it; the curve-gap oracle
+measures every gap between ``Point`` endpoints; the class-A fixture oracles build hulls from ``np.unique`` rows, bow edges
 with numpy 2-vectors, map every point through a helper call and build every
 stage of a domain as a validated ``ArcCurve`` of edge objects.
 """
@@ -45,10 +47,9 @@ from cheegerlab.arc_geometry import (
     ArcCurve,
     Point,
     Segment,
-    curve_distances,
+    _edge_end,
     signed_area,
     split_edge,
-    winding_numbers,
 )
 from cheegerlab.chamber_lemmas import (
     CLOSED,
@@ -66,11 +67,11 @@ from cheegerlab.cheeger import (
     inner_parallel_polygon,
     maximal_arcs,
 )
-from cheegerlab.cluster import _sample_boundary
 from cheegerlab.errors import (
     ContractViolation,
     DegenerateOffsetError,
     DegenerateConfigurationError,
+    OnBoundaryError,
     ValidationError,
 )
 from cheegerlab.hales_deficit import DeficitReport
@@ -852,14 +853,143 @@ def chord_deficits_reference(gamma_r: ArcCurve, nodes, clamp_bound=None) -> Defi
     return DeficitReport(tuple(xs), t, n, clamp_bound)
 
 
-def overlap_message_reference(cells):
-    """The overlap error ``Cluster`` raises for these cells, or None: one call per pair.
+# ---------------------------------------------------------------------------
+# The array winding and distance kernels and the sampled overlap check.
 
+def _edge_columns(c: ArcCurve):
+    """Per-field arrays of the curve's segments and of its arcs (None when absent).
+
+    Segments: start x, start y, end x, end y.  Arcs: center x, center y,
+    radius, start angle, opening angle, turning, start x, start y, end x,
+    end y.  Each field is a row, so it broadcasts against a column of points.
+    """
+    segs, arcs = [], []
+    for row in c.rows:
+        if len(row) == 4:
+            segs.append(row)
+        else:
+            cx, cy, r, a0, sweep = row
+            arcs.append((cx, cy, r, a0, abs(sweep), 1 if sweep > 0.0 else -1,
+                         *_edge_end(row, 0.0), *_edge_end(row, 1.0)))
+    return (np.array(segs).T if segs else None), (np.array(arcs).T if arcs else None)
+
+
+def _points(x, y):
+    # query coordinates as columns, so every edge field broadcasts along axis 1
+    return np.asarray(x, dtype=float)[:, None], np.asarray(y, dtype=float)[:, None]
+
+
+def _distances(segs, arcs, x, y) -> np.ndarray:
+    # nearest distance from each point column entry to the edge columns
+    best = np.full(len(x), np.inf)
+    if segs is not None:
+        x0, y0, x1, y1 = segs
+        vx, vy = x1 - x0, y1 - y0
+        wx, wy = x - x0, y - y0
+        t = np.clip((vx * wx + vy * wy) / (vx * vx + vy * vy), 0.0, 1.0)
+        best = np.minimum(best, np.hypot(wx - t * vx, wy - t * vy).min(axis=1))
+    if arcs is not None:
+        cx, cy, radius, a0, sweep, turning, sx, sy, ex, ey = arcs
+        dx, dy = x - cx, y - cy
+        rho = np.hypot(dx, dy)
+        # the nearest point is radial when q's direction falls within the arc
+        rel = (turning * (np.arctan2(dy, dx) - a0)) % TWO_PI
+        ends = np.minimum(np.hypot(x - sx, y - sy), np.hypot(x - ex, y - ey))
+        d = np.where(rel <= sweep, np.abs(rho - radius), ends)
+        best = np.minimum(best, np.where(rho == 0.0, radius, d).min(axis=1))
+    return best
+
+
+def curve_distances_reference(c: ArcCurve, x, y) -> np.ndarray:
+    """Distance from each point ``(x[i], y[i])`` to the curve, for arrays x and y."""
+    return _distances(*_edge_columns(c), *_points(x, y))
+
+
+def _principal_turn(x, y, ax, ay, bx, by):
+    # signed angle of (b - q) relative to (a - q), in (-pi, pi]
+    v0x, v0y = ax - x, ay - y
+    v1x, v1y = bx - x, by - y
+    return np.arctan2(v0x * v1y - v0y * v1x, v0x * v1x + v0y * v1y)
+
+
+def winding_numbers_reference(c: ArcCurve, x, y) -> np.ndarray:
+    """Winding number of the closed curve around each point ``(x[i], y[i])``.
+
+    Every edge contributes its exact turn in O(1).  A segment, or an arc seen
+    from outside its supporting disk, turns by the principal angle between
+    its endpoints, since all its directions fit in an open half-plane.  Seen
+    from inside or on its supporting circle (``rho <= R``), the direction to
+    an arc of opening S rotates monotonically with the arc's turning through
+    an angle V in ``[S/2, S/2 + pi)``, which is 2*pi for a full circle.  V is
+    the difference of the endpoint directions taken modulo 2*pi; the residue
+    is picked from the window of width 2*pi centred on S/2 + pi/2, which keeps
+    pi/2 clear of every possible V, so rounding in the endpoint coordinates
+    (a full circle's end point landing on either side of its start) cannot
+    move it by 2*pi.
+
+    Raises ``OnBoundaryError`` for the first point within the curve's
+    tolerance, and ``ValidationError`` if a total is not within 1/4 of an
+    integer.
+    """
+    if not c.closed:
+        raise ContractViolation("winding_number requires a closed curve")
+    columns = _edge_columns(c)
+    x, y = _points(x, y)
+    d = _distances(*columns, x, y)
+    on = np.flatnonzero(d <= c.tolerance)
+    if on.size:
+        raise OnBoundaryError(f"query point is on the curve (distance {d[on[0]]:.3e})")
+    return _winding_totals(*columns, x, y)
+
+
+def _winding_totals(segs, arcs, x, y) -> np.ndarray:
+    # ``winding_numbers_reference`` of point columns known to lie off the curve
+    total = np.zeros(len(x))
+    if segs is not None:
+        total += _principal_turn(x, y, *segs).sum(axis=1)
+    if arcs is not None:
+        cx, cy, radius, _, sweep, turning, sx, sy, ex, ey = arcs
+        outside = np.hypot(x - cx, y - cy) > radius
+        raw = turning * (np.arctan2(ey - y, ex - x) - np.arctan2(sy - y, sx - x))
+        centre = 0.5 * sweep + 0.5 * math.pi
+        inside = turning * (raw + TWO_PI * np.rint((centre - raw) / TWO_PI))
+        total += np.where(outside, _principal_turn(x, y, sx, sy, ex, ey), inside).sum(axis=1)
+    m = total / TWO_PI
+    n = np.rint(m)
+    off = np.flatnonzero(np.abs(m - n) > 0.25)
+    if off.size:
+        raise ValidationError(f"winding number did not converge to an integer: {float(m[off[0]])}")
+    return n.astype(int)
+
+
+#: midpoint samples per edge of ``sample_boundary_reference``
+BOUNDARY_SAMPLES = 64
+
+
+def sample_boundary_reference(cell: ArcDomain):
+    """x and y arrays of BOUNDARY_SAMPLES midpoint samples per edge, in traversal order."""
+    t = (np.arange(BOUNDARY_SAMPLES) + 0.5) / BOUNDARY_SAMPLES
+    xs, ys = [], []
+    for row in cell.boundary.rows:
+        if len(row) == 5:
+            a = row[3] + row[4] * t
+            xs.append(row[0] + row[2] * np.cos(a))
+            ys.append(row[1] + row[2] * np.sin(a))
+        else:
+            xs.append(row[0] + t * (row[2] - row[0]))
+            ys.append(row[1] + t * (row[3] - row[1]))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def overlap_message_reference(cells):
+    """The sampled overlap verdict for these cells: a message naming a sample, or None.
+
+    It sees an overlap only where a boundary sample of one cell falls in it.
     For each cell i in order and each other cell j whose box meets i's, the
     samples of i inside j's padded box and off j's curve are tested with
-    ``winding_numbers`` on j; the first nonzero names the pair.
+    ``winding_numbers_reference`` on j; the first nonzero names the pair.
     """
-    samples = [_sample_boundary(c) for c in cells]
+    samples = [sample_boundary_reference(c) for c in cells]
     boxes = [c.boundary.bbox for c in cells]
     for i, (x, y) in enumerate(samples):
         bi = boxes[i]
@@ -871,9 +1001,9 @@ def overlap_message_reference(cells):
             near = ((bj[0] - pad <= x) & (x <= bj[2] + pad)
                     & (bj[1] - pad <= y) & (y <= bj[3] + pad))
             qx, qy = x[near], y[near]
-            far = curve_distances(other, qx, qy) > pad
+            far = curve_distances_reference(other, qx, qy) > pad
             qx, qy = qx[far], qy[far]
-            hit = np.flatnonzero(winding_numbers(other, qx, qy))
+            hit = np.flatnonzero(winding_numbers_reference(other, qx, qy))
             if hit.size:
                 q = hit[0]
                 return f"cells {i} and {j} overlap near ({qx[q]:.6g}, {qy[q]:.6g})"

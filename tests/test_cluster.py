@@ -6,6 +6,7 @@ import pytest
 
 from cheegerlab import jsonio
 from cheegerlab.arc_geometry import (
+    CHAIN_TOL,
     Arc,
     ArcCurve,
     BORDER_PIECE,
@@ -17,6 +18,7 @@ from cheegerlab.arc_geometry import (
 from cheegerlab.cheeger import (
     ArcDomain,
     ConvexPolygon,
+    cheeger_domain,
     hexagon_constant,
     inner_cheeger_boundary,
     random_class_a_domain,
@@ -25,7 +27,6 @@ from cheegerlab.cheeger import (
 )
 from cheegerlab.chamber_lemmas import reference_areas
 from cheegerlab.cluster import (
-    BOUNDARY_SAMPLES,
     Adjacency,
     Cluster,
     canonical_graph,
@@ -35,14 +36,15 @@ from cheegerlab.cluster import (
     empty_chamber_report,
     honeycomb_cluster,
     honeycomb_kcell,
-    _sample_boundary,
     junction_curvature,
     lower_bound_certificate,
     objective,
     theorem_lower_bound,
 )
 from cheegerlab.errors import ValidationError
-from oracles import overlap_message_reference
+from cheegerlab.partition_optimizer import SeedConfiguration, power_diagram_cells
+from conftest import make_lens_cells, make_turned_square_cell
+from oracles import BOUNDARY_SAMPLES, overlap_message_reference, sample_boundary_reference
 
 PI = math.pi
 
@@ -473,17 +475,17 @@ class TestClusterModel:
             Cluster(tri, (_disk_domain(5.0, 5.0, 1.0),))
 
     def test_boundary_samples_are_edge_midpoints(self, domino_cluster):
-        # the per-point reference: point_at at the midpoint of each of the
-        # BOUNDARY_SAMPLES equal parameter steps of every edge, in order
+        # the overlap oracle's samples: point_at at the midpoint of each of
+        # the BOUNDARY_SAMPLES equal parameter steps of every edge, in order
         for cell in domino_cluster.cells + honeycomb_cluster(2).cells:
-            x, y = _sample_boundary(cell)
+            x, y = sample_boundary_reference(cell)
             ref = [e.point_at((s + 0.5) / BOUNDARY_SAMPLES)
                    for e in cell.boundary.edges for s in range(BOUNDARY_SAMPLES)]
             assert x.tolist() == [p.x for p in ref]
             assert y.tolist() == [p.y for p in ref]
 
-    # The three rejections below name the first offending boundary sample;
-    # each message was recorded from the point-by-point checks they replace.
+    # The rejections below name the first crossing of two edges, or the
+    # point of an edge that reaches farthest past a container side.
 
     def test_hexagon_sliver_overlap_rejected(self):
         # the second hexagon is turned by 0.002 rad and pushed so that only
@@ -494,16 +496,16 @@ class TestClusterModel:
         with pytest.raises(ValidationError) as err:
             Cluster(box, cells)
         assert type(err.value) is ValidationError
-        assert str(err.value) == "cells 0 and 1 overlap near (0.866025, 0.460937)"
+        assert str(err.value) == "cells 0 and 1 overlap near (0.866025, 0.498324)"
 
     def test_polygon_sliver_outside_container_rejected(self):
-        # the vertex at x = 1.002 puts the last 2 samples of two edges outside
+        # the vertex at x = 1.002 reaches 0.002 past the side x = 1
         square = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
         cell = _polygon_cell([(0.1, 0.1), (0.9, 0.1), (1.002, 0.5), (0.9, 0.9), (0.1, 0.9)])
         with pytest.raises(ValidationError) as err:
             Cluster(square, (cell,))
         assert type(err.value) is ValidationError
-        assert str(err.value) == "cell 0 leaves the container near (1.0012, 0.496875)"
+        assert str(err.value) == "cell 0 leaves the container near (1.002, 0.5)"
 
     def test_shifted_arc_cell_overlap_rejected(self, domino_cluster):
         left, right = domino_cluster.cells
@@ -512,7 +514,7 @@ class TestClusterModel:
             Cluster(domino_cluster.container, (moved, right),
                     domino_cluster.adjacency, domino_cluster.border_contacts)
         assert type(err.value) is ValidationError
-        assert str(err.value) == "cells 0 and 1 overlap near (1.00552, 0.216559)"
+        assert str(err.value) == "cells 0 and 1 overlap near (1.005, 0.213837)"
 
     @pytest.mark.parametrize("dx", [-1e4, 0.0], ids=["origin", "x1e4"])
     def test_sample_near_other_cell_accepted_anywhere(self, dx):
@@ -530,8 +532,8 @@ class TestClusterModel:
         assert Cluster(box, cells).k == 2
 
     def test_first_overlapping_sample_reported(self):
-        # several boundary samples of the square lie inside the trapezoid;
-        # the error names the first of them
+        # the trapezoid's slanted side crosses the square's bottom side at
+        # x = 1e4 + 0.815, the first crossing in edge order
         cells = (_polygon_cell(_square_1e4()), _polygon_cell([
             (1e4 + 0.7, -0.5), (1e4 + 2, -0.5), (1e4 + 2, 51.5 / 64), (1e4 + 1 + 1e-6, 51.5 / 64),
         ]))
@@ -541,8 +543,8 @@ class TestClusterModel:
         assert str(err.value) == "cells 0 and 1 overlap near (10000.8, 0)"
 
     def test_overlaps_match_pairwise_reference(self, domino_cluster):
-        # one winding call per cell against the reference's one per meeting
-        # pair: the same first pair and the same first sample
+        # every overlap the sampled oracle sees is rejected, and the pair the
+        # error names overlaps by the oracle too
         def moved(cell, **motion):
             return ArcDomain(transform_curve(cell.boundary, **motion), cell.roles, cell.h)
 
@@ -559,30 +561,30 @@ class TestClusterModel:
             (dom, moved(dom, dx=0.1 * dom.r), moved(dom, angle=0.5)),
         ]
         for cells in cases:
-            expected = overlap_message_reference(cells)
-            assert expected is not None
-            with pytest.raises(ValidationError) as err:
+            assert overlap_message_reference(cells) is not None
+            with pytest.raises(ValidationError, match="^cells ") as err:
                 Cluster(box, cells)
-            assert str(err.value) == expected
+            i, j = map(int, str(err.value).split()[1:4:2])
+            assert overlap_message_reference((cells[i], cells[j])) is not None
         assert overlap_message_reference(hc4) is None
+        assert Cluster(box, hc4).k == 10
 
     def test_first_pair_in_cell_order_reported(self):
-        # cell 0 lies inside cell 3 and cell 2 inside cell 1, and no sample of
-        # a large disk is inside a small one: the hits are (0, 3) and (2, 1),
-        # and (0, 3) comes first in the order i, then j
+        # cell 0 lies inside cell 3 and cell 2 inside cell 1, and no edges
+        # cross: the nested pairs are (0, 3) and (1, 2), and (0, 3) comes first;
+        # the error names the inner disk's vertex, the start of its arc
         box = ConvexPolygon([[-5, -5], [15, -5], [15, 5], [-5, 5]])
         cells = (_disk_domain(0.0, 0.0, 0.5), _disk_domain(10.0, 0.0, 2.0),
                  _disk_domain(10.0, 0.5, 0.5), _disk_domain(0.0, 0.3, 2.0))
-        expected = overlap_message_reference(cells)
-        assert expected.startswith("cells 0 and 3 overlap near (")
+        assert overlap_message_reference(cells).startswith("cells 0 and 3 overlap near (")
         with pytest.raises(ValidationError) as err:
             Cluster(box, cells)
-        assert str(err.value) == expected
+        assert str(err.value) == "cells 0 and 3 overlap near (0.5, 0)"
         swapped = (cells[2], cells[1], cells[0], cells[3])
         assert overlap_message_reference(swapped).startswith("cells 0 and 1 overlap near (")
         with pytest.raises(ValidationError) as err:
             Cluster(box, swapped)
-        assert str(err.value) == overlap_message_reference(swapped)
+        assert str(err.value) == "cells 0 and 1 overlap near (10.5, 0.5)"
 
     def test_scaled_objective_equals_graph_free_quantity(self):
         cl = honeycomb_cluster(3)
@@ -590,3 +592,102 @@ class TestClusterModel:
         assert cert.scaled_objective == pytest.approx(
             math.sqrt(cl.container_area / cl.k) * objective(cl, math.inf), abs=1e-12
         )
+
+
+class TestExactChecks:
+    """Containment and disjointness are decided edge pair by edge pair, so
+    an overlap or an overhang deeper than the tolerance is caught wherever it
+    falls along an edge."""
+
+    @pytest.mark.parametrize("depth", [1e-5, 1e-6, 1e-7])
+    def test_lens_rejected_at_every_placement(self, depth):
+        # the sampled check let 15, 33 and 39 of these 41 lenses through
+        for x in np.linspace(0.3, 0.7, 41):
+            box, cells = make_lens_cells(x, depth)
+            assert depth >= 10.0 * CHAIN_TOL * box.extent
+            with pytest.raises(ValidationError) as err:
+                Cluster(box, cells)
+            # the crossing of the corner arc with the top side y = 1
+            px, py = map(float, str(err.value).partition("near (")[2].rstrip(")").split(", "))
+            assert str(err.value).startswith("cells 0 and 1 overlap near (")
+            assert abs(py - 1.0) < 1e-5 and 0.0 < abs(px - x) < math.sqrt(2.0 * 0.27 * depth)
+
+    @pytest.mark.parametrize("depth", [0.0, -1e-7])
+    def test_tangent_or_apart_accepted_at_every_placement(self, depth):
+        for x in np.linspace(0.3, 0.7, 41):
+            assert Cluster(*make_lens_cells(x, depth)).k == 2
+
+    def test_arc_below_container_side_rejected_at_every_placement(self):
+        # the tolerance is 1e-6 times the extent 4.72; the sampled check let
+        # all 21 through, and the error names the arc's lowest point
+        box = ConvexPolygon([[-2, 0], [2, 0], [2, 2.5], [-2, 2.5]])
+        for x in np.linspace(-0.5, 0.5, 21):
+            with pytest.raises(ValidationError) as err:
+                Cluster(box, (make_turned_square_cell(x, -1e-5),))
+            assert str(err.value) == f"cell 0 leaves the container near ({x:.6g}, -1e-05)"
+            for y in (-1e-6, 0.0, 1e-5):  # within the tolerance, or inside
+                assert Cluster(box, (make_turned_square_cell(x, y),)).k == 1
+
+    def test_same_way_shared_edges_overlap(self):
+        # no edges cross: a cell twice, the right half of a square inside it,
+        # and a circle twice from two start angles; where a vertex of one
+        # cell meets the other, both run the same way, so their directions
+        # inward overlap (the sampled check skips samples on the other cell)
+        box = ConvexPolygon([[-3, -3], [6, -3], [6, 3], [-3, 3]])
+        square = _polygon_cell([(0, 0), (1, 0), (1, 1), (0, 1)])
+        half = _polygon_cell([(0.5, 0), (1, 0), (1, 1), (0.5, 1)])
+        disk = _disk_domain(0.0, 0.0, 1.0)
+        turned = ArcDomain(ArcCurve((Arc(Point(0.0, 0.0), 1.0, 0.5 * PI, 2 * PI),), closed=True), (FREE,), 2.0)
+        for cells, at in (((square, square), "(0, 0)"), ((square, half), "(1, 0)"), ((half, square), "(0.5, 0)"),
+                          ((disk, disk), "(1, 0)"), ((disk, turned), "(1, 0)")):
+            with pytest.raises(ValidationError) as err:
+                Cluster(box, cells)
+            assert str(err.value) == f"cells 0 and 1 overlap near {at}"
+
+    def test_contacts_accepted(self):
+        # half a side shared run opposite ways (a brick joint), a vertex on
+        # another cell's side, and disks tangent from outside
+        box = ConvexPolygon([[-3, -3], [6, -3], [6, 3], [-3, 3]])
+        square = _polygon_cell([(0, 0), (1, 0), (1, 1), (0, 1)])
+        brick = _polygon_cell([(0.5, 0), (0.5, -1), (2, -1), (2, 0)])
+        vertex = _polygon_cell([(1, 0.5), (2, 0), (2, 1)])
+        assert Cluster(box, (square, brick, vertex)).k == 3
+        disks = (_disk_domain(0.0, 0.0, 1.0), _disk_domain(2.0, 0.0, 1.0), _disk_domain(1.0, math.sqrt(3.0), 1.0))
+        assert Cluster(box, disks).k == 3
+
+    def test_nested_cells_rejected(self):
+        # a disk inside another, touching it from inside, and a square inside
+        # a hexagon: no edges cross, and the winding number decides
+        box = ConvexPolygon([[-3, -3], [6, -3], [6, 3], [-3, 3]])
+        for inner in (_disk_domain(0.5, 0.0, 0.5), _polygon_cell([(-0.3, -0.3), (0.3, -0.3), (0.3, 0.3), (-0.3, 0.3)])):
+            for outer in (_disk_domain(0.0, 0.0, 1.0), _polygon_cell(_hexagon(0.0, 0.0))):
+                for cells in ((inner, outer), (outer, inner)):
+                    with pytest.raises(ValidationError, match="^cells 0 and 1 overlap near "):
+                        Cluster(box, cells)
+
+    def test_overlaps_meeting_only_at_vertices_rejected(self):
+        # the boundaries meet only where a vertex of one lies on the other: the
+        # directions into the two cells there overlap, which the sampled
+        # oracle sees too
+        box = ConvexPolygon([[-9, -9], [9, -9], [9, 9], [-9, 9]])
+        square = _polygon_cell([(0, 0), (1, 0), (1, 1), (0, 1)])
+        for outline, at in (([(1, 0), (2, 2), (0, 1)], "(1, 0)"),
+                            ([(0, 0), (1, 1), (1, 5), (-5, 5), (-5, 0)], "(0, 0)"),
+                            ([(0.5, 0), (2, 0.5), (1, 1.5)], "(1, 0.166667)")):
+            for cells in ((square, _polygon_cell(outline)), (_polygon_cell(outline), square)):
+                assert overlap_message_reference(cells) is not None
+                with pytest.raises(ValidationError) as err:
+                    Cluster(box, cells)
+                assert str(err.value) == f"cells 0 and 1 overlap near {at}"
+
+    def test_cheeger_sets_of_power_cells_accepted(self):
+        # neighbouring Cheeger sets run along a shared side and leave it by
+        # corner arcs a little apart, so a vertex of one lies within the pad
+        # of the other's arc, whose direction there has turned by 3e-4 rad
+        tri = ConvexPolygon([[0, 0], [4, 0], [2, 3.4]])
+        rng = np.random.default_rng(6)
+        seeds = [(rng.uniform(0.3, 3.7), rng.uniform(0.2, 2.6)) for _ in range(12)]
+        seeds = np.array([q for q in seeds if tri.contains(*q)])
+        cells = power_diagram_cells(SeedConfiguration(seeds, rng.normal(0.0, 0.05, len(seeds))), tri)
+        assert Cluster(tri, tuple(cheeger_domain(c) for c in cells)).k == 8
+        assert Cluster(tri, tuple(_polygon_cell(c.vertices.tolist()) for c in cells)).k == 8

@@ -5,7 +5,8 @@ package never references, no private module-level constant the package
 never reads, no import inside a function of the package, no
 artifact reader that leaves its keys unchecked, no dataclass argument
 that ``__post_init__`` overwrites unread, no numpy call in the float
-chain sampler, and no read of a curve's edge objects outside ``arc_geometry``.
+chain sampler or the cluster checks, and no read of a curve's edge objects
+outside ``arc_geometry``.
 
 Package ``__init__.py`` files are skipped by the import scan, since their
 imports are re-exports.
@@ -238,17 +239,40 @@ def _numpy_root(func) -> bool:
     return isinstance(func, ast.Name) and func.id == "np"
 
 
+def _numpy_calls(functions):
+    """``file:line: name`` of every numpy call in the named functions, per module
+    file; a name ``Class.method`` is a method.  Every name must exist."""
+    found = []
+    for module, names in functions.items():
+        tree = ast.parse((ROOT / "src" / "cheegerlab" / module).read_text(encoding="utf-8"))
+        funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        funcs.update((f"{cls.name}.{node.name}", node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                     for node in cls.body if isinstance(node, ast.FunctionDef))
+        assert set(names) <= funcs.keys(), set(names) - funcs.keys()
+        found += [f"{module}:{node.lineno}: {name}" for name in names for node in ast.walk(funcs[name])
+                  if isinstance(node, ast.Call) and _numpy_root(node.func)]
+    return found
+
+
 def test_chain_sampler_makes_no_numpy_call():
     # the sampler and the pocket outline are plain float arithmetic; a numpy
     # call there would be a copy of numpy's rounding, which is no rule of the chains
-    tree = ast.parse((ROOT / "src" / "cheegerlab" / "chamber_lemmas.py").read_text(encoding="utf-8"))
-    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    names = ("_try_chain", "_circle_intersections", "_step", "pocket_outline")
-    assert set(names) <= funcs.keys()
-    found = [f"chamber_lemmas.py:{node.lineno}: {name}" for name in names
-             for node in ast.walk(funcs[name])
-             if isinstance(node, ast.Call) and _numpy_root(node.func)]
+    found = _numpy_calls({"chamber_lemmas.py": ("_try_chain", "_step", "pocket_outline"),
+                          "arc_geometry.py": ("_circle_intersections",)})
     assert not found, "numpy calls in the float chain sampler:\n" + "\n".join(found)
+
+
+def test_cluster_checks_make_no_numpy_call():
+    # containment and disjointness are closed forms on each pair of edge rows,
+    # in plain floats, like the sampler
+    found = _numpy_calls({
+        "cluster.py": ("Cluster._check_containment", "Cluster._check_disjointness", "_meet",
+                       "_box_pairs", "_holds", "_corners", "_cell_overlap"),
+        "arc_geometry.py": ("_edge_support", "_edge_box", "_arc_overlap", "_circle_intersections",
+                            "_edge_crossing", "locate_on_edge", "winding_number", "_scalar_turn"),
+        "cheeger.py": ("_tangent",),
+    })
+    assert not found, "numpy calls in the cluster checks:\n" + "\n".join(found)
 
 
 def _init_false(value) -> bool:

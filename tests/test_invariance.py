@@ -2,7 +2,8 @@
 
 Every input is rotated by 0.3 rad, dilated by lambda from 1e-8 to 1e8 and then
 translated by 0, 1e2 or 1e4 of its own (dilated) extents.  The certificate's
-applicability, its failing rules and its dimensionless margins, the class-A
+applicability, its failing rules and its dimensionless margins, the verdict
+on two cells that overlap in a thin lens or touch, the class-A
 and Hales verdicts of random domains and their Hales margins, must not depend
 on where the input sits or on its scale; nor may the optimizer's lattice
 start, the Cheeger constants of its power cells or its scaled best value.
@@ -36,7 +37,7 @@ from cheegerlab.partition_optimizer import (
     optimize,
     power_diagram_cells,
 )
-from conftest import make_domino_cluster
+from conftest import make_domino_cluster, make_lens_cells
 
 ANGLE = 0.3
 SCALES = [1e-8, 1e-4, 1.0, 1e4, 1e8]
@@ -54,11 +55,15 @@ def _move_domain(d: ArcDomain, angle, dx, dy, lam) -> ArcDomain:
     return ArcDomain(transform_curve(d.boundary, angle, dx, dy, lam), d.roles, d.h / lam)
 
 
-def _move_cluster(cl: Cluster, angle, dx, dy, lam) -> Cluster:
+def _move_polygon(p: ConvexPolygon, angle, dx, dy, lam) -> ConvexPolygon:
     rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
-    container = ConvexPolygon(lam * cl.container.vertices @ rot.T + [dx, dy])
+    return ConvexPolygon(lam * p.vertices @ rot.T + [dx, dy])
+
+
+def _move_cluster(cl: Cluster, angle, dx, dy, lam) -> Cluster:
     return Cluster(
-        container, tuple(_move_domain(c, angle, dx, dy, lam) for c in cl.cells),
+        _move_polygon(cl.container, angle, dx, dy, lam),
+        tuple(_move_domain(c, angle, dx, dy, lam) for c in cl.cells),
         cl.adjacency, cl.border_contacts,
         container_area=lam * lam * cl.container_area, claimed_optimal=cl.claimed_optimal,
     )
@@ -108,6 +113,23 @@ def test_honeycomb_verdicts(honeycomb, lam, shift):
     cl, ref = honeycomb
     cert = lower_bound_certificate(_move_cluster(cl, *_motion(cl.container.vertices, lam, shift)))
     assert _verdicts(cert) == _verdicts(ref)
+
+
+@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("lam", SCALES)
+def test_lens_verdicts(lam, shift):
+    # the turned square's corner 1e-6 into the square's top side is rejected
+    # and the tangent corner accepted, at three placements along the side
+    for x in (0.3, 0.5, 0.7):
+        for depth in (1e-6, 0.0):
+            box, cells = make_lens_cells(x, depth)
+            motion = _motion(box.vertices, lam, shift)
+            moved = (_move_polygon(box, *motion), tuple(_move_domain(c, *motion) for c in cells))
+            if depth:
+                with pytest.raises(ValidationError, match="^cells 0 and 1 overlap near "):
+                    Cluster(*moved)
+            else:
+                assert Cluster(*moved).k == 2
 
 
 @pytest.mark.parametrize("shift", SHIFTS)
