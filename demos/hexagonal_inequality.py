@@ -9,7 +9,7 @@ case; randomized class-A domains never violate the bound.
 
 import math
 
-from cheegerlab.arc_geometry import ArcCurve, Point, Segment
+from cheegerlab.arc_geometry import ArcCurve
 from cheegerlab.cheeger import (
     inner_cheeger_boundary,
     random_class_a_domain,
@@ -17,9 +17,9 @@ from cheegerlab.cheeger import (
 )
 from cheegerlab.hales_deficit import NodeSet, hales_check, place_nodes
 
-v = regular_polygon(6, area=1.0).vertices
-hexagon = ArcCurve(tuple(Segment(Point(*v[i]), Point(*v[(i + 1) % 6])) for i in range(6)))
-nodes = NodeSet(tuple(Point(*p) for p in v), (False,) * 6)
+v = [tuple(p) for p in regular_polygon(6, area=1.0).vertices.tolist()]
+hexagon = ArcCurve(tuple((*v[i], *v[(i + 1) % 6]) for i in range(6)))  # one (x0, y0, x1, y1) row per side
+nodes = NodeSet(v, (False,) * 6)
 rep = hales_check(hexagon, nodes, r_star=1.0 / math.sqrt(math.pi))
 print("equality case (unit-area regular hexagon, 6 vertex nodes):")
 print(f"  lhs = {rep.lhs:.12f}")

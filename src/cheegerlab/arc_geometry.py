@@ -1,27 +1,26 @@
 """Exact-as-possible kernel for closed oriented curves made of circular arcs and segments.
 
-A curve is stored as the float rows of its edges (``edge_row``), in order.
-Every metric quantity (length, signed area, winding number, inner offset) is
-evaluated edge-exactly from closed forms on those rows; nothing here ever
-approximates an arc by a polyline.  Signed/oriented
+A curve is stored as the float rows of its edges, in order: an edge row is
+``(x0, y0, x1, y1)`` for a segment and ``(cx, cy, r, a0, sweep)`` for an arc.
+``ArcCurve(rows, closed)`` is the one way to build a curve.  Every metric
+quantity (length, signed area, winding number, inner offset) is evaluated
+edge-exactly from closed forms on those rows; nothing here ever approximates
+an arc by a polyline.  Signed/oriented
 area is the Gauss-Green line integral ``integral (x - x0) dy`` with x0 on the
 curve; with self intersections it is the area weighted by winding index, so
 no arrangement computation is needed.  Tolerances are ``CHAIN_TOL`` times the
 diagonal of the curve's bounding box.
 
-``_check_rows`` is the one rule for edges and curves: the ``Segment`` and
-``Arc`` constructors run it on their own row, and ``ArcCurve`` on all of them
-once, keeping the rows it checked.  ``ArcCurve._from_rows`` builds a curve
-from rows, and its ``Segment``/``Arc`` objects (``ArcCurve.edges``) are built
-the first time they are read, so the offset, Hales, class-A and JSON paths
-build none.
+``_check_rows`` is the one rule for edges and curves; ``ArcCurve`` runs it
+once on its rows and keeps them.  ``ArcCurve.edges`` reads the rows as
+``Segment``/``Arc`` views, built the first time they are read and not checked
+again; nothing in the package reads them.
 
 Angle convention for arcs: ``(start_angle, signed_sweep)``, where the arc runs
 from ``start_angle`` to ``start_angle + signed_sweep`` and ``0 < |signed_sweep|
-<= 2*pi``.  A positive sweep is counterclockwise (``turning = +1``), a negative
-one clockwise (``turning = -1``), and ``signed_sweep = ±2*pi`` is a full circle
-at any start angle.  Only ``_arc_sweep`` (behind ``Arc.between``) reduces two
-endpoint angles to a sweep.
+<= 2*pi``.  A positive sweep is counterclockwise, a negative one clockwise,
+and ``signed_sweep = ±2*pi`` is a full circle at any start angle.  Only
+``_arc_sweep`` reduces two endpoint angles to a sweep.
 """
 
 from __future__ import annotations
@@ -54,6 +53,8 @@ CHAIN_TOL = 1e-9
 
 @dataclass(frozen=True, slots=True)
 class Point:
+    """A finite point: ``winding_number``'s query, and the point type of the edge views."""
+
     x: float
     y: float
 
@@ -61,80 +62,39 @@ class Point:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValidationError(f"non-finite point ({self.x}, {self.y})")
 
-    def distance_to(self, other: "Point") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
+
+def _checked_point(x: float, y: float) -> Point:
+    # a Point of floats that _check_rows has passed, built without checking them again
+    p = object.__new__(Point)
+    object.__setattr__(p, "x", x)
+    object.__setattr__(p, "y", y)
+    return p
 
 
 @dataclass(frozen=True, slots=True)
 class Segment:
+    """Read-only view of a segment's edge row; only ``ArcCurve.edges`` builds it."""
+
     start: Point
     end: Point
-
-    def __post_init__(self):
-        _check_rows((edge_row(self),), False)
-
-    @property
-    def length(self) -> float:
-        return self.start.distance_to(self.end)
-
-    def point_at(self, t: float) -> Point:
-        return Point(
-            self.start.x + t * (self.end.x - self.start.x),
-            self.start.y + t * (self.end.y - self.start.y),
-        )
-
-    def reversed(self) -> "Segment":
-        return Segment(self.end, self.start)
 
 
 @dataclass(frozen=True, slots=True)
 class Arc:
+    """Read-only view of an arc's edge row; only ``ArcCurve.edges`` builds it."""
+
     center: Point
     radius: float
     start_angle: float
     signed_sweep: float  # > 0 counterclockwise, < 0 clockwise; magnitude at most 2*pi
 
-    def __post_init__(self):
-        _check_rows((edge_row(self),), False)
-
-    @classmethod
-    def between(cls, center: Point, radius: float, a0: float, a1: float, turning: int) -> "Arc":
-        """Arc from angle a0 to a1 turning +1 (CCW) or -1, with the sweep of ``_arc_sweep``."""
-        return cls(center, radius, a0, _arc_sweep(a0, a1, turning))
-
-    @property
-    def turning(self) -> int:
-        return 1 if self.signed_sweep > 0.0 else -1
-
-    @property
-    def sweep(self) -> float:
-        """Opening angle in (0, 2*pi]."""
-        return abs(self.signed_sweep)
-
     @property
     def length(self) -> float:
-        return self.radius * self.sweep
-
-    def angle_at(self, t: float) -> float:
-        return self.start_angle + self.signed_sweep * t
+        return self.radius * abs(self.signed_sweep)
 
     def point_at(self, t: float) -> Point:
-        a = self.angle_at(t)
-        return Point(
-            self.center.x + self.radius * math.cos(a),
-            self.center.y + self.radius * math.sin(a),
-        )
-
-    @property
-    def start(self) -> Point:
-        return self.point_at(0.0)
-
-    @property
-    def end(self) -> Point:
-        return self.point_at(1.0)
-
-    def reversed(self) -> "Arc":
-        return Arc(self.center, self.radius, self.angle_at(1.0), -self.signed_sweep)
+        return Point(*edge_point((self.center.x, self.center.y, self.radius,
+                                  self.start_angle, self.signed_sweep), t))
 
 
 def _arc_sweep(a0: float, a1: float, turning: int) -> float:
@@ -145,40 +105,16 @@ def _arc_sweep(a0: float, a1: float, turning: int) -> float:
     return turning * (TWO_PI if s == 0.0 else s)
 
 
-# types.UnionType, not typing.Union: typing caches Union[...] globally, which
-# would keep every re-imported copy of this module alive
-Edge = Arc | Segment
-
-
-def edge_row(e: Edge) -> tuple:
-    """The edge as floats: ``(x0, y0, x1, y1)`` for a segment, ``(cx, cy, r, a0, sweep)`` for an arc."""
-    if isinstance(e, Segment):
-        return e.start.x, e.start.y, e.end.x, e.end.y
-    return e.center.x, e.center.y, e.radius, e.start_angle, e.signed_sweep
-
-
-def _edge_from_row(row: tuple) -> Edge:
-    """The ``Segment`` or ``Arc`` of an ``edge_row``, validated as its constructor validates."""
+def edge_point(row: tuple, t: float):
+    """(x, y) of the edge row at t; a segment gives its own floats at t = 0.0 and 1.0."""
     if len(row) == 4:
-        return Segment(Point(row[0], row[1]), Point(row[2], row[3]))
-    cx, cy, r, a0, sweep = row
-    return Arc(Point(cx, cy), r, a0, sweep)
-
-
-def _edge_end(row: tuple, t: float):
-    """(x, y) of the ``edge_row`` at t = 0.0 or 1.0: a segment's own end, an arc's as ``point_at``.
-
-    An arc end that is not finite raises ``ValidationError`` as a ``Point`` would.
-    """
-    if len(row) == 4:
-        return (row[2], row[3]) if t else (row[0], row[1])
+        x0, y0, x1, y1 = row
+        if t == 0.0 or t == 1.0:
+            return (x1, y1) if t else (x0, y0)
+        return x0 + t * (x1 - x0), y0 + t * (y1 - y0)
     cx, cy, r, a0, sweep = row
     a = a0 + sweep * t
-    x = cx + r * math.cos(a)
-    y = cy + r * math.sin(a)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValidationError(f"non-finite point ({x}, {y})")
-    return x, y
+    return cx + r * math.cos(a), cy + r * math.sin(a)
 
 
 def _tolerance(box) -> float:
@@ -188,16 +124,16 @@ def _tolerance(box) -> float:
 
 
 def _check_rows(rows: Sequence[tuple], closed: bool) -> tuple:
-    """The rule every edge and curve obeys, on ``edge_row`` rows; returns their box.
+    """The rule every edge and curve obeys, on edge rows; returns their box.
 
     Each edge is checked first, in order: finite points, a segment of
     non-zero length, an arc of finite positive radius, finite start angle and
     sweep magnitude in (0, 2*pi].  The box is (xmin, ymin, xmax, ymax) of the
     edges, an arc counting its whole circle.  Each gap between consecutive
     edge ends (and the closing gap of a closed curve) must be at most
-    ``_tolerance(box)``; the ends are computed by ``_edge_end`` in the order
-    the gaps are visited.  Raises ``ValidationError`` with the message of the
-    ``Point``, ``Segment``, ``Arc`` or ``ArcCurve`` constructor.
+    ``_tolerance(box)``; the ends are computed by ``edge_point`` in the order
+    the gaps are visited, and an arc end that overflows is a non-finite
+    point.  Raises ``ValidationError``.
     """
     if not rows:
         raise ValidationError("curve needs at least one edge")
@@ -230,8 +166,11 @@ def _check_rows(rows: Sequence[tuple], closed: bool) -> tuple:
     tol = _tolerance(box)
     n = len(rows)
     for i in range(n if closed else n - 1):
-        ex, ey = _edge_end(rows[i], 1.0)
-        sx, sy = _edge_end(rows[(i + 1) % n], 0.0)
+        ex, ey = edge_point(rows[i], 1.0)
+        sx, sy = edge_point(rows[(i + 1) % n], 0.0)
+        if not (math.isfinite(ex) and math.isfinite(ey) and math.isfinite(sx) and math.isfinite(sy)):
+            x, y = (sx, sy) if math.isfinite(ex) and math.isfinite(ey) else (ex, ey)
+            raise ValidationError(f"non-finite point ({x}, {y})")
         gap = math.hypot(ex - sx, ey - sy)
         if gap > tol:
             raise ValidationError(
@@ -241,41 +180,29 @@ def _check_rows(rows: Sequence[tuple], closed: bool) -> tuple:
     return box
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ArcCurve:
-    """Oriented chain of arcs and segments; consecutive endpoints must coincide.
+    """Oriented chain of arcs and segments, built from its edge rows; consecutive endpoints must coincide.
 
-    ``rows`` holds the ``edge_row`` of each edge, checked once by
-    ``_check_rows``, which also gives ``bbox``: (xmin, ymin, xmax, ymax) of
-    the edges, an arc counting its whole circle.  Two curves are equal when
-    their rows and ``closed`` are.  ``edges``, the ``Segment`` and ``Arc``
-    objects, is built from the rows when first read and kept.
+    ``rows`` are checked once by ``_check_rows``, which also gives ``bbox``:
+    (xmin, ymin, xmax, ymax) of the edges, an arc counting its whole circle.
+    Two curves are equal when their rows and ``closed`` are.  ``edges`` reads
+    the rows as ``Segment`` and ``Arc`` views, built when first read and kept.
     """
 
     rows: tuple
-    closed: bool
-    bbox: tuple = field(compare=False, repr=False)
+    closed: bool = True
+    bbox: tuple = field(init=False, compare=False, repr=False)
 
-    def __init__(self, edges: Sequence[Edge], closed: bool = True):
-        edges = tuple(edges)
-        self._store(tuple(map(edge_row, edges)), closed)
-        object.__setattr__(self, "edges", edges)
-
-    @classmethod
-    def _from_rows(cls, rows, closed: bool = True) -> "ArcCurve":
-        """The curve of these ``edge_row`` rows, checked as ``ArcCurve(edges)`` checks its edges."""
-        curve = cls.__new__(cls)
-        curve._store(tuple(rows), closed)
-        return curve
-
-    def _store(self, rows: tuple, closed: bool):
-        object.__setattr__(self, "bbox", _check_rows(rows, closed))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "closed", closed)
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
+        object.__setattr__(self, "bbox", _check_rows(self.rows, self.closed))
 
     @cached_property
     def edges(self) -> tuple:
-        return tuple(map(_edge_from_row, self.rows))
+        p = _checked_point
+        return tuple(Segment(p(*row[:2]), p(*row[2:])) if len(row) == 4 else Arc(p(*row[:2]), *row[2:])
+                     for row in self.rows)
 
     @property
     def tolerance(self) -> float:
@@ -283,10 +210,9 @@ class ArcCurve:
         return _tolerance(self.bbox)
 
     def reversed(self) -> "ArcCurve":
-        """The curve run backwards, each row reversed as ``Segment.reversed`` or ``Arc.reversed`` would."""
-        rows = tuple((r[2], r[3], r[0], r[1]) if len(r) == 4 else (r[0], r[1], r[2], r[3] + r[4] * 1.0, -r[4])
-                     for r in reversed(self.rows))
-        return ArcCurve._from_rows(rows, self.closed)
+        """The curve run backwards: each segment's ends swapped, each arc run from its end angle."""
+        return ArcCurve(tuple((r[2], r[3], r[0], r[1]) if len(r) == 4 else (*r[:3], r[3] + r[4], -r[4])
+                              for r in reversed(self.rows)), self.closed)
 
 
 def curve_length(c: ArcCurve) -> float:
@@ -296,7 +222,7 @@ def curve_length(c: ArcCurve) -> float:
 
 
 def _area_integral(row: tuple, x0: float) -> float:
-    # Closed form of integral (x - x0) dy along the edge of an ``edge_row``.
+    # Closed form of integral (x - x0) dy along the edge of an edge row.
     if len(row) == 4:
         sx, sy, ex, ey = row
         return 0.5 * ((sx - x0) + (ex - x0)) * (ey - sy)
@@ -325,8 +251,8 @@ def signed_area(c: ArcCurve) -> float:
 
 
 def _rows_area(rows: Sequence[tuple]) -> float:
-    """``signed_area`` of ``edge_row`` rows that close up, without building or checking a curve."""
-    x0 = _edge_end(rows[0], 0.0)[0]
+    """``signed_area`` of edge rows that close up, without building or checking a curve."""
+    x0 = edge_point(rows[0], 0.0)[0]
     return sum(_area_integral(row, x0) for row in rows)
 
 
@@ -347,8 +273,8 @@ def winding_number(c: ArcCurve, q: Point) -> int:
     nearest = math.inf
     total = 0.0
     for row in c.rows:
-        sx, sy = _edge_end(row, 0.0)
-        ex, ey = _edge_end(row, 1.0)
+        sx, sy = edge_point(row, 0.0)
+        ex, ey = edge_point(row, 1.0)
         if len(row) == 4:
             vx, vy = ex - sx, ey - sy
             wx, wy = x - sx, y - sy
@@ -392,16 +318,16 @@ def _scalar_turn(x, y, ax, ay, bx, by):
 # Edge pairs and supports, in closed form (cluster validation).
 
 def _edge_support(row: tuple, nx: float, ny: float, ox: float = 0.0, oy: float = 0.0):
-    """The largest ``(p - o) . n`` over the points p of an ``edge_row``, n a unit vector, and
+    """The largest ``(p - o) . n`` over the points p of an edge row, n a unit vector, and
     a p reaching it: an end, or an arc's ``c + R n`` when n's direction is in its sweep."""
-    points = [_edge_end(row, 0.0), _edge_end(row, 1.0)]
+    points = [edge_point(row, 0.0), edge_point(row, 1.0)]
     if len(row) == 5 and (math.copysign(1.0, row[4]) * (math.atan2(ny, nx) - row[3])) % TWO_PI <= abs(row[4]):
         points.append((row[0] + row[2] * nx, row[1] + row[2] * ny))
     return max(((x - ox) * nx + (y - oy) * ny, x, y) for x, y in points)
 
 
 def _edge_box(row: tuple) -> tuple:
-    """(xmin, ymin, xmax, ymax) of an ``edge_row``'s own points, an arc's within its sweep."""
+    """(xmin, ymin, xmax, ymax) of an edge row's own points, an arc's within its sweep."""
     if len(row) == 4:
         return min(row[0], row[2]), min(row[1], row[3]), max(row[0], row[2]), max(row[1], row[3])
     return (-_edge_support(row, -1.0, 0.0)[0], -_edge_support(row, 0.0, -1.0)[0],
@@ -432,7 +358,7 @@ def _circle_intersections(c0, r0, c1, r1):
 
 
 def _edge_crossing(a: tuple, b: tuple, pad: float):
-    """A point where two ``edge_row`` edges cross, or None where they are apart or touch.
+    """A point where two edges given as edge rows cross, or None where they are apart or touch.
 
     Edges cross at a point of their lines or circles (one linear or quadratic
     solve) that lies on both edges farther than ``pad`` from all four ends.
@@ -467,7 +393,7 @@ def _edge_crossing(a: tuple, b: tuple, pad: float):
         if min(r0 + r1 - d, d - abs(r0 - r1)) <= pad:  # apart, touching, or one circle
             return None
         points = _circle_intersections((cx0, cy0), r0, (cx1, cy1), r1)
-    ends = [_edge_end(e, t) for e in (a, b) for t in (0.0, 1.0)]
+    ends = [edge_point(e, t) for e in (a, b) for t in (0.0, 1.0)]
     return next(((x, y) for x, y in points if max(locate_on_edge(x, y, a)[1], locate_on_edge(x, y, b)[1]) <= pad
                  and all(math.dist((x, y), end) > pad for end in ends)), None)
 
@@ -550,7 +476,7 @@ def offset_inner(c: ArcCurve, r: float, roles: Sequence[str]) -> OffsetResult:
             rows.append((x0 + r * nx, y0 + r * ny, x1 + r * nx, y1 + r * ny))
     if not rows:
         raise DegenerateOffsetError("every edge collapsed; offset curve is empty")
-    return OffsetResult(ArcCurve._from_rows(rows), tuple(collapsed), tuple(collapse_points))
+    return OffsetResult(ArcCurve(rows), tuple(collapsed), tuple(collapse_points))
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +485,12 @@ def offset_inner(c: ArcCurve, r: float, roles: Sequence[str]) -> OffsetResult:
 def transform_curve(c: ArcCurve, angle: float = 0.0, dx: float = 0.0,
                     dy: float = 0.0, scale: float = 1.0) -> ArcCurve:
     """Apply rotation by ``angle``, dilation by ``scale`` and then translation (``_transform_rows``)."""
-    return ArcCurve._from_rows(_transform_rows(c.rows, angle, dx, dy, scale), c.closed)
+    return ArcCurve(_transform_rows(c.rows, angle, dx, dy, scale), c.closed)
 
 
 def _transform_rows(rows, angle: float = 0.0, dx: float = 0.0,
                    dy: float = 0.0, scale: float = 1.0) -> list:
-    """``transform_curve`` on ``edge_row`` rows, with nothing built or checked but ``scale``.
+    """``transform_curve`` on edge rows, with nothing built or checked but ``scale``.
 
     A point p maps to ``scale * R(angle) p + (dx, dy)``, computed inline on
     floats; an arc keeps its signed sweep and turns its start angle by
@@ -587,18 +513,10 @@ def _transform_rows(rows, angle: float = 0.0, dx: float = 0.0,
 
 
 # ---------------------------------------------------------------------------
-# Edge splitting (node placement needs curves cut at arbitrary on-curve points).
-
-def edge_point(row: tuple, t: float):
-    """(x, y) of ``point_at(t)`` on the edge given as an ``edge_row``."""
-    if len(row) == 4:
-        return row[0] + t * (row[2] - row[0]), row[1] + t * (row[3] - row[1])
-    cx, cy, r, a0, sweep = row
-    return cx + r * math.cos(a0 + sweep * t), cy + r * math.sin(a0 + sweep * t)
-
+# Locating points on edges (node placement, cluster validation).
 
 def locate_on_edge(x: float, y: float, row: tuple):
-    """Parameter t in [0, 1] of the ``edge_row`` point nearest to (x, y), and the distance to it."""
+    """Parameter t in [0, 1] of the point of an edge row nearest to (x, y), and the distance to it."""
     if len(row) == 4:
         x0, y0, x1, y1 = row
         vx, vy = x1 - x0, y1 - y0
@@ -613,25 +531,10 @@ def locate_on_edge(x: float, y: float, row: tuple):
     return t, math.dist((x, y), edge_point(row, t))
 
 
-def split_edge(e: Edge, t: float):
-    """Cut an edge at interior parameter t, returning the two halves."""
-    if not 0.0 < t < 1.0:
-        raise ContractViolation(f"split parameter must be interior, got {t}")
-    if isinstance(e, Segment):
-        mid = e.point_at(t)
-        return Segment(e.start, mid), Segment(mid, e.end)
-    rest = e.signed_sweep - e.signed_sweep * t
-    first = e.signed_sweep - rest  # exact, so the two sweeps sum to the edge's
-    return (
-        Arc(e.center, e.radius, e.start_angle, first),
-        Arc(e.center, e.radius, e.start_angle + first, rest),
-    )
-
-
 # ---------------------------------------------------------------------------
 # JSON encoding: {"closed": bool, "edges": [{"kind": "arc", ...} | {"kind": "seg", ...}]}
 
-#: the number keys of an edge object, after "kind", in ``edge_row`` order
+#: the number keys of an edge object, after "kind", in edge row order
 _EDGE_KEYS = {"seg": ("x0", "y0", "x1", "y1"), "arc": ("cx", "cy", "r", "a0", "sweep")}
 
 
@@ -641,7 +544,7 @@ def _row_to_dict(row: tuple) -> dict:
 
 
 def _row_from_dict(d: dict) -> tuple:
-    """The ``edge_row`` of an edge object, its keys and numbers checked but not its geometry."""
+    """The edge row of an edge object, its keys and numbers checked but not its geometry."""
     kind = d.get("kind")
     if kind not in ("seg", "arc"):  # not `in _EDGE_KEYS`, which an unhashable kind would break
         raise ValidationError(f"unknown edge kind {kind!r}")
@@ -657,14 +560,7 @@ def curve_from_dict(d: dict) -> ArcCurve:
     try:
         jsonio.require_keys(d, ["closed", "edges"])
         rows = tuple(_row_from_dict(e) for e in d["edges"])
-        return ArcCurve._from_rows(rows, jsonio.boolean(d["closed"], "closed"))
+        return ArcCurve(rows, jsonio.boolean(d["closed"], "closed"))
     except (AttributeError, TypeError) as exc:  # a non-object edge or a mistyped value
         raise ValidationError(f"malformed curve object: {exc}") from exc
 
-
-# ---------------------------------------------------------------------------
-# Convenience constructors.
-
-def full_circle(center: Point, radius: float, ccw: bool = True) -> ArcCurve:
-    turning = 1 if ccw else -1
-    return ArcCurve._from_rows(((center.x, center.y, radius, 0.0, TWO_PI * turning),), closed=True)

@@ -305,7 +305,7 @@ def pocket_outline(ch: DiskChain):
             edges.append((cx, cy, radii[disks[k]], a0, _arc_sweep(a0, math.atan2(ly - cy, lx - cx), -1)))
         elif disks[nxt] is None:
             edges.append((*rows[k], *rows[nxt]))
-    return ArcCurve._from_rows(edges, closed=True)
+    return ArcCurve(edges, closed=True)
 
 
 # ---------------------------------------------------------------------------

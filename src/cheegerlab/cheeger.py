@@ -24,7 +24,7 @@ cell, numpy's cost per call outweighs the arithmetic.  ``ConvexPolygon`` and
 and reads only the loop's radius, and its cost split is given
 in ``partition_optimizer``.  ``convex_hull`` and the random fixtures run on
 floats too.  ``random_convex_polygon`` takes its gap test and hull on float
-lists, and ``random_class_a_domain`` carries its edges as ``edge_row`` rows
+lists, and ``random_class_a_domain`` carries its edges as edge rows
 through every stage into the curve of rows it returns; class-A validation,
 the angle sums and the Cheeger set's rounded polygon read and write rows too.
 Their scalar draws are ``lo + (hi - lo) * rng.random()``, bit for bit
@@ -52,11 +52,11 @@ from .arc_geometry import (
     curve_from_dict,
     curve_length,
     curve_to_dict,
+    edge_point,
     has_radius,
     offset_inner,
     signed_area,
     _arc_sweep,
-    _edge_end,
     _rows_area,
     _transform_rows,
 )
@@ -361,7 +361,7 @@ def _rounded_polygon(core: np.ndarray, r: float):
         a0 = math.atan2(ny, nx)
         rows += ((x0 + r * nx, y0 + r * ny, x1 + r * nx, y1 + r * ny),
                  (x1, y1, r, a0, _arc_sweep(a0, math.atan2(my, mx), 1)))
-    return ArcCurve._from_rows(rows), (BORDER_PIECE, FREE) * len(pts)
+    return ArcCurve(rows), (BORDER_PIECE, FREE) * len(pts)
 
 
 def _edge_lengths(q: list) -> list:
@@ -695,14 +695,14 @@ def _random_ring(rng: np.random.Generator, n_min: int, n_max: int, build):
 
 
 def _tangent(row, t: float) -> float:
-    """Direction angle of the ``edge_row``'s tangent at t."""
+    """Direction angle of the edge row's tangent at t."""
     if len(row) == 4:
         return math.atan2(row[3] - row[1], row[2] - row[0])
     return row[3] + row[4] * t + (1 if row[4] > 0.0 else -1) * math.pi / 2.0
 
 
 def _outward_normal(row, t: float) -> float:
-    """Angle of the ``edge_row``'s outward unit normal at t, for a CCW curve."""
+    """Angle of the edge row's outward unit normal at t, for a CCW curve."""
     if len(row) == 4:
         return math.atan2(-(row[2] - row[0]), row[3] - row[1])
     a = row[3] + row[4] * t
@@ -746,7 +746,7 @@ def _domain_rows(inner: list, r: float):
         a0 = _outward_normal(row, 1.0)
         sweep = (_outward_normal(nxt, 0.0) - a0) % TWO_PI
         if sweep > 1e-9:
-            rows.append((*_edge_end(row, 1.0), r, a0, sweep))
+            rows.append((*edge_point(row, 1.0), r, a0, sweep))
             roles.append(FREE)
     return rows, tuple(roles)
 
@@ -759,7 +759,7 @@ def random_class_a_domain(seed) -> ArcDomain:
     area pi (so r = 1), and fattens it outward by r.  A random rigid motion
     and dilation are applied at the end.
 
-    The stages run on ``edge_row`` rows: the polygon is ``_random_ring``'s
+    The stages run on edge rows: the polygon is ``_random_ring``'s
     plain vertex list, and only the returned boundary, a curve of rows, is
     checked, once, when it is built; a draw whose rows fail there or in
     ``_domain_rows`` is redrawn.  No ``Segment`` or ``Arc`` is built.  The
@@ -814,7 +814,7 @@ def random_class_a_domain(seed) -> ArcDomain:
             lam, angle, dx, dy = rng.random(4).tolist()  # uniform on [0.5, 2), [0, 2 pi), [-3, 3)
             lam = 0.5 + 1.5 * lam
             rows = _transform_rows(rows, TWO_PI * angle, -3.0 + 6.0 * dx, -3.0 + 6.0 * dy, lam)
-            boundary = ArcCurve._from_rows(rows)
+            boundary = ArcCurve(rows)
         except ValidationError:
             continue
         return ArcDomain(boundary, roles, 1.0 / lam)

@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import jsonio
-from .arc_geometry import ArcCurve, _edge_end, curve_from_dict, curve_to_dict, edge_point
+from .arc_geometry import ArcCurve, curve_from_dict, curve_to_dict, edge_point
 from .chamber_lemmas import (
     chain_from_dict,
     pocket_outline,
@@ -219,7 +219,7 @@ def _arc_commands(row: tuple):
 
 
 def _curve_path(c: ArcCurve) -> str:
-    x, y = _edge_end(c.rows[0], 0.0)
+    x, y = edge_point(c.rows[0], 0.0)
     cmds = [f"M {_f(x)} {_f(-y)}"]
     for row in c.rows:
         if len(row) == 4:
@@ -233,7 +233,7 @@ def _curve_path(c: ArcCurve) -> str:
 
 def _polygon_curve(vertices) -> ArcCurve:
     pts = [(float(x), float(y)) for x, y in vertices]
-    return ArcCurve._from_rows([(*pts[i], *pts[(i + 1) % len(pts)]) for i in range(len(pts))], closed=True)
+    return ArcCurve([(*pts[i], *pts[(i + 1) % len(pts)]) for i in range(len(pts))], closed=True)
 
 
 #: the keys that name an artifact's kind, in the order render_svg reads them

@@ -31,9 +31,9 @@ from .arc_geometry import (
     _arc_overlap,
     _edge_box,
     _edge_crossing,
-    _edge_end,
     _edge_support,
     curve_length,
+    edge_point,
     locate_on_edge,
     winding_number,
 )
@@ -88,12 +88,12 @@ def border_runs(d: ArcDomain):
 
 
 def _edges_coincide(r1: tuple, r2: tuple, tol: float) -> bool:
-    """Whether two ``edge_row`` rows are one edge run both ways, to ``tol``:
+    """Whether two edge rows are one edge run both ways, to ``tol``:
     shared arcs are traversed in opposite directions by the two cells."""
     if len(r1) != len(r2):
         return False
-    (sx1, sy1), (ex1, ey1) = _edge_end(r1, 0.0), _edge_end(r1, 1.0)
-    (sx2, sy2), (ex2, ey2) = _edge_end(r2, 0.0), _edge_end(r2, 1.0)
+    (sx1, sy1), (ex1, ey1) = edge_point(r1, 0.0), edge_point(r1, 1.0)
+    (sx2, sy2), (ex2, ey2) = edge_point(r2, 0.0), edge_point(r2, 1.0)
     if math.hypot(sx1 - ex2, sy1 - ey2) > tol or math.hypot(ex1 - sx2, ey1 - sy2) > tol:
         return False
     if len(r1) == 5:  # the same circle, turned the other way
@@ -203,7 +203,7 @@ def _corners(rows) -> list:
     """(x, y, start, size, radius) at the start of each edge: the vertex, the
     counterclockwise interval of directions into the cell there, and the
     smaller radius of the two edges (inf for segments)."""
-    return [(*_edge_end(row, 0.0), start, (_tangent(prev, 1.0) + math.pi - start) % TWO_PI,
+    return [(*edge_point(row, 0.0), start, (_tangent(prev, 1.0) + math.pi - start) % TWO_PI,
              min((e[2] for e in (prev, row) if len(e) == 5), default=math.inf))
             for prev, row in zip(rows[-1:] + rows[:-1], rows) for start in (_tangent(row, 0.0),)]
 
@@ -424,7 +424,7 @@ _EDGE_OFFSETS = _AXIAL_OFFSETS[1:] + _AXIAL_OFFSETS[:1]
 
 
 def _hexagon_edges(center, side):
-    """The ``edge_row`` rows of a regular hexagon's six sides, and its six vertices."""
+    """The edge rows of a regular hexagon's six sides, and its six vertices."""
     cx, cy = center
     verts = [
         (cx + side * math.cos(math.pi / 6 + j * math.pi / 3),
@@ -476,7 +476,7 @@ def honeycomb_kcell(coords: Sequence, unit_hexagon: bool = True) -> Cluster:
         edges, verts = _hexagon_edges((i * spacing + t * vx, t * vy), side)
         roles = [INNER_JUNCTION if (i + di, t + dt) in index else BORDER_PIECE
                  for di, dt in _EDGE_OFFSETS]
-        cells.append(ArcDomain(ArcCurve._from_rows(edges, closed=True), tuple(roles), h_hex))
+        cells.append(ArcDomain(ArcCurve(edges, closed=True), tuple(roles), h_hex))
         all_vertices.extend(verts)
 
     adjacency = []

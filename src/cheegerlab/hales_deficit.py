@@ -20,6 +20,7 @@ boundary, nodes and check on a random class-A domain (timeit, best of 7 over
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -27,13 +28,11 @@ from .arc_geometry import (
     FREE,
     ArcCurve,
     OffsetResult,
-    Point,
     curve_length,
     edge_point,
     has_radius,
     locate_on_edge,
     signed_area,
-    _edge_end,
     _rows_area,
 )
 from .cheeger import ArcDomain
@@ -45,7 +44,7 @@ NODE_PENALTY = 0.0505
 
 @dataclass(frozen=True)
 class NodeSet:
-    """Cyclically ordered points on a curve; exceptional nodes come from border corners."""
+    """Cyclically ordered (x, y) points on a curve; exceptional nodes come from border corners."""
 
     nodes: tuple
     exceptional: tuple
@@ -98,14 +97,14 @@ def place_nodes(off: OffsetResult, d: ArcDomain) -> NodeSet:
         row = rows[i] if 0 <= i < len(rows) else ()
         if not (len(row) == 5 and row[4] > 0.0 and has_radius(row[2], r) and row[:2] == point):
             raise ContractViolation(f"collapse point {i} is not the center of a radius-r arc of d")
-        nodes.append(Point(*point))
+        nodes.append(point)
         flags.append(i not in free)
     if not nodes:
         raise ContractViolation("domain has no radius-r arcs, so no nodes exist")
     return NodeSet(tuple(nodes), tuple(flags))
 
 
-def _node_positions(curve: ArcCurve, nodes: Sequence[Point]):
+def _node_positions(curve: ArcCurve, nodes: Sequence[tuple]):
     """(edge index, parameter) of each node, snapped to shared vertices when close.
 
     An edge whose box grown by 10*tol misses the node is skipped; the nearest within 10*tol wins.
@@ -121,8 +120,7 @@ def _node_positions(curve: ArcCurve, nodes: Sequence[Point]):
             xs, ys = (row[0], row[2]), (row[1], row[3])
         rows.append((row, min(xs) - reach, min(ys) - reach, max(xs) + reach, max(ys) + reach))
     positions = []
-    for k, node in enumerate(nodes):
-        x, y = node.x, node.y
+    for k, (x, y) in enumerate(nodes):
         best = None
         for i, (row, xmin, ymin, xmax, ymax) in enumerate(rows):
             if xmin <= x <= xmax and ymin <= y <= ymax:
@@ -148,7 +146,7 @@ def _split_at_nodes(curve: ArcCurve, positions):
 
     A cut at t splits a segment at ``edge_point(row, t)`` and an arc's sweep
     into ``sweep - rest`` and ``rest = sweep - sweep*t``, which sum to it
-    exactly, as ``split_edge`` splits the edge objects.
+    exactly.
     """
     by_edge = {}
     for k, (i, t) in enumerate(positions):
@@ -216,8 +214,8 @@ def chord_deficits(gamma_r: ArcCurve, nodes: NodeSet, clamp_bound: Optional[floa
     tol = gamma_r.tolerance
     xs = []
     for portion in portions:
-        ax, ay = _edge_end(portion[0], 0.0)
-        bx, by = _edge_end(portion[-1], 1.0)
+        ax, ay = edge_point(portion[0], 0.0)
+        bx, by = edge_point(portion[-1], 1.0)
         if math.hypot(bx - ax, by - ay) > tol:
             portion.append((bx, by, ax, ay))
         xs.append(_rows_area(portion))
@@ -238,12 +236,17 @@ def hales_check(
     """Evaluate the hexagonal isoperimetric inequality for the curve and node family.
 
     The chord areas are truncated at pi*r_star**2, the unit truncation after
-    normalization, so the verdict does not depend on scale.  The enclosed
-    area must be at least pi*r_star**2 for the inequality to apply.
+    normalization, so the verdict does not depend on scale.  pi*r_star**2
+    must be a positive, finite, normal float: a subnormal one loses digits in
+    the normalization, and one that underflows to 0 cannot normalize.  The
+    enclosed area must be at least pi*r_star**2 for the inequality to apply.
     """
     if not 0.0 < r_star < math.inf:
         raise ContractViolation(f"r_star must be positive and finite, got {r_star}")
     norm = math.pi * r_star * r_star
+    if not sys.float_info.min <= norm < math.inf:
+        raise ContractViolation(f"pi*r_star^2 = {norm:.6g} for r_star = {r_star} is not a positive, "
+                                "finite, normal float")
     area = signed_area(gamma_r)
     if area < norm * (1.0 - 1e-9):
         raise ContractViolation(

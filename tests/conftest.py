@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cheegerlab import cheeger
-from cheegerlab.arc_geometry import BORDER_PIECE, FREE, INNER_JUNCTION, Arc, Segment, transform_curve
+from cheegerlab.arc_geometry import BORDER_PIECE, FREE, INNER_JUNCTION, edge_point, transform_curve
 from cheegerlab.cheeger import ArcDomain, ConvexPolygon, cheeger_domain
 from cheegerlab.cluster import Adjacency, BorderContact, Cluster, border_runs
 
@@ -14,9 +14,9 @@ def _on_container_boundary(p, container: ConvexPolygon, tol=1e-9) -> bool:
     for i in range(len(v)):
         a, b = v[i], v[(i + 1) % len(v)]
         ab = b - a
-        t = float((np.array([p.x, p.y]) - a) @ ab) / float(ab @ ab)
+        t = float((np.array(p) - a) @ ab) / float(ab @ ab)
         t = min(1.0, max(0.0, t))
-        if np.hypot(*(a + t * ab - np.array([p.x, p.y]))) <= tol:
+        if np.hypot(*(a + t * ab - np.array(p))) <= tol:
             return True
     return False
 
@@ -30,11 +30,11 @@ def relabel_for_container(domain: ArcDomain, container: ConvexPolygon,
     border junction pieces (they bridge two container sides).
     """
     roles = list(domain.roles)
-    for i, e in enumerate(domain.boundary.edges):
-        if isinstance(e, Segment) and abs(e.start.x - shared_x) < 1e-9 and abs(e.end.x - shared_x) < 1e-9:
+    for i, row in enumerate(domain.boundary.rows):
+        if len(row) == 4 and abs(row[0] - shared_x) < 1e-9 and abs(row[2] - shared_x) < 1e-9:
             roles[i] = INNER_JUNCTION
-        elif isinstance(e, Arc) and roles[i] == FREE:
-            if _on_container_boundary(e.start, container) and _on_container_boundary(e.end, container):
+        elif len(row) == 5 and roles[i] == FREE:
+            if all(_on_container_boundary(edge_point(row, t), container) for t in (0.0, 1.0)):
                 roles[i] = BORDER_PIECE
     return tuple(roles)
 

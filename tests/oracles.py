@@ -18,7 +18,8 @@ the chain validator on numpy 2-vectors, with the region polygon oriented by
 ``np.roll`` shoelace sums; the exact chain-area
 oracle sums the shoelace in integers and the pocket angles in 50-digit
 ``mpmath``; the inner-offset and class-A oracles walk a curve's ``Segment``
-and ``Arc`` objects, building a new object per offset edge; the chord-deficit
+and ``Arc`` objects (the validated object form of its rows, kept here with
+``split_edge``), building a new object per offset edge; the chord-deficit
 oracle locates every node on every edge through ``Point`` objects, cuts the
 edge objects with ``split_edge`` and builds each portion with its chord
 ``Segment`` into a validated ``ArcCurve`` for its area; the array winding and
@@ -32,6 +33,7 @@ stage of a domain as a validated ``ArcCurve`` of edge objects.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -43,13 +45,12 @@ from cheegerlab.arc_geometry import (
     CHAIN_TOL,
     FREE,
     INNER_JUNCTION,
-    Arc,
     ArcCurve,
     Point,
-    Segment,
-    _edge_end,
+    _arc_sweep,
+    _check_rows,
+    edge_point,
     signed_area,
-    split_edge,
 )
 from cheegerlab.chamber_lemmas import (
     CLOSED,
@@ -79,10 +80,121 @@ from cheegerlab.hales_deficit import DeficitReport
 TWO_PI = 2.0 * math.pi
 
 
+# ---------------------------------------------------------------------------
+# The object form of edges: each a validated Segment or Arc of Points, the
+# form the package's rows are compared with.
+
+def distance(p: Point, q: Point) -> float:
+    return math.hypot(p.x - q.x, p.y - q.y)
+
+
+@dataclass(frozen=True)
+class Segment:
+    start: Point
+    end: Point
+
+    def __post_init__(self):
+        _check_rows((edge_row(self),), False)
+
+    @property
+    def length(self) -> float:
+        return distance(self.start, self.end)
+
+    def point_at(self, t: float) -> Point:
+        return Point(self.start.x + t * (self.end.x - self.start.x),
+                     self.start.y + t * (self.end.y - self.start.y))
+
+    def reversed(self) -> "Segment":
+        return Segment(self.end, self.start)
+
+
+@dataclass(frozen=True)
+class Arc:
+    center: Point
+    radius: float
+    start_angle: float
+    signed_sweep: float
+
+    def __post_init__(self):
+        _check_rows((edge_row(self),), False)
+
+    @classmethod
+    def between(cls, center: Point, radius: float, a0: float, a1: float, turning: int) -> "Arc":
+        """Arc from angle a0 to a1 turning +1 (CCW) or -1, with the sweep of ``_arc_sweep``."""
+        return cls(center, radius, a0, _arc_sweep(a0, a1, turning))
+
+    @property
+    def turning(self) -> int:
+        return 1 if self.signed_sweep > 0.0 else -1
+
+    @property
+    def sweep(self) -> float:
+        return abs(self.signed_sweep)
+
+    @property
+    def length(self) -> float:
+        return self.radius * self.sweep
+
+    def angle_at(self, t: float) -> float:
+        return self.start_angle + self.signed_sweep * t
+
+    def point_at(self, t: float) -> Point:
+        a = self.angle_at(t)
+        return Point(self.center.x + self.radius * math.cos(a), self.center.y + self.radius * math.sin(a))
+
+    @property
+    def start(self) -> Point:
+        return self.point_at(0.0)
+
+    @property
+    def end(self) -> Point:
+        return self.point_at(1.0)
+
+    def reversed(self) -> "Arc":
+        return Arc(self.center, self.radius, self.angle_at(1.0), -self.signed_sweep)
+
+
+def edge_row(e) -> tuple:
+    """The edge row of an edge object."""
+    if isinstance(e, Segment):
+        return e.start.x, e.start.y, e.end.x, e.end.y
+    return e.center.x, e.center.y, e.radius, e.start_angle, e.signed_sweep
+
+
+def edges_of(curve: ArcCurve) -> tuple:
+    """The curve's rows as edge objects."""
+    return tuple(Segment(Point(*row[:2]), Point(*row[2:])) if len(row) == 4 else Arc(Point(*row[:2]), *row[2:])
+                 for row in curve.rows)
+
+
+def curve_of(edges, closed: bool = True) -> ArcCurve:
+    """The curve of the edge objects' rows."""
+    return ArcCurve(tuple(map(edge_row, edges)), closed)
+
+
+def full_circle(center: Point, radius: float, ccw: bool = True) -> ArcCurve:
+    return ArcCurve(((center.x, center.y, radius, 0.0, TWO_PI if ccw else -TWO_PI),))
+
+
+def split_edge(e, t: float):
+    """Cut an edge object at interior parameter t, returning the two halves."""
+    if not 0.0 < t < 1.0:
+        raise ContractViolation(f"split parameter must be interior, got {t}")
+    if isinstance(e, Segment):
+        mid = e.point_at(t)
+        return Segment(e.start, mid), Segment(mid, e.end)
+    rest = e.signed_sweep - e.signed_sweep * t
+    first = e.signed_sweep - rest  # exact, so the two sweeps sum to the edge's
+    return (
+        Arc(e.center, e.radius, e.start_angle, first),
+        Arc(e.center, e.radius, e.start_angle + first, rest),
+    )
+
+
 def _row_crossings(curve: ArcCurve, y: float):
     """Signed crossings (x, direction) of the curve with the horizontal line."""
     out = []
-    for e in curve.edges:
+    for e in edges_of(curve):
         if isinstance(e, Segment):
             y0, y1 = e.start.y, e.end.y
             if y0 == y1:
@@ -150,13 +262,13 @@ def _turn(q: Point, a: Point, b: Point) -> float:
 
 
 def _distance_to_arc(q: Point, e: Arc) -> float:
-    rho = q.distance_to(e.center)
+    rho = distance(q, e.center)
     if rho == 0.0:
         return e.radius
     ang = math.atan2(q.y - e.center.y, q.x - e.center.x)
     if (e.turning * (ang - e.start_angle)) % TWO_PI <= e.sweep:
         return abs(rho - e.radius)
-    return min(q.distance_to(e.start), q.distance_to(e.end))
+    return min(distance(q, e.start), distance(q, e.end))
 
 
 def winding_number_stepping(curve: ArcCurve, q: Point) -> int:
@@ -168,8 +280,8 @@ def winding_number_stepping(curve: ArcCurve, q: Point) -> int:
     right branch; the cost grows like the arc length over that distance.
     """
     total = 0.0
-    for e in curve.edges:
-        if isinstance(e, Segment) or q.distance_to(e.center) > e.radius:
+    for e in edges_of(curve):
+        if isinstance(e, Segment) or distance(q, e.center) > e.radius:
             total += _turn(q, e.start, e.end)
             continue
         steps = max(1, math.ceil(e.length / _distance_to_arc(q, e)))
@@ -187,7 +299,7 @@ def winding_number_stepping(curve: ArcCurve, q: Point) -> int:
 def quadrature_curve_area(curve: ArcCurve, samples_per_edge: int = 4096) -> float:
     """Gauss-Green integral of a dense polyline approximation of the curve."""
     total = 0.0
-    for e in curve.edges:
+    for e in edges_of(curve):
         ts = np.linspace(0.0, 1.0, samples_per_edge + 1)
         pts = np.array([[p.x, p.y] for p in (e.point_at(t) for t in ts)])
         x, y = pts[:, 0], pts[:, 1]
@@ -673,7 +785,7 @@ def offset_inner_reference(c: ArcCurve, r: float, roles):
     are left to the caller.  Roles are assumed valid.
     """
     edges, collapsed, points = [], [], []
-    for i, (e, role) in enumerate(zip(c.edges, roles)):
+    for i, (e, role) in enumerate(zip(edges_of(c), roles)):
         if isinstance(e, Segment):
             dx, dy = e.end.x - e.start.x, e.end.y - e.start.y
             n = math.hypot(dx, dy)
@@ -703,7 +815,7 @@ def offset_inner_reference(c: ArcCurve, r: float, roles):
 
 def class_a_violations_reference(d: ArcDomain):
     """``class_a_violations`` on the boundary's edge objects, rule by rule."""
-    edges, roles, r, h = d.boundary.edges, d.roles, d.r, d.h
+    edges, roles, r, h = edges_of(d.boundary), d.roles, d.r, d.h
     if len(edges) > MAX_EDGES:
         return ["edge_cap"]
     violations = []
@@ -729,7 +841,7 @@ def class_a_violations_reference(d: ArcDomain):
             violations.append("border_structure")
             break
     per = sum(e.length for e in edges)
-    area = signed_area(ArcCurve(edges, True))
+    area = signed_area(curve_of(edges))
     if area <= 0.0 or abs(h - per / area) > 1e-8 * h:
         violations.append("self_cheeger_ratio")
     return violations
@@ -745,7 +857,7 @@ def _locate_on_edge_reference(q: Point, e, tol: float):
         wx, wy = q.x - e.start.x, q.y - e.start.y
         t = (vx * wx + vy * wy) / (vx * vx + vy * vy)
         t = min(1.0, max(0.0, t))
-        if q.distance_to(e.point_at(t)) <= tol:
+        if distance(q, e.point_at(t)) <= tol:
             return t
         return None
     ang = math.atan2(q.y - e.center.y, q.x - e.center.x)
@@ -753,7 +865,7 @@ def _locate_on_edge_reference(q: Point, e, tol: float):
     if rel > e.sweep:
         rel = 0.0 if TWO_PI - rel < rel - e.sweep else e.sweep
     t = rel / e.sweep
-    if q.distance_to(e.point_at(t)) <= tol:
+    if distance(q, e.point_at(t)) <= tol:
         return t
     return None
 
@@ -761,24 +873,26 @@ def _locate_on_edge_reference(q: Point, e, tol: float):
 def _node_positions_reference(curve: ArcCurve, nodes):
     """(edge index, parameter) of each node, every node tried on every edge."""
     tol = curve.tolerance
-    n_edges = len(curve.edges)
+    edges = edges_of(curve)
+    n_edges = len(edges)
     positions = []
-    for k, node in enumerate(nodes):
+    for k, (x, y) in enumerate(nodes):
+        node = Point(x, y)
         best = None
-        for i, e in enumerate(curve.edges):
+        for i, e in enumerate(edges):
             t = _locate_on_edge_reference(node, e, 10.0 * tol)
             if t is None:
                 continue
-            dist = node.distance_to(e.point_at(t))
+            dist = distance(node, e.point_at(t))
             if best is None or dist < best[0]:
                 best = (dist, i, t)
         if best is None or best[0] > tol:
             worst = best[0] if best else math.inf
             raise ContractViolation(f"node {k} is not on the curve (best distance {worst:.3e})")
         _, i, t = best
-        if node.distance_to(curve.edges[i].point_at(0.0)) <= tol:
+        if distance(node, edges[i].point_at(0.0)) <= tol:
             positions.append((i, 0.0))
-        elif node.distance_to(curve.edges[i].point_at(1.0)) <= tol:
+        elif distance(node, edges[i].point_at(1.0)) <= tol:
             positions.append(((i + 1) % n_edges, 0.0))
         else:
             positions.append((i, t))
@@ -788,7 +902,7 @@ def _node_positions_reference(curve: ArcCurve, nodes):
 def _split_at_nodes_reference(curve: ArcCurve, positions):
     """The curve's edge objects cut by ``split_edge`` so every node starts an edge; (edges, node_at_start)."""
     edges, starts = [], []
-    for i, e in enumerate(curve.edges):
+    for i, e in enumerate(edges_of(curve)):
         cuts = sorted((t, k) for k, (j, t) in enumerate(positions) if j == i)
         label = None
         if cuts and cuts[0][0] == 0.0:
@@ -843,9 +957,9 @@ def chord_deficits_reference(gamma_r: ArcCurve, nodes, clamp_bound=None) -> Defi
         a = portion[0].start
         b = portion[-1].end
         pieces = list(portion)
-        if b.distance_to(a) > tol:
+        if distance(b, a) > tol:
             pieces.append(Segment(b, a))
-        xs.append(signed_area(ArcCurve(tuple(pieces), closed=True)))
+        xs.append(signed_area(curve_of(pieces)))
     rot = (labels[0] + 1) % n
     if rot:
         xs = xs[-rot:] + xs[:-rot]
@@ -870,7 +984,7 @@ def _edge_columns(c: ArcCurve):
         else:
             cx, cy, r, a0, sweep = row
             arcs.append((cx, cy, r, a0, abs(sweep), 1 if sweep > 0.0 else -1,
-                         *_edge_end(row, 0.0), *_edge_end(row, 1.0)))
+                         *edge_point(row, 0.0), *edge_point(row, 1.0)))
     return (np.array(segs).T if segs else None), (np.array(arcs).T if arcs else None)
 
 
@@ -1014,7 +1128,7 @@ def overlap_message_reference(cells):
 # Class-A fixtures and curve construction through numpy rows and Point objects.
 
 def curve_gap_error_reference(edges, closed: bool):
-    """The message of the ``ValidationError`` ``ArcCurve(edges, closed)`` raises, or None.
+    """The message of the ``ValidationError`` ``curve_of(edges, closed)`` raises, or None.
 
     Every endpoint is a ``Point`` from ``start``/``end``, so a non-finite arc
     end raises as the ``Point`` does, in the order the gaps are visited.  The
@@ -1036,7 +1150,7 @@ def curve_gap_error_reference(edges, closed: bool):
     pairs = [(i, i + 1) for i in range(len(edges) - 1)] + ([(-1, 0)] if closed else [])
     for i, j in pairs:
         try:
-            gap = edges[i].end.distance_to(edges[j].start)
+            gap = distance(edges[i].end, edges[j].start)
         except ValidationError as exc:
             return str(exc)
         if gap > tol:
@@ -1060,7 +1174,7 @@ def transform_curve_reference(c: ArcCurve, angle: float = 0.0, dx: float = 0.0,
         raise ValidationError("scale must be positive")
     ca, sa = math.cos(angle), math.sin(angle)
     out = []
-    for e in c.edges:
+    for e in edges_of(c):
         if isinstance(e, Arc):
             out.append(
                 Arc(_map_point_reference(e.center, ca, sa, dx, dy, scale), e.radius * scale,
@@ -1073,7 +1187,7 @@ def transform_curve_reference(c: ArcCurve, angle: float = 0.0, dx: float = 0.0,
                     _map_point_reference(e.end, ca, sa, dx, dy, scale),
                 )
             )
-    return ArcCurve(tuple(out), c.closed)
+    return curve_of(out, c.closed)
 
 
 def convex_hull_reference(points) -> np.ndarray:
@@ -1147,8 +1261,9 @@ def _domain_from_inner_curve_reference(inner: ArcCurve, r: float) -> ArcDomain:
 
     edges = []
     roles = []
-    n = len(inner.edges)
-    for i, e in enumerate(inner.edges):
+    inner_edges = edges_of(inner)
+    n = len(inner_edges)
+    for i, e in enumerate(inner_edges):
         if isinstance(e, Segment):
             na = outward_normal_angle(e, 0.0)
             nx, ny = math.cos(na), math.sin(na)
@@ -1163,14 +1278,14 @@ def _domain_from_inner_curve_reference(inner: ArcCurve, r: float) -> ArcDomain:
                 raise ValidationError("concave inner radius must exceed r")
             edges.append(Arc(e.center, e.radius + e.turning * r, e.start_angle, e.signed_sweep))
         roles.append(INNER_JUNCTION)
-        nxt = inner.edges[(i + 1) % n]
+        nxt = inner_edges[(i + 1) % n]
         a0 = outward_normal_angle(e, 1.0)
         a1 = outward_normal_angle(nxt, 0.0)
         sweep = (a1 - a0) % TWO_PI
         if sweep > 1e-9:
             edges.append(Arc(e.end, r, a0, sweep))
             roles.append(FREE)
-    return ArcDomain(ArcCurve(tuple(edges), closed=True), tuple(roles), 1.0 / r)
+    return ArcDomain(curve_of(edges), tuple(roles), 1.0 / r)
 
 
 def random_class_a_domain_reference(seed) -> ArcDomain:
@@ -1212,7 +1327,7 @@ def random_class_a_domain_reference(seed) -> ArcDomain:
             a1 = math.atan2(b[1] - center[1], b[0] - center[0])
             edges.append(Arc.between(Point(*center), radius, a0, a1, turning))
         try:
-            inner = ArcCurve(tuple(edges), closed=True)
+            inner = curve_of(edges)
         except ValidationError:
             continue
         if min(_inner_curve_exterior_angles_reference(edges)) < 0.05:
@@ -1223,7 +1338,7 @@ def random_class_a_domain_reference(seed) -> ArcDomain:
         inner = transform_curve_reference(inner, scale=math.sqrt(math.pi / area))
         if any(
             isinstance(e, Arc) and e.turning == -1 and e.radius < 1.05
-            for e in inner.edges
+            for e in edges_of(inner)
         ):
             continue
         try:

@@ -32,7 +32,7 @@ from cheegerlab.cli import run
 from cheegerlab.cluster import canonical_graph, honeycomb_cluster, lower_bound_certificate
 from cheegerlab.hales_deficit import NodeSet, hales_check, place_nodes
 from cheegerlab.partition_optimizer import optimize
-from cheegerlab.arc_geometry import ArcCurve, Point, Segment
+from cheegerlab.arc_geometry import ArcCurve
 from oracles import monte_carlo_area
 
 PI = math.pi
@@ -76,11 +76,9 @@ def test_criterion_2_representation_identities():
 
 def test_criterion_3_hales():
     t0 = time.perf_counter()
-    v = regular_polygon(6, area=1.0).vertices
-    hexagon = ArcCurve(tuple(
-        Segment(Point(*v[i]), Point(*v[(i + 1) % 6])) for i in range(6)
-    ), closed=True)
-    nodes = NodeSet(tuple(Point(*p) for p in v), (False,) * 6)
+    v = [tuple(p) for p in regular_polygon(6, area=1.0).vertices.tolist()]
+    hexagon = ArcCurve(tuple((*v[i], *v[(i + 1) % 6]) for i in range(6)))
+    nodes = NodeSet(v, (False,) * 6)
     rep = hales_check(hexagon, nodes, r_star=1.0 / math.sqrt(PI))
     equality = abs(rep.lhs - rep.rhs)
     assert equality < 1e-10 and abs(rep.lhs - 2 * 12 ** 0.25) < 1e-10

@@ -6,20 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from cheegerlab import arc_geometry, jsonio
 from cheegerlab.arc_geometry import (
-    Arc,
     ArcCurve,
     BORDER_PIECE,
     FREE,
     INNER_JUNCTION,
     Point,
-    Segment,
     curve_from_dict,
     curve_length,
     curve_to_dict,
-    full_circle,
     offset_inner,
     signed_area,
-    split_edge,
     transform_curve,
     winding_number,
 )
@@ -31,10 +27,16 @@ from cheegerlab.errors import (
     ValidationError,
 )
 from oracles import (
+    Arc,
+    Segment,
     curve_distances_reference,
     curve_gap_error_reference,
+    curve_of,
+    edges_of,
+    full_circle,
     quadrature_curve_area,
     rasterized_winding_area,
+    split_edge,
     transform_curve_reference,
     winding_number_stepping,
     winding_numbers_reference,
@@ -45,20 +47,20 @@ PI = math.pi
 
 def stadium_curve():
     """Convex hull of two unit disks with centers distance 2 apart."""
-    return ArcCurve((
+    return curve_of((
         Segment(Point(-1, -1), Point(1, -1)),
         Arc.between(Point(1, 0), 1.0, -PI / 2, PI / 2, 1),
         Segment(Point(1, 1), Point(-1, 1)),
         Arc.between(Point(-1, 0), 1.0, PI / 2, 3 * PI / 2, 1),
-    ), closed=True)
+    ))
 
 
 def lens_curve():
     """Intersection of the unit disks centred at (-0.5, 0) and (0.5, 0): two arcs meeting at kinks."""
-    return ArcCurve((
+    return curve_of((
         Arc.between(Point(-0.5, 0), 1.0, -PI / 3, PI / 3, 1),
         Arc.between(Point(0.5, 0), 1.0, 2 * PI / 3, 4 * PI / 3, 1),
-    ), closed=True)
+    ))
 
 
 def _tangent(e, t):
@@ -70,10 +72,8 @@ def _tangent(e, t):
 
 
 def hexagon_boundary():
-    v = regular_polygon(6, area=1.0).vertices
-    return ArcCurve(tuple(
-        Segment(Point(*v[i]), Point(*v[(i + 1) % 6])) for i in range(6)
-    ), closed=True)
+    v = regular_polygon(6, area=1.0).vertices.tolist()
+    return ArcCurve(tuple((*v[i], *v[(i + 1) % 6]) for i in range(6)))
 
 
 class TestCurveLength:
@@ -85,14 +85,14 @@ class TestCurveLength:
         assert curve_length(hexagon_boundary()) == pytest.approx(2 * 12 ** 0.25, abs=1e-12)
 
     def test_quarter_arc_radius_two(self):
-        arc = Arc(Point(0, 0), 2.0, 0.0, PI / 2)
-        assert arc.length == pytest.approx(PI, abs=1e-14)
+        arc = ArcCurve(((0.0, 0.0, 2.0, 0.0, PI / 2),), closed=False)
+        assert curve_length(arc) == arc.edges[0].length == pytest.approx(PI, abs=1e-14)
 
     def test_malformed_curve_rejected(self):
         with pytest.raises(ValidationError):
             ArcCurve((
-                Segment(Point(0, 0), Point(1, 0)),
-                Segment(Point(1.1, 0), Point(1.1, 1)),  # gap beyond tolerance
+                (0.0, 0.0, 1.0, 0.0),
+                (1.1, 0.0, 1.1, 1.0),  # gap beyond tolerance
             ), closed=False)
 
 
@@ -110,7 +110,7 @@ class TestSignedArea:
         assert quadrature_curve_area(stad) == pytest.approx(PI + 4, abs=1e-6)
 
     def test_open_curve_rejected(self):
-        open_curve = ArcCurve((Segment(Point(0, 0), Point(1, 0)),), closed=False)
+        open_curve = ArcCurve(((0.0, 0.0, 1.0, 0.0),), closed=False)
         with pytest.raises(ContractViolation):
             signed_area(open_curve)
 
@@ -122,10 +122,7 @@ class TestWindingNumber:
         assert winding_number(c, Point(2.0, 0.0)) == 0
 
     def test_doubly_traversed_circle(self):
-        c2 = ArcCurve((
-            Arc(Point(0, 0), 1.0, 0.0, 2 * PI),
-            Arc(Point(0, 0), 1.0, 0.0, 2 * PI),
-        ), closed=True)
+        c2 = ArcCurve(((0.0, 0.0, 1.0, 0.0, 2 * PI),) * 2)
         assert winding_number(c2, Point(0.05, -0.02)) == 2
 
     def test_point_near_curve_inside_disk(self):
@@ -142,9 +139,9 @@ class TestWindingNumber:
         # the end point of a full circle can round to just before or after its
         # start, and the turn must still be one whole revolution per lap
         for start in np.linspace(-10.0, 10.0, 401):
-            arc = Arc(Point(0.3, -0.2), 1.0, start, turning * 2 * PI)
+            arc = (0.3, -0.2, 1.0, start, turning * 2 * PI)
             for laps in (1, 2):
-                c = ArcCurve((arc,) * laps, closed=True)
+                c = ArcCurve((arc,) * laps)
                 assert winding_number(c, Point(0.1, 0.05)) == turning * laps
                 assert winding_number(c, Point(1.5, 0.0)) == 0
         # a full circle keeps its sweep, so its length, area and turn, through
@@ -155,18 +152,17 @@ class TestWindingNumber:
                                  np.linspace(-100.0, 100.0, 4002)])
         for start in starts:
             arc = Arc(Point(0.3, -0.2), 1.5, start, turning * 2 * PI)
-            circle = ArcCurve((arc,), closed=True)
+            circle = curve_of((arc,))
             read = curve_from_dict(jsonio.loads(jsonio.dumps(curve_to_dict(circle))))
             moved = transform_curve(circle, angle=0.7, dx=0.25, dy=-0.5, scale=2.0)
             assert read == circle
-            assert moved.edges[0].signed_sweep == arc.signed_sweep
+            assert moved.rows[0][4] == arc.signed_sweep
             first, second = split_edge(arc, 0.3)
             assert first.signed_sweep + second.signed_sweep == arc.signed_sweep
             for c in (read, moved):
-                e = c.edges[0]
-                assert curve_length(c) == pytest.approx(2 * PI * e.radius, rel=1e-15)
-                assert signed_area(c) == pytest.approx(turning * PI * e.radius ** 2, rel=1e-14)
-                x, y = e.center.x, e.center.y
+                x, y, radius = c.rows[0][:3]
+                assert curve_length(c) == pytest.approx(2 * PI * radius, rel=1e-15)
+                assert signed_area(c) == pytest.approx(turning * PI * radius ** 2, rel=1e-14)
                 assert winding_numbers_reference(c, [x + 0.1, x + 4.0], [y, y]).tolist() == [turning, 0]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -181,7 +177,7 @@ class TestWindingNumber:
         seen = set()
         for curve in (d.boundary, d.boundary.reversed()):
             queries = []
-            for e in curve.edges:
+            for e in edges_of(curve):
                 mid = e.point_at(0.5)
                 if isinstance(e, Arc):
                     ux, uy = (mid.x - e.center.x) / e.radius, (mid.y - e.center.y) / e.radius
@@ -203,7 +199,7 @@ class TestWindingNumber:
     def test_matches_stepping_oracle_close_to_a_free_arc(self):
         # the walks the test above leaves out: 1e5 and 1e6 steps
         d = random_class_a_domain(0)
-        arc = next(e for e, role in zip(d.boundary.edges, d.roles) if role == FREE)
+        arc = next(e for e, role in zip(edges_of(d.boundary), d.roles) if role == FREE)
         mid = arc.point_at(0.5)
         ux, uy = (mid.x - arc.center.x) / arc.radius, (mid.y - arc.center.y) / arc.radius
         for eps in (1e-5, 1e-6):
@@ -227,12 +223,12 @@ class TestWindingNumber:
     def test_one_point_matches_array_kernel_on_fixtures(self):
         # a grid over each fixture, with its rows and columns through the
         # fixture's vertices
-        twice = ArcCurve((Arc(Point(0.3, -0.2), 1.0, 0.4, 2 * PI),) * 2, closed=True)
+        twice = ArcCurve(((0.3, -0.2, 1.0, 0.4, 2 * PI),) * 2)
         for curve in (stadium_curve(), stadium_curve().reversed(), hexagon_boundary(),
                       full_circle(Point(0.0, 0.0), 1.0, ccw=False), twice):
             x0, y0, x1, y1 = curve.bbox
-            xs = np.concatenate([np.linspace(x0 - 0.5, x1 + 0.5, 23), [e.start.x for e in curve.edges]])
-            ys = np.concatenate([np.linspace(y0 - 0.5, y1 + 0.5, 23), [e.start.y for e in curve.edges]])
+            xs = np.concatenate([np.linspace(x0 - 0.5, x1 + 0.5, 23), [e.start.x for e in edges_of(curve)]])
+            ys = np.concatenate([np.linspace(y0 - 0.5, y1 + 0.5, 23), [e.start.y for e in edges_of(curve)]])
             self._check_against_array_kernel(curve, *(a.ravel() for a in np.meshgrid(xs, ys)))
 
     @pytest.mark.parametrize("seed", ["lens", 0, 1, 2, 3])
@@ -245,7 +241,8 @@ class TestWindingNumber:
         for curve in (boundary, boundary.reversed()):
             tol = curve.tolerance
             xs, ys = [], []
-            for e in curve.edges:
+            edges = edges_of(curve)
+            for e in edges:
                 for t in (1e-4, 0.5, 1.0 - 1e-4):
                     p = e.point_at(t)
                     if isinstance(e, Arc):
@@ -255,7 +252,6 @@ class TestWindingNumber:
                     for f in (-2.0, -0.5, 0.5, 2.0):
                         xs.append(p.x + f * tol * nx)
                         ys.append(p.y + f * tol * ny)
-            edges = curve.edges
             for e0, e1 in zip(edges, edges[1:] + edges[:1]):
                 (ax, ay), (bx, by) = _tangent(e0, 1.0), _tangent(e1, 0.0)
                 ux, uy = ax - bx, ay - by
@@ -276,7 +272,7 @@ class TestWindingNumber:
         d = random_class_a_domain(seed)
         c = d.boundary
         tol = c.tolerance
-        arc = next(e for e, role in zip(c.edges, d.roles) if role == FREE)
+        arc = next(e for e, role in zip(edges_of(c), d.roles) if role == FREE)
         mid = arc.point_at(0.5)
         ux = (mid.x - arc.center.x) / arc.radius
         uy = (mid.y - arc.center.y) / arc.radius
@@ -295,18 +291,12 @@ class TestWindingNumber:
 
 class TestOrientedArea:
     def test_figure_eight_cancels(self):
-        f8 = ArcCurve((
-            Arc(Point(-1, 0), 1.0, 0.0, 2 * PI),
-            Arc(Point(1, 0), 1.0, PI, -2 * PI),
-        ), closed=True)
+        f8 = ArcCurve(((-1.0, 0.0, 1.0, 0.0, 2 * PI), (1.0, 0.0, 1.0, PI, -2 * PI)))
         assert signed_area(f8) == pytest.approx(0.0, abs=1e-13)
         assert rasterized_winding_area(f8, 1024) == pytest.approx(0.0, abs=1e-3)
 
     def test_doubly_traversed_circle(self):
-        c2 = ArcCurve((
-            Arc(Point(0, 0), 1.0, 0.0, 2 * PI),
-            Arc(Point(0, 0), 1.0, 0.0, 2 * PI),
-        ), closed=True)
+        c2 = ArcCurve(((0.0, 0.0, 1.0, 0.0, 2 * PI),) * 2)
         assert signed_area(c2) == pytest.approx(2 * PI, abs=1e-13)
         assert rasterized_winding_area(c2, 1024) == pytest.approx(2 * PI, abs=2e-3)
 
@@ -338,14 +328,14 @@ class TestOffsetInner:
         # junction arc of radius 2, offset 0.5 -> concentric radius 2.5
         d = _two_arc_ring()
         off = offset_inner(d, 0.5, [FREE, INNER_JUNCTION, FREE, INNER_JUNCTION])
-        arcs = [e for e in off.curve.edges if isinstance(e, Arc)]
-        assert all(a.radius == pytest.approx(2.5, abs=1e-12) for a in arcs)
+        arcs = [row for row in off.curve.rows if len(row) == 5]
+        assert all(row[2] == pytest.approx(2.5, abs=1e-12) for row in arcs)
         assert off.collapsed_indices == (0, 2)
 
     def test_segment_translates_preserving_length(self):
         dom = _square_cheeger_like(side=1.0, r=0.2)
         off = offset_inner(dom["curve"], 0.2, dom["roles"])
-        segs = [e for e in off.curve.edges if isinstance(e, Segment)]
+        segs = [e for e in edges_of(off.curve) if isinstance(e, Segment)]
         assert len(segs) == 4
         for s in segs:
             assert s.length == pytest.approx(0.6, abs=1e-12)
@@ -382,7 +372,7 @@ def _two_arc_ring():
     right = Arc.between(Point(*f2), r, ang(f2, cbot), ang(f2, ctop), 1)
     top = Arc.between(Point(*ctop), rho, ang(ctop, f2), ang(ctop, f1), -1)
     bot = Arc.between(Point(*cbot), rho, ang(cbot, f1), ang(cbot, f2), -1)
-    return ArcCurve((left, bot, right, top), closed=True)
+    return curve_of((left, bot, right, top))
 
 
 def _square_cheeger_like(side=1.0, r=0.2):
@@ -402,7 +392,7 @@ def _square_cheeger_like(side=1.0, r=0.2):
         a0, a1 = angles[i]
         edges.append(Arc.between(Point(cx, cy), r, a0, a1, 1))
         roles.append(FREE)
-    return {"curve": ArcCurve(tuple(edges), closed=True), "roles": roles}
+    return {"curve": curve_of(edges), "roles": roles}
 
 
 def _outcome(build):
@@ -419,8 +409,8 @@ class TestConstruction:
         # boundaries: the same verdict and message as gaps between Points
         verdicts = set()
         for seed in range(20):
-            edges = random_class_a_domain(seed).boundary.edges
-            tol = ArcCurve(edges).tolerance
+            boundary = random_class_a_domain(seed).boundary
+            edges, tol = edges_of(boundary), boundary.tolerance
             cases = [(edges, True), (edges, False), (edges[:-1], True), (edges[:-1], False),
                      (edges[1:] + edges[:1], True), (edges[::-1], True)]
             for i, e in enumerate(edges):
@@ -434,10 +424,10 @@ class TestConstruction:
                 expected = curve_gap_error_reference(es, closed)
                 verdicts.add(expected is None)
                 if expected is None:
-                    ArcCurve(es, closed)
+                    curve_of(es, closed)
                 else:
                     with pytest.raises(ValidationError) as exc:
-                        ArcCurve(es, closed)
+                        curve_of(es, closed)
                     assert str(exc.value) == expected
         assert verdicts == {True, False}
 
@@ -450,9 +440,9 @@ class TestConstruction:
             expected = curve_gap_error_reference(edges, closed)
             assert expected.startswith("non-finite point (inf, ")
             with pytest.raises(ValidationError) as exc:
-                ArcCurve(edges, closed)
+                curve_of(edges, closed)
             assert str(exc.value) == expected
-        ArcCurve((arc,), closed=False)  # an open curve of one edge has no gap to measure
+        curve_of((arc,), closed=False)  # an open curve of one edge has no gap to measure
 
     def test_transform_matches_point_reference(self):
         # dilations 1e-8 ... 1e8 with rotations and translates at the same
@@ -497,7 +487,7 @@ class TestInvariances:
         circle = full_circle(Point(0.0, 0.0), radius, ccw=turning == 1)
         for angle in [1.8, 4.1, 4.3, 4.6, 5.1, *np.linspace(-7.0, 7.0, 61)]:
             moved = transform_curve(circle, angle=angle, dx=0.25, dy=-0.5)
-            assert moved.edges[0].signed_sweep == circle.edges[0].signed_sweep
+            assert moved.rows[0][4] == circle.rows[0][4]
             assert curve_length(moved) == pytest.approx(2 * PI * radius, rel=1e-14)
             assert signed_area(moved) == pytest.approx(turning * PI * radius ** 2, rel=1e-14)
             assert winding_number(moved, Point(0.25, -0.5)) == turning
@@ -547,7 +537,7 @@ class TestJson:
         rev = back.reversed()
         assert checked == [16]
         # the reversed rows are those of the reversed edge objects
-        assert rev == ArcCurve(tuple(e.reversed() for e in reversed(boundary.edges)), True)
+        assert rev == curve_of(e.reversed() for e in reversed(edges_of(boundary)))
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValidationError):
@@ -589,4 +579,27 @@ class TestJson:
     def test_bad_sweep_rejected(self, sweep):
         with pytest.raises(ValidationError, match="^arc sweep must be nonzero, finite and at "
                                                   r"most 2\*pi in magnitude, got "):
-            Arc(Point(0, 0), 1.0, 0.0, sweep)
+            ArcCurve(((0.0, 0.0, 1.0, 0.0, sweep),), closed=False)
+
+
+class TestEdgeViews:
+    def test_reading_edges_checks_nothing(self, call_counts):
+        # .edges reads the rows that the curve checked once as Segment and Arc
+        # views: no _check_rows call and no Point check per edge
+        boundary = random_class_a_domain(3).boundary
+        rows = call_counts(arc_geometry, "_check_rows")
+        points = call_counts(Point, "__post_init__")
+        edges = boundary.edges
+        assert rows == {"_check_rows": 0} and points == {"__post_init__": 0}
+        assert {type(e).__name__ for e in edges} == {"Segment", "Arc"}
+        for e, obj in zip(edges, edges_of(boundary), strict=True):
+            if isinstance(obj, Segment):
+                assert isinstance(e, arc_geometry.Segment)
+                assert (e.start, e.end) == (obj.start, obj.end)
+            else:
+                assert isinstance(e, arc_geometry.Arc)
+                assert (e.center, e.radius, e.start_angle, e.signed_sweep) == (
+                    obj.center, obj.radius, obj.start_angle, obj.signed_sweep)
+                assert e.length == obj.length
+                assert [e.point_at(t) for t in (0.0, 0.37, 1.0)] == [obj.point_at(t) for t in (0.0, 0.37, 1.0)]
+        assert boundary.edges is edges  # built once

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from cheegerlab.arc_geometry import (
-    Arc,
     ArcCurve,
     BORDER_PIECE,
     FREE,
     INNER_JUNCTION,
     Point,
-    Segment,
     curve_length,
     signed_area,
 )
@@ -38,10 +36,13 @@ from cheegerlab.errors import ValidationError
 from cheegerlab.hales_deficit import hales_check, place_nodes
 from cheegerlab.partition_optimizer import SeedConfiguration, hex_lattice_seeds, power_diagram_cells
 from oracles import (
+    Arc,
+    Segment,
     cheeger_convex_reference,
     clean_ring_loop,
     convex_hull_reference,
     convex_polygon_reference,
+    curve_of,
     polygon_cheeger_bisection,
     polygon_cheeger_closed_form,
     random_class_a_domain_reference,
@@ -227,7 +228,7 @@ class TestCheegerConvex:
         boundary, roles = res.cheeger_set_boundary, res.roles
         assert res.cheeger_set_boundary is boundary and res.roles is roles
         assert counts == {"_rounded_polygon": 1}
-        assert len(roles) == len(boundary.edges) == 2 * len(res.core)
+        assert len(roles) == len(boundary.rows) == 2 * len(res.core)
 
 
 class TestHexagonConstant:
@@ -264,7 +265,7 @@ class TestInnerCheegerBoundary:
 
     def test_ball_rejected(self):
         ball = ArcDomain(
-            ArcCurve((Arc(Point(0, 0), 1.0, 0.0, 2 * PI),), closed=True),
+            ArcCurve(((0.0, 0.0, 1.0, 0.0, 2 * PI),)),
             (FREE,),
             2.0,  # h(B) = 2/R, so the free-arc curvature 1/R cannot equal h
         )
@@ -286,22 +287,19 @@ class TestStructureReport:
         # stadium with its true Cheeger constant h = P/A; free arcs have the
         # wrong curvature, so the class test fails on that rule
         per, area = 2 * PI + 4.0, PI + 4.0
-        stadium = ArcCurve((
+        stadium = curve_of((
             Segment(Point(-1, -1), Point(1, -1)),
             Arc.between(Point(1, 0), 1.0, -PI / 2, PI / 2, 1),
             Segment(Point(1, 1), Point(-1, 1)),
             Arc.between(Point(-1, 0), 1.0, PI / 2, 3 * PI / 2, 1),
-        ), closed=True)
+        ))
         dom = ArcDomain(stadium, (INNER_JUNCTION, FREE, INNER_JUNCTION, FREE), per / area)
         rep = structure_report(dom)
         assert not rep.is_class_A
         assert "free_curvature" in rep.violations
 
     def test_ball_violations(self):
-        ball = ArcDomain(
-            ArcCurve((Arc(Point(0, 0), 1.0, 0.0, 2 * PI),), closed=True),
-            (FREE,), 2.0,
-        )
+        ball = ArcDomain(ArcCurve(((0.0, 0.0, 1.0, 0.0, 2 * PI),)), (FREE,), 2.0)
         violations = class_a_violations(ball)
         assert "alternation" in violations or "even_arc_count" in violations
         assert "free_curvature" in violations
@@ -355,7 +353,7 @@ class TestRandomDomains:
         a = random_class_a_domain(42)
         b = random_class_a_domain(42)
         assert a.h == b.h
-        assert len(a.boundary.edges) == len(b.boundary.edges)
+        assert a.boundary.rows == b.boundary.rows
         assert signed_area(a.boundary) == signed_area(b.boundary)
 
     def test_nonpositive_inner_area_draw_rejected(self):
@@ -367,19 +365,12 @@ class TestRandomDomains:
     def test_one_curve_built_per_domain(self, monkeypatch):
         # a domain is drawn, checked, offset and put through Hales on float
         # rows: the returned boundary is the only ArcCurve constructed while
-        # drawing, and no Point, Segment or Arc is built except the one Point
-        # per node that place_nodes returns.  A curve's edge objects are built
-        # the first time .edges is read, and kept.
-        curves, built = [], []
-        store = ArcCurve._store
-
-        def counting_store(curve, rows, closed):
-            curves.append(curve)
-            store(curve, rows, closed)
-
-        monkeypatch.setattr(ArcCurve, "_store", counting_store)
-        for cls in (Point, Segment, Arc):
-            def counting(obj, post_init=cls.__post_init__):
+        # drawing, and no Point is built, nodes included.  A curve's edge
+        # views are built the first time .edges is read, and kept, without a
+        # Point check.
+        curves, points = [], []
+        for cls, built in ((ArcCurve, curves), (Point, points)):
+            def counting(obj, post_init=cls.__post_init__, built=built):
                 built.append(obj)
                 post_init(obj)
             monkeypatch.setattr(cls, "__post_init__", counting)
@@ -388,16 +379,13 @@ class TestRandomDomains:
             d = random_class_a_domain(seed)
             assert len(curves) == 1 and curves[0] is d.boundary, seed
             rep = structure_report(d)
-            assert rep.is_class_A and not built, seed
+            assert rep.is_class_A, seed
             nodes = place_nodes(rep.offset, d)
-            assert built == list(nodes.nodes), seed
-            built.clear()
+            assert all(type(node) is tuple for node in nodes.nodes), seed
             hales_check(rep.offset.curve, nodes, d.r)
-            assert not built, seed
             edges = d.boundary.edges
-            assert len(built) == len(edges) + sum(2 if isinstance(e, Segment) else 1 for e in edges)
-            built.clear()
-            assert d.boundary.edges is edges and not built, seed
+            assert len(edges) == len(d.boundary.rows) and d.boundary.edges is edges, seed
+            assert not points, seed
 
     def test_vertex_count_range(self):
         rng = np.random.default_rng(0)

@@ -122,6 +122,16 @@ class TestPipelines:
         assert run(["hales", "--input", dom_file, f"--r-star={value}", "--output", str(tmp_path / "h.json")]) == 1
         assert capsys.readouterr().err == f"error: r_star must be positive and finite, got {float(value)}\n"
 
+    @pytest.mark.parametrize("value", ["1e-300", "1e-160", "1e200"])
+    def test_hales_rejects_r_star_whose_square_is_not_normal(self, tmp_path, capsys, value):
+        # pi*r_star^2 underflows to 0 at 1e-300, which ended in a
+        # ZeroDivisionError traceback; it is subnormal at 1e-160 and inf at 1e200
+        dom_file = write(tmp_path / "dom.json", domain_to_dict(cheeger_domain(SQUARE)))
+        assert run(["hales", "--input", dom_file, f"--r-star={value}", "--output", str(tmp_path / "h.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pi*r_star^2 = ") and err.count("\n") == 1
+        assert err.endswith(f" for r_star = {float(value)} is not a positive, finite, normal float\n")
+
     def test_chain_report_and_sweep(self, tmp_path):
         chain = {
             "flavor": "closed",
@@ -311,7 +321,7 @@ class TestRender:
 
     def test_paths_are_written_from_rows(self, monkeypatch):
         # reading a domain checks its boundary's rows once; drawing its path
-        # builds no edge object, whose constructor would check its row again
+        # reads the rows and checks nothing again
         d = random_class_a_domain(3)
         obj = domain_to_dict(d)
         checked = []

@@ -4,15 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from cheegerlab import jsonio
+from cheegerlab import arc_geometry, jsonio
 from cheegerlab.arc_geometry import (
     CHAIN_TOL,
-    Arc,
     ArcCurve,
     BORDER_PIECE,
     FREE,
-    Point,
-    Segment,
     transform_curve,
 )
 from cheegerlab.cheeger import (
@@ -44,7 +41,7 @@ from cheegerlab.cluster import (
 from cheegerlab.errors import ValidationError
 from cheegerlab.partition_optimizer import SeedConfiguration, power_diagram_cells
 from conftest import make_lens_cells, make_turned_square_cell
-from oracles import BOUNDARY_SAMPLES, overlap_message_reference, sample_boundary_reference
+from oracles import BOUNDARY_SAMPLES, edges_of, overlap_message_reference, sample_boundary_reference
 
 PI = math.pi
 
@@ -209,14 +206,14 @@ class TestCanonicalGraph:
 
 
 def _disk_domain(cx, cy, radius):
-    curve = ArcCurve((Arc(Point(cx, cy), radius, 0.0, 2 * PI),), closed=True)
+    curve = ArcCurve(((cx, cy, radius, 0.0, 2 * PI),))
     return ArcDomain(curve, (FREE,), 2.0 / radius)
 
 
 def _polygon_cell(vertices):
-    pts = [Point(*v) for v in vertices]
-    edges = tuple(Segment(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts)))
-    return ArcDomain(ArcCurve(edges, closed=True), (BORDER_PIECE,) * len(edges), 1.0)
+    n = len(vertices)
+    rows = tuple((*vertices[i], *vertices[(i + 1) % n]) for i in range(n))
+    return ArcDomain(ArcCurve(rows), (BORDER_PIECE,) * n, 1.0)
 
 
 def _hexagon(cx, cy, angle=0.0):
@@ -293,9 +290,8 @@ class TestHoneycomb:
     def test_points_are_plain_floats(self):
         for l in range(1, 5):
             for cell in honeycomb_cluster(l).cells:
-                for e in cell.boundary.edges:
-                    for p in (e.start, e.end):
-                        assert type(p.x) is float and type(p.y) is float
+                for row in cell.boundary.rows:
+                    assert all(type(v) is float for v in row)
 
     def test_artifacts_pinned(self):
         # sha256 over jsonio.dumps(cluster_to_dict(...)) of the k-triangles
@@ -361,21 +357,16 @@ class TestCertificate:
         assert lower_bound_certificate(domino_cluster).applicable
         assert validation_counts == {"class_a_violations": 2, "offset_inner": 2}
 
-    def test_certificate_builds_no_edge_objects(self, monkeypatch):
+    def test_certificate_builds_no_edge_objects(self, call_counts):
         # the certificate reads every curve as float rows: checking the
         # adjacency of a honeycomb, built or read back from JSON, builds no
-        # Segment or Arc
-        built = []
-        for cls in (Segment, Arc):
-            def counting(obj, post_init=cls.__post_init__):
-                built.append(obj)
-                post_init(obj)
-            monkeypatch.setattr(cls, "__post_init__", counting)
+        # Segment or Arc view
+        built = call_counts(arc_geometry, "Segment", "Arc")
         cl = honeycomb_cluster(4)
         for cluster in (cl, cluster_from_dict(cluster_to_dict(cl))):
             cert = lower_bound_certificate(cluster)
             assert cert.graph.e_in == len(cluster.adjacency) > 0
-        assert built == []
+        assert built == {"Segment": 0, "Arc": 0}
 
     def test_structure_report_carries_the_offset(self, domino_cluster):
         hexagon = structure_report(honeycomb_cluster(2).cells[0])
@@ -480,7 +471,7 @@ class TestClusterModel:
         for cell in domino_cluster.cells + honeycomb_cluster(2).cells:
             x, y = sample_boundary_reference(cell)
             ref = [e.point_at((s + 0.5) / BOUNDARY_SAMPLES)
-                   for e in cell.boundary.edges for s in range(BOUNDARY_SAMPLES)]
+                   for e in edges_of(cell.boundary) for s in range(BOUNDARY_SAMPLES)]
             assert x.tolist() == [p.x for p in ref]
             assert y.tolist() == [p.y for p in ref]
 
@@ -637,7 +628,7 @@ class TestExactChecks:
         square = _polygon_cell([(0, 0), (1, 0), (1, 1), (0, 1)])
         half = _polygon_cell([(0.5, 0), (1, 0), (1, 1), (0.5, 1)])
         disk = _disk_domain(0.0, 0.0, 1.0)
-        turned = ArcDomain(ArcCurve((Arc(Point(0.0, 0.0), 1.0, 0.5 * PI, 2 * PI),), closed=True), (FREE,), 2.0)
+        turned = ArcDomain(ArcCurve(((0.0, 0.0, 1.0, 0.5 * PI, 2 * PI),)), (FREE,), 2.0)
         for cells, at in (((square, square), "(0, 0)"), ((square, half), "(1, 0)"), ((half, square), "(0.5, 0)"),
                           ((disk, disk), "(1, 0)"), ((disk, turned), "(1, 0)")):
             with pytest.raises(ValidationError) as err:

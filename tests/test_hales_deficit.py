@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from cheegerlab import hales_deficit, jsonio
-from cheegerlab.arc_geometry import (
-    Arc,
-    ArcCurve,
-    Point,
-    Segment,
-    full_circle,
-    signed_area,
-    transform_curve,
-)
+from cheegerlab.arc_geometry import ArcCurve, Point, edge_point, signed_area, transform_curve
 from cheegerlab.chamber_lemmas import DiskChain, pocket_outline
 from cheegerlab.cheeger import (
     ArcDomain,
@@ -34,19 +26,17 @@ from cheegerlab.hales_deficit import (
     hales_check,
     place_nodes,
 )
-from oracles import chord_deficits_reference
+from oracles import Arc, Segment, chord_deficits_reference, curve_of, full_circle
 
 PI = math.pi
 SQUARE = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
 
 
 def polygon_curve_and_nodes(poly):
-    v = poly.vertices
+    v = [tuple(p) for p in poly.vertices.tolist()]
     n = len(v)
-    curve = ArcCurve(tuple(
-        Segment(Point(*v[i]), Point(*v[(i + 1) % n])) for i in range(n)
-    ), closed=True)
-    nodes = NodeSet(tuple(Point(*p) for p in v), (False,) * n)
+    curve = ArcCurve(tuple((*v[i], *v[(i + 1) % n]) for i in range(n)))
+    nodes = NodeSet(v, (False,) * n)
     return curve, nodes
 
 
@@ -114,7 +104,7 @@ class TestChordDeficits:
         # concave arc of opening pi/3, so x = -(R^2/2)(theta - sin theta)
         chain = DiskChain(np.array([[0, 0], [2, 0], [1, math.sqrt(3)]]), [1, 1, 1], "closed")
         curve = pocket_outline(chain)
-        vertices = [e.start for e in curve.edges]
+        vertices = [edge_point(row, 0.0) for row in curve.rows]
         nodes = NodeSet(tuple(vertices), (False,) * len(vertices))
         rep = chord_deficits(curve, nodes)
         expected = -(1.0 / 2.0) * (PI / 3 - math.sin(PI / 3))
@@ -125,7 +115,7 @@ class TestChordDeficits:
     def test_convex_circular_portion_formula(self):
         # half circle of radius 2 closed by its chord encloses +(R^2/2)(pi - sin pi)
         circle = full_circle(Point(0, 0), 2.0)
-        nodes = NodeSet((Point(2, 0), Point(-2, 0)), (False, False))
+        nodes = NodeSet(((2.0, 0.0), (-2.0, 0.0)), (False, False))
         rep = chord_deficits(circle, nodes)
         assert rep.per_arc_x[0] == pytest.approx(2.0 * PI, abs=1e-12)
         assert rep.per_arc_x[1] == pytest.approx(2.0 * PI, abs=1e-12)
@@ -142,7 +132,7 @@ class TestChordDeficits:
                 a0, a1 = a1, a0
             arc = Arc.between(Point(0, 0), radius, a0, a1, turning)
             chord = Segment(arc.end, arc.start)
-            return signed_area(ArcCurve((arc, chord), closed=True))
+            return signed_area(curve_of((arc, chord)))
 
         x_j = portion_x(rho + r_j, -1)
         x_l = portion_x(rho - r_l, 1)
@@ -164,7 +154,7 @@ class TestChordDeficits:
 
     def test_single_node_full_area(self):
         circle = full_circle(Point(0, 0), 1.0)
-        nodes = NodeSet((Point(1, 0),), (False,))
+        nodes = NodeSet(((1.0, 0.0),), (False,))
         rep = chord_deficits(circle, nodes)
         assert rep.N == 1
         assert rep.per_arc_x[0] == pytest.approx(PI, abs=1e-13)
@@ -186,11 +176,11 @@ class TestChordDeficits:
         # its pieces are judged by the curve's tolerance, not their own
         gap = 5e-10
         curve = ArcCurve((
-            Segment(Point(0, 0), Point(0.5, 0)), Segment(Point(0.5 + gap, 0), Point(1, 0)),
-            Segment(Point(1, 0), Point(1, 1)), Segment(Point(1, 1), Point(0, 1)),
-            Segment(Point(0, 1), Point(0, 0)),
-        ), closed=True)
-        nodes = NodeSet((Point(0.4999, 0), Point(0.5001, 0)), (False, False))
+            (0.0, 0.0, 0.5, 0.0), (0.5 + gap, 0.0, 1.0, 0.0),
+            (1.0, 0.0, 1.0, 1.0), (1.0, 1.0, 0.0, 1.0),
+            (0.0, 1.0, 0.0, 0.0),
+        ))
+        nodes = NodeSet(((0.4999, 0.0), (0.5001, 0.0)), (False, False))
         rep = chord_deficits(curve, nodes)
         assert rep.per_arc_x[0] == pytest.approx(1.0, abs=1e-9)
         assert rep.per_arc_x[1] == 0.0
@@ -207,11 +197,8 @@ class TestChordDeficits:
         moved = transform_curve(off.curve, angle=0.7, dx=2.0, dy=-1.0)
         moved_nodes = NodeSet(
             tuple(
-                Point(
-                    math.cos(0.7) * p.x - math.sin(0.7) * p.y + 2.0,
-                    math.sin(0.7) * p.x + math.cos(0.7) * p.y - 1.0,
-                )
-                for p in nodes.nodes
+                (math.cos(0.7) * x - math.sin(0.7) * y + 2.0, math.sin(0.7) * x + math.cos(0.7) * y - 1.0)
+                for x, y in nodes.nodes
             ),
             nodes.exceptional,
         )
@@ -244,6 +231,15 @@ class TestHalesCheck:
         with pytest.raises(ValidationError, match="^clamp_bound must be finite"):
             chord_deficits(curve, nodes, clamp_bound=value)
 
+    @pytest.mark.parametrize("r_star", [1e-300, 1e-160, 1e200])
+    def test_pi_r_star_squared_must_be_a_normal_float(self, r_star):
+        # pi*r_star^2 underflows to 0 at 1e-300 (the length was divided by its
+        # square root), is subnormal at 1e-160 and overflows at 1e200
+        curve, nodes = polygon_curve_and_nodes(SQUARE)
+        with pytest.raises(ContractViolation, match=r"^pi\*r_star\^2 = \S+ for r_star = \S+ is not a positive, "
+                                                    "finite, normal float$"):
+            hales_check(curve, nodes, r_star)
+
     def test_area_precondition(self):
         curve, nodes = polygon_curve_and_nodes(SQUARE)
         with pytest.raises(ContractViolation):
@@ -275,7 +271,7 @@ def _class_a_cases():
             if seed % 4 and scale != 1.0:
                 continue
             curve = transform_curve(off.curve, angle, shift * scale, -shift * scale, scale)
-            inside = tuple(e.point_at(0.37) for e in curve.edges)
+            inside = tuple(edge_point(row, 0.37) for row in curve.rows)
             cases.append((curve, NodeSet(inside, (False,) * len(inside)), dom.r * scale))
     return cases
 
@@ -284,10 +280,10 @@ def _cluster_cases(cl):
     """Each cell's boundary with its vertex nodes, and its Cheeger set's inner curve with place_nodes."""
     cases = []
     for cell in cl.cells:
-        corners = tuple(e.start for e in cell.boundary.edges)
-        if all(isinstance(e, Segment) for e in cell.boundary.edges):
+        corners = tuple(edge_point(row, 0.0) for row in cell.boundary.rows)
+        if all(len(row) == 4 for row in cell.boundary.rows):
             cases.append((cell.boundary, NodeSet(corners, (False,) * len(corners)), cell.r))
-            dom = cheeger_domain(ConvexPolygon([[p.x, p.y] for p in corners]))
+            dom = cheeger_domain(ConvexPolygon([list(p) for p in corners]))
         else:
             dom = cell
         off = inner_cheeger_boundary(dom)

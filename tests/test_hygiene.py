@@ -5,8 +5,9 @@ package never references, no private module-level constant the package
 never reads, no import inside a function of the package, no
 artifact reader that leaves its keys unchecked, no dataclass argument
 that ``__post_init__`` overwrites unread, no numpy call in the float
-chain sampler or the cluster checks, and no read of a curve's edge objects
-outside ``arc_geometry``.
+chain sampler or the cluster checks, no read of a curve's edge views
+outside ``arc_geometry``, and no curve constructor but ``ArcCurve(rows,
+closed)``.
 
 Package ``__init__.py`` files are skipped by the import scan, since their
 imports are re-exports.
@@ -200,7 +201,7 @@ def test_no_function_local_imports():
 
 def test_edge_objects_stay_in_arc_geometry():
     # curves are stored as float rows; outside arc_geometry the package reads
-    # c.rows, since each read of c.edges builds and checks an object per edge
+    # c.rows, not the Segment and Arc views that c.edges builds
     found = [
         f"{path.relative_to(ROOT)}:{node.lineno}"
         for path, tree in _package_trees().items() if path.name != "arc_geometry.py"
@@ -208,6 +209,33 @@ def test_edge_objects_stay_in_arc_geometry():
         if isinstance(node, ast.Attribute) and node.attr == "edges" and isinstance(node.ctx, ast.Load)
     ]
     assert not found, ".edges reads outside arc_geometry:\n" + "\n".join(found)
+
+
+def _edges_views(tree) -> set:
+    # the nodes of ArcCurve.edges, the one place that builds Segment and Arc views
+    return {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "ArcCurve"
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "edges"
+            for node in ast.walk(fn)}
+
+
+def test_rows_are_the_one_way_into_a_curve():
+    # ArcCurve(rows, closed) builds every curve: the package calls Segment(
+    # and Arc( only inside ArcCurve.edges, and neither defines nor names a
+    # second constructor or a helper of the old object form
+    retired = {"_from_rows", "_store", "edge_row", "split_edge", "full_circle"}
+    found = []
+    for path, tree in _package_trees().items():
+        views = _edges_views(tree)
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias)) else None)
+            if name in retired:
+                found.append(f"{path.relative_to(ROOT)}:{getattr(node, 'lineno', '?')}: {name}")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("Segment", "Arc") and id(node) not in views):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.func.id}(")
+    assert any(_edges_views(tree) for tree in _package_trees().values())
+    assert not found, "curve construction outside ArcCurve(rows, closed):\n" + "\n".join(found)
 
 
 def _calls_require_keys(func) -> bool:

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from cheegerlab.arc_geometry import transform_curve
+from cheegerlab.arc_geometry import edge_point, transform_curve
 from cheegerlab.chamber_lemmas import DiskChain, random_chain, verify_chain_bound
 from cheegerlab.cheeger import (
     ArcDomain,
@@ -138,7 +138,7 @@ def test_class_a_verdicts_of_random_domains(lam, shift):
     for seed in range(8):
         d = random_class_a_domain(seed)
         assert class_a_violations(d) == []
-        moved = _move_domain(d, *_motion([(e.start.x, e.start.y) for e in d.boundary.edges], lam, shift))
+        moved = _move_domain(d, *_motion([edge_point(row, 0.0) for row in d.boundary.rows], lam, shift))
         assert class_a_violations(moved) == []
         ref, rep = _hales(d), _hales(moved)
         assert rep.satisfied == ref.satisfied

@@ -1,10 +1,10 @@
 """A curve stored as float rows gives, bit for bit, what its edge objects give.
 
-Every curve keeps its ``edge_row`` rows and builds its ``Segment``/``Arc``
-objects only when ``edges`` is read.  Here each quantity of the lower-bound
-path is computed on the rows and again on the objects, by the object-based
-oracles, over class-A domains, polygon Cheeger sets and cluster cells, each
-also moved rigidly and dilated by 1e-8 to 1e8.
+Every curve is its edge rows; the validated ``Segment``/``Arc`` object form
+of those rows lives in the test oracles.  Here each quantity of the
+lower-bound path is computed on the rows and again on the objects, by the
+object-based oracles, over class-A domains, polygon Cheeger sets and cluster
+cells, each also moved rigidly and dilated by 1e-8 to 1e8.
 """
 
 import math
@@ -14,12 +14,9 @@ import pytest
 
 from cheegerlab import hales_deficit, jsonio
 from cheegerlab.arc_geometry import (
-    Arc,
     ArcCurve,
     Point,
-    Segment,
     curve_length,
-    edge_row,
     offset_inner,
     signed_area,
     transform_curve,
@@ -44,8 +41,13 @@ from cheegerlab.hales_deficit import (
 )
 from conftest import make_domino_cluster
 from oracles import (
+    Arc,
+    Segment,
     chord_deficits_reference,
     class_a_violations_reference,
+    curve_of,
+    edge_row,
+    edges_of,
     offset_inner_reference,
     transform_curve_reference,
 )
@@ -101,24 +103,25 @@ def _check_hales(curve, objects, nodes, r_star, monkeypatch):
 
 def _check_domain(d, monkeypatch):
     c = d.boundary
-    objects = ArcCurve(c.edges, c.closed)
-    assert objects == c and objects.rows == c.rows == tuple(map(edge_row, c.edges))
+    edges = edges_of(c)
+    objects = curve_of(edges, c.closed)
+    assert objects == c and objects.rows == c.rows == tuple(map(edge_row, edges))
     assert objects.bbox == c.bbox and hash(objects) == hash(c)
-    assert curve_length(c) == sum(e.length for e in c.edges)
+    assert curve_length(c) == sum(e.length for e in edges)
     assert signed_area(c) == signed_area(objects)
     assert class_a_violations(d) == class_a_violations_reference(d)
-    if all(isinstance(e, Segment) for e in c.edges):  # a polygon cell, with its vertices as nodes
-        corners = NodeSet(tuple(e.start for e in c.edges), (False,) * len(c.edges))
+    if all(isinstance(e, Segment) for e in edges):  # a polygon cell, with its vertices as nodes
+        corners = NodeSet(tuple((e.start.x, e.start.y) for e in edges), (False,) * len(edges))
         _check_hales(c, objects, corners, d.r, monkeypatch)
 
     off = _outcome(offset_inner, c, d.r, d.roles)
     try:
         edges, collapsed, points = offset_inner_reference(objects, d.r, d.roles)
-        gamma = ArcCurve(edges, True)
+        gamma = curve_of(edges)
     except ValidationError as exc:  # both raise, with the same error
         assert off == (type(exc), str(exc))
         return
-    assert off.curve.rows == tuple(map(edge_row, edges)) and off.curve.edges == edges
+    assert off.curve.rows == tuple(map(edge_row, edges))
     assert off.collapsed_indices == collapsed
     assert off.collapse_points == tuple((i, (p.x, p.y)) for i, p in points)
     assert structure_report(d).is_class_A == (not class_a_violations_reference(d))
@@ -126,10 +129,10 @@ def _check_domain(d, monkeypatch):
     assert signed_area(off.curve) == signed_area(gamma)
     if points:
         nodes = place_nodes(off, d)
-        assert nodes.nodes == tuple(p for _, p in points)
+        assert nodes.nodes == tuple((p.x, p.y) for _, p in points)
         _check_hales(off.curve, gamma, nodes, d.r, monkeypatch)
     # one node inside every edge, so every edge is cut
-    inside = NodeSet(tuple(e.point_at(0.37) for e in edges), (False,) * len(edges))
+    inside = NodeSet(tuple((p.x, p.y) for p in (e.point_at(0.37) for e in edges)), (False,) * len(edges))
     _check_hales(off.curve, gamma, inside, d.r, monkeypatch)
 
 
@@ -139,8 +142,8 @@ def test_rows_match_objects_in_every_frame(name, monkeypatch):
         for angle, shift, scale in FRAMES:
             dx = dy = shift * scale
             moved = transform_curve(d.boundary, angle, dx, -dy, scale)
-            ref = transform_curve_reference(ArcCurve(d.boundary.edges, True), angle, dx, -dy, scale)
-            assert moved.rows == ref.rows and moved.edges == ref.edges
+            ref = transform_curve_reference(d.boundary, angle, dx, -dy, scale)
+            assert moved.rows == ref.rows
             _check_domain(ArcDomain(moved, d.roles, d.h / scale), monkeypatch)
 
 
@@ -162,9 +165,9 @@ NAN, INF = math.nan, math.inf
     ((0.0, 0.0, 1.0, 0.0, INF), "arc sweep must be nonzero, finite and at most 2*pi in magnitude, got inf"),
 ])
 def test_invalid_rows_raise_the_constructors_messages(row, message):
-    # the edge rule of Point, Segment and Arc and the row rule of _check_rows
-    # are one rule: a curve of rows rejects a bad row with the message that
-    # building its edge objects gives, before any gap is measured
+    # a curve of rows rejects a bad row with the message that building the
+    # oracles' edge objects gives (their Point rule and their own row's
+    # check), before any gap is measured
     def objects():
         if len(row) == 4:
             return Segment(Point(row[0], row[1]), Point(row[2], row[3]))
@@ -172,9 +175,9 @@ def test_invalid_rows_raise_the_constructors_messages(row, message):
 
     good = (5.0, 5.0, 6.0, 5.0)
     with pytest.raises(ValidationError) as by_objects:
-        ArcCurve((Segment(Point(5.0, 5.0), Point(6.0, 5.0)), objects()))
+        curve_of((Segment(Point(5.0, 5.0), Point(6.0, 5.0)), objects()))
     with pytest.raises(ValidationError) as by_rows:
-        ArcCurve._from_rows((good, row))
+        ArcCurve((good, row))
     assert str(by_objects.value) == str(by_rows.value) == message
 
 
@@ -183,9 +186,8 @@ def test_curve_rules_raise_the_same_messages():
     for rows, closed in (([], True), (square[:3], True), (square[:1] + square[2:], False)):
         edges = [Segment(Point(*row[:2]), Point(*row[2:])) for row in rows]
         with pytest.raises(ValidationError) as by_objects:
-            ArcCurve(edges, closed)
+            curve_of(edges, closed)
         with pytest.raises(ValidationError) as by_rows:
-            ArcCurve._from_rows(rows, closed)
+            ArcCurve(rows, closed)
         assert str(by_objects.value) == str(by_rows.value)
-    assert ArcCurve._from_rows(square) == ArcCurve(
-        [Segment(Point(*row[:2]), Point(*row[2:])) for row in square])
+    assert ArcCurve(square) == curve_of(Segment(Point(*row[:2]), Point(*row[2:])) for row in square)
