@@ -50,8 +50,6 @@ from .cheeger import (
     structure_report,
 )
 from .cluster import (
-    Adjacency,
-    BorderContact,
     CanonicalGraph,
     Certificate,
     Cluster,

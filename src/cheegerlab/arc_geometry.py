@@ -133,8 +133,11 @@ def _check_rows(rows: Sequence[tuple], closed: bool) -> tuple:
     edge ends (and the closing gap of a closed curve) must be at most
     ``_tolerance(box)``; the ends are computed by ``edge_point`` in the order
     the gaps are visited, and an arc end that overflows is a non-finite
-    point.  Raises ``ValidationError``.
+    point.  ``closed`` must be a bool, and after the gaps a box whose
+    tolerance overflows is refused.  Raises ``ValidationError``.
     """
+    if not isinstance(closed, bool):
+        raise ValidationError(f"closed must be true or false, got {closed!r}")
     if not rows:
         raise ValidationError("curve needs at least one edge")
     xs, ys = [], []
@@ -177,6 +180,8 @@ def _check_rows(rows: Sequence[tuple], closed: bool) -> tuple:
                 f"closed curve does not close: terminal gap {gap:.3e} > {tol:.3e}" if i == n - 1
                 else f"gap {gap:.3e} between edges {i} and {i + 1} exceeds tolerance {tol:.3e}"
             )
+    if not math.isfinite(tol):
+        raise ValidationError(f"curve box {box} overflows the float range")
     return box
 
 
@@ -560,7 +565,7 @@ def curve_from_dict(d: dict) -> ArcCurve:
     try:
         jsonio.require_keys(d, ["closed", "edges"])
         rows = tuple(_row_from_dict(e) for e in d["edges"])
-        return ArcCurve(rows, jsonio.boolean(d["closed"], "closed"))
+        return ArcCurve(rows, d["closed"])
     except (AttributeError, TypeError) as exc:  # a non-object edge or a mistyped value
         raise ValidationError(f"malformed curve object: {exc}") from exc
 

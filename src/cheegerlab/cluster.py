@@ -1,9 +1,11 @@
 """Clusters of arc domains in a container, their canonical graph, and the
 hexagonal lower-bound certificate.
 
-The canonical graph has one vertex per cell plus one for the exterior; every
-shared inner junction arc contributes an inner edge and every border junction
-arc an outer edge, so ``2 E_in + E_out`` equals the total junction-arc count.
+A cluster is its container and its cells; nothing else is input.  The
+canonical graph has one vertex per cell plus one for the exterior, and it is
+read off the cells' geometry: every inner junction arc, found shared with
+another cell's, contributes an inner edge and every border junction arc an
+outer edge, so ``2 E_in + E_out`` equals the total junction-arc count.
 Euler's formula with at-least-triangular faces yields the counting bound
 ``sum Lambda_j + E_out + 6 <= 6k``.
 
@@ -63,38 +65,18 @@ TWO_PI = 2.0 * math.pi
 HEX_SQUARED = math.pi + 2.0 * math.sqrt(3.0) + 2.0 * math.sqrt(math.pi) * 12.0 ** 0.25
 
 
-@dataclass(frozen=True)
-class Adjacency:
-    """Cells ``a`` and ``b`` share the inner junction arc at the given edge indices."""
-
-    cell_a: int
-    cell_b: int
-    edge_a: int
-    edge_b: int
-
-
-@dataclass(frozen=True)
-class BorderContact:
-    """Cell touches the container boundary with its ``run``-th border junction arc."""
-
-    cell: int
-    run: int
-
-
 def border_runs(d: ArcDomain):
     """Edge-index runs of the maximal border junction arcs of a domain."""
     return [idx for kind, idx in maximal_arcs(d)
             if kind == "junction" and d.roles[idx[0]] == BORDER_PIECE]
 
 
-def _edges_coincide(r1: tuple, r2: tuple, tol: float) -> bool:
-    """Whether two edge rows are one edge run both ways, to ``tol``:
-    shared arcs are traversed in opposite directions by the two cells."""
-    if len(r1) != len(r2):
-        return False
-    (sx1, sy1), (ex1, ey1) = edge_point(r1, 0.0), edge_point(r1, 1.0)
-    (sx2, sy2), (ex2, ey2) = edge_point(r2, 0.0), edge_point(r2, 1.0)
-    if math.hypot(sx1 - ex2, sy1 - ey2) > tol or math.hypot(ex1 - sx2, ey1 - sy2) > tol:
+def _edges_coincide(a: tuple, b: tuple, tol: float) -> bool:
+    """Whether two edges, each (row, start point, end point), are one edge run
+    both ways, to ``tol``: shared arcs are traversed in opposite directions
+    by the two cells."""
+    (r1, s1, e1), (r2, s2, e2) = a, b
+    if len(r1) != len(r2) or math.dist(s1, e2) > tol or math.dist(e1, s2) > tol:
         return False
     if len(r1) == 5:  # the same circle, turned the other way
         return (math.hypot(r1[0] - r2[0], r1[1] - r2[1]) <= tol and abs(r1[2] - r2[2]) <= tol
@@ -104,48 +86,27 @@ def _edges_coincide(r1: tuple, r2: tuple, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class Cluster:
-    """Cells inside a container with shared-arc adjacency and border contacts.
+    """Cells inside a container, checked to lie in it without overlapping.
 
+    Which cells share an arc, and which arcs lie on the border, is read off
+    the cells' edge roles and geometry by ``canonical_graph``.
     ``container_area`` defaults to the polygon area but can be overridden for
     non-convex outlines (a k-triangle stores its convex hull as the polygon
-    and the exact union area here).  ``claimed_optimal`` opts into the
-    empty-chamber bound being asserted rather than merely reported.
+    and the exact union area here).
     """
 
     container: ConvexPolygon
     cells: tuple
-    adjacency: tuple = ()
-    border_contacts: tuple = ()
     container_area: Optional[float] = None
-    claimed_optimal: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
-        object.__setattr__(self, "adjacency", tuple(self.adjacency))
-        object.__setattr__(self, "border_contacts", tuple(self.border_contacts))
         if self.container_area is None:
             object.__setattr__(self, "container_area", self.container.area)
         if not (math.isfinite(self.container_area) and self.container_area > 0.0):
             raise ValidationError(f"container area must be finite and positive, got {self.container_area}")
         if not self.cells:
             raise ValidationError("cluster needs at least one cell")
-        k = len(self.cells)
-        for adj in self.adjacency:
-            if not (0 <= adj.cell_a < k and 0 <= adj.cell_b < k) or adj.cell_a == adj.cell_b:
-                raise ValidationError(f"bad adjacency cells ({adj.cell_a}, {adj.cell_b})")
-            for cell, edge in ((adj.cell_a, adj.edge_a), (adj.cell_b, adj.edge_b)):
-                n = len(self.cells[cell].boundary.rows)
-                if not 0 <= edge < n:
-                    raise ValidationError(f"bad adjacency edge {edge} of cell {cell}, which has {n} edges")
-        for bc in self.border_contacts:
-            if not 0 <= bc.cell < k:
-                raise ValidationError(f"bad border contact cell {bc.cell}")
-            if bc.run < 0:
-                raise ValidationError(f"bad border contact run {bc.run}")
-            n = len(border_runs(self.cells[bc.cell]))
-            if bc.run >= n:
-                raise ValidationError(f"bad border contact run {bc.run} of cell {bc.cell}, "
-                                      f"whose border run count is {n}")
         edge_boxes = [tuple(map(_edge_box, c.boundary.rows)) for c in self.cells]
         boxes = [tuple(f(side) for f, side in zip((min, min, max, max), zip(*bs))) for bs in edge_boxes]
         self._check_containment(boxes)
@@ -305,48 +266,57 @@ class CanonicalGraph:
         return len(self.outer_edges)
 
 
+def _shared_arcs(cl: Cluster) -> list:
+    """The shared inner junction arcs: (cell_a, cell_b, edge_a, edge_b), cell_a < cell_b.
+
+    Edge ``edge_a`` of cell ``cell_a`` and edge ``edge_b`` of cell ``cell_b``
+    are inner junction edges that ``_edges_coincide`` accepts at
+    ``1e-6 * container.extent``.  A partner starts within that tolerance of
+    an edge's end, so each edge start is filed, relative to the container's
+    first vertex, in every bucket of a grid of step 64 tolerances that the
+    square of half-side two tolerances around it meets (the second against
+    rounding), and each edge end looks in its one bucket.  Raises
+    ValidationError unless every inner junction edge has exactly one
+    partner in another cell.
+    """
+    tol = 1e-6 * cl.container.extent
+    pad, step = 2.0 * tol, 64.0 * tol
+    ox, oy = cl.container.vertices[0].tolist()
+    edges = [(j, i, (row, edge_point(row, 0.0), edge_point(row, 1.0))) for j, cell in enumerate(cl.cells)
+             for i, (row, role) in enumerate(zip(cell.boundary.rows, cell.roles)) if role == INNER_JUNCTION]
+    starts = {}
+    for edge in edges:
+        x, y = edge[2][1]
+        for bx in range(math.floor((x - ox - pad) / step), math.floor((x - ox + pad) / step) + 1):
+            for by in range(math.floor((y - oy - pad) / step), math.floor((y - oy + pad) / step) + 1):
+                starts.setdefault((bx, by), []).append(edge)
+    partners = dict.fromkeys(((j, i) for j, i, _ in edges), 0)
+    pairs = []
+    for j, i, ends in edges:
+        x, y = ends[2]
+        for l, m, other in starts.get((math.floor((x - ox) / step), math.floor((y - oy) / step)), ()):
+            if l > j and _edges_coincide(ends, other, tol):  # each pair once, from its lower cell
+                pairs.append((j, l, i, m))
+                partners[j, i] += 1
+                partners[l, m] += 1
+    unshared = [key for key, n in partners.items() if n != 1]
+    if unshared:
+        raise ValidationError(f"inner junction arcs not shared exactly once: {unshared[:4]}")
+    return pairs
+
+
 def canonical_graph(cl: Cluster) -> CanonicalGraph:
     """Build the canonical graph and run the Euler / junction-count diagnostics.
 
-    Every inner junction edge of every cell must be covered by exactly one
-    adjacency entry (and the two referenced edges must coincide geometrically);
-    every border junction run must be covered by exactly one border contact.
+    The graph is read off the cells: one inner edge per pair of shared inner
+    junction arcs (``_shared_arcs``, which raises ValidationError when an
+    inner junction arc is not shared exactly once) and one outer edge per
+    border junction run of a cell (``border_runs``).
     """
     k = cl.k
-    tol = 1e-6 * cl.container.extent
-
-    inner_needed = {}
-    for j, cell in enumerate(cl.cells):
-        for i, role in enumerate(cell.roles):
-            if role == INNER_JUNCTION:
-                inner_needed[(j, i)] = 0
-    for adj in cl.adjacency:
-        ea = cl.cells[adj.cell_a].boundary.rows[adj.edge_a]
-        eb = cl.cells[adj.cell_b].boundary.rows[adj.edge_b]
-        if (adj.cell_a, adj.edge_a) not in inner_needed or (adj.cell_b, adj.edge_b) not in inner_needed:
-            raise ValidationError(f"adjacency references a non-junction edge: {adj}")
-        if not _edges_coincide(ea, eb, tol):
-            raise ValidationError(
-                f"adjacency arc not geometrically shared between cells {adj.cell_a} and {adj.cell_b}"
-            )
-        inner_needed[(adj.cell_a, adj.edge_a)] += 1
-        inner_needed[(adj.cell_b, adj.edge_b)] += 1
-    uncovered = [key for key, n in inner_needed.items() if n != 1]
-    if uncovered:
-        raise ValidationError(f"inner junction arcs not shared exactly once: {uncovered[:4]}")
-
     runs = [border_runs(cell) for cell in cl.cells]
-    run_cover = {(j, r): 0 for j in range(k) for r in range(len(runs[j]))}
-    for bc in cl.border_contacts:  # Cluster has checked every run index
-        run_cover[(bc.cell, bc.run)] += 1
-    bad = [key for key, n in run_cover.items() if n != 1]
-    if bad:
-        raise ValidationError(f"border junction arcs not contacted exactly once: {bad[:4]}")
-
-    inner_edges = tuple(
-        (min(a.cell_a, a.cell_b) + 1, max(a.cell_a, a.cell_b) + 1) for a in cl.adjacency
-    )
-    outer_edges = tuple((bc.cell + 1, 0) for bc in cl.border_contacts)
+    inner_edges = tuple((a + 1, b + 1) for a, b, _, _ in _shared_arcs(cl))
+    outer_edges = tuple((j + 1, 0) for j, cell_runs in enumerate(runs) for _ in cell_runs)
     lambdas = tuple(
         sum(1 for role in cell.roles if role == INNER_JUNCTION) + len(runs[j])
         for j, cell in enumerate(cl.cells)
@@ -391,26 +361,18 @@ def canonical_graph(cl: Cluster) -> CanonicalGraph:
 class ChamberReport(NamedTuple):
     area: float
     bound: float
-    applicable: bool
 
 
 def empty_chamber_report(cl: Cluster) -> ChamberReport:
     """Container area minus cell areas, against (2k-2)|Delta_r*| + 3|corner_r*|.
 
-    The bound is a theorem only for optimal clusters of a triangle; it is
-    asserted when the cluster is tagged ``claimed_optimal`` and reported as a
-    diagnostic otherwise.
+    The bound is a theorem only for optimal clusters of a triangle, so it is
+    reported as a diagnostic and never asserted.
     """
     area = cl.container_area - sum(cell.area for cell in cl.cells)
     r_star = 1.0 / max(cell.h for cell in cl.cells)
     delta, _, corner = reference_areas(r_star)
-    bound = (2 * cl.k - 2) * delta + 3.0 * corner
-    report = ChamberReport(area, bound, cl.claimed_optimal)
-    if cl.claimed_optimal and area < bound - 1e-9 * cl.container_area:
-        raise ValidationError(
-            f"claimed-optimal cluster violates the empty-chamber bound: {area} < {bound}"
-        )
-    return report
+    return ChamberReport(area, (2 * cl.k - 2) * delta + 3.0 * corner)
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +411,16 @@ def honeycomb_kcell(coords: Sequence, unit_hexagon: bool = True) -> Cluster:
         coords = [(operator.index(i), operator.index(t)) for i, t in coords]
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"hexagon coordinates must be integer pairs: {exc}") from exc
-    if not coords or len(set(coords)) != len(coords):
+    occupied = set(coords)
+    if not coords or len(occupied) != len(coords):
         raise ValidationError("coordinates must be a non-empty duplicate-free list")
-    index = {c: j for j, c in enumerate(coords)}
     seen = {coords[0]}
     stack = [coords[0]]
     while stack:
         i, t = stack.pop()
         for di, dt in _AXIAL_OFFSETS:
             nb = (i + di, t + dt)
-            if nb in index and nb not in seen:
+            if nb in occupied and nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
     if len(seen) != len(coords):
@@ -474,28 +436,12 @@ def honeycomb_kcell(coords: Sequence, unit_hexagon: bool = True) -> Cluster:
     all_vertices = []
     for i, t in coords:
         edges, verts = _hexagon_edges((i * spacing + t * vx, t * vy), side)
-        roles = [INNER_JUNCTION if (i + di, t + dt) in index else BORDER_PIECE
+        roles = [INNER_JUNCTION if (i + di, t + dt) in occupied else BORDER_PIECE
                  for di, dt in _EDGE_OFFSETS]
         cells.append(ArcDomain(ArcCurve(edges, closed=True), tuple(roles), h_hex))
         all_vertices.extend(verts)
 
-    adjacency = []
-    for c, j_cell in index.items():
-        for a, (di, dt) in enumerate(_AXIAL_OFFSETS):
-            nb = (c[0] + di, c[1] + dt)
-            if nb in index and index[nb] > j_cell:
-                # direction a faces edge a - 1; the opposite direction a + 3 faces edge a + 2
-                adjacency.append(Adjacency(j_cell, index[nb], (a - 1) % 6, (a + 2) % 6))
-
-    contacts = []
-    for j, cell in enumerate(cells):
-        for r in range(len(border_runs(cell))):
-            contacts.append(BorderContact(j, r))
-
-    return Cluster(
-        ConvexPolygon(convex_hull(all_vertices)), tuple(cells), tuple(adjacency), tuple(contacts),
-        container_area=hex_area * len(coords),
-    )
+    return Cluster(ConvexPolygon(convex_hull(all_vertices)), tuple(cells), hex_area * len(coords))
 
 
 def honeycomb_cluster(l: int, unit_hexagon: bool = True) -> Cluster:
@@ -656,37 +602,17 @@ def cluster_to_dict(cl: Cluster) -> dict:
     return {
         "container": polygon_to_dict(cl.container),
         "container_area": cl.container_area,
-        "claimed_optimal": cl.claimed_optimal,
         "cells": [domain_to_dict(c) for c in cl.cells],
-        "adjacency": [[a.cell_a, a.cell_b, a.edge_a, a.edge_b] for a in cl.adjacency],
-        "border_contacts": [[b.cell, b.run] for b in cl.border_contacts],
     }
 
 
-def _index_rows(d: dict, key: str, size: int, what: str) -> list:
-    """The rows under ``key`` (none when it is absent), each ``size`` integers."""
-    rows = [[jsonio.integer(v, f"{what} entry") for v in jsonio.array(row, f"{what} row")]
-            for row in jsonio.array(d.get(key, []), key)]
-    if any(len(row) != size for row in rows):
-        raise ValidationError(f"every {what} row must hold {size} integers, got {rows!r}")
-    return rows
-
-
 def cluster_from_dict(d: dict) -> Cluster:
-    jsonio.require_keys(
-        d,
-        ["container", "cells"],
-        ["container_area", "claimed_optimal", "adjacency", "border_contacts"],
-    )
+    jsonio.require_keys(d, ["container", "cells"], ["container_area"])
     area = d.get("container_area")
     return Cluster(
         polygon_from_dict(d["container"]),
         tuple(domain_from_dict(c) for c in jsonio.array(d["cells"], "cells")),
-        tuple(Adjacency(*row) for row in _index_rows(d, "adjacency", 4, "adjacency")),
-        tuple(BorderContact(*row)
-              for row in _index_rows(d, "border_contacts", 2, "border contact")),
-        container_area=None if area is None else jsonio.number(area, "container_area"),
-        claimed_optimal=jsonio.boolean(d.get("claimed_optimal", False), "claimed_optimal"),
+        None if area is None else jsonio.number(area, "container_area"),
     )
 
 
@@ -734,7 +660,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "graph": graph,
         "chamber_area": cert.chamber.area,
         "chamber_bound": cert.chamber.bound,
-        "chamber_applicable": cert.chamber.applicable,
         "sum_inner_lengths": cert.sum_inner_lengths,
         "deficit_total": cert.deficit_total,
         "node_total": cert.node_total,

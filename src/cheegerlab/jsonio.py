@@ -141,10 +141,3 @@ def array(value, what: str):
     if not isinstance(value, list):
         raise ValidationError(f"{what} must be a list, got {value!r}")
     return value
-
-
-def boolean(value, what: str):
-    """``value`` if it is ``true`` or ``false``; numbers, strings and null raise."""
-    if not isinstance(value, bool):
-        raise ValidationError(f"{what} must be true or false, got {value!r}")
-    return value

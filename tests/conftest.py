@@ -6,7 +6,7 @@ import pytest
 from cheegerlab import cheeger
 from cheegerlab.arc_geometry import BORDER_PIECE, FREE, INNER_JUNCTION, edge_point, transform_curve
 from cheegerlab.cheeger import ArcDomain, ConvexPolygon, cheeger_domain
-from cheegerlab.cluster import Adjacency, BorderContact, Cluster, border_runs
+from cheegerlab.cluster import Cluster
 
 
 def _on_container_boundary(p, container: ConvexPolygon, tol=1e-9) -> bool:
@@ -51,17 +51,7 @@ def make_domino_cluster() -> Cluster:
     right_raw = cheeger_domain(ConvexPolygon([[1, 0], [2, 0], [2, 1], [1, 1]]))
     left = ArcDomain(left_raw.boundary, relabel_for_container(left_raw, container, 1.0), left_raw.h)
     right = ArcDomain(right_raw.boundary, relabel_for_container(right_raw, container, 1.0), right_raw.h)
-
-    def shared_edge_index(d):
-        for i, role in enumerate(d.roles):
-            if role == INNER_JUNCTION:
-                return i
-        raise AssertionError("no shared edge found")
-
-    adjacency = (Adjacency(0, 1, shared_edge_index(left), shared_edge_index(right)),)
-    assert len(border_runs(left)) == 1 and len(border_runs(right)) == 1
-    contacts = (BorderContact(0, 0), BorderContact(1, 0))
-    return Cluster(container, (left, right), adjacency, contacts)
+    return Cluster(container, (left, right))
 
 
 def make_turned_square_cell(x: float, y: float) -> ArcDomain:

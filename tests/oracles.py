@@ -26,8 +26,9 @@ edge objects with ``split_edge`` and builds each portion with its chord
 distance kernels take every point against every edge at once in numpy
 columns; the overlap oracle samples 64 midpoints per edge and makes one
 distance and one winding call of those kernels per meeting pair of cells, so
-it sees an overlap only where a sample falls in it; the curve-gap oracle
-measures every gap between ``Point`` endpoints; the class-A fixture oracles build hulls from ``np.unique`` rows, bow edges
+it sees an overlap only where a sample falls in it; the honeycomb adjacency
+oracle pairs the edges of lattice neighbors by the direction they face; the
+curve-gap oracle measures every gap between ``Point`` endpoints; the class-A fixture oracles build hulls from ``np.unique`` rows, bow edges
 with numpy 2-vectors, map every point through a helper call and build every
 stage of a domain as a validated ``ArcCurve`` of edge objects.
 """
@@ -1124,6 +1125,23 @@ def overlap_message_reference(cells):
     return None
 
 
+def honeycomb_adjacency_reference(coords) -> list:
+    """The shared arcs of ``honeycomb_kcell(coords)``, read off the lattice:
+    (cell_a, cell_b, edge_a, edge_b), cell_a < cell_b, one per pair of
+    neighboring coordinates.
+
+    Hexagon edge j runs between the vertices at 30 + 60 j and 90 + 60 j
+    degrees, so it faces the lattice direction 60 (j + 1) degrees; the
+    neighbor in direction a is across edge a - 1, and this cell is across
+    that neighbor's edge a + 2, which faces the opposite direction a + 3.
+    """
+    offsets = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))  # directions 0, 60, ..., 300
+    index = {(i, t): j for j, (i, t) in enumerate(coords)}
+    return [(j, index[i + di, t + dt], (a - 1) % 6, (a + 2) % 6)
+            for (i, t), j in index.items() for a, (di, dt) in enumerate(offsets)
+            if index.get((i + di, t + dt), -1) > j]
+
+
 # ---------------------------------------------------------------------------
 # Class-A fixtures and curve construction through numpy rows and Point objects.
 
@@ -1133,7 +1151,7 @@ def curve_gap_error_reference(edges, closed: bool):
     Every endpoint is a ``Point`` from ``start``/``end``, so a non-finite arc
     end raises as the ``Point`` does, in the order the gaps are visited.  The
     tolerance is ``CHAIN_TOL`` times the diagonal of the edges' box, an arc
-    counting its whole circle.
+    counting its whole circle; after the gaps, an infinite one is refused.
     """
     edges = tuple(edges)
     if not edges:
@@ -1146,7 +1164,8 @@ def curve_gap_error_reference(edges, closed: bool):
         else:
             xs += [e.start.x, e.end.x]
             ys += [e.start.y, e.end.y]
-    tol = CHAIN_TOL * math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    box = min(xs), min(ys), max(xs), max(ys)
+    tol = CHAIN_TOL * math.hypot(box[2] - box[0], box[3] - box[1])
     pairs = [(i, i + 1) for i in range(len(edges) - 1)] + ([(-1, 0)] if closed else [])
     for i, j in pairs:
         try:
@@ -1157,7 +1176,7 @@ def curve_gap_error_reference(edges, closed: bool):
             if i == -1:
                 return f"closed curve does not close: terminal gap {gap:.3e} > {tol:.3e}"
             return f"gap {gap:.3e} between edges {i} and {j} exceeds tolerance {tol:.3e}"
-    return None
+    return None if math.isfinite(tol) else f"curve box {box} overflows the float range"
 
 
 def _map_point_reference(p: Point, cos_a, sin_a, dx, dy, lam):

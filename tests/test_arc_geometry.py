@@ -433,16 +433,37 @@ class TestConstruction:
 
     def test_overflowing_arc_end_rejected(self):
         # an arc whose center and radius are finite but whose end point
-        # overflows raises as a non-finite Point, as the first gap reads it
-        arc = Arc(Point(1.5e308, 0.0), 1e308, PI, -PI)  # from (5e307, 0) to (inf, 0)
-        seg = Segment(Point(1e308, 0.0), Point(5e307, 0.0))
-        for edges, closed in (((arc, seg), False), ((arc, seg), True), ((arc,), True)):
-            expected = curve_gap_error_reference(edges, closed)
-            assert expected.startswith("non-finite point (inf, ")
-            with pytest.raises(ValidationError) as exc:
-                curve_of(edges, closed)
-            assert str(exc.value) == expected
-        curve_of((arc,), closed=False)  # an open curve of one edge has no gap to measure
+        # overflows raises as a non-finite point, as the first gap reads it:
+        # the arc runs from (5e307, 0) to (1.5e308 + 1e308 cos 0, 1e308 sin 0)
+        arc, seg = (1.5e308, 0.0, 1e308, PI, -PI), (1e308, 0.0, 5e307, 0.0)
+        for rows, closed in (((arc, seg), False), ((arc, seg), True), ((arc,), True)):
+            with pytest.raises(ValidationError, match=r"^non-finite point \(inf, 0\.0\)$"):
+                ArcCurve(rows, closed)
+        # an open curve of one edge has no gap to measure, but its box overflows
+        with pytest.raises(ValidationError, match=r"^curve box \(5e\+307, -1e\+308, inf, 1e\+308\) "
+                                                  "overflows the float range$"):
+            ArcCurve((arc,), closed=False)
+
+    def test_overflowing_box_rejected(self):
+        # the circle of the arc reaches past the float range, so the box
+        # diagonal and the gap tolerance are inf, although every end is finite
+        # and the gaps are about 1e308
+        rows = ((0.0, 0.0, 1e308, 0.0, 0.1), (0.0, 0.0, 1.0, 1.0))
+        for closed in (True, False):
+            with pytest.raises(ValidationError, match=r"^curve box \(-1e\+308, -1e\+308, 1e\+308, 1e\+308\) "
+                                                      "overflows the float range$"):
+                ArcCurve(rows, closed)
+        ArcCurve(((0.0, 0.0, 1e307, 0.0, 0.1),), closed=False)  # a box that fits
+
+    @pytest.mark.parametrize("bad", [0, 1, 1.0, None, "yes", np.bool_(True)])
+    def test_closed_must_be_a_bool(self, bad):
+        # a curve built with closed=0 would be written as "closed": 0, which
+        # curve_from_dict refuses
+        seg = ((0.0, 0.0, 1.0, 0.0),)
+        with pytest.raises(ValidationError, match=f"^closed must be true or false, got {bad!r}$"):
+            ArcCurve(seg, closed=bad)
+        for rows, closed in ((seg, False), (((0.0, 0.0, 1.0, 0.0, 2 * PI),), True)):
+            assert curve_from_dict(curve_to_dict(ArcCurve(rows, closed))) == ArcCurve(rows, closed)
 
     def test_transform_matches_point_reference(self):
         # dilations 1e-8 ... 1e8 with rotations and translates at the same

@@ -364,7 +364,7 @@ class TestRender:
             cells = tuple(ArcDomain(transform_curve(c.boundary, scale=lam), c.roles, c.h / lam)
                           for c in cl.cells)
             svg = render_svg(cluster_to_dict(Cluster(
-                ConvexPolygon(cl.container.vertices * lam), cells, cl.adjacency, cl.border_contacts)))
+                ConvexPolygon(cl.container.vertices * lam), cells)))
             width = float(re.search(r'viewBox="\S+ \S+ (\S+) \S+"', svg).group(1))
             assert width == pytest.approx(2.2 * lam, rel=1e-12)
             strokes = [float(w) for w in re.findall(r'stroke-width="([^"]+)"', svg)]
@@ -418,14 +418,18 @@ _ARTIFACTS = {
     "cheeger": ({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, ()),
     "structure": (domain_to_dict(cheeger_domain(SQUARE)), ()),
     "hales": (domain_to_dict(cheeger_domain(SQUARE)), ()),
-    "certificate": (cluster_to_dict(make_domino_cluster()),
-                    ("container_area", "claimed_optimal", "adjacency", "border_contacts")),
+    "certificate": (cluster_to_dict(make_domino_cluster()), ("container_area",)),
     "chain": (chain_to_dict(random_chain("half_plane", 3, seed=0)), ("lines",)),
     "chain-sweep": ({"sweep": {"flavors": ["closed"], "count": 1, "seed": 0}}, ("m_values",)),
     "optimize": ({"k": 1, "container": _TRIANGLE, "budget": 3, "seed": 0, "restarts": 0},
                  ("k", "ks", "restarts")),
 }
 _JUNK = (None, True, 1.5, "s", [], {})
+
+#: keys that cluster files carried, with the domino's values, before the
+#: canonical graph was read off the cells; no reader knows them now
+_RETIRED_CLUSTER_KEYS = {"claimed_optimal": False, "adjacency": [[0, 1, 2, 6]],
+                         "border_contacts": [[0, 0], [1, 0]]}
 
 
 def _kind(value) -> str:
@@ -466,9 +470,22 @@ def _mutations(obj, optional):
                        _kind(junk) != _kind(first))
 
 
+def _retired_key_mutations(obj, retired):
+    """A retired key left out is valid; carried with any junk value, or as a
+    list whose first entry is junk, it is an unknown key and exits 1."""
+    for key, value in retired.items():
+        yield f"-{key}", obj, False
+        for junk in _JUNK:
+            yield f".{key}={junk!r}", {**obj, key: junk}, True
+        for junk in _JUNK if isinstance(value, list) else ():
+            yield f"{key}[0]={junk!r}", {**obj, key: [junk] + value[1:]}, True
+
+
 _CASES = [(command, label, artifact, must_fail)
           for command, (obj, optional) in _ARTIFACTS.items()
           for label, artifact, must_fail in _mutations(obj, optional)]
+_CASES += [("certificate", label, artifact, must_fail) for label, artifact, must_fail
+           in _retired_key_mutations(_ARTIFACTS["certificate"][0], _RETIRED_CLUSTER_KEYS)]
 
 
 def _run(tmp_path, command, artifact) -> int:
@@ -515,24 +532,31 @@ class TestMalformedArtifacts:
         assert _run(tmp_path, command, obj) == 1
 
     @pytest.mark.parametrize("change, message", [
-        (lambda d: d.update(adjacency=[[0, 1, 99, 6]]), "bad adjacency edge 99 of cell 0, which has 8 edges"),
-        (lambda d: d.update(adjacency=[[0, 1, -1, 6]]), "bad adjacency edge -1 of cell 0, which has 8 edges"),
-        (lambda d: d.update(adjacency=[[0, 1, 2, 8]]), "bad adjacency edge 8 of cell 1, which has 8 edges"),
-        (lambda d: d.update(border_contacts=[[0, -1], [1, 0]]), "bad border contact run -1"),
-        (lambda d: d.update(border_contacts=[[0, 9], [1, 0]]),
-         "bad border contact run 9 of cell 0, whose border run count is 1"),
-        (lambda d: d.update(border_contacts=[[0, 0], [1, 1]]),
-         "bad border contact run 1 of cell 1, whose border run count is 1"),
+        (lambda d: d.update(adjacency=[[0, 1, 99, 6]]), "unknown keys: adjacency"),
+        (lambda d: d.update(adjacency=[[0, 1, -1, 6]]), "unknown keys: adjacency"),
+        (lambda d: d.update(adjacency=[[0, 1, 2, 8]]), "unknown keys: adjacency"),
+        (lambda d: d.update(border_contacts=[[0, -1], [1, 0]]), "unknown keys: border_contacts"),
+        (lambda d: d.update(border_contacts=[[0, 9], [1, 0]]), "unknown keys: border_contacts"),
+        (lambda d: d.update(border_contacts=[[0, 0], [1, 1]]), "unknown keys: border_contacts"),
         (lambda d: d.update(container_area=-2.0), "container area must be finite and positive, got -2.0"),
         (lambda d: d.update(container_area=0.0), "container area must be finite and positive, got 0.0"),
     ], ids=["edge-past-end", "edge-negative", "edge-b-past-end", "run-negative", "run-past-end",
             "run-b-past-end", "area-negative", "area-zero"])
     def test_cluster_index_out_of_range(self, tmp_path, capsys, change, message):
-        # these escaped as an IndexError or a math domain error, or exited 0
+        # these escaped as an IndexError or a math domain error, or exited 0;
+        # adjacency and border contacts are read off the cells now, so a file
+        # that still carries them, in range or not, names them as unknown keys
         obj = json.loads(json.dumps(_ARTIFACTS["certificate"][0]))
         change(obj)
         assert _run(tmp_path, "certificate", obj) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_old_cluster_files_exit_1(self, tmp_path, capsys):
+        # a cluster file in the earlier form, with its hand-written canonical
+        # graph and claimed_optimal, names those keys as unknown
+        obj = {**_ARTIFACTS["certificate"][0], **_RETIRED_CLUSTER_KEYS}
+        assert _run(tmp_path, "certificate", obj) == 1
+        assert capsys.readouterr().err == "error: unknown keys: claimed_optimal, adjacency, border_contacts\n"
 
     def test_lines_of_another_flavor_rejected(self, tmp_path, capsys):
         obj = dict(_ARTIFACTS["chain"][0], lines=[])

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from cheegerlab import arc_geometry, jsonio
+from cheegerlab import arc_geometry, cluster, jsonio
 from cheegerlab.arc_geometry import (
     CHAIN_TOL,
     ArcCurve,
     BORDER_PIECE,
     FREE,
+    INNER_JUNCTION,
     transform_curve,
 )
 from cheegerlab.cheeger import (
@@ -24,7 +25,6 @@ from cheegerlab.cheeger import (
 )
 from cheegerlab.chamber_lemmas import reference_areas
 from cheegerlab.cluster import (
-    Adjacency,
     Cluster,
     canonical_graph,
     certificate_to_dict,
@@ -41,9 +41,16 @@ from cheegerlab.cluster import (
 from cheegerlab.errors import ValidationError
 from cheegerlab.partition_optimizer import SeedConfiguration, power_diagram_cells
 from conftest import make_lens_cells, make_turned_square_cell
-from oracles import BOUNDARY_SAMPLES, edges_of, overlap_message_reference, sample_boundary_reference
+from oracles import (
+    BOUNDARY_SAMPLES,
+    edges_of,
+    honeycomb_adjacency_reference,
+    overlap_message_reference,
+    sample_boundary_reference,
+)
 
 PI = math.pi
+KCELL = [(0, 0), (1, 0), (-1, 0), (0, 1), (-1, 1), (1, -1), (0, -1), (2, -1)]
 
 
 class TestObjective:
@@ -180,29 +187,57 @@ class TestCanonicalGraph:
         hc = honeycomb_cluster(2)
         box = ConvexPolygon([[-5, -5], [5, -5], [5, 5], [-5, 5]])
         cells = hc.cells + (_disk_domain(3.5, 3.5, 1.0),)
-        g = canonical_graph(Cluster(box, cells, hc.adjacency, hc.border_contacts))
+        g = canonical_graph(Cluster(box, cells))
         assert (g.connected, g.faces, g.euler_residual) == (False, 4, 1)
         assert not g.junction_bound_checked
 
-    def test_inconsistent_adjacency_rejected(self, domino_cluster):
-        bad = Cluster(
-            domino_cluster.container,
-            domino_cluster.cells,
-            (Adjacency(0, 1, 0, 0),),  # edges do not coincide
-            domino_cluster.border_contacts,
-        )
-        with pytest.raises(ValidationError):
-            canonical_graph(bad)
+    def test_shared_arcs_match_the_lattice(self, domino_cluster):
+        # the pairs read off the cells are those of lattice neighbors, at unit
+        # area and at unit side, and for a k-cell that is no triangle; the
+        # domino's is its one shared segment
+        for unit_hexagon in (True, False):
+            for l in range(1, 13):
+                coords = [(i, t) for t in range(l) for i in range(l - t)]
+                pairs = cluster._shared_arcs(honeycomb_cluster(l, unit_hexagon))
+                assert sorted(pairs) == sorted(honeycomb_adjacency_reference(coords))
+        pairs = cluster._shared_arcs(honeycomb_kcell(KCELL))
+        assert sorted(pairs) == sorted(honeycomb_adjacency_reference(KCELL))
+        assert cluster._shared_arcs(domino_cluster) == [(0, 1, 2, 6)]
+
+    def test_moved_cell_shares_no_arc(self, domino_cluster):
+        # in a container of extent 5 the matching tolerance is 5e-6: either
+        # cell moved off the other by half of it still shares the segment at
+        # x = 1, moved off by ten times it leaves both junction segments unshared
+        box = ConvexPolygon([[-1, -1], [3, -1], [3, 2], [-1, 2]])
+        tol = 1e-6 * box.extent
+        for j, direction in ((0, -1.0), (1, 1.0)):
+            for f in (0.5, 10.0):
+                cells = list(domino_cluster.cells)
+                c = cells[j]
+                cells[j] = ArcDomain(transform_curve(c.boundary, dx=direction * f * tol), c.roles, c.h)
+                cl = Cluster(box, cells)
+                cert = lower_bound_certificate(cl)
+                if f < 1.0:
+                    assert cluster._shared_arcs(cl) == [(0, 1, 2, 6)]
+                    assert cert.failing == () and cert.graph.e_in == 1
+                    continue
+                with pytest.raises(ValidationError, match=r"^inner junction arcs not shared exactly once: "
+                                                          r"\[\(0, 2\), \(1, 6\)\]$"):
+                    canonical_graph(cl)
+                assert cert.failing == ((-1, "canonical_graph_invalid"),) and cert.graph is None
 
     def test_uncovered_junction_rejected(self, domino_cluster):
-        bad = Cluster(
-            domino_cluster.container,
-            domino_cluster.cells,
-            (),
-            domino_cluster.border_contacts,
-        )
-        with pytest.raises(ValidationError):
-            canonical_graph(bad)
+        # a border segment of the left cell relabelled as an inner junction
+        # arc has no partner in the right cell
+        left, right = domino_cluster.cells
+        i = next(i for i, (row, role) in enumerate(zip(left.boundary.rows, left.roles))
+                 if role == BORDER_PIECE and len(row) == 4)
+        roles = left.roles[:i] + (INNER_JUNCTION,) + left.roles[i + 1:]
+        cl = Cluster(domino_cluster.container, (ArcDomain(left.boundary, roles, left.h), right))
+        with pytest.raises(ValidationError,
+                           match=rf"^inner junction arcs not shared exactly once: \[\(0, {i}\)\]$"):
+            canonical_graph(cl)
+        assert (-1, "canonical_graph_invalid") in lower_bound_certificate(cl).failing
 
 
 def _disk_domain(cx, cy, radius):
@@ -233,7 +268,6 @@ class TestEmptyChamber:
     def test_honeycomb_tiles_exactly(self):
         rep = empty_chamber_report(honeycomb_cluster(2))
         assert rep.area == pytest.approx(0.0, abs=1e-9)
-        assert not rep.applicable
 
     def test_bound_closed_form(self):
         # k = 10 cells, r* = 0.1: bound = 18 |Delta| + 3 |corner| = 0.0495713
@@ -300,9 +334,8 @@ class TestHoneycomb:
         for unit_hexagon in (True, False):
             for l in range(1, 10):
                 digest.update(jsonio.dumps(cluster_to_dict(honeycomb_cluster(l, unit_hexagon))).encode())
-        digest.update(jsonio.dumps(cluster_to_dict(honeycomb_kcell(
-            [(0, 0), (1, 0), (-1, 0), (0, 1), (-1, 1), (1, -1), (0, -1), (2, -1)]))).encode())
-        assert digest.hexdigest() == "c7b6de04fa8b3bf52e637af3156057f03d8e74d1c2e96f7cf1138010401bb8bb"
+        digest.update(jsonio.dumps(cluster_to_dict(honeycomb_kcell(KCELL))).encode())
+        assert digest.hexdigest() == "e94338877534fcfa24b09cd5fd6d8d7b609d66cfca20e23c024161d375868514"
 
     def test_kcell_disconnected_rejected(self):
         with pytest.raises(ValidationError):
@@ -358,14 +391,13 @@ class TestCertificate:
         assert validation_counts == {"class_a_violations": 2, "offset_inner": 2}
 
     def test_certificate_builds_no_edge_objects(self, call_counts):
-        # the certificate reads every curve as float rows: checking the
-        # adjacency of a honeycomb, built or read back from JSON, builds no
+        # the certificate reads every curve as float rows: finding the shared
+        # arcs of a honeycomb, built or read back from JSON, builds no
         # Segment or Arc view
         built = call_counts(arc_geometry, "Segment", "Arc")
         cl = honeycomb_cluster(4)
-        for cluster in (cl, cluster_from_dict(cluster_to_dict(cl))):
-            cert = lower_bound_certificate(cluster)
-            assert cert.graph.e_in == len(cluster.adjacency) > 0
+        for c in (cl, cluster_from_dict(cluster_to_dict(cl))):
+            assert lower_bound_certificate(c).graph.e_in == 18
         assert built == {"Segment": 0, "Arc": 0}
 
     def test_structure_report_carries_the_offset(self, domino_cluster):
@@ -406,6 +438,7 @@ class TestCertificate:
                     "final_rhs", "holds", "per_cell", "graph"):
             assert key in d
         assert all("T" in c and "N" in c for c in d["per_cell"])
+        assert "chamber_applicable" not in d  # the bound is only reported
 
 
 class TestClusterModel:
@@ -424,35 +457,18 @@ class TestClusterModel:
         with pytest.raises(ValidationError, match="^container_area must be a number, got True$"):
             cluster_from_dict(dict(d, container_area=True))
 
-    def test_adjacency_entries_must_be_integers(self, domino_cluster):
+    def test_graph_keys_are_unknown(self, domino_cluster):
+        # the canonical graph is read off the cells and the empty-chamber
+        # bound is only reported, so a cluster file is its container and its
+        # cells; the keys of the hand-written graph and claimed_optimal are unknown
         d = cluster_to_dict(domino_cluster)
-        (row,) = d["adjacency"]
-        for bad in (2.7, 2.0, True, "2"):
-            with pytest.raises(ValidationError,
-                               match=f"^adjacency entry must be an integer, got {bad!r}$"):
-                cluster_from_dict(dict(d, adjacency=[row[:2] + [bad] + row[3:]]))
-        with pytest.raises(ValidationError, match="^border contact entry must be an integer"):
-            cluster_from_dict(dict(d, border_contacts=[[0, 0.5], [1, 0]]))
-
-    def test_index_rows_must_have_their_length(self, domino_cluster):
-        d = cluster_to_dict(domino_cluster)
-        (row,) = d["adjacency"]
-        for bad in (row[:3], row + [0], []):
-            with pytest.raises(ValidationError, match="^every adjacency row must hold 4 integers"):
-                cluster_from_dict(dict(d, adjacency=[bad]))
-        with pytest.raises(ValidationError, match="^every border contact row must hold 2 integers"):
-            cluster_from_dict(dict(d, border_contacts=[[0], [1, 0]]))
-        for key in ("adjacency", "border_contacts", "cells"):
-            with pytest.raises(ValidationError, match=f"^{key} must be a list, got {{}}$"):
-                cluster_from_dict(dict(d, **{key: {}}))
-
-    def test_claimed_optimal_must_be_a_boolean(self, domino_cluster):
-        d = cluster_to_dict(domino_cluster)
-        assert cluster_from_dict(dict(d, claimed_optimal=True)).claimed_optimal is True
-        for bad in ("no", 1, None):
-            with pytest.raises(ValidationError,
-                               match=f"^claimed_optimal must be true or false, got {bad!r}$"):
-                cluster_from_dict(dict(d, claimed_optimal=bad))
+        assert list(d) == ["container", "container_area", "cells"]
+        for key, value in (("adjacency", [[0, 1, 2, 6]]), ("border_contacts", [[0, 0], [1, 0]]),
+                           ("claimed_optimal", False)):
+            with pytest.raises(ValidationError, match=f"^unknown keys: {key}$"):
+                cluster_from_dict(dict(d, **{key: value}))
+        with pytest.raises(ValidationError, match="^cells must be a list, got {}$"):
+            cluster_from_dict(dict(d, cells={}))
 
     def test_overlapping_cells_rejected(self):
         tri = regular_polygon(3, area=60.0, center=(0, 0))
@@ -502,8 +518,7 @@ class TestClusterModel:
         left, right = domino_cluster.cells
         moved = ArcDomain(transform_curve(left.boundary, dx=0.01), left.roles, left.h)
         with pytest.raises(ValidationError) as err:
-            Cluster(domino_cluster.container, (moved, right),
-                    domino_cluster.adjacency, domino_cluster.border_contacts)
+            Cluster(domino_cluster.container, (moved, right))
         assert type(err.value) is ValidationError
         assert str(err.value) == "cells 0 and 1 overlap near (1.005, 0.213837)"
 

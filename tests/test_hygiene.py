@@ -5,15 +5,17 @@ package never references, no private module-level constant the package
 never reads, no import inside a function of the package, no
 artifact reader that leaves its keys unchecked, no dataclass argument
 that ``__post_init__`` overwrites unread, no numpy call in the float
-chain sampler or the cluster checks, no read of a curve's edge views
-outside ``arc_geometry``, and no curve constructor but ``ArcCurve(rows,
-closed)``.
+chain sampler, the cluster checks or the shared-arc matching, no read of
+a curve's edge views outside ``arc_geometry``, no curve constructor but
+``ArcCurve(rows, closed)``, and no cluster input but its container, its
+cells and its area.
 
 Package ``__init__.py`` files are skipped by the import scan, since their
 imports are re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -291,16 +293,34 @@ def test_chain_sampler_makes_no_numpy_call():
 
 
 def test_cluster_checks_make_no_numpy_call():
-    # containment and disjointness are closed forms on each pair of edge rows,
-    # in plain floats, like the sampler
+    # containment, disjointness and the shared-arc matching are closed forms
+    # on each pair of edge rows, in plain floats, like the sampler
     found = _numpy_calls({
         "cluster.py": ("Cluster._check_containment", "Cluster._check_disjointness", "_meet",
-                       "_box_pairs", "_holds", "_corners", "_cell_overlap"),
+                       "_box_pairs", "_holds", "_corners", "_cell_overlap", "_shared_arcs",
+                       "_edges_coincide"),
         "arc_geometry.py": ("_edge_support", "_edge_box", "_arc_overlap", "_circle_intersections",
-                            "_edge_crossing", "locate_on_edge", "winding_number", "_scalar_turn"),
+                            "_edge_crossing", "locate_on_edge", "winding_number", "_scalar_turn",
+                            "edge_point"),
         "cheeger.py": ("_tangent",),
     })
     assert not found, "numpy calls in the cluster checks:\n" + "\n".join(found)
+
+
+def test_a_cluster_is_its_container_and_cells():
+    # the canonical graph is read off the cells and the empty-chamber bound
+    # is only reported: Cluster takes no hand-written graph and no optimality
+    # claim, and no package module names them or their row reader
+    tree = ast.parse((ROOT / "src" / "cheegerlab" / "cluster.py").read_text(encoding="utf-8"))
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Cluster"]
+    fields = [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
+    assert fields == ["container", "cells", "container_area"]
+    retired = re.compile(r"\b(Adjacency|BorderContact|border_contacts|claimed_optimal|_index_rows)\b")
+    found = [f"{path.relative_to(ROOT)}:{line}: {m.group(0)}"
+             for path in sorted((ROOT / "src" / "cheegerlab").glob("*.py"))
+             for line, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             for m in retired.finditer(text)]
+    assert not found, "retired cluster inputs named in the package:\n" + "\n".join(found)
 
 
 def _init_false(value) -> bool:

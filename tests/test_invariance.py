@@ -2,7 +2,8 @@
 
 Every input is rotated by 0.3 rad, dilated by lambda from 1e-8 to 1e8 and then
 translated by 0, 1e2 or 1e4 of its own (dilated) extents.  The certificate's
-applicability, its failing rules and its dimensionless margins, the verdict
+applicability, its failing rules and its dimensionless margins, the shared
+arcs that the canonical graph reads off a cluster's cells, the verdict
 on two cells that overlap in a thin lens or touch, the class-A
 and Hales verdicts of random domains and their Hales margins, must not depend
 on where the input sits or on its scale; nor may the optimizer's lattice
@@ -28,6 +29,7 @@ from cheegerlab.cheeger import (
     random_class_a_domain,
     regular_polygon,
 )
+from cheegerlab import cluster
 from cheegerlab.cluster import Cluster, honeycomb_cluster, lower_bound_certificate
 from cheegerlab.errors import ValidationError
 from cheegerlab.hales_deficit import hales_check, place_nodes
@@ -38,6 +40,7 @@ from cheegerlab.partition_optimizer import (
     power_diagram_cells,
 )
 from conftest import make_domino_cluster, make_lens_cells
+from oracles import honeycomb_adjacency_reference
 
 ANGLE = 0.3
 SCALES = [1e-8, 1e-4, 1.0, 1e4, 1e8]
@@ -64,8 +67,7 @@ def _move_cluster(cl: Cluster, angle, dx, dy, lam) -> Cluster:
     return Cluster(
         _move_polygon(cl.container, angle, dx, dy, lam),
         tuple(_move_domain(c, angle, dx, dy, lam) for c in cl.cells),
-        cl.adjacency, cl.border_contacts,
-        container_area=lam * lam * cl.container_area, claimed_optimal=cl.claimed_optimal,
+        lam * lam * cl.container_area,
     )
 
 
@@ -113,6 +115,19 @@ def test_honeycomb_verdicts(honeycomb, lam, shift):
     cl, ref = honeycomb
     cert = lower_bound_certificate(_move_cluster(cl, *_motion(cl.container.vertices, lam, shift)))
     assert _verdicts(cert) == _verdicts(ref)
+
+
+@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("lam", SCALES)
+def test_shared_arcs_in_every_frame(lam, shift):
+    # the canonical graph's pairs are read off the moved cells: the domino's
+    # one shared segment, and the lattice neighbors of honeycombs l = 3, 4, 6
+    cases = [(make_domino_cluster(), [(0, 1, 2, 6)])]
+    cases += [(honeycomb_cluster(l), sorted(honeycomb_adjacency_reference(
+        [(i, t) for t in range(l) for i in range(l - t)]))) for l in (3, 4, 6)]
+    for cl, pairs in cases:
+        moved = _move_cluster(cl, *_motion(cl.container.vertices, lam, shift))
+        assert sorted(cluster._shared_arcs(moved)) == pairs
 
 
 @pytest.mark.parametrize("shift", SHIFTS)
