@@ -463,12 +463,41 @@ class TestClusterModel:
         # cells; the keys of the hand-written graph and claimed_optimal are unknown
         d = cluster_to_dict(domino_cluster)
         assert list(d) == ["container", "container_area", "cells"]
-        for key, value in (("adjacency", [[0, 1, 2, 6]]), ("border_contacts", [[0, 0], [1, 0]]),
-                           ("claimed_optimal", False)):
-            with pytest.raises(ValidationError, match=f"^unknown keys: {key}$"):
-                cluster_from_dict(dict(d, **{key: value}))
+        graph = {"adjacency": [[0, 1, 2, 6]], "border_contacts": [[0, 0], [1, 0]],
+                 "claimed_optimal": False}
+        with pytest.raises(ValidationError,
+                           match="^unknown keys: adjacency, border_contacts, claimed_optimal$"):
+            cluster_from_dict(dict(d, **graph))
+
+    def test_adjacency_entries_must_be_integers(self, domino_cluster):
+        # no adjacency or border contact entry is read any more: integer or
+        # not, the key itself is refused before any entry is looked at
+        d = cluster_to_dict(domino_cluster)
+        for bad in (2, 2.7, 2.0, True, "2"):
+            with pytest.raises(ValidationError, match="^unknown keys: adjacency$"):
+                cluster_from_dict(dict(d, adjacency=[[0, 1, bad, 6]]))
+            with pytest.raises(ValidationError, match="^unknown keys: border_contacts$"):
+                cluster_from_dict(dict(d, border_contacts=[[0, bad], [1, 0]]))
+
+    def test_index_rows_must_have_their_length(self, domino_cluster):
+        # index rows of any length are refused with their key; the one list
+        # left to check is the cells
+        d = cluster_to_dict(domino_cluster)
+        for bad in ([0, 1, 2], [0, 1, 2, 6, 0], [], {}):
+            with pytest.raises(ValidationError, match="^unknown keys: adjacency$"):
+                cluster_from_dict(dict(d, adjacency=[bad]))
+            with pytest.raises(ValidationError, match="^unknown keys: border_contacts$"):
+                cluster_from_dict(dict(d, border_contacts=[bad, [1, 0]]))
         with pytest.raises(ValidationError, match="^cells must be a list, got {}$"):
             cluster_from_dict(dict(d, cells={}))
+
+    def test_claimed_optimal_must_be_a_boolean(self, domino_cluster):
+        # claimed_optimal is no longer a field: a boolean is refused like any other value
+        d = cluster_to_dict(domino_cluster)
+        assert not hasattr(domino_cluster, "claimed_optimal")
+        for value in (True, False, "no", 1, None):
+            with pytest.raises(ValidationError, match="^unknown keys: claimed_optimal$"):
+                cluster_from_dict(dict(d, claimed_optimal=value))
 
     def test_overlapping_cells_rejected(self):
         tri = regular_polygon(3, area=60.0, center=(0, 0))
