@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from cheegerlab.hales_deficit import (
     hales_check,
     place_nodes,
 )
-from oracles import Arc, Segment, chord_deficits_reference, curve_of, full_circle
+from oracles import Arc, Segment, _node_positions_reference, chord_deficits_reference, curve_of, full_circle
 
 PI = math.pi
 SQUARE = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -88,6 +89,42 @@ class TestPlaceNodes:
         dom = random_class_a_domain(3)
         place_nodes(inner_cheeger_boundary(dom), dom)
         assert validation_counts == {"class_a_violations": 1, "offset_inner": 1}
+
+
+class TestNodeSet:
+    @pytest.mark.parametrize("node", [
+        (1.0,), (1.0, 2.0, 3.0), 3.0, ("a", "b"), (True, 0.0), (0.0, False), (None, 0.0),
+        (math.nan, 0.0), (0.0, math.inf), (10 ** 400, 0.0), (np.int64(1), 0.0),
+    ])
+    def test_node_must_be_a_pair_of_finite_reals(self, node):
+        with pytest.raises(ContractViolation, match=r"^node 1 must be a pair of finite real numbers, got "):
+            NodeSet(((0.0, 0.0), node), (False, False))
+
+    def test_messages(self):
+        with pytest.raises(ContractViolation, match=r"^node 0 must be a pair of finite real numbers, got \(1\.0,\)$"):
+            NodeSet(((1.0,),), (False,))
+        with pytest.raises(ContractViolation, match=r"^node 0 must be a pair of finite real numbers, "
+                                                    r"got \('a', 'b'\)$"):
+            NodeSet((("a", "b"),), (False,))
+        with pytest.raises(ContractViolation, match=r"^exceptional flag 0 must be a bool, got 'no'$"):
+            NodeSet(((0.0, 0.0), (1.0, 0.0)), ("no",) * 2)
+        with pytest.raises(ContractViolation, match=r"^exceptional flag 1 must be a bool, got 1$"):
+            NodeSet(((0.0, 0.0), (1.0, 0.0)), (False, 1))
+        with pytest.raises(ContractViolation, match=r"^one exceptional flag per node required$"):
+            NodeSet(((0.0, 0.0),), (False, False))
+        with pytest.raises(ContractViolation, match=r"^node set must contain at least one node$"):
+            NodeSet((), ())
+
+    @pytest.mark.parametrize("flag", [np.bool_(True), None, 0, "no"])
+    def test_flag_must_be_a_bool(self, flag):
+        with pytest.raises(ContractViolation, match=r"^exceptional flag 0 must be a bool, got "):
+            NodeSet(((0.0, 0.0),), (flag,))
+
+    def test_keeps_each_checked_pair(self):
+        # ints and floats are numbers; a list or a one-shot iterator is read once, into a tuple
+        nodes = NodeSet([[0, 1], (np.float64(0.5), -2.0), iter((3.0, 4.0))], [True, False, False])
+        assert nodes.nodes == ((0, 1), (0.5, -2.0), (3.0, 4.0))
+        assert nodes.exceptional == (True, False, False)
 
 
 class TestChordDeficits:
@@ -231,6 +268,15 @@ class TestHalesCheck:
         with pytest.raises(ValidationError, match="^clamp_bound must be finite"):
             chord_deficits(curve, nodes, clamp_bound=value)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_scalars_rejected(self, value):
+        # True would otherwise run as r* = 1 and report satisfied
+        curve, nodes = polygon_curve_and_nodes(SQUARE)
+        with pytest.raises(ContractViolation, match=f"^r_star must be a number, got {value}$"):
+            hales_check(curve, nodes, value)
+        with pytest.raises(ContractViolation, match=f"^clamp_bound must be a number, got {value}$"):
+            chord_deficits(curve, nodes, clamp_bound=value)
+
     @pytest.mark.parametrize("r_star", [1e-300, 1e-160, 1e200])
     def test_pi_r_star_squared_must_be_a_normal_float(self, r_star):
         # pi*r_star^2 underflows to 0 at 1e-300 (the length was divided by its
@@ -313,3 +359,117 @@ class TestAgainstReference:
 
     def test_domino_cells(self, monkeypatch, domino_cluster):
         self._check(monkeypatch, _cluster_cases(domino_cluster))
+
+
+    # sha256 over jsonio.dumps(deficit_report_to_dict(...)) of chord_deficits
+    # and hales_check on every case of _class_a_cases, of _cluster_cases of
+    # honeycomb_cluster(4) and (8) and of the domino, in that order; recorded
+    # with the nearest-edge search locating every node
+    HALES_PIN = "cb6fd710bcf90d152f4213be9bded035fac188a76ced821039982373cce86f0b"
+
+    def test_reports_pinned(self, domino_cluster):
+        cases = (_class_a_cases() + _cluster_cases(honeycomb_cluster(4)) + _cluster_cases(honeycomb_cluster(8))
+                 + _cluster_cases(domino_cluster))
+        digest = hashlib.sha256()
+        for curve, nodes, r_star in cases:
+            for rep in (chord_deficits(curve, nodes), hales_check(curve, nodes, r_star)):
+                digest.update(jsonio.dumps(deficit_report_to_dict(rep)).encode())
+        assert digest.hexdigest() == self.HALES_PIN
+
+
+def _lens():
+    # two arcs of radius sqrt(2) through (1, 0) and (-1, 0), centred at (0, -1) and (0, 1)
+    q = math.pi / 4
+    return ArcCurve(((0.0, -1.0, math.sqrt(2.0), q, 2 * q), (0.0, 1.0, math.sqrt(2.0), 5 * q, 2 * q)))
+
+
+VERTEX_CURVES = {
+    # vertex 1 of each: segment-segment, segment-arc, arc-arc
+    "square": ArcCurve(((0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, 1.0), (1.0, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, 0.0))),
+    "half_disk": ArcCurve(((-1.0, 0.0, 1.0, 0.0), (0.0, 0.0, 1.0, 0.0, math.pi))),
+    "lens": _lens(),
+}
+
+
+def _gapped_squares():
+    """The unit square with row 1 starting 0.9*tol off row 0's end: across row 0, and back along row 1."""
+    curves = []
+    for sign in (1.0, -1.0):
+        rows = list(VERTEX_CURVES["square"].rows)
+        for _ in range(3):  # the gap moves the box, and with it the tolerance, by ~1e-9 relative
+            gap = 0.9 * ArcCurve(tuple(rows)).tolerance
+            rows[1] = (1.0, sign * gap, 1.0, 1.0)
+        curves.append(ArcCurve(tuple(rows)))
+        assert gap / curves[-1].tolerance == pytest.approx(0.9, abs=1e-12)
+    return curves
+
+
+def _near_vertex(curve, j):
+    """Points at 0.25 to 2 tol from vertex j's two ends in 16 directions, and along the two rows that meet there."""
+    tol = curve.tolerance
+    rows = curve.rows
+    start, end = edge_point(rows[j], 0.0), edge_point(rows[j - 1], 1.0)
+    points = [start, end, ((start[0] + end[0]) / 2, (start[1] + end[1]) / 2)]
+    for d in (0.25 * tol, 0.5 * tol, 0.75 * tol, 0.9 * tol, 1.1 * tol, 1.25 * tol, 1.5 * tol, 2.0 * tol):
+        for q in range(16):
+            a = q * math.pi / 8
+            points += [(x + d * math.cos(a), y + d * math.sin(a)) for x, y in (start, end)]
+        points.append(edge_point(rows[j], d / _row_length(rows[j])))
+        points.append(edge_point(rows[j - 1], 1.0 - d / _row_length(rows[j - 1])))
+    return points
+
+
+def _row_length(row):
+    return row[2] * abs(row[4]) if len(row) == 5 else math.hypot(row[2] - row[0], row[3] - row[1])
+
+
+def _position_or_error(locate, curve, node):
+    try:
+        return locate(curve, (node,))
+    except ContractViolation as exc:
+        return str(exc)
+
+
+class TestVertexRule:
+    """Nodes at the curve's vertices are found without the nearest-edge search, at the search's position."""
+
+    def test_library_nodes_need_no_search(self, call_counts, domino_cluster):
+        located = call_counts(hales_deficit, "locate_on_edge")
+        cases = _cluster_cases(honeycomb_cluster(4)) + _cluster_cases(domino_cluster)
+        for seed in range(50):
+            d = random_class_a_domain(seed)
+            off = inner_cheeger_boundary(d)
+            cases.append((off.curve, place_nodes(off, d), d.r))
+        for curve, nodes, r_star in cases:
+            hales_check(curve, nodes, r_star)
+        assert located == {"locate_on_edge": 0}
+
+    def test_interior_nodes_are_searched(self, call_counts):
+        located = call_counts(hales_deficit, "locate_on_edge")
+        for curve, nodes, r_star in _class_a_cases():
+            if nodes.nodes[0] == edge_point(curve.rows[0], 0.37):
+                hales_check(curve, nodes, r_star)
+        assert located["locate_on_edge"] > 0
+
+    def test_walk_is_linear_in_nodes_and_rows(self, call_counts):
+        # 400 vertex nodes in cyclic order, starting half way round
+        curve, nodes = polygon_curve_and_nodes(regular_polygon(400, area=1.0))
+        shifted = nodes.nodes[200:] + nodes.nodes[:200]
+        distances = call_counts(math, "hypot")
+        positions, _ = hales_deficit._node_positions(curve, shifted)
+        assert positions == [((k + 200) % 400, 0.0) for k in range(400)]
+        assert distances["hypot"] <= 1 + 400 + 2 * 400
+
+    @pytest.mark.parametrize("name", sorted(VERTEX_CURVES))
+    def test_positions_match_the_search_near_a_vertex(self, name):
+        curve = VERTEX_CURVES[name]
+        for node in _near_vertex(curve, 1):
+            got = _position_or_error(lambda c, n: hales_deficit._node_positions(c, n)[0], curve, node)
+            assert got == _position_or_error(_node_positions_reference, curve, node), node
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_positions_match_the_search_across_a_gap(self, side):
+        curve = _gapped_squares()[side]
+        for node in _near_vertex(curve, 1):
+            got = _position_or_error(lambda c, n: hales_deficit._node_positions(c, n)[0], curve, node)
+            assert got == _position_or_error(_node_positions_reference, curve, node), node
